@@ -11,11 +11,21 @@ monoid action, exact support computation, flatness checking by two
 independent routes (latching maps, and injectivity plus pullback
 preservation), the Day convolution along concatenation, and the
 passage back and forth to canonical tame actions.
+
+Latching objects, the Lan extension by one level and the Day
+convolution are colimits over comma categories of injections into n.
+Those categories are preorders: the injections into n that are not
+bijections are, up to isomorphism, the proper subsets of {1..n}, and
+the decompositions of {1..n} are the disjoint pairs of subsets.  Each
+colimit is therefore computed face by face: one union-find node per
+maximal face and element, glued along the faces one size down through
+the face maps, and any (injection, element) pair is resolved onto a
+maximal face by sorting it and acting by the rank permutation.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import (
     InvalidMorphism,
@@ -24,16 +34,14 @@ from .errors import (
     ValidationError,
 )
 from .injections import PartialInjection, QuasiAffineInjection
-from .mset import CanonicalTameMSet, MElement, decompose_table
+from .mset import (
+    CanonicalTameMSet,
+    MElement,
+    all_injective_tuples,
+    decompose_table,
+)
 from .sigma import DEFAULT_DEGREE_BOUND, SigmaSet, point_key
-
-
-def all_injective_tuples(m, n):
-    """All injections {1..m} -> {1..n} as value tuples."""
-    out = []
-    for values in combinations(range(1, n + 1), m):
-        out.extend(permutations(values))
-    return out
+from .unionfind import UnionFind
 
 
 class TruncatedISet:
@@ -78,18 +86,8 @@ class TruncatedISet:
                     raise ValidationError("double inclusion", m)
         # declared stability: everything above comes from below
         for m in range(stable_from, N):
-            reached = set(self.incl[m].values())
-            frontier = list(reached)
-            while frontier:
-                nxt = []
-                for y in frontier:
-                    for t in self.transp[m + 1]:
-                        z = t[y]
-                        if z not in reached:
-                            reached.add(z)
-                            nxt.append(z)
-                frontier = nxt
-            if reached != set(self.levels[m + 1]):
+            if not _generated_from_below(m, self.levels, self.incl,
+                                         self.transp):
                 raise ValidationError("stability", m)
 
     def level_sigma(self, m):
@@ -120,28 +118,30 @@ class TruncatedISet:
         return self._sigma[n].act_perm(sigma, x)
 
 
+def _generated_from_below(m, levels, incl, transp):
+    """Whether the transpositions carry the image of level m onto all
+    of level m+1."""
+    reached = set(incl[m].values())
+    frontier = list(reached)
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for t in transp[m + 1]:
+                z = t[y]
+                if z not in reached:
+                    reached.add(z)
+                    nxt.append(z)
+        frontier = nxt
+    return reached == set(levels[m + 1])
+
+
 def minimal_stable_from(N, levels, incl, transp):
     """The least declared stability level the validator will accept."""
-    stable_at = []
-    for m in range(N):
-        reached = set(incl[m].values())
-        frontier = list(reached)
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for t in transp[m + 1]:
-                    z = t[y]
-                    if z not in reached:
-                        reached.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        stable_at.append(reached == set(levels[m + 1]))
     s = N
     for m in range(N - 1, -1, -1):
-        if stable_at[m]:
-            s = m
-        else:
+        if not _generated_from_below(m, levels, incl, transp):
             break
+        s = m
     return s
 
 
@@ -315,7 +315,7 @@ class OmegaColimit:
             for x0 in X.levels[m - 1]:
                 if found:
                     break
-                for alpha in all_injective_tuples(m - 1, m):
+                for alpha in combinations(range(1, m + 1), m - 1):
                     if X.map_along(alpha, m, x0) == x:
                         found = (alpha, x0)
                         break
@@ -461,51 +461,63 @@ class LatchingData:
         self.witness = witness
 
 
+def _face_maps(X: TruncatedISet, k):
+    """The k face maps X(k-1) -> X(k); entry j belongs to the order
+    embedding of {1..k-1} that skips position j+1."""
+    return [
+        {y: X.map_along(tuple(v for v in range(1, k + 1) if v != j), k, y)
+         for y in X.levels[k - 1]}
+        for j in range(1, k + 1)
+    ]
+
+
 def _colimit_under(X: TruncatedISet, n):
-    """Union-find classes of pairs (injection into n, lower element)
-    under the over-category relations; n may exceed the truncation."""
-    parent = {}
-    top = min(n - 1, X.N)
-    for m in range(top + 1):
-        for alpha in all_injective_tuples(m, n):
-            for x in X.levels[m]:
-                parent[(alpha, x)] = (alpha, x)
+    """The colimit of X over the proper subobjects of {1..n}, n at most
+    one past the truncation.
 
-    def find(node):
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
+    The injections into n that are not bijections form, up to
+    isomorphism, the poset of proper subsets S of {1..n}, each standing
+    for its order embedding.  Every pair (alpha, x) is therefore equal
+    to a pair (S, x') with S a maximal proper face, |S| = n-1, and two
+    such faces S1, S2 meet in one face of size n-2 whose elements are
+    glued through the two face maps.  Returns the classes, each named
+    by its first node (S, x), and the resolver sending any (alpha, x),
+    alpha a value tuple of length at most n-1, to its class."""
+    if n > X.N + 1:
+        raise TruncationExceeded(f"level {n} beyond truncation {X.N} + 1")
+    k = n - 1
+    uf = UnionFind(
+        (S, x) for S in combinations(range(1, n + 1), k) for x in X.levels[k]
+    )
+    if k >= 1:
+        d = _face_maps(X, k)
+        for a, b in combinations(range(1, n + 1), 2):
+            # the faces missing b and missing a, seen from their meet
+            Sa = tuple(v for v in range(1, n + 1) if v != b)
+            Sb = tuple(v for v in range(1, n + 1) if v != a)
+            da, db = d[a - 1], d[b - 2]
+            for y in X.levels[k - 1]:
+                uf.union((Sa, da[y]), (Sb, db[y]))
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb, key=point_key)] = min(ra, rb, key=point_key)
+    def lookup(alpha, x):
+        used = set(alpha)
+        extra = [v for v in range(1, n + 1) if v not in used]
+        S = tuple(sorted(used.union(extra[: k - len(alpha)])))
+        rank = {v: r for r, v in enumerate(S, start=1)}
+        beta = tuple(rank[v] for v in alpha)
+        return uf.find((S, X.map_along(beta, k, x)))
 
-    for m in range(top + 1):
-        for beta in all_injective_tuples(m, n):
-            # precomposition with an adjacent transposition
-            for i in range(1, m):
-                swapped = list(beta)
-                swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-                for x in X.levels[m]:
-                    union((tuple(swapped), x), (beta, X.transp[m][i - 1][x]))
-            # precomposition with the last inclusion
-            if m >= 1:
-                alpha = beta[: m - 1]
-                for x0 in X.levels[m - 1]:
-                    union((alpha, x0), (beta, X.incl[m - 1][x0]))
-
-    lookup = {node: find(node) for node in parent}
-    classes = sorted(set(lookup.values()), key=point_key)
-    return classes, lookup
+    return uf.roots(), lookup
 
 
 def latching(X: TruncatedISet, n) -> LatchingData:
     """The comparison from the colimit over proper subobjects into
-    level n, computed by union-find over pairs (injection, element)."""
+    level n.  The colimit is glued from the n maximal faces of {1..n}
+    along their pairwise meets (see `_colimit_under`), so a class is a
+    pair (S, x) with S a sorted (n-1)-subset; `lookup(alpha, x)` gives
+    the class of any pair with alpha a non-surjective injection."""
+    if n == 0:
+        return LatchingData([], {}, None, True, None)
     classes, lookup = _colimit_under(X, n)
     values = {c: X.map_along(c[0], n, c[1]) for c in classes}
     seen = {}
@@ -524,21 +536,23 @@ def lan_extend(X: TruncatedISet) -> TruncatedISet:
     """One canonical level on top of the truncation: the colimit over
     everything below, with functoriality by post-composition.  This is
     the extension the truncated data denotes, with nothing added and
-    nothing guessed."""
+    nothing guessed.
+
+    The new level N+1 is the union of X(N) over the N+1 faces of size
+    N, glued along the faces of size N-1; its points are the pairs
+    (S, x) that come first in their class.  A transposition moves S
+    and the resolver sorts the moved face back, acting on x by the
+    rank permutation."""
     n = X.N + 1
     classes, lookup = _colimit_under(X, n)
-    new_incl = {
-        x: lookup[(tuple(range(1, X.N + 1)), x)] for x in X.levels[X.N]
-    }
+    new_incl = {x: lookup(tuple(range(1, n)), x) for x in X.levels[X.N]}
     new_transp = []
     for i in range(1, n):
         swap = {i: i + 1, i + 1: i}
-        t = {}
-        for c in classes:
-            alpha, x = c
-            moved = tuple(swap.get(v, v) for v in alpha)
-            t[c] = lookup[(moved, x)]
-        new_transp.append(t)
+        new_transp.append({
+            c: lookup(tuple(swap.get(v, v) for v in c[0]), c[1])
+            for c in classes
+        })
     levels = X.levels + [classes]
     incl = X.incl + [new_incl]
     transp = X.transp + [new_transp]
@@ -610,7 +624,9 @@ def is_flat(X: TruncatedISet, mode="latching") -> FlatnessReport:
             return FlatnessReport(False, mode, ("inclusion", m))
     # every map factors as a permutation after inclusions, so injective
     # inclusions make all maps injective; cospans with an isomorphism
-    # leg then satisfy the intersection condition automatically
+    # leg then satisfy the intersection condition automatically.  The
+    # condition is unchanged when a leg is precomposed with a
+    # permutation, so the legs run over order embeddings of subsets.
     table_cache = {}
 
     def tab(alpha, target):
@@ -628,13 +644,13 @@ def is_flat(X: TruncatedISet, mode="latching") -> FlatnessReport:
         for a in range(n):
             if not X.levels[a]:
                 continue
-            for alpha in all_injective_tuples(a, n):
+            for alpha in combinations(range(1, n + 1), a):
                 ia = set(alpha)
                 back_a = {v: u for u, v in tab(alpha, n).items()}
                 for b in range(a, n):
                     if not X.levels[b]:
                         continue
-                    for beta in all_injective_tuples(b, n):
+                    for beta in combinations(range(1, n + 1), b):
                         meet = sorted(ia & set(beta))
                         gamma1 = tuple(alpha.index(d) + 1 for d in meet)
                         gamma2 = tuple(beta.index(d) + 1 for d in meet)
@@ -660,32 +676,17 @@ def mono_pushout_injective(f: ISetMorphism, n):
     X, Y = f.source, f.target
     LX = latching(X, n)
     LY = latching(Y, n)
-
-    parent = {}
-    for c in LY.classes:
-        parent[("L", c)] = ("L", c)
-    for x in X.levels[n]:
-        parent[("X", x)] = ("X", x)
-
-    def find(node):
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
-
+    uf = UnionFind([("L", c) for c in LY.classes]
+                   + [("X", x) for x in X.levels[n]])
     # glue along the image of the latching object of X
     for c in LX.classes:
-        alpha, x = c
-        ly = LY.lookup[(alpha, f.maps[len(alpha)][x])]
-        a, b = find(("L", ly)), find(("X", LX.values[c]))
-        if a != b:
-            parent[max(a, b, key=point_key)] = min(a, b, key=point_key)
+        S, x = c
+        uf.union(("L", LY.lookup(S, f.maps[len(S)][x])),
+                 ("X", LX.values[c]))
 
     images = {}
-    for node in list(parent):
-        root = find(node)
+    for node in uf.nodes:
+        root = uf.find(node)
         kind, payload = node
         val = LY.values[payload] if kind == "L" else f.maps[n][payload]
         if root in images and images[root] != val:
@@ -704,14 +705,12 @@ def _truncate(X: TruncatedISet, n):
     )
 
 
-def day_convolution(X: TruncatedISet, Y: TruncatedISet):
-    """The convolution along concatenation: level n is the colimit of
-    X(m1) x Y(m2) over decompositions of {1..n}.
+def _day_factors(X: TruncatedISet, Y: TruncatedISet):
+    """Both factors extended canonically until the window clears the
+    combined stability and merge heights, then cut to a common height.
 
     Factors whose inclusions identify elements would make the
-    convolution merge classes beyond the window, so both are extended
-    canonically until the window clears the combined stability and
-    merge heights."""
+    convolution merge classes beyond the window."""
     A = faithful_extension(X)
     B = faithful_extension(Y)
     target = min(X.N, Y.N)
@@ -727,87 +726,81 @@ def day_convolution(X: TruncatedISet, Y: TruncatedISet):
             B = faithful_extension(B, at_least=target)
     else:
         raise TruncationExceeded("convolution bound does not settle")
-    X = _truncate(A, target)
-    Y = _truncate(B, target)
-    N = target
-    level_classes = []
-    finds = []
-    for n in range(N + 1):
-        parent = {}
-        for m1 in range(n + 1):
-            if not X.levels[m1]:
-                continue
-            for m2 in range(n + 1 - m1):
-                if not Y.levels[m2]:
-                    continue
-                for gamma in all_injective_tuples(m1 + m2, n):
-                    for x in X.levels[m1]:
-                        for y in Y.levels[m2]:
-                            node = (m1, gamma, x, y)
-                            parent[node] = node
+    return _truncate(A, target), _truncate(B, target)
 
-        def find(node, parent=parent):
-            root = node
-            while parent[root] != root:
-                root = parent[root]
-            while parent[node] != root:
-                parent[node], node = root, parent[node]
-            return root
 
-        def union(a, b, parent=parent):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb, key=point_key)] = min(ra, rb, key=point_key)
+def _day_level(X: TruncatedISet, Y: TruncatedISet, n, dX, dY):
+    """Level n of the convolution of two factors of height at least n.
 
-        for node in list(parent):
-            m1, gamma, x, y = node
-            m2 = len(gamma) - m1
-            # X-side transpositions and inclusion
-            for i in range(1, m1):
-                g = list(gamma)
-                g[i - 1], g[i] = g[i], g[i - 1]
-                union((m1, tuple(g), x, y),
-                      (m1, gamma, X.transp[m1][i - 1][x], y))
-            if m1 >= 1 and X.levels[m1 - 1]:
-                g = gamma[: m1 - 1] + gamma[m1:]
-                for x0 in X.levels[m1 - 1]:
-                    if X.incl[m1 - 1][x0] == x:
-                        union((m1 - 1, g, x0, y), (m1, gamma, x, y))
-            # Y-side transpositions and inclusion
-            for i in range(1, m2):
-                g = list(gamma)
-                g[m1 + i - 1], g[m1 + i] = g[m1 + i], g[m1 + i - 1]
-                union((m1, tuple(g), x, Y.transp[m2][i - 1][y]),
-                      (m1, gamma, x, y))
-            if m2 >= 1 and Y.levels[m2 - 1]:
-                g = gamma[:-1]
-                for y0 in Y.levels[m2 - 1]:
-                    if Y.incl[m2 - 1][y0] == y:
-                        union((m1, g, x, y0), (m1, gamma, x, y))
+    The decompositions of {1..n} form the poset of disjoint pairs of
+    subsets; its maximal pairs are (A, complement of A), one node
+    (|A|, A + complement, x, y) per x in X(|A|) and y in Y(n-|A|).  A
+    pair of total size n-1, missing e, lies below exactly two maximal
+    pairs (e joins either side) and glues them through the face maps
+    dX, dY.  Returns the classes and the resolver of any
+    (m1, gamma, x, y) with gamma injective into {1..n}."""
+    everything = range(1, n + 1)
 
-        level_classes.append(sorted({find(node) for node in parent},
-                                    key=point_key))
-        finds.append(find)
+    def split(A):
+        return A + tuple(v for v in everything if v not in A)
 
-    levels = level_classes
-    incl = []
-    for n in range(N):
-        step = {}
-        for c in levels[n]:
-            m1, gamma, x, y = c
-            step[c] = finds[n + 1]((m1, gamma, x, y))
-        incl.append(step)
+    uf = UnionFind(
+        (a, split(A), x, y)
+        for a in range(n + 1)
+        for A in combinations(everything, a)
+        for x in X.levels[a]
+        for y in Y.levels[n - a]
+    )
+    for e in everything:
+        rest = [v for v in everything if v != e]
+        for a in range(n):
+            for A in combinations(rest, a):
+                Ae = tuple(sorted(A + (e,)))
+                B = split(Ae)[a + 1:]
+                fx = dX[a + 1][Ae.index(e)]
+                fy = dY[n - a][sum(v < e for v in B)]
+                for x in X.levels[a]:
+                    for y in Y.levels[n - 1 - a]:
+                        uf.union((a + 1, Ae + B, fx[x], y),
+                                 (a, split(A), x, fy[y]))
+
+    def lookup(m1, gamma, x, y):
+        A = tuple(sorted(gamma[:m1]))
+        full = split(A)
+        rank = {v: r for r, v in enumerate(full, start=1)}
+        bx = tuple(rank[v] for v in gamma[:m1])
+        by = tuple(rank[v] - m1 for v in gamma[m1:])
+        return uf.find((m1, full, X.map_along(bx, m1, x),
+                        Y.map_along(by, n - m1, y)))
+
+    return uf.roots(), lookup
+
+
+def day_convolution(X: TruncatedISet, Y: TruncatedISet):
+    """The convolution along concatenation: level n is the colimit of
+    X(m1) x Y(m2) over decompositions of {1..n}, glued from the maximal
+    decompositions (see `_day_level`).  A point is (m1, gamma, x, y)
+    with gamma a permutation of {1..n}: the sorted first block followed
+    by the sorted complement.
+
+    Both factors are first extended canonically (see `_day_factors`)."""
+    X, Y = _day_factors(X, Y)
+    N = X.N
+    dX = [None] + [_face_maps(X, a) for a in range(1, N + 1)]
+    dY = [None] + [_face_maps(Y, a) for a in range(1, N + 1)]
+    built = [_day_level(X, Y, n, dX, dY) for n in range(N + 1)]
+    levels = [classes for classes, _ in built]
+    incl = [{c: built[n + 1][1](*c) for c in levels[n]} for n in range(N)]
     transp = []
     for n in range(N + 1):
         tabs = []
         for i in range(1, n):
             swap = {i: i + 1, i + 1: i}
-            t = {}
-            for c in levels[n]:
-                m1, gamma, x, y = c
-                moved = tuple(swap.get(v, v) for v in gamma)
-                t[c] = finds[n]((m1, moved, x, y))
-            tabs.append(t)
+            tabs.append({
+                c: built[n][1](c[0], tuple(swap.get(v, v) for v in c[1]),
+                               c[2], c[3])
+                for c in levels[n]
+            })
         transp.append(tabs)
     s = minimal_stable_from(N, levels, incl, transp)
     return TruncatedISet(N, levels, incl, transp, s)

@@ -15,7 +15,7 @@ the law suites exercise.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import NamedTuple
 
 from .errors import (
@@ -271,23 +271,22 @@ def injection_split_iso(m, n, N):
     bijection onto the disjointly supported pairs.
     """
     k = m + n
-    forward = {t: (t[:m], t[m:]) for t in _all_injections(k, N)}
+    forward = {t: (t[:m], t[m:]) for t in all_injective_tuples(k, N)}
     pairs = set(forward.values())
     disjoint = set()
-    for a in _all_injections(m, N):
-        for b in _all_injections(n, N):
+    for a in all_injective_tuples(m, N):
+        for b in all_injective_tuples(n, N):
             if not set(a) & set(b):
                 disjoint.add((a, b))
     bijective = len(pairs) == len(forward) and pairs == disjoint
     return forward, bijective
 
 
-def _all_injections(m, N):
-    from itertools import permutations as _perms
-
+def all_injective_tuples(m, n):
+    """All injections {1..m} -> {1..n} as value tuples."""
     out = []
-    for values in combinations(range(1, N + 1), m):
-        out.extend(_perms(values))
+    for values in combinations(range(1, n + 1), m):
+        out.extend(permutations(values))
     return out
 
 

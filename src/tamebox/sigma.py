@@ -18,13 +18,38 @@ from itertools import combinations, permutations
 from math import factorial
 
 from .errors import DegreeTooLarge, ValidationError
+from .unionfind import UnionFind
 
 DEFAULT_DEGREE_BOUND = 7
 
 
 def point_key(p):
-    """A deterministic total order on point identifiers."""
-    return (type(p).__name__, repr(p))
+    """A deterministic total order on point identifiers: the type name
+    and the repr, except that set members are listed in key order.  A
+    set's own repr follows its hash table, which depends on the order
+    of insertion and, for strings, on PYTHONHASHSEED."""
+    r = repr(p)
+    if "{" in r:
+        r = _value_repr(p)
+    return (type(p).__name__, r)
+
+
+def _value_repr(p):
+    """repr(p) with the members of every nested frozenset sorted by
+    point_key; identical to repr(p) when p contains no set."""
+    if isinstance(p, frozenset):
+        if not p:
+            return repr(p)
+        items = ", ".join(r for _, r in sorted(map(point_key, p)))
+        return f"{type(p).__name__}({{{items}}})"
+    if type(p) is tuple:
+        parts = [point_key(q)[1] for q in p]
+        return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+    if isinstance(p, tuple) and hasattr(p, "_fields"):
+        parts = ", ".join(f"{name}={point_key(q)[1]}"
+                          for name, q in zip(p._fields, p))
+        return f"{type(p).__name__}({parts})"
+    return repr(p)
 
 
 @lru_cache(maxsize=None)
@@ -160,20 +185,13 @@ class SigmaSet:
         its representative.  Returns a list of (rep, members) pairs."""
         if self._orbit_cache is not None:
             return self._orbit_cache
-        parent = {p: p for p in self.points}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = UnionFind(self.points)
         for t in self.transpositions:
             for p, q in t.items():
-                parent[find(p)] = find(q)
+                uf.union(p, q)
         groups = {}
         for p in self.points:
-            groups.setdefault(find(p), []).append(p)
+            groups.setdefault(uf.find(p), []).append(p)
         out = []
         for members in groups.values():
             members.sort(key=point_key)

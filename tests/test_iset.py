@@ -371,3 +371,21 @@ class TestMorphismValidation:
         bad[2][(2,)] = (1,)
         with pytest.raises(InvalidMorphism):
             ISetMorphism(X, X, bad)
+
+
+class TestDayVsBoxGate:
+    def test_short_count_fails_and_reports_skips(self, monkeypatch):
+        import random
+
+        from tamebox import selftest
+
+        def out_of_window(X, Y):
+            raise TruncationExceeded("forced")
+
+        monkeypatch.setattr(selftest, "day_convolution", out_of_window)
+        ran, failures = selftest.suite_day_vs_box(random.Random(0), cases=3)
+        assert ran == 0
+        assert failures == [
+            "ran 0 of 3 cases in 30 draws; skipped 30 past the truncation "
+            "and 0 with product stability beyond half the window 5"
+        ]

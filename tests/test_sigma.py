@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations, product
 from math import comb
 
@@ -13,6 +16,7 @@ from tamebox.sigma import (
     perm_compose,
     perm_inverse,
     perm_word,
+    point_key,
     regular_sigma_set,
     transposition_perm,
     trivial_sigma_set,
@@ -217,3 +221,45 @@ class TestInduce:
     def test_degree_bound(self):
         with pytest.raises(DegreeTooLarge):
             induce(regular_sigma_set(4), regular_sigma_set(4))
+
+
+class TestPointKey:
+    def test_set_insertion_order(self):
+        # 1 and 9 share a hash slot, so the two reprs differ
+        assert repr(frozenset([1, 9])) != repr(frozenset([9, 1]))
+        assert point_key(frozenset([1, 9])) == point_key(frozenset([9, 1]))
+        assert point_key((frozenset([1, 9]), "z")) == point_key(
+            (frozenset([9, 1]), "z")
+        )
+
+    def test_unchanged_without_sets(self):
+        from tamebox.mset import MElement
+
+        for p in ["a{b", (1, "x{", ()), (2,), MElement(1, (3,), "p{")]:
+            assert point_key(p) == (type(p).__name__, repr(p))
+
+    def test_induce_tables_consistent_at_degree_nine(self):
+        Z = trivial_sigma_set(4, ["z"], degree_bound=9)
+        W = trivial_sigma_set(5, ["w"], degree_bound=9)
+        ind = induce(Z, W, degree_bound=9)
+        keys = {p: point_key(p) for p in ind.points}
+        for t in ind.transpositions:
+            for q in t.values():
+                assert point_key(q) == keys[q]
+
+    def test_string_set_independent_of_hash_seed(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = (
+            "from tamebox.sigma import point_key; "
+            "print(point_key(frozenset(['pear', 'apple', 'fig', 'kiwi', "
+            "'plum'])))"
+        )
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.abspath(src))
+            outs.append(subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert outs[0] == outs[1]
