@@ -65,6 +65,6 @@ from .opalg import (
     verify_certificate,
     wedge_iso,
 )
-from .sigma import SigmaSet, induce, iso_equal, sigma_iso_type
+from .sigma import SigmaSet, induce, iso_equal
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError, ValidationError
 from .injections import (
@@ -45,11 +46,11 @@ def canonical_json(value):
 # -- encoding ---------------------------------------------------------------
 
 
-def _frac_out(q):
-    q = Fraction(q)
-    if q.denominator == 1:
-        return int(q)
-    return f"{q.numerator}/{q.denominator}"
+def _ratio_out(num, den):
+    """num/den in lowest terms: an int, or the string "p/q"."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return num if den == 1 else f"{num}/{den}"
 
 
 def encode_partial(f: PartialInjection):
@@ -57,17 +58,18 @@ def encode_partial(f: PartialInjection):
 
 
 def encode_qa(f: QuasiAffineInjection):
+    # span (first, last, mod, v0, step): a = step/mod, b = v0 - a*first
     return {
         "pieces": [
             {
-                "lo": p.lo,
-                "hi": p.hi,
-                "mod": p.mod,
-                "res": p.res,
-                "a": _frac_out(p.a),
-                "b": _frac_out(p.b),
+                "lo": first,
+                "hi": last,
+                "mod": mod,
+                "res": first % mod,
+                "a": _ratio_out(step, mod),
+                "b": _ratio_out(v0 * mod - step * first, mod),
             }
-            for p in f.pieces
+            for first, last, mod, v0, step in f.spans
         ]
     }
 

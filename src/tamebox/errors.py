@@ -86,7 +86,3 @@ class ValidationError(TameboxError):
         self.location = location
         msg = invariant if location is None else f"{invariant} at {location}"
         super().__init__(msg)
-
-
-class UnknownCommand(TameboxError):
-    """The command line named no recognized subcommand."""

@@ -9,10 +9,17 @@ form, so equality of total injections is decided structurally.  An
 OperadElement bundles n pairwise disjoint injections into one n-ary
 operation.
 
-Coefficients of quasi-affine pieces are rationals: a piece may send
-``i`` to ``(i+1)/2`` on the odd numbers, which is integral on its
-progression even though the slope is not an integer.  Such pieces are
-unavoidable once slots get merged and split in certificate chains.
+Quasi-affine pieces are stored in integers, as *spans*
+``(first, last, mod, v0, step)``: the piece sends ``first + k*mod`` to
+``v0 + k*step`` for ``first <= first + k*mod <= last`` (``last`` None
+when unbounded), so its domain and its image are both integer
+progressions.  The rational slope ``a = step/mod`` and offset
+``b = v0 - a*first`` appear only at the boundary: documents write
+pieces as `Piece` tuples ``(lo, hi, mod, res, a, b)``, and a piece may
+send ``i`` to ``(i+1)/2`` on the odd numbers, integral on its
+progression though its slope is not.  `checked_span` is the one place
+where a description with a denominator becomes a span; it rejects
+non-integral steps and values.
 """
 
 from __future__ import annotations
@@ -30,52 +37,61 @@ from .errors import (
 )
 
 
-def _ceil_div(a, b):
-    return -((-a) // b)
-
-
-def _floor_div(a, b):
-    return a // b
-
-
-def _mod_inverse(a, m):
-    # m >= 1 and gcd(a, m) == 1
-    return pow(a % m, -1, m) if m > 1 else 0
-
-
-def _crt(r1, m1, r2, m2):
-    """Combine x = r1 (mod m1) and x = r2 (mod m2).
-
-    Returns (r, lcm(m1, m2)) or None when incompatible.
-    """
-    g = gcd(m1, m2)
-    if (r2 - r1) % g != 0:
+def _meet(p, q):
+    """The values two progressions (first, last, step) share, as such a
+    progression, or None.  last is None when unbounded and equals first
+    for a single value; steps are >= 1."""
+    f1, l1, d1 = p
+    f2, l2, d2 = q
+    g = gcd(d1, d2)
+    if (f2 - f1) % g:
         return None
-    l = lcm(m1, m2)
-    t = ((r2 - r1) // g * _mod_inverse(m1 // g, m2 // g)) % (m2 // g)
-    return ((r1 + m1 * t) % l, l)
+    m = d2 // g
+    d = d1 * m
+    x = f1 + d1 * ((f2 - f1) // g * pow(d1 // g, -1, m) % m)
+    lo = max(f1, f2)
+    first = lo + (x - lo) % d
+    last = l1 if l2 is None else l2 if l1 is None else min(l1, l2)
+    if last is None:
+        return first, None, d
+    if first > last:
+        return None
+    return first, first + (last - first) // d * d, d
 
 
-def _progressions_intersect(p1, p2):
-    """Whether two integer progressions (start, step, count) meet.
+def _first_overlap(progs):
+    """Indices (i, j), i < j, of two progressions (first, last, step)
+    that share a value, or None.
 
-    count is None for an infinite progression; step >= 1.
-    """
-    s1, d1, n1 = p1
-    s2, d2, n2 = p2
-    e1 = None if n1 is None else s1 + d1 * (n1 - 1)
-    e2 = None if n2 is None else s2 + d2 * (n2 - 1)
-    sol = _crt(s1 % d1, d1, s2 % d2, d2)
-    if sol is None:
-        return False
-    r, m = sol
-    low = max(s1, s2)
-    x = low + ((r - low) % m)
-    if e1 is not None and x > e1:
-        return False
-    if e2 is not None and x > e2:
-        return False
-    return True
+    Single values are found by lookup.  Longer progressions can only
+    meet when they agree modulo the gcd of all their steps, so they are
+    bucketed by that residue and tested exactly (`_meet`) only against
+    progressions and single values of their own bucket."""
+    points = {}
+    runs = []
+    for i, p in enumerate(progs):
+        if p[0] == p[1]:
+            j = points.setdefault(p[0], i)
+            if j != i:
+                return j, i
+        else:
+            runs.append(i)
+    if not runs:
+        return None
+    g = gcd(*(progs[i][2] for i in runs))
+    buckets = {}
+    for i in runs:
+        bucket = buckets.setdefault(progs[i][0] % g, [])
+        for j in bucket:
+            if _meet(progs[j], progs[i]) is not None:
+                return j, i
+        bucket.append(i)
+    for v, i in points.items():
+        for j in buckets.get(v % g, ()):
+            f, l, d = progs[j]
+            if f <= v and (l is None or v <= l) and (v - f) % d == 0:
+                return min(i, j), max(i, j)
+    return None
 
 
 class PartialInjection:
@@ -134,15 +150,12 @@ class PartialInjection:
         dom = set(self.mapping)
         img = set(self.mapping.values())
         bound = max(dom | img, default=0)
-        pieces = [
-            Piece(k, k, 1, 0, Fraction(1), Fraction(v - k))
-            for k, v in self.mapping.items()
-        ]
+        pieces = [(k, k, 1, v, 1) for k, v in self.mapping.items()]
         free_targets = iter(sorted(set(range(1, bound + 1)) - img))
         for i in sorted(set(range(1, bound + 1)) - dom):
             v = next(free_targets)
-            pieces.append(Piece(i, i, 1, 0, Fraction(1), Fraction(v - i)))
-        pieces.append(Piece(bound + 1, None, 1, 0, Fraction(1), Fraction(0)))
+            pieces.append((i, i, 1, v, 1))
+        pieces.append((bound + 1, None, 1, bound + 1, 1))
         return QuasiAffineInjection(pieces)
 
     def __eq__(self, other):
@@ -157,8 +170,9 @@ class PartialInjection:
 
 
 class Piece(NamedTuple):
-    """One quasi-affine piece: i -> a*i + b on the progression
-    {i : lo <= i <= hi, i = res (mod mod)}.  hi None means unbounded."""
+    """A piece as documents write it: i -> a*i + b on the progression
+    {i : lo <= i <= hi, i = res (mod mod)}, hi None when unbounded, with
+    rational a and b."""
 
     lo: int
     hi: Union[int, None]
@@ -167,187 +181,180 @@ class Piece(NamedTuple):
     a: Fraction
     b: Fraction
 
-    def first(self):
-        f = self.lo + ((self.res - self.lo) % self.mod)
-        if self.hi is not None and f > self.hi:
-            return None
-        return f
 
-    def count(self):
-        f = self.first()
-        if f is None:
-            return 0
-        if self.hi is None:
-            return None
-        return (self.hi - f) // self.mod + 1
-
-    def contains(self, i):
-        if i < self.lo or (self.hi is not None and i > self.hi):
-            return False
-        return i % self.mod == self.res % self.mod
-
-    def value(self, i):
-        v = self.a * i + self.b
-        if v.denominator != 1:
-            raise NotInjective(f"non-integral value at {i}")
-        return int(v)
-
-    def image_progression(self):
-        """The image as (start, step, count); step is the integer a*mod.
-        A one-point piece reports step 1."""
-        f = self.first()
-        if f is None:
-            return None
-        if self.count() == 1:
-            return (self.value(f), 1, 1)
-        step = self.a * self.mod
-        assert step.denominator == 1
-        return (self.value(f), int(step), self.count())
+def checked_span(first, last, mod, v0, step, den=1):
+    """The span from `first` to `last` (None: unbounded) in steps of
+    `mod` whose values are (v0 + k*step)/den, k = 0, 1, ...  Rejects a
+    non-integral step (when there are two points or more), a
+    non-integral value and a value below one.  A single point gets the
+    form (first, first, 1, value, 1) that normal forms use."""
+    if last is not None:
+        last = first + (last - first) // mod * mod
+    point = last == first
+    if not point and step % den:
+        raise NotInjective(f"non-integral step {step}/{den} from {first} mod {mod}")
+    if v0 % den:
+        raise NotInjective(f"non-integral value {v0}/{den} at {first}")
+    v0 //= den
+    if v0 < 1:
+        raise NotInjective(f"value below 1 at {first}")
+    return (first, first, 1, v0, 1) if point else (first, last, mod, v0, step // den)
 
 
-def _coerce_piece(p):
-    if isinstance(p, Piece):
-        lo, hi, mod, res, a, b = p
-    else:
-        lo, hi, mod, res, a, b = p
-    lo = int(lo)
-    hi = None if hi is None else int(hi)
-    mod = int(mod)
-    res = int(res) % mod
-    a = Fraction(a)
-    b = Fraction(b)
-    if lo < 1 or mod < 1:
-        raise ValueError("piece bounds must be positive")
-    if hi is not None and hi < lo:
-        raise ValueError("piece has hi < lo")
-    if a <= 0:
-        raise NotInjective("pieces must be strictly increasing (a > 0)")
-    return Piece(lo, hi, mod, res, a, b)
-
-
-def _validate_and_normalize(pieces):
-    pieces = [_coerce_piece(p) for p in pieces]
-    pieces = [p for p in pieces if p.first() is not None]
-    if not any(p.hi is None for p in pieces):
+def _spans_of_pieces(pieces):
+    """Check rational pieces and convert them to spans.  The order of
+    the checks fixes which error a faulty document gets: bounds and
+    slope signs, then the unbounded piece, then integrality."""
+    kept = []
+    for lo, hi, mod, res, a, b in pieces:
+        lo, mod = int(lo), int(mod)
+        hi = None if hi is None else int(hi)
+        a, b = Fraction(a), Fraction(b)
+        if lo < 1 or mod < 1:
+            raise ValueError("piece bounds must be positive")
+        if hi is not None and hi < lo:
+            raise ValueError("piece has hi < lo")
+        if a <= 0:
+            raise NotInjective("pieces must be strictly increasing (a > 0)")
+        first = lo + (int(res) - lo) % mod
+        if hi is None or first <= hi:
+            kept.append((first, hi, mod, a, b))
+    if all(p[1] is not None for p in kept):
         raise NotCovering("no unbounded piece; omega cannot be covered")
+    spans = []
+    for first, hi, mod, a, b in kept:
+        den = a.denominator * b.denominator
+        v0 = (a.numerator * first * b.denominator
+              + b.numerator * a.denominator)
+        step = a.numerator * mod * b.denominator
+        spans.append(checked_span(first, hi, mod, v0, step, den))
+    return spans
 
-    # integrality: value integral at the first point; the step a*mod
-    # must be integral once the piece has a second point
-    for p in pieces:
-        if p.count() != 1 and (p.a * p.mod).denominator != 1:
-            raise NotInjective(f"non-integral step on {p}")
-        v0 = p.a * p.first() + p.b
-        if v0.denominator != 1:
-            raise NotInjective(f"non-integral value on {p}")
-        if v0 < 1:
-            raise NotInjective(f"value below 1 on {p}")
+
+def _piece(span):
+    first, last, mod, v0, step = span
+    a = Fraction(step, mod)
+    return Piece(first, last, mod, first % mod, a, v0 - a * first)
+
+
+def _image(span):
+    first, last, mod, v0, step = span
+    return v0, None if last is None else v0 + (last - first) // mod * step, step
+
+
+def _normal_form(spans):
+    """The canonical spans of the map the spans describe: one point span
+    for each i below a minimal threshold, then one unbounded span per
+    residue class of the minimal period, each with that period as its
+    mod.
+
+    Checks first that the domains partition omega and that the images
+    are disjoint.  Spans must be non-empty with `last` on the
+    progression."""
+    tail = [sp for sp in spans if sp[1] is None]
+    if not tail:
+        raise NotCovering("no unbounded piece; omega cannot be covered")
+    for sp in spans:
+        if sp[3] < 1 or sp[4] < 1:
+            raise NotInjective(f"{_piece(sp)} is not increasing with values >= 1")
 
     # coverage: pairwise disjoint domains whose unbounded part has
     # density exactly one, with no gap below the periodic region
-    doms = [(p.first(), p.mod, p.count()) for p in pieces]
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            if _progressions_intersect(doms[i], doms[j]):
-                raise NotCovering(
-                    f"domains of {pieces[i]} and {pieces[j]} overlap"
-                )
-    unbounded = [p for p in pieces if p.hi is None]
-    if sum(Fraction(1, p.mod) for p in unbounded) != 1:
-        raise NotCovering("unbounded pieces do not have full density")
-    tail_start = max(p.first() for p in unbounded)
-    below = tail_start - 1
-    covered = 0
-    for p in pieces:
-        f = p.first()
-        if f is None or f > below:
-            continue
-        top = below if p.hi is None else min(p.hi, below)
-        if top >= f:
-            covered += (top - f) // p.mod + 1
-    if covered != below:
-        raise NotCovering(f"gap below {tail_start}")
-    bound = 1
-    for p in pieces:
-        bound = max(bound, p.lo)
-        if p.hi is not None:
-            bound = max(bound, p.hi + 1)
-    period = 1
-    for p in unbounded:
-        period = lcm(period, p.mod)
-
-    # injectivity: images of distinct pieces are disjoint progressions
-    progs = [p.image_progression() for p in pieces]
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            if _progressions_intersect(progs[i], progs[j]):
-                raise NotInjective(
-                    f"images of pieces {pieces[i]} and {pieces[j]} overlap"
-                )
-
-    def evaluate(i):
-        for p in pieces:
-            if p.contains(i):
-                return p.value(i)
-        raise AssertionError("unreachable: coverage validated")
-
-    # tail description modulo `period` beyond `bound`
-    tail_of_res = {}
-    for c in range(period):
-        x = bound + ((c - bound) % period)
-        for p in pieces:
-            if p.hi is None and p.contains(x):
-                tail_of_res[c] = (p.a, p.b)
-                break
-
-    # minimal period: residue classes mod cand must carry a single affine map
-    best = period
-    for cand in range(1, period):
-        g = gcd(cand, period)
-        ok = all(
-            len({tail_of_res[c] for c in range(period) if c % g == r}) == 1
-            for r in range(g)
+    clash = _first_overlap([sp[:3] for sp in spans])
+    if clash:
+        i, j = clash
+        raise NotCovering(
+            f"domains of {_piece(spans[i])} and {_piece(spans[j])} overlap"
         )
-        if ok:
-            best = cand
-            break
-    g = gcd(best, period)
-    tail_maps = {
-        r: tail_of_res[next(c for c in range(period) if c % g == r % g)]
-        for r in range(best)
-    }
+    period = lcm(*(sp[2] for sp in tail))
+    if sum(period // sp[2] for sp in tail) != period:
+        raise NotCovering("unbounded pieces do not have full density")
+    tail_start = max(sp[0] for sp in tail)
+    covered = 0
+    for first, last, mod, _, _ in spans:
+        top = tail_start - 1 if last is None else min(last, tail_start - 1)
+        if top >= first:
+            covered += (top - first) // mod + 1
+    if covered != tail_start - 1:
+        raise NotCovering(f"gap below {tail_start}")
 
-    # minimal threshold: pull the tail description down while it still matches
-    start = bound
-    while start > 1:
-        i = start - 1
-        a, b = tail_maps[i % best]
-        v = a * i + b
-        if v.denominator == 1 and int(v) == evaluate(i):
-            start = i
-        else:
-            break
+    # injectivity: the images of distinct spans are disjoint
+    clash = _first_overlap([_image(sp) for sp in spans])
+    if clash:
+        i, j = clash
+        raise NotInjective(
+            f"images of pieces {_piece(spans[i])} and {_piece(spans[j])} overlap"
+        )
 
-    normal = [
-        Piece(i, i, 1, 0, Fraction(1), Fraction(evaluate(i) - i))
-        for i in range(1, start)
-    ]
-    for r in range(best):
-        lo = start + ((r - start) % best)
-        a, b = tail_maps[r]
-        normal.append(Piece(lo, None, best, lo % best, a, b))
-    normal.sort(key=lambda p: p.lo)
+    # the affine map x -> (a*x + b)/d on each residue class mod period,
+    # in lowest terms, then the least period of that sequence of maps
+    maps = [None] * period
+    for first, _, mod, v0, step in tail:
+        b = mod * v0 - step * first
+        g = gcd(step, b, mod)
+        maps[first % mod::mod] = [(step // g, b // g, mod // g)] * (period // mod)
+    best = next(
+        d for d in range(1, period + 1)
+        if period % d == 0 and maps == maps[:d] * (period // d)
+    )
+
+    # minimal threshold: one past the last point where a bounded span
+    # leaves the tail maps.  On the points of one residue class a span
+    # and a tail map are both affine, so they agree on all of them or on
+    # one at most, and the last two points decide.
+    start = 1
+    for first, last, mod, v0, step in spans:
+        if last is None:
+            continue
+        for r, (a, b, d) in enumerate(maps[:best]):
+            met = _meet((first, last, mod), (r, None, best))
+            if met is None:
+                continue
+            lo, hi, gap = met
+            for x in (hi, hi - gap):
+                if x < lo:
+                    break
+                if a * x + b != d * (v0 + (x - first) // mod * step):
+                    start = max(start, x + 1)
+                    break
+
+    head = [0] * start
+    for first, last, mod, v0, step in spans:
+        top = start - 1 if last is None else min(last, start - 1)
+        if top >= first:
+            head[first:top + 1:mod] = range(
+                v0, v0 + (top - first) // mod * step + 1, step
+            )
+    normal = [(i, i, 1, head[i], 1) for i in range(1, start)]
+    for lo in range(start, start + best):
+        a, b, d = maps[lo % best]
+        normal.append((lo, None, best, (a * lo + b) // d, a * best // d))
     return tuple(normal)
 
 
 class QuasiAffineInjection:
     """A total injection of omega, affine on finitely many arithmetic
-    progressions.  Instances are stored in canonical normal form, so
-    structural equality decides functional equality."""
+    progressions.  Instances hold their canonical normal form `spans`:
+    the points 1, ..., t-1 in order, each as (i, i, 1, value, 1), then
+    one unbounded span per residue class of the least period p, at
+    first points t, ..., t+p-1 and all with mod p.  Structural equality
+    therefore decides functional equality."""
 
-    __slots__ = ("pieces",)
+    __slots__ = ("spans", "_images")
 
     def __init__(self, pieces):
-        self.pieces = _validate_and_normalize(pieces)
+        """`pieces` are integer spans, or rational `Piece`s, which
+        `checked_span` converts."""
+        pieces = list(pieces)
+        if pieces and len(pieces[0]) == len(Piece._fields):
+            pieces = _spans_of_pieces(pieces)
+        self.spans = _normal_form(pieces)
+        self._images = None
+
+    @property
+    def pieces(self):
+        """The normal form as rational `Piece`s, as documents write it."""
+        return tuple(_piece(sp) for sp in self.spans)
 
     @classmethod
     def identity(cls):
@@ -355,75 +362,79 @@ class QuasiAffineInjection:
 
     @classmethod
     def affine(cls, a, b):
-        """i -> a*i + b on all of omega."""
-        return cls([Piece(1, None, 1, 0, Fraction(a), Fraction(b))])
+        """i -> a*i + b on all of omega, for integers a and b."""
+        return cls([(1, None, 1, a + b, a)])
 
     def __call__(self, i):
-        for p in self.pieces:
-            if p.contains(i):
-                return p.value(i)
-        raise AssertionError("pieces cover omega")
+        if i < 1:
+            raise DomainMismatch(f"{i} is not a positive natural")
+        spans = self.spans
+        period = spans[-1][2]
+        start = len(spans) - period + 1
+        if i < start:
+            return spans[i - 1][3]
+        first, _, _, v0, step = spans[start - 1 + (i - start) % period]
+        return v0 + (i - first) // period * step
 
     def compose(self, inner: "QuasiAffineInjection") -> "QuasiAffineInjection":
         """self after inner; the class is closed under composition."""
-        pieces = []
-        for pf in inner.pieces:
-            f0 = pf.first()
-            if pf.count() == 1:
-                v = self(pf.value(f0))
-                pieces.append(
-                    Piece(f0, f0, 1, 0, Fraction(1), Fraction(v - f0))
-                )
+        outer = self.spans
+        period = outer[-1][2]
+        start = len(outer) - period + 1
+        spans = []
+        for first, last, mod, v0, step in inner.spans:
+            if first == last:
+                spans.append((first, first, 1, self(v0), 1))
                 continue
-            kmax = None if pf.count() is None else pf.count() - 1
-            v0 = pf.value(f0)
-            step = int(pf.a * pf.mod)
-            for pg in self.pieces:
-                # indices k with v0 + k*step inside pg
-                sol_k = None
-                if (v0 - pg.res) % gcd(step, pg.mod) == 0:
-                    g = gcd(step, pg.mod)
-                    mk = pg.mod // g
-                    k0 = ((pg.res - v0) // g * _mod_inverse(step // g, mk)) % mk if mk > 1 else 0
-                    sol_k = (k0, mk)
-                if sol_k is None:
-                    continue
-                k0, mk = sol_k
-                klo = k0 if v0 + k0 * step >= pg.lo else k0 + mk * _ceil_div(pg.lo - (v0 + k0 * step), step * mk)
-                khi = kmax
-                if pg.hi is not None:
-                    top = _floor_div(pg.hi - v0, step)
-                    khi = top if khi is None else min(khi, top)
-                if khi is not None and klo > khi:
-                    continue
-                lo_i = f0 + klo * pf.mod
-                hi_i = None if khi is None else f0 + khi * pf.mod
-                mod_i = pf.mod * mk
-                a = pg.a * pf.a
-                b = pg.a * pf.b + pg.b
-                pieces.append(Piece(lo_i, hi_i, mod_i, lo_i % mod_i, a, b))
-        return QuasiAffineInjection(pieces)
+            # inner sends first + k*mod to v0 + k*step, k <= kmax; the
+            # values below `start` meet the points of self one by one
+            kmax = None if last is None else (last - first) // mod
+            k = 0
+            while v0 + k * step < start and (kmax is None or k <= kmax):
+                spans.append((first + k * mod, first + k * mod, 1,
+                              outer[v0 + k * step - 1][3], 1))
+                k += 1
+            # the rest lands in the unbounded spans of self, cycling
+            # through their residue classes every `cycle` values of k
+            cycle = period // gcd(step, period)
+            for k in range(k, k + cycle):
+                if kmax is not None and k > kmax:
+                    break
+                v = v0 + k * step
+                f, _, _, w, s = outer[start - 1 + (v - start) % period]
+                top = None if kmax is None else k + (kmax - k) // cycle * cycle
+                spans.append((
+                    first + k * mod,
+                    None if top is None else first + top * mod,
+                    mod * cycle,
+                    w + (v - f) // period * s,
+                    step * cycle // period * s,
+                ))
+        return QuasiAffineInjection(spans)
 
     def image_contains(self, v):
-        for p in self.pieces:
-            x = (Fraction(v) - p.b) / p.a
-            if x.denominator == 1 and p.contains(int(x)):
+        for first, last, step in self.image_progressions():
+            if first <= v and (last is None or v <= last) and (v - first) % step == 0:
                 return True
         return False
 
     def image_progressions(self):
-        return [p.image_progression() for p in self.pieces]
+        """The images of the spans as progressions (first, last, step),
+        last None when unbounded; computed once per instance."""
+        if self._images is None:
+            self._images = tuple(_image(sp) for sp in self.spans)
+        return self._images
 
     def fixes_pointwise(self, points):
         return all(self(p) == p for p in points)
 
     def __eq__(self, other):
         return (
-            isinstance(other, QuasiAffineInjection) and self.pieces == other.pieces
+            isinstance(other, QuasiAffineInjection) and self.spans == other.spans
         )
 
     def __hash__(self):
-        return hash(self.pieces)
+        return hash(self.spans)
 
     def __repr__(self):
         return f"QuasiAffineInjection({list(self.pieces)!r})"
@@ -439,8 +450,8 @@ def order_embed_avoiding(avoid) -> QuasiAffineInjection:
     head = bound - len(avoid)
     for i in range(1, head + 1):
         v = next(targets)
-        pieces.append(Piece(i, i, 1, 0, Fraction(1), Fraction(v - i)))
-    pieces.append(Piece(head + 1, None, 1, 0, Fraction(1), Fraction(len(avoid))))
+        pieces.append((i, i, 1, v, 1))
+    pieces.append((head + 1, None, 1, head + 1 + len(avoid), 1))
     return QuasiAffineInjection(pieces)
 
 
@@ -462,11 +473,8 @@ def _images_disjoint(s, t):
     if isinstance(s, PartialInjection) and isinstance(t, PartialInjection):
         return not (s.image() & t.image())
     if isinstance(s, QuasiAffineInjection) and isinstance(t, QuasiAffineInjection):
-        for p in s.image_progressions():
-            for q in t.image_progressions():
-                if p and q and _progressions_intersect(p, q):
-                    return False
-        return True
+        # the spans of one injection have disjoint images already
+        return _first_overlap(s.image_progressions() + t.image_progressions()) is None
     qa, part = (s, t) if isinstance(s, QuasiAffineInjection) else (t, s)
     return not any(qa.image_contains(v) for v in part.image())
 

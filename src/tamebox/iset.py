@@ -194,6 +194,12 @@ def support_filtration(W: CanonicalTameMSet, N):
 def quotient_iset(X: TruncatedISet, seeds):
     """Quotient by the functorial closure of seed identifications,
     given as (level, point, point) triples."""
+    work = [(m, a, b) for m, a, b in seeds]
+    for m, _, _ in work:
+        if not 0 <= m <= X.N:
+            raise TruncationExceeded(
+                f"seed at level {m} outside the truncation 0..{X.N}"
+            )
     parent = [{p: p for p in X.levels[m]} for m in range(X.N + 1)]
 
     def find(m, p):
@@ -204,7 +210,6 @@ def quotient_iset(X: TruncatedISet, seeds):
             parent[m][p], p = root, parent[m][p]
         return root
 
-    work = [(m, a, b) for m, a, b in seeds]
     while work:
         m, a, b = work.pop()
         ra, rb = find(m, a), find(m, b)

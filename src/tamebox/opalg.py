@@ -16,7 +16,8 @@ step is checked by structural equality of quasi-affine normal forms.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import product
+from math import lcm
 from typing import NamedTuple
 
 from .errors import (
@@ -32,12 +33,13 @@ from .errors import (
 from .injections import (
     OperadElement,
     PartialInjection,
-    Piece,
     QuasiAffineInjection,
+    _meet,
+    checked_span,
     interleave,
     order_embed_avoiding,
 )
-from .mset import CanonicalTameMSet, MElement, support
+from .mset import CanonicalTameMSet, MElement, box, support
 from .sigma import SigmaSet, trivial_sigma_set
 
 
@@ -269,8 +271,6 @@ def infinite_symmetric_product(points, basepoint, level_bound):
     if basepoint not in set(points):
         raise ValidationFailed("basepoint missing")
     letters = sorted((p for p in points if p != basepoint), key=repr)
-    from itertools import product
-
     levels = {}
     for m in range(level_bound + 1):
         pts = list(product(letters, repeat=m))
@@ -327,8 +327,6 @@ def wedge_iso(points_x, base_x, points_y, base_y, level_bound):
     symmetric products and the symmetric product of the wedge.
 
     Returns (per-level maps, bijective-and-equivariant flag)."""
-    from .mset import box
-
     PX = infinite_symmetric_product(points_x, base_x, level_bound)
     PY = infinite_symmetric_product(points_y, base_y, level_bound)
     wedge_points = ["*"] + [
@@ -467,44 +465,30 @@ _DOUBLE_ODD = QuasiAffineInjection.affine(2, -1)
 
 
 def _half_pieces(u: QuasiAffineInjection, delta):
+    """The map i -> (u(i) + delta)/2; rejected unless integral."""
     return QuasiAffineInjection(
-        [Piece(p.lo, p.hi, p.mod, p.res, p.a / 2, (p.b + delta) / 2)
-         for p in u.pieces]
+        [checked_span(f, l, m, v + delta, s, 2) for f, l, m, v, s in u.spans]
     )
 
 
 def _merge_even_odd(even_part: QuasiAffineInjection,
                     odd_part: QuasiAffineInjection):
     """The map sending 2i to even_part(i) and 2i-1 to odd_part(i)."""
-    pieces = []
-    for p in even_part.pieces:
-        pieces.append(
-            Piece(2 * p.lo, None if p.hi is None else 2 * p.hi,
-                  2 * p.mod, (2 * p.res) % (2 * p.mod), p.a / 2, p.b)
-        )
-    for p in odd_part.pieces:
-        pieces.append(
-            Piece(2 * p.lo - 1, None if p.hi is None else 2 * p.hi - 1,
-                  2 * p.mod, (2 * p.res - 1) % (2 * p.mod),
-                  p.a / 2, p.b + p.a / 2)
-        )
-    return QuasiAffineInjection(pieces)
+    spans = []
+    for part, shift in ((even_part, 0), (odd_part, 1)):
+        for f, l, m, v, s in part.spans:
+            spans.append((2 * f - shift, None if l is None else 2 * l - shift,
+                          2 * m, v, s))
+    return QuasiAffineInjection(spans)
 
 
 def _slot_parity(u: QuasiAffineInjection):
     """'odd' or 'even' when all values share a parity, else None."""
     seen = set()
-    for p in u.pieces:
-        prog = p.image_progression()
-        if prog is None:
-            continue
-        start, step, count = prog
-        if count == 1:
-            seen.add(start % 2)
-        elif step % 2 == 0:
-            seen.add(start % 2)
-        else:
+    for first, last, _, v0, step in u.spans:
+        if first != last and step % 2:
             return None
+        seen.add(v0 % 2)
         if len(seen) > 1:
             return None
     return "odd" if seen == {1} else "even"
@@ -513,14 +497,9 @@ def _slot_parity(u: QuasiAffineInjection):
 def _widening_move(u: QuasiAffineInjection):
     """An affine move whose image lies in one unbounded piece of u with
     an even value step, forcing constant parity after precomposition."""
-    mods = [p.mod for p in u.pieces if p.hi is None]
-    starts = [p.lo for p in u.pieces if p.hi is None]
-    L = 2
-    for m in mods:
-        from math import lcm
-
-        L = lcm(L, 2 * m)
-    c = max(max(starts) - L, 0)
+    tail = [sp for sp in u.spans if sp[1] is None]
+    L = lcm(2, *(2 * sp[2] for sp in tail))
+    c = max(max(sp[0] for sp in tail) - L, 0)
     return QuasiAffineInjection.affine(L, c)
 
 
@@ -725,70 +704,40 @@ def _drop_values(u: QuasiAffineInjection, avoid):
     set back onto omega; defined when the image of u avoids the set."""
     if not avoid:
         return u
-    from math import ceil, floor
-
     cuts = sorted(avoid)
-    windows = [(0, cuts[0])]
-    windows += [(cuts[j], cuts[j + 1]) for j in range(len(cuts) - 1)]
-    windows += [(cuts[-1], None)]
-    pieces = []
-    for p in u.pieces:
+    # window j holds the values strictly between cut j-1 and cut j
+    windows = list(zip([0] + cuts, cuts + [None]))
+    spans = []
+    for first, last, mod, v0, step in u.spans:
         for j, (lo_v, hi_v) in enumerate(windows):
-            lo_i = ceil(Fraction(lo_v + 1 - p.b, 1) / p.a)
-            lo = max(p.lo, lo_i)
-            hi = p.hi
+            klo = max(0, -((v0 - lo_v - 1) // step))
+            khi = None if last is None else (last - first) // mod
             if hi_v is not None:
-                top = floor(Fraction(hi_v - 1 - p.b, 1) / p.a)
-                hi = top if hi is None else min(hi, top)
-            if hi is not None and lo > hi:
+                top = (hi_v - 1 - v0) // step
+                khi = top if khi is None else min(khi, top)
+            if khi is not None and klo > khi:
                 continue
-            pieces.append(Piece(lo, hi, p.mod, p.res, p.a, p.b - j))
-    return QuasiAffineInjection(pieces)
-
-
-def _meet_progressions(lo1, hi1, mod1, res1, lo2, hi2, mod2, res2):
-    from math import gcd, lcm
-
-    g = gcd(mod1, mod2)
-    if (res1 - res2) % g != 0:
-        return None
-    m = lcm(mod1, mod2)
-    t = ((res2 - res1) // g * pow((mod1 // g) % (mod2 // g), -1, mod2 // g)
-         % (mod2 // g)) if mod2 // g > 1 else 0
-    r = (res1 + mod1 * t) % m
-    lo = max(lo1, lo2)
-    hi = None
-    if hi1 is not None:
-        hi = hi1
-    if hi2 is not None:
-        hi = hi2 if hi is None else min(hi, hi2)
-    first = lo + ((r - lo) % m)
-    if hi is not None and first > hi:
-        return None
-    return first, hi, m, r
+            spans.append((first + klo * mod,
+                          None if khi is None else first + khi * mod,
+                          mod, v0 + klo * step - j, step))
+    return QuasiAffineInjection(spans)
 
 
 def _inflate_along(c: QuasiAffineInjection, t: QuasiAffineInjection, pinned):
     """The map h with h(c(i)) = t(i) off the pinned set and the pinned
     values on it; c must have slope-one pieces (an order embedding)."""
-    pieces = [
-        Piece(a, a, 1, 0, Fraction(1), Fraction(v - a)) for a, v in pinned.items()
-    ]
-    for pc in c.pieces:
-        assert pc.a == 1
-        shift = int(pc.b)
-        for pt in t.pieces:
-            met = _meet_progressions(
-                pc.lo, pc.hi, pc.mod, pc.res, pt.lo, pt.hi, pt.mod, pt.res
-            )
+    spans = [(a, a, 1, v, 1) for a, v in pinned.items()]
+    for fc, lc, mc, vc, sc in c.spans:
+        assert sc == mc
+        shift = vc - fc
+        for ft, lt, mt, vt, st in t.spans:
+            met = _meet((fc, lc, mc), (ft, lt, mt))
             if met is None:
                 continue
-            lo, hi, mod, res = met
-            pieces.append(
-                Piece(lo + shift, None if hi is None else hi + shift,
-                      mod, (res + shift) % mod, pt.a, pt.b - pt.a * shift)
-            )
-    return QuasiAffineInjection(pieces)
+            first, last, mod = met
+            spans.append((first + shift, None if last is None else last + shift,
+                          mod, vt + (first - ft) // mt * st, mod // mt * st))
+    return QuasiAffineInjection(spans)
 
 
 def certify_agreement(phi: OperadElement, psi: OperadElement, constraints):

@@ -152,9 +152,9 @@ def suite_day_vs_box(rng, cases=20, window=5, degree_bound=7):
     while done < cases and attempts < cases * 10:
         attempts += 1
         a, b = rng.choice(shapes)
-        X = random_iset(rng, window, a, degree_bound)
-        Y = random_iset(rng, window, b, degree_bound)
         try:
+            X = random_iset(rng, window, a, degree_bound)
+            Y = random_iset(rng, window, b, degree_bound)
             XY = day_convolution(X, Y)
             if 2 * XY.stable_from > window:
                 unstable += 1
@@ -252,34 +252,33 @@ def suite_mono_pushout(rng, cases=30, window=4, degree_bound=7):
     return cases, failures
 
 
-def suite_agreement_certificates(rng, cases=50, window=None, degree_bound=7):
-    """Certified chains exist for agreeing pairs and verify exactly.
-    Half the pairs arise from hidden moves, half share only their
-    prescribed values, so both reachability directions are covered."""
-    failures = []
+def agreement_instances(rng, cases=50):
+    """The labelled (phi, psi, constraints) triples the certificate suite
+    certifies: `cases` binary pairs with |A_i| <= 3, then ten ternary
+    ones with singleton sets.  Half the pairs arise from hidden moves,
+    half share only their prescribed values, so both reachability
+    directions are covered."""
     for i in range(cases):
         sizes = [rng.randint(0, 3), rng.randint(0, 3)]
         make = random_agreeing_pair if i % 2 == 0 else random_prescribed_pair
-        phi, psi, constraints = make(rng, 2, sizes)
-        try:
-            cert = certify_agreement(phi, psi, constraints)
-        except TameboxError as e:
-            failures.append(f"case {i}: {e}")
-            continue
-        ok, at, reason = verify_certificate(cert, phi, psi)
-        if not ok:
-            failures.append(f"case {i}: verification failed at {at}: {reason}")
+        yield f"case {i}", make(rng, 2, sizes)
     for i in range(10):
         make = random_agreeing_pair if i % 2 == 0 else random_prescribed_pair
-        phi, psi, constraints = make(rng, 3, [1, 1, 1])
+        yield f"ternary case {i}", make(rng, 3, [1, 1, 1])
+
+
+def suite_agreement_certificates(rng, cases=50, window=None, degree_bound=7):
+    """Certified chains exist for agreeing pairs and verify exactly."""
+    failures = []
+    for label, (phi, psi, constraints) in agreement_instances(rng, cases):
         try:
             cert = certify_agreement(phi, psi, constraints)
         except TameboxError as e:
-            failures.append(f"ternary case {i}: {e}")
+            failures.append(f"{label}: {e}")
             continue
         ok, at, reason = verify_certificate(cert, phi, psi)
         if not ok:
-            failures.append(f"ternary case {i}: failed at {at}: {reason}")
+            failures.append(f"{label}: verification failed at {at}: {reason}")
     return cases + 10, failures
 
 

@@ -282,10 +282,6 @@ def _perm_sign(sigma):
     return sign
 
 
-def sigma_iso_type(ss: SigmaSet):
-    return ss.iso_type()
-
-
 def iso_equal(a: SigmaSet, b: SigmaSet):
     return a.m == b.m and a.iso_type() == b.iso_type()
 

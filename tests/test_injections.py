@@ -185,6 +185,18 @@ class TestQuasiAffine:
                 [Piece(1, 1, 1, 0, 1, 4), Piece(2, None, 1, 0, 1, 3)]
             )
 
+    def test_long_bounded_piece_is_not_enumerated(self):
+        # a bounded piece that the tail map continues leaves no points
+        n = 10**12
+        f = QuasiAffineInjection(
+            [Piece(1, n, 1, 0, 1, 0), Piece(n + 1, None, 1, 0, 1, 0)]
+        )
+        assert f == QuasiAffineInjection.identity()
+        with pytest.raises(NotCovering):
+            QuasiAffineInjection(
+                [Piece(1, n, 1, 0, 1, 0), Piece(n, None, 1, 0, 1, 1)]
+            )
+
     def test_rejects_values_below_one(self):
         with pytest.raises(NotInjective):
             QuasiAffineInjection([Piece(1, None, 1, 0, 1, -1)])

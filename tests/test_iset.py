@@ -5,6 +5,7 @@ from tamebox.errors import (
     TruncationExceeded,
     ValidationError,
 )
+from tamebox.generators import random_iset
 from tamebox.injections import PartialInjection
 from tamebox.iset import (
     ISetMorphism,
@@ -388,4 +389,36 @@ class TestDayVsBoxGate:
         assert failures == [
             "ran 0 of 3 cases in 30 draws; skipped 30 past the truncation "
             "and 0 with product stability beyond half the window 5"
+        ]
+
+    def test_draw_past_the_truncation_is_a_named_skip(self, monkeypatch):
+        # random_iset draws restriction_coequalizer(1), whose seed lies at
+        # level 2, outside a window of 1
+        import random
+
+        from tamebox import selftest
+
+        with pytest.raises(TruncationExceeded):
+            restriction_coequalizer(1)
+        raised = []
+
+        def recording(*args):
+            try:
+                return random_iset(*args)
+            except TruncationExceeded:
+                raised.append(args[1])
+                raise
+
+        monkeypatch.setattr(selftest, "random_iset", recording)
+        assert selftest.suite_day_vs_box(random.Random(1), cases=5,
+                                         window=1) == (5, [])
+        assert raised
+        monkeypatch.setattr(selftest, "random_iset",
+                            lambda rng, N, *rest: restriction_coequalizer(N))
+        ran, failures = selftest.suite_day_vs_box(random.Random(1), cases=2,
+                                                  window=1)
+        assert ran == 0
+        assert failures == [
+            "ran 0 of 2 cases in 20 draws; skipped 20 past the truncation "
+            "and 0 with product stability beyond half the window 1"
         ]

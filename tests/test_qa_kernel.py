@@ -1,0 +1,229 @@
+"""The integer quasi-affine kernel of tamebox.injections against the
+rational kernel kept in qa_oracle.
+
+Compared: normal forms (or the class of error a faulty piece list
+raises), composition, image membership and image disjointness, on
+random piece lists, on the outputs of the certificate helpers of
+tamebox.opalg, and on every chain element and move of the certificates
+acceptance criterion 8 builds."""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qa_oracle as oracle
+from tamebox.errors import NotCovering, NotInjective
+from tamebox.generators import random_quasi_affine
+from tamebox.injections import (
+    Piece,
+    QuasiAffineInjection,
+    _images_disjoint,
+    interleave,
+    order_embed_avoiding,
+)
+from tamebox.opalg import (
+    _drop_values,
+    _half_pieces,
+    _inflate_along,
+    _merge_even_odd,
+    certify_agreement,
+)
+from tamebox.selftest import agreement_instances
+
+kernel_settings = settings(derandomize=True, deadline=None, database=None,
+                           max_examples=200)
+
+seeds = st.integers(0, 10**6)
+
+
+def outcome(build):
+    """What a construction gives: its pieces, or the class of its error."""
+    try:
+        return build()
+    except (NotCovering, NotInjective, ValueError) as e:
+        return type(e)
+
+
+def random_qa(rng):
+    """A quasi-affine injection from the generator family, passed
+    through up to two certificate helpers or lane placements, so that
+    periods above one and long point heads occur."""
+    f = random_quasi_affine(rng)
+    s = interleave()
+    for _ in range(rng.randint(0, 2)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            f = s.slot(rng.randint(1, 2)).compose(f)
+        elif kind == 1:
+            f = order_embed_avoiding(rng.sample(range(1, 12), 3)).compose(f)
+        elif kind == 2:
+            g = random_quasi_affine(rng)
+            f = _merge_even_odd(s.slot(2).compose(f), s.slot(1).compose(g))
+        elif kind == 3:
+            lane = rng.randint(1, 2)
+            f = _half_pieces(s.slot(lane).compose(f), lane % 2)
+        else:
+            f = _drop_values(
+                f, {v for v in range(1, 12) if not f.image_contains(v)}
+            )
+    return f
+
+
+def refine(rng, p):
+    """Cut a piece into pieces describing the same map."""
+    lo, hi, mod, res, a, b = p
+    k = rng.choice((1, 1, 2, 3))
+    parts = [Piece(lo, hi, k * mod, res + j * mod, a, b) for j in range(k)]
+    if rng.random() < 0.4:
+        lo2, hi2, mod2, res2, _, _ = part = rng.choice(parts)
+        cut = lo2 + rng.randint(1, 3 * mod2)
+        if hi2 is None or cut <= hi2:
+            parts.remove(part)
+            parts += [Piece(lo2, cut - 1, mod2, res2, a, b),
+                      Piece(cut, hi2, mod2, res2, a, b)]
+    return parts
+
+
+def spoil(rng, pieces):
+    """One edit that may break coverage, injectivity, integrality or
+    the bounds of a piece."""
+    i = rng.randrange(len(pieces))
+    lo, hi, mod, res, a, b = p = pieces[i]
+    edit = rng.randrange(8)
+    if edit == 0:
+        del pieces[i]
+    elif edit == 1:
+        pieces.append(p)
+    elif edit == 2:
+        pieces[i] = p._replace(b=b + rng.choice((-3, -2, -1, 1, 2, 3)))
+    elif edit == 3:
+        half = Fraction(1, 2)
+        pieces[i] = p._replace(a=a * half) if rng.random() < 0.5 else \
+            p._replace(b=b + half)
+    elif edit == 4:
+        pieces[i] = p._replace(a=rng.choice((0, -1, -a)))
+    elif edit == 5:
+        pieces[i] = p._replace(mod=mod + rng.randint(1, 2))
+    elif edit == 6:
+        pieces[i] = p._replace(lo=rng.choice((0, lo + rng.randint(1, 4))))
+    else:
+        pieces[i] = p._replace(hi=lo - 1 if rng.random() < 0.5 else
+                               (lo + rng.randint(0, 5) if hi is None else None))
+
+
+def random_pieces(rng):
+    if rng.random() < 0.15:
+        # a short list drawn from scratch, valid only by chance
+        return [
+            Piece(rng.randint(1, 4), rng.choice((None, rng.randint(1, 6))),
+                  rng.randint(1, 3), rng.randint(0, 2),
+                  rng.choice((1, 1, 2, Fraction(1, 2))),
+                  rng.randint(-2, 3))
+            for _ in range(rng.randint(0, 4))
+        ]
+    pieces = [q for p in random_qa(rng).pieces for q in refine(rng, p)]
+    if rng.random() < 0.6:
+        spoil(rng, pieces)
+    rng.shuffle(pieces)
+    return pieces
+
+
+@kernel_settings
+@given(seeds)
+def test_normal_form_matches_oracle(seed):
+    pieces = random_pieces(random.Random(f"qa:pieces:{seed}"))
+    assert outcome(lambda: QuasiAffineInjection(pieces).pieces) == \
+        outcome(lambda: oracle.normalize(pieces))
+
+
+def test_random_pieces_reach_every_outcome():
+    seen = {outcome(lambda: type(QuasiAffineInjection(random_pieces(
+        random.Random(f"qa:pieces:{seed}")))))
+        for seed in range(300)}
+    assert seen == {QuasiAffineInjection, NotCovering, NotInjective, ValueError}
+
+
+@kernel_settings
+@given(seeds)
+def test_compose_matches_oracle(seed):
+    rng = random.Random(f"qa:compose:{seed}")
+    f, g = random_qa(rng), random_qa(rng)
+    assert f.compose(g).pieces == oracle.compose(f.pieces, g.pieces)
+
+
+@kernel_settings
+@given(seeds)
+def test_images_match_oracle(seed):
+    rng = random.Random(f"qa:images:{seed}")
+    f, g = random_qa(rng), random_qa(rng)
+    if rng.random() < 0.5:
+        s = interleave()
+        f, g = s.slot(1).compose(f), s.slot(2).compose(g)
+    for v in range(1, 80):
+        assert f.image_contains(v) == oracle.image_contains(f.pieces, v)
+    assert _images_disjoint(f, g) == oracle.images_disjoint(f.pieces, g.pieces)
+
+
+@kernel_settings
+@given(seeds)
+def test_certificate_helpers_match_oracle(seed):
+    rng = random.Random(f"qa:helpers:{seed}")
+    u, w = random_qa(rng), random_qa(rng)
+    lane = rng.randint(1, 2)
+    laned = interleave().slot(lane).compose(u)
+    for x, delta in ((laned, lane % 2), (u, rng.randint(0, 1))):
+        assert outcome(lambda: _half_pieces(x, delta).pieces) == \
+            outcome(lambda: oracle.half_pieces(x.pieces, delta))
+    assert outcome(lambda: _merge_even_odd(u, w).pieces) == \
+        outcome(lambda: oracle.merge_even_odd(u.pieces, w.pieces))
+    s = interleave()
+    assert _merge_even_odd(s.slot(2).compose(u), s.slot(1).compose(w)).pieces \
+        == oracle.merge_even_odd(s.slot(2).compose(u).pieces,
+                                 s.slot(1).compose(w).pieces)
+    free = [v for v in range(1, 25) if not u.image_contains(v)]
+    avoid = set(rng.sample(free, min(len(free), rng.randint(0, 3))))
+    if rng.random() < 0.2:
+        avoid.add(u(rng.randint(1, 5)))
+    assert outcome(lambda: _drop_values(u, avoid).pieces) == \
+        outcome(lambda: oracle.drop_values(u.pieces, avoid))
+    constraint = set(rng.sample(range(1, 8), rng.randint(0, 3)))
+    keep = order_embed_avoiding(constraint)
+    target = keep.compose(w)
+    pinned = {a: a for a in constraint}
+    assert _inflate_along(keep, target, pinned).pieces == \
+        oracle.inflate_along(keep.pieces, target.pieces, pinned)
+
+
+def test_criterion_8_chains_match_oracle():
+    """Every chain element, slot and move of criterion 8's certificates
+    is an oracle normal form, every step holds under oracle composition,
+    and the slots of every element have disjoint images."""
+    normal = {}
+
+    def pieces(f):
+        p = f.pieces
+        if p not in normal:
+            normal[p] = oracle.normalize(p)
+        assert normal[p] == p
+        return p
+
+    rng = random.Random("acceptance:certs")
+    for label, (phi, psi, constraints) in agreement_instances(rng, 50):
+        cert = certify_agreement(phi, psi, constraints)
+        chain = cert.chain()
+        for e in chain:
+            slots = [pieces(s) for s in e.slots]
+            for i in range(len(slots)):
+                for j in range(i + 1, len(slots)):
+                    assert oracle.images_disjoint(slots[i], slots[j]), label
+        for idx, step in enumerate(cert.steps):
+            src, dst = chain[idx], chain[idx + 1]
+            if step.direction == "bwd":
+                src, dst = dst, src
+            for s, f, t, A in zip(src.slots, step.move, dst.slots,
+                                  cert.constraints):
+                moved = oracle.compose(pieces(s), pieces(f))
+                assert moved == pieces(t), (label, idx)
+                assert all(oracle.evaluate(f.pieces, a) == a for a in A)
