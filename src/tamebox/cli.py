@@ -5,15 +5,22 @@ Every command prints one JSON report to stdout and exits 0 when the
 command passed or produced a value, 1 when a checked law failed, and 2
 on input errors.  With --deterministic the report carries no timing
 field, so identical inputs give byte-identical reports.
+
+The sub-commands form one table, `COMMANDS`, in `--help` order: the
+`@command` decorator enters each handler `(args, report) -> exit code`,
+which fills the report, with its name, help and argparse argument specs.
+`build_parser` builds the parser from the table once, on first use.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import documents as docs
 from .errors import ParseError, TameboxError, ValidationError
@@ -80,7 +87,37 @@ def _emit(report, deterministic, started):
     sys.stdout.write(docs.canonical_json(report) + "\n")
 
 
-def main(argv=None):
+def _verdict(report, ok):
+    report["outcome"] = "pass" if ok else "fail"
+    return 0 if ok else 1
+
+
+class Command(NamedTuple):
+    name: str
+    help: str
+    arguments: tuple  # (flags, add_argument keywords) pairs
+    handler: Callable  # (args, report) -> exit code
+
+
+COMMANDS = []
+
+
+def arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+def command(name, help, *arguments):
+    """Add the decorated handler to `COMMANDS` under `name`."""
+
+    def register(handler):
+        COMMANDS.append(Command(name, help, arguments, handler))
+        return handler
+
+    return register
+
+
+@functools.cache
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="tamebox",
         description="exact calculus of finitely supported injection actions",
@@ -91,92 +128,16 @@ def main(argv=None):
     parser.add_argument("--deterministic", action="store_true",
                         help="omit timing so reports are byte-stable")
     sub = parser.add_subparsers(dest="command")
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        for flags, kwargs in cmd.arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(handler=cmd.handler)
+    return parser
 
-    p = sub.add_parser("support", help="support of an element")
-    p.add_argument("--element", required=True)
 
-    p = sub.add_parser("act", help="apply an injection to an element")
-    p.add_argument("injection")
-    p.add_argument("mset")
-    p.add_argument("--element", required=True)
-
-    p = sub.add_parser("box", help="box product of two canonical actions")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("decompose", help="window round trip of an action")
-    p.add_argument("mset")
-
-    p = sub.add_parser("flat-check", help="flatness of a truncated diagram")
-    p.add_argument("iset")
-    p.add_argument("--mode", choices=("latching", "direct", "both"),
-                   default="both")
-
-    p = sub.add_parser("flatten", help="flat replacement with its unit")
-    p.add_argument("iset")
-
-    p = sub.add_parser("day", help="convolution of two truncated diagrams")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("canonicalize", help="canonical action of the colimit")
-    p.add_argument("iset")
-
-    p = sub.add_parser("n-iso", help="does a morphism induce a colimit bijection")
-    p.add_argument("morphism")
-
-    p = sub.add_parser("sum", help="sum of two disjointly supported elements")
-    p.add_argument("monoid")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-
-    p = sub.add_parser("operad-act", help="derived operadic action")
-    p.add_argument("monoid")
-    p.add_argument("operad")
-    p.add_argument("--args", required=True,
-                   help="JSON list of elements (or @file)")
-
-    p = sub.add_parser("to-algebra", help="derive the algebra of a monoid")
-    p.add_argument("monoid")
-
-    p = sub.add_parser("to-monoid", help="read the monoid back off the algebra")
-    p.add_argument("monoid")
-
-    p = sub.add_parser("a3", help="certify two agreeing operad elements")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--psi", required=True)
-    p.add_argument("--constraints", required=True,
-                   help="JSON list of integer lists (or @file)")
-    p.add_argument("--emit", help="write the certificate document here")
-
-    p = sub.add_parser("verify-cert", help="verify a certificate")
-    p.add_argument("certificate")
-    p.add_argument("--phi")
-    p.add_argument("--psi")
-
-    p = sub.add_parser("chi", help="operadic pairing into the box product")
-    p.add_argument("operad")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-
-    p = sub.add_parser("xinf", help="symmetric-product monoid of a pointed set")
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--level", type=int)
-
-    p = sub.add_parser("wedge-iso", help="wedge against the box of products")
-    p.add_argument("--x", type=int, default=2)
-    p.add_argument("--y", type=int, default=3)
-    p.add_argument("--level", type=int)
-
-    p = sub.add_parser("orbit-set", help="orbits of a canonical action")
-    p.add_argument("mset")
-
-    p = sub.add_parser("selftest", help="run every law suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int)
-
+def main(argv=None):
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
@@ -184,226 +145,262 @@ def main(argv=None):
     started = time.monotonic()
     report = {"command": args.command, "inputs": "", "outcome": "value"}
     try:
-        code = _dispatch(args, report)
+        code = args.handler(args, report)
     except TameboxError as e:
         report["outcome"] = "error"
         report["error"] = {"type": type(e).__name__, "message": str(e)}
-        _emit(report, args.deterministic, started)
-        return 2
+        code = 2
     _emit(report, args.deterministic, started)
     return code
 
 
-def _dispatch(args, report):
-    cmd = args.command
+@command("support", "support of an element", arg("--element", required=True))
+def _support(args, report):
+    payload = _inline_json(args.element)
+    x = docs.decode_element(payload)
+    report["inputs"] = _digest([payload])
+    report["value"] = sorted(x.image)
+    return 0
 
-    if cmd == "support":
-        payload = _inline_json(args.element)
-        x = docs.decode_element(payload)
-        report["inputs"] = _digest([payload])
-        report["value"] = sorted(x.image)
-        return 0
 
-    if cmd == "act":
-        inj = _load(args.injection, "partial-injection", "qa-injection")
-        mset = _load(args.mset, "mset")
-        x = _element_arg(args.element, mset.value)
-        report["inputs"] = _digest([inj.payload, mset.payload, list(x.image)])
-        moved = mset.value.act(inj.value, x)
-        report["value"] = docs.encode_element(moved)
-        return 0
+@command("act", "apply an injection to an element",
+         arg("injection"), arg("mset"), arg("--element", required=True))
+def _act(args, report):
+    inj = _load(args.injection, "partial-injection", "qa-injection")
+    mset = _load(args.mset, "mset")
+    x = _element_arg(args.element, mset.value)
+    report["inputs"] = _digest([inj.payload, mset.payload, list(x.image)])
+    report["value"] = docs.encode_element(mset.value.act(inj.value, x))
+    return 0
 
-    if cmd == "box":
-        left = _load(args.left, "mset")
-        right = _load(args.right, "mset")
-        report["inputs"] = _digest([left.payload, right.payload])
-        out = box(left.value, right.value, args.degree_bound)
-        report["value"] = json.loads(docs.serialize_document("mset", out))
-        return 0
 
-    if cmd == "decompose":
-        mset = _load(args.mset, "mset")
-        report["inputs"] = _digest([mset.payload])
-        X = mset.value
-        table = X.elements_up_to(args.window)
-        out = decompose_table(table, X.act, args.window,
-                              degree_bound=args.degree_bound)
-        agrees = mset_iso_equal(out, X)
-        report["outcome"] = "pass" if agrees else "fail"
-        report["value"] = json.loads(docs.serialize_document("mset", out))
-        return 0 if agrees else 1
+@command("box", "box product of two canonical actions",
+         arg("left"), arg("right"))
+def _box(args, report):
+    left = _load(args.left, "mset")
+    right = _load(args.right, "mset")
+    report["inputs"] = _digest([left.payload, right.payload])
+    out = box(left.value, right.value, args.degree_bound)
+    report["value"] = json.loads(docs.serialize_document("mset", out))
+    return 0
 
-    if cmd == "flat-check":
-        iset = _load(args.iset, "iset")
-        report["inputs"] = _digest([iset.payload, args.mode])
-        out = is_flat(iset.value, args.mode)
-        report["outcome"] = "pass" if out.flat else "fail"
-        if out.witness is not None:
-            report["counterexample"] = repr(out.witness)
-        return 0 if out.flat else 1
 
-    if cmd == "flatten":
-        iset = _load(args.iset, "iset")
-        report["inputs"] = _digest([iset.payload])
-        flat, eta = flat_replacement(iset.value, args.degree_bound)
-        report["value"] = {
-            "flat": docs.encode_iset(flat),
-            "unit": docs.encode_iset_morphism(eta),
-            "unitLevelwiseBijective": eta.level_bijective(),
-        }
-        return 0
+@command("decompose", "window round trip of an action", arg("mset"))
+def _decompose(args, report):
+    mset = _load(args.mset, "mset")
+    report["inputs"] = _digest([mset.payload])
+    X = mset.value
+    table = X.elements_up_to(args.window)
+    out = decompose_table(table, X.act, args.window,
+                          degree_bound=args.degree_bound)
+    agrees = mset_iso_equal(out, X)
+    report["value"] = json.loads(docs.serialize_document("mset", out))
+    return _verdict(report, agrees)
 
-    if cmd == "day":
-        left = _load(args.left, "iset")
-        right = _load(args.right, "iset")
-        report["inputs"] = _digest([left.payload, right.payload])
-        out = day_convolution(left.value, right.value)
-        report["value"] = json.loads(docs.serialize_document("iset", out))
-        return 0
 
-    if cmd == "canonicalize":
-        iset = _load(args.iset, "iset")
-        report["inputs"] = _digest([iset.payload])
-        out = canonicalize(iset.value, args.degree_bound)
-        report["value"] = json.loads(docs.serialize_document("mset", out))
-        return 0
+@command("flat-check", "flatness of a truncated diagram", arg("iset"),
+         arg("--mode", choices=("latching", "direct", "both"), default="both"))
+def _flat_check(args, report):
+    iset = _load(args.iset, "iset")
+    report["inputs"] = _digest([iset.payload, args.mode])
+    out = is_flat(iset.value, args.mode)
+    if out.witness is not None:
+        report["counterexample"] = repr(out.witness)
+    return _verdict(report, out.flat)
 
-    if cmd == "n-iso":
-        morph = _load(args.morphism, "morphism")
-        report["inputs"] = _digest([morph.payload])
-        ok = n_iso_check(morph.value)
-        report["outcome"] = "pass" if ok else "fail"
-        return 0 if ok else 1
 
-    if cmd == "sum":
-        monoid = _load(args.monoid, "monoid")
-        P = monoid.value
-        x = _element_arg(args.x, P.carrier)
-        y = _element_arg(args.y, P.carrier)
-        report["inputs"] = _digest([monoid.payload, list(x.image), list(y.image)])
-        out = P.add(x, y)
-        report["value"] = docs.encode_element(out)
-        return 0
+@command("flatten", "flat replacement with its unit", arg("iset"))
+def _flatten(args, report):
+    iset = _load(args.iset, "iset")
+    report["inputs"] = _digest([iset.payload])
+    flat, eta = flat_replacement(iset.value, args.degree_bound)
+    report["value"] = {
+        "flat": docs.encode_iset(flat),
+        "unit": docs.encode_iset_morphism(eta),
+        "unitLevelwiseBijective": eta.level_bijective(),
+    }
+    return 0
 
-    if cmd == "operad-act":
-        monoid = _load(args.monoid, "monoid")
-        operad = _load(args.operad, "operad-element")
-        P = monoid.value
-        raw = _inline_json(args.args)
-        elements = [docs.decode_element(r, P.carrier) for r in raw]
-        report["inputs"] = _digest([monoid.payload, operad.payload, raw])
-        A = monoid_to_algebra(P)
-        out = A(operad.value, elements)
-        report["value"] = docs.encode_element(out)
-        return 0
 
-    if cmd == "to-algebra":
-        monoid = _load(args.monoid, "monoid")
-        report["inputs"] = _digest([monoid.payload])
-        monoid_to_algebra(monoid.value)
-        report["outcome"] = "pass"
-        report["value"] = {"algebraOf": monoid.payload}
-        return 0
+@command("day", "convolution of two truncated diagrams",
+         arg("left"), arg("right"))
+def _day(args, report):
+    left = _load(args.left, "iset")
+    right = _load(args.right, "iset")
+    report["inputs"] = _digest([left.payload, right.payload])
+    out = day_convolution(left.value, right.value)
+    report["value"] = json.loads(docs.serialize_document("iset", out))
+    return 0
 
-    if cmd == "to-monoid":
-        monoid = _load(args.monoid, "monoid")
-        report["inputs"] = _digest([monoid.payload])
-        back = algebra_to_monoid(monoid_to_algebra(monoid.value))
-        same = (
-            back.table == monoid.value.table
-            and back.unit_point == monoid.value.unit_point
-        )
-        report["outcome"] = "pass" if same else "fail"
-        report["value"] = json.loads(docs.serialize_document("monoid", back))
-        return 0 if same else 1
 
-    if cmd == "a3":
-        phi = _load(args.phi, "operad-element")
-        psi = _load(args.psi, "operad-element")
-        constraints = [set(map(int, A)) for A in _inline_json(args.constraints)]
-        report["inputs"] = _digest(
-            [phi.payload, psi.payload, [sorted(A) for A in constraints]]
-        )
-        cert = certify_agreement(phi.value, psi.value, constraints)
-        ok, at, reason = verify_certificate(cert, phi.value, psi.value)
-        report["outcome"] = "pass" if ok else "fail"
-        report["value"] = {"chainLength": len(cert)}
-        if args.emit:
-            with open(args.emit, "w", encoding="utf-8") as fh:
-                fh.write(docs.serialize_document("certificate", cert) + "\n")
-        return 0 if ok else 1
+@command("canonicalize", "canonical action of the colimit", arg("iset"))
+def _canonicalize(args, report):
+    iset = _load(args.iset, "iset")
+    report["inputs"] = _digest([iset.payload])
+    out = canonicalize(iset.value, args.degree_bound)
+    report["value"] = json.loads(docs.serialize_document("mset", out))
+    return 0
 
-    if cmd == "verify-cert":
-        cert = _load(args.certificate, "certificate")
-        phi = _load(args.phi, "operad-element").value if args.phi else None
-        psi = _load(args.psi, "operad-element").value if args.psi else None
-        report["inputs"] = _digest([cert.payload])
-        ok, at, reason = verify_certificate(cert.value, phi, psi)
-        report["outcome"] = "pass" if ok else "fail"
-        if not ok:
-            report["counterexample"] = {"step": at, "reason": reason}
-        return 0 if ok else 1
 
-    if cmd == "chi":
-        operad = _load(args.operad, "operad-element")
-        left = _load(args.left, "mset")
-        right = _load(args.right, "mset")
-        x = _element_arg(args.x, left.value)
-        y = _element_arg(args.y, right.value)
-        report["inputs"] = _digest(
-            [operad.payload, left.payload, right.payload,
-             list(x.image), list(y.image)]
-        )
-        fx, fy = operadic_to_box(left.value, right.value, operad.value, x, y)
-        report["value"] = {
-            "first": docs.encode_element(fx),
-            "second": docs.encode_element(fy),
-        }
-        return 0
+@command("n-iso", "does a morphism induce a colimit bijection",
+         arg("morphism"))
+def _n_iso(args, report):
+    morph = _load(args.morphism, "morphism")
+    report["inputs"] = _digest([morph.payload])
+    return _verdict(report, n_iso_check(morph.value))
 
-    if cmd == "xinf":
-        level = args.level if args.level is not None else args.level_bound
-        points = ["*"] + [f"a{i}" for i in range(1, args.points)]
-        report["inputs"] = _digest([points, level])
-        P = infinite_symmetric_product(points, "*", level)
-        report["value"] = json.loads(docs.serialize_document("monoid", P))
-        return 0
 
-    if cmd == "wedge-iso":
-        level = args.level if args.level is not None else args.level_bound
-        xs = ["*"] + [f"a{i}" for i in range(1, args.x)]
-        ys = ["*"] + [f"b{i}" for i in range(1, args.y)]
-        report["inputs"] = _digest([xs, ys, level])
-        maps, ok = wedge_iso(xs, "*", ys, "*", level)
-        report["outcome"] = "pass" if ok else "fail"
-        report["value"] = {str(k): len(v) for k, v in sorted(maps.items())}
-        return 0 if ok else 1
+@command("sum", "sum of two disjointly supported elements", arg("monoid"),
+         arg("--x", required=True), arg("--y", required=True))
+def _sum(args, report):
+    monoid = _load(args.monoid, "monoid")
+    P = monoid.value
+    x = _element_arg(args.x, P.carrier)
+    y = _element_arg(args.y, P.carrier)
+    report["inputs"] = _digest([monoid.payload, list(x.image), list(y.image)])
+    report["value"] = docs.encode_element(P.add(x, y))
+    return 0
 
-    if cmd == "orbit-set":
-        mset = _load(args.mset, "mset")
-        report["inputs"] = _digest([mset.payload])
-        orbits = mset.value.orbit_set()
-        report["value"] = [
-            [m, p if isinstance(p, str) else repr(p)]
-            for m, p in sorted(orbits, key=lambda mp: (mp[0], point_key(mp[1])))
-        ]
-        return 0
 
-    if cmd == "selftest":
-        report["inputs"] = _digest([args.seed, args.cases, args.window])
-        result = run_selftest(
-            seed=args.seed,
-            cases=args.cases,
-            window=args.window if args.window != 8 else None,
-            degree_bound=args.degree_bound,
-            include_timing=not args.deterministic,
-        )
-        failed = sum(len(s["failures"]) for s in result["suites"])
-        report["outcome"] = "pass" if failed == 0 else "fail"
-        report["value"] = result
-        return 0 if failed == 0 else 1
+@command("operad-act", "derived operadic action", arg("monoid"),
+         arg("operad"),
+         arg("--args", required=True, help="JSON list of elements (or @file)"))
+def _operad_act(args, report):
+    monoid = _load(args.monoid, "monoid")
+    operad = _load(args.operad, "operad-element")
+    P = monoid.value
+    raw = _inline_json(args.args)
+    elements = [docs.decode_element(r, P.carrier) for r in raw]
+    report["inputs"] = _digest([monoid.payload, operad.payload, raw])
+    A = monoid_to_algebra(P)
+    report["value"] = docs.encode_element(A(operad.value, elements))
+    return 0
 
-    raise ParseError(f"unknown command {cmd!r}")
+
+@command("to-algebra", "derive the algebra of a monoid", arg("monoid"))
+def _to_algebra(args, report):
+    monoid = _load(args.monoid, "monoid")
+    report["inputs"] = _digest([monoid.payload])
+    monoid_to_algebra(monoid.value)
+    report["outcome"] = "pass"
+    report["value"] = {"algebraOf": monoid.payload}
+    return 0
+
+
+@command("to-monoid", "read the monoid back off the algebra", arg("monoid"))
+def _to_monoid(args, report):
+    monoid = _load(args.monoid, "monoid")
+    report["inputs"] = _digest([monoid.payload])
+    P = monoid.value
+    back = algebra_to_monoid(monoid_to_algebra(P))
+    same = back.table == P.table and back.unit_point == P.unit_point
+    report["value"] = json.loads(docs.serialize_document("monoid", back))
+    return _verdict(report, same)
+
+
+@command("a3", "certify two agreeing operad elements",
+         arg("--phi", required=True), arg("--psi", required=True),
+         arg("--constraints", required=True,
+             help="JSON list of integer lists (or @file)"),
+         arg("--emit", help="write the certificate document here"))
+def _a3(args, report):
+    phi = _load(args.phi, "operad-element")
+    psi = _load(args.psi, "operad-element")
+    constraints = [set(map(int, A)) for A in _inline_json(args.constraints)]
+    report["inputs"] = _digest(
+        [phi.payload, psi.payload, [sorted(A) for A in constraints]]
+    )
+    # certify_agreement has verified the chain; it raises if that fails
+    cert = certify_agreement(phi.value, psi.value, constraints)
+    report["outcome"] = "pass"
+    report["value"] = {"chainLength": len(cert)}
+    if args.emit:
+        with open(args.emit, "w", encoding="utf-8") as fh:
+            fh.write(docs.serialize_document("certificate", cert) + "\n")
+    return 0
+
+
+@command("verify-cert", "verify a certificate", arg("certificate"),
+         arg("--phi"), arg("--psi"))
+def _verify_cert(args, report):
+    cert = _load(args.certificate, "certificate")
+    phi = _load(args.phi, "operad-element").value if args.phi else None
+    psi = _load(args.psi, "operad-element").value if args.psi else None
+    report["inputs"] = _digest([cert.payload])
+    ok, at, reason = verify_certificate(cert.value, phi, psi)
+    if not ok:
+        report["counterexample"] = {"step": at, "reason": reason}
+    return _verdict(report, ok)
+
+
+@command("chi", "operadic pairing into the box product", arg("operad"),
+         arg("left"), arg("right"),
+         arg("--x", required=True), arg("--y", required=True))
+def _chi(args, report):
+    operad = _load(args.operad, "operad-element")
+    left = _load(args.left, "mset")
+    right = _load(args.right, "mset")
+    x = _element_arg(args.x, left.value)
+    y = _element_arg(args.y, right.value)
+    report["inputs"] = _digest(
+        [operad.payload, left.payload, right.payload,
+         list(x.image), list(y.image)]
+    )
+    fx, fy = operadic_to_box(left.value, right.value, operad.value, x, y)
+    report["value"] = {"first": docs.encode_element(fx),
+                       "second": docs.encode_element(fy)}
+    return 0
+
+
+@command("xinf", "symmetric-product monoid of a pointed set",
+         arg("--points", type=int, required=True), arg("--level", type=int))
+def _xinf(args, report):
+    level = args.level if args.level is not None else args.level_bound
+    points = ["*"] + [f"a{i}" for i in range(1, args.points)]
+    report["inputs"] = _digest([points, level])
+    P = infinite_symmetric_product(points, "*", level)
+    report["value"] = json.loads(docs.serialize_document("monoid", P))
+    return 0
+
+
+@command("wedge-iso", "wedge against the box of products",
+         arg("--x", type=int, default=2), arg("--y", type=int, default=3),
+         arg("--level", type=int))
+def _wedge_iso(args, report):
+    level = args.level if args.level is not None else args.level_bound
+    xs = ["*"] + [f"a{i}" for i in range(1, args.x)]
+    ys = ["*"] + [f"b{i}" for i in range(1, args.y)]
+    report["inputs"] = _digest([xs, ys, level])
+    maps, ok = wedge_iso(xs, "*", ys, "*", level)
+    report["value"] = {str(k): len(v) for k, v in sorted(maps.items())}
+    return _verdict(report, ok)
+
+
+@command("orbit-set", "orbits of a canonical action", arg("mset"))
+def _orbit_set(args, report):
+    mset = _load(args.mset, "mset")
+    report["inputs"] = _digest([mset.payload])
+    orbits = mset.value.orbit_set()
+    report["value"] = [
+        [m, p if isinstance(p, str) else repr(p)]
+        for m, p in sorted(orbits, key=lambda mp: (mp[0], point_key(mp[1])))
+    ]
+    return 0
+
+
+@command("selftest", "run every law suite",
+         arg("--seed", type=int, default=0), arg("--cases", type=int))
+def _selftest(args, report):
+    report["inputs"] = _digest([args.seed, args.cases, args.window])
+    result = run_selftest(
+        seed=args.seed,
+        cases=args.cases,
+        window=args.window if args.window != 8 else None,
+        degree_bound=args.degree_bound,
+        include_timing=not args.deterministic,
+    )
+    report["value"] = result
+    return _verdict(report, all(not s["failures"] for s in result["suites"]))
 
 
 if __name__ == "__main__":

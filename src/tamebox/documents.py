@@ -2,8 +2,9 @@
 
 A document is {"kind": ..., "formatVersion": 1, "payload": ...}; the
 payload is validated by the owning module's constructor before any
-command touches it.  Serialization is canonical (sorted keys, no
-whitespace variation) so equal values produce identical bytes.
+command touches it, and a payload of the wrong shape or with values out
+of range raises `ValidationError`.  Serialization is canonical (sorted
+keys, no whitespace variation) so equal values produce identical bytes.
 """
 
 from __future__ import annotations
@@ -26,17 +27,10 @@ from .sigma import SigmaSet, point_key
 
 FORMAT_VERSION = 1
 
-KINDS = (
-    "partial-injection",
-    "qa-injection",
-    "operad-element",
-    "sigma-set",
-    "mset",
-    "iset",
-    "morphism",
-    "monoid",
-    "certificate",
-)
+# what decoding raises on a payload of the wrong shape, and what the
+# library constructors raise on values out of range (a piece with lo < 1)
+_MALFORMED = (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+             ValueError, ZeroDivisionError)
 
 
 def canonical_json(value):
@@ -211,6 +205,19 @@ def encode_certificate(c: Certificate):
     }
 
 
+ENCODERS = {
+    "partial-injection": encode_partial,
+    "qa-injection": encode_qa,
+    "operad-element": encode_operad,
+    "sigma-set": encode_sigma,
+    "mset": encode_mset,
+    "iset": encode_iset,
+    "morphism": encode_iset_morphism,
+    "monoid": encode_monoid,
+    "certificate": encode_certificate,
+}
+
+
 def wrap(kind, payload):
     return {"kind": kind, "formatVersion": FORMAT_VERSION, "payload": payload}
 
@@ -279,21 +286,27 @@ def decode_mset(payload):
 
 
 def decode_element(payload, X: CanonicalTameMSet = None):
-    level = int(payload["level"])
-    image = tuple(int(v) for v in payload["image"])
-    point = payload["point"]
-    if len(set(image)) != len(image):
-        raise ValidationError("distinct image entries", image)
-    if any(v < 1 for v in image):
-        raise ValidationError("positive image entries", image)
-    if X is not None:
-        # an unsorted image is fine on input: the carrier knows how to
-        # push the sorting permutation into the point
-        if X.levels.get(level) is None or point not in set(
-            X.levels[level].points
-        ):
-            raise ValidationError("element of the carrier", payload)
-        return X.canonical(level, image, point)
+    """An element from its JSON fields, checked against the carrier X
+    when one is given.  Elements also arrive outside documents, as
+    command-line arguments, so this catches malformed fields itself."""
+    try:
+        level = int(payload["level"])
+        image = tuple(int(v) for v in payload["image"])
+        point = payload["point"]
+        if len(set(image)) != len(image):
+            raise ValidationError("distinct image entries", image)
+        if any(v < 1 for v in image):
+            raise ValidationError("positive image entries", image)
+        if X is not None:
+            # an unsorted image is fine on input: the carrier knows how to
+            # push the sorting permutation into the point
+            if X.levels.get(level) is None or point not in set(
+                X.levels[level].points
+            ):
+                raise ValidationError("element of the carrier", payload)
+            return X.canonical(level, image, point)
+    except _MALFORMED as e:
+        raise ValidationError("element fields", repr(e)) from None
     if tuple(sorted(image)) != image:
         raise ValidationError("canonical image order", image)
     return MElement(level, image, point)
@@ -308,6 +321,8 @@ def decode_iset(payload):
 
 
 def decode_iset_morphism(payload):
+    if not isinstance(payload, dict) or payload.get("morphism") != "iset":
+        raise ValidationError("morphism discriminator", "morphism")
     src = decode_iset(payload["source"])
     tgt = decode_iset(payload["target"])
     return ISetMorphism(src, tgt, [dict(d) for d in payload["levels"]])
@@ -351,6 +366,7 @@ DECODERS = {
     "sigma-set": decode_sigma,
     "mset": decode_mset,
     "iset": decode_iset,
+    "morphism": decode_iset_morphism,
     "monoid": decode_monoid,
     "certificate": decode_certificate,
 }
@@ -379,36 +395,17 @@ def parse_document(data) -> Document:
         raise ParseError("document must be an object with a kind")
     kind = raw["kind"]
     payload = raw.get("payload")
-    if kind == "morphism":
-        if not isinstance(payload, dict) or payload.get("morphism") != "iset":
-            raise ValidationError("morphism discriminator", kind)
-        value = decode_iset_morphism(payload)
-    elif kind in DECODERS:
-        value = DECODERS[kind](payload)
-    else:
+    decode = DECODERS.get(kind) if isinstance(kind, str) else None
+    if decode is None:
         raise ParseError(f"unknown document kind {kind!r}")
+    try:
+        value = decode(payload)
+    except _MALFORMED as e:
+        raise ValidationError(f"{kind} payload", repr(e)) from None
     return Document(kind, payload, value, raw.get("formatVersion", 1))
 
 
 def serialize_document(kind, value):
-    if kind == "partial-injection":
-        payload = encode_partial(value)
-    elif kind == "qa-injection":
-        payload = encode_qa(value)
-    elif kind == "operad-element":
-        payload = encode_operad(value)
-    elif kind == "sigma-set":
-        payload = encode_sigma(value)
-    elif kind == "mset":
-        payload = encode_mset(value)
-    elif kind == "iset":
-        payload = encode_iset(value)
-    elif kind == "morphism":
-        payload = encode_iset_morphism(value)
-    elif kind == "monoid":
-        payload = encode_monoid(value)
-    elif kind == "certificate":
-        payload = encode_certificate(value)
-    else:
+    if kind not in ENCODERS:
         raise ParseError(f"unknown document kind {kind!r}")
-    return canonical_json(wrap(kind, payload))
+    return canonical_json(wrap(kind, ENCODERS[kind](value)))

@@ -1,14 +1,24 @@
+import argparse
+import hashlib
 import json
 
 import pytest
 
-from tamebox import PartialInjection
+from tamebox import PartialInjection, cli, opalg
 from tamebox.cli import main
 from tamebox.documents import serialize_document
 from tamebox.injections import QuasiAffineInjection, interleave
-from tamebox.iset import representable_iset, restriction_coequalizer
+from tamebox.iset import (
+    flat_replacement,
+    representable_iset,
+    restriction_coequalizer,
+)
 from tamebox.mset import injection_mset, unit_mset
-from tamebox.opalg import OperadElement
+from tamebox.opalg import (
+    OperadElement,
+    certify_agreement,
+    infinite_symmetric_product,
+)
 
 
 @pytest.fixture()
@@ -25,6 +35,14 @@ def run(capsys, *argv):
     code = main(["--deterministic", *argv])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def _reshuffled_interleave():
+    s = interleave()
+    return OperadElement(
+        [s.slot(1).compose(QuasiAffineInjection.affine(3, 0)),
+         s.slot(2).compose(QuasiAffineInjection.affine(1, 2))]
+    )
 
 
 class TestCommands:
@@ -139,13 +157,9 @@ class TestCommands:
 
     def test_certificates(self, capsys, workspace, tmp_path):
         _, write = workspace
-        s = interleave()
-        phi = OperadElement(
-            [s.slot(1).compose(QuasiAffineInjection.affine(3, 0)),
-             s.slot(2).compose(QuasiAffineInjection.affine(1, 2))]
-        )
+        phi = _reshuffled_interleave()
         phi_path = write("phi.json", "operad-element", phi)
-        psi_path = write("psi.json", "operad-element", s)
+        psi_path = write("psi.json", "operad-element", interleave())
         cert_path = tmp_path / "cert.json"
         code, rep = run(
             capsys, "a3", "--phi", phi_path, "--psi", psi_path,
@@ -200,6 +214,12 @@ class TestCommands:
         }
 
 
+def _qa_piece(**fields):
+    piece = {"lo": 1, "hi": None, "mod": 1, "res": 0, "a": 1, "b": 0}
+    return json.dumps({"kind": "qa-injection",
+                       "payload": {"pieces": [{**piece, **fields}]}})
+
+
 class TestReportDiscipline:
     def test_input_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -207,6 +227,26 @@ class TestReportDiscipline:
         code, rep = run(capsys, "canonicalize", str(bad))
         assert code == 2
         assert rep["outcome"] == "error"
+
+    @pytest.mark.parametrize("text", [
+        _qa_piece(lo=0),
+        _qa_piece(mod=0),
+        '{"kind": "qa-injection", "payload": {}}',
+        '{"kind": "mset", "payload": null}',
+    ], ids=["lo-0", "mod-0", "no-pieces-field", "null-payload"])
+    def test_malformed_document_is_an_input_error(self, capsys, tmp_path,
+                                                  text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, rep = run(capsys, "canonicalize", str(bad))
+        assert code == 2
+        assert rep["error"]["type"] == "ValidationError"
+
+    def test_malformed_element_argument_is_an_input_error(self, capsys):
+        code, rep = run(capsys, "support", "--element",
+                        '{"level":"x","image":[1],"point":"a"}')
+        assert code == 2
+        assert rep["error"]["type"] == "ValidationError"
 
     def test_reports_byte_identical(self, capsys, workspace):
         _, write = workspace
@@ -223,3 +263,153 @@ class TestReportDiscipline:
         main(["orbit-set", m])
         rep = json.loads(capsys.readouterr().out)
         assert "elapsedMs" in rep
+
+
+# sha256 of the --deterministic report of one call of every sub-command,
+# in --help order, recorded before the command table replaced the
+# dispatch chain; the a3 entry also pins the certificate it emits
+GOLDEN = [
+    ("support", ["support",
+                 "--element", '{"level":2,"image":[1,3],"point":"a"}'],
+     0,
+     "0875e9726eda9ab175f59c75ab43c00fa144484671d0aa83667b6733978717bf"),
+    ("act", ["act", "<inj>", "<m2>",
+             "--element", '{"level":2,"image":[1,2],"point":"p0"}'],
+     0,
+     "b4b0261e59ae15462a1cc9657c72854ebaebd589f063c943fcaba5a28dbe3f0a"),
+    ("box", ["box", "<m1>", "<m1>"], 0,
+     "69a28eead539896def371923871b92ae959bb8cb92184a597f58f1407b08114a"),
+    ("decompose", ["--window", "6", "decompose", "<m2>"], 0,
+     "e1e15da89190caa36f65b8b68df5d10b9da1843e0ede540e29cc43d6592b83df"),
+    ("flat-check", ["flat-check", "--mode", "both", "<quot>"], 1,
+     "39a4f7e7dbb1a16a5d85e70662b02f2f70bec65bdeef9374178380f068538db7"),
+    ("flatten", ["flatten", "<quot>"], 0,
+     "1f681c8f76dd8ef203c9be799394ae370a5eba55925047612f962685ac98cfc1"),
+    ("day", ["day", "<rep>", "<rep>"], 0,
+     "50fe9030c03aebaacabe0b457b255e2b29a1faa4eaf20f2359dd0f74bf5d175a"),
+    ("canonicalize", ["canonicalize", "<rep>"], 0,
+     "ac57228aaffc9e9b3cfca8ce2e91296b901ce32093f3160fbaed9a6d8052880f"),
+    ("n-iso", ["n-iso", "<eta>"], 0,
+     "2f44369ad27312d19489b20e3d0d682ed7dfce2a53bdfa8b7d6151c74e4b4c83"),
+    ("sum", ["sum", "<monoid>",
+             "--x", '{"level":1,"image":[2],"point":"p0"}',
+             "--y", '{"level":1,"image":[5],"point":"p1"}'],
+     0,
+     "fd5930dcc9e4b79ee8f3509c2d3139b80507f1a72ff153b39042652d36469069"),
+    ("operad-act", ["operad-act", "<monoid>", "<op>", "--args",
+                    '[{"level":1,"image":[1],"point":"p0"},'
+                    '{"level":1,"image":[1],"point":"p1"}]'],
+     0,
+     "31a807012bf7d84d0f345b82b9174ee8150c0930ecd1f8acdefaec8a6ea11315"),
+    ("to-algebra", ["to-algebra", "<monoid>"], 0,
+     "db509d73bda291321b87cd47f4c6ce6087529917ab58ea31667146f6f2e93154"),
+    ("to-monoid", ["to-monoid", "<monoid>"], 0,
+     "31c478987e944a6739ee6aaa49909c140cb46c99e920fd5bfdb54c4ab112db5c"),
+    ("a3", ["a3", "--phi", "<phi>", "--psi", "<op>",
+            "--constraints", "[[],[]]", "--emit", "<emit>"],
+     0,
+     "ebed1ff6715d92810d493c14729c9984d01cfc846f8d5e7be496e7de16223239"),
+    ("verify-cert", ["verify-cert", "<cert>",
+                     "--phi", "<phi>", "--psi", "<op>"],
+     0,
+     "c3f6139ab4b4c0acd6d89210d8dab5eb82c1dd8932b8a873434e2f1a510da2bc"),
+    ("chi", ["chi", "<op>", "<m1>", "<m1>",
+             "--x", '{"level":1,"image":[2],"point":"p0"}',
+             "--y", '{"level":1,"image":[1],"point":"p0"}'],
+     0,
+     "8f6c58682afe4d79a09e48343c7e638e613294eb148875df91d8e9f7ed14710f"),
+    ("xinf", ["xinf", "--points", "2", "--level", "4"], 0,
+     "98cda2b99ae99dfb7854620b89b17217b1e66ab5d04e2feb2d30f547c1e447a6"),
+    ("wedge-iso", ["wedge-iso", "--x", "2", "--y", "3", "--level", "2"], 0,
+     "b60d48b874dc37bf9d93f9436e088d44d40e4e571ac0d5cee75b302460dbdb88"),
+    ("orbit-set", ["orbit-set", "<m3>"], 0,
+     "d6084e905ccb8f6065415116d13207de56876ed3ab8364f45a508760331ad295"),
+    ("selftest", ["selftest", "--seed", "5", "--cases", "1"], 0,
+     "2cbb8842284c03bd8afd98883f622e45808b8d73349a3bbc10d66193852a9a52"),
+]
+
+EMITTED_CERTIFICATE_SHA256 = (
+    "11788fbaf167ebb2cafb6d0b9ad4a11b34957a1b00d46b2d6ce6e2a769e4c429"
+)
+
+ARGV = {name: argv for name, argv, _, _ in GOLDEN}
+
+
+@pytest.fixture()
+def inputs(tmp_path):
+    """Paths of the documents GOLDEN names as <role>."""
+    def write(name, kind, value):
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_document(kind, value) + "\n")
+        return str(path)
+
+    phi = _reshuffled_interleave()
+    _, eta = flat_replacement(restriction_coequalizer(4))
+    return {
+        "inj": write("inj", "partial-injection",
+                     PartialInjection({1: 4, 2: 1})),
+        "m1": write("m1", "mset", injection_mset(1)),
+        "m2": write("m2", "mset", injection_mset(2)),
+        "m3": write("m3", "mset", injection_mset(3)),
+        "rep": write("rep", "iset", representable_iset(1, 4)),
+        "quot": write("quot", "iset", restriction_coequalizer(4)),
+        "eta": write("eta", "morphism", eta),
+        "monoid": write("monoid", "monoid",
+                        infinite_symmetric_product(["*", "a1", "a2"], "*", 3)),
+        "op": write("op", "operad-element", interleave()),
+        "phi": write("phi", "operad-element", phi),
+        "cert": write("cert", "certificate",
+                      certify_agreement(phi, interleave(), [[], []])),
+        "emit": str(tmp_path / "emitted.json"),
+    }
+
+
+def _call(capsys, argv, inputs):
+    argv = [inputs[a[1:-1]] if a.startswith("<") else a for a in argv]
+    code = main(["--deterministic", *argv])
+    return code, capsys.readouterr().out
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("argv,code,digest", [g[1:] for g in GOLDEN],
+                             ids=[g[0] for g in GOLDEN])
+    def test_report_bytes_unchanged(self, capsys, inputs, argv, code, digest):
+        got_code, out = _call(capsys, argv, inputs)
+        assert (got_code, _sha256(out)) == (code, digest)
+        if argv[0] == "a3":
+            with open(inputs["emit"], encoding="utf-8") as fh:
+                assert _sha256(fh.read()) == EMITTED_CERTIFICATE_SHA256
+
+    def test_golden_covers_every_command(self):
+        assert [g[0] for g in GOLDEN] == [c.name for c in cli.COMMANDS]
+
+    def test_table_names_are_the_parser_choices(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == [c.name for c in cli.COMMANDS]
+
+    @pytest.mark.parametrize("bad", [["no-such-command"], ["act"]])
+    def test_argparse_error_leaves_no_state(self, capsys, inputs, bad):
+        first = _call(capsys, ARGV["act"], inputs)
+        with pytest.raises(SystemExit) as exc:
+            main(["--deterministic", *bad])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert _call(capsys, ARGV["act"], inputs) == first
+
+    def test_a3_verifies_once(self, capsys, inputs, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return verify(*args)
+
+        verify = opalg.verify_certificate
+        monkeypatch.setattr(opalg, "verify_certificate", counted)
+        monkeypatch.setattr(cli, "verify_certificate", counted)
+        code, _ = _call(capsys, ARGV["a3"], inputs)
+        assert code == 0 and len(calls) == 1

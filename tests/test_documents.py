@@ -88,6 +88,10 @@ class TestValidationSurface:
         with pytest.raises(ParseError):
             parse_document(canonical_json({"kind": "mystery", "payload": {}}))
 
+    def test_unhashable_kind(self):
+        with pytest.raises(ParseError):
+            parse_document(canonical_json({"kind": [], "payload": {}}))
+
     def test_non_involution_rejected(self):
         payload = {"m": 2, "points": ["a", "b", "c"],
                    "s": [{"a": "b", "b": "c", "c": "a"}]}
