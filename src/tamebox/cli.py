@@ -73,6 +73,19 @@ def _element_arg(text, carrier):
     return docs.decode_element(_inline_json(text), carrier)
 
 
+def _list_arg(text, shape, item_ok=lambda _: True):
+    """An inline JSON list whose items pass item_ok."""
+    raw = _inline_json(text)
+    if not isinstance(raw, list) or not all(map(item_ok, raw)):
+        raise ValidationError(shape, json.dumps(raw))
+    return raw
+
+
+def _is_int_list(A):
+    # bool is a subclass of int, but true is not a position
+    return isinstance(A, list) and all(type(v) is int for v in A)
+
+
 def _digest(parts):
     h = hashlib.sha256()
     for part in parts:
@@ -269,7 +282,7 @@ def _operad_act(args, report):
     monoid = _load(args.monoid, "monoid")
     operad = _load(args.operad, "operad-element")
     P = monoid.value
-    raw = _inline_json(args.args)
+    raw = _list_arg(args.args, "list of elements")
     elements = [docs.decode_element(r, P.carrier) for r in raw]
     report["inputs"] = _digest([monoid.payload, operad.payload, raw])
     A = monoid_to_algebra(P)
@@ -306,7 +319,8 @@ def _to_monoid(args, report):
 def _a3(args, report):
     phi = _load(args.phi, "operad-element")
     psi = _load(args.psi, "operad-element")
-    constraints = [set(map(int, A)) for A in _inline_json(args.constraints)]
+    constraints = [set(A) for A in _list_arg(
+        args.constraints, "list of integer lists", _is_int_list)]
     report["inputs"] = _digest(
         [phi.payload, psi.payload, [sorted(A) for A in constraints]]
     )

@@ -200,35 +200,24 @@ def quotient_iset(X: TruncatedISet, seeds):
             raise TruncationExceeded(
                 f"seed at level {m} outside the truncation 0..{X.N}"
             )
-    parent = [{p: p for p in X.levels[m]} for m in range(X.N + 1)]
-
-    def find(m, p):
-        root = p
-        while parent[m][root] != root:
-            root = parent[m][root]
-        while parent[m][p] != root:
-            parent[m][p], p = root, parent[m][p]
-        return root
-
+    # inserted in key order, so every class is named by its least point
+    uf = [UnionFind(sorted(level, key=point_key)) for level in X.levels]
     while work:
         m, a, b = work.pop()
-        ra, rb = find(m, a), find(m, b)
+        ra, rb = uf[m].find(a), uf[m].find(b)
         if ra == rb:
             continue
-        lo, hi = sorted((ra, rb), key=point_key)
-        parent[m][hi] = lo
+        uf[m].union(ra, rb)
         for t in X.transp[m]:
             work.append((m, t[ra], t[rb]))
         if m < X.N:
             work.append((m + 1, X.incl[m][ra], X.incl[m][rb]))
 
-    levels = [sorted({find(m, p) for p in X.levels[m]}, key=point_key)
-              for m in range(X.N + 1)]
-    incl = [
-        {p: find(m + 1, X.incl[m][p]) for p in levels[m]} for m in range(X.N)
-    ]
+    levels = [u.roots() for u in uf]
+    incl = [{p: uf[m + 1].find(X.incl[m][p]) for p in levels[m]}
+            for m in range(X.N)]
     transp = [
-        [{p: find(m, t[p]) for p in levels[m]} for t in X.transp[m]]
+        [{p: uf[m].find(t[p]) for p in levels[m]} for t in X.transp[m]]
         for m in range(X.N + 1)
     ]
     s = minimal_stable_from(X.N, levels, incl, transp)
@@ -247,28 +236,15 @@ class OmegaColimit:
 
     def __init__(self, X: TruncatedISet):
         self.iset = X
-        parent = {}
-        for m in range(X.N + 1):
-            for p in X.levels[m]:
-                parent[(m, p)] = (m, p)
-
-        def find(node):
-            root = node
-            while parent[root] != root:
-                root = parent[root]
-            while parent[node] != root:
-                parent[node], node = root, parent[node]
-            return root
-
+        # level by level, each in key order: every class is named by its
+        # (level, key)-least node, and roots() lists them in that order
+        uf = UnionFind((m, p) for m in range(X.N + 1)
+                       for p in sorted(X.levels[m], key=point_key))
         for m in range(X.N):
             for p in X.levels[m]:
-                a, b = find((m, p)), find((m + 1, X.incl[m][p]))
-                if a != b:
-                    lo, hi = sorted((a, b), key=lambda n: (n[0], point_key(n[1])))
-                    parent[hi] = lo
-        self.root = {node: find(node) for node in parent}
-        self.classes = sorted(set(self.root.values()),
-                              key=lambda n: (n[0], point_key(n[1])))
+                uf.union((m, p), (m + 1, X.incl[m][p]))
+        self.root = {node: uf.find(node) for node in uf.nodes}
+        self.classes = uf.roots()
         self._supp = {}
 
     def class_of(self, m, x):
@@ -366,16 +342,17 @@ def canonicalize(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):
         raise TruncationExceeded(
             f"truncation {X.N} below twice the stability level {s}"
         )
-    return _canonicalize_core(faithful_extension(X), degree_bound)
+    colim = OmegaColimit(faithful_extension(X))
+    return _canonicalize_core(colim, degree_bound)
 
 
-def _canonicalize_core(E: TruncatedISet, degree_bound):
+def _canonicalize_core(colim: OmegaColimit, degree_bound):
+    E = colim.iset
     s = E.stable_from
     if E.N < max(2 * s, s + E.merge_level):
         raise TruncationExceeded(
             f"truncation {E.N} below the faithful colimit bound"
         )
-    colim = omega_colimit(E)
     table = [c for c in colim.classes if c[0] <= s]
     return decompose_table(
         table,
@@ -444,10 +421,8 @@ def flat_replacement(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):
         raise TruncationExceeded(
             f"truncation {X.N} below twice the stability level"
         )
-    E = faithful_extension(X)
-    W = _canonicalize_core(E, degree_bound)
-    flat = support_filtration(W, X.N)
-    colim = omega_colimit(E)
+    colim = OmegaColimit(faithful_extension(X))
+    flat = support_filtration(_canonicalize_core(colim, degree_bound), X.N)
     maps = []
     for m in range(X.N + 1):
         maps.append(

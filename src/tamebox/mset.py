@@ -36,6 +36,7 @@ from .sigma import (
     point_key,
     trivial_sigma_set,
 )
+from .unionfind import UnionFind
 
 
 class MElement(NamedTuple):
@@ -432,28 +433,16 @@ def coequalize(u: MSetMorphism, v: MSetMorphism, window,
             f"window {window} below twice the maximal support size"
         )
     table = target.elements_up_to(window)
-    parent = {e: e for e in table}
-
-    def find(e):
-        root = e
-        while parent[root] != root:
-            root = parent[root]
-        while parent[e] != root:
-            parent[e], e = root, parent[e]
-        return root
-
+    # inserted in key order, so every class is named by its least element
+    uf = UnionFind(sorted(table, key=point_key))
     for x in u.source.elements_up_to(window):
-        a, b = find(u.apply(x)), find(v.apply(x))
-        if a != b:
-            parent[max(a, b, key=point_key)] = min(a, b, key=point_key)
-
-    classes = sorted({find(e) for e in table}, key=point_key)
+        uf.union(u.apply(x), v.apply(x))
 
     def class_action(f, root):
-        return find(target.act(f, root))
+        return uf.find(target.act(f, root))
 
     return decompose_table(
-        classes,
+        uf.roots(),
         class_action,
         window,
         initial_support=lambda e: set(e.image),

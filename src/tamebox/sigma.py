@@ -185,18 +185,15 @@ class SigmaSet:
         its representative.  Returns a list of (rep, members) pairs."""
         if self._orbit_cache is not None:
             return self._orbit_cache
-        uf = UnionFind(self.points)
+        # inserted in key order, so each orbit lists its least point first
+        uf = UnionFind(sorted(self.points, key=point_key))
         for t in self.transpositions:
             for p, q in t.items():
                 uf.union(p, q)
         groups = {}
-        for p in self.points:
+        for p in uf.nodes:
             groups.setdefault(uf.find(p), []).append(p)
-        out = []
-        for members in groups.values():
-            members.sort(key=point_key)
-            out.append((members[0], members))
-        out.sort(key=lambda rm: point_key(rm[0]))
+        out = list(groups.items())
         self._orbit_cache = out
         return out
 

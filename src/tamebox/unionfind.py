@@ -4,6 +4,12 @@ Nodes are interned as integer ids in insertion order, and a union links
 the later root under the earlier one, so the representative of every
 class is its first-inserted node.  Representatives therefore depend
 only on the order of insertion, never on how the nodes print.
+
+A caller that wants every class named by its least member under some
+key inserts the nodes sorted by that key: the first-inserted member of
+a class is then its least, and roots() lists the classes in key order
+with no further sort.  quotient_iset, OmegaColimit, mset.coequalize
+and SigmaSet.orbits insert in point_key order this way.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,12 +16,13 @@ from tamebox.iset import (
     representable_iset,
     restriction_coequalizer,
 )
-from tamebox.mset import injection_mset, unit_mset
+from tamebox.mset import CanonicalTameMSet, injection_mset, unit_mset
 from tamebox.opalg import (
     OperadElement,
     certify_agreement,
     infinite_symmetric_product,
 )
+from tamebox.sigma import trivial_sigma_set
 
 
 @pytest.fixture()
@@ -248,6 +252,25 @@ class TestReportDiscipline:
         assert code == 2
         assert rep["error"]["type"] == "ValidationError"
 
+    @pytest.mark.parametrize("argv", [
+        ["a3", "--phi", "<op>", "--psi", "<op>", "--constraints", "[1,2]"],
+        ["a3", "--phi", "<op>", "--psi", "<op>", "--constraints", '[["x"]]'],
+        ["a3", "--phi", "<op>", "--psi", "<op>", "--constraints", '{"a":1}'],
+        ["a3", "--phi", "<op>", "--psi", "<op>",
+         "--constraints", "[[1.5],[]]"],
+        ["a3", "--phi", "<op>", "--psi", "<op>",
+         "--constraints", "[[true],[]]"],
+        ["operad-act", "<monoid>", "<op>", "--args", "5"],
+        ["operad-act", "<monoid>", "<op>", "--args", "null"],
+    ], ids=["ints", "strings", "object", "float", "bool", "args-int",
+            "args-null"])
+    def test_malformed_inline_list_is_an_input_error(self, capsys, inputs,
+                                                     argv):
+        code, out = _call(capsys, argv, inputs)
+        rep = json.loads(out)
+        assert code == 2
+        assert rep["error"]["type"] == "ValidationError"
+
     def test_reports_byte_identical(self, capsys, workspace):
         _, write = workspace
         m = write("m.json", "mset", unit_mset())
@@ -413,3 +436,46 @@ class TestCommandTable:
         monkeypatch.setattr(cli, "verify_certificate", counted)
         code, _ = _call(capsys, ARGV["a3"], inputs)
         assert code == 0 and len(calls) == 1
+
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+
+def _cli_under_hash_seed(seed, *argv):
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "tamebox.cli", "--deterministic", *argv],
+        env=env, check=True, capture_output=True,
+    ).stdout
+
+
+class TestHashSeedDeterminism:
+    """Reports are the same bytes whatever the string hash seed, also
+    past the degree bound of the golden set, where box points hold
+    larger sets of positions."""
+
+    def test_degree_nine_box_and_orbit_set(self, tmp_path):
+        X = CanonicalTameMSet({2: trivial_sigma_set(2, ["a", "b"], 9),
+                               3: trivial_sigma_set(3, ["c"], 9)}, 9)
+        m = tmp_path / "m.json"
+        m.write_text(serialize_document("mset", X) + "\n")
+        boxes = [_cli_under_hash_seed(seed, "--degree-bound", "9", "box",
+                                      str(m), str(m))
+                 for seed in ("0", "1")]
+        assert boxes[0] == boxes[1]
+        levels = json.loads(boxes[0])["value"]["payload"]["levels"]
+        assert {"5", "6"} <= set(levels)
+        product = tmp_path / "box.json"
+        product.write_text(json.dumps(json.loads(boxes[0])["value"]))
+        orbits = [_cli_under_hash_seed(seed, "--degree-bound", "9",
+                                       "orbit-set", str(product))
+                  for seed in ("0", "1")]
+        assert orbits[0] == orbits[1]
+
+    def test_flatten_restriction_coequalizer(self, tmp_path):
+        quot = tmp_path / "quot.json"
+        quot.write_text(
+            serialize_document("iset", restriction_coequalizer(4)) + "\n")
+        outs = [_cli_under_hash_seed(seed, "flatten", str(quot))
+                for seed in ("0", "1")]
+        assert outs[0] == outs[1]
