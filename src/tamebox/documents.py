@@ -293,6 +293,8 @@ def decode_element(payload, X: CanonicalTameMSet = None):
         level = int(payload["level"])
         image = tuple(int(v) for v in payload["image"])
         point = payload["point"]
+        if len(image) != level:
+            raise ValidationError("one image entry per level", image)
         if len(set(image)) != len(image):
             raise ValidationError("distinct image entries", image)
         if any(v < 1 for v in image):
@@ -300,9 +302,8 @@ def decode_element(payload, X: CanonicalTameMSet = None):
         if X is not None:
             # an unsorted image is fine on input: the carrier knows how to
             # push the sorting permutation into the point
-            if X.levels.get(level) is None or point not in set(
-                X.levels[level].points
-            ):
+            ss = X.levels.get(level)
+            if ss is None or point not in ss.point_set:
                 raise ValidationError("element of the carrier", payload)
             return X.canonical(level, image, point)
     except _MALFORMED as e:

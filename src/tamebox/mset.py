@@ -30,9 +30,9 @@ from .injections import PartialInjection, QuasiAffineInjection, order_embed_avoi
 from .sigma import (
     DEFAULT_DEGREE_BOUND,
     SigmaSet,
+    generators,
     induce,
     iso_equal,
-    perm_inverse,
     point_key,
     trivial_sigma_set,
 )
@@ -90,7 +90,7 @@ class CanonicalTameMSet:
         ss = self.levels.get(x.level)
         return (
             ss is not None
-            and x.point in set(ss.points)
+            and x.point in ss.point_set
             and len(x.image) == x.level
             and tuple(sorted(x.image)) == x.image
         )
@@ -101,13 +101,25 @@ class CanonicalTameMSet:
         image = tuple(image)
         if len(set(image)) != len(image):
             raise ValueError("image entries must be distinct")
-        order = sorted(range(level), key=image.__getitem__)
-        sigma = tuple(j + 1 for j in order)
-        if sigma == tuple(range(1, level + 1)):
+        ordered = tuple(sorted(image))
+        if ordered == image:
             return MElement(level, image, point)
-        ss = self.levels[level]
-        new_point = ss.act_perm(perm_inverse(sigma), point)
-        return MElement(level, tuple(image[j] for j in order), new_point)
+        # the ranks of the entries: the inverse of the sorting permutation
+        rank = tuple([ordered.index(v) + 1 for v in image])
+        new_point = self.levels[level].act_perm(rank, point)
+        return MElement(level, ordered, new_point)
+
+    def placement(self, x: MElement):
+        """The orbit representative r of x's point and the injection g
+        of {1..level}, as a value tuple, with x = g_*[1..level, r]."""
+        root, sigma = self.levels[x.level].rooted_transversal()[x.point]
+        return root, tuple([x.image[k - 1] for k in sigma])
+
+    def place(self, values, x: MElement) -> MElement:
+        """g_* x for the injection g given by its value tuple on
+        {1..k}, where k bounds the support of x."""
+        image = [values[v - 1] for v in x.image]
+        return self.canonical(x.level, image, x.point)
 
     def act(self, f, x: MElement) -> MElement:
         """Apply an injection defined on the support of x."""
@@ -398,24 +410,15 @@ class MSetMorphism:
                     raise InvalidMorphism(
                         f"value for {key} not supported inside 1..{m}"
                     )
-                for sigma in ss.stabilizer(rep):
-                    f = PartialInjection(dict(enumerate(sigma, start=1)))
-                    if target.act(f, val) != val:
+                for sigma in generators(ss.stabilizer(rep)):
+                    if target.place(sigma, val) != val:
                         raise InvalidMorphism(
                             f"stabilizer of {key} does not fix the value"
                         )
-        self._transversals = {
-            m: ss.orbit_transversal() for m, ss in source.levels.items()
-        }
 
     def apply(self, x: MElement) -> MElement:
-        ss = self.source.levels[x.level]
-        sigma = self._transversals[x.level][x.point]
-        rep = ss.orbit_root(x.point)
-        placed = PartialInjection(
-            {k: x.image[sigma[k - 1] - 1] for k in range(1, x.level + 1)}
-        )
-        return self.target.act(placed, self.assignment[(x.level, rep)])
+        rep, g = self.source.placement(x)
+        return self.target.place(g, self.assignment[(x.level, rep)])
 
 
 def coequalize(u: MSetMorphism, v: MSetMorphism, window,

@@ -40,7 +40,7 @@ from .injections import (
     order_embed_avoiding,
 )
 from .mset import CanonicalTameMSet, MElement, box, support
-from .sigma import SigmaSet, trivial_sigma_set
+from .sigma import SigmaSet, generators, trivial_sigma_set
 
 
 def std_element(level, point):
@@ -50,77 +50,127 @@ def std_element(level, point):
 
 class CommMonoidPresentation:
     """A commutative box-monoid: carrier, unit, and the sums of orbit
-    representatives with the second summand shifted past the first."""
+    representatives with the second summand shifted past the first.
+
+    Write [g, r] for the element placing the level-m point r by the
+    injection g of {1..m}, T[a, b] for the table entry of the
+    representatives a = (m, ra) and b = (n, rb), and g + h for the
+    injection of {1..m+n} that is g on the first block and h, shifted
+    past it, on the second.  `add` sums [g, ra] and [h, rb] as
+    (g + h)_* T[a, b], with g and h read off the orbit transversals.
+
+    Validation checks that the table covers exactly the representative
+    pairs within the cap, with values supported inside their blocks,
+    then equivariance, the unit law, commutativity and associativity.
+    The last three are checked on representatives in standard blocks
+    only; commutativity on pairs a <= b (in `orbit_set` order), and
+    associativity on the rotations (a, b, c) and (b, c, a) of each
+    multiset a <= b <= c.  No case is lost:
+
+    1. Equivariance: (s + t)_* T[a, b] = T[a, b] for s fixing ra and t
+       fixing rb.  The pairs (s, 1) and (1, t), with s and t running
+       over generators of the two stabilizers, generate all pairs, so
+       only they are checked.  Now [g, r] = [g', r] exactly when
+       g' = g s with s fixing r, and then (g s + h t)_* T =
+       (g + h)_* (s + t)_* T = (g + h)_* T: `add` does not depend on the
+       placement, so it is natural, f_*(x + y) = f_* x + f_* y for every
+       injection f defined on both supports.
+    2. Positions: disjoint x = [g, ra], y = [h, rb], z = [k, rc] are
+       the images under f = g + h + k of the representatives in
+       standard blocks, and a sum stays inside the blocks of its
+       summands.  By naturality a law holds at x, y, z once it holds in
+       standard blocks.  The same holds for every order of a, b, c: the
+       law at (y, x) is the image of the law at (x, y) under a block
+       swap, so commutativity at a <= b covers every pair.
+    3. Rotations: under commutativity let L_z = (x + y) + z = (y + x) +
+       z, and L_x, L_y alike.  Associativity at (x, y, z) is (x + y) +
+       z = x + (y + z) = (y + z) + x, that is L_z = L_x.  Over the six
+       orders it reads L_z = L_x at (x, y, z) and (z, y, x), L_x = L_y
+       at (y, z, x) and (x, z, y), L_y = L_z at (z, x, y) and (y, x, z):
+       three equations, any two of which imply the third.  The
+       rotations (a, b, c) and (b, c, a) give the first two.  When
+       a = b, the swap of their blocks fixes L_z and exchanges L_x and
+       L_y, so L_z = L_x alone gives all three; when b = c, the swap of
+       theirs fixes L_x and exchanges L_y and L_z, likewise.  Then
+       (a, b, c) alone is checked.
+
+    In these checks the inner sums are table reads, T[a, b] or T[b, c]
+    shifted by m; only the outer sum of each law goes through `add`.
+    """
 
     def __init__(self, carrier: CanonicalTameMSet, unit_point, table,
                  level_cap=None):
         self.carrier = carrier
-        self.level_cap = carrier.degree_bound if level_cap is None else level_cap
+        cap = carrier.degree_bound if level_cap is None else level_cap
+        self.level_cap = cap
         if 0 not in carrier.levels:
             raise ValidationFailed("no level-0 part to hold the unit")
-        if unit_point not in set(carrier.levels[0].points):
+        if unit_point not in carrier.levels[0].point_set:
             raise ValidationFailed("unit point missing from level 0")
         self.unit_point = unit_point
-        self.table = dict(table)
-        self._transversals = {
-            m: ss.orbit_transversal() for m, ss in carrier.levels.items()
-        }
+        self.unit = MElement(0, (), unit_point)
+        self.table = T = dict(table)
 
-        reps = [
-            (m, rep)
-            for m, ss in sorted(carrier.levels.items())
-            for rep, _ in ss.orbits()
-        ]
-        wanted = {
-            (a, b) for a in reps for b in reps if a[0] + b[0] <= self.level_cap
-        }
-        if set(self.table) != wanted:
+        reps = carrier.orbit_set()
+        wanted = {(a, b) for a in reps for b in reps if a[0] + b[0] <= cap}
+        if set(T) != wanted:
             raise ValidationFailed(
                 "sum table must cover exactly the representative pairs "
                 "within the level cap"
             )
-        for (m, ra), (n, rb) in self.table:
-            c = self.table[((m, ra), (n, rb))]
+        stabilizers = {(m, r): generators(carrier.levels[m].stabilizer(r))
+                       for m, r in reps}
+        for (a, b), c in T.items():
+            m, n = a[0], b[0]
             if not carrier.has_element(c):
-                raise ValidationFailed(f"sum of {(m, ra)} and {(n, rb)} invalid")
+                raise ValidationFailed(f"sum of {a} and {b} invalid")
             if not set(c.image) <= set(range(1, m + n + 1)):
                 raise ValidationFailed("sum not supported inside the blocks")
-            stab_a = carrier.levels[m].stabilizer(ra) if m else [()]
-            stab_b = carrier.levels[n].stabilizer(rb) if n else [()]
-            for sa in stab_a:
-                for sb in stab_b:
-                    f = {k: sa[k - 1] for k in range(1, m + 1)}
-                    f.update({m + k: m + sb[k - 1] for k in range(1, n + 1)})
-                    if carrier.act(PartialInjection(f), c) != c:
-                        raise ValidationFailed(
-                            f"sum of {(m, ra)} and {(n, rb)} not equivariant"
-                        )
+            first = tuple(range(1, m + 1))
+            second = tuple(range(m + 1, m + n + 1))
+            moves = [s + second for s in stabilizers[a]]
+            moves += [first + tuple(m + k for k in t) for t in stabilizers[b]]
+            if any(carrier.place(g, c) != c for g in moves):
+                raise ValidationFailed(f"sum of {a} and {b} not equivariant")
 
-        self.unit = MElement(0, (), unit_point)
-        for m, r in reps:
-            e = std_element(m, r)
-            if self.add(self.unit, e) != e or self.add(e, self.unit) != e:
-                raise ValidationFailed(f"unit law fails at {(m, r)}")
+        u = (0, unit_point)
         for a in reps:
-            for b in reps:
-                if a[0] + b[0] > self.level_cap:
-                    continue
-                x = std_element(*a)
+            if a[0] > cap:
+                raise DegreeTooLarge(
+                    f"sum at level {a[0]} beyond the cap {cap}"
+                )
+            e = std_element(*a)
+            if T[(u, a)] != e or T[(a, u)] != e:
+                raise ValidationFailed(f"unit law fails at {a}")
+        # reps run by level, so each loop can stop at the first rep
+        # past the cap
+        for i, a in enumerate(reps):
+            for b in reps[i:]:
+                if a[0] + b[0] > cap:
+                    break
                 y = self._shift(std_element(*b), a[0])
-                if self.add(x, y) != self.add(y, x):
+                if T[(a, b)] != self.add(y, std_element(*a)):
                     raise ValidationFailed(f"commutativity fails at {a}, {b}")
-        for a in reps:
-            for b in reps:
-                for c in reps:
-                    if a[0] + b[0] + c[0] > self.level_cap:
-                        continue
-                    x = std_element(*a)
-                    y = self._shift(std_element(*b), a[0])
-                    z = self._shift(std_element(*c), a[0] + b[0])
-                    if self.add(self.add(x, y), z) != self.add(x, self.add(y, z)):
-                        raise ValidationFailed(
-                            f"associativity fails at {a}, {b}, {c}"
-                        )
+        for i, a in enumerate(reps):
+            for j, b in enumerate(reps[i:], start=i):
+                for c in reps[j:]:
+                    if a[0] + b[0] + c[0] > cap:
+                        break
+                    rotations = [(a, b, c)]
+                    if b not in (a, c):
+                        rotations.append((b, c, a))
+                    for p, q, r in rotations:
+                        if not self._associative(p, q, r):
+                            raise ValidationFailed(
+                                f"associativity fails at {p}, {q}, {r}"
+                            )
+
+    def _associative(self, a, b, c):
+        """(x + y) + z = x + (y + z) for a, b, c in standard blocks."""
+        m, n = a[0], b[0]
+        z = self._shift(std_element(*c), m + n)
+        yz = self._shift(self.table[(b, c)], m)
+        return self.add(self.table[(a, b)], z) == self.add(std_element(*a), yz)
 
     def _shift(self, e: MElement, offset):
         if offset == 0 or e.level == 0:
@@ -138,22 +188,9 @@ class CommMonoidPresentation:
             raise DegreeTooLarge(
                 f"sum at level {m + n} beyond the cap {self.level_cap}"
             )
-        carrier = self.carrier
-        placements = {}
-        parts = []
-        for offset, e in ((0, x), (m, y)):
-            if e.level == 0:
-                parts.append(e.point)
-                continue
-            sigma = self._transversals[e.level][e.point]
-            rep = carrier.levels[e.level].orbit_root(e.point)
-            parts.append(rep)
-            for k in range(1, e.level + 1):
-                placements[offset + k] = e.image[sigma[k - 1] - 1]
-        c = self.table[((m, parts[0]), (n, parts[1]))]
-        if not placements:
-            return c
-        return carrier.act(PartialInjection(placements), c)
+        ra, g = self.carrier.placement(x)
+        rb, h = self.carrier.placement(y)
+        return self.carrier.place(g + h, self.table[((m, ra), (n, rb))])
 
 
 class AlgebraAction:
@@ -202,11 +239,7 @@ def algebra_to_monoid(A: AlgebraAction) -> CommMonoidPresentation:
     carrier = A.carrier
     unit = A(OperadElement([]), [])
     table = {}
-    reps = [
-        (m, rep)
-        for m, ss in sorted(carrier.levels.items())
-        for rep, _ in ss.orbits()
-    ]
+    reps = carrier.orbit_set()
     for m, ra in reps:
         for n, rb in reps:
             if m + n > A.level_cap:
@@ -285,14 +318,9 @@ def infinite_symmetric_product(points, basepoint, level_bound):
         tables = [{t: swap(i, t) for t in pts} for i in range(1, m)]
         levels[m] = SigmaSet(m, pts, tables, degree_bound=max(level_bound, 7))
     carrier = CanonicalTameMSet(levels, degree_bound=max(level_bound, 7))
-    table = {}
-    for m, ss in carrier.levels.items():
-        for ra, _ in ss.orbits():
-            for n, tt in carrier.levels.items():
-                for rb, _ in tt.orbits():
-                    if m + n > level_bound:
-                        continue
-                    table[((m, ra), (n, rb))] = std_element(m + n, ra + rb)
+    reps = carrier.orbit_set()
+    table = {(a, b): std_element(a[0] + b[0], a[1] + b[1])
+             for a in reps for b in reps if a[0] + b[0] <= level_bound}
     return CommMonoidPresentation(carrier, (), table, level_bound)
 
 
@@ -336,8 +364,6 @@ def wedge_iso(points_x, base_x, points_y, base_y, level_bound):
     B = box(PX.carrier, PY.carrier, degree_bound=max(level_bound, 7),
             level_cap=level_bound)
 
-    letters_x = sorted((p for p in points_x if p != base_x), key=repr)
-
     maps = {}
     ok = True
     for k in sorted(B.levels):
@@ -356,9 +382,8 @@ def wedge_iso(points_x, base_x, points_y, base_y, level_bound):
             table[((m, n), (positions, za, wb))] = tuple(out)
         maps[k] = table
         values = list(table.values())
-        if tgt is None or len(set(values)) != len(values) or set(values) != set(
-            tgt.points
-        ):
+        if (tgt is None or len(set(values)) != len(values)
+                or set(values) != tgt.point_set):
             ok = False
             continue
         for i in range(1, k):

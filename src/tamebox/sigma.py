@@ -96,6 +96,23 @@ def all_perms(m):
     return [tuple(p) for p in permutations(range(1, m + 1))]
 
 
+def generators(group):
+    """A generating set of a finite permutation group: its elements in
+    order, each kept unless those kept before already generate it."""
+    kept = []
+    span = {identity_perm(len(next(iter(group))))}
+    for g in sorted(group):
+        if g in span:
+            continue
+        kept.append(g)
+        frontier = list(span)
+        while frontier:
+            frontier = [q for p in frontier for h in kept
+                        if (q := perm_compose(h, p)) not in span]
+            span.update(frontier)
+    return kept
+
+
 def cycle_type(sigma):
     seen = set()
     sizes = []
@@ -147,38 +164,20 @@ class SigmaSet:
                     raise ValidationError("braid", f"s_{i} s_{i + 1}")
         self.m = m
         self.points = points
+        self.point_set = pset
         self.transpositions = transpositions
         self.degree_bound = degree_bound
         self._orbit_cache = None
-        self._perm_maps = {}
+        self._transversal = None
 
     def __len__(self):
         return len(self.points)
 
-    def act_word(self, word, p):
-        # the word lists the outermost transposition first
-        for i in reversed(word):
-            p = self.transpositions[i - 1][p]
-        return p
-
     def act_perm(self, sigma, p):
         """Action of a permutation given in one-line notation."""
-        table = self._perm_maps.get(sigma)
-        if table is not None:
-            return table[p]
-        word = perm_word(sigma)
-        q = p
-        for i in reversed(word):
-            q = self.transpositions[i - 1][q]
-        return q
-
-    def perm_map(self, sigma):
-        """The full point map of a permutation, memoized."""
-        table = self._perm_maps.get(sigma)
-        if table is None:
-            table = {p: self.act_perm(sigma, p) for p in self.points}
-            self._perm_maps[sigma] = table
-        return table
+        for i in reversed(perm_word(sigma)):
+            p = self.transpositions[i - 1][p]
+        return p
 
     def orbits(self):
         """Partition into orbits, with the least point of each orbit as
@@ -197,12 +196,14 @@ class SigmaSet:
         self._orbit_cache = out
         return out
 
-    def orbit_transversal(self):
-        """For every point, a permutation carrying its orbit
-        representative onto it."""
+    def rooted_transversal(self):
+        """For every point p, its orbit representative r and a
+        permutation sigma with sigma . r = p; computed once."""
+        if self._transversal is not None:
+            return self._transversal
         out = {}
-        for rep, members in self.orbits():
-            out[rep] = identity_perm(self.m)
+        for rep, _ in self.orbits():
+            out[rep] = (rep, identity_perm(self.m))
             frontier = [rep]
             while frontier:
                 nxt = []
@@ -210,19 +211,21 @@ class SigmaSet:
                     for i, t in enumerate(self.transpositions, start=1):
                         q = t[p]
                         if q not in out:
-                            out[q] = perm_compose(
-                                transposition_perm(self.m, i), out[p]
-                            )
+                            out[q] = (rep, perm_compose(
+                                transposition_perm(self.m, i), out[p][1]
+                            ))
                             nxt.append(q)
                 frontier = nxt
+        self._transversal = out
         return out
 
+    def orbit_transversal(self):
+        """For every point, a permutation carrying its orbit
+        representative onto it."""
+        return {p: s for p, (_, s) in self.rooted_transversal().items()}
+
     def orbit_root(self, p):
-        if not hasattr(self, "_roots"):
-            self._roots = {
-                q: rep for rep, members in self.orbits() for q in members
-            }
-        return self._roots[p]
+        return self.rooted_transversal()[p][0]
 
     def stabilizer(self, p):
         return frozenset(

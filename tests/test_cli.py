@@ -253,6 +253,19 @@ class TestReportDiscipline:
         assert rep["error"]["type"] == "ValidationError"
 
     @pytest.mark.parametrize("argv", [
+        ["support", "--element", '{"level":1,"image":[1,3],"point":"a"}'],
+        ["sum", "<monoid>", "--x", '{"level":1,"image":[1,2],"point":"p0"}',
+         "--y", '{"level":1,"image":[3],"point":"p1"}'],
+    ], ids=["support", "sum"])
+    def test_image_not_of_the_level_is_an_input_error(self, capsys, inputs,
+                                                     argv):
+        # an image longer than the level used to be cut to the level: the
+        # sum below came out as if x sat at 1 alone
+        code, out = _call(capsys, argv, inputs)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("argv", [
         ["a3", "--phi", "<op>", "--psi", "<op>", "--constraints", "[1,2]"],
         ["a3", "--phi", "<op>", "--psi", "<op>", "--constraints", '[["x"]]'],
         ["a3", "--phi", "<op>", "--psi", "<op>", "--constraints", '{"a":1}'],

@@ -319,6 +319,16 @@ class TestMorphismsAndCoequalizer:
                 },
             )
 
+    def test_stabilizer_must_fix_the_value(self):
+        # every representative has a value; the swap fixes (0, 0) but
+        # moves the value (0, 1) placed at 1, 2 to (1, 0)
+        X = CanonicalTameMSet({2: tuple_sigma_set(2, 2)})
+        values = {(2, p): X.canonical(2, (1, 2), p)
+                  for p in ((0, 0), (0, 1), (1, 1))}
+        MSetMorphism(X, X, values)
+        with pytest.raises(InvalidMorphism, match="stabilizer"):
+            MSetMorphism(X, X, {**values, (2, (0, 0)): values[(2, (0, 1))]})
+
     def test_apply_is_equivariant(self):
         rng = random.Random(13)
         I1 = injection_mset(1)
