@@ -225,16 +225,26 @@ def wrap(kind, payload):
 # -- decoding ---------------------------------------------------------------
 
 
+def _int(value, field):
+    """An integer-valued field: JSON integers only, so a float, a bool
+    or a numeric string is refused rather than coerced.  Object keys
+    are strings in JSON and are read with int() where they are used."""
+    if type(value) is not int:
+        raise ValidationError("integer field", f"{field}={value!r}")
+    return value
+
+
 def _frac_in(v):
     if isinstance(v, str):
         num, _, den = v.partition("/")
         return Fraction(int(num), int(den or 1))
-    return Fraction(v)
+    return Fraction(_int(v, "ratio"))
 
 
 def decode_partial(payload):
     try:
-        return PartialInjection({int(k): int(v) for k, v in payload["map"].items()})
+        return PartialInjection(
+            {int(k): _int(v, "map") for k, v in payload["map"].items()})
     except KeyError as e:
         raise ValidationError("partial-injection fields", str(e)) from None
 
@@ -244,10 +254,10 @@ def decode_qa(payload):
     for raw in payload["pieces"]:
         pieces.append(
             Piece(
-                int(raw["lo"]),
-                None if raw.get("hi") is None else int(raw["hi"]),
-                int(raw["mod"]),
-                int(raw["res"]),
+                _int(raw["lo"], "lo"),
+                None if raw.get("hi") is None else _int(raw["hi"], "hi"),
+                _int(raw["mod"], "mod"),
+                _int(raw["res"], "res"),
                 _frac_in(raw["a"]),
                 _frac_in(raw["b"]),
             )
@@ -266,13 +276,13 @@ def decode_injection(payload):
 def decode_operad(payload):
     slots = [decode_injection(raw) for raw in payload["slots"]]
     e = OperadElement(slots)
-    if e.arity != int(payload["arity"]):
+    if e.arity != _int(payload["arity"], "arity"):
         raise ValidationError("arity", payload["arity"])
     return e
 
 
 def decode_sigma(payload):
-    m = int(payload["m"])
+    m = _int(payload["m"], "m")
     points = list(payload["points"])
     tables = [dict(t) for t in payload["s"]]
     return SigmaSet(m, points, tables)
@@ -290,8 +300,8 @@ def decode_element(payload, X: CanonicalTameMSet = None):
     when one is given.  Elements also arrive outside documents, as
     command-line arguments, so this catches malformed fields itself."""
     try:
-        level = int(payload["level"])
-        image = tuple(int(v) for v in payload["image"])
+        level = _int(payload["level"], "level")
+        image = tuple(_int(v, "image") for v in payload["image"])
         point = payload["point"]
         if len(image) != level:
             raise ValidationError("one image entry per level", image)
@@ -314,11 +324,12 @@ def decode_element(payload, X: CanonicalTameMSet = None):
 
 
 def decode_iset(payload):
-    N = int(payload["N"])
+    N = _int(payload["N"], "N")
     levels = [list(l) for l in payload["levels"]]
     incl = [dict(d) for d in payload["incl"]]
     transp = [[dict(t) for t in ts] for ts in payload["s"]]
-    return TruncatedISet(N, levels, incl, transp, int(payload["stableFrom"]))
+    return TruncatedISet(N, levels, incl, transp,
+                         _int(payload["stableFrom"], "stableFrom"))
 
 
 def decode_iset_morphism(payload):
@@ -333,12 +344,14 @@ def decode_monoid(payload):
     carrier = decode_mset(payload["carrier"])
     table = {}
     for raw in payload["sums"]:
-        m, ra = int(raw["a"][0]), raw["a"][1]
-        n, rb = int(raw["b"][0]), raw["b"][1]
+        m, ra = _int(raw["a"][0], "a"), raw["a"][1]
+        n, rb = _int(raw["b"][0], "b"), raw["b"][1]
         val = decode_element(raw["result"], carrier)
         table[((m, ra), (n, rb))] = val
+    cap = payload.get("levelCap")
     return CommMonoidPresentation(
-        carrier, payload["unit"], table, payload.get("levelCap")
+        carrier, payload["unit"], table,
+        None if cap is None else _int(cap, "levelCap"),
     )
 
 
@@ -353,8 +366,8 @@ def decode_certificate(payload):
             )
         )
     return Certificate(
-        int(payload["n"]),
-        [frozenset(int(a) for a in A) for A in payload["A"]],
+        _int(payload["n"], "n"),
+        [frozenset(_int(a, "A") for a in A) for A in payload["A"]],
         steps,
         decode_operad(payload["final"]),
     )

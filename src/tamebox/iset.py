@@ -3,8 +3,9 @@
 A TruncatedISet stores levels 0..N of a functor on the category of
 finite sets and injections, presented by the standard inclusions and
 the adjacent transpositions; the generating relations are validated by
-evaluation, and a declared stability level records from where on every
-higher element comes from a lower one.
+evaluation, and the stability level, declared or else the least that
+holds, records from where on every higher element comes from a lower
+one.
 
 On top of this sit the colimit over the inclusions with its induced
 monoid action, exact support computation, flatness checking by two
@@ -45,32 +46,43 @@ from .unionfind import UnionFind
 
 
 class TruncatedISet:
-    """Levels 0..N with validated functoriality and stability."""
+    """Levels 0..N with validated functoriality and stability.
 
-    def __init__(self, N, levels, incl, transp, stable_from):
+    Without a declared stability level, the least one that holds is
+    kept.  A derived diagram shares the validated levels of the diagram
+    it comes from and validates only the levels it adds."""
+
+    def __init__(self, N, levels, incl, transp, stable_from=None):
         if len(levels) != N + 1 or len(incl) != N or len(transp) != N + 1:
             raise ValidationError("level data must span 0..N")
-        if not 0 <= stable_from <= N:
+        if stable_from is not None and not 0 <= stable_from <= N:
             raise ValidationError("stability level out of range")
-        self.N = N
         self.levels = [list(l) for l in levels]
         self.incl = [dict(d) for d in incl]
         self.transp = [[dict(t) for t in ts] for ts in transp]
-        self.stable_from = stable_from
+        self._sigma = []
+        self._generated = []
+        self._validate(0, N, stable_from)
 
+    def _validate(self, lo, N, stable_from):
+        """Check levels lo..N against each other and the levels below,
+        which were validated before, and record for each level whether
+        it is generated from the one below."""
+        self.N = N
         # per-level symmetric-group validation (involutions, Coxeter)
-        self._sigma = [
+        self._sigma += [
             SigmaSet(m, self.levels[m], self.transp[m], degree_bound=N + 1)
-            for m in range(N + 1)
+            for m in range(lo, N + 1)
         ]
-        for m in range(N):
+        below = max(lo - 1, 0)
+        for m in range(below, N):
             if set(self.incl[m]) != set(self.levels[m]):
                 raise ValidationError("inclusion domain", m)
             tgt = set(self.levels[m + 1])
             if not set(self.incl[m].values()) <= tgt:
                 raise ValidationError("inclusion target", m)
         # naturality of inclusions against transpositions
-        for m in range(N):
+        for m in range(below, N):
             for i in range(1, m):
                 s_lo = self.transp[m][i - 1]
                 s_hi = self.transp[m + 1][i - 1]
@@ -78,17 +90,38 @@ class TruncatedISet:
                     if self.incl[m][s_lo[x]] != s_hi[self.incl[m][x]]:
                         raise ValidationError("inclusion naturality", (m, i))
         # the two inclusions into level m+2 agree after the new swap
-        for m in range(N - 1):
+        for m in range(max(lo - 2, 0), N - 1):
             s_new = self.transp[m + 2][m]  # swaps m+1 and m+2
             for x in self.levels[m]:
                 y = self.incl[m + 1][self.incl[m][x]]
                 if s_new[y] != y:
                     raise ValidationError("double inclusion", m)
-        # declared stability: everything above comes from below
-        for m in range(stable_from, N):
-            if not _generated_from_below(m, self.levels, self.incl,
-                                         self.transp):
+        # stability: everything above comes from below
+        self._generated += [
+            _generated_from_below(m, self.levels, self.incl, self.transp)
+            for m in range(below, N)
+        ]
+        failing = [m for m in range(N) if not self._generated[m]]
+        if stable_from is None:
+            stable_from = failing[-1] + 1 if failing else 0
+        for m in failing:
+            if m >= stable_from:
                 raise ValidationError("stability", m)
+        self.stable_from = stable_from
+
+    def _derived(self, n, levels=(), incl=(), transp=(), stable_from=None):
+        """The diagram on levels 0..n that shares this one's validated
+        levels up to min(n, N) and has the given data above them; only
+        those new levels are validated."""
+        k = min(n, self.N)
+        out = object.__new__(TruncatedISet)
+        out.levels = self.levels[: k + 1] + list(levels)
+        out.incl = self.incl[:k] + list(incl)
+        out.transp = self.transp[: k + 1] + list(transp)
+        out._sigma = self._sigma[: k + 1]
+        out._generated = self._generated[:k]
+        out._validate(k + 1, n, stable_from)
+        return out
 
     def level_sigma(self, m):
         return self._sigma[m]
@@ -133,16 +166,6 @@ def _generated_from_below(m, levels, incl, transp):
                     nxt.append(z)
         frontier = nxt
     return reached == set(levels[m + 1])
-
-
-def minimal_stable_from(N, levels, incl, transp):
-    """The least declared stability level the validator will accept."""
-    s = N
-    for m in range(N - 1, -1, -1):
-        if not _generated_from_below(m, levels, incl, transp):
-            break
-        s = m
-    return s
 
 
 def representable_iset(m, N):
@@ -220,8 +243,7 @@ def quotient_iset(X: TruncatedISet, seeds):
         [{p: uf[m].find(t[p]) for p in levels[m]} for t in X.transp[m]]
         for m in range(X.N + 1)
     ]
-    s = minimal_stable_from(X.N, levels, incl, transp)
-    return TruncatedISet(X.N, levels, incl, transp, s)
+    return TruncatedISet(X.N, levels, incl, transp)
 
 
 def restriction_coequalizer(N):
@@ -533,11 +555,7 @@ def lan_extend(X: TruncatedISet) -> TruncatedISet:
             c: lookup(tuple(swap.get(v, v) for v in c[0]), c[1])
             for c in classes
         })
-    levels = X.levels + [classes]
-    incl = X.incl + [new_incl]
-    transp = X.transp + [new_transp]
-    s = minimal_stable_from(n, levels, incl, transp)
-    return TruncatedISet(n, levels, incl, transp, s)
+    return X._derived(n, [classes], [new_incl], [new_transp])
 
 
 def faithful_extension(X: TruncatedISet, at_least=0):
@@ -676,15 +694,6 @@ def mono_pushout_injective(f: ISetMorphism, n):
     return len(set(vals)) == len(vals)
 
 
-def _truncate(X: TruncatedISet, n):
-    levels = X.levels[: n + 1]
-    incl = X.incl[:n]
-    transp = X.transp[: n + 1]
-    return TruncatedISet(
-        n, levels, incl, transp, minimal_stable_from(n, levels, incl, transp)
-    )
-
-
 def _day_factors(X: TruncatedISet, Y: TruncatedISet):
     """Both factors extended canonically until the window clears the
     combined stability and merge heights, then cut to a common height.
@@ -706,7 +715,7 @@ def _day_factors(X: TruncatedISet, Y: TruncatedISet):
             B = faithful_extension(B, at_least=target)
     else:
         raise TruncationExceeded("convolution bound does not settle")
-    return _truncate(A, target), _truncate(B, target)
+    return A._derived(target), B._derived(target)
 
 
 def _day_level(X: TruncatedISet, Y: TruncatedISet, n, dX, dY):
@@ -782,8 +791,7 @@ def day_convolution(X: TruncatedISet, Y: TruncatedISet):
                 for c in levels[n]
             })
         transp.append(tabs)
-    s = minimal_stable_from(N, levels, incl, transp)
-    return TruncatedISet(N, levels, incl, transp, s)
+    return TruncatedISet(N, levels, incl, transp)
 
 
 def day_projections(XY: TruncatedISet, X: TruncatedISet, Y: TruncatedISet):

@@ -301,6 +301,15 @@ def cyclic_monoid(k):
 def infinite_symmetric_product(points, basepoint, level_bound):
     """The free commutative box-monoid on a finite pointed set, cut off
     at the given level: level m holds the tuples of non-base values."""
+    carrier = symmetric_product_carrier(points, basepoint, level_bound)
+    reps = carrier.orbit_set()
+    table = {(a, b): std_element(a[0] + b[0], a[1] + b[1])
+             for a in reps for b in reps if a[0] + b[0] <= level_bound}
+    return CommMonoidPresentation(carrier, (), table, level_bound)
+
+
+def symmetric_product_carrier(points, basepoint, level_bound):
+    """The carrier of `infinite_symmetric_product`, without the sum."""
     if basepoint not in set(points):
         raise ValidationFailed("basepoint missing")
     letters = sorted((p for p in points if p != basepoint), key=repr)
@@ -317,11 +326,7 @@ def infinite_symmetric_product(points, basepoint, level_bound):
 
         tables = [{t: swap(i, t) for t in pts} for i in range(1, m)]
         levels[m] = SigmaSet(m, pts, tables, degree_bound=max(level_bound, 7))
-    carrier = CanonicalTameMSet(levels, degree_bound=max(level_bound, 7))
-    reps = carrier.orbit_set()
-    table = {(a, b): std_element(a[0] + b[0], a[1] + b[1])
-             for a in reps for b in reps if a[0] + b[0] <= level_bound}
-    return CommMonoidPresentation(carrier, (), table, level_bound)
+    return CanonicalTameMSet(levels, degree_bound=max(level_bound, 7))
 
 
 def function_to_element(func) -> MElement:
@@ -355,20 +360,19 @@ def wedge_iso(points_x, base_x, points_y, base_y, level_bound):
     symmetric products and the symmetric product of the wedge.
 
     Returns (per-level maps, bijective-and-equivariant flag)."""
-    PX = infinite_symmetric_product(points_x, base_x, level_bound)
-    PY = infinite_symmetric_product(points_y, base_y, level_bound)
+    PX = symmetric_product_carrier(points_x, base_x, level_bound)
+    PY = symmetric_product_carrier(points_y, base_y, level_bound)
     wedge_points = ["*"] + [
         ("x", p) for p in points_x if p != base_x
     ] + [("y", q) for q in points_y if q != base_y]
-    PW = infinite_symmetric_product(wedge_points, "*", level_bound)
-    B = box(PX.carrier, PY.carrier, degree_bound=max(level_bound, 7),
-            level_cap=level_bound)
+    PW = symmetric_product_carrier(wedge_points, "*", level_bound)
+    B = box(PX, PY, degree_bound=max(level_bound, 7), level_cap=level_bound)
 
     maps = {}
     ok = True
     for k in sorted(B.levels):
         src = B.levels[k]
-        tgt = PW.carrier.levels.get(k)
+        tgt = PW.levels.get(k)
         table = {}
         for (m, n), (positions, za, wb) in src.points:
             xs = sorted(positions)

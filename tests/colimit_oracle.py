@@ -5,9 +5,11 @@ union-find node per (injection, element) pair, and close under
 precomposition with adjacent transpositions and the last inclusion.
 They are exponentially slower than the face-indexed kernels in
 `tamebox.iset` and serve only to cross-check them at small levels.
+`minimal_stable_from` is the reference for the stability level the
+validator finds.
 """
 
-from tamebox.iset import TruncatedISet, _day_factors, minimal_stable_from
+from tamebox.iset import TruncatedISet, _day_factors
 from tamebox.mset import all_injective_tuples
 from tamebox.sigma import point_key
 
@@ -27,6 +29,25 @@ def _find_in(parent):
             parent[max(ra, rb, key=point_key)] = min(ra, rb, key=point_key)
 
     return find, union
+
+
+def minimal_stable_from(N, levels, incl, transp):
+    """The least s such that for every m from s on, each orbit of level
+    m+1 under the transpositions meets the image of level m."""
+
+    def generated(m):
+        parent = {p: p for p in levels[m + 1]}
+        find, union = _find_in(parent)
+        for t in transp[m + 1]:
+            for p, q in t.items():
+                union(p, q)
+        hit = {find(y) for y in incl[m].values()}
+        return all(find(p) in hit for p in levels[m + 1])
+
+    s = N
+    while s > 0 and generated(s - 1):
+        s -= 1
+    return s
 
 
 def colimit_under(X: TruncatedISet, n):

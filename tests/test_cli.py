@@ -246,6 +246,18 @@ class TestReportDiscipline:
         assert code == 2
         assert rep["error"]["type"] == "ValidationError"
 
+    @pytest.mark.parametrize("command", ["canonicalize", "flatten"])
+    def test_fractional_stability_level_is_an_input_error(self, capsys,
+                                                          tmp_path, command):
+        # int() used to read 2.5 as the stability level 2
+        raw = json.loads(serialize_document("iset", representable_iset(1, 4)))
+        raw["payload"]["stableFrom"] = 2.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code, rep = run(capsys, command, str(bad))
+        assert code == 2
+        assert rep["error"]["type"] == "ValidationError"
+
     def test_malformed_element_argument_is_an_input_error(self, capsys):
         code, rep = run(capsys, "support", "--element",
                         '{"level":"x","image":[1],"point":"a"}')

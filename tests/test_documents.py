@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from tamebox.documents import (
@@ -123,6 +125,17 @@ class TestValidationSurface:
         got = decode_element(raw, X)
         assert got.image == (1, 4)
         assert got == injection_element(X, (4, 1))
+
+    @pytest.mark.parametrize("field", ["N", "stableFrom"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"],
+                             ids=["float", "bool", "string"])
+    def test_integer_fields_are_not_coerced(self, field, value):
+        # int() would read each value as a level this diagram accepts
+        N = int(value) if field == "N" else 4
+        raw = json.loads(serialize_document("iset", representable_iset(1, N)))
+        raw["payload"][field] = value
+        with pytest.raises(ValidationError, match="integer field"):
+            parse_document(canonical_json(raw))
 
     def test_spec_shaped_inputs_accepted(self):
         doc = parse_document(canonical_json({

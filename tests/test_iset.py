@@ -1,5 +1,6 @@
 import pytest
 
+import colimit_oracle as oracle
 from tamebox.errors import (
     InvalidMorphism,
     TruncationExceeded,
@@ -16,7 +17,6 @@ from tamebox.iset import (
     flat_replacement,
     is_flat,
     latching,
-    minimal_stable_from,
     mono_pushout_injective,
     n_iso_check,
     omega_colimit,
@@ -71,10 +71,12 @@ class TestValidation:
             TruncatedISet(3, X.levels, X.incl, X.transp, 0)
 
     def test_minimal_stable_from(self):
-        X = representable_iset(2, 4)
-        assert minimal_stable_from(X.N, X.levels, X.incl, X.transp) == 2
-        C = constant_iset(["p", "q"], 3)
-        assert minimal_stable_from(C.N, C.levels, C.incl, C.transp) == 0
+        # with no declared level the validator keeps the least that holds
+        for D, s in ((representable_iset(2, 4), 2),
+                     (constant_iset(["p", "q"], 3), 0)):
+            found = TruncatedISet(D.N, D.levels, D.incl, D.transp)
+            assert found.stable_from == s == oracle.minimal_stable_from(
+                D.N, D.levels, D.incl, D.transp)
 
 
 class TestOmegaColimit:

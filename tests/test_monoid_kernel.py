@@ -38,8 +38,9 @@ WINDOW = 6
 
 
 def wedge_presentations(x, y, level):
-    """The three presentations wedge_iso builds for `wedge-iso --x X
-    --y Y --level L`: both symmetric products and that of the wedge."""
+    """The symmetric-product presentations on the three carriers that
+    wedge_iso builds for `wedge-iso --x X --y Y --level L`: both
+    factors and the wedge."""
     xs = ["*"] + [f"a{i}" for i in range(1, x)]
     ys = ["*"] + [f"b{i}" for i in range(1, y)]
     wedge = ["*"] + [("x", p) for p in xs[1:]] + [("y", q) for q in ys[1:]]

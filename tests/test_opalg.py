@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+import tamebox.opalg as opalg
 from tamebox.errors import (
     NotAMonoid,
     OverlappingSupports,
     PreconditionViolated,
+    ValidationFailed,
 )
 from tamebox.injections import (
     OperadElement,
@@ -326,6 +328,17 @@ class TestWedge:
         for k in range(5):
             assert len(maps.get(k, {})) == 2 ** k
 
+    def test_builds_carriers_only(self, monkeypatch):
+        # the comparison reads the carriers, never a validated sum table
+        def refuse(*args, **kwargs):
+            raise AssertionError("wedge_iso built a presentation")
+
+        monkeypatch.setattr(opalg.CommMonoidPresentation, "__init__", refuse)
+        maps, ok = wedge_iso(["*", "a"], "*", ["*", "b"], "*", 4)
+        assert ok
+        with pytest.raises(ValidationFailed, match="basepoint missing"):
+            wedge_iso(["a"], "*", ["*", "b"], "*", 2)
+
 
 class TestCertificates:
     def test_equal_pair_empty_chain(self):
@@ -418,3 +431,23 @@ class TestCertificates:
         ok, _, reason = verify_certificate(cert, psi, phi)
         if phi != psi:
             assert not ok
+
+
+class TestSumLawsGate:
+    def test_short_count_fails_and_names_the_shortfall(self, monkeypatch):
+        from tamebox import selftest
+
+        real = selftest.infinite_symmetric_product
+
+        def cut_at_one(points, basepoint, level_bound):
+            # four summands drawn from levels <= 1 always pass cap 1
+            return real(points, basepoint, 1)
+
+        monkeypatch.setattr(selftest, "infinite_symmetric_product", cut_at_one)
+        ran, failures = selftest.suite_sum_laws(random.Random(0), cases=3)
+        assert ran == 9
+        assert failures == [
+            f"instance {idx}: ran 0 of 3 cases in 30 draws; skipped 30 with "
+            "overlapping supports or levels beyond the cap 1"
+            for idx in (3, 4)
+        ]
