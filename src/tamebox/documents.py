@@ -10,6 +10,7 @@ keys, no whitespace variation) so equal values produce identical bytes.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -26,6 +27,8 @@ from .opalg import Certificate, CertificateStep, CommMonoidPresentation
 from .sigma import SigmaSet, point_key
 
 FORMAT_VERSION = 1
+
+_RATIO = re.compile(r"(-?[1-9][0-9]*)/([1-9][0-9]*)")
 
 # what decoding raises on a payload of the wrong shape, and what the
 # library constructors raise on values out of range (a piece with lo < 1)
@@ -235,9 +238,14 @@ def _int(value, field):
 
 
 def _frac_in(v):
+    """A ratio as `_ratio_out` writes it: a JSON integer, or the string
+    "p/q" in ASCII decimal with q >= 2, gcd(p, q) = 1 and a sign on p
+    only."""
     if isinstance(v, str):
-        num, _, den = v.partition("/")
-        return Fraction(int(num), int(den or 1))
+        m = _RATIO.fullmatch(v)
+        if m is None or int(m[2]) < 2 or gcd(int(m[1]), int(m[2])) != 1:
+            raise ValidationError("ratio p/q in lowest terms", repr(v))
+        return Fraction(int(m[1]), int(m[2]))
     return Fraction(_int(v, "ratio"))
 
 

@@ -8,8 +8,8 @@ implemented, together with the infinite-symmetric-product family and
 its wedge decomposition.
 
 The rewriting part connects two multi-slot injections that agree on
-prescribed finite sets through a chain of elementary moves, each a
-slotwise precomposition fixing the constraint sets pointwise.  The
+prescribed finite sets through a chain of at most six elementary moves,
+each a slotwise precomposition fixing the constraint sets pointwise.  The
 chain is emitted as a certificate whose verification is exact: every
 step is checked by structural equality of quasi-affine normal forms.
 """
@@ -17,7 +17,6 @@ step is checked by structural equality of quasi-affine normal forms.
 from __future__ import annotations
 
 from itertools import product
-from math import lcm
 from typing import NamedTuple
 
 from .errors import (
@@ -35,8 +34,6 @@ from .injections import (
     PartialInjection,
     QuasiAffineInjection,
     _meet,
-    checked_span,
-    interleave,
     order_embed_avoiding,
 )
 from .mset import CanonicalTameMSet, MElement, box, support
@@ -493,13 +490,6 @@ _DOUBLE = QuasiAffineInjection.affine(2, 0)
 _DOUBLE_ODD = QuasiAffineInjection.affine(2, -1)
 
 
-def _half_pieces(u: QuasiAffineInjection, delta):
-    """The map i -> (u(i) + delta)/2; rejected unless integral."""
-    return QuasiAffineInjection(
-        [checked_span(f, l, m, v + delta, s, 2) for f, l, m, v, s in u.spans]
-    )
-
-
 def _merge_even_odd(even_part: QuasiAffineInjection,
                     odd_part: QuasiAffineInjection):
     """The map sending 2i to even_part(i) and 2i-1 to odd_part(i)."""
@@ -511,221 +501,60 @@ def _merge_even_odd(even_part: QuasiAffineInjection,
     return QuasiAffineInjection(spans)
 
 
-def _slot_parity(u: QuasiAffineInjection):
-    """'odd' or 'even' when all values share a parity, else None."""
-    seen = set()
-    for first, last, _, v0, step in u.spans:
-        if first != last and step % 2:
-            return None
-        seen.add(v0 % 2)
-        if len(seen) > 1:
-            return None
-    return "odd" if seen == {1} else "even"
+def _widen(u: QuasiAffineInjection, M):
+    """The move w(i) = first + (i-1)*mod*M through the first unbounded
+    span of u, and u after w: affine with a slope divisible by M.  The
+    move is the identity when u has that form already."""
+    first, _, mod, v0, step = u.spans[-u.spans[-1][2]]
+    if len(u.spans) == 1 and step % M == 0:
+        return _ID, u
+    return (QuasiAffineInjection.affine(mod * M, first - mod * M),
+            QuasiAffineInjection.affine(step * M, v0 - step * M))
 
 
-def _widening_move(u: QuasiAffineInjection):
-    """An affine move whose image lies in one unbounded piece of u with
-    an even value step, forcing constant parity after precomposition."""
-    tail = [sp for sp in u.spans if sp[1] is None]
-    L = lcm(2, *(2 * sp[2] for sp in tail))
-    c = max(max(sp[0] for sp in tail) - L, 0)
-    return QuasiAffineInjection.affine(L, c)
+def _connect(phi: OperadElement, psi: OperadElement):
+    """A chain of at most six steps between two slotwise exact elements
+    of equal arity n with no constraints; M = n(2n+1).
 
-
-def _connect_to_interleave(phi: OperadElement):
-    """A chain from a binary element to the standard interleaving,
-    following the parity case analysis."""
-    s = interleave()
-    if phi == s:
-        return [phi], []
-    p1 = _slot_parity(phi.slot(1))
-    p2 = _slot_parity(phi.slot(2))
-    if p1 == "odd" and p2 == "even":
-        alpha = _half_pieces(phi.slot(1), 1)
-        beta = _half_pieces(phi.slot(2), 0)
-        return [phi, s], [CertificateStep(phi, (alpha, beta), "bwd")]
-    if p1 == "odd" and p2 == "odd":
-        ext = OperadElement(
-            [phi.slot(1), _merge_even_odd(phi.slot(2), _DOUBLE)]
-        )
-        chi = ext.precompose((_ID, _DOUBLE_ODD))
-        tail_elems, tail_steps = _connect_to_interleave(chi)
-        return (
-            [phi, ext] + tail_elems,
-            [
-                CertificateStep(phi, (_ID, _DOUBLE), "bwd"),
-                CertificateStep(ext, (_ID, _DOUBLE_ODD), "fwd"),
-            ]
-            + tail_steps,
-        )
-    if p1 == "even" and p2 == "even":
-        ext = OperadElement(
-            [phi.slot(1), _merge_even_odd(phi.slot(2), _DOUBLE_ODD)]
-        )
-        chi = ext.precompose((_ID, _DOUBLE_ODD))
-        tail_elems, tail_steps = _connect_to_interleave(chi)
-        return (
-            [phi, ext] + tail_elems,
-            [
-                CertificateStep(phi, (_ID, _DOUBLE), "bwd"),
-                CertificateStep(ext, (_ID, _DOUBLE_ODD), "fwd"),
-            ]
-            + tail_steps,
-        )
-    if p1 == "even" and p2 == "odd":
-        thin = phi.precompose((_ID, _DOUBLE))
-        ext = OperadElement(
-            [
-                _merge_even_odd(phi.slot(1), phi.slot(2).compose(_DOUBLE_ODD)),
-                thin.slot(2),
-            ]
-        )
-        chi = ext.precompose((_DOUBLE_ODD, _ID))
-        tail_elems, tail_steps = _connect_to_interleave(chi)
-        return (
-            [phi, thin, ext] + tail_elems,
-            [
-                CertificateStep(phi, (_ID, _DOUBLE), "fwd"),
-                CertificateStep(thin, (_DOUBLE, _ID), "bwd"),
-                CertificateStep(ext, (_DOUBLE_ODD, _ID), "fwd"),
-            ]
-            + tail_steps,
-        )
-    # mixed parities: land each slot inside one unbounded piece
-    alpha = _widening_move(phi.slot(1)) if p1 is None else _ID
-    beta = _widening_move(phi.slot(2)) if p2 is None else _ID
-    squeezed = phi.precompose((alpha, beta))
-    tail_elems, tail_steps = _connect_to_interleave(squeezed)
-    return (
-        [phi] + tail_elems,
-        [CertificateStep(phi, (alpha, beta), "fwd")] + tail_steps,
-    )
-
-
-def _flip(direction):
-    return "bwd" if direction == "fwd" else "fwd"
-
-
-def _reverse_chain(elems, steps):
-    """Run a chain backwards; each step flips its direction."""
-    out_elems = list(reversed(elems))
-    out_steps = []
-    for idx in range(len(steps) - 1, -1, -1):
-        pos = len(steps) - 1 - idx
-        out_steps.append(
-            CertificateStep(out_elems[pos], steps[idx].move, _flip(steps[idx].direction))
-        )
-    return out_elems, out_steps
-
-
-def _join_chains(e1, s1, e2, s2):
-    assert e1[-1] == e2[0]
-    return e1 + e2[1:], s1 + s2
-
-
-def _merge_last(e: OperadElement):
-    """Fuse the last two slots through the interleaving."""
-    merged = _merge_even_odd(e.slots[-1], e.slots[-2])
-    return OperadElement(e.slots[:-2] + (merged,))
-
-
-def _split_last(e: OperadElement):
-    """Undo _merge_last: odd positions restore slot n-1, even ones slot n."""
-    merged = e.slots[-1]
-    return OperadElement(
-        e.slots[:-1]
-        + (merged.compose(_DOUBLE_ODD), merged.compose(_DOUBLE))
-    )
-
-
-def _single_slot_steps(elems, steps, arity):
-    """Refine each multi-slot move into consecutive single-slot moves."""
-    out_elems = [elems[0]]
-    out_steps = []
-    for idx, step in enumerate(steps):
-        nxt = elems[idx + 1]
-        move = step.move
-        if step.direction == "fwd":
-            acc = out_elems[-1]
-            for k in range(arity):
-                if move[k] == _ID:
-                    continue
-                single = tuple(move[k] if j == k else _ID for j in range(arity))
-                acc = acc.precompose(single)
-                out_steps.append(CertificateStep(out_elems[-1], single, "fwd"))
-                out_elems.append(acc)
-            assert acc == nxt
-        else:
-            partials = []
-            for k in range(arity, 0, -1):
-                if move[k - 1] == _ID:
-                    continue
-                prefix = tuple(
-                    move[j] if j < k - 1 else _ID for j in range(arity)
-                )
-                single = tuple(
-                    move[k - 1] if j == k - 1 else _ID for j in range(arity)
-                )
-                target = nxt.precompose(prefix)
-                out_steps.append(CertificateStep(out_elems[-1], single, "bwd"))
-                out_elems.append(target)
-            assert out_elems[-1] == nxt
-    return out_elems, out_steps
-
-
-def _connect(phi: OperadElement, psi: OperadElement, n):
-    """A chain between two slotwise exact elements of equal arity with
-    no constraints; recursion merges the last two slots."""
-    if phi == psi:
-        return [phi], []
-    if n == 2:
-        e1, s1 = _connect_to_interleave(phi)
-        e2, s2 = _connect_to_interleave(psi)
-        r2, rs2 = _reverse_chain(e2, s2)
-        return _join_chains(e1, s1, r2, rs2)
-
-    bar_elems, bar_steps = _connect(_merge_last(phi), _merge_last(psi), n - 1)
-    bar_elems, bar_steps = _single_slot_steps(bar_elems, bar_steps, n - 1)
-
-    out_elems = [_split_last(bar_elems[0])]
-    out_steps = []
-    for idx, step in enumerate(bar_steps):
-        cur_b, nxt_b = bar_elems[idx], bar_elems[idx + 1]
-        slot_index = next(
-            k for k in range(n - 1) if step.move[k] != _ID
-        )
-        f = step.move[slot_index]
-        if slot_index < n - 2:
-            move = tuple(
-                f if j == slot_index else _ID for j in range(n)
+    Widen phi to a and psi to b (`_widen`), so that every slot is
+    affine and lies in one residue class mod M.  When the classes of a
+    and of b are disjoint, a <-bwd(2i) chi ->fwd(2i-1) b, where chi
+    merges the slots of a (even positions) with those of b (odd ones).
+    Otherwise both bridges pass through sigma, whose slot k has slope M
+    and the least class = k (mod n) that neither a nor b uses.  The
+    proofs are in `certify_agreement`."""
+    n = phi.arity
+    M = n * (2 * n + 1)
+    widen_a = [_widen(s, M) for s in phi.slots]
+    widen_b = [_widen(s, M) for s in psi.slots]
+    a = OperadElement([u for _, u in widen_a])
+    b = OperadElement([u for _, u in widen_b])
+    elems, steps = [phi], []
+    if a != phi:
+        steps.append(CertificateStep(phi, tuple(w for w, _ in widen_a), "fwd"))
+        elems.append(a)
+    if a != b:
+        classes_a = {s.spans[0][3] % M for s in a.slots}
+        classes_b = {s.spans[0][3] % M for s in b.slots}
+        stops = [b]
+        if classes_a & classes_b:
+            used = classes_a | classes_b
+            free = [next(r for r in range(k, M + 1, n) if r % M not in used)
+                    for k in range(1, n + 1)]
+            sigma = OperadElement(
+                [QuasiAffineInjection.affine(M, r - M) for r in free]
             )
-            nxt_full = _split_last(nxt_b)
-            out_steps.append(CertificateStep(out_elems[-1], move, step.direction))
-            out_elems.append(nxt_full)
-            continue
-        # the move lives in the merged slot: expand through binary chains
-        F = OperadElement([f.compose(_DOUBLE_ODD), f.compose(_DOUBLE)])
-        Fe, Fs = _connect_to_interleave(F)
-        u = (cur_b if step.direction == "fwd" else nxt_b).slots[-1]
-        lifted = [
-            OperadElement([u.compose(e.slot(1)), u.compose(e.slot(2))])
-            for e in Fe
-        ]
-        lifted_steps = [
-            CertificateStep(lifted[i], Fs[i].move, Fs[i].direction)
-            for i in range(len(Fs))
-        ]
-        if step.direction == "fwd":
-            lifted, lifted_steps = _reverse_chain(lifted, lifted_steps)
-        lower = cur_b.slots[: n - 2]
-        for i, sub in enumerate(lifted_steps):
-            pair = lifted[i + 1]
-            move = tuple(_ID for _ in range(n - 2)) + sub.move
-            out_steps.append(CertificateStep(out_elems[-1], move, sub.direction))
-            out_elems.append(
-                OperadElement(lower + (pair.slot(1), pair.slot(2)))
-            )
-    return out_elems, out_steps
+            stops = [sigma, b]
+        for stop in stops:
+            chi = OperadElement([_merge_even_odd(x, y) for x, y
+                                 in zip(elems[-1].slots, stop.slots)])
+            steps += [CertificateStep(elems[-1], (_DOUBLE,) * n, "bwd"),
+                      CertificateStep(chi, (_DOUBLE_ODD,) * n, "fwd")]
+            elems += [chi, stop]
+    if b != psi:
+        steps.append(CertificateStep(b, tuple(w for w, _ in widen_b), "bwd"))
+        elems.append(psi)
+    return elems, steps
 
 
 def _drop_values(u: QuasiAffineInjection, avoid):
@@ -773,10 +602,43 @@ def certify_agreement(phi: OperadElement, psi: OperadElement, constraints):
     """Produce a verified chain between two elements that agree on the
     prescribed sets; every move fixes those sets pointwise.
 
-    The construction conjugates away the constraints with the order
-    embeddings avoiding them, connects the images through the parity
-    case analysis (splitting off the last slot above arity two), and
-    transports the chain back."""
+    The constraints are conjugated away: slot i is precomposed with
+    the order embedding of omega onto omega minus A_i, and the pinned
+    values are dropped from the target.  `_connect` joins the images
+    phi' and psi' in at most six steps, and `restore` and
+    `_inflate_along` transport the chain back, pinning the prescribed
+    values again.
+
+    Let n be the arity and M = n(2n+1).  The widened a = phi' after
+    (w_1 + ... + w_n) has affine slots a_k(i) = v_k + (i-1)*M*s_k, all
+    of whose values lie in the class v_k mod M; b is widened from psi'
+    the same way.
+
+    chi is an operad element.  Slot k of chi = merge(x, y) sends 2i to
+    x_k(i) and 2i-1 to y_k(i); its image is the union of x_k(omega) and
+    y_k(omega), and it is injective when these two are disjoint.  So chi
+    is an element exactly when the 2n images x_1(omega), ...,
+    x_n(omega), y_1(omega), ..., y_n(omega) are pairwise disjoint.  Those of x are, as x is an element; so are those
+    of y; and x_k(omega) and y_j(omega) lie in distinct residue classes
+    mod M when no class of x is a class of y.  That is the direct case
+    (x, y) = (a, b), and it holds for (a, sigma) and (sigma, b).
+
+    sigma is an operad element.  Its slot k is i -> r_k + (i-1)*M with
+    r_k = k (mod n); as n divides M every value of slot k is k mod n,
+    so distinct slots have disjoint images.  Equivalently sigma is the
+    n-ary interleaving s_n(k)(i) = n(i-1) + k after the affine moves
+    i -> j_k + 1 + (2n+1)(i-1), where r_k = k + n*j_k.
+
+    A free class exists.  Mod M there are exactly M/n = 2n+1 classes
+    = k (mod n), namely k, k+n, ..., k+2n*n.  a and b have n slots
+    each and so use at most 2n classes between them, which leaves one
+    class = k (mod n) unused for every k; sigma takes the least.  Its
+    classes then avoid those of a and of b, and each bridge through it
+    is a direct case.
+
+    The chain is phi' -> a <- chi -> b <- psi', or with a <- chi_a ->
+    sigma <- chi_b -> b in the middle: at most six steps, and fewer
+    when phi' = a, a = b or b = psi'."""
     n = phi.arity
     if n < 2:
         raise PreconditionViolated("arity must be at least two")
@@ -813,7 +675,7 @@ def certify_agreement(phi: OperadElement, psi: OperadElement, constraints):
             [_drop_values(s.compose(c), taken)
              for s, c in zip(psi.slots, embeds)]
         )
-        elems, steps = _connect(inner_phi, inner_psi, n)
+        elems, steps = _connect(inner_phi, inner_psi)
 
         def restore(e):
             return OperadElement(

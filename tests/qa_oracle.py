@@ -282,12 +282,6 @@ def images_disjoint(s, t):
 # -- the certificate helpers of tamebox.opalg, on rational pieces ---------------
 
 
-def half_pieces(u, delta):
-    return normalize(
-        [Piece(p.lo, p.hi, p.mod, p.res, p.a / 2, (p.b + delta) / 2) for p in u]
-    )
-
-
 def merge_even_odd(even_part, odd_part):
     pieces = [
         Piece(2 * p.lo, None if p.hi is None else 2 * p.hi,

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from tamebox import PartialInjection, cli, opalg
 from tamebox.cli import main
 from tamebox.documents import serialize_document
+from tamebox.generators import random_agreeing_pair
 from tamebox.injections import QuasiAffineInjection, interleave
 from tamebox.iset import (
     flat_replacement,
@@ -19,7 +21,6 @@ from tamebox.iset import (
 from tamebox.mset import CanonicalTameMSet, injection_mset, unit_mset
 from tamebox.opalg import (
     OperadElement,
-    certify_agreement,
     infinite_symmetric_product,
 )
 from tamebox.sigma import trivial_sigma_set
@@ -246,6 +247,21 @@ class TestReportDiscipline:
         assert code == 2
         assert rep["error"]["type"] == "ValidationError"
 
+    @pytest.mark.parametrize("ratio", ["1_0/10", " 1/1", "2/2", "3/1",
+                                       "1/-2", "+1/2"])
+    def test_ratio_not_as_encoded_is_an_input_error(self, capsys, workspace,
+                                                    ratio):
+        # act reads a qa-injection; int() read the first four as the
+        # slopes 1, 1, 1 and 3, and the last two failed as non-injective
+        tmp, write = workspace
+        inj = tmp / "inj.json"
+        inj.write_text(_qa_piece(a=ratio))
+        m = write("m.json", "mset", injection_mset(2))
+        code, rep = run(capsys, "act", str(inj), m, "--element",
+                        '{"level":2,"image":[1,2],"point":"p0"}')
+        assert code == 2
+        assert rep["error"]["type"] == "ValidationError"
+
     @pytest.mark.parametrize("command", ["canonicalize", "flatten"])
     def test_fractional_stability_level_is_an_input_error(self, capsys,
                                                           tmp_path, command):
@@ -356,7 +372,7 @@ GOLDEN = [
     ("a3", ["a3", "--phi", "<phi>", "--psi", "<op>",
             "--constraints", "[[],[]]", "--emit", "<emit>"],
      0,
-     "ebed1ff6715d92810d493c14729c9984d01cfc846f8d5e7be496e7de16223239"),
+     "517130c7b1d9e651b6ed0162935e14249c9290c58b3bd064b0098824985ae9cb"),
     ("verify-cert", ["verify-cert", "<cert>",
                      "--phi", "<phi>", "--psi", "<op>"],
      0,
@@ -377,10 +393,16 @@ GOLDEN = [
 ]
 
 EMITTED_CERTIFICATE_SHA256 = (
-    "11788fbaf167ebb2cafb6d0b9ad4a11b34957a1b00d46b2d6ce6e2a769e4c429"
+    "b587bc4fd3591edbb4cd8be141c16be696c245ceed8cc9f2b4c56c7f7c3e159e"
 )
 
 ARGV = {name: argv for name, argv, _, _ in GOLDEN}
+
+# the certificate for <phi> and <op> that the chain builder emitted
+# before its widen-and-merge construction (one step): verify-cert keeps
+# its golden digest, so the verifier still accepts chains already issued
+PARENT_CERTIFICATE = os.path.join(os.path.dirname(__file__), "data",
+                                  "parent_golden_certificate.json")
 
 
 @pytest.fixture()
@@ -406,8 +428,7 @@ def inputs(tmp_path):
                         infinite_symmetric_product(["*", "a1", "a2"], "*", 3)),
         "op": write("op", "operad-element", interleave()),
         "phi": write("phi", "operad-element", phi),
-        "cert": write("cert", "certificate",
-                      certify_agreement(phi, interleave(), [[], []])),
+        "cert": PARENT_CERTIFICATE,
         "emit": str(tmp_path / "emitted.json"),
     }
 
@@ -496,6 +517,25 @@ class TestHashSeedDeterminism:
                                        "orbit-set", str(product))
                   for seed in ("0", "1")]
         assert orbits[0] == orbits[1]
+
+    def test_ternary_a3_emit(self, tmp_path):
+        phi, psi, constraints = random_agreeing_pair(
+            random.Random("hash-seed:a3"), 3, [1, 2, 0])
+        paths = []
+        for name, e in (("phi", phi), ("psi", psi)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(
+                serialize_document("operad-element", e) + "\n")
+        emitted = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"cert{seed}.json"
+            _cli_under_hash_seed(
+                seed, "a3", "--phi", str(paths[0]), "--psi", str(paths[1]),
+                "--constraints", json.dumps([sorted(A) for A in constraints]),
+                "--emit", str(out))
+            emitted.append(out.read_bytes())
+        assert emitted[0] == emitted[1]
+        assert json.loads(emitted[0])["payload"]["n"] == 3
 
     def test_flatten_restriction_coequalizer(self, tmp_path):
         quot = tmp_path / "quot.json"

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from tamebox.documents import (
     serialize_document,
 )
 from tamebox.errors import ParseError, ValidationError
+from tamebox.generators import random_quasi_affine
 from tamebox.injections import (
     OperadElement,
     PartialInjection,
@@ -23,6 +25,7 @@ from tamebox.opalg import (
     infinite_symmetric_product,
     trivial_from_abelian,
 )
+from tamebox.selftest import agreement_instances
 from tamebox.sigma import regular_sigma_set
 
 
@@ -136,6 +139,32 @@ class TestValidationSurface:
         raw["payload"][field] = value
         with pytest.raises(ValidationError, match="integer field"):
             parse_document(canonical_json(raw))
+
+    @pytest.mark.parametrize("ratio", ["1_0/10", " 1/1", "2/2", "3/1",
+                                       "1/-2", "+1/2", "1/2 ", "01/2",
+                                       "-0/3", "1/"])
+    def test_ratio_must_be_as_encoded(self, ratio):
+        # int() read the first four as slopes 1, 1, 1 and 3
+        payload = {"pieces": [
+            {"lo": 1, "hi": None, "mod": 1, "res": 0, "a": ratio, "b": 0},
+        ]}
+        with pytest.raises(ValidationError, match="ratio"):
+            parse_document(
+                canonical_json({"kind": "qa-injection", "payload": payload})
+            )
+
+    def test_encoded_quasi_affine_injections_round_trip(self):
+        # certificate chains hold slots with slopes and offsets "p/q"
+        rng = random.Random("documents:ratios")
+        values = [random_quasi_affine(rng) for _ in range(100)]
+        for _, (phi, psi, A) in agreement_instances(rng, 10):
+            cert = certify_agreement(phi, psi, A)
+            values += [f for e in cert.chain() for f in e.slots]
+            values += [f for step in cert.steps for f in step.move]
+        assert any(p.a.denominator > 1 for f in values for p in f.pieces)
+        for f in values:
+            text = serialize_document("qa-injection", f)
+            assert parse_document(text).value == f
 
     def test_spec_shaped_inputs_accepted(self):
         doc = parse_document(canonical_json({

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tamebox.opalg as opalg
 from tamebox.errors import (
@@ -9,6 +11,7 @@ from tamebox.errors import (
     PreconditionViolated,
     ValidationFailed,
 )
+from tamebox.generators import random_agreeing_pair, random_prescribed_pair
 from tamebox.injections import (
     OperadElement,
     PartialInjection,
@@ -34,6 +37,7 @@ from tamebox.opalg import (
     verify_certificate,
     wedge_iso,
 )
+from tamebox.selftest import agreement_instances
 
 
 def random_qa(rng):
@@ -383,8 +387,6 @@ class TestCertificates:
     def test_independently_prescribed_pairs(self):
         # the second element shares nothing with the first beyond the
         # prescribed values, so the chain cannot shortcut
-        from tamebox.generators import random_prescribed_pair
-
         rng = random.Random(41)
         for _ in range(15):
             phi, psi, constraints = random_prescribed_pair(rng, 2, [2, 2])
@@ -431,6 +433,35 @@ class TestCertificates:
         ok, _, reason = verify_certificate(cert, psi, phi)
         if phi != psi:
             assert not ok
+
+
+class TestChainBound:
+    """Every certificate has at most six steps, whatever the arity: two
+    widening moves and at most two merge bridges."""
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=120)
+    @given(seed=st.integers(0, 10**6), n=st.integers(2, 5),
+           prescribed=st.booleans(), data=st.data())
+    def test_six_steps_in_every_arity(self, seed, n, prescribed, data):
+        sizes = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        make = random_prescribed_pair if prescribed else random_agreeing_pair
+        phi, psi, constraints = make(random.Random(seed), n, sizes)
+        cert = certify_agreement(phi, psi, constraints)
+        ok, at, reason = verify_certificate(cert, phi, psi)
+        assert ok, (at, reason)
+        assert len(cert) <= 6
+        for e in cert.chain()[1:-1]:
+            assert all(len(s.spans) <= 64 for s in e.slots)
+
+    def test_criterion_8_step_counts(self):
+        rng = random.Random("acceptance:certs")
+        lengths = [len(certify_agreement(phi, psi, constraints))
+                   for _, (phi, psi, constraints)
+                   in agreement_instances(rng, 50)]
+        assert len(lengths) == 60
+        assert max(lengths) <= 6
+        assert sum(lengths) <= 360
 
 
 class TestSumLawsGate:

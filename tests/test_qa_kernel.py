@@ -25,9 +25,9 @@ from tamebox.injections import (
 )
 from tamebox.opalg import (
     _drop_values,
-    _half_pieces,
     _inflate_along,
     _merge_even_odd,
+    _widen,
     certify_agreement,
 )
 from tamebox.selftest import agreement_instances
@@ -62,8 +62,7 @@ def random_qa(rng):
             g = random_quasi_affine(rng)
             f = _merge_even_odd(s.slot(2).compose(f), s.slot(1).compose(g))
         elif kind == 3:
-            lane = rng.randint(1, 2)
-            f = _half_pieces(s.slot(lane).compose(f), lane % 2)
+            f = _widen(f, rng.choice((10, 21)))[1]
         else:
             f = _drop_values(
                 f, {v for v in range(1, 12) if not f.image_contains(v)}
@@ -171,11 +170,9 @@ def test_images_match_oracle(seed):
 def test_certificate_helpers_match_oracle(seed):
     rng = random.Random(f"qa:helpers:{seed}")
     u, w = random_qa(rng), random_qa(rng)
-    lane = rng.randint(1, 2)
-    laned = interleave().slot(lane).compose(u)
-    for x, delta in ((laned, lane % 2), (u, rng.randint(0, 1))):
-        assert outcome(lambda: _half_pieces(x, delta).pieces) == \
-            outcome(lambda: oracle.half_pieces(x.pieces, delta))
+    move, widened = _widen(u, rng.choice((10, 21, 36, 55)))
+    assert widened.pieces == oracle.compose(u.pieces, move.pieces)
+    assert len(widened.spans) == 1
     assert outcome(lambda: _merge_even_odd(u, w).pieces) == \
         outcome(lambda: oracle.merge_even_odd(u.pieces, w.pieces))
     s = interleave()
