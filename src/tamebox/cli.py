@@ -23,7 +23,7 @@ import time
 from typing import Callable, NamedTuple
 
 from . import documents as docs
-from .errors import ParseError, TameboxError, ValidationError
+from .errors import ParseError, TameboxError, ValidationError, WindowTooSmall
 from .iset import (
     canonicalize,
     day_convolution,
@@ -203,6 +203,10 @@ def _decompose(args, report):
     mset = _load(args.mset, "mset")
     report["inputs"] = _digest([mset.payload])
     X = mset.value
+    if args.window < 2 * X.max_level:
+        raise WindowTooSmall(
+            f"window {args.window} below twice the top level {X.max_level}"
+        )
     table = X.elements_up_to(args.window)
     out = decompose_table(table, X.act, args.window,
                           degree_bound=args.degree_bound)
@@ -409,7 +413,7 @@ def _selftest(args, report):
     result = run_selftest(
         seed=args.seed,
         cases=args.cases,
-        window=args.window if args.window != 8 else None,
+        window=args.window,
         degree_bound=args.degree_bound,
         include_timing=not args.deterministic,
     )

@@ -7,8 +7,6 @@ test suite share these builders.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .injections import (
     OperadElement,
     QuasiAffineInjection,
@@ -28,6 +26,7 @@ from .sigma import (
     SigmaSet,
     regular_sigma_set,
     trivial_sigma_set,
+    word_sigma_set,
 )
 
 
@@ -110,16 +109,7 @@ def random_sigma_set(rng, m, max_points=5, degree_bound=DEFAULT_DEGREE_BOUND):
     if m <= 3 and rng.random() < 0.25:
         base = regular_sigma_set(m, degree_bound)
     else:
-        width = rng.randint(1, 3)
-        points = list(product(range(width), repeat=m))
-
-        def swap(i, t):
-            t = list(t)
-            t[i - 1], t[i] = t[i], t[i - 1]
-            return tuple(t)
-
-        tables = [{t: swap(i, t) for t in points} for i in range(1, m)]
-        base = SigmaSet(m, points, tables, degree_bound)
+        base = word_sigma_set(m, range(rng.randint(1, 3)), degree_bound)
     orbits = [members for _, members in base.orbits()]
     rng.shuffle(orbits)
     chosen = []
@@ -130,10 +120,7 @@ def random_sigma_set(rng, m, max_points=5, degree_bound=DEFAULT_DEGREE_BOUND):
             total += len(members)
     if not chosen:
         return None
-    pts = set(chosen)
-    tables = [
-        {p: t[p] for p in chosen} for t in base.transpositions
-    ]
+    tables = [{p: t[p] for p in chosen} for t in base.transpositions]
     return SigmaSet(m, chosen, tables, degree_bound)
 
 

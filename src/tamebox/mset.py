@@ -26,7 +26,7 @@ from .errors import (
     SupportNotCovered,
     WindowTooSmall,
 )
-from .injections import PartialInjection, QuasiAffineInjection, order_embed_avoiding
+from .injections import PartialInjection, order_embed_avoiding
 from .sigma import (
     DEFAULT_DEGREE_BOUND,
     SigmaSet,
@@ -34,6 +34,7 @@ from .sigma import (
     induce,
     iso_equal,
     point_key,
+    regular_sigma_set,
     trivial_sigma_set,
 )
 from .unionfind import UnionFind
@@ -59,12 +60,7 @@ def _value_of(f, v):
         if got is None:
             raise SupportNotCovered(f"{v} not in the domain of {f!r}")
         return got
-    if isinstance(f, QuasiAffineInjection):
-        return f(v)
-    got = f.get(v)
-    if got is None:
-        raise SupportNotCovered(f"{v} not in the domain")
-    return got
+    return f(v)
 
 
 class CanonicalTameMSet:
@@ -181,8 +177,6 @@ def semifree_mset(A: SigmaSet, degree_bound=DEFAULT_DEGREE_BOUND):
 
 def injection_mset(m, degree_bound=DEFAULT_DEGREE_BOUND):
     """The action on injections {1..m} -> omega by postcomposition."""
-    from .sigma import regular_sigma_set
-
     return semifree_mset(regular_sigma_set(m, degree_bound), degree_bound)
 
 
@@ -193,34 +187,36 @@ def injection_element(X: CanonicalTameMSet, values) -> MElement:
     return X.canonical(m, values, tuple(range(1, m + 1)))
 
 
+def _tagged_union(m, parts, degree_bound):
+    """One degree-m set from (tag, set) pairs: the point p of the set
+    tagged t becomes (t, p), in the order of the parts."""
+    points = [(tag, p) for tag, ss in parts for p in ss.points]
+    tables = [
+        {(tag, p): (tag, ss.transpositions[i][p])
+         for tag, ss in parts for p in ss.points}
+        for i in range(m - 1)
+    ]
+    return SigmaSet(m, points, tables, degree_bound)
+
+
 def disjoint_union(X: CanonicalTameMSet, Y: CanonicalTameMSet):
     """The coproduct: levelwise disjoint union with tagged points."""
     levels = {}
     for m in set(X.levels) | set(Y.levels):
-        parts = []
-        for tag, Z in ((0, X), (1, Y)):
-            ss = Z.levels.get(m)
-            if ss is not None:
-                parts.append((tag, ss))
-        points = [(tag, p) for tag, ss in parts for p in ss.points]
-        tables = []
-        for i in range(1, m):
-            t = {}
-            for tag, ss in parts:
-                for p in ss.points:
-                    t[(tag, p)] = (tag, ss.transpositions[i - 1][p])
-            tables.append(t)
-        levels[m] = SigmaSet(m, points, tables, X.degree_bound)
+        parts = [(tag, Z.levels[m]) for tag, Z in ((0, X), (1, Y))
+                 if m in Z.levels]
+        levels[m] = _tagged_union(m, parts, X.degree_bound)
     return CanonicalTameMSet(levels, X.degree_bound)
 
 
 def box(X: CanonicalTameMSet, Y: CanonicalTameMSet, degree_bound=None,
         level_cap=None):
     """The box product in canonical form: level k is the disjoint union
-    over m+n=k of the induced product of the factor levels.  With a
-    level cap, higher levels are omitted instead of raising."""
-    bound = degree_bound or X.degree_bound
-    levels = {}
+    over m+n=k of the induced product of the factor levels, tagged
+    (m, n).  With a level cap, higher levels are omitted instead of
+    raising."""
+    bound = X.degree_bound if degree_bound is None else degree_bound
+    parts = {}
     for m, A in X.levels.items():
         for n, B in Y.levels.items():
             k = m + n
@@ -230,20 +226,8 @@ def box(X: CanonicalTameMSet, Y: CanonicalTameMSet, degree_bound=None,
                 raise DegreeTooLarge(
                     f"box level {k} beyond degree bound {bound}"
                 )
-            ind = induce(A, B, bound)
-            tag = (m, n)
-            pts = [(tag, p) for p in ind.points]
-            tabs = [
-                {(tag, p): (tag, q) for p, q in t.items()}
-                for t in ind.transpositions
-            ]
-            if k in levels:
-                old = levels[k]
-                pts = old.points + pts
-                tabs = [
-                    {**old.transpositions[i], **tabs[i]} for i in range(k - 1)
-                ]
-            levels[k] = SigmaSet(k, pts, tabs, bound)
+            parts.setdefault(k, []).append(((m, n), induce(A, B, bound)))
+    levels = {k: _tagged_union(k, ps, bound) for k, ps in parts.items()}
     return CanonicalTameMSet(levels, bound)
 
 

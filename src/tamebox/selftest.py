@@ -11,7 +11,12 @@ from __future__ import annotations
 import random
 import time
 
-from .errors import TameboxError, TruncationExceeded
+from .errors import (
+    TameboxError,
+    TruncationExceeded,
+    ValidationError,
+    WindowTooSmall,
+)
 from .generators import (
     disjoint_lanes,
     random_agreeing_pair,
@@ -483,7 +488,13 @@ def run_selftest(seed=0, cases=None, window=None, degree_bound=7,
     """Run every suite with one seeded stream per suite.
 
     `cases` scales the principal loop of each suite when given; the
-    defaults are the full law-suite sizes."""
+    defaults are the full law-suite sizes.  No suite runs on zero
+    cases, and the window must hold the level-4 actions that the
+    decomposition suite draws."""
+    if cases is not None and cases < 1:
+        raise ValidationError("at least one case per suite", f"cases={cases}")
+    if window is not None and window < 8:
+        raise WindowTooSmall(f"window {window} below twice the top level 4")
     started = time.monotonic()
     out = []
     for name, fn in SUITES:

@@ -7,14 +7,15 @@ permutation is well defined through any decomposition into adjacent
 transpositions.
 
 Isomorphism of degree-m sets is decided by comparing multisets of
-stabilizer conjugacy labels, computed by brute force inside a
-configurable degree bound.
+stabilizer conjugacy labels.  A label names the trivial, full or
+alternating subgroup, or else is the least conjugate of the
+stabilizer, found by brute force inside a configurable degree bound.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
 from .errors import DegreeTooLarge, ValidationError
@@ -111,22 +112,6 @@ def generators(group):
                         if (q := perm_compose(h, p)) not in span]
             span.update(frontier)
     return kept
-
-
-def cycle_type(sigma):
-    seen = set()
-    sizes = []
-    for x in range(1, len(sigma) + 1):
-        if x in seen:
-            continue
-        n = 0
-        y = x
-        while y not in seen:
-            seen.add(y)
-            y = sigma[y - 1]
-            n += 1
-        sizes.append(n)
-    return tuple(sorted(sizes))
 
 
 class SigmaSet:
@@ -245,41 +230,23 @@ class SigmaSet:
 @lru_cache(maxsize=None)
 def subgroup_conjugacy_label(m, subgroup):
     """A string determined exactly by the conjugacy class of the
-    subgroup inside the degree-m symmetric group."""
+    subgroup inside the degree-m symmetric group: the trivial, full or
+    alternating subgroup (the only one of index two) by name, any other
+    by its least conjugate, a sorted tuple of permutations."""
     order = len(subgroup)
     if order == 1:
         return f"S{m}:trivial"
     if order == factorial(m):
         return f"S{m}:full"
-    if order == factorial(m) // 2 and all(
-        _perm_sign(s) == 1 for s in subgroup
-    ):
+    if 2 * order == factorial(m):
         return f"S{m}:alternating"
-    types = sorted(cycle_type(s) for s in subgroup)
     best = None
     for g in all_perms(m):
         ginv = perm_inverse(g)
         conj = tuple(sorted(perm_compose(perm_compose(g, h), ginv) for h in subgroup))
         if best is None or conj < best:
             best = conj
-    return f"S{m}:o{order}:t{types}:c{best}"
-
-
-def _perm_sign(sigma):
-    sign = 1
-    seen = set()
-    for x in range(1, len(sigma) + 1):
-        if x in seen:
-            continue
-        n = 0
-        y = x
-        while y not in seen:
-            seen.add(y)
-            y = sigma[y - 1]
-            n += 1
-        if n % 2 == 0:
-            sign = -sign
-    return sign
+    return f"S{m}:c{best}"
 
 
 def iso_equal(a: SigmaSet, b: SigmaSet):
@@ -303,6 +270,17 @@ def regular_sigma_set(m, degree_bound=DEFAULT_DEGREE_BOUND):
         s = transposition_perm(m, i)
         tables.append({p: perm_compose(s, p) for p in points})
     return SigmaSet(m, points, tables, degree_bound=degree_bound)
+
+
+def word_sigma_set(m, letters, degree_bound=DEFAULT_DEGREE_BOUND):
+    """The words of length m over the letters, in product order, with
+    the symmetric group permuting positions."""
+    points = list(product(letters, repeat=m))
+    tables = [
+        {w: w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:] for w in points}
+        for i in range(1, m)
+    ]
+    return SigmaSet(m, points, tables, degree_bound)
 
 
 def induce(Z: SigmaSet, W: SigmaSet, degree_bound=DEFAULT_DEGREE_BOUND):

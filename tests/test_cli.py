@@ -225,40 +225,50 @@ def _qa_piece(**fields):
                        "payload": {"pieces": [{**piece, **fields}]}})
 
 
+# act reads qa-injection documents, and orbit-set reads an mset and
+# accepts the empty one, so in these commands the decoder, not the
+# kind check, rejects a malformed document of those kinds
+ACT_ON_BAD = ["act", "<bad>", "<m2>",
+              "--element", '{"level":2,"image":[1,2],"point":"p0"}']
+
+
+def _call_on_bad(capsys, inputs, tmp_path, argv, text):
+    """Run argv with the document text in place of <bad>."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out = _call(capsys, argv, {**inputs, "bad": str(bad)})
+    return code, json.loads(out)
+
+
 class TestReportDiscipline:
-    def test_input_error_exit_code(self, capsys, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"kind": "qa-injection", "payload": {"pieces": []}}')
-        code, rep = run(capsys, "canonicalize", str(bad))
+    def test_input_error_exit_code(self, capsys, inputs, tmp_path):
+        code, rep = _call_on_bad(
+            capsys, inputs, tmp_path, ACT_ON_BAD,
+            '{"kind": "qa-injection", "payload": {"pieces": []}}')
         assert code == 2
         assert rep["outcome"] == "error"
+        assert rep["error"]["type"] == "NotCovering"
 
-    @pytest.mark.parametrize("text", [
-        _qa_piece(lo=0),
-        _qa_piece(mod=0),
-        '{"kind": "qa-injection", "payload": {}}',
-        '{"kind": "mset", "payload": null}',
+    @pytest.mark.parametrize("argv,text", [
+        (ACT_ON_BAD, _qa_piece(lo=0)),
+        (ACT_ON_BAD, _qa_piece(mod=0)),
+        (ACT_ON_BAD, '{"kind": "qa-injection", "payload": {}}'),
+        (["orbit-set", "<bad>"], '{"kind": "mset", "payload": null}'),
     ], ids=["lo-0", "mod-0", "no-pieces-field", "null-payload"])
-    def test_malformed_document_is_an_input_error(self, capsys, tmp_path,
-                                                  text):
-        bad = tmp_path / "bad.json"
-        bad.write_text(text)
-        code, rep = run(capsys, "canonicalize", str(bad))
+    def test_malformed_document_is_an_input_error(self, capsys, inputs,
+                                                  tmp_path, argv, text):
+        code, rep = _call_on_bad(capsys, inputs, tmp_path, argv, text)
         assert code == 2
         assert rep["error"]["type"] == "ValidationError"
 
     @pytest.mark.parametrize("ratio", ["1_0/10", " 1/1", "2/2", "3/1",
                                        "1/-2", "+1/2"])
-    def test_ratio_not_as_encoded_is_an_input_error(self, capsys, workspace,
-                                                    ratio):
-        # act reads a qa-injection; int() read the first four as the
-        # slopes 1, 1, 1 and 3, and the last two failed as non-injective
-        tmp, write = workspace
-        inj = tmp / "inj.json"
-        inj.write_text(_qa_piece(a=ratio))
-        m = write("m.json", "mset", injection_mset(2))
-        code, rep = run(capsys, "act", str(inj), m, "--element",
-                        '{"level":2,"image":[1,2],"point":"p0"}')
+    def test_ratio_not_as_encoded_is_an_input_error(self, capsys, inputs,
+                                                    tmp_path, ratio):
+        # int() read the first four as the slopes 1, 1, 1 and 3, and the
+        # last two failed as non-injective
+        code, rep = _call_on_bad(capsys, inputs, tmp_path, ACT_ON_BAD,
+                                 _qa_piece(a=ratio))
         assert code == 2
         assert rep["error"]["type"] == "ValidationError"
 
@@ -311,6 +321,25 @@ class TestReportDiscipline:
         rep = json.loads(out)
         assert code == 2
         assert rep["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("argv,error", [
+        *[(["--window", w, "decompose", "<m2>"], "WindowTooSmall")
+          for w in ("0", "1", "2", "3")],
+        (["--window", "2", "selftest"], "WindowTooSmall"),
+        (["selftest", "--cases", "0"], "ValidationError"),
+        (["selftest", "--cases", "-1"], "ValidationError"),
+        (["--degree-bound", "0", "box", "<m1>", "<m1>"], "DegreeTooLarge"),
+    ], ids=["decompose-window-0", "decompose-window-1", "decompose-window-2",
+            "decompose-window-3", "selftest-window-2", "selftest-cases-0",
+            "selftest-cases-minus-1", "box-degree-bound-0"])
+    def test_argument_out_of_range_is_an_input_error(self, capsys, inputs,
+                                                     argv, error):
+        # window 1 used to give an empty table and a failed round trip,
+        # selftest --window 2 a failed suite, --cases 0 a pass on no
+        # instances, and degree bound 0 fell back to the carrier's bound
+        code, out = _call(capsys, argv, inputs)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == error
 
     def test_reports_byte_identical(self, capsys, workspace):
         _, write = workspace

@@ -31,7 +31,13 @@ from tamebox.mset import (
     support,
     unit_mset,
 )
-from tamebox.sigma import SigmaSet, trivial_sigma_set
+from tamebox.opalg import symmetric_product_carrier
+from tamebox.sigma import (
+    SigmaSet,
+    regular_sigma_set,
+    trivial_sigma_set,
+    word_sigma_set,
+)
 
 
 def tuple_sigma_set(m, width):
@@ -245,6 +251,47 @@ class TestBox:
     def test_degree_bound(self):
         with pytest.raises(DegreeTooLarge):
             box(injection_mset(4), injection_mset(4))
+        with pytest.raises(DegreeTooLarge):
+            box(injection_mset(1), injection_mset(1), degree_bound=0)
+
+    def test_one_sigma_set_per_pair_and_per_level(self, monkeypatch):
+        # one induced set per pair of factor levels, then one tagged
+        # union per product level
+        X = sample_mset()
+        PX = symmetric_product_carrier(["*", "a1"], "*", 4)
+        PY = symmetric_product_carrier(["*", "b1", "b2"], "*", 4)
+        built = []
+        init = SigmaSet.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SigmaSet, "__init__", counting)
+        box(X, X)
+        assert len(built) == 9 + 5
+        built.clear()
+        # the product wedge-iso --x 2 --y 3 --level 4 builds
+        box(PX, PY, degree_bound=7, level_cap=4)
+        assert len(built) == 15 + 5
+
+
+class TestDisjointUnion:
+    def test_tagged_levels_two_and_three(self):
+        X = CanonicalTameMSet({2: word_sigma_set(2, range(2)),
+                               3: regular_sigma_set(3)})
+        Y = CanonicalTameMSet({2: trivial_sigma_set(2, ["x"]),
+                               3: word_sigma_set(3, range(2))})
+        U = disjoint_union(X, Y)
+        assert {m: len(ss) for m, ss in U.levels.items()} == {2: 5, 3: 14}
+        for m, ss in U.levels.items():
+            parts = [(0, X.levels[m]), (1, Y.levels[m])]
+            assert ss.points == [(tag, p) for tag, part in parts
+                                 for p in part.points]
+            for i, t in enumerate(ss.transpositions):
+                assert t == {(tag, p): (tag, part.transpositions[i][p])
+                             for tag, part in parts for p in part.points}
+        assert mset_iso_equal(disjoint_union(Y, X), U)
 
 
 class TestSplitIso:

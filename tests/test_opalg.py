@@ -106,6 +106,23 @@ class TestPresentations:
         with pytest.raises(NotAMonoid):
             trivial_from_abelian(elements, addition, 0)
 
+    @pytest.mark.parametrize("sums,unit", [
+        ({(1, 2): 1, (2, 1): 2, (1, 1): 1, (2, 2): 2}, 0),
+        ({(1, 2): 0, (2, 1): 0, (1, 1): 1, (2, 2): 2}, 0),
+        ({(1, 2): 0, (2, 1): 0, (1, 1): 5, (2, 2): 1}, 0),
+        ({(1, 2): 0, (2, 1): 0, (2, 2): 1}, 0),
+        ({(1, 2): 0, (2, 1): 0, (1, 1): 2, (2, 2): 1}, 3),
+    ], ids=["commutativity", "associativity", "closure", "missing-sum",
+            "missing-unit"])
+    def test_each_law_is_checked(self, sums, unit):
+        # {0, 1, 2} with unit 0 and the given sums of 1 and 2; the laws
+        # are the presentation's checks, reported as NotAMonoid
+        addition = {(0, a): a for a in range(3)} | {(a, 0): a for a in range(3)}
+        with pytest.raises(NotAMonoid):
+            trivial_from_abelian([0, 1, 2], addition | sums, unit)
+        ok = {(1, 2): 0, (2, 1): 0, (1, 1): 2, (2, 2): 1}
+        assert trivial_from_abelian([0, 1, 2], addition | ok, 0)
+
     def test_symmetric_product_level_sizes(self):
         P2 = infinite_symmetric_product(["*", "a"], "*", 4)
         assert [len(P2.carrier.levels[m]) for m in range(5)] == [1, 1, 1, 1, 1]

@@ -20,6 +20,7 @@ from tamebox.sigma import (
     regular_sigma_set,
     transposition_perm,
     trivial_sigma_set,
+    word_sigma_set,
 )
 
 
@@ -167,6 +168,18 @@ class TestIsoType:
         fixed = trivial_sigma_set(2, ["a", "b"])
         assert swap.iso_type() != fixed.iso_type()
 
+    def test_sign_set_has_alternating_stabilizer(self):
+        # every transposition swaps the two signs, so A_4 fixes each
+        def sign_set(plus, minus):
+            return SigmaSet(4, [plus, minus],
+                            [{plus: minus, minus: plus}] * 3)
+
+        signs = sign_set("+", "-")
+        assert signs.iso_type() == ("S4:alternating",)
+        assert iso_equal(signs, sign_set(1, -1))
+        assert not iso_equal(signs, trivial_sigma_set(4, ["+", "-"]))
+        assert not iso_equal(signs, regular_sigma_set(4))
+
     def test_complete_invariant_random(self):
         rng = random.Random(7)
         pool = []
@@ -182,6 +195,19 @@ class TestIsoType:
             if a.m != b.m:
                 continue
             assert iso_equal(a, b) == equivariant_bijection_exists(a, b)
+
+
+class TestWordSigmaSet:
+    @pytest.mark.parametrize("m,width", [(0, 2), (1, 3), (2, 2), (3, 3)])
+    def test_points_and_tables_of_positions(self, m, width):
+        words = word_sigma_set(m, range(width))
+        tuples = tuple_action_set(m, width)
+        assert words.points == tuples.points
+        assert words.transpositions == tuples.transpositions
+
+    def test_no_letters(self):
+        assert len(word_sigma_set(0, [])) == 1
+        assert len(word_sigma_set(2, [])) == 0
 
 
 class TestInduce:
