@@ -108,15 +108,26 @@ def _verdict(report, ok):
 class Command(NamedTuple):
     name: str
     help: str
-    arguments: tuple  # (flags, add_argument keywords) pairs
+    arguments: tuple  # arg(...) specs
     handler: Callable  # (args, report) -> exit code
 
 
 COMMANDS = []
 
 
-def arg(*flags, **kwargs):
-    return flags, kwargs
+def arg(*flags, minimum=None, **kwargs):
+    """An argparse argument spec.  Every integer one but `--seed` declares
+    its least value; `main` rejects a smaller value as an input error."""
+    return flags, kwargs, minimum
+
+
+GLOBAL_ARGUMENTS = (
+    arg("--window", type=int, default=8, minimum=0),
+    arg("--degree-bound", type=int, default=7, minimum=0),
+    arg("--level-bound", type=int, default=6, minimum=0),
+    arg("--deterministic", action="store_true",
+        help="omit timing so reports are byte-stable"),
+)
 
 
 def command(name, help, *arguments):
@@ -135,18 +146,19 @@ def build_parser():
         prog="tamebox",
         description="exact calculus of finitely supported injection actions",
     )
-    parser.add_argument("--window", type=int, default=8)
-    parser.add_argument("--degree-bound", type=int, default=7)
-    parser.add_argument("--level-bound", type=int, default=6)
-    parser.add_argument("--deterministic", action="store_true",
-                        help="omit timing so reports are byte-stable")
+    minima = _add_arguments(parser, GLOBAL_ARGUMENTS)
     sub = parser.add_subparsers(dest="command")
     for cmd in COMMANDS:
         p = sub.add_parser(cmd.name, help=cmd.help)
-        for flags, kwargs in cmd.arguments:
-            p.add_argument(*flags, **kwargs)
-        p.set_defaults(handler=cmd.handler)
+        p.set_defaults(handler=cmd.handler,
+                       minima=minima + _add_arguments(p, cmd.arguments))
     return parser
+
+
+def _add_arguments(parser, arguments):
+    """Add the specs to the parser; return their (action, minimum) pairs."""
+    return [(parser.add_argument(*flags, **kwargs), minimum)
+            for flags, kwargs, minimum in arguments]
 
 
 def main(argv=None):
@@ -158,6 +170,11 @@ def main(argv=None):
     started = time.monotonic()
     report = {"command": args.command, "inputs": "", "outcome": "value"}
     try:
+        for action, minimum in args.minima:
+            value = getattr(args, action.dest)
+            if minimum is not None and value is not None and value < minimum:
+                raise ValidationError(f"at least {minimum}",
+                                      f"{action.option_strings[0]}={value}")
         code = args.handler(args, report)
     except TameboxError as e:
         report["outcome"] = "error"
@@ -204,9 +221,8 @@ def _decompose(args, report):
     report["inputs"] = _digest([mset.payload])
     X = mset.value
     if args.window < 2 * X.max_level:
-        raise WindowTooSmall(
-            f"window {args.window} below twice the top level {X.max_level}"
-        )
+        raise WindowTooSmall(f"window {args.window} below twice the top "
+                             f"level {X.max_level}")
     table = X.elements_up_to(args.window)
     out = decompose_table(table, X.act, args.window,
                           degree_bound=args.degree_bound)
@@ -325,9 +341,8 @@ def _a3(args, report):
     psi = _load(args.psi, "operad-element")
     constraints = [set(A) for A in _list_arg(
         args.constraints, "list of integer lists", _is_int_list)]
-    report["inputs"] = _digest(
-        [phi.payload, psi.payload, [sorted(A) for A in constraints]]
-    )
+    report["inputs"] = _digest([phi.payload, psi.payload,
+                                [sorted(A) for A in constraints]])
     # certify_agreement has verified the chain; it raises if that fails
     cert = certify_agreement(phi.value, psi.value, constraints)
     report["outcome"] = "pass"
@@ -360,10 +375,8 @@ def _chi(args, report):
     right = _load(args.right, "mset")
     x = _element_arg(args.x, left.value)
     y = _element_arg(args.y, right.value)
-    report["inputs"] = _digest(
-        [operad.payload, left.payload, right.payload,
-         list(x.image), list(y.image)]
-    )
+    report["inputs"] = _digest([operad.payload, left.payload, right.payload,
+                                list(x.image), list(y.image)])
     fx, fy = operadic_to_box(left.value, right.value, operad.value, x, y)
     report["value"] = {"first": docs.encode_element(fx),
                        "second": docs.encode_element(fy)}
@@ -371,7 +384,8 @@ def _chi(args, report):
 
 
 @command("xinf", "symmetric-product monoid of a pointed set",
-         arg("--points", type=int, required=True), arg("--level", type=int))
+         arg("--points", type=int, required=True, minimum=1),
+         arg("--level", type=int, minimum=0))
 def _xinf(args, report):
     level = args.level if args.level is not None else args.level_bound
     points = ["*"] + [f"a{i}" for i in range(1, args.points)]
@@ -382,8 +396,9 @@ def _xinf(args, report):
 
 
 @command("wedge-iso", "wedge against the box of products",
-         arg("--x", type=int, default=2), arg("--y", type=int, default=3),
-         arg("--level", type=int))
+         arg("--x", type=int, default=2, minimum=1),
+         arg("--y", type=int, default=3, minimum=1),
+         arg("--level", type=int, minimum=0))
 def _wedge_iso(args, report):
     level = args.level if args.level is not None else args.level_bound
     xs = ["*"] + [f"a{i}" for i in range(1, args.x)]
@@ -407,16 +422,13 @@ def _orbit_set(args, report):
 
 
 @command("selftest", "run every law suite",
-         arg("--seed", type=int, default=0), arg("--cases", type=int))
+         arg("--seed", type=int, default=0),
+         arg("--cases", type=int, minimum=1))
 def _selftest(args, report):
     report["inputs"] = _digest([args.seed, args.cases, args.window])
-    result = run_selftest(
-        seed=args.seed,
-        cases=args.cases,
-        window=args.window,
-        degree_bound=args.degree_bound,
-        include_timing=not args.deterministic,
-    )
+    result = run_selftest(seed=args.seed, cases=args.cases, window=args.window,
+                          degree_bound=args.degree_bound,
+                          include_timing=not args.deterministic)
     report["value"] = result
     return _verdict(report, all(not s["failures"] for s in result["suites"]))
 

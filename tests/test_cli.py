@@ -10,7 +10,7 @@ import pytest
 
 from tamebox import PartialInjection, cli, opalg
 from tamebox.cli import main
-from tamebox.documents import serialize_document
+from tamebox.documents import canonical_json, serialize_document
 from tamebox.generators import random_agreeing_pair
 from tamebox.injections import QuasiAffineInjection, interleave
 from tamebox.iset import (
@@ -417,9 +417,15 @@ GOLDEN = [
      "b60d48b874dc37bf9d93f9436e088d44d40e4e571ac0d5cee75b302460dbdb88"),
     ("orbit-set", ["orbit-set", "<m3>"], 0,
      "d6084e905ccb8f6065415116d13207de56876ed3ab8364f45a508760331ad295"),
+    # each suite now reports its skipped draws; without the `skipped`
+    # keys the report is SELFTEST_WITHOUT_SKIPPED_SHA256's
     ("selftest", ["selftest", "--seed", "5", "--cases", "1"], 0,
-     "2cbb8842284c03bd8afd98883f622e45808b8d73349a3bbc10d66193852a9a52"),
+     "72390b16fc727dbe9aa94ca08767f82f7eaa0e316b569af66432ebd182c60102"),
 ]
+
+SELFTEST_WITHOUT_SKIPPED_SHA256 = (
+    "2cbb8842284c03bd8afd98883f622e45808b8d73349a3bbc10d66193852a9a52"
+)
 
 EMITTED_CERTIFICATE_SHA256 = (
     "b587bc4fd3591edbb4cd8be141c16be696c245ceed8cc9f2b4c56c7f7c3e159e"
@@ -482,6 +488,14 @@ class TestCommandTable:
             with open(inputs["emit"], encoding="utf-8") as fh:
                 assert _sha256(fh.read()) == EMITTED_CERTIFICATE_SHA256
 
+    def test_selftest_report_adds_only_skipped(self, capsys, inputs):
+        _, out = _call(capsys, ARGV["selftest"], inputs)
+        report = json.loads(out)
+        for entry in report["value"]["suites"]:
+            del entry["skipped"]
+        assert _sha256(canonical_json(report) + "\n") == (
+            SELFTEST_WITHOUT_SKIPPED_SHA256)
+
     def test_golden_covers_every_command(self):
         assert [g[0] for g in GOLDEN] == [c.name for c in cli.COMMANDS]
 
@@ -511,6 +525,79 @@ class TestCommandTable:
         monkeypatch.setattr(cli, "verify_certificate", counted)
         code, _ = _call(capsys, ARGV["a3"], inputs)
         assert code == 0 and len(calls) == 1
+
+
+def _integer_arguments():
+    """(command, flags, minimum) of every integer argument; the command
+    of a global flag is None."""
+    specs = [(None, spec) for spec in cli.GLOBAL_ARGUMENTS]
+    specs += [(c.name, spec) for c in cli.COMMANDS for spec in c.arguments]
+    return [(name, flags, minimum)
+            for name, (flags, kwargs, minimum) in specs
+            if kwargs.get("type") is int]
+
+
+# one call per integer argument with a minimum, "{}" standing for its
+# value; the other arguments are small valid values
+BOUNDED = {
+    (None, "--window"): ["--window", "{}", "xinf", "--points", "2"],
+    (None, "--degree-bound"): ["--degree-bound", "{}",
+                               "wedge-iso", "--level", "2"],
+    (None, "--level-bound"): ["--level-bound", "{}", "xinf", "--points", "2"],
+    ("xinf", "--points"): ["xinf", "--points", "{}"],
+    ("xinf", "--level"): ["xinf", "--points", "2", "--level", "{}"],
+    ("wedge-iso", "--x"): ["wedge-iso", "--x", "{}", "--level", "0"],
+    ("wedge-iso", "--y"): ["wedge-iso", "--y", "{}", "--level", "0"],
+    ("wedge-iso", "--level"): ["wedge-iso", "--level", "{}"],
+    ("selftest", "--cases"): ["selftest", "--cases", "{}"],
+}
+MINIMA = {(name, flags[0]): minimum
+          for name, flags, minimum in _integer_arguments()}
+
+
+class TestArgumentMinima:
+    def test_every_integer_argument_declares_a_minimum(self):
+        # any integer seeds the random streams
+        assert [key for key, minimum in MINIMA.items() if minimum is None] == [
+            ("selftest", "--seed")]
+        assert MINIMA == {
+            (None, "--window"): 0, (None, "--degree-bound"): 0,
+            (None, "--level-bound"): 0, ("xinf", "--points"): 1,
+            ("xinf", "--level"): 0, ("wedge-iso", "--x"): 1,
+            ("wedge-iso", "--y"): 1, ("wedge-iso", "--level"): 0,
+            ("selftest", "--seed"): None, ("selftest", "--cases"): 1,
+        }
+        assert set(BOUNDED) == {k for k, m in MINIMA.items() if m is not None}
+
+    @pytest.mark.parametrize("key", list(BOUNDED),
+                             ids=[f"{c or 'global'}{f}" for c, f in BOUNDED])
+    def test_minimum_is_accepted_and_one_less_is_an_input_error(self, capsys,
+                                                                key):
+        minimum = MINIMA[key]
+        argv = BOUNDED[key]
+        code, rep = run(capsys, *[a.format(minimum - 1) for a in argv])
+        assert (code, rep["outcome"]) == (2, "error")
+        assert rep["error"]["type"] == "ValidationError"
+        assert key[1] in rep["error"]["message"]
+        code, rep = run(capsys, *[a.format(minimum) for a in argv])
+        assert code == 0 and rep["outcome"] != "error"
+
+    @pytest.mark.parametrize("argv", [
+        ["wedge-iso", "--level", "-1"],
+        ["wedge-iso", "--x", "0"],
+        ["xinf", "--points", "0"],
+        ["--level-bound", "-1", "xinf", "--points", "2"],
+        ["--degree-bound", "-3", "wedge-iso", "--level", "2"],
+    ], ids=["wedge-level", "wedge-x", "xinf-points", "level-bound",
+            "degree-bound"])
+    def test_out_of_range_is_rejected_before_dispatch(self, capsys, argv):
+        # these used to run: wedge-iso --level -1 passed on an empty
+        # comparison, xinf --points 0 built one point, and level bound -1
+        # failed deep inside with ValidationFailed
+        code, rep = run(capsys, *argv)
+        assert code == 2
+        assert rep["inputs"] == ""
+        assert rep["error"]["type"] == "ValidationError"
 
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -565,6 +652,12 @@ class TestHashSeedDeterminism:
             emitted.append(out.read_bytes())
         assert emitted[0] == emitted[1]
         assert json.loads(emitted[0])["payload"]["n"] == 3
+
+    def test_selftest(self):
+        outs = [_cli_under_hash_seed(seed, "selftest", "--seed", "5",
+                                     "--cases", "1")
+                for seed in ("0", "1")]
+        assert outs[0] == outs[1]
 
     def test_flatten_restriction_coequalizer(self, tmp_path):
         quot = tmp_path / "quot.json"

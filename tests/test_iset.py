@@ -386,11 +386,10 @@ class TestDayVsBoxGate:
             raise TruncationExceeded("forced")
 
         monkeypatch.setattr(selftest, "day_convolution", out_of_window)
-        ran, failures = selftest.suite_day_vs_box(random.Random(0), cases=3)
-        assert ran == 0
-        assert failures == [
-            "ran 0 of 3 cases in 30 draws; skipped 30 past the truncation "
-            "and 0 with product stability beyond half the window 5"
+        tally = selftest.suite_day_vs_box(random.Random(0), cases=3)
+        assert (tally.ran, tally.skipped) == (0, 30)
+        assert tally.failures == [
+            "ran 0 of 3 cases in 30 draws; skipped 30 past the truncation"
         ]
 
     def test_draw_past_the_truncation_is_a_named_skip(self, monkeypatch):
@@ -412,15 +411,13 @@ class TestDayVsBoxGate:
                 raise
 
         monkeypatch.setattr(selftest, "random_iset", recording)
-        assert selftest.suite_day_vs_box(random.Random(1), cases=5,
-                                         window=1) == (5, [])
-        assert raised
+        tally = selftest.suite_day_vs_box(random.Random(1), cases=5, window=1)
+        assert (tally.ran, tally.failures) == (5, [])
+        assert tally.skipped >= len(raised) > 0
         monkeypatch.setattr(selftest, "random_iset",
                             lambda rng, N, *rest: restriction_coequalizer(N))
-        ran, failures = selftest.suite_day_vs_box(random.Random(1), cases=2,
-                                                  window=1)
-        assert ran == 0
-        assert failures == [
-            "ran 0 of 2 cases in 20 draws; skipped 20 past the truncation "
-            "and 0 with product stability beyond half the window 1"
+        tally = selftest.suite_day_vs_box(random.Random(1), cases=2, window=1)
+        assert (tally.ran, tally.skipped) == (0, 20)
+        assert tally.failures == [
+            "ran 0 of 2 cases in 20 draws; skipped 20 past the truncation"
         ]

@@ -492,10 +492,11 @@ class TestSumLawsGate:
             return real(points, basepoint, 1)
 
         monkeypatch.setattr(selftest, "infinite_symmetric_product", cut_at_one)
-        ran, failures = selftest.suite_sum_laws(random.Random(0), cases=3)
-        assert ran == 9
-        assert failures == [
-            f"instance {idx}: ran 0 of 3 cases in 30 draws; skipped 30 with "
-            "overlapping supports or levels beyond the cap 1"
-            for idx in (3, 4)
+        tally = selftest.suite_sum_laws(random.Random(0), cases=3)
+        assert (tally.ran, tally.skipped) == (9, 60)
+        assert tally.failures == [
+            "instance 3: ran 0 of 3 cases in 30 draws; skipped 30 with "
+            "levels beyond the cap 1",
+            "instance 4: ran 0 of 3 cases in 30 draws; skipped 18 with "
+            "levels beyond the cap 1 and 12 with overlapping supports",
         ]
