@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from math import gcd
 
 from .errors import ParseError, ValidationError
 from .injections import (
     OperadElement,
     PartialInjection,
-    Piece,
     QuasiAffineInjection,
 )
 from .iset import ISetMorphism, TruncatedISet
@@ -238,15 +236,15 @@ def _int(value, field):
 
 
 def _frac_in(v):
-    """A ratio as `_ratio_out` writes it: a JSON integer, or the string
-    "p/q" in ASCII decimal with q >= 2, gcd(p, q) = 1 and a sign on p
-    only."""
+    """A ratio as `_ratio_out` writes it, as the integer pair (p, q): a
+    JSON integer, or the string "p/q" in ASCII decimal with q >= 2,
+    gcd(p, q) = 1 and a sign on p only."""
     if isinstance(v, str):
         m = _RATIO.fullmatch(v)
         if m is None or int(m[2]) < 2 or gcd(int(m[1]), int(m[2])) != 1:
             raise ValidationError("ratio p/q in lowest terms", repr(v))
-        return Fraction(int(m[1]), int(m[2]))
-    return Fraction(_int(v, "ratio"))
+        return int(m[1]), int(m[2])
+    return _int(v, "ratio"), 1
 
 
 def decode_partial(payload):
@@ -258,19 +256,15 @@ def decode_partial(payload):
 
 
 def decode_qa(payload):
-    pieces = []
-    for raw in payload["pieces"]:
-        pieces.append(
-            Piece(
-                _int(raw["lo"], "lo"),
-                None if raw.get("hi") is None else _int(raw["hi"], "hi"),
-                _int(raw["mod"], "mod"),
-                _int(raw["res"], "res"),
-                _frac_in(raw["a"]),
-                _frac_in(raw["b"]),
-            )
-        )
-    return QuasiAffineInjection(pieces)
+    return QuasiAffineInjection([
+        (_int(raw["lo"], "lo"),
+         None if raw.get("hi") is None else _int(raw["hi"], "hi"),
+         _int(raw["mod"], "mod"),
+         _int(raw["res"], "res"),
+         _frac_in(raw["a"]),
+         _frac_in(raw["b"]))
+        for raw in payload["pieces"]
+    ])
 
 
 def decode_injection(payload):

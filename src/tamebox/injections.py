@@ -14,9 +14,10 @@ Quasi-affine pieces are stored in integers, as *spans*
 ``v0 + k*step`` for ``first <= first + k*mod <= last`` (``last`` None
 when unbounded), so its domain and its image are both integer
 progressions.  The rational slope ``a = step/mod`` and offset
-``b = v0 - a*first`` appear only at the boundary: documents write
-pieces as `Piece` tuples ``(lo, hi, mod, res, a, b)``, and a piece may
-send ``i`` to ``(i+1)/2`` on the odd numbers, integral on its
+``b = v0 - a*first`` appear only at the boundary: pieces are written
+as rows ``(lo, hi, mod, res, a, b)`` -- `Piece` tuples, or with a and
+b as integer pairs ``(p, q)`` as documents read them -- and a piece
+may send ``i`` to ``(i+1)/2`` on the odd numbers, integral on its
 progression though its slope is not.  `checked_span` is the one place
 where a description with a denominator becomes a span; it rejects
 non-integral steps and values.
@@ -202,33 +203,30 @@ def checked_span(first, last, mod, v0, step, den=1):
 
 
 def _spans_of_pieces(pieces):
-    """Check rational pieces and convert them to spans.  The order of
-    the checks fixes which error a faulty document gets: bounds and
+    """Check rows (lo, hi, mod, res, a, b) and convert them to spans; a
+    and b are integer pairs (p, q) with q >= 1, or numbers.  The order
+    of the checks fixes which error a faulty document gets: bounds and
     slope signs, then the unbounded piece, then integrality."""
     kept = []
     for lo, hi, mod, res, a, b in pieces:
         lo, mod = int(lo), int(mod)
         hi = None if hi is None else int(hi)
-        a, b = Fraction(a), Fraction(b)
+        (an, ad), (bn, bd) = (x if type(x) is tuple else
+                              Fraction(x).as_integer_ratio() for x in (a, b))
         if lo < 1 or mod < 1:
             raise ValueError("piece bounds must be positive")
         if hi is not None and hi < lo:
             raise ValueError("piece has hi < lo")
-        if a <= 0:
+        if an <= 0:
             raise NotInjective("pieces must be strictly increasing (a > 0)")
         first = lo + (int(res) - lo) % mod
         if hi is None or first <= hi:
-            kept.append((first, hi, mod, a, b))
+            kept.append((first, hi, mod, an, ad, bn, bd))
     if all(p[1] is not None for p in kept):
         raise NotCovering("no unbounded piece; omega cannot be covered")
-    spans = []
-    for first, hi, mod, a, b in kept:
-        den = a.denominator * b.denominator
-        v0 = (a.numerator * first * b.denominator
-              + b.numerator * a.denominator)
-        step = a.numerator * mod * b.denominator
-        spans.append(checked_span(first, hi, mod, v0, step, den))
-    return spans
+    return [checked_span(first, hi, mod, an * first * bd + bn * ad,
+                         an * mod * bd, ad * bd)
+            for first, hi, mod, an, ad, bn, bd in kept]
 
 
 def _piece(span):
@@ -248,35 +246,51 @@ def _normal_form(spans):
     residue class of the minimal period, each with that period as its
     mod.
 
-    Checks first that the domains partition omega and that the images
-    are disjoint.  Spans must be non-empty with `last` on the
-    progression."""
+    Checks first the bounds of the spans (`last` must lie on the
+    progression), that the domains partition omega and that the images
+    are disjoint.  Spans of the normal shape -- the points (i, i, 1, v, 1)
+    for i = 1, ..., t-1, then p unbounded spans at t, ..., t+p-1, all
+    with mod p -- partition omega by construction: the points cover
+    1, ..., t-1 and the p spans one residue class mod p each from t on.
+    Their domains are not checked; their values, images, period and
+    threshold are, and when period and threshold are minimal the input
+    is the normal form."""
+    for first, last, mod, _, _ in spans:
+        if first < 1 or mod < 1:
+            raise ValueError("piece bounds must be positive")
+        if last is not None and last < first:
+            raise ValueError("piece has hi < lo")
     tail = [sp for sp in spans if sp[1] is None]
     if not tail:
         raise NotCovering("no unbounded piece; omega cannot be covered")
     for sp in spans:
         if sp[3] < 1 or sp[4] < 1:
             raise NotInjective(f"{_piece(sp)} is not increasing with values >= 1")
-
-    # coverage: pairwise disjoint domains whose unbounded part has
-    # density exactly one, with no gap below the periodic region
-    clash = _first_overlap([sp[:3] for sp in spans])
-    if clash:
-        i, j = clash
-        raise NotCovering(
-            f"domains of {_piece(spans[i])} and {_piece(spans[j])} overlap"
-        )
     period = lcm(*(sp[2] for sp in tail))
-    if sum(period // sp[2] for sp in tail) != period:
-        raise NotCovering("unbounded pieces do not have full density")
-    tail_start = max(sp[0] for sp in tail)
-    covered = 0
-    for first, last, mod, _, _ in spans:
-        top = tail_start - 1 if last is None else min(last, tail_start - 1)
-        if top >= first:
-            covered += (top - first) // mod + 1
-    if covered != tail_start - 1:
-        raise NotCovering(f"gap below {tail_start}")
+    t = len(spans) - spans[-1][2] + 1
+    shaped = t >= 1 and spans == [
+        (i, i, 1, sp[3], 1) if i < t else (i, None, period, sp[3], sp[4])
+        for i, sp in enumerate(spans, 1)]
+
+    if not shaped:
+        # coverage: pairwise disjoint domains whose unbounded part has
+        # density exactly one, with no gap below the periodic region
+        clash = _first_overlap([sp[:3] for sp in spans])
+        if clash:
+            i, j = clash
+            raise NotCovering(
+                f"domains of {_piece(spans[i])} and {_piece(spans[j])} overlap"
+            )
+        if sum(period // sp[2] for sp in tail) != period:
+            raise NotCovering("unbounded pieces do not have full density")
+        tail_start = max(sp[0] for sp in tail)
+        covered = 0
+        for first, last, mod, _, _ in spans:
+            top = tail_start - 1 if last is None else min(last, tail_start - 1)
+            if top >= first:
+                covered += (top - first) // mod + 1
+        if covered != tail_start - 1:
+            raise NotCovering(f"gap below {tail_start}")
 
     # injectivity: the images of distinct spans are disjoint
     clash = _first_overlap([_image(sp) for sp in spans])
@@ -301,10 +315,16 @@ def _normal_form(spans):
     # minimal threshold: one past the last point where a bounded span
     # leaves the tail maps.  On the points of one residue class a span
     # and a tail map are both affine, so they agree on all of them or on
-    # one at most, and the last two points decide.
+    # one at most, and the last two points decide.  A point span lies in
+    # one class, its own.
     start = 1
     for first, last, mod, v0, step in spans:
         if last is None:
+            continue
+        if first == last:
+            a, b, d = maps[first % best]
+            if a * first + b != d * v0:
+                start = max(start, first + 1)
             continue
         for r, (a, b, d) in enumerate(maps[:best]):
             met = _meet((first, last, mod), (r, None, best))
@@ -318,6 +338,8 @@ def _normal_form(spans):
                     start = max(start, x + 1)
                     break
 
+    if shaped and best == period and start == t:
+        return tuple(spans)
     head = [0] * start
     for first, last, mod, v0, step in spans:
         top = start - 1 if last is None else min(last, start - 1)
@@ -343,8 +365,8 @@ class QuasiAffineInjection:
     __slots__ = ("spans", "_images")
 
     def __init__(self, pieces):
-        """`pieces` are integer spans, or rational `Piece`s, which
-        `checked_span` converts."""
+        """`pieces` are integer spans, or rational rows (`Piece`s, or
+        a and b as integer pairs), which `checked_span` converts."""
         pieces = list(pieces)
         if pieces and len(pieces[0]) == len(Piece._fields):
             pieces = _spans_of_pieces(pieces)

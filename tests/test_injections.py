@@ -201,6 +201,16 @@ class TestQuasiAffine:
         with pytest.raises(NotInjective):
             QuasiAffineInjection([Piece(1, None, 1, 0, 1, -1)])
 
+    @pytest.mark.parametrize("spans,message", [
+        ([(1, None, 0, 1, 1)], "piece bounds must be positive"),
+        ([(0, None, 1, 1, 1)], "piece bounds must be positive"),
+        ([(1, None, -1, 1, 1)], "piece bounds must be positive"),
+        ([(1, None, 1, 1, 1), (3, 2, 1, 9, 1)], "hi < lo"),
+    ], ids=["mod-0", "first-0", "mod-negative", "last-below-first"])
+    def test_span_bounds_checked_as_for_pieces(self, spans, message):
+        with pytest.raises(ValueError, match=message):
+            QuasiAffineInjection(spans)
+
     def test_equality_matches_windowed_evaluation(self):
         rng = random.Random(17)
         for _ in range(200):

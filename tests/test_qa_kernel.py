@@ -3,23 +3,40 @@ rational kernel kept in qa_oracle.
 
 Compared: normal forms (or the class of error a faulty piece list
 raises), composition, image membership and image disjointness, on
-random piece lists, on the outputs of the certificate helpers of
-tamebox.opalg, and on every chain element and move of the certificates
-acceptance criterion 8 builds."""
+random piece lists, on spoiled normal forms, on the outputs of the
+certificate helpers of tamebox.opalg, and on every chain element and
+move of the certificates acceptance criterion 8 builds.  Documents of
+quasi-affine injections decode to the value written, and spoiled ones
+keep the errors of the Fraction-based reader."""
 
+import hashlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qa_oracle as oracle
-from tamebox.errors import NotCovering, NotInjective
+from tamebox import injections
+from tamebox.documents import (
+    _ratio_out,
+    canonical_json,
+    parse_document,
+    serialize_document,
+)
+from tamebox.errors import (
+    NotCovering,
+    NotInjective,
+    TameboxError,
+    ValidationError,
+)
 from tamebox.generators import random_quasi_affine
 from tamebox.injections import (
     Piece,
     QuasiAffineInjection,
     _images_disjoint,
+    _piece,
     interleave,
     order_embed_avoiding,
 )
@@ -87,7 +104,7 @@ def refine(rng, p):
 
 def spoil(rng, pieces):
     """One edit that may break coverage, injectivity, integrality or
-    the bounds of a piece."""
+    the bounds of a piece; returns the number (0-7) of the edit."""
     i = rng.randrange(len(pieces))
     lo, hi, mod, res, a, b = p = pieces[i]
     edit = rng.randrange(8)
@@ -110,6 +127,7 @@ def spoil(rng, pieces):
     else:
         pieces[i] = p._replace(hi=lo - 1 if rng.random() < 0.5 else
                                (lo + rng.randint(0, 5) if hi is None else None))
+    return edit
 
 
 def random_pieces(rng):
@@ -142,6 +160,106 @@ def test_random_pieces_reach_every_outcome():
         random.Random(f"qa:pieces:{seed}")))))
         for seed in range(300)}
     assert seen == {QuasiAffineInjection, NotCovering, NotInjective, ValueError}
+
+
+def shaped_spans(rng):
+    """The spans of a normal form in order, with one edit: the tail
+    split into two classes (period not minimal), a tail offset changed,
+    a point value moved onto another image, or the last point moved
+    onto its tail map (threshold not minimal).  The edited spans keep
+    the normal shape unless a value drops below one."""
+    f = random_qa(rng)
+    spans = list(f.spans)
+    p = spans[-1][2]
+    t = len(spans) - p + 1
+    edit = rng.randrange(4 if t > 1 else 2)
+    if edit == 0:
+        spans[t - 1:] = [(lo + k * p, None, 2 * p, v + k * s, 2 * s)
+                         for k in (0, 1) for lo, _, _, v, s in spans[t - 1:]]
+    elif edit == 1:
+        i = rng.randrange(t - 1, len(spans))
+        first, last, mod, v, s = spans[i]
+        spans[i] = (first, last, mod, v + rng.choice((-3, -2, -1, 1, 2, 3)), s)
+    elif edit == 2:
+        i = rng.randrange(1, t)
+        spans[i - 1] = (i, i, 1, f(rng.choice(
+            [j for j in range(1, t + 2 * p) if j != i])), 1)
+    else:
+        # the last tail span starts at t - 1 + p, in the class of t - 1
+        _, _, _, v, s = spans[-1]
+        spans[t - 2] = (t - 1, t - 1, 1, v - s, 1)
+    return spans
+
+
+def takes_shaped_path(spans):
+    """Whether the construction skips the domain checks: it then tests
+    overlaps only once, for the images, and never fails to cover."""
+    with mock.patch.object(injections, "_first_overlap",
+                           wraps=injections._first_overlap) as spy:
+        got = outcome(lambda: QuasiAffineInjection(spans))
+    return spy.call_count == 1 and got is not NotCovering
+
+
+@kernel_settings
+@given(seeds)
+def test_shaped_spans_match_oracle(seed):
+    spans = shaped_spans(random.Random(f"qa:shaped:{seed}"))
+    assert outcome(lambda: QuasiAffineInjection(spans).pieces) == \
+        outcome(lambda: oracle.normalize([_piece(sp) for sp in spans]))
+
+
+def test_shaped_spans_mostly_take_the_shaped_path():
+    taken = [takes_shaped_path(shaped_spans(random.Random(f"qa:shaped:{seed}")))
+             for seed in range(200)]
+    assert sum(taken) >= 100
+    assert not takes_shaped_path(random_pieces(random.Random("qa:pieces:0")))
+
+
+def pieces_document(pieces):
+    def ratio(x):
+        return _ratio_out(*Fraction(x).as_integer_ratio())
+
+    return canonical_json({"kind": "qa-injection", "formatVersion": 1,
+                           "payload": {"pieces": [
+                               {"lo": lo, "hi": hi, "mod": mod, "res": res,
+                                "a": ratio(a), "b": ratio(b)}
+                               for lo, hi, mod, res, a, b in pieces]}})
+
+
+@kernel_settings
+@given(seeds)
+def test_documents_decode_to_the_value_written(seed):
+    f = random_qa(random.Random(f"qa:documents:{seed}"))
+    assert parse_document(serialize_document("qa-injection", f)).value == f
+
+
+# sha256 of the outcomes of test_spoiled_documents_keep_their_errors,
+# recorded when the decoder still read ratios as Fractions
+SPOILED_DOCUMENTS_SHA256 = (
+    "964967d47407bca39214de63680709c8db5e33641cfa669c777a0daaa871f4af"
+)
+
+
+def test_spoiled_documents_keep_their_errors():
+    """Every spoiling edit, written as a document, gets the error class
+    and message (or the value) the Fraction reader gave: the checks run
+    in the same order."""
+    outcomes, edits = [], set()
+    for seed in range(300):
+        rng = random.Random(f"qa:spoiled-documents:{seed}")
+        pieces = [q for p in random_qa(rng).pieces for q in refine(rng, p)]
+        edits.add(spoil(rng, pieces))
+        rng.shuffle(pieces)
+        try:
+            value = parse_document(pieces_document(pieces)).value
+            outcomes.append(serialize_document("qa-injection", value))
+        except TameboxError as e:
+            outcomes.append(f"{type(e).__name__}: {e}")
+    assert edits == set(range(8))
+    assert {o.split(":")[0] for o in outcomes} >= {
+        c.__name__ for c in (NotCovering, NotInjective, ValidationError)}
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == SPOILED_DOCUMENTS_SHA256
 
 
 @kernel_settings
