@@ -22,6 +22,13 @@ colimit is therefore computed face by face: one union-find node per
 maximal face and element, glued along the faces one size down through
 the face maps, and any (injection, element) pair is resolved onto a
 maximal face by sorting it and acting by the rank permutation.
+
+The face maps of a level are tabulated once per diagram, from the
+inclusion and the transposition tables, and a derived diagram shares
+the tables of the levels it shares.  The colimit kernels, the Day
+convolution and the support search read them from there; any other
+injection is applied by walking the inclusions and then a cached
+transposition word.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .mset import (
     all_injective_tuples,
     decompose_table,
 )
-from .sigma import DEFAULT_DEGREE_BOUND, SigmaSet, point_key
+from .sigma import DEFAULT_DEGREE_BOUND, SigmaSet, completion_word, point_key
 from .unionfind import UnionFind
 
 
@@ -50,7 +57,8 @@ class TruncatedISet:
 
     Without a declared stability level, the least one that holds is
     kept.  A derived diagram shares the validated levels of the diagram
-    it comes from and validates only the levels it adds."""
+    it comes from and validates only the levels it adds, and shares
+    the face tables of those levels."""
 
     def __init__(self, N, levels, incl, transp, stable_from=None):
         if len(levels) != N + 1 or len(incl) != N or len(transp) != N + 1:
@@ -62,6 +70,7 @@ class TruncatedISet:
         self.transp = [[dict(t) for t in ts] for ts in transp]
         self._sigma = []
         self._generated = []
+        self._faces = []
         self._validate(0, N, stable_from)
 
     def _validate(self, lo, N, stable_from):
@@ -74,6 +83,7 @@ class TruncatedISet:
             SigmaSet(m, self.levels[m], self.transp[m], degree_bound=N + 1)
             for m in range(lo, N + 1)
         ]
+        self._faces += [None] * (N + 1 - lo)
         below = max(lo - 1, 0)
         for m in range(below, N):
             if set(self.incl[m]) != set(self.levels[m]):
@@ -120,6 +130,7 @@ class TruncatedISet:
         out.transp = self.transp[: k + 1] + list(transp)
         out._sigma = self._sigma[: k + 1]
         out._generated = self._generated[:k]
+        out._faces = self._faces[: k + 1]
         out._validate(k + 1, n, stable_from)
         return out
 
@@ -137,18 +148,27 @@ class TruncatedISet:
                 out = m + 1
         return out
 
+    def face_maps(self, k):
+        """The k face maps X(k-1) -> X(k) of `_face_maps`, built once."""
+        faces = self._faces[k]
+        if faces is None:
+            faces = self._faces[k] = _face_maps(self, k)
+        return faces
+
     def map_along(self, alpha, n, x):
         """Apply the functor to the injection given by the value tuple
-        alpha into {1..n}; x lives at level len(alpha)."""
-        m = len(alpha)
+        alpha into {1..n}; x lives at level len(alpha).  The injection
+        is the inclusion into {1..n} followed by the permutation that
+        completes alpha with the unused values in increasing order."""
         if n > self.N:
             raise TruncationExceeded(f"level {n} beyond truncation {self.N}")
-        for k in range(m, n):
-            x = self.incl[k][x]
-        used = set(alpha)
-        rest = iter(v for v in range(1, n + 1) if v not in used)
-        sigma = tuple(alpha) + tuple(next(rest) for _ in range(n - m))
-        return self._sigma[n].act_perm(sigma, x)
+        incl = self.incl
+        for k in range(len(alpha), n):
+            x = incl[k][x]
+        tabs = self.transp[n]
+        for i in completion_word(alpha, n):
+            x = tabs[i][x]
+        return x
 
 
 def _generated_from_below(m, levels, incl, transp):
@@ -194,7 +214,11 @@ def constant_iset(points, N):
 
 
 def support_filtration(W: CanonicalTameMSet, N):
-    """The diagram of elements supported inside {1..m}; always flat."""
+    """The diagram of elements supported inside {1..m}; always flat.
+
+    The swap s_i moves an element's point by s_p of its Σ-set when i
+    and i+1 are the p-th and (p+1)-th entries of its sorted image, and
+    otherwise changes only the image."""
     if N < W.max_level:
         raise TruncationExceeded(
             f"truncation {N} below maximal level {W.max_level}"
@@ -205,11 +229,15 @@ def support_filtration(W: CanonicalTameMSet, N):
     for m in range(N + 1):
         tabs = []
         for i in range(1, m):
-            f = PartialInjection(
-                {v: v for v in range(1, m + 1) if v not in (i, i + 1)}
-                | {i: i + 1, i + 1: i}
-            )
-            tabs.append({e: W.act(f, e) for e in levels[m]})
+            swap = {i: i + 1, i + 1: i}
+            t = {}
+            for e in levels[m]:
+                k, image, p = e
+                if i in image and i + 1 in image:
+                    p = W.levels[k].transpositions[image.index(i)][p]
+                moved = sorted(swap.get(v, v) for v in image)
+                t[e] = MElement(k, tuple(moved), p)
+            tabs.append(t)
         transp.append(tabs)
     return TruncatedISet(N, levels, incl, transp, min(W.max_level, N))
 
@@ -268,6 +296,8 @@ class OmegaColimit:
         self.root = {node: uf.find(node) for node in uf.nodes}
         self.classes = uf.roots()
         self._supp = {}
+        self._preimages = {}
+        self._elements = {}
 
     def class_of(self, m, x):
         return self.root[(m, x)]
@@ -290,10 +320,29 @@ class OmegaColimit:
         y = self.iset.map_along(tuple(values), n, x)
         return self.root[(n, y)]
 
+    def face_preimages(self, m):
+        """Level m inverted through its face maps, built once: each
+        point in a face image, sent to its first preimage (alpha, x0)
+        with x0 in level order, then alpha in `combinations` order."""
+        table = self._preimages.get(m)
+        if table is None:
+            X = self.iset
+            faces = X.face_maps(m)
+            # the i-th (m-1)-subset of {1..m} skips m - i
+            alphas = list(enumerate(combinations(range(1, m + 1), m - 1)))
+            table = {}
+            for x0 in X.levels[m - 1]:
+                for i, alpha in alphas:
+                    table.setdefault(faces[m - 1 - i][x0], (alpha, x0))
+            self._preimages[m] = table
+        return table
+
     def support(self, c):
         """Exact support of a class.  At or below the stability level
         this uses single test injections; above it, the class is pulled
-        down along a preimage and the support is pushed forward."""
+        down along a preimage and the support is pushed forward.  Every
+        point above the stability level has a preimage, since validation
+        makes each such level generated from the one below."""
         cached = self._supp.get(c)
         if cached is not None:
             return cached
@@ -314,14 +363,7 @@ class OmegaColimit:
                     keep.append(j)
             out = frozenset(keep)
         else:
-            found = None
-            for x0 in X.levels[m - 1]:
-                if found:
-                    break
-                for alpha in combinations(range(1, m + 1), m - 1):
-                    if X.map_along(alpha, m, x0) == x:
-                        found = (alpha, x0)
-                        break
+            found = self.face_preimages(m).get(x)
             if found is None:
                 raise NotTame(
                     f"no preimage below level {m} despite declared stability"
@@ -336,6 +378,9 @@ class OmegaColimit:
         """The canonical element a class corresponds to under the
         decomposition of the colimit as a tame action; the point is the
         class obtained by pushing the support onto an initial segment."""
+        got = self._elements.get(c)
+        if got is not None:
+            return got
         m, _ = c
         S = sorted(self.support(c))
         k = len(S)
@@ -344,8 +389,8 @@ class OmegaColimit:
         for v in range(1, m + 1):
             if v not in down:
                 down[v] = next(spares)
-        c0 = self.act(down, c)
-        return MElement(k, tuple(S), c0)
+        got = self._elements[c] = MElement(k, tuple(S), self.act(down, c))
+        return got
 
 
 def omega_colimit(X: TruncatedISet) -> OmegaColimit:
@@ -465,12 +510,17 @@ class LatchingData:
 
 def _face_maps(X: TruncatedISet, k):
     """The k face maps X(k-1) -> X(k); entry j belongs to the order
-    embedding of {1..k-1} that skips position j+1."""
-    return [
-        {y: X.map_along(tuple(v for v in range(1, k + 1) if v != j), k, y)
-         for y in X.levels[k - 1]}
-        for j in range(1, k + 1)
-    ]
+    embedding of {1..k-1} that skips position j+1.  The embedding that
+    skips k is the inclusion, and the one that skips j is s_j after the
+    one that skips j+1."""
+    if k == 0:
+        return []
+    incl = X.incl[k - 1]
+    faces = [{y: incl[y] for y in X.levels[k - 1]}]
+    for t in reversed(X.transp[k]):
+        faces.append({y: t[z] for y, z in faces[-1].items()})
+    faces.reverse()
+    return faces
 
 
 def _colimit_under(X: TruncatedISet, n):
@@ -488,15 +538,13 @@ def _colimit_under(X: TruncatedISet, n):
     if n > X.N + 1:
         raise TruncationExceeded(f"level {n} beyond truncation {X.N} + 1")
     k = n - 1
-    uf = UnionFind(
-        (S, x) for S in combinations(range(1, n + 1), k) for x in X.levels[k]
-    )
+    faces = list(combinations(range(1, n + 1), k))  # faces[i] misses n - i
+    uf = UnionFind((S, x) for S in faces for x in X.levels[k])
     if k >= 1:
-        d = _face_maps(X, k)
+        d = X.face_maps(k)
         for a, b in combinations(range(1, n + 1), 2):
             # the faces missing b and missing a, seen from their meet
-            Sa = tuple(v for v in range(1, n + 1) if v != b)
-            Sb = tuple(v for v in range(1, n + 1) if v != a)
+            Sa, Sb = faces[n - b], faces[n - a]
             da, db = d[a - 1], d[b - 2]
             for y in X.levels[k - 1]:
                 uf.union((Sa, da[y]), (Sb, db[y]))
@@ -718,7 +766,7 @@ def _day_factors(X: TruncatedISet, Y: TruncatedISet):
     return A._derived(target), B._derived(target)
 
 
-def _day_level(X: TruncatedISet, Y: TruncatedISet, n, dX, dY):
+def _day_level(X: TruncatedISet, Y: TruncatedISet, n):
     """Level n of the convolution of two factors of height at least n.
 
     The decompositions of {1..n} form the poset of disjoint pairs of
@@ -726,36 +774,38 @@ def _day_level(X: TruncatedISet, Y: TruncatedISet, n, dX, dY):
     (|A|, A + complement, x, y) per x in X(|A|) and y in Y(n-|A|).  A
     pair of total size n-1, missing e, lies below exactly two maximal
     pairs (e joins either side) and glues them through the face maps
-    dX, dY.  Returns the classes and the resolver of any
+    of the two factors.  Returns the classes and the resolver of any
     (m1, gamma, x, y) with gamma injective into {1..n}."""
     everything = range(1, n + 1)
-
-    def split(A):
-        return A + tuple(v for v in everything if v not in A)
-
-    uf = UnionFind(
-        (a, split(A), x, y)
+    # each subset A followed by its complement, in node order
+    split = {
+        A: A + tuple(v for v in everything if v not in A)
         for a in range(n + 1)
         for A in combinations(everything, a)
-        for x in X.levels[a]
-        for y in Y.levels[n - a]
+    }
+    uf = UnionFind(
+        (len(A), full, x, y)
+        for A, full in split.items()
+        for x in X.levels[len(A)]
+        for y in Y.levels[n - len(A)]
     )
     for e in everything:
         rest = [v for v in everything if v != e]
         for a in range(n):
+            dX = X.face_maps(a + 1)
+            dY = Y.face_maps(n - a)
             for A in combinations(rest, a):
                 Ae = tuple(sorted(A + (e,)))
-                B = split(Ae)[a + 1:]
-                fx = dX[a + 1][Ae.index(e)]
-                fy = dY[n - a][sum(v < e for v in B)]
+                full = split[Ae]
+                fx = dX[Ae.index(e)]
+                fy = dY[sum(v < e for v in full[a + 1:])]
                 for x in X.levels[a]:
                     for y in Y.levels[n - 1 - a]:
-                        uf.union((a + 1, Ae + B, fx[x], y),
-                                 (a, split(A), x, fy[y]))
+                        uf.union((a + 1, full, fx[x], y),
+                                 (a, split[A], x, fy[y]))
 
     def lookup(m1, gamma, x, y):
-        A = tuple(sorted(gamma[:m1]))
-        full = split(A)
+        full = split[tuple(sorted(gamma[:m1]))]
         rank = {v: r for r, v in enumerate(full, start=1)}
         bx = tuple(rank[v] for v in gamma[:m1])
         by = tuple(rank[v] - m1 for v in gamma[m1:])
@@ -775,9 +825,7 @@ def day_convolution(X: TruncatedISet, Y: TruncatedISet):
     Both factors are first extended canonically (see `_day_factors`)."""
     X, Y = _day_factors(X, Y)
     N = X.N
-    dX = [None] + [_face_maps(X, a) for a in range(1, N + 1)]
-    dY = [None] + [_face_maps(Y, a) for a in range(1, N + 1)]
-    built = [_day_level(X, Y, n, dX, dY) for n in range(N + 1)]
+    built = [_day_level(X, Y, n) for n in range(N + 1)]
     levels = [classes for classes, _ in built]
     incl = [{c: built[n + 1][1](*c) for c in levels[n]} for n in range(N)]
     transp = []

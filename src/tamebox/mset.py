@@ -298,6 +298,12 @@ def decompose_table(table, action, window, initial_support=None,
     computed with single test injections: an element known supported on
     S is supported on S minus {j} exactly when the map fixing S minus
     {j} and moving j outside S fixes the element.
+
+    Elements outside the table are invisible here, so the window
+    condition cannot be checked: the table of a level-3 action up to
+    window 2 is empty and gives the empty action.  Callers pass a
+    window of at least twice the action's top level, as `decompose`
+    does.
     """
     table = list(table)
     if table_window is None:

@@ -71,6 +71,16 @@ def perm_word(sigma):
     return tuple(word)
 
 
+@lru_cache(maxsize=None)
+def completion_word(alpha, n):
+    """The permutation of {1..n} that extends the injective value tuple
+    alpha by the unused values in increasing order, as 0-based
+    transposition-table indices in the order they apply."""
+    used = set(alpha)
+    sigma = alpha + tuple(v for v in range(1, n + 1) if v not in used)
+    return tuple(i - 1 for i in reversed(perm_word(sigma)))
+
+
 def perm_compose(s, t):
     """(s t)(x) = s(t(x)) in one-line notation."""
     return tuple(s[t[x] - 1] for x in range(len(t)))

@@ -7,10 +7,20 @@ They are exponentially slower than the face-indexed kernels in
 `tamebox.iset` and serve only to cross-check them at small levels.
 `minimal_stable_from` is the reference for the stability level the
 validator finds.
+
+The structure maps the kernels tabulate are recomputed here without
+the tables: `map_along` builds the completing permutation and acts by
+its sorted word, `support` finds a preimage by scanning every face of
+every lower point, and `filtration_swaps` acts on canonical elements
+through partial injections.
 """
 
+from itertools import combinations
+
+from tamebox.errors import NotTame, TruncationExceeded
+from tamebox.injections import PartialInjection
 from tamebox.iset import TruncatedISet, _day_factors
-from tamebox.mset import all_injective_tuples
+from tamebox.mset import MElement, all_injective_tuples
 from tamebox.sigma import point_key
 
 
@@ -76,10 +86,98 @@ def colimit_under(X: TruncatedISet, n):
     return classes, lookup
 
 
+def map_along(X: TruncatedISet, alpha, n, x):
+    """X applied to the injection with value tuple alpha into {1..n}:
+    the inclusions up to level n, then the permutation that completes
+    alpha by the unused values in increasing order."""
+    m = len(alpha)
+    if n > X.N:
+        raise TruncationExceeded(f"level {n} beyond truncation {X.N}")
+    for k in range(m, n):
+        x = X.incl[k][x]
+    used = set(alpha)
+    rest = iter(v for v in range(1, n + 1) if v not in used)
+    sigma = tuple(alpha) + tuple(next(rest) for _ in range(n - m))
+    return X.level_sigma(n).act_perm(sigma, x)
+
+
 def latching_values(X: TruncatedISet, n):
     """The latching comparison: the image in X(n) of every class."""
     classes, _ = colimit_under(X, n)
-    return {c: X.map_along(c[0], n, c[1]) for c in classes}
+    return {c: map_along(X, c[0], n, c[1]) for c in classes}
+
+
+def first_preimage(X: TruncatedISet, m, x):
+    """The first (alpha, x0) with alpha an (m-1)-subset of {1..m}
+    carrying x0 onto x: x0 in level order, then alpha in
+    `combinations` order; None when there is none."""
+    for x0 in X.levels[m - 1]:
+        for alpha in combinations(range(1, m + 1), m - 1):
+            if map_along(X, alpha, m, x0) == x:
+                return alpha, x0
+    return None
+
+
+def act(colim, f, c):
+    """The class of f_* c for an injection f given as a dict on
+    {1..m}, m the level of c's representative."""
+    m, x = c
+    values = tuple(f[j] for j in range(1, m + 1))
+    n = max(values, default=0)
+    return colim.class_of(n, map_along(colim.iset, values, n, x))
+
+
+def support(colim, c):
+    """The support of a class of an OmegaColimit: single test
+    injections at or below the stability level, else pushed forward
+    from the first preimage one level down."""
+    m, x = c
+    X = colim.iset
+    if m == 0:
+        return frozenset()
+    if m <= X.stable_from:
+        if m + 1 > X.N:
+            raise TruncationExceeded("support test needs one level of headroom")
+        keep = []
+        for j in range(1, m + 1):
+            f = {v: v for v in range(1, m + 1) if v != j}
+            f[j] = m + 1
+            if act(colim, f, c) != c:
+                keep.append(j)
+        return frozenset(keep)
+    found = first_preimage(X, m, x)
+    if found is None:
+        raise NotTame(f"no preimage below level {m}")
+    alpha, x0 = found
+    inner = support(colim, colim.class_of(m - 1, x0))
+    return frozenset(alpha[j - 1] for j in inner)
+
+
+def class_to_element(colim, c):
+    """The canonical element of a class: its support pushed onto an
+    initial segment, the rest after it in order."""
+    m, _ = c
+    S = sorted(support(colim, c))
+    rest = [v for v in range(1, m + 1) if v not in S]
+    down = {v: r for r, v in enumerate(S + rest, start=1)}
+    return MElement(len(S), tuple(S), act(colim, down, c))
+
+
+def filtration_swaps(W, N):
+    """The adjacent-swap tables of the support filtration of W up to
+    level N, acting through partial injections."""
+    out = []
+    for m in range(N + 1):
+        elements = W.elements_up_to(m)
+        tabs = []
+        for i in range(1, m):
+            f = PartialInjection(
+                {v: v for v in range(1, m + 1) if v not in (i, i + 1)}
+                | {i: i + 1, i + 1: i}
+            )
+            tabs.append({e: W.act(f, e) for e in elements})
+        out.append(tabs)
+    return out
 
 
 def lan_extend(X: TruncatedISet) -> TruncatedISet:

@@ -1,9 +1,12 @@
 """The face-indexed colimit kernels of tamebox.iset against the
 brute-force tuple enumerations kept in colimit_oracle, on seeded
-diagrams of every generator family at N <= 4."""
+diagrams of every generator family at N <= 4, and the tabulated
+structure maps (face tables, completion words, support preimages,
+filtration swaps) against the oracles that recompute them."""
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +14,20 @@ from hypothesis import strategies as st
 
 import colimit_oracle as oracle
 import tamebox.iset as iset
-from tamebox.errors import TruncationExceeded, ValidationError
+from tamebox.errors import (
+    TameboxError,
+    TruncationExceeded,
+    ValidationError,
+)
 from tamebox.generators import random_iset, random_mset
 from tamebox.iset import (
+    OmegaColimit,
     TruncatedISet,
     _colimit_under,
     _day_factors,
+    _face_maps,
     canonicalize,
+    constant_iset,
     day_convolution,
     faithful_extension,
     lan_extend,
@@ -27,10 +37,17 @@ from tamebox.iset import (
     restriction_coequalizer,
     support_filtration,
 )
-from tamebox.mset import mset_iso_equal
-from tamebox.sigma import SigmaSet
+from tamebox.mset import (
+    CanonicalTameMSet,
+    MElement,
+    all_injective_tuples,
+    mset_iso_equal,
+)
+from tamebox.sigma import SigmaSet, completion_word, regular_sigma_set
 
 KINDS = ("random", "filtration", "quotient", "representable", "coequalizer")
+# every family random_iset draws from, and random_iset itself
+FAMILIES = KINDS + ("constant",)
 
 kernel_settings = settings(derandomize=True, deadline=None, database=None,
                            max_examples=100)
@@ -45,6 +62,8 @@ def diagram(kind, seed, N, max_stable=2):
         return representable_iset(rng.randint(0, top), N)
     if kind == "coequalizer":
         return restriction_coequalizer(N)
+    if kind == "constant":
+        return constant_iset([f"k{i}" for i in range(rng.randint(1, 3))], N)
     X = support_filtration(random_mset(rng, max_level=top, max_points=3), N)
     if kind == "quotient":
         levels = [m for m in range(N + 1) if len(X.levels[m]) >= 2]
@@ -209,3 +228,209 @@ def test_day_convolution_validates_only_its_levels(validation_counts):
     XY = day_convolution(X, X)
     assert XY.N == 6
     assert validation_counts == {"sigma": 7, "generated": 6}
+
+
+# ---------------------------------------------------------------------
+# tabulated structure maps against the oracles that recompute them
+
+
+def outcome(fn, *args):
+    """A value, or the library error or missing table entry raised
+    instead."""
+    try:
+        return fn(*args)
+    except (TameboxError, KeyError) as exc:
+        return ("raises", type(exc).__name__)
+
+
+def map_along_mismatches(X):
+    """Every injection into n <= N and every point, through map_along
+    and through the face tables, against the oracle."""
+    bad = []
+    for n in range(X.N + 1):
+        for m in range(n + 1):
+            for alpha in all_injective_tuples(m, n):
+                for x in X.levels[m]:
+                    if (outcome(X.map_along, alpha, n, x)
+                            != outcome(oracle.map_along, X, alpha, n, x)):
+                        bad.append(("map_along", alpha, n, x))
+        for j, face in enumerate(X.face_maps(n), start=1):
+            alpha = tuple(v for v in range(1, n + 1) if v != j)
+            for y, z in face.items():
+                if z != oracle.map_along(X, alpha, n, y):
+                    bad.append(("face", alpha, n, y))
+    return bad
+
+
+def support_mismatches(colim):
+    """Every inverted face table above the stability level against the
+    oracle's first preimage, and every class's support and element."""
+    X = colim.iset
+    bad = []
+    for m in range(X.stable_from + 1, X.N + 1):
+        table = colim.face_preimages(m)
+        for x in X.levels[m]:
+            if table.get(x) != oracle.first_preimage(X, m, x):
+                bad.append(("preimage", m, x))
+    for c in colim.classes:
+        if outcome(colim.support, c) != outcome(oracle.support, colim, c):
+            bad.append(("support", c))
+        if (outcome(colim.class_to_element, c)
+                != outcome(oracle.class_to_element, colim, c)):
+            bad.append(("element", c))
+    return bad
+
+
+def swap_mismatches(W, N):
+    X = iset.support_filtration(W, N)
+    expected = oracle.filtration_swaps(W, N)
+    return [(m, i) for m in range(N + 1) for i in range(1, m)
+            if X.transp[m][i - 1] != expected[m][i - 1]]
+
+
+@kernel_settings
+@given(st.sampled_from(FAMILIES), st.integers(0, 10**6), st.integers(2, 4),
+       st.booleans())
+def test_structure_maps_match_oracles(kind, seed, N, extend):
+    X = diagram(kind, seed, N)
+    if extend:
+        X = lan_extend(X)
+    assert map_along_mismatches(X) == []
+    assert support_mismatches(OmegaColimit(X)) == []
+
+
+@kernel_settings
+@given(st.integers(0, 10**6), st.integers(0, 5))
+def test_filtration_swaps_match_oracle(seed, N):
+    W = random_mset(random.Random(f"swaps:{seed}"),
+                    max_level=min(N, 3), max_points=4)
+    assert swap_mismatches(W, N) == []
+
+
+@kernel_settings
+@given(st.sampled_from(FAMILIES), st.integers(0, 10**6), st.integers(2, 4),
+       st.booleans())
+def test_every_point_above_stability_has_a_face_preimage(kind, seed, N,
+                                                          extend):
+    # validation makes each level above stable_from generated from the
+    # one below, so support's "no preimage" branch is never reached
+    X = diagram(kind, seed, N)
+    if extend:
+        X = lan_extend(X)
+    colim = OmegaColimit(X)
+    for m in range(X.stable_from + 1, X.N + 1):
+        assert set(X.levels[m]) <= set(colim.face_preimages(m))
+
+
+# each comparison above fails on a mutant of what it checks
+
+
+def test_map_along_comparison_catches_a_skipped_inclusion_walk(monkeypatch):
+    def no_walk(self, alpha, n, x):
+        for i in completion_word(alpha, n):
+            x = self.transp[n][i][x]
+        return x
+
+    X = lan_extend(representable_iset(1, 2))
+    assert map_along_mismatches(X) == []
+    monkeypatch.setattr(TruncatedISet, "map_along", no_walk)
+    assert "map_along" in {kind for kind, *_ in map_along_mismatches(X)}
+
+
+def test_face_comparison_catches_a_shifted_face_table(monkeypatch):
+    def shifted(self, k):
+        faces = _face_maps(self, k)
+        return faces[1:] + faces[:1]
+
+    X = representable_iset(2, 3)
+    assert map_along_mismatches(X) == []
+    monkeypatch.setattr(TruncatedISet, "face_maps", shifted)
+    assert "face" in {kind for kind, *_ in map_along_mismatches(X)}
+
+
+def test_preimage_comparison_catches_the_last_preimage(monkeypatch):
+    def last_preimages(self, m):
+        X = self.iset
+        faces = X.face_maps(m)
+        alphas = enumerate(combinations(range(1, m + 1), m - 1))
+        return {faces[m - 1 - i][x0]: (alpha, x0)
+                for x0 in X.levels[m - 1] for i, alpha in alphas}
+
+    # (1,) at level 3 lies in two faces of (1,) at level 2
+    assert support_mismatches(OmegaColimit(representable_iset(1, 3))) == []
+    monkeypatch.setattr(OmegaColimit, "face_preimages", last_preimages)
+    kinds = {kind for kind, *_ in support_mismatches(OmegaColimit(
+        representable_iset(1, 3)))}
+    assert "preimage" in kinds
+
+
+def test_support_comparison_catches_an_unmoved_support(monkeypatch):
+    # pulling the support back without pushing it along the preimage
+    def identity_preimages(self, m):
+        return {x: (tuple(range(1, m)), x0)
+                for x, (_, x0) in real(self, m).items()}
+
+    real = OmegaColimit.face_preimages
+    monkeypatch.setattr(OmegaColimit, "face_preimages", identity_preimages)
+    kinds = {kind for kind, *_ in support_mismatches(OmegaColimit(
+        representable_iset(1, 3)))}
+    assert "support" in kinds
+
+
+def test_element_comparison_catches_a_memo_keyed_by_level(monkeypatch):
+    # (1, 2) and (2, 1) name two classes at level 2
+    assert support_mismatches(OmegaColimit(representable_iset(2, 4))) == []
+    real = OmegaColimit.class_to_element
+    memo = {}
+
+    def by_level(self, c):
+        if c[0] not in memo:
+            memo[c[0]] = real(self, c)
+        return memo[c[0]]
+
+    monkeypatch.setattr(OmegaColimit, "class_to_element", by_level)
+    kinds = {kind for kind, *_ in support_mismatches(OmegaColimit(
+        representable_iset(2, 4)))}
+    assert "element" in kinds
+
+
+def test_swap_comparison_catches_a_point_left_in_place(monkeypatch):
+    def image_only(W, N):
+        X = real(W, N)
+        for m in range(N + 1):
+            for i, t in enumerate(X.transp[m], start=1):
+                swap = {i: i + 1, i + 1: i}
+                for e in t:
+                    image = tuple(sorted(swap.get(v, v) for v in e.image))
+                    t[e] = MElement(e.level, image, e.point)
+        return X
+
+    W = CanonicalTameMSet({2: regular_sigma_set(2)})
+    assert swap_mismatches(W, 3) == []
+    real = iset.support_filtration
+    monkeypatch.setattr(iset, "support_filtration", image_only)
+    assert swap_mismatches(W, 3) != []
+
+
+# ---------------------------------------------------------------------
+# face tables of derived diagrams
+
+
+def assert_face_tables_fresh(X):
+    for k in range(X.N + 1):
+        assert X.face_maps(k) == _face_maps(X, k)
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_derived_diagrams_serve_no_stale_face_table(kind):
+    X = diagram(kind, 0, 3)
+    tables = [X.face_maps(k) for k in range(X.N + 1)]
+    chain = X
+    for _ in range(3):
+        chain = lan_extend(chain)
+        assert_face_tables_fresh(chain)
+    # the levels a derived diagram shares keep their tables
+    assert all(chain.face_maps(k) is tables[k] for k in range(X.N + 1))
+    assert_face_tables_fresh(faithful_extension(X, at_least=X.N + 2))
+    for factor in _day_factors(X, diagram(kind, 1, 2)):
+        assert_face_tables_fresh(factor)

@@ -190,6 +190,20 @@ class TestDecompose:
         with pytest.raises(NotTame):
             decompose_table(table, lambda f, e: X.act(f, e), 4)
 
+    def test_window_below_top_level_is_invisible(self):
+        # the window precondition is the caller's: below the top level
+        # the table is empty and so is the action it decomposes to
+        X = injection_mset(3)
+        assert X.elements_up_to(2) == []
+        out = decompose_table(X.elements_up_to(2), X.act, 2)
+        assert out.levels == {}
+        assert not mset_iso_equal(out, X)
+        for window in (3, 4, 5):
+            with pytest.raises(WindowTooSmall):
+                decompose_table(X.elements_up_to(window), X.act, window)
+        out = decompose_table(X.elements_up_to(6), X.act, 6)
+        assert mset_iso_equal(out, X)
+
 
 class TestBox:
     def test_injections_box_to_regular(self):
