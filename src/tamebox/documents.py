@@ -389,11 +389,10 @@ DECODERS = {
 
 
 class Document:
-    def __init__(self, kind, payload, value, format_version=FORMAT_VERSION):
+    def __init__(self, kind, payload, value):
         self.kind = kind
         self.payload = payload
         self.value = value
-        self.format_version = format_version
 
 
 def parse_document(data) -> Document:
@@ -409,6 +408,11 @@ def parse_document(data) -> Document:
         raise ParseError(str(e)) from None
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ParseError("document must be an object with a kind")
+    # a missing version reads as the only one there is; True == 1 and
+    # 1.0 == 1 in Python, so the type is checked too
+    version = raw.get("formatVersion", FORMAT_VERSION)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ParseError(f"unsupported formatVersion {version!r}")
     kind = raw["kind"]
     payload = raw.get("payload")
     decode = DECODERS.get(kind) if isinstance(kind, str) else None
@@ -418,7 +422,7 @@ def parse_document(data) -> Document:
         value = decode(payload)
     except _MALFORMED as e:
         raise ValidationError(f"{kind} payload", repr(e)) from None
-    return Document(kind, payload, value, raw.get("formatVersion", 1))
+    return Document(kind, payload, value)
 
 
 def serialize_document(kind, value):

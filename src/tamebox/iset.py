@@ -34,6 +34,7 @@ transposition word.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 from .errors import (
     InvalidMorphism,
@@ -70,13 +71,15 @@ class TruncatedISet:
         self.transp = [[dict(t) for t in ts] for ts in transp]
         self._sigma = []
         self._generated = []
+        self._merges = []
         self._faces = []
         self._validate(0, N, stable_from)
 
     def _validate(self, lo, N, stable_from):
         """Check levels lo..N against each other and the levels below,
         which were validated before, and record for each level whether
-        it is generated from the one below."""
+        it is generated from the one below and whether the inclusion
+        into it identifies two elements."""
         self.N = N
         # per-level symmetric-group validation (involutions, Coxeter)
         self._sigma += [
@@ -88,9 +91,10 @@ class TruncatedISet:
         for m in range(below, N):
             if set(self.incl[m]) != set(self.levels[m]):
                 raise ValidationError("inclusion domain", m)
-            tgt = set(self.levels[m + 1])
-            if not set(self.incl[m].values()) <= tgt:
+            image = set(self.incl[m].values())
+            if not image <= set(self.levels[m + 1]):
                 raise ValidationError("inclusion target", m)
+            self._merges.append(len(image) != len(self.incl[m]))
         # naturality of inclusions against transpositions
         for m in range(below, N):
             for i in range(1, m):
@@ -130,6 +134,7 @@ class TruncatedISet:
         out.transp = self.transp[: k + 1] + list(transp)
         out._sigma = self._sigma[: k + 1]
         out._generated = self._generated[:k]
+        out._merges = self._merges[:k]
         out._faces = self._faces[: k + 1]
         out._validate(k + 1, n, stable_from)
         return out
@@ -141,12 +146,8 @@ class TruncatedISet:
     def merge_level(self):
         """The highest level where an inclusion map identifies two
         elements; zero when all inclusions are injective."""
-        out = 0
-        for m in range(self.N):
-            vals = list(self.incl[m].values())
-            if len(set(vals)) != len(vals):
-                out = m + 1
-        return out
+        return max((m + 1 for m, merges in enumerate(self._merges) if merges),
+                   default=0)
 
     def face_maps(self, k):
         """The k face maps X(k-1) -> X(k) of `_face_maps`, built once."""
@@ -397,8 +398,8 @@ def omega_colimit(X: TruncatedISet) -> OmegaColimit:
     return OmegaColimit(X)
 
 
-def canonicalize(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):
-    """The canonical tame action carried by the colimit.
+def _faithful_colimit(X: TruncatedISet) -> OmegaColimit:
+    """The colimit of X, taken in its canonical extension.
 
     The truncation must reach twice the declared stability level; on
     top of that, the diagram is canonically extended until no further
@@ -409,8 +410,13 @@ def canonicalize(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):
         raise TruncationExceeded(
             f"truncation {X.N} below twice the stability level {s}"
         )
-    colim = OmegaColimit(faithful_extension(X))
-    return _canonicalize_core(colim, degree_bound)
+    return OmegaColimit(faithful_extension(X))
+
+
+def canonicalize(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):
+    """The canonical tame action carried by the colimit (see
+    `_faithful_colimit`)."""
+    return _canonicalize_core(_faithful_colimit(X), degree_bound)
 
 
 def _canonicalize_core(colim: OmegaColimit, degree_bound):
@@ -484,11 +490,7 @@ def flat_replacement(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):
 
     Returns (replacement, unit morphism); classes and supports are
     taken in the canonical extension so late merges are respected."""
-    if X.N < 2 * X.stable_from:
-        raise TruncationExceeded(
-            f"truncation {X.N} below twice the stability level"
-        )
-    colim = OmegaColimit(faithful_extension(X))
+    colim = _faithful_colimit(X)
     flat = support_filtration(_canonicalize_core(colim, degree_bound), X.N)
     maps = []
     for m in range(X.N + 1):
@@ -499,13 +501,12 @@ def flat_replacement(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):
     return flat, ISetMorphism(X, flat, maps)
 
 
-class LatchingData:
-    def __init__(self, classes, values, lookup, injective, witness):
-        self.classes = classes
-        self.values = values
-        self.lookup = lookup
-        self.injective = injective
-        self.witness = witness
+class LatchingData(NamedTuple):
+    classes: list
+    values: dict  # class -> its image in X(n)
+    lookup: Callable  # (alpha, x) -> class
+    injective: bool
+    witness: tuple  # (n, class, class, shared value), or None
 
 
 def _face_maps(X: TruncatedISet, k):
@@ -637,14 +638,9 @@ def faithful_extension(X: TruncatedISet, at_least=0):
         cur = nxt
 
 
-class FlatnessReport:
-    def __init__(self, flat, mode, witness):
-        self.flat = flat
-        self.mode = mode
-        self.witness = witness
-
-    def __bool__(self):
-        return self.flat
+class FlatnessReport(NamedTuple):
+    flat: bool
+    witness: tuple  # why X is not flat, or None
 
 
 def is_flat(X: TruncatedISet, mode="latching") -> FlatnessReport:
@@ -655,65 +651,45 @@ def is_flat(X: TruncatedISet, mode="latching") -> FlatnessReport:
         b = is_flat(X, "direct")
         if a.flat != b.flat:
             raise NotTame("flatness criteria disagree; internal error")
-        return FlatnessReport(a.flat, "both", a.witness or b.witness)
+        return FlatnessReport(a.flat, a.witness or b.witness)
     if mode == "latching":
         for n in range(1, X.N + 1):
             data = latching(X, n)
             if not data.injective:
-                return FlatnessReport(False, mode, data.witness)
-        return FlatnessReport(True, mode, None)
+                return FlatnessReport(False, data.witness)
+        return FlatnessReport(True, None)
     if mode != "direct":
         raise ValueError(f"unknown flatness mode {mode!r}")
-    for m in range(X.N):
-        vals = list(X.incl[m].values())
-        if len(set(vals)) != len(vals):
-            return FlatnessReport(False, mode, ("inclusion", m))
+    if X.merge_level:
+        return FlatnessReport(False, ("inclusion", X._merges.index(True)))
     # every map factors as a permutation after inclusions, so injective
     # inclusions make all maps injective; cospans with an isomorphism
     # leg then satisfy the intersection condition automatically.  The
     # condition is unchanged when a leg is precomposed with a
     # permutation, so the legs run over order embeddings of subsets.
-    table_cache = {}
-
-    def tab(alpha, target):
-        key = (alpha, target)
-        got = table_cache.get(key)
-        if got is None:
-            got = {
-                u: X.map_along(alpha, target, u)
-                for u in X.levels[len(alpha)]
-            }
-            table_cache[key] = got
-        return got
-
+    # With injective maps, the pair (u, v) with alpha_* u = beta_* v = z
+    # comes from the meet exactly when z lies in the image of the meet,
+    # so the first such z outside it names the first pair not spanned.
     for n in range(X.N + 1):
+        everything = range(1, n + 1)
+        # image point -> source point, for each proper subset of {1..n}
+        image = {
+            A: {X.map_along(A, n, u): u for u in X.levels[a]}
+            for a in range(n) for A in combinations(everything, a)
+        }
         for a in range(n):
-            if not X.levels[a]:
-                continue
-            for alpha in combinations(range(1, n + 1), a):
-                ia = set(alpha)
-                back_a = {v: u for u, v in tab(alpha, n).items()}
+            for alpha in combinations(everything, a):
+                in_alpha = image[alpha]
                 for b in range(a, n):
-                    if not X.levels[b]:
-                        continue
-                    for beta in combinations(range(1, n + 1), b):
-                        meet = sorted(ia & set(beta))
-                        gamma1 = tuple(alpha.index(d) + 1 for d in meet)
-                        gamma2 = tuple(beta.index(d) + 1 for d in meet)
-                        t1 = tab(gamma1, a)
-                        t2 = tab(gamma2, b)
-                        spanned = {
-                            (t1[w], t2[w]) for w in X.levels[len(meet)]
-                        }
-                        tb = tab(beta, n)
-                        for v in X.levels[b]:
-                            u = back_a.get(tb[v])
-                            if u is not None and (u, v) not in spanned:
-                                return FlatnessReport(
-                                    False, mode,
-                                    ("pullback", n, alpha, beta, u, v),
-                                )
-    return FlatnessReport(True, mode, None)
+                    for beta in combinations(everything, b):
+                        in_meet = image[tuple(d for d in alpha if d in beta)]
+                        for z, v in image[beta].items():
+                            if z in in_alpha and z not in in_meet:
+                                return FlatnessReport(False, (
+                                    "pullback", n, alpha, beta,
+                                    in_alpha[z], v,
+                                ))
+    return FlatnessReport(True, None)
 
 
 def mono_pushout_injective(f: ISetMorphism, n):

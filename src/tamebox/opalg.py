@@ -428,10 +428,13 @@ class Certificate:
 
 
 def verify_certificate(cert: Certificate, phi=None, psi=None):
-    """Exact verification: every move fixes its constraint set, every
-    step joins consecutive elements, endpoints match when given.
+    """Exact verification: one constraint set per slot, every move
+    fixes its constraint set, every step joins consecutive elements,
+    endpoints match when given.
 
     Returns (ok, failing step index or None, reason)."""
+    if len(cert.constraints) != cert.n:
+        return False, None, "constraint count mismatch"
     chain = cert.chain()
     for e in chain:
         if e.arity != cert.n:

@@ -128,6 +128,8 @@ class SigmaSet:
     """A validated finite set with an action of the symmetric group."""
 
     def __init__(self, m, points, transpositions, degree_bound=DEFAULT_DEGREE_BOUND):
+        if m < 0:
+            raise ValidationError("negative degree", m)
         if m > degree_bound:
             raise DegreeTooLarge(f"degree {m} beyond bound {degree_bound}")
         points = list(points)

@@ -13,6 +13,10 @@ the tables: `map_along` builds the completing permutation and acts by
 its sorted word, `support` finds a preimage by scanning every face of
 every lower point, and `filtration_swaps` acts on canonical elements
 through partial injections.
+
+`direct_flatness` is the direct flatness route that rebuilds the span
+of every meet and compares pairs, and `merge_level` rescans every
+inclusion; the library reads both off the images it builds once.
 """
 
 from itertools import combinations
@@ -256,3 +260,64 @@ def day_convolution(X: TruncatedISet, Y: TruncatedISet):
         transp.append(tabs)
     s = minimal_stable_from(N, levels, incl, transp)
     return TruncatedISet(N, levels, incl, transp, s)
+
+
+def merge_level(X: TruncatedISet):
+    """The highest level where an inclusion identifies two elements;
+    zero when all inclusions are injective."""
+    out = 0
+    for m in range(X.N):
+        vals = list(X.incl[m].values())
+        if len(set(vals)) != len(vals):
+            out = m + 1
+    return out
+
+
+def direct_flatness(X: TruncatedISet):
+    """(flat, witness) by the direct criterion: every inclusion is
+    injective, and for order embeddings alpha, beta into {1..n} every
+    pair (u, v) with alpha_* u = beta_* v comes from one element of
+    the meet through the two maps onto alpha and beta."""
+    for m in range(X.N):
+        vals = list(X.incl[m].values())
+        if len(set(vals)) != len(vals):
+            return False, ("inclusion", m)
+    table_cache = {}
+
+    def tab(alpha, target):
+        key = (alpha, target)
+        got = table_cache.get(key)
+        if got is None:
+            got = {
+                u: map_along(X, alpha, target, u)
+                for u in X.levels[len(alpha)]
+            }
+            table_cache[key] = got
+        return got
+
+    for n in range(X.N + 1):
+        for a in range(n):
+            if not X.levels[a]:
+                continue
+            for alpha in combinations(range(1, n + 1), a):
+                ia = set(alpha)
+                back_a = {v: u for u, v in tab(alpha, n).items()}
+                for b in range(a, n):
+                    if not X.levels[b]:
+                        continue
+                    for beta in combinations(range(1, n + 1), b):
+                        meet = sorted(ia & set(beta))
+                        gamma1 = tuple(alpha.index(d) + 1 for d in meet)
+                        gamma2 = tuple(beta.index(d) + 1 for d in meet)
+                        t1 = tab(gamma1, a)
+                        t2 = tab(gamma2, b)
+                        spanned = {
+                            (t1[w], t2[w]) for w in X.levels[len(meet)]
+                        }
+                        tb = tab(beta, n)
+                        for v in X.levels[b]:
+                            u = back_a.get(tb[v])
+                            if u is not None and (u, v) not in spanned:
+                                return False, ("pullback", n, alpha, beta,
+                                               u, v)
+    return True, None

@@ -230,6 +230,8 @@ def _qa_piece(**fields):
 # kind check, rejects a malformed document of those kinds
 ACT_ON_BAD = ["act", "<bad>", "<m2>",
               "--element", '{"level":2,"image":[1,2],"point":"p0"}']
+NEGATIVE_DEGREE = json.dumps({"kind": "mset", "payload": {"levels": {
+    "-1": {"m": -1, "points": ["a"], "s": []}}}})
 
 
 def _call_on_bad(capsys, inputs, tmp_path, argv, text):
@@ -254,12 +256,36 @@ class TestReportDiscipline:
         (ACT_ON_BAD, _qa_piece(mod=0)),
         (ACT_ON_BAD, '{"kind": "qa-injection", "payload": {}}'),
         (["orbit-set", "<bad>"], '{"kind": "mset", "payload": null}'),
-    ], ids=["lo-0", "mod-0", "no-pieces-field", "null-payload"])
+        # orbit-set listed the orbit at degree -1; box and decompose
+        # raised an uncaught ValueError
+        *[(argv, NEGATIVE_DEGREE) for argv in (
+            ["orbit-set", "<bad>"], ["box", "<bad>", "<m1>"],
+            ["decompose", "<bad>"])],
+    ], ids=["lo-0", "mod-0", "no-pieces-field", "null-payload",
+            "negative-degree-orbit-set", "negative-degree-box",
+            "negative-degree-decompose"])
     def test_malformed_document_is_an_input_error(self, capsys, inputs,
                                                   tmp_path, argv, text):
         code, rep = _call_on_bad(capsys, inputs, tmp_path, argv, text)
         assert code == 2
         assert rep["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("version,code", [
+        (7, 2), ("x", 2), ("1", 2), (True, 2), (None, 2), (1.0, 2),
+        (1, 0), ("missing", 0),
+    ], ids=["7", "string-x", "string-1", "true", "null", "float-1", "1",
+            "missing"])
+    def test_format_version_other_than_1_is_an_input_error(
+            self, capsys, inputs, tmp_path, version, code):
+        # every version decoded alike and was kept unread
+        raw = {"kind": "mset", "payload": {"levels": {}}}
+        if version != "missing":
+            raw["formatVersion"] = version
+        got, rep = _call_on_bad(capsys, inputs, tmp_path,
+                                ["orbit-set", "<bad>"], json.dumps(raw))
+        assert got == code
+        if code:
+            assert rep["error"]["type"] == "ParseError"
 
     @pytest.mark.parametrize("ratio", ["1_0/10", " 1/1", "2/2", "3/1",
                                        "1/-2", "+1/2"])
@@ -495,6 +521,23 @@ class TestCommandTable:
             del entry["skipped"]
         assert _sha256(canonical_json(report) + "\n") == (
             SELFTEST_WITHOUT_SKIPPED_SHA256)
+
+    @pytest.mark.parametrize("constraints", [[[]], [[], [], [1]]],
+                             ids=["one-set", "three-sets"])
+    def test_constraint_count_other_than_arity_fails(self, capsys, inputs,
+                                                     tmp_path, constraints):
+        # moves were paired with constraint sets by zip, so the stored
+        # certificate with its list cut or grown still verified
+        with open(PARENT_CERTIFICATE, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["payload"]["A"] = constraints
+        bad = tmp_path / "bad-cert.json"
+        bad.write_text(json.dumps(raw))
+        code, out = _call(capsys, ARGV["verify-cert"],
+                          {**inputs, "cert": str(bad)})
+        assert code == 1
+        assert json.loads(out)["counterexample"] == {
+            "step": None, "reason": "constraint count mismatch"}
 
     def test_golden_covers_every_command(self):
         assert [g[0] for g in GOLDEN] == [c.name for c in cli.COMMANDS]

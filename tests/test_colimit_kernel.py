@@ -1,8 +1,10 @@
 """The face-indexed colimit kernels of tamebox.iset against the
 brute-force tuple enumerations kept in colimit_oracle, on seeded
-diagrams of every generator family at N <= 4, and the tabulated
+diagrams of every generator family at N <= 4, the tabulated
 structure maps (face tables, completion words, support preimages,
-filtration swaps) against the oracles that recompute them."""
+filtration swaps) against the oracles that recompute them, and the
+direct flatness route and merge levels against the route that
+rebuilds every meet's span and the rescan of every inclusion."""
 
 import random
 from collections import Counter
@@ -30,6 +32,7 @@ from tamebox.iset import (
     constant_iset,
     day_convolution,
     faithful_extension,
+    is_flat,
     lan_extend,
     latching,
     quotient_iset,
@@ -320,6 +323,20 @@ def test_every_point_above_stability_has_a_face_preimage(kind, seed, N,
     colim = OmegaColimit(X)
     for m in range(X.stable_from + 1, X.N + 1):
         assert set(X.levels[m]) <= set(colim.face_preimages(m))
+
+
+@kernel_settings
+@given(st.sampled_from(FAMILIES), st.integers(0, 10**6), st.integers(2, 5),
+       st.booleans())
+def test_direct_flatness_and_merge_level_match_oracles(kind, seed, N, extend):
+    # lan_extend and the cut below read the merges their source recorded
+    X = diagram(kind, seed, N)
+    if extend:
+        X = lan_extend(X)
+    report = is_flat(X, "direct")
+    assert (report.flat, report.witness) == oracle.direct_flatness(X)
+    for Y in (X, X._derived(X.N - 1)):
+        assert Y.merge_level == oracle.merge_level(Y)
 
 
 # each comparison above fails on a mutant of what it checks

@@ -151,6 +151,14 @@ class TestCanonicalize:
         with pytest.raises(TruncationExceeded):
             canonicalize(representable_iset(2, 3))
 
+    @pytest.mark.parametrize("build", [canonicalize, flat_replacement])
+    def test_precondition_names_the_stability_level(self, build):
+        # flat_replacement's message used to stop before the level
+        with pytest.raises(TruncationExceeded,
+                           match="^truncation 3 below twice the stability "
+                                 "level 2$"):
+            build(representable_iset(2, 3))
+
     def test_round_trip_with_filtration(self):
         W = sample_mset()
         X = support_filtration(W, 4)
