@@ -33,7 +33,8 @@ from .iset import (
 )
 from .mset import box, decompose_table, mset_iso_equal
 from .opalg import (
-    algebra_to_monoid,
+    CommMonoidPresentation,
+    algebra_table,
     certify_agreement,
     infinite_symmetric_product,
     monoid_to_algebra,
@@ -246,10 +247,11 @@ def _flat_check(args, report):
 def _flatten(args, report):
     iset = _load(args.iset, "iset")
     report["inputs"] = _digest([iset.payload])
-    flat, eta = flat_replacement(iset.value, args.degree_bound)
+    _, eta = flat_replacement(iset.value, args.degree_bound)
+    unit = docs.encode_iset_morphism(eta)
     report["value"] = {
-        "flat": docs.encode_iset(flat),
-        "unit": docs.encode_iset_morphism(eta),
+        "flat": unit["target"],  # the unit's target is the replacement
+        "unit": unit,
         "unitLevelwiseBijective": eta.level_bijective(),
     }
     return 0
@@ -325,8 +327,12 @@ def _to_monoid(args, report):
     monoid = _load(args.monoid, "monoid")
     report["inputs"] = _digest([monoid.payload])
     P = monoid.value
-    back = algebra_to_monoid(monoid_to_algebra(P))
-    same = back.table == P.table and back.unit_point == P.unit_point
+    A = monoid_to_algebra(P)
+    unit, table = algebra_table(A)
+    same = table == P.table and unit == P.unit_point
+    # P was validated on loading, and A keeps its carrier and cap
+    back = P if same else CommMonoidPresentation(A.carrier, unit, table,
+                                                 A.level_cap)
     report["value"] = json.loads(docs.serialize_document("monoid", back))
     return _verdict(report, same)
 

@@ -128,8 +128,8 @@ def encode_element(x: MElement, names: PointNames = None):
     return {"level": x.level, "image": list(x.image), "point": point}
 
 
-def encode_iset(X: TruncatedISet):
-    layers = [PointNames(level) for level in X.levels]
+def encode_iset(X: TruncatedISet, layers=None):
+    layers = layers or [PointNames(level) for level in X.levels]
     return {
         "N": X.N,
         "stableFrom": X.stable_from,
@@ -155,8 +155,8 @@ def encode_iset_morphism(f: ISetMorphism):
     tgt = [PointNames(level) for level in f.target.levels]
     return {
         "morphism": "iset",
-        "source": encode_iset(f.source),
-        "target": encode_iset(f.target),
+        "source": encode_iset(f.source, src),
+        "target": encode_iset(f.target, tgt),
         "levels": [
             {src[m].to_name[p]: tgt[m].to_name[q]
              for p, q in f.maps[m].items()}
@@ -228,11 +228,43 @@ def wrap(kind, payload):
 
 def _int(value, field):
     """An integer-valued field: JSON integers only, so a float, a bool
-    or a numeric string is refused rather than coerced.  Object keys
-    are strings in JSON and are read with int() where they are used."""
+    or a numeric string is refused rather than coerced."""
     if type(value) is not int:
         raise ValidationError("integer field", f"{field}={value!r}")
     return value
+
+
+def _int_key(key, field):
+    """An integer object key in the one form the encoder writes, str(m),
+    so that "+1" or " 01" cannot stand in for the key "1"."""
+    try:
+        m = int(key)
+    except ValueError:
+        m = None
+    if m is None or str(m) != key:
+        raise ValidationError("integer key as str(m)", f"{field}={key!r}")
+    return m
+
+
+def _list(value, field):
+    """A field the encoder writes as a JSON array; a string or an object
+    is refused rather than iterated."""
+    if type(value) is not list:
+        raise ValidationError("array field", f"{field}={value!r}")
+    return value
+
+
+def _obj(value, field):
+    """A field the encoder writes as a JSON object; a list of pairs is
+    refused rather than read as a table."""
+    if type(value) is not dict:
+        raise ValidationError("object field", f"{field}={value!r}")
+    return value
+
+
+def _objs(value, field):
+    """An array of objects."""
+    return [_obj(v, field) for v in _list(value, field)]
 
 
 def _frac_in(v):
@@ -250,7 +282,8 @@ def _frac_in(v):
 def decode_partial(payload):
     try:
         return PartialInjection(
-            {int(k): _int(v, "map") for k, v in payload["map"].items()})
+            {_int_key(k, "map"): _int(v, "map")
+             for k, v in _obj(payload["map"], "map").items()})
     except KeyError as e:
         raise ValidationError("partial-injection fields", str(e)) from None
 
@@ -263,12 +296,12 @@ def decode_qa(payload):
          _int(raw["res"], "res"),
          _frac_in(raw["a"]),
          _frac_in(raw["b"]))
-        for raw in payload["pieces"]
+        for raw in _objs(payload["pieces"], "pieces")
     ])
 
 
 def decode_injection(payload):
-    if "map" in payload:
+    if "map" in _obj(payload, "injection"):
         return decode_partial(payload)
     if "pieces" in payload:
         return decode_qa(payload)
@@ -276,7 +309,8 @@ def decode_injection(payload):
 
 
 def decode_operad(payload):
-    slots = [decode_injection(raw) for raw in payload["slots"]]
+    slots = [decode_injection(raw)
+             for raw in _list(payload["slots"], "slots")]
     e = OperadElement(slots)
     if e.arity != _int(payload["arity"], "arity"):
         raise ValidationError("arity", payload["arity"])
@@ -285,15 +319,14 @@ def decode_operad(payload):
 
 def decode_sigma(payload):
     m = _int(payload["m"], "m")
-    points = list(payload["points"])
-    tables = [dict(t) for t in payload["s"]]
-    return SigmaSet(m, points, tables)
+    return SigmaSet(m, _list(payload["points"], "points"),
+                    _objs(payload["s"], "s"))
 
 
 def decode_mset(payload):
     levels = {}
-    for key, raw in payload.get("levels", {}).items():
-        levels[int(key)] = decode_sigma(raw)
+    for key, raw in _obj(payload.get("levels", {}), "levels").items():
+        levels[_int_key(key, "levels")] = decode_sigma(_obj(raw, "levels"))
     return CanonicalTameMSet(levels)
 
 
@@ -303,7 +336,8 @@ def decode_element(payload, X: CanonicalTameMSet = None):
     command-line arguments, so this catches malformed fields itself."""
     try:
         level = _int(payload["level"], "level")
-        image = tuple(_int(v, "image") for v in payload["image"])
+        image = tuple(_int(v, "image")
+                      for v in _list(payload["image"], "image"))
         point = payload["point"]
         if len(image) != level:
             raise ValidationError("one image entry per level", image)
@@ -327,9 +361,9 @@ def decode_element(payload, X: CanonicalTameMSet = None):
 
 def decode_iset(payload):
     N = _int(payload["N"], "N")
-    levels = [list(l) for l in payload["levels"]]
-    incl = [dict(d) for d in payload["incl"]]
-    transp = [[dict(t) for t in ts] for ts in payload["s"]]
+    levels = [_list(l, "levels") for l in _list(payload["levels"], "levels")]
+    incl = _objs(payload["incl"], "incl")
+    transp = [_objs(ts, "s") for ts in _list(payload["s"], "s")]
     return TruncatedISet(N, levels, incl, transp,
                          _int(payload["stableFrom"], "stableFrom"))
 
@@ -337,18 +371,19 @@ def decode_iset(payload):
 def decode_iset_morphism(payload):
     if not isinstance(payload, dict) or payload.get("morphism") != "iset":
         raise ValidationError("morphism discriminator", "morphism")
-    src = decode_iset(payload["source"])
-    tgt = decode_iset(payload["target"])
-    return ISetMorphism(src, tgt, [dict(d) for d in payload["levels"]])
+    src = decode_iset(_obj(payload["source"], "source"))
+    tgt = decode_iset(_obj(payload["target"], "target"))
+    return ISetMorphism(src, tgt, _objs(payload["levels"], "levels"))
 
 
 def decode_monoid(payload):
-    carrier = decode_mset(payload["carrier"])
+    carrier = decode_mset(_obj(payload["carrier"], "carrier"))
     table = {}
-    for raw in payload["sums"]:
-        m, ra = _int(raw["a"][0], "a"), raw["a"][1]
-        n, rb = _int(raw["b"][0], "b"), raw["b"][1]
-        val = decode_element(raw["result"], carrier)
+    for raw in _objs(payload["sums"], "sums"):
+        m, ra = _list(raw["a"], "a")
+        n, rb = _list(raw["b"], "b")
+        m, n = _int(m, "a"), _int(n, "b")
+        val = decode_element(_obj(raw["result"], "result"), carrier)
         table[((m, ra), (n, rb))] = val
     cap = payload.get("levelCap")
     return CommMonoidPresentation(
@@ -359,19 +394,20 @@ def decode_monoid(payload):
 
 def decode_certificate(payload):
     steps = []
-    for raw in payload["chain"]:
+    for raw in _objs(payload["chain"], "chain"):
         steps.append(
             CertificateStep(
-                decode_operad(raw["elem"]),
-                tuple(decode_qa(f) for f in raw["move"]),
+                decode_operad(_obj(raw["elem"], "elem")),
+                tuple(decode_qa(f) for f in _objs(raw["move"], "move")),
                 raw["dir"],
             )
         )
     return Certificate(
         _int(payload["n"], "n"),
-        [frozenset(_int(a, "A") for a in A) for A in payload["A"]],
+        [frozenset(_int(a, "A") for a in _list(A, "A"))
+         for A in _list(payload["A"], "A")],
         steps,
-        decode_operad(payload["final"]),
+        decode_operad(_obj(payload["final"], "final")),
     )
 
 

@@ -23,9 +23,16 @@ maximal face and element, glued along the faces one size down through
 the face maps, and any (injection, element) pair is resolved onto a
 maximal face by sorting it and acting by the rank permutation.
 
+The nodes are integer ids, numbered from the face (or decomposition)
+and the positions of the points in their levels, in the order the
+nodes are listed; `unionfind.UnionFind.over` roots every class at its
+least id, so each class is named by its first node.  What is glued at
+level n depends only on n and is built once per n.
+
 The face maps of a level are tabulated once per diagram, from the
-inclusion and the transposition tables, and a derived diagram shares
-the tables of the levels it shares.  The colimit kernels, the Day
+inclusion and the transposition tables, with the position of every
+point and the face maps on positions; a derived diagram shares the
+tables of the levels it shares.  The colimit kernels, the Day
 convolution and the support search read them from there; any other
 injection is applied by walking the inclusions and then a cached
 transposition word.
@@ -33,6 +40,8 @@ transposition word.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -73,6 +82,8 @@ class TruncatedISet:
         self._generated = []
         self._merges = []
         self._faces = []
+        self._positions = []
+        self._face_positions = []
         self._validate(0, N, stable_from)
 
     def _validate(self, lo, N, stable_from):
@@ -87,6 +98,8 @@ class TruncatedISet:
             for m in range(lo, N + 1)
         ]
         self._faces += [None] * (N + 1 - lo)
+        self._positions += [None] * (N + 1 - lo)
+        self._face_positions += [None] * (N + 1 - lo)
         below = max(lo - 1, 0)
         for m in range(below, N):
             if set(self.incl[m]) != set(self.levels[m]):
@@ -136,6 +149,8 @@ class TruncatedISet:
         out._generated = self._generated[:k]
         out._merges = self._merges[:k]
         out._faces = self._faces[: k + 1]
+        out._positions = self._positions[: k + 1]
+        out._face_positions = self._face_positions[: k + 1]
         out._validate(k + 1, n, stable_from)
         return out
 
@@ -155,6 +170,26 @@ class TruncatedISet:
         if faces is None:
             faces = self._faces[k] = _face_maps(self, k)
         return faces
+
+    def positions(self, m):
+        """Each point of level m sent to its index in the level, built
+        once."""
+        pos = self._positions[m]
+        if pos is None:
+            pos = self._positions[m] = {
+                x: i for i, x in enumerate(self.levels[m])}
+        return pos
+
+    def face_positions(self, k):
+        """`face_maps(k)` on positions, built once: entry j lists the
+        position in level k of the image of each point of level k-1,
+        in level order."""
+        table = self._face_positions[k]
+        if table is None:
+            pos = self.positions(k)
+            table = self._face_positions[k] = [
+                [pos[z] for z in face.values()] for face in self.face_maps(k)]
+        return table
 
     def map_along(self, alpha, n, x):
         """Apply the functor to the injection given by the value tuple
@@ -291,9 +326,9 @@ class OmegaColimit:
         # (level, key)-least node, and roots() lists them in that order
         uf = UnionFind((m, p) for m in range(X.N + 1)
                        for p in sorted(X.levels[m], key=point_key))
-        for m in range(X.N):
-            for p in X.levels[m]:
-                uf.union((m, p), (m + 1, X.incl[m][p]))
+        below = [(m, p) for m in range(X.N) for p in X.levels[m]]
+        uf.union_ids([uf.ids[node] for node in below],
+                     [uf.ids[m + 1, X.incl[m][p]] for m, p in below])
         self.root = {node: uf.find(node) for node in uf.nodes}
         self.classes = uf.roots()
         self._supp = {}
@@ -524,6 +559,19 @@ def _face_maps(X: TruncatedISet, k):
     return faces
 
 
+@lru_cache(maxsize=None)
+def _face_shape(n):
+    """What `_colimit_under` glues at level n, which depends only on n:
+    the maximal proper faces of {1..n}, faces[i] missing n - i, and one
+    row (i, j, i2, j2) per pair of values a < b.  The faces i = n - b
+    and i2 = n - a meet in the face missing both, whose points reach
+    face i along the face map j = a - 1 and face i2 along j2 = b - 2."""
+    faces = list(combinations(range(1, n + 1), n - 1))
+    rows = [(n - b, a - 1, n - a, b - 2)
+            for a, b in combinations(range(1, n + 1), 2)]
+    return faces, rows
+
+
 def _colimit_under(X: TruncatedISet, n):
     """The colimit of X over the proper subobjects of {1..n}, n at most
     one past the truncation.
@@ -533,32 +581,36 @@ def _colimit_under(X: TruncatedISet, n):
     for its order embedding.  Every pair (alpha, x) is therefore equal
     to a pair (S, x') with S a maximal proper face, |S| = n-1, and two
     such faces S1, S2 meet in one face of size n-2 whose elements are
-    glued through the two face maps.  Returns the classes, each named
-    by its first node (S, x), and the resolver sending any (alpha, x),
+    glued through the two face maps.  The node (S, x) has the id
+    i * |X(n-1)| + (position of x), S = faces[i] missing n - i, so ids
+    follow the order (S, x) and each class is named by its first node.
+    Returns the classes (S, x) and the resolver sending any (alpha, x),
     alpha a value tuple of length at most n-1, to its class."""
     if n > X.N + 1:
         raise TruncationExceeded(f"level {n} beyond truncation {X.N} + 1")
     k = n - 1
-    faces = list(combinations(range(1, n + 1), k))  # faces[i] misses n - i
-    uf = UnionFind((S, x) for S in faces for x in X.levels[k])
+    faces, rows = _face_shape(n)
+    level = X.levels[k]
+    size = len(level)
+    uf = UnionFind.over(n * size)
     if k >= 1:
-        d = X.face_maps(k)
-        for a, b in combinations(range(1, n + 1), 2):
-            # the faces missing b and missing a, seen from their meet
-            Sa, Sb = faces[n - b], faces[n - a]
-            da, db = d[a - 1], d[b - 2]
-            for y in X.levels[k - 1]:
-                uf.union((Sa, da[y]), (Sb, db[y]))
+        d = X.face_positions(k)
+        uf.union_ids([i * size + z for i, j, _, _ in rows for z in d[j]],
+                     [i * size + z for _, _, i, j in rows for z in d[j]])
+    pos = X.positions(k)
+
+    def node(r):
+        return faces[r // size], level[r % size]
 
     def lookup(alpha, x):
-        used = set(alpha)
-        extra = [v for v in range(1, n + 1) if v not in used]
-        S = tuple(sorted(used.union(extra[: k - len(alpha)])))
-        rank = {v: r for r, v in enumerate(S, start=1)}
-        beta = tuple(rank[v] for v in alpha)
-        return uf.find((S, X.map_along(beta, k, x)))
+        # alpha lies in the face missing the greatest value it misses,
+        # and its ranks there keep the values below that one
+        gap = next(v for v in range(n, 0, -1) if v not in alpha)
+        beta = tuple(v if v < gap else v - 1 for v in alpha)
+        return node(uf.root_id(
+            (n - gap) * size + pos[X.map_along(beta, k, x)]))
 
-    return uf.roots(), lookup
+    return [node(r) for r in uf.root_ids()], lookup
 
 
 def latching(X: TruncatedISet, n) -> LatchingData:
@@ -569,8 +621,13 @@ def latching(X: TruncatedISet, n) -> LatchingData:
     the class of any pair with alpha a non-surjective injection."""
     if n == 0:
         return LatchingData([], {}, None, True, None)
+    if n > X.N:
+        raise TruncationExceeded(f"level {n} beyond truncation {X.N}")
     classes, lookup = _colimit_under(X, n)
-    values = {c: X.map_along(c[0], n, c[1]) for c in classes}
+    # S misses one value g, and maps x along the face that skips g
+    faces = X.face_maps(n)
+    total = n * (n + 1) // 2
+    values = {c: faces[total - sum(c[0]) - 1][c[1]] for c in classes}
     seen = {}
     injective = True
     witness = None
@@ -599,12 +656,17 @@ def lan_extend(X: TruncatedISet) -> TruncatedISet:
     new_incl = {x: lookup(tuple(range(1, n)), x) for x in X.levels[X.N]}
     new_transp = []
     for i in range(1, n):
-        swap = {i: i + 1, i + 1: i}
-        new_transp.append({
-            c: lookup(tuple(swap.get(v, v) for v in c[0]), c[1])
-            for c in classes
-        })
+        new_transp.append({c: lookup(_swapped(c[0], i), c[1])
+                           for c in classes})
     return X._derived(n, [classes], [new_incl], [new_transp])
+
+
+@lru_cache(maxsize=None)
+def _swapped(values, i):
+    """The value tuple with i and i+1 exchanged: a face of {1..n}, or a
+    decomposition's permutation, moved by the transposition s_i."""
+    swap = {i: i + 1, i + 1: i}
+    return tuple(swap.get(v, v) for v in values)
 
 
 def faithful_extension(X: TruncatedISet, at_least=0):
@@ -742,6 +804,44 @@ def _day_factors(X: TruncatedISet, Y: TruncatedISet):
     return A._derived(target), B._derived(target)
 
 
+@lru_cache(maxsize=None)
+def _day_shape(n):
+    """What `_day_level` glues at level n, which depends only on n: the
+    subsets A of {1..n} in node order, each as (|A|, A followed by its
+    complement); the index of each subset; and one row (a, index of A,
+    index of A + e, X-face, Y-face) per subset A of size a < n and
+    value e outside A, naming the face maps that carry the pairs over
+    (A, complement of A + e) into the two maximal pairs above them."""
+    everything = range(1, n + 1)
+    subsets = [A for a in range(n + 1) for A in combinations(everything, a)]
+    index = {A: i for i, A in enumerate(subsets)}
+    splits = [(len(A), A + tuple(v for v in everything if v not in A))
+              for A in subsets]
+    rows = []
+    for e in everything:
+        rest = [v for v in everything if v != e]
+        for a in range(n):
+            for A in combinations(rest, a):
+                Ae = tuple(sorted(A + (e,)))
+                full = splits[index[Ae]][1]
+                rows.append((a, index[A], index[Ae], Ae.index(e),
+                             sum(v < e for v in full[a + 1:])))
+    return splits, index, rows
+
+
+@lru_cache(maxsize=None)
+def _day_ranks(n, m1, gamma):
+    """The pair (m1, gamma) at level n seen on its maximal pair: the
+    index of the subset A = gamma[:m1] in `_day_shape(n)`, and the
+    ranks of the two blocks of gamma in A and in its complement."""
+    _, index, _ = _day_shape(n)
+    first = gamma[:m1]
+    A = tuple(sorted(first))
+    rest = [v for v in range(1, n + 1) if v not in A]
+    return (index[A], tuple(A.index(v) + 1 for v in first),
+            tuple(rest.index(v) + 1 for v in gamma[m1:]))
+
+
 def _day_level(X: TruncatedISet, Y: TruncatedISet, n):
     """Level n of the convolution of two factors of height at least n.
 
@@ -750,45 +850,47 @@ def _day_level(X: TruncatedISet, Y: TruncatedISet, n):
     (|A|, A + complement, x, y) per x in X(|A|) and y in Y(n-|A|).  A
     pair of total size n-1, missing e, lies below exactly two maximal
     pairs (e joins either side) and glues them through the face maps
-    of the two factors.  Returns the classes and the resolver of any
-    (m1, gamma, x, y) with gamma injective into {1..n}."""
-    everything = range(1, n + 1)
-    # each subset A followed by its complement, in node order
-    split = {
-        A: A + tuple(v for v in everything if v not in A)
-        for a in range(n + 1)
-        for A in combinations(everything, a)
-    }
-    uf = UnionFind(
-        (len(A), full, x, y)
-        for A, full in split.items()
-        for x in X.levels[len(A)]
-        for y in Y.levels[n - len(A)]
-    )
-    for e in everything:
-        rest = [v for v in everything if v != e]
-        for a in range(n):
-            dX = X.face_maps(a + 1)
-            dY = Y.face_maps(n - a)
-            for A in combinations(rest, a):
-                Ae = tuple(sorted(A + (e,)))
-                full = split[Ae]
-                fx = dX[Ae.index(e)]
-                fy = dY[sum(v < e for v in full[a + 1:])]
-                for x in X.levels[a]:
-                    for y in Y.levels[n - 1 - a]:
-                        uf.union((a + 1, full, fx[x], y),
-                                 (a, split[A], x, fy[y]))
+    of the two factors.  The node of the i-th subset A of size a has
+    the id base[i] + (position of x) * |Y(n-a)| + (position of y), so
+    ids follow the node order and each class is named by its first
+    node.  Returns the classes and the resolver of any (m1, gamma, x,
+    y) with gamma injective into {1..n}."""
+    splits, _, rows = _day_shape(n)
+    wide = [len(Y.levels[n - a]) for a in range(n + 1)]  # |Y(n-a)|
+    base = []
+    count = 0
+    for a, _ in splits:
+        base.append(count)
+        count += len(X.levels[a]) * wide[a]
+    uf = UnionFind.over(count)
+    dX = [X.face_positions(a + 1) for a in range(n)]
+    dY = [Y.face_positions(n - a) for a in range(n)]
+    xs = [range(len(X.levels[a])) for a in range(n)]
+    ys = [range(wide[a + 1]) for a in range(n)]
+    # (x, y) over (A, complement of A + e) is (fx[x], y) on A + e and
+    # (x, fy[y]) on A, with fx = dX[a][jx] and fy = dY[a][jy]
+    uf.union_ids(
+        [base[j] + u * wide[a + 1] + y
+         for a, _, j, jx, _ in rows for u in dX[a][jx] for y in ys[a]],
+        [base[i] + x * wide[a] + v
+         for a, i, _, _, jy in rows for x in xs[a] for v in dY[a][jy]])
+
+    def node(r):
+        i = bisect_right(base, r) - 1
+        a, full = splits[i]
+        u, v = divmod(r - base[i], wide[a])
+        return a, full, X.levels[a][u], Y.levels[n - a][v]
+
+    posX = [X.positions(a) for a in range(n + 1)]
+    posY = [Y.positions(n - a) for a in range(n + 1)]
 
     def lookup(m1, gamma, x, y):
-        full = split[tuple(sorted(gamma[:m1]))]
-        rank = {v: r for r, v in enumerate(full, start=1)}
-        bx = tuple(rank[v] for v in gamma[:m1])
-        by = tuple(rank[v] - m1 for v in gamma[m1:])
-        return uf.find((m1, full, X.map_along(bx, m1, x),
-                        Y.map_along(by, n - m1, y)))
+        i, bx, by = _day_ranks(n, m1, gamma)
+        u = posX[m1][X.map_along(bx, m1, x)]
+        v = posY[m1][Y.map_along(by, n - m1, y)]
+        return node(uf.root_id(base[i] + u * wide[m1] + v))
 
-    return uf.roots(), lookup
+    return [node(r) for r in uf.root_ids()], lookup
 
 
 def day_convolution(X: TruncatedISet, Y: TruncatedISet):
@@ -804,17 +906,10 @@ def day_convolution(X: TruncatedISet, Y: TruncatedISet):
     built = [_day_level(X, Y, n) for n in range(N + 1)]
     levels = [classes for classes, _ in built]
     incl = [{c: built[n + 1][1](*c) for c in levels[n]} for n in range(N)]
-    transp = []
-    for n in range(N + 1):
-        tabs = []
-        for i in range(1, n):
-            swap = {i: i + 1, i + 1: i}
-            tabs.append({
-                c: built[n][1](c[0], tuple(swap.get(v, v) for v in c[1]),
-                               c[2], c[3])
-                for c in levels[n]
-            })
-        transp.append(tabs)
+    transp = [[{c: resolve(c[0], _swapped(c[1], i), c[2], c[3])
+                for c in classes}
+               for i in range(1, n)]
+              for n, (classes, resolve) in enumerate(built)]
     return TruncatedISet(N, levels, incl, transp)
 
 

@@ -229,9 +229,16 @@ def monoid_to_algebra(P: CommMonoidPresentation) -> AlgebraAction:
 
 
 def algebra_to_monoid(A: AlgebraAction) -> CommMonoidPresentation:
-    """Read off the presentation: the unit is the nullary value and a
-    representative pair is summed by the two-slot element that keeps
-    the first block in place and shifts the second past it."""
+    """Read off the presentation (see `algebra_table`)."""
+    unit, table = algebra_table(A)
+    return CommMonoidPresentation(A.carrier, unit, table, A.level_cap)
+
+
+def algebra_table(A: AlgebraAction):
+    """The unit point and sum table of the presentation, unvalidated:
+    the unit is the nullary value and a representative pair is summed
+    by the two-slot element that keeps the first block in place and
+    shifts the second past it."""
     carrier = A.carrier
     unit = A(OperadElement([]), [])
     table = {}
@@ -249,7 +256,7 @@ def algebra_to_monoid(A: AlgebraAction) -> CommMonoidPresentation:
             table[((m, ra), (n, rb))] = A(
                 phi, [std_element(m, ra), std_element(n, rb)]
             )
-    return CommMonoidPresentation(carrier, unit.point, table, A.level_cap)
+    return unit.point, table
 
 
 def trivial_from_abelian(elements, addition, unit):

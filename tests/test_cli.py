@@ -232,6 +232,27 @@ ACT_ON_BAD = ["act", "<bad>", "<m2>",
               "--element", '{"level":2,"image":[1,2],"point":"p0"}']
 NEGATIVE_DEGREE = json.dumps({"kind": "mset", "payload": {"levels": {
     "-1": {"m": -1, "points": ["a"], "s": []}}}})
+# a degree-2 Σ-set and a two-level diagram in the encoder's form; the
+# malformed variants below change one field of these
+SWAP = {"m": 2, "points": ["a", "b"], "s": [{"a": "b", "b": "a"}]}
+ISET_AB = {"N": 1, "stableFrom": 0, "levels": [["a", "b"], ["a", "b"]],
+           "incl": [{"a": "a", "b": "b"}], "s": [[], []]}
+
+
+def _doc(kind, payload):
+    return json.dumps({"kind": kind, "payload": payload})
+
+
+def _one_point(point):
+    return {"m": 1, "points": [point], "s": []}
+
+
+WELL_FORMED = [
+    (["orbit-set", "<bad>"], _doc("mset", {"levels": {
+        "1": _one_point("a"), "2": SWAP}})),
+    (ACT_ON_BAD, _doc("partial-injection", {"map": {"1": 2, "2": 1}})),
+    (["canonicalize", "<bad>"], _doc("iset", ISET_AB)),
+]
 
 
 def _call_on_bad(capsys, inputs, tmp_path, argv, text):
@@ -261,14 +282,42 @@ class TestReportDiscipline:
         *[(argv, NEGATIVE_DEGREE) for argv in (
             ["orbit-set", "<bad>"], ["box", "<bad>", "<m1>"],
             ["decompose", "<bad>"])],
+        # int() read both keys as level 1, and the later one replaced
+        # the earlier: orbit-set reported [[1, "b"]] with exit 0
+        (["orbit-set", "<bad>"], _doc("mset", {"levels": {
+            "+1": _one_point("a"), " 01": _one_point("b")}})),
+        (["orbit-set", "<bad>"], _doc("mset", {"levels": {
+            "01": _one_point("a")}})),
+        (ACT_ON_BAD, _doc("partial-injection", {"map": {"1": 2, "+2": 1}})),
+        # list() and dict() coerced a string into points and a list of
+        # pairs into a table, and the commands exited 0
+        (["orbit-set", "<bad>"], _doc("mset", {"levels": {
+            "1": {"m": 1, "points": "ab", "s": []}}})),
+        (["orbit-set", "<bad>"], _doc("mset", {"levels": {
+            "2": {**SWAP, "s": [[["a", "b"], ["b", "a"]]]}}})),
+        (["orbit-set", "<bad>"], _doc("mset", {"levels": [["1", SWAP]]})),
+        (["canonicalize", "<bad>"], _doc("iset", {
+            **ISET_AB, "levels": ["ab", "ab"]})),
+        (["canonicalize", "<bad>"], _doc("iset", {
+            **ISET_AB, "incl": [[["a", "a"], ["b", "b"]]]})),
     ], ids=["lo-0", "mod-0", "no-pieces-field", "null-payload",
             "negative-degree-orbit-set", "negative-degree-box",
-            "negative-degree-decompose"])
+            "negative-degree-decompose", "level-keys-plus-and-padded",
+            "level-key-leading-zero", "map-key-plus", "sigma-points-string",
+            "sigma-table-pairs", "mset-levels-array",
+            "iset-levels-strings", "iset-incl-pairs"])
     def test_malformed_document_is_an_input_error(self, capsys, inputs,
                                                   tmp_path, argv, text):
         code, rep = _call_on_bad(capsys, inputs, tmp_path, argv, text)
         assert code == 2
         assert rep["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("argv,text", WELL_FORMED,
+                             ids=["mset", "partial-injection", "iset"])
+    def test_unvaried_documents_are_accepted(
+            self, capsys, inputs, tmp_path, argv, text):
+        code, _ = _call_on_bad(capsys, inputs, tmp_path, argv, text)
+        assert code == 0
 
     @pytest.mark.parametrize("version,code", [
         (7, 2), ("x", 2), ("1", 2), (True, 2), (None, 2), (1.0, 2),
@@ -567,6 +616,20 @@ class TestCommandTable:
         monkeypatch.setattr(opalg, "verify_certificate", counted)
         monkeypatch.setattr(cli, "verify_certificate", counted)
         code, _ = _call(capsys, ARGV["a3"], inputs)
+        assert code == 0 and len(calls) == 1
+
+    def test_to_monoid_validates_once(self, capsys, inputs, monkeypatch):
+        # the table read back equals the loaded one, which was validated
+        # on loading, so no second presentation is built
+        calls = []
+        init = opalg.CommMonoidPresentation.__init__
+
+        def counted(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(opalg.CommMonoidPresentation, "__init__", counted)
+        code, _ = _call(capsys, ARGV["to-monoid"], inputs)
         assert code == 0 and len(calls) == 1
 
 

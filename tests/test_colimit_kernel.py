@@ -430,6 +430,53 @@ def test_swap_comparison_catches_a_point_left_in_place(monkeypatch):
 
 
 # ---------------------------------------------------------------------
+# position tables, the integer form the colimit kernels read
+
+
+def position_mismatches(X):
+    """Every level's position table, and every integer face table read
+    back through the levels, against the level lists and face_maps."""
+    bad = []
+    for m in range(X.N + 1):
+        if X.positions(m) != {x: i for i, x in enumerate(X.levels[m])}:
+            bad.append(("positions", m))
+    for k in range(X.N + 1):
+        faces, rows = X.face_maps(k), X.face_positions(k)
+        if len(rows) != len(faces):
+            bad.append(("face count", k))
+        for j, (face, row) in enumerate(zip(faces, rows)):
+            if ([X.levels[k][p] for p in row]
+                    != [face[y] for y in X.levels[k - 1]]):
+                bad.append(("face", k, j))
+    return bad
+
+
+@kernel_settings
+@given(st.sampled_from(FAMILIES), st.integers(0, 10**6), st.integers(2, 4),
+       st.booleans())
+def test_position_tables_match_face_maps(kind, seed, N, extend):
+    X = diagram(kind, seed, N)
+    if extend:
+        # built on X first, so the extension must share them
+        tables = [X.face_positions(k) for k in range(X.N + 1)]
+        X = lan_extend(X)
+        assert all(X.face_positions(k) is tables[k] for k in range(N + 1))
+    assert position_mismatches(X) == []
+
+
+def test_position_comparison_catches_a_shifted_row(monkeypatch):
+    def shifted(self, k):
+        rows = real(self, k)
+        return [row[1:] + row[:1] for row in rows]
+
+    X = representable_iset(2, 3)
+    assert position_mismatches(X) == []
+    real = TruncatedISet.face_positions
+    monkeypatch.setattr(TruncatedISet, "face_positions", shifted)
+    assert "face" in {kind for kind, *_ in position_mismatches(X)}
+
+
+# ---------------------------------------------------------------------
 # face tables of derived diagrams
 
 

@@ -66,6 +66,48 @@ def test_union_find_matches_naive_partition(nodes, data):
     assert uf.roots() == [c[0] for c in classes]
 
 
+@derandomized
+@given(st.integers(1, 30), st.data())
+def test_integer_entry_points_match_naive_partition(count, data):
+    ids = st.integers(0, count - 1)
+    pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=40))
+    cut = data.draw(st.integers(0, len(pairs)))
+    uf = UnionFind.over(count)
+    for part in (pairs[:cut], pairs[cut:]):  # two bulk calls
+        uf.union_ids([a for a, _ in part], [b for _, b in part])
+    classes = naive_classes(list(range(count)), pairs)
+    least = {i: c[0] for c in classes for i in c}
+    assert [uf.root_id(i) for i in range(count)] == [least[i]
+                                                     for i in range(count)]
+    assert uf.root_ids() == [c[0] for c in classes]
+    assert uf.nodes == [] and uf.ids == {}
+
+
+@derandomized
+@given(st.lists(st.integers(-15, 15), min_size=1, max_size=30), st.data())
+def test_node_and_id_entry_points_share_one_partition(nodes, data):
+    # ids are the insertion indices of the nodes, so unions through
+    # either entry point name the same classes
+    order = list(dict.fromkeys(nodes))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(order),
+                                         st.sampled_from(order)),
+                               max_size=40))
+    by_id = data.draw(st.lists(st.booleans(), min_size=len(pairs),
+                               max_size=len(pairs)))
+    uf = UnionFind(nodes)
+    assert uf.ids == {n: i for i, n in enumerate(order)}
+    for (a, b), use_ids in zip(pairs, by_id):
+        if use_ids:
+            uf.union_ids([uf.ids[a]], [uf.ids[b]])
+        else:
+            uf.union(a, b)
+    classes = naive_classes(order, pairs)
+    assert {n: uf.find(n) for n in order} == {n: c[0] for c in classes
+                                              for n in c}
+    assert uf.roots() == [order[i] for i in uf.root_ids()]
+    assert uf.roots() == [c[0] for c in classes]
+
+
 # -- key-least representatives of the library's union-finds ---------------
 
 FAMILIES = ("random", "filtration", "quotient", "representable", "constant",
