@@ -212,7 +212,7 @@ def _box(args, report):
     right = _load(args.right, "mset")
     report["inputs"] = _digest([left.payload, right.payload])
     out = box(left.value, right.value, args.degree_bound)
-    report["value"] = json.loads(docs.serialize_document("mset", out))
+    report["value"] = docs.encode_document("mset", out)
     return 0
 
 
@@ -228,7 +228,7 @@ def _decompose(args, report):
     out = decompose_table(table, X.act, args.window,
                           degree_bound=args.degree_bound)
     agrees = mset_iso_equal(out, X)
-    report["value"] = json.loads(docs.serialize_document("mset", out))
+    report["value"] = docs.encode_document("mset", out)
     return _verdict(report, agrees)
 
 
@@ -264,7 +264,7 @@ def _day(args, report):
     right = _load(args.right, "iset")
     report["inputs"] = _digest([left.payload, right.payload])
     out = day_convolution(left.value, right.value)
-    report["value"] = json.loads(docs.serialize_document("iset", out))
+    report["value"] = docs.encode_document("iset", out)
     return 0
 
 
@@ -273,7 +273,7 @@ def _canonicalize(args, report):
     iset = _load(args.iset, "iset")
     report["inputs"] = _digest([iset.payload])
     out = canonicalize(iset.value, args.degree_bound)
-    report["value"] = json.loads(docs.serialize_document("mset", out))
+    report["value"] = docs.encode_document("mset", out)
     return 0
 
 
@@ -333,7 +333,7 @@ def _to_monoid(args, report):
     # P was validated on loading, and A keeps its carrier and cap
     back = P if same else CommMonoidPresentation(A.carrier, unit, table,
                                                  A.level_cap)
-    report["value"] = json.loads(docs.serialize_document("monoid", back))
+    report["value"] = docs.encode_document("monoid", back)
     return _verdict(report, same)
 
 
@@ -397,7 +397,7 @@ def _xinf(args, report):
     points = ["*"] + [f"a{i}" for i in range(1, args.points)]
     report["inputs"] = _digest([points, level])
     P = infinite_symmetric_product(points, "*", level)
-    report["value"] = json.loads(docs.serialize_document("monoid", P))
+    report["value"] = docs.encode_document("monoid", P)
     return 0
 
 

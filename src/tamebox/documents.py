@@ -461,7 +461,12 @@ def parse_document(data) -> Document:
     return Document(kind, payload, value)
 
 
-def serialize_document(kind, value):
+def encode_document(kind, value):
+    """The document as a dict of string keys and lists, as JSON reads it."""
     if kind not in ENCODERS:
         raise ParseError(f"unknown document kind {kind!r}")
-    return canonical_json(wrap(kind, ENCODERS[kind](value)))
+    return wrap(kind, ENCODERS[kind](value))
+
+
+def serialize_document(kind, value):
+    return canonical_json(encode_document(kind, value))

@@ -30,7 +30,6 @@ from .injections import PartialInjection, order_embed_avoiding
 from .sigma import (
     DEFAULT_DEGREE_BOUND,
     SigmaSet,
-    generators,
     induce,
     iso_equal,
     point_key,
@@ -400,7 +399,7 @@ class MSetMorphism:
                     raise InvalidMorphism(
                         f"value for {key} not supported inside 1..{m}"
                     )
-                for sigma in generators(ss.stabilizer(rep)):
+                for sigma in ss.stabilizer_generators(rep):
                     if target.place(sigma, val) != val:
                         raise InvalidMorphism(
                             f"stabilizer of {key} does not fix the value"

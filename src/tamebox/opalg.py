@@ -16,6 +16,7 @@ step is checked by structural equality of quasi-affine normal forms.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple
 
 from .errors import (
@@ -36,7 +37,7 @@ from .injections import (
     order_embed_avoiding,
 )
 from .mset import CanonicalTameMSet, MElement, box, support
-from .sigma import generators, trivial_sigma_set, word_sigma_set
+from .sigma import trivial_sigma_set, word_sigma_set
 
 
 def std_element(level, point):
@@ -65,8 +66,8 @@ class CommMonoidPresentation:
 
     1. Equivariance: (s + t)_* T[a, b] = T[a, b] for s fixing ra and t
        fixing rb.  The pairs (s, 1) and (1, t), with s and t running
-       over generators of the two stabilizers, generate all pairs, so
-       only they are checked.  Now [g, r] = [g', r] exactly when
+       over Schreier generators of the two stabilizers, generate all
+       pairs, so only they are checked.  Now [g, r] = [g', r] exactly when
        g' = g s with s fixing r, and then (g s + h t)_* T =
        (g + h)_* (s + t)_* T = (g + h)_* T: `add` does not depend on the
        placement, so it is natural, f_*(x + y) = f_* x + f_* y for every
@@ -89,6 +90,14 @@ class CommMonoidPresentation:
        L_y, so L_z = L_x alone gives all three; when b = c, the swap of
        theirs fixes L_x and exchanges L_y and L_z, likewise.  Then
        (a, b, c) alone is checked.
+    4. Unit: the unit u = [(), e] is placed by the empty injection, so
+       u + x = (() + g)_* T[u, r] = g_* [1..m, r] = x for x = [g, r]
+       once the unit law T[u, r] = [1..m, r] holds, and x + u = x
+       likewise.  Then every law with u as a summand holds, so
+       commutativity and associativity run over the other
+       representatives only, and the first failing check and its error
+       stay those of the full check.  `monoid_to_algebra` uses the same
+       identity: its sum starts at the first slot's image, not at u.
 
     In these checks the inner sums are table reads, T[a, b] or T[b, c]
     shifted by m; only the outer sum of each law goes through `add`.
@@ -114,7 +123,7 @@ class CommMonoidPresentation:
                 "sum table must cover exactly the representative pairs "
                 "within the level cap"
             )
-        stabilizers = {(m, r): generators(carrier.levels[m].stabilizer(r))
+        stabilizers = {(m, r): carrier.levels[m].stabilizer_generators(r)
                        for m, r in reps}
         for (a, b), c in T.items():
             m, n = a[0], b[0]
@@ -138,6 +147,7 @@ class CommMonoidPresentation:
             e = std_element(*a)
             if T[(u, a)] != e or T[(a, u)] != e:
                 raise ValidationFailed(f"unit law fails at {a}")
+        reps = [a for a in reps if a != u]  # reduction 4
         # reps run by level, so each loop can stop at the first rep
         # past the cap
         for i, a in enumerate(reps):
@@ -220,10 +230,8 @@ def monoid_to_algebra(P: CommMonoidPresentation) -> AlgebraAction:
             raise ArityMismatch(
                 f"arity {phi.arity} applied to {len(elements)} elements"
             )
-        total = P.unit
-        for slot, e in zip(phi.slots, elements):
-            total = P.add(total, P.carrier.act(slot, e))
-        return total
+        images = map(P.carrier.act, phi.slots, elements)
+        return reduce(P.add, images, next(images, P.unit))  # reduction 4
 
     return AlgebraAction(P.carrier, action, P.level_cap)
 
@@ -239,23 +247,21 @@ def algebra_table(A: AlgebraAction):
     the unit is the nullary value and a representative pair is summed
     by the two-slot element that keeps the first block in place and
     shifts the second past it."""
-    carrier = A.carrier
     unit = A(OperadElement([]), [])
-    table = {}
-    reps = carrier.orbit_set()
-    for m, ra in reps:
-        for n, rb in reps:
-            if m + n > A.level_cap:
-                continue
-            phi = OperadElement(
-                [
-                    PartialInjection.identity_on(range(1, m + 1)),
-                    PartialInjection({j: m + j for j in range(1, n + 1)}),
-                ]
-            )
-            table[((m, ra), (n, rb))] = A(
-                phi, [std_element(m, ra), std_element(n, rb)]
-            )
+    blocks = {
+        (m, n): OperadElement([
+            PartialInjection.identity_on(range(1, m + 1)),
+            PartialInjection({j: m + j for j in range(1, n + 1)}),
+        ])
+        for m in A.carrier.levels for n in A.carrier.levels
+        if m + n <= A.level_cap
+    }
+    reps = A.carrier.orbit_set()
+    table = {
+        ((m, ra), (n, rb)): A(blocks[(m, n)],
+                              [std_element(m, ra), std_element(n, rb)])
+        for m, ra in reps for n, rb in reps if m + n <= A.level_cap
+    }
     return unit.point, table
 
 

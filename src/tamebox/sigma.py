@@ -6,15 +6,16 @@ relations are validated on construction, so the action of an arbitrary
 permutation is well defined through any decomposition into adjacent
 transpositions.
 
-Isomorphism of degree-m sets is decided by comparing multisets of
-stabilizer conjugacy labels.  A label names the trivial, full or
-alternating subgroup, or else is the least conjugate of the
-stabilizer, found by brute force inside a configurable degree bound.
+Stabilizer generators come from the orbit transversal by Schreier's
+lemma, without enumerating the symmetric group.  Isomorphism types still
+enumerate it: they are multisets of stabilizer conjugacy labels, each
+the trivial, full or alternating subgroup, or else the least conjugate
+of the stabilizer, found by brute force inside a degree bound.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -107,23 +108,6 @@ def all_perms(m):
     return [tuple(p) for p in permutations(range(1, m + 1))]
 
 
-def generators(group):
-    """A generating set of a finite permutation group: its elements in
-    order, each kept unless those kept before already generate it."""
-    kept = []
-    span = {identity_perm(len(next(iter(group))))}
-    for g in sorted(group):
-        if g in span:
-            continue
-        kept.append(g)
-        frontier = list(span)
-        while frontier:
-            frontier = [q for p in frontier for h in kept
-                        if (q := perm_compose(h, p)) not in span]
-            span.update(frontier)
-    return kept
-
-
 class SigmaSet:
     """A validated finite set with an action of the symmetric group."""
 
@@ -193,6 +177,10 @@ class SigmaSet:
         self._orbit_cache = out
         return out
 
+    @cached_property
+    def _orbit_of(self):
+        return dict(self.orbits())
+
     def rooted_transversal(self):
         """For every point p, its orbit representative r and a
         permutation sigma with sigma . r = p; computed once."""
@@ -216,13 +204,23 @@ class SigmaSet:
         self._transversal = out
         return out
 
-    def orbit_transversal(self):
-        """For every point, a permutation carrying its orbit
-        representative onto it."""
-        return {p: s for p, (_, s) in self.rooted_transversal().items()}
-
     def orbit_root(self, p):
         return self.rooted_transversal()[p][0]
+
+    def stabilizer_generators(self, rep):
+        """Schreier generators of the stabilizer of an orbit representative,
+        sorted and without the identity: u_q^-1 s u_p for p in the orbit, s
+        an adjacent transposition, q = s . p and u the transversal."""
+        tv = self.rooted_transversal()
+        orbit = self._orbit_of[rep]
+        inverse = {p: perm_inverse(tv[p][1]) for p in orbit}
+        gens = set()
+        for p in orbit:
+            for i, t in enumerate(self.transpositions):
+                w = inverse[t[p]]
+                ws = w[:i] + (w[i + 1], w[i]) + w[i + 2:]  # u_q^-1 s
+                gens.add(perm_compose(ws, tv[p][1]))
+        return sorted(gens - {identity_perm(self.m)})
 
     def stabilizer(self, p):
         return frozenset(

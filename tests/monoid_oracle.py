@@ -5,12 +5,51 @@ as a test oracle for tamebox.opalg.CommMonoidPresentation.
 commutativity on every ordered pair and associativity on every ordered
 triple of orbit representatives, each side summed through `add`, and
 equivariance under every pair of stabilizer permutations.  Its `add`
-places the summands with a `PartialInjection` and `carrier.act`."""
+places the summands with a `PartialInjection` and `carrier.act`.
+
+Beside it: `generators`, the generating set the library once built for
+the equivariance checks from the stabilizer by enumerating the
+symmetric group, with `closure`, the group some permutations generate;
+and `unit_first_action`, the derived operadic action as it was before
+its sum started at the first slot's image instead of at the unit."""
 
 from tamebox.errors import DegreeTooLarge, OverlappingSupports, ValidationFailed
 from tamebox.injections import PartialInjection
 from tamebox.mset import CanonicalTameMSet, MElement, support
 from tamebox.opalg import std_element
+from tamebox.sigma import identity_perm, perm_compose
+
+
+def closure(gens, m):
+    """The subgroup of the degree-m symmetric group that the
+    permutations generate."""
+    span = {identity_perm(m)}
+    frontier = span
+    while frontier:
+        frontier = {q for p in frontier for h in gens
+                    if (q := perm_compose(h, p)) not in span}
+        span |= frontier
+    return span
+
+
+def generators(group):
+    """A generating set of a finite permutation group: its elements in
+    order, each kept unless those kept before already generate it."""
+    m = len(next(iter(group)))
+    kept = []
+    for g in sorted(group):
+        if g not in closure(kept, m):
+            kept.append(g)
+    return kept
+
+
+def unit_first_action(P, phi, elements):
+    """The derived action of phi: the unit plus the slot images, summed
+    from the left."""
+    total = P.unit
+    for slot, e in zip(phi.slots, elements):
+        total = P.add(total, P.carrier.act(slot, e))
+    return total
 
 
 class OraclePresentation:
@@ -28,10 +67,6 @@ class OraclePresentation:
             raise ValidationFailed("unit point missing from level 0")
         self.unit_point = unit_point
         self.table = dict(table)
-        self._transversals = {
-            m: ss.orbit_transversal() for m, ss in carrier.levels.items()
-        }
-
         reps = [
             (m, rep)
             for m, ss in sorted(carrier.levels.items())
@@ -111,8 +146,7 @@ class OraclePresentation:
             if e.level == 0:
                 parts.append(e.point)
                 continue
-            sigma = self._transversals[e.level][e.point]
-            rep = carrier.levels[e.level].orbit_root(e.point)
+            rep, sigma = carrier.levels[e.level].rooted_transversal()[e.point]
             parts.append(rep)
             for k in range(1, e.level + 1):
                 placements[offset + k] = e.image[sigma[k - 1] - 1]

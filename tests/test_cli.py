@@ -11,7 +11,7 @@ import pytest
 from tamebox import PartialInjection, cli, opalg
 from tamebox.cli import main
 from tamebox.documents import canonical_json, serialize_document
-from tamebox.generators import random_agreeing_pair
+from tamebox.generators import random_agreeing_pair, random_mset
 from tamebox.injections import QuasiAffineInjection, interleave
 from tamebox.iset import (
     flat_replacement,
@@ -617,6 +617,37 @@ class TestCommandTable:
         monkeypatch.setattr(cli, "verify_certificate", counted)
         code, _ = _call(capsys, ARGV["a3"], inputs)
         assert code == 0 and len(calls) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["box", "<m1>", "<m1>"], ["box", "<m2>", "<r1>"],
+        ["box", "<r1>", "<r2>"], ["--window", "6", "decompose", "<m2>"],
+        ["--window", "6", "decompose", "<r2>"], ["day", "<rep>", "<rep>"],
+        ["day", "<rep>", "<quot>"], ["canonicalize", "<rep>"],
+        ["canonicalize", "<quot>"], ["to-monoid", "<monoid>"],
+        ["to-monoid", "<cyclic>"], ["xinf", "--points", "3", "--level", "3"],
+        ["xinf", "--points", "1", "--level", "2"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_document_value_reads_back_equal(self, capsys, inputs, tmp_path,
+                                             monkeypatch, argv):
+        # the report holds encode_document's dict, which gives the bytes
+        # of serialize_document only while it reads back equal
+        rng = random.Random(3)
+        more = {}
+        for name, value in (("r1", random_mset(rng, 2, 3)),
+                            ("r2", random_mset(rng, 3, 4)),
+                            ("cyclic", opalg.trivial_from_abelian(
+                                *opalg.cyclic_monoid(3)))):
+            kind = "monoid" if name == "cyclic" else "mset"
+            more[name] = str(tmp_path / f"{name}.json")
+            with open(more[name], "w", encoding="utf-8") as fh:
+                fh.write(serialize_document(kind, value))
+        reports = []
+        monkeypatch.setattr(cli, "_emit",
+                            lambda report, *_: reports.append(report))
+        _call(capsys, argv, {**inputs, **more})
+        value = reports[0]["value"]
+        assert reports[0]["outcome"] in ("value", "pass")
+        assert json.loads(canonical_json(value)) == value
 
     def test_to_monoid_validates_once(self, capsys, inputs, monkeypatch):
         # the table read back equals the loaded one, which was validated

@@ -6,11 +6,16 @@ from itertools import permutations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import monoid_oracle as oracle
 from tamebox.errors import DegreeTooLarge, ValidationError
+from tamebox.generators import random_sigma_set
 from tamebox.sigma import (
     SigmaSet,
     all_perms,
+    identity_perm,
     induce,
     iso_equal,
     perm_compose,
@@ -150,10 +155,53 @@ class TestOrbits:
 
     def test_transversal_carries_rep(self):
         ss = tuple_action_set(3, 2)
-        tr = ss.orbit_transversal()
+        tr = ss.rooted_transversal()
         roots = {p: rep for rep, members in ss.orbits() for p in members}
-        for p, sigma in tr.items():
-            assert ss.act_perm(sigma, roots[p]) == p
+        for p, (root, sigma) in tr.items():
+            assert root == roots[p]
+            assert ss.act_perm(sigma, root) == p
+
+
+def check_stabilizer_generators(ss):
+    """Schreier generators of every orbit against the stabilizer found by
+    running all of the symmetric group; returns the orbit count."""
+    for rep, _ in ss.orbits():
+        gens = ss.stabilizer_generators(rep)
+        assert gens == sorted(set(gens))
+        assert identity_perm(ss.m) not in gens
+        assert oracle.closure(gens, ss.m) == ss.stabilizer(rep), rep
+    return len(ss.orbits())
+
+
+class TestStabilizerGenerators:
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=450)
+    @given(st.integers(0, 10**6), st.integers(0, 5))
+    def test_random_sets(self, seed, m):
+        ss = random_sigma_set(random.Random(seed), m, max_points=12)
+        assert check_stabilizer_generators(ss) > 0
+
+    @pytest.mark.parametrize("ss", [
+        regular_sigma_set(4), trivial_sigma_set(0, ["x", "y"]),
+        trivial_sigma_set(1, ["x"]), trivial_sigma_set(5, ["x", "y"]),
+        word_sigma_set(4, "ab"), word_sigma_set(5, "abc"),
+        word_sigma_set(3, ""),
+    ], ids=["regular 4", "trivial 0", "trivial 1", "trivial 5",
+            "words 4 ab", "words 5 abc", "words 3 none"])
+    def test_named_sets(self, ss):
+        check_stabilizer_generators(ss)
+
+    def test_fixed_point_generated_by_the_transpositions(self):
+        ss = trivial_sigma_set(4, ["x"])
+        assert ss.stabilizer_generators("x") == sorted(
+            transposition_perm(4, i) for i in range(1, 4))
+
+    def test_same_group_as_the_enumerated_generators(self):
+        ss = word_sigma_set(5, "ab")
+        for rep, _ in ss.orbits():
+            old = oracle.generators(ss.stabilizer(rep))
+            assert oracle.closure(old, 5) == oracle.closure(
+                ss.stabilizer_generators(rep), 5)
 
 
 class TestIsoType:
