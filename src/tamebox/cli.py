@@ -74,19 +74,6 @@ def _element_arg(text, carrier):
     return docs.decode_element(_inline_json(text), carrier)
 
 
-def _list_arg(text, shape, item_ok=lambda _: True):
-    """An inline JSON list whose items pass item_ok."""
-    raw = _inline_json(text)
-    if not isinstance(raw, list) or not all(map(item_ok, raw)):
-        raise ValidationError(shape, json.dumps(raw))
-    return raw
-
-
-def _is_int_list(A):
-    # bool is a subclass of int, but true is not a position
-    return isinstance(A, list) and all(type(v) is int for v in A)
-
-
 def _digest(parts):
     h = hashlib.sha256()
     for part in parts:
@@ -248,7 +235,7 @@ def _flatten(args, report):
     iset = _load(args.iset, "iset")
     report["inputs"] = _digest([iset.payload])
     _, eta = flat_replacement(iset.value, args.degree_bound)
-    unit = docs.encode_iset_morphism(eta)
+    unit = docs.MORPHISM.encode(eta)
     report["value"] = {
         "flat": unit["target"],  # the unit's target is the replacement
         "unit": unit,
@@ -304,8 +291,9 @@ def _operad_act(args, report):
     monoid = _load(args.monoid, "monoid")
     operad = _load(args.operad, "operad-element")
     P = monoid.value
-    raw = _list_arg(args.args, "list of elements")
-    elements = [docs.decode_element(r, P.carrier) for r in raw]
+    raw = _inline_json(args.args)
+    elements = [docs.element(fields, P.carrier) for fields in
+                docs.reader([docs.ELEMENT])(raw, "--args")]
     report["inputs"] = _digest([monoid.payload, operad.payload, raw])
     A = monoid_to_algebra(P)
     report["value"] = docs.encode_element(A(operad.value, elements))
@@ -345,8 +333,10 @@ def _to_monoid(args, report):
 def _a3(args, report):
     phi = _load(args.phi, "operad-element")
     psi = _load(args.psi, "operad-element")
-    constraints = [set(A) for A in _list_arg(
-        args.constraints, "list of integer lists", _is_int_list)]
+    # read as a certificate's constraint sets are
+    read = docs.CERTIFICATE.readers["A"]
+    constraints = [set(A) for A in read(_inline_json(args.constraints),
+                                        "--constraints")]
     report["inputs"] = _digest([phi.payload, psi.payload,
                                 [sorted(A) for A in constraints]])
     # certify_agreement has verified the chain; it raises if that fails
@@ -421,7 +411,7 @@ def _orbit_set(args, report):
     report["inputs"] = _digest([mset.payload])
     orbits = mset.value.orbit_set()
     report["value"] = [
-        [m, p if isinstance(p, str) else repr(p)]
+        [m, docs.point_name(p)]
         for m, p in sorted(orbits, key=lambda mp: (mp[0], point_key(mp[1])))
     ]
     return 0

@@ -1,10 +1,10 @@
 """JSON documents for every value the command line accepts or emits.
 
-A document is {"kind": ..., "formatVersion": 1, "payload": ...}; the
-payload is validated by the owning module's constructor before any
-command touches it, and a payload of the wrong shape or with values out
-of range raises `ValidationError`.  Serialization is canonical (sorted
-keys, no whitespace variation) so equal values produce identical bytes.
+A document is {"kind": ..., "formatVersion": 1, "payload": ...}; each
+kind describes its payload once, as a `Kind` with fields and their JSON
+shapes.  A payload of another shape, or with values the owning module's
+constructor refuses, raises `ValidationError`.  Serialization is canonical
+(sorted keys, no whitespace variation): equal values give identical bytes.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from math import gcd
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 from .injections import (
@@ -27,9 +28,10 @@ from .sigma import SigmaSet, point_key
 FORMAT_VERSION = 1
 
 _RATIO = re.compile(r"(-?[1-9][0-9]*)/([1-9][0-9]*)")
+_INT_KEY = re.compile(r"0|-?[1-9][0-9]*")
 
-# what decoding raises on a payload of the wrong shape, and what the
-# library constructors raise on values out of range (a piece with lo < 1)
+# what the library constructors raise on values out of range (a piece
+# with lo < 1) and on points they cannot hash
 _MALFORMED = (AttributeError, IndexError, KeyError, OverflowError, TypeError,
              ValueError, ZeroDivisionError)
 
@@ -38,7 +40,118 @@ def canonical_json(value):
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-# -- encoding ---------------------------------------------------------------
+# -- shapes -----------------------------------------------------------------
+# A field's shape is `int`, `str`, a shape function below, a nested `Kind`,
+# a tuple of kinds (one of them), `[shape]`, `{int: shape}` or `{point:
+# point}` (a point table).  No value is coerced: a float, a bool or "3" is
+# no integer, a string no array, a list of pairs no object.
+
+
+def _json(json_type, text):
+    """The reader of one JSON type, which refuses values of the others."""
+    def read(value, field):
+        # type(), not isinstance(): bool is a subclass of int
+        if type(value) is not json_type:
+            raise ValidationError(f"{text} field", f"{field}={value!r}")
+        return value
+    return read
+
+
+_INT, _STR, _ARRAY, _OBJECT = (_json(int, "integer"), _json(str, "string"),
+                               _json(list, "array"), _json(dict, "object"))
+
+
+def reader(shape):
+    """The function (value, field name) -> value for the constructor."""
+    if shape is int or shape is str:
+        return _INT if shape is int else _STR
+    if type(shape) is list:
+        if shape[0] is point:
+            return _ARRAY
+        item = reader(shape[0])
+        return lambda v, field: [item(x, field) for x in _ARRAY(v, field)]
+    if type(shape) is tuple:  # one of these kinds, told by its first field
+        def one_of(value, field):
+            for kind in shape:
+                if next(iter(kind.fields)) in _OBJECT(value, field):
+                    return kind.read(value, field)
+            raise ValidationError(" or ".join(k.text for k in shape), field)
+        return one_of
+    if type(shape) is dict:
+        if point in shape:  # {point: point}
+            return _OBJECT
+        item = reader(shape[int])
+
+        def int_keyed(value, field):
+            out = {}
+            for k, v in _OBJECT(value, field).items():
+                # the one form the encoders write, str(m), so that "+1"
+                # or " 01" cannot stand in for the key "1"
+                if not _INT_KEY.fullmatch(k):
+                    raise ValidationError("integer key", f"{field}={k!r}")
+                out[int(k)] = item(v, field)
+            return out
+        return int_keyed
+    return shape.read if isinstance(shape, Kind) else shape
+
+
+def ratio(value, field):
+    """A ratio as `_ratio_out` writes it, as the integer pair (p, q): a
+    JSON integer, or the string "p/q" in ASCII decimal with q >= 2,
+    gcd(p, q) = 1 and a sign on p only."""
+    if isinstance(value, str):
+        m = _RATIO.fullmatch(value)
+        if m is None or int(m[2]) < 2 or gcd(int(m[1]), int(m[2])) != 1:
+            raise ValidationError("ratio p/q in lowest terms", repr(value))
+        return int(m[1]), int(m[2])
+    return _INT(value, field), 1
+
+
+def orbit(value, field):  # an orbit representative [level, point]
+    if len(_ARRAY(value, field)) != 2:
+        raise ValidationError("[integer, point] field", f"{field}={value!r}")
+    return _INT(value[0], field), value[1]
+
+
+def point(value, field):
+    # a point is a JSON scalar; in point lists and tables `SigmaSet` and
+    # `TruncatedISet` catch the others, so no entry there is checked
+    if isinstance(value, (list, dict)):
+        raise ValidationError("point field", f"{field}={value!r}")
+    return value
+
+
+def int_or_null(value, field):
+    return value if value is None else _INT(value, field)
+
+
+class Kind:
+    """A JSON object of described fields.  `read` hands the values, in
+    description order (None for an omitted optional one), to `build`;
+    `encode` writes the values of `parts`.  Both default to the values."""
+
+    def __init__(self, text, fields, build=None, parts=None, optional=()):
+        self.text = text
+        self.fields = fields  # {name: shape}
+        self.readers = {name: reader(shape) for name, shape in fields.items()}
+        self.build = build
+        self.parts = parts or (lambda *values: values)
+        self.optional = optional
+
+    def read(self, value, field):
+        _OBJECT(value, field)
+        values = []
+        for name, read in self.readers.items():
+            if name in value:
+                values.append(read(value[name], name))
+            elif name in self.optional:
+                values.append(None)
+            else:
+                raise ValidationError("required field", f"{self.text}.{name}")
+        return values if self.build is None else self.build(*values)
+
+    def encode(self, *args):
+        return dict(zip(self.fields, self.parts(*args)))
 
 
 def _ratio_out(num, den):
@@ -48,35 +161,9 @@ def _ratio_out(num, den):
     return num if den == 1 else f"{num}/{den}"
 
 
-def encode_partial(f: PartialInjection):
-    return {"map": {str(k): v for k, v in sorted(f.mapping.items())}}
-
-
-def encode_qa(f: QuasiAffineInjection):
-    # span (first, last, mod, v0, step): a = step/mod, b = v0 - a*first
-    return {
-        "pieces": [
-            {
-                "lo": first,
-                "hi": last,
-                "mod": mod,
-                "res": first % mod,
-                "a": _ratio_out(step, mod),
-                "b": _ratio_out(v0 * mod - step * first, mod),
-            }
-            for first, last, mod, v0, step in f.spans
-        ]
-    }
-
-
-def encode_injection(f):
-    if isinstance(f, PartialInjection):
-        return encode_partial(f)
-    return encode_qa(f)
-
-
-def encode_operad(e: OperadElement):
-    return {"arity": e.arity, "slots": [encode_injection(s) for s in e.slots]}
+def point_name(p):
+    """A point's name where no `PointNames` table is at hand."""
+    return p if isinstance(p, str) else repr(p)
 
 
 class PointNames:
@@ -87,7 +174,6 @@ class PointNames:
         taken = {p for p in ordered if isinstance(p, str)}
         width = max(len(str(max(len(ordered) - 1, 0))), 1)
         self.to_name = {}
-        self.from_name = {}
         for i, p in enumerate(ordered):
             if isinstance(p, str):
                 name = p
@@ -99,336 +185,189 @@ class PointNames:
                     name = "p" + name
                 taken.add(name)
             self.to_name[p] = name
-            self.from_name[name] = p
+
+    def table(self, t, target=None):
+        """The point table t by name: keys named here, values by target."""
+        target = target or self
+        return {self.to_name[p]: target.to_name[q] for p, q in t.items()}
 
 
-def encode_sigma(ss: SigmaSet, names: PointNames = None):
-    names = names or PointNames(ss.points)
-    return {
-        "m": ss.m,
-        "points": sorted(names.to_name[p] for p in ss.points),
-        "s": [
-            {names.to_name[p]: names.to_name[q] for p, q in t.items()}
-            for t in ss.transpositions
-        ],
-    }
+# -- kinds ------------------------------------------------------------------
+
+PARTIAL = Kind("partial-injection", {"map": {int: int}}, PartialInjection,
+               lambda f: ({str(k): v for k, v in sorted(f.mapping.items())},))
 
 
-def encode_mset(X: CanonicalTameMSet):
-    out = {"levels": {}, "maxLevel": X.max_level}
-    for m, ss in sorted(X.levels.items()):
-        out["levels"][str(m)] = encode_sigma(ss)
-    return out
+def _piece_parts(span):
+    # span (first, last, mod, v0, step): a = step/mod, b = v0 - a*first
+    first, last, mod, v0, step = span
+    return (first, last, mod, first % mod, _ratio_out(step, mod),
+            _ratio_out(v0 * mod - step * first, mod))
 
 
-def encode_element(x: MElement, names: PointNames = None):
-    point = names.to_name[x.point] if names else (
-        x.point if isinstance(x.point, str) else repr(x.point)
-    )
-    return {"level": x.level, "image": list(x.image), "point": point}
+# a piece i -> a*i + b on {i >= lo, i <= hi, i = res mod mod}, read as
+# the row of values `QuasiAffineInjection` takes
+QA_PIECE = Kind("qa-piece", {"lo": int, "hi": int_or_null, "mod": int,
+                             "res": int, "a": ratio, "b": ratio},
+                parts=_piece_parts, optional={"hi"})
+QA = Kind("qa-injection", {"pieces": [QA_PIECE]}, QuasiAffineInjection,
+          lambda f: ([QA_PIECE.encode(span) for span in f.spans],))
 
 
-def encode_iset(X: TruncatedISet, layers=None):
+def _operad(arity, slots):
+    if len(slots) != arity:
+        raise ValidationError("arity", arity)
+    return OperadElement(slots)
+
+
+OPERAD = Kind(
+    "operad-element",
+    {"arity": int, "slots": [(PARTIAL, QA)]}, _operad,
+    lambda e: (e.arity, [(PARTIAL if isinstance(s, PartialInjection)
+                          else QA).encode(s) for s in e.slots]))
+
+
+def _sigma_parts(ss):
+    names = PointNames(ss.points)
+    return (ss.m, sorted(names.to_name[p] for p in ss.points),
+            [names.table(t) for t in ss.transpositions])
+
+
+SIGMA = Kind("sigma-set", {"m": int, "points": [point],
+                           "s": [{point: point}]}, SigmaSet, _sigma_parts)
+
+
+def _mset(levels, max_level):
+    X = CanonicalTameMSet(levels)
+    if max_level is not None and max_level != X.max_level:
+        raise ValidationError("maxLevel equal to the top level",
+                              f"maxLevel={max_level}, top {X.max_level}")
+    return X
+
+
+MSET = Kind("mset", {"levels": {int: SIGMA}, "maxLevel": int}, _mset,
+            lambda X: ({str(m): SIGMA.encode(ss)
+                        for m, ss in sorted(X.levels.items())}, X.max_level),
+            optional={"maxLevel"})
+
+# read as its field values, which `element` makes an element
+ELEMENT = Kind("element", {"level": int, "image": [int], "point": point},
+               parts=lambda x, names=None: (
+                   x.level, list(x.image),
+                   names.to_name[x.point] if names else point_name(x.point)))
+encode_element = ELEMENT.encode
+
+
+def element(fields, X: CanonicalTameMSet = None):
+    """The element with ELEMENT's field values, checked against the
+    carrier X when one is given."""
+    level, image, point = fields
+    image = tuple(image)
+    if len(image) != level:
+        raise ValidationError("one image entry per level", image)
+    if len(set(image)) != len(image):
+        raise ValidationError("distinct image entries", image)
+    if any(v < 1 for v in image):
+        raise ValidationError("positive image entries", image)
+    if X is not None:
+        # an unsorted image is fine on input: the carrier knows how to
+        # push the sorting permutation into the point
+        ss = X.levels.get(level)
+        if ss is None or point not in ss.point_set:
+            raise ValidationError("element of the carrier", fields)
+        return X.canonical(level, image, point)
+    if tuple(sorted(image)) != image:
+        raise ValidationError("canonical image order", image)
+    return MElement(level, image, point)
+
+
+def decode_element(payload, X: CanonicalTameMSet = None):
+    return element(ELEMENT.read(payload, "element"), X)
+
+
+def _iset_parts(X: TruncatedISet, layers=None):
     layers = layers or [PointNames(level) for level in X.levels]
-    return {
-        "N": X.N,
-        "stableFrom": X.stable_from,
-        "levels": [sorted(n.to_name.values()) for n in layers],
-        "incl": [
-            {layers[m].to_name[p]: layers[m + 1].to_name[q]
-             for p, q in X.incl[m].items()}
-            for m in range(X.N)
-        ],
-        "s": [
-            [
-                {layers[m].to_name[p]: layers[m].to_name[q]
-                 for p, q in t.items()}
-                for t in X.transp[m]
-            ]
-            for m in range(X.N + 1)
-        ],
-    }
+    return (
+        X.N,
+        [sorted(n.to_name.values()) for n in layers],
+        [layers[m].table(X.incl[m], layers[m + 1]) for m in range(X.N)],
+        [[layers[m].table(t) for t in X.transp[m]] for m in range(X.N + 1)],
+        X.stable_from,
+    )
 
 
-def encode_iset_morphism(f: ISetMorphism):
+ISET = Kind("iset", {"N": int, "levels": [[point]], "incl": [{point: point}],
+                     "s": [[{point: point}]], "stableFrom": int},
+            TruncatedISet, _iset_parts)
+
+
+def _morphism(tag, source, target, levels):
+    if tag != "iset":
+        raise ValidationError("morphism discriminator", "morphism")
+    return ISetMorphism(source, target, levels)
+
+
+def _morphism_parts(f: ISetMorphism):
     src = [PointNames(level) for level in f.source.levels]
     tgt = [PointNames(level) for level in f.target.levels]
-    return {
-        "morphism": "iset",
-        "source": encode_iset(f.source, src),
-        "target": encode_iset(f.target, tgt),
-        "levels": [
-            {src[m].to_name[p]: tgt[m].to_name[q]
-             for p, q in f.maps[m].items()}
-            for m in range(f.source.N + 1)
-        ],
-    }
+    return ("iset", ISET.encode(f.source, src), ISET.encode(f.target, tgt),
+            [src[m].table(f.maps[m], tgt[m]) for m in range(f.source.N + 1)])
 
 
-def encode_monoid(P: CommMonoidPresentation):
+MORPHISM = Kind("morphism", {"morphism": str, "source": ISET, "target": ISET,
+                            "levels": [{point: point}]},
+                _morphism, _morphism_parts)
+
+# a sum of two orbit representatives, read as its field values
+SUM = Kind("sum", {"a": orbit, "b": orbit, "result": ELEMENT})
+
+
+def _monoid(carrier, unit, level_cap, sums):
+    table = {(a, b): element(result, carrier) for a, b, result in sums}
+    return CommMonoidPresentation(carrier, unit, table, level_cap)
+
+
+def _monoid_parts(P: CommMonoidPresentation):
     names = {m: PointNames(ss.points) for m, ss in P.carrier.levels.items()}
-    sums = []
-    for ((m, ra), (n, rb)), val in sorted(
-        P.table.items(), key=lambda kv: repr(kv[0])
-    ):
-        sums.append(
-            {
-                "a": [m, names[m].to_name[ra]],
-                "b": [n, names[n].to_name[rb]],
-                "result": {
-                    "level": val.level,
-                    "image": list(val.image),
-                    "point": names[val.level].to_name[val.point],
-                },
-            }
-        )
-    return {
-        "carrier": encode_mset(P.carrier),
-        "unit": names[0].to_name[P.unit_point],
-        "levelCap": P.level_cap,
-        "sums": sums,
-    }
+    sums = [
+        SUM.encode([m, names[m].to_name[ra]], [n, names[n].to_name[rb]],
+                   encode_element(val, names[val.level]))
+        for ((m, ra), (n, rb)), val in sorted(P.table.items(),
+                                              key=lambda kv: repr(kv[0]))
+    ]
+    return (MSET.encode(P.carrier), names[0].to_name[P.unit_point],
+            P.level_cap, sums)
 
 
-def encode_certificate(c: Certificate):
-    return {
-        "n": c.n,
-        "A": [sorted(A) for A in c.constraints],
-        "chain": [
-            {
-                "elem": encode_operad(s.element),
-                "move": [encode_qa(f) for f in s.move],
-                "dir": s.direction,
-            }
-            for s in c.steps
-        ],
-        "final": encode_operad(c.final),
-    }
+MONOID = Kind("monoid", {"carrier": MSET, "unit": point,
+                         "levelCap": int_or_null, "sums": [SUM]},
+              _monoid, _monoid_parts, optional={"levelCap"})
 
+STEP = Kind("certificate-step", {"elem": OPERAD, "move": [QA], "dir": str},
+            CertificateStep)
+CERTIFICATE = Kind(
+    "certificate",
+    {"n": int, "A": [[int]], "chain": [STEP], "final": OPERAD},
+    Certificate, lambda c: (
+        c.n, [sorted(A) for A in c.constraints],
+        [STEP.encode(OPERAD.encode(s.element),
+                     [QA.encode(f) for f in s.move], s.direction)
+         for s in c.steps],
+        OPERAD.encode(c.final)))
 
-ENCODERS = {
-    "partial-injection": encode_partial,
-    "qa-injection": encode_qa,
-    "operad-element": encode_operad,
-    "sigma-set": encode_sigma,
-    "mset": encode_mset,
-    "iset": encode_iset,
-    "morphism": encode_iset_morphism,
-    "monoid": encode_monoid,
-    "certificate": encode_certificate,
-}
+# the document kinds
+KINDS = {kind.text: kind for kind in (
+    PARTIAL, QA, OPERAD, SIGMA, MSET, ISET, MORPHISM, MONOID, CERTIFICATE)}
 
 
 def wrap(kind, payload):
     return {"kind": kind, "formatVersion": FORMAT_VERSION, "payload": payload}
 
 
-# -- decoding ---------------------------------------------------------------
-
-
-def _int(value, field):
-    """An integer-valued field: JSON integers only, so a float, a bool
-    or a numeric string is refused rather than coerced."""
-    if type(value) is not int:
-        raise ValidationError("integer field", f"{field}={value!r}")
-    return value
-
-
-def _int_key(key, field):
-    """An integer object key in the one form the encoder writes, str(m),
-    so that "+1" or " 01" cannot stand in for the key "1"."""
-    try:
-        m = int(key)
-    except ValueError:
-        m = None
-    if m is None or str(m) != key:
-        raise ValidationError("integer key as str(m)", f"{field}={key!r}")
-    return m
-
-
-def _list(value, field):
-    """A field the encoder writes as a JSON array; a string or an object
-    is refused rather than iterated."""
-    if type(value) is not list:
-        raise ValidationError("array field", f"{field}={value!r}")
-    return value
-
-
-def _obj(value, field):
-    """A field the encoder writes as a JSON object; a list of pairs is
-    refused rather than read as a table."""
-    if type(value) is not dict:
-        raise ValidationError("object field", f"{field}={value!r}")
-    return value
-
-
-def _objs(value, field):
-    """An array of objects."""
-    return [_obj(v, field) for v in _list(value, field)]
-
-
-def _frac_in(v):
-    """A ratio as `_ratio_out` writes it, as the integer pair (p, q): a
-    JSON integer, or the string "p/q" in ASCII decimal with q >= 2,
-    gcd(p, q) = 1 and a sign on p only."""
-    if isinstance(v, str):
-        m = _RATIO.fullmatch(v)
-        if m is None or int(m[2]) < 2 or gcd(int(m[1]), int(m[2])) != 1:
-            raise ValidationError("ratio p/q in lowest terms", repr(v))
-        return int(m[1]), int(m[2])
-    return _int(v, "ratio"), 1
-
-
-def decode_partial(payload):
-    try:
-        return PartialInjection(
-            {_int_key(k, "map"): _int(v, "map")
-             for k, v in _obj(payload["map"], "map").items()})
-    except KeyError as e:
-        raise ValidationError("partial-injection fields", str(e)) from None
-
-
-def decode_qa(payload):
-    return QuasiAffineInjection([
-        (_int(raw["lo"], "lo"),
-         None if raw.get("hi") is None else _int(raw["hi"], "hi"),
-         _int(raw["mod"], "mod"),
-         _int(raw["res"], "res"),
-         _frac_in(raw["a"]),
-         _frac_in(raw["b"]))
-        for raw in _objs(payload["pieces"], "pieces")
-    ])
-
-
-def decode_injection(payload):
-    if "map" in _obj(payload, "injection"):
-        return decode_partial(payload)
-    if "pieces" in payload:
-        return decode_qa(payload)
-    raise ValidationError("injection shape", "expected map or pieces")
-
-
-def decode_operad(payload):
-    slots = [decode_injection(raw)
-             for raw in _list(payload["slots"], "slots")]
-    e = OperadElement(slots)
-    if e.arity != _int(payload["arity"], "arity"):
-        raise ValidationError("arity", payload["arity"])
-    return e
-
-
-def decode_sigma(payload):
-    m = _int(payload["m"], "m")
-    return SigmaSet(m, _list(payload["points"], "points"),
-                    _objs(payload["s"], "s"))
-
-
-def decode_mset(payload):
-    levels = {}
-    for key, raw in _obj(payload.get("levels", {}), "levels").items():
-        levels[_int_key(key, "levels")] = decode_sigma(_obj(raw, "levels"))
-    return CanonicalTameMSet(levels)
-
-
-def decode_element(payload, X: CanonicalTameMSet = None):
-    """An element from its JSON fields, checked against the carrier X
-    when one is given.  Elements also arrive outside documents, as
-    command-line arguments, so this catches malformed fields itself."""
-    try:
-        level = _int(payload["level"], "level")
-        image = tuple(_int(v, "image")
-                      for v in _list(payload["image"], "image"))
-        point = payload["point"]
-        if len(image) != level:
-            raise ValidationError("one image entry per level", image)
-        if len(set(image)) != len(image):
-            raise ValidationError("distinct image entries", image)
-        if any(v < 1 for v in image):
-            raise ValidationError("positive image entries", image)
-        if X is not None:
-            # an unsorted image is fine on input: the carrier knows how to
-            # push the sorting permutation into the point
-            ss = X.levels.get(level)
-            if ss is None or point not in ss.point_set:
-                raise ValidationError("element of the carrier", payload)
-            return X.canonical(level, image, point)
-    except _MALFORMED as e:
-        raise ValidationError("element fields", repr(e)) from None
-    if tuple(sorted(image)) != image:
-        raise ValidationError("canonical image order", image)
-    return MElement(level, image, point)
-
-
-def decode_iset(payload):
-    N = _int(payload["N"], "N")
-    levels = [_list(l, "levels") for l in _list(payload["levels"], "levels")]
-    incl = _objs(payload["incl"], "incl")
-    transp = [_objs(ts, "s") for ts in _list(payload["s"], "s")]
-    return TruncatedISet(N, levels, incl, transp,
-                         _int(payload["stableFrom"], "stableFrom"))
-
-
-def decode_iset_morphism(payload):
-    if not isinstance(payload, dict) or payload.get("morphism") != "iset":
-        raise ValidationError("morphism discriminator", "morphism")
-    src = decode_iset(_obj(payload["source"], "source"))
-    tgt = decode_iset(_obj(payload["target"], "target"))
-    return ISetMorphism(src, tgt, _objs(payload["levels"], "levels"))
-
-
-def decode_monoid(payload):
-    carrier = decode_mset(_obj(payload["carrier"], "carrier"))
-    table = {}
-    for raw in _objs(payload["sums"], "sums"):
-        m, ra = _list(raw["a"], "a")
-        n, rb = _list(raw["b"], "b")
-        m, n = _int(m, "a"), _int(n, "b")
-        val = decode_element(_obj(raw["result"], "result"), carrier)
-        table[((m, ra), (n, rb))] = val
-    cap = payload.get("levelCap")
-    return CommMonoidPresentation(
-        carrier, payload["unit"], table,
-        None if cap is None else _int(cap, "levelCap"),
-    )
-
-
-def decode_certificate(payload):
-    steps = []
-    for raw in _objs(payload["chain"], "chain"):
-        steps.append(
-            CertificateStep(
-                decode_operad(_obj(raw["elem"], "elem")),
-                tuple(decode_qa(f) for f in _objs(raw["move"], "move")),
-                raw["dir"],
-            )
-        )
-    return Certificate(
-        _int(payload["n"], "n"),
-        [frozenset(_int(a, "A") for a in _list(A, "A"))
-         for A in _list(payload["A"], "A")],
-        steps,
-        decode_operad(_obj(payload["final"], "final")),
-    )
-
-
-DECODERS = {
-    "partial-injection": decode_partial,
-    "qa-injection": decode_qa,
-    "operad-element": decode_operad,
-    "sigma-set": decode_sigma,
-    "mset": decode_mset,
-    "iset": decode_iset,
-    "morphism": decode_iset_morphism,
-    "monoid": decode_monoid,
-    "certificate": decode_certificate,
-}
-
-
-class Document:
-    def __init__(self, kind, payload, value):
-        self.kind = kind
-        self.payload = payload
-        self.value = value
+class Document(NamedTuple):
+    kind: str
+    payload: object  # the JSON as read: reports hash it
+    value: object
 
 
 def parse_document(data) -> Document:
@@ -450,12 +389,12 @@ def parse_document(data) -> Document:
     if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported formatVersion {version!r}")
     kind = raw["kind"]
-    payload = raw.get("payload")
-    decode = DECODERS.get(kind) if isinstance(kind, str) else None
-    if decode is None:
+    described = KINDS.get(kind) if isinstance(kind, str) else None
+    if described is None:
         raise ParseError(f"unknown document kind {kind!r}")
+    payload = raw.get("payload")
     try:
-        value = decode(payload)
+        value = described.read(payload, f"{kind} payload")
     except _MALFORMED as e:
         raise ValidationError(f"{kind} payload", repr(e)) from None
     return Document(kind, payload, value)
@@ -463,9 +402,9 @@ def parse_document(data) -> Document:
 
 def encode_document(kind, value):
     """The document as a dict of string keys and lists, as JSON reads it."""
-    if kind not in ENCODERS:
+    if kind not in KINDS:
         raise ParseError(f"unknown document kind {kind!r}")
-    return wrap(kind, ENCODERS[kind](value))
+    return wrap(kind, KINDS[kind].encode(value))
 
 
 def serialize_document(kind, value):

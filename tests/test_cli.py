@@ -312,6 +312,17 @@ class TestReportDiscipline:
         assert code == 2
         assert rep["error"]["type"] == "ValidationError"
 
+    @pytest.mark.parametrize("max_level", ["x", 9], ids=["string", "nine"])
+    def test_max_level_not_the_top_level_is_an_input_error(
+            self, capsys, inputs, tmp_path, max_level):
+        # no decoder read maxLevel: orbit-set listed the one orbit of the
+        # level-2 set with exit 0
+        code, rep = _call_on_bad(
+            capsys, inputs, tmp_path, ["orbit-set", "<bad>"],
+            _doc("mset", {"levels": {"2": SWAP}, "maxLevel": max_level}))
+        assert code == 2
+        assert rep["error"]["type"] == "ValidationError"
+
     @pytest.mark.parametrize("argv,text", WELL_FORMED,
                              ids=["mset", "partial-injection", "iset"])
     def test_unvaried_documents_are_accepted(
