@@ -68,8 +68,11 @@ def _first_overlap(progs):
     meet when they agree modulo the gcd of all their steps, so they are
     bucketed by that residue and tested exactly (`_meet`) only against
     progressions and single values of their own bucket."""
+    if len(progs) < 2:
+        return None
     points = {}
     runs = []
+    g = 0
     for i, p in enumerate(progs):
         if p[0] == p[1]:
             j = points.setdefault(p[0], i)
@@ -77,9 +80,9 @@ def _first_overlap(progs):
                 return j, i
         else:
             runs.append(i)
+            g = gcd(g, p[2])
     if not runs:
         return None
-    g = gcd(*(progs[i][2] for i in runs))
     buckets = {}
     for i in runs:
         bucket = buckets.setdefault(progs[i][0] % g, [])
@@ -211,8 +214,8 @@ def _spans_of_pieces(pieces):
     for lo, hi, mod, res, a, b in pieces:
         lo, mod = int(lo), int(mod)
         hi = None if hi is None else int(hi)
-        (an, ad), (bn, bd) = (x if type(x) is tuple else
-                              Fraction(x).as_integer_ratio() for x in (a, b))
+        an, ad = a if type(a) is tuple else Fraction(a).as_integer_ratio()
+        bn, bd = b if type(b) is tuple else Fraction(b).as_integer_ratio()
         if lo < 1 or mod < 1:
             raise ValueError("piece bounds must be positive")
         if hi is not None and hi < lo:
@@ -235,11 +238,6 @@ def _piece(span):
     return Piece(first, last, mod, first % mod, a, v0 - a * first)
 
 
-def _image(span):
-    first, last, mod, v0, step = span
-    return v0, None if last is None else v0 + (last - first) // mod * step, step
-
-
 def _normal_form(spans):
     """The canonical spans of the map the spans describe: one point span
     for each i below a minimal threshold, then one unbounded span per
@@ -254,23 +252,39 @@ def _normal_form(spans):
     1, ..., t-1 and the p spans one residue class mod p each from t on.
     Their domains are not checked; their values, images, period and
     threshold are, and when period and threshold are minimal the input
-    is the normal form."""
-    for first, last, mod, _, _ in spans:
+    is the normal form.  On such spans the minimal threshold is one
+    past the last point off its tail map, so the points are scanned
+    down from t-1 and the scan stops at the first one off it."""
+    # one pass: the bounds of every span, the tail, the first span
+    # with a value below one, the images and the normal shape, whose
+    # unbounded spans all have the mod p of the last span
+    tail, images = [], []
+    low = None
+    p = spans[-1][2] if spans else 0
+    t = len(spans) - p + 1
+    shaped = t >= 1
+    for i, sp in enumerate(spans, 1):
+        first, last, mod, v0, step = sp
         if first < 1 or mod < 1:
             raise ValueError("piece bounds must be positive")
-        if last is not None and last < first:
+        if last is None:
+            tail.append(sp)
+            images.append((v0, None, step))
+        elif last < first:
             raise ValueError("piece has hi < lo")
-    tail = [sp for sp in spans if sp[1] is None]
+        else:
+            images.append((v0, v0 + (last - first) // mod * step, step))
+        if (v0 < 1 or step < 1) and low is None:
+            low = sp
+        if shaped and (first != i or (
+                (last != i or mod != 1 or step != 1) if i < t
+                else (last is not None or mod != p))):
+            shaped = False
     if not tail:
         raise NotCovering("no unbounded piece; omega cannot be covered")
-    for sp in spans:
-        if sp[3] < 1 or sp[4] < 1:
-            raise NotInjective(f"{_piece(sp)} is not increasing with values >= 1")
+    if low is not None:
+        raise NotInjective(f"{_piece(low)} is not increasing with values >= 1")
     period = lcm(*(sp[2] for sp in tail))
-    t = len(spans) - spans[-1][2] + 1
-    shaped = t >= 1 and spans == [
-        (i, i, 1, sp[3], 1) if i < t else (i, None, period, sp[3], sp[4])
-        for i, sp in enumerate(spans, 1)]
 
     if not shaped:
         # coverage: pairwise disjoint domains whose unbounded part has
@@ -293,7 +307,7 @@ def _normal_form(spans):
             raise NotCovering(f"gap below {tail_start}")
 
     # injectivity: the images of distinct spans are disjoint
-    clash = _first_overlap([_image(sp) for sp in spans])
+    clash = _first_overlap(images)
     if clash:
         i, j = clash
         raise NotInjective(
@@ -307,41 +321,54 @@ def _normal_form(spans):
         b = mod * v0 - step * first
         g = gcd(step, b, mod)
         maps[first % mod::mod] = [(step // g, b // g, mod // g)] * (period // mod)
-    best = next(
+    best = 1 if period == 1 else next(
         d for d in range(1, period + 1)
         if period % d == 0 and maps == maps[:d] * (period // d)
     )
 
     # minimal threshold: one past the last point where a bounded span
-    # leaves the tail maps.  On the points of one residue class a span
-    # and a tail map are both affine, so they agree on all of them or on
-    # one at most, and the last two points decide.  A point span lies in
-    # one class, its own.
+    # leaves the tail maps.  The bounded spans of shaped input are the
+    # points 1, ..., t-1, scanned down to the first one off its map.
     start = 1
-    for first, last, mod, v0, step in spans:
-        if last is None:
-            continue
-        if first == last:
-            a, b, d = maps[first % best]
-            if a * first + b != d * v0:
-                start = max(start, first + 1)
-            continue
-        for r, (a, b, d) in enumerate(maps[:best]):
-            met = _meet((first, last, mod), (r, None, best))
-            if met is None:
+    if shaped:
+        for i in range(t - 1, 0, -1):
+            a, b, d = maps[i % best]
+            if a * i + b != d * spans[i - 1][3]:
+                start = i + 1
+                break
+    else:
+        # on the points of one residue class a span and a tail map are
+        # both affine, so they agree on all of them or on one at most,
+        # and the last two points decide.  A point span lies in one
+        # class, its own.
+        for first, last, mod, v0, step in spans:
+            if last is None:
                 continue
-            lo, hi, gap = met
-            for x in (hi, hi - gap):
-                if x < lo:
-                    break
-                if a * x + b != d * (v0 + (x - first) // mod * step):
-                    start = max(start, x + 1)
-                    break
+            if first == last:
+                a, b, d = maps[first % best]
+                if a * first + b != d * v0:
+                    start = max(start, first + 1)
+                continue
+            for r, (a, b, d) in enumerate(maps[:best]):
+                met = _meet((first, last, mod), (r, None, best))
+                if met is None:
+                    continue
+                lo, hi, gap = met
+                for x in (hi, hi - gap):
+                    if x < lo:
+                        break
+                    if a * x + b != d * (v0 + (x - first) // mod * step):
+                        start = max(start, x + 1)
+                        break
 
     if shaped and best == period and start == t:
         return tuple(spans)
     head = [0] * start
     for first, last, mod, v0, step in spans:
+        if first == last:
+            if first < start:
+                head[first] = v0
+            continue
         top = start - 1 if last is None else min(last, start - 1)
         if top >= first:
             head[first:top + 1:mod] = range(
@@ -352,6 +379,9 @@ def _normal_form(spans):
         a, b, d = maps[lo % best]
         normal.append((lo, None, best, (a * lo + b) // d, a * best // d))
     return tuple(normal)
+
+
+_IDENTITY = ((1, None, 1, 1, 1),)  # the spans of the identity
 
 
 class QuasiAffineInjection:
@@ -400,6 +430,16 @@ class QuasiAffineInjection:
 
     def compose(self, inner: "QuasiAffineInjection") -> "QuasiAffineInjection":
         """self after inner; the class is closed under composition."""
+        if self.spans == _IDENTITY:
+            return inner
+        if inner.spans == _IDENTITY:
+            return self
+        return QuasiAffineInjection(self.compose_spans(inner))
+
+    def compose_spans(self, inner: "QuasiAffineInjection"):
+        """The spans of self after inner, not normalized: each span of
+        inner cut where its values meet the points of self and the
+        residue classes of its unbounded spans."""
         outer = self.spans
         period = outer[-1][2]
         start = len(outer) - period + 1
@@ -432,7 +472,7 @@ class QuasiAffineInjection:
                     w + (v - f) // period * s,
                     step * cycle // period * s,
                 ))
-        return QuasiAffineInjection(spans)
+        return spans
 
     def image_contains(self, v):
         for first, last, step in self.image_progressions():
@@ -444,7 +484,9 @@ class QuasiAffineInjection:
         """The images of the spans as progressions (first, last, step),
         last None when unbounded; computed once per instance."""
         if self._images is None:
-            self._images = tuple(_image(sp) for sp in self.spans)
+            self._images = tuple(
+                (v0, None if last is None else v0 + (last - first) // mod * step,
+                 step) for first, last, mod, v0, step in self.spans)
         return self._images
 
     def fixes_pointwise(self, points):
@@ -491,14 +533,23 @@ def compose_any(outer: Injection, inner: Injection) -> Injection:
     raise DomainMismatch("cannot compose a total injection under a partial one")
 
 
+def _clashing_slots(slots):
+    """The least pair (i, j), i < j, of slots whose images meet, or None.
+    A partial injection's values are single-value progressions.  One
+    overlap pass over the images of all slots decides, as the images of
+    one slot are disjoint already; only a clash is traced back to its
+    least pair."""
+    images = [s.image_progressions() if isinstance(s, QuasiAffineInjection)
+              else [(v, v, 1) for v in s.mapping.values()] for s in slots]
+    if _first_overlap([p for ps in images for p in ps]) is None:
+        return None
+    return next((i, j) for i in range(len(slots)) for j in range(i + 1, len(slots))
+                if _first_overlap([*images[i], *images[j]]) is not None)
+
+
 def _images_disjoint(s, t):
-    if isinstance(s, PartialInjection) and isinstance(t, PartialInjection):
-        return not (s.image() & t.image())
-    if isinstance(s, QuasiAffineInjection) and isinstance(t, QuasiAffineInjection):
-        # the spans of one injection have disjoint images already
-        return _first_overlap(s.image_progressions() + t.image_progressions()) is None
-    qa, part = (s, t) if isinstance(s, QuasiAffineInjection) else (t, s)
-    return not any(qa.image_contains(v) for v in part.image())
+    """Whether two slots have disjoint images."""
+    return _clashing_slots((s, t)) is None
 
 
 class OperadElement:
@@ -512,10 +563,10 @@ class OperadElement:
         for s in slots:
             if not isinstance(s, (PartialInjection, QuasiAffineInjection)):
                 raise ValueError(f"bad slot {s!r}")
-        for i in range(len(slots)):
-            for j in range(i + 1, len(slots)):
-                if not _images_disjoint(slots[i], slots[j]):
-                    raise NotInjective(f"slots {i + 1} and {j + 1} share image values")
+        clash = _clashing_slots(slots)
+        if clash:
+            i, j = clash
+            raise NotInjective(f"slots {i + 1} and {j + 1} share image values")
         self.slots = slots
 
     @property

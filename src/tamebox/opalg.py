@@ -27,6 +27,7 @@ from .errors import (
     PreconditionViolated,
     SearchExhausted,
     SupportNotCovered,
+    TameboxError,
     ValidationFailed,
 )
 from .injections import (
@@ -472,7 +473,7 @@ def verify_certificate(cert: Certificate, phi=None, psi=None):
                     return False, idx, "backward step does not recover this element"
             else:
                 return False, idx, "unknown direction"
-        except Exception:
+        except TameboxError:
             return False, idx, "step evaluation failed"
     if phi is not None and chain[0] != phi:
         return False, None, "start does not match"
@@ -577,14 +578,21 @@ def _drop_values(u: QuasiAffineInjection, avoid):
     return QuasiAffineInjection(spans)
 
 
-def _inflate_along(c: QuasiAffineInjection, t: QuasiAffineInjection, pinned):
+def _inflate_along(c: QuasiAffineInjection, t, pinned):
     """The map h with h(c(i)) = t(i) off the pinned set and the pinned
-    values on it; c must have slope-one pieces (an order embedding)."""
+    values on it; c must have slope-one pieces (an order embedding).
+    t is a quasi-affine injection, which is h when c is the identity
+    and nothing is pinned, or spans of one that need not be normal
+    (`QuasiAffineInjection.compose_spans`)."""
+    if isinstance(t, QuasiAffineInjection):
+        if not pinned and c == _ID:
+            return t
+        t = t.spans
     spans = [(a, a, 1, v, 1) for a, v in pinned.items()]
     for fc, lc, mc, vc, sc in c.spans:
         assert sc == mc
         shift = vc - fc
-        for ft, lt, mt, vt, st in t.spans:
+        for ft, lt, mt, vt, st in t:
             met = _meet((fc, lc, mc), (ft, lt, mt))
             if met is None:
                 continue
@@ -601,9 +609,9 @@ def certify_agreement(phi: OperadElement, psi: OperadElement, constraints):
     The constraints are conjugated away: slot i is precomposed with
     the order embedding of omega onto omega minus A_i, and the pinned
     values are dropped from the target.  `_connect` joins the images
-    phi' and psi' in at most six steps, and `restore` and
-    `_inflate_along` transport the chain back, pinning the prescribed
-    values again.
+    phi' and psi' in at most six steps, and `_inflate_along`
+    transports the chain back, pinning the prescribed values again;
+    each distinct move of a slot is transported once.
 
     Let n be the arity and M = n(2n+1).  The widened a = phi' after
     (w_1 + ... + w_n) has affine slots a_k(i) = v_k + (i-1)*M*s_k, all
@@ -673,28 +681,32 @@ def certify_agreement(phi: OperadElement, psi: OperadElement, constraints):
         )
         elems, steps = _connect(inner_phi, inner_psi)
 
-        def restore(e):
-            return OperadElement(
-                [
-                    _inflate_along(
-                        embeds[i], lift.compose(e.slots[i]), pinned_slots[i]
-                    )
-                    for i in range(n)
-                ]
-            )
+        def transport(i, outer, f, pinned):
+            # h with h(embeds[i](x)) = outer(f(x)) off the pinned set;
+            # outer after f stays in spans, only h is normalized
+            t = f if outer == _ID else outer.compose_spans(f)
+            return _inflate_along(embeds[i], t, pinned)
 
-        out_elems = [restore(e) for e in elems]
-        out_steps = []
-        for idx, step in enumerate(steps):
-            move = tuple(
-                _inflate_along(
-                    embeds[i], embeds[i].compose(step.move[i]), pinned_id[i]
-                )
-                for i in range(n)
+        moves = {}  # (slot, move) -> the move transported back
+
+        def transport_move(i, f):
+            if (i, f) not in moves:
+                moves[i, f] = transport(i, embeds[i], f, pinned_id[i])
+            return moves[i, f]
+
+        out_elems = [
+            OperadElement([transport(i, lift, s, pinned_slots[i])
+                           for i, s in enumerate(e.slots)])
+            for e in elems
+        ]
+        out_steps = [
+            CertificateStep(
+                out_elems[idx],
+                tuple(transport_move(i, f) for i, f in enumerate(step.move)),
+                step.direction,
             )
-            out_steps.append(
-                CertificateStep(out_elems[idx], move, step.direction)
-            )
+            for idx, step in enumerate(steps)
+        ]
         cert = Certificate(n, constraints, out_steps, out_elems[-1])
 
     ok, at, reason = verify_certificate(cert, phi, psi)

@@ -6,7 +6,8 @@ normalization tests domain and image overlaps pair by pair with the
 Chinese remainder theorem, and composition intersects every inner piece
 with every outer one.  It is slow and serves only to cross-check the
 integer kernel.  Pieces are `tamebox.injections.Piece` tuples; a normal
-form is a tuple of `Piece`s with Fraction coefficients.
+form is a tuple of `Piece`s with Fraction coefficients.  The slot check
+of `OperadElement` is kept here as it was, pair by pair.
 """
 
 import math
@@ -14,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from tamebox.errors import NotCovering, NotInjective
-from tamebox.injections import Piece
+from tamebox.injections import Piece, QuasiAffineInjection
 
 
 def _mod_inverse(a, m):
@@ -345,3 +346,28 @@ def inflate_along(c, t, pinned):
                       mod, (res + shift) % mod, pt.a, pt.b - pt.a * shift)
             )
     return normalize(pieces)
+
+
+# -- the slot check of tamebox.injections.OperadElement, pair by pair -----------
+
+
+def slots_clash(slots):
+    """The error `OperadElement(slots)` raises, as (class, message), or
+    None: the slots are tested pair by pair, (1, 2), (1, 3), ..., and
+    the first pair whose images meet is named.  Two partial injections
+    meet when their value sets do, a partial and a quasi-affine one
+    when a value of the first is in the image of the second."""
+    def disjoint(s, t):
+        s_qa, t_qa = (isinstance(x, QuasiAffineInjection) for x in (s, t))
+        if s_qa and t_qa:
+            return images_disjoint(s.pieces, t.pieces)
+        if not s_qa and not t_qa:
+            return not (s.image() & t.image())
+        qa, part = (s, t) if s_qa else (t, s)
+        return not any(image_contains(qa.pieces, v) for v in part.image())
+
+    for i in range(len(slots)):
+        for j in range(i + 1, len(slots)):
+            if not disjoint(slots[i], slots[j]):
+                return NotInjective, f"slots {i + 1} and {j + 1} share image values"
+    return None

@@ -1,16 +1,19 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qa_oracle
 from tamebox.errors import (
     ArityMismatch,
     DomainMismatch,
     IndexOutOfRange,
     NotCovering,
     NotInjective,
+    TameboxError,
 )
+from tamebox.generators import disjoint_lanes, random_quasi_affine
 from tamebox.injections import (
     OperadElement,
     PartialInjection,
@@ -36,6 +39,28 @@ def naive_order_embed_avoiding(avoid, upto):
 
 def qa_values(f, upto):
     return [f(i) for i in range(1, upto + 1)]
+
+
+def random_slots(rng):
+    """Two to four slots, each a quasi-affine or a partial injection in
+    one of one to four residue lanes, every lane taken at least once:
+    slots in one lane often share image values, and slots in distinct
+    lanes never do."""
+    n = rng.randint(2, 4)
+    m = rng.randint(1, n)
+    lanes = disjoint_lanes(m)
+    order = [k % m for k in range(n)]
+    rng.shuffle(order)
+    slots = []
+    for k in order:
+        if rng.random() < 0.5:
+            slots.append(lanes[k].compose(random_quasi_affine(rng)))
+        else:
+            keys = rng.sample(range(1, 10), rng.randint(0, 4))
+            values = rng.sample(range(1, 10), len(keys))
+            slots.append(PartialInjection(
+                {a: lanes[k](v) for a, v in zip(keys, values)}))
+    return slots
 
 
 class TestPartialInjection:
@@ -268,6 +293,18 @@ class TestOperadElement:
             )
         with pytest.raises(NotInjective):
             OperadElement([PartialInjection({1: 5}), PartialInjection({2: 5})])
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=200)
+    @given(st.integers(0, 10**6))
+    def test_slot_check_matches_pairwise_oracle(self, seed):
+        slots = random_slots(random.Random(f"slots:{seed}"))
+        try:
+            OperadElement(slots)
+            got = None
+        except TameboxError as e:
+            got = type(e), str(e)
+        assert got == qa_oracle.slots_clash(slots)
 
     def test_unit_laws(self):
         s = interleave()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import tamebox.opalg as opalg
 from tamebox.errors import (
     NotAMonoid,
+    NotInjective,
     OverlappingSupports,
     PreconditionViolated,
     ValidationFailed,
@@ -450,6 +451,28 @@ class TestCertificates:
         ok, _, reason = verify_certificate(cert, psi, phi)
         if phi != psi:
             assert not ok
+
+    def test_only_library_errors_fail_a_step(self, monkeypatch):
+        """A library error while a step is evaluated fails that step;
+        any other exception is a fault of the program and propagates."""
+        rng = random.Random(29)
+        phi, psi, constraints = random_pair_agreeing(rng, 2, [1, 1])
+        cert = certify_agreement(phi, psi, constraints)
+        assert cert.steps
+
+        def raising(error):
+            def precompose(self, moves):
+                raise error
+            return precompose
+
+        monkeypatch.setattr(OperadElement, "precompose",
+                            raising(NotInjective("slots 1 and 2 share image values")))
+        assert verify_certificate(cert, phi, psi) == \
+            (False, 0, "step evaluation failed")
+        monkeypatch.setattr(OperadElement, "precompose",
+                            raising(RuntimeError("a fault in composition")))
+        with pytest.raises(RuntimeError, match="a fault in composition"):
+            verify_certificate(cert, phi, psi)
 
 
 class TestChainBound:

@@ -267,7 +267,10 @@ def test_spoiled_documents_keep_their_errors():
 def test_compose_matches_oracle(seed):
     rng = random.Random(f"qa:compose:{seed}")
     f, g = random_qa(rng), random_qa(rng)
-    assert f.compose(g).pieces == oracle.compose(f.pieces, g.pieces)
+    identity = QuasiAffineInjection.identity()
+    for outer, inner in ((f, g), (identity, g), (f, identity)):
+        assert outer.compose(inner).pieces == \
+            oracle.compose(outer.pieces, inner.pieces)
 
 
 @kernel_settings
@@ -307,8 +310,13 @@ def test_certificate_helpers_match_oracle(seed):
     keep = order_embed_avoiding(constraint)
     target = keep.compose(w)
     pinned = {a: a for a in constraint}
-    assert _inflate_along(keep, target, pinned).pieces == \
-        oracle.inflate_along(keep.pieces, target.pieces, pinned)
+    # the target also as the raw spans of keep after w, as
+    # certify_agreement passes it
+    for c, t, pins in ((keep, target, pinned),
+                       (keep, keep.compose_spans(w), pinned),
+                       (order_embed_avoiding(()), target, {})):
+        assert _inflate_along(c, t, pins).pieces == \
+            oracle.inflate_along(c.pieces, target.pieces, pins)
 
 
 def test_criterion_8_chains_match_oracle():
