@@ -317,20 +317,23 @@ def restriction_coequalizer(N):
 
 
 class OmegaColimit:
-    """Union-find classes of the colimit over the inclusions, with the
-    induced action of partial injections inside the truncation."""
+    """The colimit over the inclusions, with the induced action of
+    partial injections inside the truncation.  Its classes are the points
+    of level N: a class holds the nodes the inclusions carry to one."""
 
     def __init__(self, X: TruncatedISet):
         self.iset = X
+        # each level pushed to the top once, from N down
+        top = [None] * X.N + [{p: p for p in X.levels[X.N]}]
+        for m in range(X.N - 1, -1, -1):
+            top[m] = {p: top[m + 1][X.incl[m][p]] for p in X.levels[m]}
         # level by level, each in key order: every class is named by its
-        # (level, key)-least node, and roots() lists them in that order
-        uf = UnionFind((m, p) for m in range(X.N + 1)
-                       for p in sorted(X.levels[m], key=point_key))
-        below = [(m, p) for m in range(X.N) for p in X.levels[m]]
-        uf.union_ids([uf.ids[node] for node in below],
-                     [uf.ids[m + 1, X.incl[m][p]] for m, p in below])
-        self.root = {node: uf.find(node) for node in uf.nodes}
-        self.classes = uf.roots()
+        # (level, key)-least node, and classes lists them in that order
+        name, self.root = {}, {}
+        for m in range(X.N + 1):
+            for p in sorted(X.levels[m], key=point_key):
+                self.root[m, p] = name.setdefault(top[m][p], (m, p))
+        self.classes = list(name.values())
         self._supp = {}
         self._preimages = {}
         self._elements = {}
@@ -502,22 +505,19 @@ class ISetMorphism:
                             f"transposition naturality at level {m}"
                         )
 
+    def _bijective_at(self, m):
+        return (len(set(self.maps[m].values())) == len(self.source.levels[m])
+                == len(self.target.levels[m]))
+
     def level_bijective(self):
-        return all(
-            len(set(self.maps[m].values())) == len(self.source.levels[m])
-            and len(self.source.levels[m]) == len(self.target.levels[m])
-            for m in range(self.source.N + 1)
-        )
+        return all(self._bijective_at(m) for m in range(self.source.N + 1))
 
 
 def n_iso_check(f: ISetMorphism):
-    """Whether the induced map of colimit classes is a bijection."""
-    src = omega_colimit(f.source)
-    tgt = omega_colimit(f.target)
-    images = {
-        c: tgt.class_of(c[0], f.maps[c[0]][c[1]]) for c in src.classes
-    }
-    return len(set(images.values())) == len(src.classes) == len(tgt.classes)
+    """Whether the induced map of colimit classes is a bijection: the
+    classes are the top points, and f carries the class of a top point
+    y to that of f_N(y), so exactly when f_N is a bijection."""
+    return f._bijective_at(f.source.N)
 
 
 def flat_replacement(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):

@@ -6,11 +6,14 @@ relations are validated on construction, so the action of an arbitrary
 permutation is well defined through any decomposition into adjacent
 transpositions.
 
-Stabilizer generators come from the orbit transversal by Schreier's
-lemma, without enumerating the symmetric group.  Isomorphism types still
-enumerate it: they are multisets of stabilizer conjugacy labels, each
-the trivial, full or alternating subgroup, or else the least conjugate
-of the stabilizer, found by brute force inside a degree bound.
+The orbits and the orbit transversal come from one breadth-first
+search per orbit, started at the orbit's key-least point, which is its
+representative.  Stabilizer generators come from that transversal by
+Schreier's lemma, without enumerating the symmetric group.  Isomorphism
+types still enumerate it: they are multisets of stabilizer conjugacy
+labels, each the trivial, full or alternating subgroup, or else the
+least conjugate of the stabilizer, found by brute force inside a
+degree bound.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from itertools import combinations, permutations, product
 from math import factorial
 
 from .errors import DegreeTooLarge, ValidationError
-from .unionfind import UnionFind
 
 DEFAULT_DEGREE_BOUND = 7
 
@@ -148,8 +150,6 @@ class SigmaSet:
         self.point_set = pset
         self.transpositions = transpositions
         self.degree_bound = degree_bound
-        self._orbit_cache = None
-        self._transversal = None
 
     def __len__(self):
         return len(self.points)
@@ -160,22 +160,35 @@ class SigmaSet:
             p = self.transpositions[i - 1][p]
         return p
 
+    @cached_property
+    def _search(self):
+        """Orbits and rooted transversal, one breadth-first search per
+        orbit, each from the first point in key order that no earlier
+        search reached: the key-least point, the orbit's representative."""
+        transversal = {}
+        groups = {}
+        for p in sorted(self.points, key=point_key):
+            if p not in transversal:
+                transversal[p] = (p, identity_perm(self.m))
+                frontier = [p]
+                while frontier:
+                    nxt = []
+                    for q in frontier:
+                        for i, t in enumerate(self.transpositions, start=1):
+                            r = t[q]
+                            if r not in transversal:
+                                transversal[r] = (p, perm_compose(
+                                    transposition_perm(self.m, i),
+                                    transversal[q][1]))
+                                nxt.append(r)
+                    frontier = nxt
+            groups.setdefault(transversal[p][0], []).append(p)
+        return list(groups.items()), transversal
+
     def orbits(self):
         """Partition into orbits, with the least point of each orbit as
         its representative.  Returns a list of (rep, members) pairs."""
-        if self._orbit_cache is not None:
-            return self._orbit_cache
-        # inserted in key order, so each orbit lists its least point first
-        uf = UnionFind(sorted(self.points, key=point_key))
-        for t in self.transpositions:
-            for p, q in t.items():
-                uf.union(p, q)
-        groups = {}
-        for p in uf.nodes:
-            groups.setdefault(uf.find(p), []).append(p)
-        out = list(groups.items())
-        self._orbit_cache = out
-        return out
+        return self._search[0]
 
     @cached_property
     def _orbit_of(self):
@@ -184,25 +197,7 @@ class SigmaSet:
     def rooted_transversal(self):
         """For every point p, its orbit representative r and a
         permutation sigma with sigma . r = p; computed once."""
-        if self._transversal is not None:
-            return self._transversal
-        out = {}
-        for rep, _ in self.orbits():
-            out[rep] = (rep, identity_perm(self.m))
-            frontier = [rep]
-            while frontier:
-                nxt = []
-                for p in frontier:
-                    for i, t in enumerate(self.transpositions, start=1):
-                        q = t[p]
-                        if q not in out:
-                            out[q] = (rep, perm_compose(
-                                transposition_perm(self.m, i), out[p][1]
-                            ))
-                            nxt.append(q)
-                frontier = nxt
-        self._transversal = out
-        return out
+        return self._search[1]
 
     def orbit_root(self, p):
         return self.rooted_transversal()[p][0]

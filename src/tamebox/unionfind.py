@@ -1,5 +1,9 @@
 """Disjoint sets over integer ids, with hashable nodes on top.
 
+It is for gluing: quotients, coequalizers, pushouts and the colimit
+kernels of `iset`.  Orbits and the colimit over the inclusions, which
+the structure gives, are read off it instead.
+
 The classes live in one parent array over the ids 0..n-1, and a union
 links the greater root under the lesser, so the representative of every
 class is its least id.  Two entry points share that array:
@@ -17,8 +21,8 @@ class is its least id.  Two entry points share that array:
 A caller that wants every class named by its least member under some
 key inserts the nodes sorted by that key: the first-inserted member of
 a class is then its least, and roots() lists the classes in key order
-with no further sort.  quotient_iset, OmegaColimit, mset.coequalize
-and SigmaSet.orbits insert in point_key order this way.
+with no further sort.  quotient_iset and mset.coequalize insert in
+point_key order this way.
 """
 
 from __future__ import annotations

@@ -17,6 +17,10 @@ through partial injections.
 `direct_flatness` is the direct flatness route that rebuilds the span
 of every meet and compares pairs, and `merge_level` rescans every
 inclusion; the library reads both off the images it builds once.
+
+`n_iso_check` builds both colimits over the inclusions by union-find
+over the nodes of every level and compares their classes; the library
+reads the answer off the top level map.
 """
 
 from itertools import combinations
@@ -321,3 +325,22 @@ def direct_flatness(X: TruncatedISet):
                                 return False, ("pullback", n, alpha, beta,
                                                u, v)
     return True, None
+
+
+def omega_classes(X: TruncatedISet):
+    """The class of every (level, point) node of the colimit over the
+    inclusions, by union-find over the nodes of every level."""
+    parent = {(m, p): (m, p) for m in range(X.N + 1) for p in X.levels[m]}
+    find, union = _find_in(parent)
+    for m in range(X.N):
+        for p in X.levels[m]:
+            union((m, p), (m + 1, X.incl[m][p]))
+    return {node: find(node) for node in parent}
+
+
+def n_iso_check(f):
+    """Whether f induces a bijection of colimit classes, from the
+    classes of both colimits."""
+    src, tgt = omega_classes(f.source), omega_classes(f.target)
+    images = {c: tgt[c[0], f.maps[c[0]][c[1]]] for c in set(src.values())}
+    return len(set(images.values())) == len(images) == len(set(tgt.values()))

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import colimit_oracle as oracle
 from tamebox.errors import (
@@ -249,6 +253,30 @@ class TestAdjunction:
         ):
             _, eta = flat_replacement(X)
             assert n_iso_check(eta)
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=100)
+    @given(st.integers(0, 10**6), st.integers(2, 4))
+    def test_n_iso_matches_two_colimit_oracle(self, seed, N):
+        # the unit and the identity are colimit bijections, the inclusion
+        # into X with one more point is not, and the map onto one point
+        # is one exactly when the top level is a single point
+        X = random_iset(random.Random(seed), N, N // 2, merge_cap=N - 2)
+        _, eta = flat_replacement(X)
+        ident = ISetMorphism(X, X, [{p: p for p in l} for l in X.levels])
+        point = constant_iset(["*"], N)
+        collapse = ISetMorphism(X, point, [{p: "*" for p in l}
+                                           for l in X.levels])
+        assert all("*" not in l for l in X.levels)
+        wider = TruncatedISet(
+            N, [l + ["*"] for l in X.levels],
+            [{**d, "*": "*"} for d in X.incl],
+            [[{**t, "*": "*"} for t in ts] for ts in X.transp])
+        extra = ISetMorphism(X, wider, ident.maps)
+        for f in (eta, ident, collapse, extra):
+            assert n_iso_check(f) == oracle.n_iso_check(f)
+        assert n_iso_check(eta) and n_iso_check(ident)
+        assert not n_iso_check(extra)
 
     def test_coequalizer_replacement_is_constant_point(self):
         Q = restriction_coequalizer(4)

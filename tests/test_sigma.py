@@ -6,7 +6,7 @@ from itertools import permutations, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import monoid_oracle as oracle
@@ -122,6 +122,15 @@ class TestValidation:
             trivial_sigma_set(9, ["x"])
 
 
+def shuffled_draw(seed, m):
+    """A random_sigma_set draw with its points listed in random order,
+    so that list order and key order differ."""
+    rng = random.Random(seed)
+    ss = random_sigma_set(rng, m, max_points=12)
+    points = rng.sample(ss.points, len(ss.points))
+    return SigmaSet(m, points, ss.transpositions)
+
+
 class TestOrbits:
     def test_trivial_action_two_orbits(self):
         ss = trivial_sigma_set(2, ["a", "b"])
@@ -153,13 +162,18 @@ class TestOrbits:
         )
         assert len(ss.orbits()[0][1]) == 6
 
-    def test_transversal_carries_rep(self):
-        ss = tuple_action_set(3, 2)
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=100)
+    @example(tuple_action_set(3, 2))
+    @given(st.builds(shuffled_draw, st.integers(0, 10**6), st.integers(0, 5)))
+    def test_transversal_carries_rep(self, ss):
         tr = ss.rooted_transversal()
         roots = {p: rep for rep, members in ss.orbits() for p in members}
         for p, (root, sigma) in tr.items():
             assert root == roots[p]
             assert ss.act_perm(sigma, root) == p
+        for rep, members in ss.orbits():
+            assert rep == min(members, key=point_key)
 
 
 def check_stabilizer_generators(ss):
