@@ -58,7 +58,8 @@ from .mset import (
     all_injective_tuples,
     decompose_table,
 )
-from .sigma import DEFAULT_DEGREE_BOUND, SigmaSet, completion_word, point_key
+from .sigma import (DEFAULT_DEGREE_BOUND, SigmaSet, completion_word, point_key,
+                    walk)
 from .unionfind import UnionFind
 
 
@@ -210,18 +211,7 @@ class TruncatedISet:
 def _generated_from_below(m, levels, incl, transp):
     """Whether the transpositions carry the image of level m onto all
     of level m+1."""
-    reached = set(incl[m].values())
-    frontier = list(reached)
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for t in transp[m + 1]:
-                z = t[y]
-                if z not in reached:
-                    reached.add(z)
-                    nxt.append(z)
-        frontier = nxt
-    return reached == set(levels[m + 1])
+    return len(walk(incl[m].values(), transp[m + 1])) == len(levels[m + 1])
 
 
 def representable_iset(m, N):

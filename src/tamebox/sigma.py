@@ -6,14 +6,11 @@ relations are validated on construction, so the action of an arbitrary
 permutation is well defined through any decomposition into adjacent
 transpositions.
 
-The orbits and the orbit transversal come from one breadth-first
-search per orbit, started at the orbit's key-least point, which is its
-representative.  Stabilizer generators come from that transversal by
-Schreier's lemma, without enumerating the symmetric group.  Isomorphism
-types still enumerate it: they are multisets of stabilizer conjugacy
-labels, each the trivial, full or alternating subgroup, or else the
-least conjugate of the stabilizer, found by brute force inside a
-degree bound.
+Every search is one breadth-first `walk` along the tables.  One walk
+per orbit, from its key-least point (the representative), gives the
+orbits and the transversal, hence stabilizer generators by Schreier's
+lemma.  Stabilizer classes are read off the tables renumbered in walk
+order (`subgroup_conjugacy_label`): no search lists the group.
 """
 
 from __future__ import annotations
@@ -110,6 +107,29 @@ def all_perms(m):
     return [tuple(p) for p in permutations(range(1, m + 1))]
 
 
+def walk(starts, tables):
+    """Breadth-first search from the starts, trying the tables in order
+    at each point: a dict in discovery order that sends each start to
+    None and each other point to (the point it was reached from, the
+    index of the table)."""
+    via = dict.fromkeys(starts)
+    queue = list(via)
+    for q in queue:  # the queue grows while it is read
+        for i, t in enumerate(tables):
+            r = t[q]
+            if r not in via:
+                via[r] = (q, i)
+                queue.append(r)
+    return via
+
+
+def _numbered(start, tables):
+    """The tables on the positions of the walk from start: entry k of
+    table i is the position of the image of the k-th point."""
+    pos = {p: k for k, p in enumerate(walk([start], tables))}
+    return tuple(tuple(pos[t[p]] for p in pos) for t in tables)
+
+
 class SigmaSet:
     """A validated finite set with an action of the symmetric group."""
 
@@ -162,26 +182,20 @@ class SigmaSet:
 
     @cached_property
     def _search(self):
-        """Orbits and rooted transversal, one breadth-first search per
-        orbit, each from the first point in key order that no earlier
-        search reached: the key-least point, the orbit's representative."""
+        """Orbits and rooted transversal, one walk per orbit, each from
+        the first point in key order that no earlier walk reached: the
+        key-least point, the orbit's representative."""
         transversal = {}
         groups = {}
         for p in sorted(self.points, key=point_key):
             if p not in transversal:
-                transversal[p] = (p, identity_perm(self.m))
-                frontier = [p]
-                while frontier:
-                    nxt = []
-                    for q in frontier:
-                        for i, t in enumerate(self.transpositions, start=1):
-                            r = t[q]
-                            if r not in transversal:
-                                transversal[r] = (p, perm_compose(
-                                    transposition_perm(self.m, i),
-                                    transversal[q][1]))
-                                nxt.append(r)
-                    frontier = nxt
+                for r, via in walk([p], self.transpositions).items():
+                    u = identity_perm(self.m)
+                    if via is not None:
+                        q, i = via
+                        u = perm_compose(transposition_perm(self.m, i + 1),
+                                         transversal[q][1])
+                    transversal[r] = (p, u)
             groups.setdefault(transversal[p][0], []).append(p)
         return list(groups.items()), transversal
 
@@ -217,40 +231,35 @@ class SigmaSet:
                 gens.add(perm_compose(ws, tv[p][1]))
         return sorted(gens - {identity_perm(self.m)})
 
-    def stabilizer(self, p):
-        return frozenset(
-            sigma for sigma in all_perms(self.m) if self.act_perm(sigma, p) == p
-        )
-
     def iso_type(self):
-        """Multiset of stabilizer conjugacy labels, one per orbit.
-        Two SigmaSets of equal degree are isomorphic exactly when these
-        multisets coincide."""
-        labels = []
-        for rep, _ in self.orbits():
-            labels.append(subgroup_conjugacy_label(self.m, self.stabilizer(rep)))
-        return tuple(sorted(labels))
+        """Multiset of orbit labels, one per orbit.  Two SigmaSets of
+        equal degree are isomorphic exactly when these coincide."""
+        return tuple(sorted(
+            subgroup_conjugacy_label(self.m, _numbered(rep, self.transpositions))
+            for rep, _ in self.orbits()))
 
 
 @lru_cache(maxsize=None)
-def subgroup_conjugacy_label(m, subgroup):
-    """A string determined exactly by the conjugacy class of the
-    subgroup inside the degree-m symmetric group: the trivial, full or
-    alternating subgroup (the only one of index two) by name, any other
-    by its least conjugate, a sorted tuple of permutations."""
-    order = len(subgroup)
-    if order == 1:
+def subgroup_conjugacy_label(m, tables):
+    """A string determined exactly by the conjugacy class of the point
+    stabilizers of a transitive degree-m set on the points 0..n-1, a
+    class that determines the set.  Orbits of m!, 1 and 2 points
+    (trivial, full, alternating stabilizers) are named; any other gets
+    the least `_numbered(x, tables)` over the x whose first row (how x's
+    neighbours are numbered) is least, a choice free of the numbering."""
+    n = len(tables[0]) if tables else 1
+    if n == factorial(m):
         return f"S{m}:trivial"
-    if order == factorial(m):
+    if n == 1:
         return f"S{m}:full"
-    if 2 * order == factorial(m):
+    if n == 2:
         return f"S{m}:alternating"
-    best = None
-    for g in all_perms(m):
-        ginv = perm_inverse(g)
-        conj = tuple(sorted(perm_compose(perm_compose(g, h), ginv) for h in subgroup))
-        if best is None or conj < best:
-            best = conj
+    rows = []
+    for x in range(n):
+        seen = {x: 0}
+        rows.append(tuple(seen.setdefault(t[x], len(seen)) for t in tables))
+    least = min(rows)
+    best = min(_numbered(x, tables) for x in range(n) if rows[x] == least)
     return f"S{m}:c{best}"
 
 

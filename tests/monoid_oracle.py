@@ -19,6 +19,8 @@ from tamebox.mset import CanonicalTameMSet, MElement, support
 from tamebox.opalg import std_element
 from tamebox.sigma import identity_perm, perm_compose
 
+from sigma_oracle import stabilizer
+
 
 def closure(gens, m):
     """The subgroup of the degree-m symmetric group that the
@@ -86,8 +88,8 @@ class OraclePresentation:
                 raise ValidationFailed(f"sum of {(m, ra)} and {(n, rb)} invalid")
             if not set(c.image) <= set(range(1, m + n + 1)):
                 raise ValidationFailed("sum not supported inside the blocks")
-            stab_a = carrier.levels[m].stabilizer(ra) if m else [()]
-            stab_b = carrier.levels[n].stabilizer(rb) if n else [()]
+            stab_a = stabilizer(carrier.levels[m], ra) if m else [()]
+            stab_b = stabilizer(carrier.levels[n], rb) if n else [()]
             for sa in stab_a:
                 for sb in stab_b:
                     f = {k: sa[k - 1] for k in range(1, m + 1)}

@@ -37,7 +37,7 @@ from tamebox.mset import (
     mset_iso_equal,
     unit_mset,
 )
-from tamebox.sigma import SigmaSet, trivial_sigma_set
+from tamebox.sigma import SigmaSet, induce, iso_equal, trivial_sigma_set
 
 
 def tuple_sigma_set(m, width):
@@ -392,6 +392,17 @@ class TestDayConvolution:
         }
         # the filtration classes carry their elements as root points
         assert len(seen) == len(window_pairs)
+
+    def test_degree_eight_level_is_the_rank_two_representable(self):
+        # level 8 is one 56-point orbit; so is the orbit of 3-subsets of
+        # {1..8}, whose stabilizer S_3 x S_5 is not conjugate to S_6
+        R = representable_iset(1, 8)
+        level = day_convolution(R, R).level_sigma(8)
+        assert iso_equal(level, representable_iset(2, 8).level_sigma(8))
+        subsets = induce(trivial_sigma_set(3, ["x"], 8),
+                         trivial_sigma_set(5, ["y"], 8), degree_bound=8)
+        assert len(subsets) == len(level) == 56
+        assert not iso_equal(level, subsets)
 
     def test_nonflat_factor_still_matches(self):
         Q = restriction_coequalizer(4)

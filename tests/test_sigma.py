@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import cache
 from itertools import permutations, product
 from math import comb
 
@@ -10,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import monoid_oracle as oracle
+import sigma_oracle
+from tamebox import sigma
 from tamebox.errors import DegreeTooLarge, ValidationError
 from tamebox.generators import random_sigma_set
 from tamebox.sigma import (
@@ -183,7 +186,8 @@ def check_stabilizer_generators(ss):
         gens = ss.stabilizer_generators(rep)
         assert gens == sorted(set(gens))
         assert identity_perm(ss.m) not in gens
-        assert oracle.closure(gens, ss.m) == ss.stabilizer(rep), rep
+        assert oracle.closure(gens, ss.m) == sigma_oracle.stabilizer(
+            ss, rep), rep
     return len(ss.orbits())
 
 
@@ -213,7 +217,7 @@ class TestStabilizerGenerators:
     def test_same_group_as_the_enumerated_generators(self):
         ss = word_sigma_set(5, "ab")
         for rep, _ in ss.orbits():
-            old = oracle.generators(ss.stabilizer(rep))
+            old = oracle.generators(sigma_oracle.stabilizer(ss, rep))
             assert oracle.closure(old, 5) == oracle.closure(
                 ss.stabilizer_generators(rep), 5)
 
@@ -257,6 +261,98 @@ class TestIsoType:
             if a.m != b.m:
                 continue
             assert iso_equal(a, b) == equivariant_bijection_exists(a, b)
+
+
+def coset_sigma_set(m, group):
+    """The degree-m symmetric group acting on the left cosets of a
+    subgroup, each coset named by its least member."""
+    name = {}
+    for g in all_perms(m):
+        if g not in name:
+            coset = [perm_compose(g, h) for h in group]
+            name.update(dict.fromkeys(coset, min(coset)))
+    points = sorted(set(name.values()))
+    tables = [{c: name[perm_compose(transposition_perm(m, i), c)]
+               for c in points} for i in range(1, m)]
+    return SigmaSet(m, points, tables)
+
+
+def small_subgroups(m):
+    """Every subgroup of the degree-m symmetric group that one or two
+    permutations generate, in a fixed order."""
+    cyclic = {frozenset(oracle.closure([g], m)): g for g in all_perms(m)}
+    gens = list(cyclic.values())
+    groups = set(cyclic)
+    for i, g in enumerate(gens):
+        groups.update(frozenset(oracle.closure([g, h], m))
+                      for h in gens[i + 1:])
+    return sorted(groups, key=lambda group: (len(group), sorted(group)))
+
+
+@cache
+def coset_sets(m):
+    return [coset_sigma_set(m, group) for group in small_subgroups(m)]
+
+
+def label_mismatches(sets):
+    """The pairs of sets on which iso_type and the oracle disagree about
+    equality, and the number of oracle classes."""
+    new = [ss.iso_type() for ss in sets]
+    old = [sigma_oracle.iso_type(ss) for ss in sets]
+    bad = [(i, j) for i in range(len(sets)) for j in range(i)
+           if (new[i] == new[j]) != (old[i] == old[j])]
+    return bad, len(set(old))
+
+
+def shuffled_label_report(draws=60):
+    """iso_type of shuffled random_sigma_set draws, one line per draw;
+    raises when a label differs from the label of the draw in its own
+    point order or disagrees with the oracle about equality."""
+    lines = []
+    for m in range(6):
+        sets = [shuffled_draw(seed, m) for seed in range(draws)]
+        for seed, ss in enumerate(sets):
+            plain = random_sigma_set(random.Random(seed), m, max_points=12)
+            assert ss.iso_type() == plain.iso_type(), (m, seed)
+            lines.append(repr(ss.iso_type()))
+        assert not label_mismatches(sets)[0], m
+    return "\n".join(lines)
+
+
+class TestLabelAgreement:
+    """iso_type against the stabilizer labels of `sigma_oracle`."""
+
+    @pytest.mark.parametrize("m,classes", [(3, 4), (4, 11), (5, 19)])
+    def test_coset_sets_of_small_subgroups(self, m, classes):
+        # a coset set's stabilizers are the conjugates of its subgroup,
+        # and every subgroup of S_3, S_4 and S_5 is generated by two
+        # permutations, so every conjugacy class appears
+        assert label_mismatches(coset_sets(m)) == ([], classes)
+
+    def test_shuffled_draws_under_two_hash_seeds(self):
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        code = ("import sys; sys.path[:0] = sys.argv[1:]; "
+                "from test_sigma import shuffled_label_report; "
+                "print(shuffled_label_report())")
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            outs.append(subprocess.run(
+                [sys.executable, "-c", code, src, here], env=env,
+                check=True, capture_output=True, text=True,
+            ).stdout)
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 360
+
+    def test_mutant_dropping_a_table_disagrees(self, monkeypatch):
+        label = sigma.subgroup_conjugacy_label
+
+        def drop_last_table(m, tables):
+            return label.__wrapped__(m, tables[:-1])
+
+        monkeypatch.setattr(sigma, "subgroup_conjugacy_label", drop_last_table)
+        assert label_mismatches(coset_sets(4))[0]
 
 
 class TestWordSigmaSet:
