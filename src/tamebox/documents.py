@@ -37,7 +37,9 @@ _MALFORMED = (AttributeError, IndexError, KeyError, OverflowError, TypeError,
 
 
 def canonical_json(value):
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    # every value encoded is a tree, so the cycle check only costs time
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      check_circular=False)
 
 
 # -- shapes -----------------------------------------------------------------

@@ -11,12 +11,14 @@ The rewriting part connects two multi-slot injections that agree on
 prescribed finite sets through a chain of at most six elementary moves,
 each a slotwise precomposition fixing the constraint sets pointwise.  The
 chain is emitted as a certificate whose verification is exact: every
-step is checked by structural equality of quasi-affine normal forms.
+step is checked by evaluating both sides at two points per progression
+on which they are affine.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import (
@@ -441,10 +443,46 @@ class Certificate:
         return len(self.steps)
 
 
+def _reaches(source: OperadElement, moves, target: OperadElement):
+    """Whether source after (f_1 + ... + f_n) is target, decided slot by
+    slot by evaluation at finitely many points; builds no normal form.
+
+    Let s and g be slot i of source and of target, with thresholds t_s,
+    t_g and periods p_s, p_g: from t on, a normal form is affine on each
+    residue class mod p.  s after f_i is g exactly when s(v0 + k*step)
+    = g(first + k*mod) for every span (first, last, mod, v0, step) of
+    f_i and every k with first + k*mod <= last.  From k0 = max(0,
+    ceil((t_s - v0)/step), ceil((t_g - first)/mod)) on, both arguments
+    are past their thresholds.  The class of v0 + k*step mod p_s
+    depends only on k mod p_s/gcd(step, p_s), and that of first + k*mod
+    mod p_g only on k mod p_g/gcd(mod, p_g); so on each class of k mod L,
+    their lcm, both sides are affine in k.  (Along k = c + jL, each
+    argument moves by L*step or L*mod, a multiple of its period.)  Two
+    affine maps that agree at two points agree everywhere, and the
+    first two k >= k0 of every class lie below k0 + 2L.  So the points
+    k < k0 + 2L, capped at `last`, decide the span: those below k0 one
+    by one, the rest two per progression."""
+    for s, f, g in zip(source.slots, moves, target.slots):
+        ps, pg = s.spans[-1][2], g.spans[-1][2]
+        ts, tg = len(s.spans) - ps + 1, len(g.spans) - pg + 1
+        for first, last, mod, v0, step in f.spans:
+            if first == last:
+                top = 1
+            else:
+                k0 = max(0, -((v0 - ts) // step), -((first - tg) // mod))
+                top = k0 + 2 * lcm(ps // gcd(step, ps), pg // gcd(mod, pg))
+                if last is not None:
+                    top = min(top, (last - first) // mod + 1)
+            for k in range(top):
+                if s(v0 + k * step) != g(first + k * mod):
+                    return False
+    return True
+
+
 def verify_certificate(cert: Certificate, phi=None, psi=None):
     """Exact verification: one constraint set per slot, every move
-    fixes its constraint set, every step joins consecutive elements,
-    endpoints match when given.
+    fixes its constraint set, every step joins consecutive elements
+    (`_reaches`), endpoints match when given.
 
     Returns (ok, failing step index or None, reason)."""
     if len(cert.constraints) != cert.n:
@@ -466,10 +504,10 @@ def verify_certificate(cert: Certificate, phi=None, psi=None):
                 return False, idx, "move fails to fix a constraint set"
         try:
             if step.direction == "fwd":
-                if cur.precompose(step.move) != nxt:
+                if not _reaches(cur, step.move, nxt):
                     return False, idx, "forward step does not reach the next element"
             elif step.direction == "bwd":
-                if nxt.precompose(step.move) != cur:
+                if not _reaches(nxt, step.move, cur):
                     return False, idx, "backward step does not recover this element"
             else:
                 return False, idx, "unknown direction"
@@ -554,16 +592,20 @@ def _connect(phi: OperadElement, psi: OperadElement):
     return elems, steps
 
 
-def _drop_values(u: QuasiAffineInjection, avoid):
+def _drop_values(u, avoid):
     """Compose with the order collapse of omega minus a finite value
-    set back onto omega; defined when the image of u avoids the set."""
-    if not avoid:
-        return u
+    set back onto omega; defined when the image of u avoids the set.
+    u is a quasi-affine injection, or spans of one that need not be
+    normal (`QuasiAffineInjection.compose_spans`)."""
+    if isinstance(u, QuasiAffineInjection):
+        if not avoid:
+            return u
+        u = u.spans
     cuts = sorted(avoid)
     # window j holds the values strictly between cut j-1 and cut j
     windows = list(zip([0] + cuts, cuts + [None]))
     spans = []
-    for first, last, mod, v0, step in u.spans:
+    for first, last, mod, v0, step in u:
         for j, (lo_v, hi_v) in enumerate(windows):
             klo = max(0, -((v0 - lo_v - 1) // step))
             khi = None if last is None else (last - first) // mod
@@ -671,13 +713,11 @@ def certify_agreement(phi: OperadElement, psi: OperadElement, constraints):
         # connecting chain then cannot run into them
         taken = sorted(v for pin in pinned_slots for v in pin.values())
         lift = order_embed_avoiding(taken)
-        inner_phi = OperadElement(
-            [_drop_values(s.compose(c), taken)
-             for s, c in zip(phi.slots, embeds)]
-        )
-        inner_psi = OperadElement(
-            [_drop_values(s.compose(c), taken)
-             for s, c in zip(psi.slots, embeds)]
+        inner_phi, inner_psi = (
+            OperadElement([_drop_values(s if c == _ID else s.compose_spans(c),
+                                        taken)
+                           for s, c in zip(e.slots, embeds)])
+            for e in (phi, psi)
         )
         elems, steps = _connect(inner_phi, inner_psi)
 
@@ -694,11 +734,14 @@ def certify_agreement(phi: OperadElement, psi: OperadElement, constraints):
                 moves[i, f] = transport(i, embeds[i], f, pinned_id[i])
             return moves[i, f]
 
-        out_elems = [
+        # transporting phi' and psi' back gives phi and psi themselves:
+        # lift undoes the dropped values, and phi and psi agree on the
+        # pinned sets
+        out_elems = [phi, *(
             OperadElement([transport(i, lift, s, pinned_slots[i])
                            for i, s in enumerate(e.slots)])
-            for e in elems
-        ]
+            for e in elems[1:-1]
+        ), psi]
         out_steps = [
             CertificateStep(
                 out_elems[idx],

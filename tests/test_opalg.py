@@ -1,10 +1,15 @@
+import json
+import os
 import random
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cert_oracle
 import tamebox.opalg as opalg
+from tamebox.documents import parse_document
 from tamebox.errors import (
     NotAMonoid,
     NotInjective,
@@ -461,18 +466,196 @@ class TestCertificates:
         assert cert.steps
 
         def raising(error):
-            def precompose(self, moves):
+            def reaches(source, moves, target):
                 raise error
-            return precompose
+            return reaches
 
-        monkeypatch.setattr(OperadElement, "precompose",
+        monkeypatch.setattr(opalg, "_reaches",
                             raising(NotInjective("slots 1 and 2 share image values")))
         assert verify_certificate(cert, phi, psi) == \
             (False, 0, "step evaluation failed")
-        monkeypatch.setattr(OperadElement, "precompose",
-                            raising(RuntimeError("a fault in composition")))
-        with pytest.raises(RuntimeError, match="a fault in composition"):
+        monkeypatch.setattr(opalg, "_reaches",
+                            raising(RuntimeError("a fault in evaluation")))
+        with pytest.raises(RuntimeError, match="a fault in evaluation"):
             verify_certificate(cert, phi, psi)
+
+
+GOLDEN_CERTIFICATE = os.path.join(os.path.dirname(__file__), "data",
+                                  "parent_golden_certificate.json")
+
+
+def _one_step(source_slot, target_slot):
+    """A binary certificate of one forward identity step from
+    [source_slot, 2i] to [target_slot, 2i], with no constraints."""
+    even = QuasiAffineInjection.affine(2, 0)
+    source = OperadElement([source_slot, even])
+    target = OperadElement([target_slot, even])
+    step = CertificateStep(source, (QuasiAffineInjection.identity(),) * 2,
+                           "fwd")
+    return Certificate(2, [set(), set()], [step], target)
+
+
+# one-step certificates whose two sides agree where one of the mutant
+# verifiers below looks and differ elsewhere: 2i-1 and 4i-3 agree at 1;
+# the map 1 -> 3, 2 -> 1, i -> 2i-1 (threshold 3) and 2i-1 agree from 3
+# on; and 2i-1 and the map that is 4i-1 on the multiples of 3 (period
+# 3) and 2i-1 elsewhere agree at 1 and 2
+CRAFTED = [
+    _one_step(QuasiAffineInjection.affine(2, -1),
+              QuasiAffineInjection.affine(4, -3)),
+    _one_step(QuasiAffineInjection([(1, 1, 1, 3, 1), (2, 2, 1, 1, 1),
+                                    (3, None, 1, 5, 2)]),
+              QuasiAffineInjection.affine(2, -1)),
+    _one_step(QuasiAffineInjection.affine(2, -1),
+              QuasiAffineInjection([(1, None, 3, 1, 6), (2, None, 3, 3, 6),
+                                    (3, None, 3, 11, 12)])),
+]
+
+
+def _mutant(periods=2, below_k0=True, target_period=True):
+    """`opalg._reaches` with its window cut: `periods` periods past k0,
+    the points below k0 skipped, or L computed without g's period."""
+    def reaches(source, moves, target):
+        for s, f, g in zip(source.slots, moves, target.slots):
+            ps, pg = s.spans[-1][2], g.spans[-1][2]
+            ts, tg = len(s.spans) - ps + 1, len(g.spans) - pg + 1
+            for first, last, mod, v0, step in f.spans:
+                k0 = max(0, -((v0 - ts) // step), -((first - tg) // mod))
+                period = ps // gcd(step, ps)
+                if target_period:
+                    period = lcm(period, pg // gcd(mod, pg))
+                top = k0 + periods * period
+                if last is not None:
+                    top = min(top, (last - first) // mod + 1)
+                for k in range(0 if below_k0 else k0, top):
+                    if s(v0 + k * step) != g(first + k * mod):
+                        return False
+        return True
+    return reaches
+
+
+def _disagreements(certs):
+    """The (certificate, endpoints) cases on which the verifier and the
+    normal-form oracle return different triples."""
+    return [(cert, ends) for cert, ends in certs
+            if verify_certificate(cert, *ends)
+            != cert_oracle.verify_certificate(cert, *ends)]
+
+
+def _tier1_certificates():
+    """The certificates of acceptance criterion 8 with their endpoints,
+    and the stored golden certificate without endpoints."""
+    rng = random.Random("acceptance:certs")
+    certs = [(certify_agreement(phi, psi, constraints), (phi, psi))
+             for _, (phi, psi, constraints) in agreement_instances(rng, 50)]
+    with open(GOLDEN_CERTIFICATE, encoding="utf-8") as fh:
+        certs.append((parse_document(fh.read()).value, (None, None)))
+    return certs
+
+
+def _replaced(cert, idx, **changes):
+    """cert with step idx changed (element, move or direction)."""
+    steps = list(cert.steps)
+    steps[idx] = steps[idx]._replace(**changes)
+    return Certificate(cert.n, cert.constraints, steps, cert.final)
+
+
+class TestEvaluationVerifier:
+    """`verify_certificate` decides each step by evaluation; the oracle
+    rebuilds the next element and compares normal forms.  They return
+    the same triple on every certificate."""
+
+    def test_tier1_certificates_agree_with_oracle(self):
+        certs = _tier1_certificates()
+        assert len(certs) == 61
+        assert not _disagreements(certs)
+        assert all(verify_certificate(cert, *ends)[0] for cert, ends in certs)
+
+    def test_golden_certificate_with_another_offset_fails(self):
+        with open(GOLDEN_CERTIFICATE, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["payload"]["chain"][0]["move"][1]["pieces"][0]["b"] = 3
+        cert = parse_document(json.dumps(doc)).value
+        assert verify_certificate(cert) == cert_oracle.verify_certificate(cert) \
+            == (False, 0, "backward step does not recover this element")
+
+    def test_builds_no_normal_form_and_no_element(self, monkeypatch):
+        certs = _tier1_certificates()
+        built = []
+
+        def counted(cls):
+            init = cls.__init__
+
+            def counting(self, *args, **kwargs):
+                built.append(cls.__name__)
+                init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+
+        counted(QuasiAffineInjection)
+        counted(OperadElement)
+        for cert, ends in certs:
+            verify_certificate(cert, *ends)
+        assert built == []
+        # the counters count: the oracle builds both
+        cert, ends = next((cert, ends) for cert, ends in certs if cert.steps)
+        cert_oracle.verify_certificate(cert, *ends)
+        assert {"QuasiAffineInjection", "OperadElement"} <= set(built)
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=100)
+    @given(seed=st.integers(0, 10**6), n=st.integers(2, 4),
+           prescribed=st.booleans(), data=st.data())
+    def test_agrees_with_oracle_on_drawn_and_tampered(self, seed, n,
+                                                      prescribed, data):
+        sizes = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        make = random_prescribed_pair if prescribed else random_agreeing_pair
+        phi, psi, constraints = make(random.Random(seed), n, sizes)
+        cert = certify_agreement(phi, psi, constraints)
+        cases = [(cert, (phi, psi))]
+        steps = cert.steps
+        if steps:
+            # one move replaced by another that fixes the same set: a
+            # move of that slot elsewhere in the chain, or a drawn one
+            idx = data.draw(st.integers(0, len(steps) - 1))
+            i = data.draw(st.integers(0, n - 1))
+            keep = order_embed_avoiding(constraints[i])
+            drawn = opalg._inflate_along(
+                keep, keep.compose(random_qa(random.Random(seed))),
+                {a: a for a in constraints[i]})
+            other = data.draw(st.sampled_from(
+                [s.move[i] for s in steps] + [drawn]))
+            move = steps[idx].move[:i] + (other,) + steps[idx].move[i + 1:]
+            cases.append((_replaced(cert, idx, move=move), (phi, psi)))
+            # one direction flipped
+            idx = data.draw(st.integers(0, len(steps) - 1))
+            flipped = {"fwd": "bwd", "bwd": "fwd"}[steps[idx].direction]
+            cases.append((_replaced(cert, idx, direction=flipped), (phi, psi)))
+        if len(steps) >= 2:
+            # a middle element replaced by its neighbour
+            chain = cert.chain()
+            j = data.draw(st.integers(1, len(steps) - 1))
+            neighbour = chain[j + data.draw(st.sampled_from([-1, 1]))]
+            cases.append((_replaced(cert, j, element=neighbour), (phi, psi)))
+        assert verify_certificate(cert, phi, psi) == (True, None, "ok")
+        assert not _disagreements(cases)
+
+    def test_crafted_steps_agree_with_oracle(self):
+        cases = [(cert, (None, None)) for cert in CRAFTED]
+        assert not _disagreements(cases)
+        assert not any(verify_certificate(cert)[0] for cert in CRAFTED)
+        # the unmutated copy of the helper is the library's
+        assert all(_mutant()(cert.steps[0].element, cert.steps[0].move,
+                             cert.final) is False for cert in CRAFTED)
+
+    @pytest.mark.parametrize("mutant", [
+        _mutant(periods=1), _mutant(below_k0=False),
+        _mutant(target_period=False),
+    ], ids=["one-period-window", "points-below-k0-skipped",
+            "period-without-target"])
+    def test_mutant_windows_fail(self, monkeypatch, mutant):
+        monkeypatch.setattr(opalg, "_reaches", mutant)
+        with pytest.raises(AssertionError):
+            self.test_crafted_steps_agree_with_oracle()
 
 
 class TestChainBound:
