@@ -55,10 +55,7 @@ def _read(path):
 
 
 def _load(path, *kinds):
-    doc = docs.parse_document(_read(path))
-    if kinds and doc.kind not in kinds:
-        raise ValidationError("document kind", f"{doc.kind} at {path}")
-    return doc
+    return docs.parse_document(_read(path), kinds, path)
 
 
 def _inline_json(text):
@@ -421,7 +418,8 @@ def _orbit_set(args, report):
          arg("--seed", type=int, default=0),
          arg("--cases", type=int, minimum=1))
 def _selftest(args, report):
-    report["inputs"] = _digest([args.seed, args.cases, args.window])
+    report["inputs"] = _digest([args.seed, args.cases, args.window,
+                                args.degree_bound])
     result = run_selftest(seed=args.seed, cases=args.cases, window=args.window,
                           degree_bound=args.degree_bound,
                           include_timing=not args.deterministic)

@@ -372,8 +372,10 @@ class Document(NamedTuple):
     value: object
 
 
-def parse_document(data) -> Document:
-    """Decode and validate one document from bytes or text."""
+def parse_document(data, kinds=(), source=None) -> Document:
+    """Decode and validate one document from bytes or text.  Given the
+    accepted `kinds`, a document of another kind is refused before its
+    payload is read; `source` names the document in that error."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -394,6 +396,8 @@ def parse_document(data) -> Document:
     described = KINDS.get(kind) if isinstance(kind, str) else None
     if described is None:
         raise ParseError(f"unknown document kind {kind!r}")
+    if kinds and kind not in kinds:
+        raise ValidationError("document kind", f"{kind} at {source}")
     payload = raw.get("payload")
     try:
         value = described.read(payload, f"{kind} payload")

@@ -29,13 +29,13 @@ nodes are listed; `unionfind.UnionFind.over` roots every class at its
 least id, so each class is named by its first node.  What is glued at
 level n depends only on n and is built once per n.
 
-The face maps of a level are tabulated once per diagram, from the
-inclusion and the transposition tables, with the position of every
-point and the face maps on positions; a derived diagram shares the
-tables of the levels it shares.  The colimit kernels, the Day
-convolution and the support search read them from there; any other
-injection is applied by walking the inclusions and then a cached
-transposition word.
+The face maps of a level are tabulated once per diagram, on the
+positions of the points in their levels, straight from the inclusion
+and the transposition tables; a derived diagram shares the tables of
+the levels it shares.  The colimit kernels, the Day convolution and
+the class elements read them from there; any other injection is
+applied by walking the inclusions and then a cached transposition
+word.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ class TruncatedISet:
         self._sigma = []
         self._generated = []
         self._merges = []
-        self._faces = []
         self._positions = []
         self._face_positions = []
         self._validate(0, N, stable_from)
@@ -98,7 +97,6 @@ class TruncatedISet:
             SigmaSet(m, self.levels[m], self.transp[m], degree_bound=N + 1)
             for m in range(lo, N + 1)
         ]
-        self._faces += [None] * (N + 1 - lo)
         self._positions += [None] * (N + 1 - lo)
         self._face_positions += [None] * (N + 1 - lo)
         below = max(lo - 1, 0)
@@ -149,7 +147,6 @@ class TruncatedISet:
         out._sigma = self._sigma[: k + 1]
         out._generated = self._generated[:k]
         out._merges = self._merges[:k]
-        out._faces = self._faces[: k + 1]
         out._positions = self._positions[: k + 1]
         out._face_positions = self._face_positions[: k + 1]
         out._validate(k + 1, n, stable_from)
@@ -165,13 +162,6 @@ class TruncatedISet:
         return max((m + 1 for m, merges in enumerate(self._merges) if merges),
                    default=0)
 
-    def face_maps(self, k):
-        """The k face maps X(k-1) -> X(k) of `_face_maps`, built once."""
-        faces = self._faces[k]
-        if faces is None:
-            faces = self._faces[k] = _face_maps(self, k)
-        return faces
-
     def positions(self, m):
         """Each point of level m sent to its index in the level, built
         once."""
@@ -182,14 +172,24 @@ class TruncatedISet:
         return pos
 
     def face_positions(self, k):
-        """`face_maps(k)` on positions, built once: entry j lists the
-        position in level k of the image of each point of level k-1,
-        in level order."""
+        """The k face maps X(k-1) -> X(k) on positions, built once:
+        entry j lists the position in level k of the image of each
+        point of level k-1, in level order, along the order embedding
+        of {1..k-1} that skips j+1.  The embedding that skips k is the
+        inclusion, and the one that skips j+1 is s_{j+1} after the one
+        that skips j+2."""
         table = self._face_positions[k]
         if table is None:
-            pos = self.positions(k)
-            table = self._face_positions[k] = [
-                [pos[z] for z in face.values()] for face in self.face_maps(k)]
+            table = self._face_positions[k] = []
+            if k:
+                pos, level = self.positions(k), self.levels[k]
+                incl = self.incl[k - 1]
+                row = [pos[incl[y]] for y in self.levels[k - 1]]
+                table.append(row)
+                for t in reversed(self.transp[k]):
+                    row = [pos[t[level[p]]] for p in row]
+                    table.append(row)
+                table.reverse()
         return table
 
     def map_along(self, alpha, n, x):
@@ -324,7 +324,6 @@ class OmegaColimit:
             for p in sorted(X.levels[m], key=point_key):
                 self.root[m, p] = name.setdefault(top[m][p], (m, p))
         self.classes = list(name.values())
-        self._supp = {}
         self._preimages = {}
         self._elements = {}
 
@@ -352,73 +351,67 @@ class OmegaColimit:
     def face_preimages(self, m):
         """Level m inverted through its face maps, built once: each
         point in a face image, sent to its first preimage (alpha, x0)
-        with x0 in level order, then alpha in `combinations` order."""
+        with x0 in level order, then alpha in `_face_shape` order."""
         table = self._preimages.get(m)
         if table is None:
             X = self.iset
-            faces = X.face_maps(m)
-            # the i-th (m-1)-subset of {1..m} skips m - i
-            alphas = list(enumerate(combinations(range(1, m + 1), m - 1)))
-            table = {}
-            for x0 in X.levels[m - 1]:
-                for i, alpha in alphas:
-                    table.setdefault(faces[m - 1 - i][x0], (alpha, x0))
-            self._preimages[m] = table
+            d, level = X.face_positions(m), X.levels[m]
+            # the i-th face of {1..m} skips m - i
+            faces = list(enumerate(_face_shape(m)[0]))
+            table = self._preimages[m] = {}
+            for p, x0 in enumerate(X.levels[m - 1]):
+                for i, alpha in faces:
+                    table.setdefault(level[d[m - 1 - i][p]], (alpha, x0))
         return table
 
     def support(self, c):
-        """Exact support of a class.  At or below the stability level
-        this uses single test injections; above it, the class is pulled
-        down along a preimage and the support is pushed forward.  Every
-        point above the stability level has a preimage, since validation
-        makes each such level generated from the one below."""
-        cached = self._supp.get(c)
-        if cached is not None:
-            return cached
+        """Exact support of a class: the image of its element."""
+        return frozenset(self.class_to_element(c).image)
+
+    def class_to_element(self, c) -> MElement:
+        """The canonical element a class corresponds to under the
+        decomposition of the colimit as a tame action: its support, and
+        the class obtained by pushing the support onto an initial
+        segment.
+
+        At or below the stability level the support is found by single
+        test injections.  Above it, the class is pulled down along its
+        first face preimage (alpha, x0), and the element of x0 is pushed
+        forward: its image moves along the increasing alpha and its point
+        stays, since a tame element is acted on through its support
+        only.  Every point above the stability level has a preimage,
+        since validation makes each such level generated from the one
+        below."""
+        got = self._elements.get(c)
+        if got is not None:
+            return got
         m, x = c
         X = self.iset
-        if m == 0:
-            out = frozenset()
-        elif m <= X.stable_from:
-            if m + 1 > X.N:
-                raise TruncationExceeded(
-                    "support test needs one level of headroom"
-                )
-            keep = []
-            for j in range(1, m + 1):
-                f = {v: v for v in range(1, m + 1) if v != j}
-                f[j] = m + 1
-                if self.act(f, c) != c:
-                    keep.append(j)
-            out = frozenset(keep)
-        else:
+        if m > X.stable_from:
             found = self.face_preimages(m).get(x)
             if found is None:
                 raise NotTame(
                     f"no preimage below level {m} despite declared stability"
                 )
             alpha, x0 = found
-            inner = self.support(self.class_of(m - 1, x0))
-            out = frozenset(alpha[j - 1] for j in inner)
-        self._supp[c] = out
-        return out
-
-    def class_to_element(self, c) -> MElement:
-        """The canonical element a class corresponds to under the
-        decomposition of the colimit as a tame action; the point is the
-        class obtained by pushing the support onto an initial segment."""
-        got = self._elements.get(c)
-        if got is not None:
-            return got
-        m, _ = c
-        S = sorted(self.support(c))
-        k = len(S)
-        down = {v: r + 1 for r, v in enumerate(S)}
-        spares = iter(v for v in range(k + 1, self.iset.N + 2))
-        for v in range(1, m + 1):
-            if v not in down:
-                down[v] = next(spares)
-        got = self._elements[c] = MElement(k, tuple(S), self.act(down, c))
+            inner = self.class_to_element(self.class_of(m - 1, x0))
+            got = inner._replace(
+                image=tuple(alpha[j - 1] for j in inner.image))
+        else:
+            if 0 < m == X.N:
+                raise TruncationExceeded(
+                    "support test needs one level of headroom"
+                )
+            S = []
+            for j in range(1, m + 1):
+                f = {v: v for v in range(1, m + 1) if v != j}
+                f[j] = m + 1
+                if self.act(f, c) != c:
+                    S.append(j)
+            rest = [v for v in range(1, m + 1) if v not in S]
+            down = {v: r for r, v in enumerate(S + rest, start=1)}
+            got = MElement(len(S), tuple(S), self.act(down, c))
+        self._elements[c] = got
         return got
 
 
@@ -426,8 +419,15 @@ def omega_colimit(X: TruncatedISet) -> OmegaColimit:
     return OmegaColimit(X)
 
 
-def _faithful_colimit(X: TruncatedISet) -> OmegaColimit:
-    """The colimit of X, taken in its canonical extension.
+def canonicalize(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):
+    """The canonical tame action carried by the colimit (see
+    `_canonical_colimit`)."""
+    return _canonical_colimit(X, degree_bound)[1]
+
+
+def _canonical_colimit(X: TruncatedISet, degree_bound):
+    """The colimit of X, taken in its canonical extension, and the
+    canonical tame action it carries.
 
     The truncation must reach twice the declared stability level; on
     top of that, the diagram is canonically extended until no further
@@ -438,16 +438,7 @@ def _faithful_colimit(X: TruncatedISet) -> OmegaColimit:
         raise TruncationExceeded(
             f"truncation {X.N} below twice the stability level {s}"
         )
-    return OmegaColimit(faithful_extension(X))
-
-
-def canonicalize(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):
-    """The canonical tame action carried by the colimit (see
-    `_faithful_colimit`)."""
-    return _canonicalize_core(_faithful_colimit(X), degree_bound)
-
-
-def _canonicalize_core(colim: OmegaColimit, degree_bound):
+    colim = OmegaColimit(faithful_extension(X))
     E = colim.iset
     s = E.stable_from
     if E.N < max(2 * s, s + E.merge_level):
@@ -455,14 +446,10 @@ def _canonicalize_core(colim: OmegaColimit, degree_bound):
             f"truncation {E.N} below the faithful colimit bound"
         )
     table = [c for c in colim.classes if c[0] <= s]
-    return decompose_table(
-        table,
-        colim.act,
-        E.N if E.N > 0 else 1,
+    return colim, decompose_table(
+        table, colim.act, max(E.N, 1),
         initial_support=lambda c: set(range(1, c[0] + 1)),
-        degree_bound=degree_bound,
-        table_window=s,
-    )
+        degree_bound=degree_bound, table_window=s)
 
 
 class ISetMorphism:
@@ -515,8 +502,8 @@ def flat_replacement(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):
 
     Returns (replacement, unit morphism); classes and supports are
     taken in the canonical extension so late merges are respected."""
-    colim = _faithful_colimit(X)
-    flat = support_filtration(_canonicalize_core(colim, degree_bound), X.N)
+    colim, W = _canonical_colimit(X, degree_bound)
+    flat = support_filtration(W, X.N)
     maps = []
     for m in range(X.N + 1):
         maps.append(
@@ -532,21 +519,6 @@ class LatchingData(NamedTuple):
     lookup: Callable  # (alpha, x) -> class
     injective: bool
     witness: tuple  # (n, class, class, shared value), or None
-
-
-def _face_maps(X: TruncatedISet, k):
-    """The k face maps X(k-1) -> X(k); entry j belongs to the order
-    embedding of {1..k-1} that skips position j+1.  The embedding that
-    skips k is the inclusion, and the one that skips j is s_j after the
-    one that skips j+1."""
-    if k == 0:
-        return []
-    incl = X.incl[k - 1]
-    faces = [{y: incl[y] for y in X.levels[k - 1]}]
-    for t in reversed(X.transp[k]):
-        faces.append({y: t[z] for y, z in faces[-1].items()})
-    faces.reverse()
-    return faces
 
 
 @lru_cache(maxsize=None)
@@ -615,9 +587,9 @@ def latching(X: TruncatedISet, n) -> LatchingData:
         raise TruncationExceeded(f"level {n} beyond truncation {X.N}")
     classes, lookup = _colimit_under(X, n)
     # S misses one value g, and maps x along the face that skips g
-    faces = X.face_maps(n)
+    d, pos, level = X.face_positions(n), X.positions(n - 1), X.levels[n]
     total = n * (n + 1) // 2
-    values = {c: faces[total - sum(c[0]) - 1][c[1]] for c in classes}
+    values = {c: level[d[total - sum(c[0]) - 1][pos[c[1]]]] for c in classes}
     seen = {}
     injective = True
     witness = None

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from tamebox import PartialInjection, cli, opalg
+import tamebox
+from tamebox import PartialInjection, cli, opalg, sigma
 from tamebox.cli import main
 from tamebox.documents import canonical_json, serialize_document
 from tamebox.generators import random_agreeing_pair, random_mset
@@ -23,7 +24,7 @@ from tamebox.opalg import (
     OperadElement,
     infinite_symmetric_product,
 )
-from tamebox.sigma import trivial_sigma_set
+from tamebox.sigma import regular_sigma_set, trivial_sigma_set
 
 
 @pytest.fixture()
@@ -312,6 +313,24 @@ class TestReportDiscipline:
         assert code == 2
         assert rep["error"]["type"] == "ValidationError"
 
+    def test_document_of_another_kind_is_refused_unread(
+            self, capsys, inputs, tmp_path, monkeypatch):
+        text = serialize_document("sigma-set", regular_sigma_set(3))
+        built = []
+        init = sigma.SigmaSet.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sigma.SigmaSet, "__init__", counted)
+        code, rep = _call_on_bad(capsys, inputs, tmp_path,
+                                 ["orbit-set", "<bad>"], text)
+        assert (code, rep["error"]["type"]) == (2, "ValidationError")
+        assert rep["error"]["message"] == (
+            f"document kind at sigma-set at {tmp_path / 'bad.json'}")
+        assert built == []
+
     @pytest.mark.parametrize("max_level", ["x", 9], ids=["string", "nine"])
     def test_max_level_not_the_top_level_is_an_input_error(
             self, capsys, inputs, tmp_path, max_level):
@@ -506,11 +525,11 @@ GOLDEN = [
     # each suite now reports its skipped draws; without the `skipped`
     # keys the report is SELFTEST_WITHOUT_SKIPPED_SHA256's
     ("selftest", ["selftest", "--seed", "5", "--cases", "1"], 0,
-     "72390b16fc727dbe9aa94ca08767f82f7eaa0e316b569af66432ebd182c60102"),
+     "dd6f0e3f1f369e79dc0ab22f4a27e35c221de15960b039d8c8e15203e5cae1d9"),
 ]
 
 SELFTEST_WITHOUT_SKIPPED_SHA256 = (
-    "2cbb8842284c03bd8afd98883f622e45808b8d73349a3bbc10d66193852a9a52"
+    "2ef24cd78601b1d804080dfebf162216963d03a3967951817431b15598d07dd7"
 )
 
 EMITTED_CERTIFICATE_SHA256 = (
@@ -598,6 +617,14 @@ class TestCommandTable:
         assert code == 1
         assert json.loads(out)["counterexample"] == {
             "step": None, "reason": "constraint count mismatch"}
+
+    def test_selftest_inputs_hold_the_degree_bound(self, capsys):
+        # both runs end in DegreeTooLarge, each at its own bound, and
+        # reported the same inputs while the bound was not hashed
+        reports = [run(capsys, "--degree-bound", bound, "selftest",
+                       "--seed", "5", "--cases", "3")[1]
+                   for bound in ("3", "4")]
+        assert reports[0]["inputs"] != reports[1]["inputs"]
 
     def test_golden_covers_every_command(self):
         assert [g[0] for g in GOLDEN] == [c.name for c in cli.COMMANDS]
@@ -748,7 +775,9 @@ class TestArgumentMinima:
         assert rep["error"]["type"] == "ValidationError"
 
 
-SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+# the directory tamebox was imported from: the checkout's src, or the
+# installed package's site directory
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(tamebox.__file__)))
 
 
 def _cli_under_hash_seed(seed, *argv):

@@ -27,7 +27,6 @@ from tamebox.iset import (
     TruncatedISet,
     _colimit_under,
     _day_factors,
-    _face_maps,
     canonicalize,
     constant_iset,
     day_convolution,
@@ -246,6 +245,24 @@ def outcome(fn, *args):
         return ("raises", type(exc).__name__)
 
 
+def face_mismatches(X):
+    """Every face table read back through the levels: entry j - 1 of
+    level n against the oracle's map along the face that skips j."""
+    bad = []
+    for n in range(X.N + 1):
+        rows = X.face_positions(n)
+        if len(rows) != n:
+            bad.append(("face count", n))
+        for j, row in enumerate(rows, start=1):
+            alpha = tuple(v for v in range(1, n + 1) if v != j)
+            if len(row) != len(X.levels[n - 1]):
+                bad.append(("face", alpha, n, None))
+            for y, p in zip(X.levels[n - 1], row):
+                if X.levels[n][p] != oracle.map_along(X, alpha, n, y):
+                    bad.append(("face", alpha, n, y))
+    return bad
+
+
 def map_along_mismatches(X):
     """Every injection into n <= N and every point, through map_along
     and through the face tables, against the oracle."""
@@ -257,12 +274,7 @@ def map_along_mismatches(X):
                     if (outcome(X.map_along, alpha, n, x)
                             != outcome(oracle.map_along, X, alpha, n, x)):
                         bad.append(("map_along", alpha, n, x))
-        for j, face in enumerate(X.face_maps(n), start=1):
-            alpha = tuple(v for v in range(1, n + 1) if v != j)
-            for y, z in face.items():
-                if z != oracle.map_along(X, alpha, n, y):
-                    bad.append(("face", alpha, n, y))
-    return bad
+    return bad + face_mismatches(X)
 
 
 def support_mismatches(colim):
@@ -356,22 +368,24 @@ def test_map_along_comparison_catches_a_skipped_inclusion_walk(monkeypatch):
 
 def test_face_comparison_catches_a_shifted_face_table(monkeypatch):
     def shifted(self, k):
-        faces = _face_maps(self, k)
-        return faces[1:] + faces[:1]
+        rows = real(self, k)
+        return rows[1:] + rows[:1]
 
     X = representable_iset(2, 3)
     assert map_along_mismatches(X) == []
-    monkeypatch.setattr(TruncatedISet, "face_maps", shifted)
+    real = TruncatedISet.face_positions
+    monkeypatch.setattr(TruncatedISet, "face_positions", shifted)
     assert "face" in {kind for kind, *_ in map_along_mismatches(X)}
 
 
 def test_preimage_comparison_catches_the_last_preimage(monkeypatch):
     def last_preimages(self, m):
         X = self.iset
-        faces = X.face_maps(m)
-        alphas = enumerate(combinations(range(1, m + 1), m - 1))
-        return {faces[m - 1 - i][x0]: (alpha, x0)
-                for x0 in X.levels[m - 1] for i, alpha in alphas}
+        d = X.face_positions(m)
+        alphas = list(enumerate(combinations(range(1, m + 1), m - 1)))
+        return {X.levels[m][d[m - 1 - i][p]]: (alpha, x0)
+                for p, x0 in enumerate(X.levels[m - 1])
+                for i, alpha in alphas}
 
     # (1,) at level 3 lies in two faces of (1,) at level 2
     assert support_mismatches(OmegaColimit(representable_iset(1, 3))) == []
@@ -389,6 +403,24 @@ def test_support_comparison_catches_an_unmoved_support(monkeypatch):
 
     real = OmegaColimit.face_preimages
     monkeypatch.setattr(OmegaColimit, "face_preimages", identity_preimages)
+    kinds = {kind for kind, *_ in support_mismatches(OmegaColimit(
+        representable_iset(1, 3)))}
+    assert "support" in kinds
+
+
+def test_support_comparison_catches_an_unmoved_element_image(monkeypatch):
+    # the element recursion keeping the inner image instead of moving
+    # it along the increasing alpha of the preimage
+    def unmoved(self, c):
+        m, x = c
+        if m <= self.iset.stable_from:
+            return real(self, c)
+        _, x0 = self.face_preimages(m)[x]
+        return self.class_to_element(self.class_of(m - 1, x0))
+
+    assert support_mismatches(OmegaColimit(representable_iset(1, 3))) == []
+    real = OmegaColimit.class_to_element
+    monkeypatch.setattr(OmegaColimit, "class_to_element", unmoved)
     kinds = {kind for kind, *_ in support_mismatches(OmegaColimit(
         representable_iset(1, 3)))}
     assert "support" in kinds
@@ -434,27 +466,19 @@ def test_swap_comparison_catches_a_point_left_in_place(monkeypatch):
 
 
 def position_mismatches(X):
-    """Every level's position table, and every integer face table read
-    back through the levels, against the level lists and face_maps."""
+    """Every level's position table against the level list, and every
+    face table read back through the levels against the oracle."""
     bad = []
     for m in range(X.N + 1):
         if X.positions(m) != {x: i for i, x in enumerate(X.levels[m])}:
             bad.append(("positions", m))
-    for k in range(X.N + 1):
-        faces, rows = X.face_maps(k), X.face_positions(k)
-        if len(rows) != len(faces):
-            bad.append(("face count", k))
-        for j, (face, row) in enumerate(zip(faces, rows)):
-            if ([X.levels[k][p] for p in row]
-                    != [face[y] for y in X.levels[k - 1]]):
-                bad.append(("face", k, j))
-    return bad
+    return bad + face_mismatches(X)
 
 
 @kernel_settings
 @given(st.sampled_from(FAMILIES), st.integers(0, 10**6), st.integers(2, 4),
        st.booleans())
-def test_position_tables_match_face_maps(kind, seed, N, extend):
+def test_position_tables_match_oracle(kind, seed, N, extend):
     X = diagram(kind, seed, N)
     if extend:
         # built on X first, so the extension must share them
@@ -480,21 +504,16 @@ def test_position_comparison_catches_a_shifted_row(monkeypatch):
 # face tables of derived diagrams
 
 
-def assert_face_tables_fresh(X):
-    for k in range(X.N + 1):
-        assert X.face_maps(k) == _face_maps(X, k)
-
-
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_derived_diagrams_serve_no_stale_face_table(kind):
     X = diagram(kind, 0, 3)
-    tables = [X.face_maps(k) for k in range(X.N + 1)]
+    tables = [X.face_positions(k) for k in range(X.N + 1)]
     chain = X
     for _ in range(3):
         chain = lan_extend(chain)
-        assert_face_tables_fresh(chain)
+        assert face_mismatches(chain) == []
     # the levels a derived diagram shares keep their tables
-    assert all(chain.face_maps(k) is tables[k] for k in range(X.N + 1))
-    assert_face_tables_fresh(faithful_extension(X, at_least=X.N + 2))
+    assert all(chain.face_positions(k) is tables[k] for k in range(X.N + 1))
+    assert face_mismatches(faithful_extension(X, at_least=X.N + 2)) == []
     for factor in _day_factors(X, diagram(kind, 1, 2)):
-        assert_face_tables_fresh(factor)
+        assert face_mismatches(factor) == []

@@ -2,7 +2,9 @@
 `tamebox.documents`: a required field cannot be dropped, an optional one
 can, and no field takes a value of another JSON type.  Each malformed
 document is also run through the command that reads its kind, which
-must report a ValidationError with exit code 2 and never raise."""
+must report a ValidationError with exit code 2 and never raise; no
+command reads a bare sigma-set, so its documents go to orbit-set, which
+refuses them by kind before reading the payload."""
 
 import copy
 import json
@@ -191,7 +193,8 @@ def test_field_against_its_description(case, capsys, files):
     assert code == 2
     assert report["error"]["type"] == "ValidationError"
     # the payload, not the kind check of the command, refused it
-    assert not report["error"]["message"].startswith("document kind")
+    unread = case.document["kind"] == "sigma-set"
+    assert report["error"]["message"].startswith("document kind") == unread
 
 
 # the README's names of the shapes that are not built of others
