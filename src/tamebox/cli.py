@@ -8,8 +8,10 @@ field, so identical inputs give byte-identical reports.
 
 The sub-commands form one table, `COMMANDS`, in `--help` order: the
 `@command` decorator enters each handler `(args, report) -> exit code`,
-which fills the report, with its name, help and argparse argument specs.
+which fills the report, with its name, help and argument specs.
 `build_parser` builds the parser from the table once, on first use.
+Each spec says how its argument is read: `main` reads them all for the
+handler and hashes them into the report's `inputs`.
 """
 
 from __future__ import annotations
@@ -60,23 +62,14 @@ def _load(path, *kinds):
 
 def _inline_json(text):
     if text.startswith("@"):
-        text = _read(text[1:]).decode("utf-8")
+        try:
+            text = _read(text[1:]).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"cannot read {text[1:]}: {e}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"inline JSON: {e}") from None
-
-
-def _element_arg(text, carrier):
-    return docs.decode_element(_inline_json(text), carrier)
-
-
-def _digest(parts):
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(docs.canonical_json(part).encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()
 
 
 def _emit(report, deterministic, started):
@@ -97,20 +90,30 @@ class Command(NamedTuple):
     handler: Callable  # (args, report) -> exit code
 
 
+class Arg(NamedTuple):
+    flags: tuple
+    kwargs: dict  # for argparse's add_argument
+    minimum: int | None
+    read: object  # a tuple of document kinds, JSON, PLAIN or OUTPUT
+
+
+# inline JSON (or @file), the value as given, or no input: output only
+JSON, PLAIN, OUTPUT = "json", "plain", "output"
+
 COMMANDS = []
 
 
-def arg(*flags, minimum=None, **kwargs):
-    """An argparse argument spec.  Every integer one but `--seed` declares
-    its least value; `main` rejects a smaller value as an input error."""
-    return flags, kwargs, minimum
+def arg(*flags, minimum=None, read=PLAIN, **kwargs):
+    """An argument spec.  Every integer one but `--seed` declares its
+    least value; `main` rejects a smaller value as an input error."""
+    return Arg(flags, kwargs, minimum, read)
 
 
 GLOBAL_ARGUMENTS = (
     arg("--window", type=int, default=8, minimum=0),
     arg("--degree-bound", type=int, default=7, minimum=0),
     arg("--level-bound", type=int, default=6, minimum=0),
-    arg("--deterministic", action="store_true",
+    arg("--deterministic", action="store_true", read=OUTPUT,
         help="omit timing so reports are byte-stable"),
 )
 
@@ -131,19 +134,42 @@ def build_parser():
         prog="tamebox",
         description="exact calculus of finitely supported injection actions",
     )
-    minima = _add_arguments(parser, GLOBAL_ARGUMENTS)
+    specs = _add_arguments(parser, GLOBAL_ARGUMENTS)
     sub = parser.add_subparsers(dest="command")
     for cmd in COMMANDS:
         p = sub.add_parser(cmd.name, help=cmd.help)
         p.set_defaults(handler=cmd.handler,
-                       minima=minima + _add_arguments(p, cmd.arguments))
+                       specs=specs + _add_arguments(p, cmd.arguments))
     return parser
 
 
 def _add_arguments(parser, arguments):
-    """Add the specs to the parser; return their (action, minimum) pairs."""
-    return [(parser.add_argument(*flags, **kwargs), minimum)
-            for flags, kwargs, minimum in arguments]
+    """Add the specs to the parser; return their (action, spec) pairs."""
+    return [(parser.add_argument(*spec.flags, **spec.kwargs), spec)
+            for spec in arguments]
+
+
+def _read_arguments(args):
+    """Check and read the arguments in declaration order, each value read
+    back on `args`; return the inputs by dest: a document's payload,
+    parsed JSON, a plain value, or None when omitted."""
+    given = {}
+    for action, spec in args.specs:
+        if spec.read is OUTPUT:
+            continue
+        value = getattr(args, action.dest)
+        if value is not None:
+            if spec.minimum is not None and value < spec.minimum:
+                raise ValidationError(f"at least {spec.minimum}",
+                                      f"{action.option_strings[0]}={value}")
+            if spec.read is JSON:
+                value = _inline_json(value)
+            elif spec.read is not PLAIN:
+                value = _load(value, *spec.read)
+            setattr(args, action.dest, value)
+        given[action.dest] = (value.payload if isinstance(value, docs.Document)
+                              else value)
+    return given
 
 
 def main(argv=None):
@@ -155,11 +181,8 @@ def main(argv=None):
     started = time.monotonic()
     report = {"command": args.command, "inputs": "", "outcome": "value"}
     try:
-        for action, minimum in args.minima:
-            value = getattr(args, action.dest)
-            if minimum is not None and value is not None and value < minimum:
-                raise ValidationError(f"at least {minimum}",
-                                      f"{action.option_strings[0]}={value}")
+        given = docs.canonical_json(_read_arguments(args))
+        report["inputs"] = hashlib.sha256(given.encode("utf-8")).hexdigest()
         code = args.handler(args, report)
     except TameboxError as e:
         report["outcome"] = "error"
@@ -169,42 +192,36 @@ def main(argv=None):
     return code
 
 
-@command("support", "support of an element", arg("--element", required=True))
+@command("support", "support of an element",
+         arg("--element", required=True, read=JSON))
 def _support(args, report):
-    payload = _inline_json(args.element)
-    x = docs.decode_element(payload)
-    report["inputs"] = _digest([payload])
-    report["value"] = sorted(x.image)
+    report["value"] = sorted(docs.decode_element(args.element).image)
     return 0
 
 
 @command("act", "apply an injection to an element",
-         arg("injection"), arg("mset"), arg("--element", required=True))
+         arg("injection", read=("partial-injection", "qa-injection")),
+         arg("mset", read=("mset",)),
+         arg("--element", required=True, read=JSON))
 def _act(args, report):
-    inj = _load(args.injection, "partial-injection", "qa-injection")
-    mset = _load(args.mset, "mset")
-    x = _element_arg(args.element, mset.value)
-    report["inputs"] = _digest([inj.payload, mset.payload, list(x.image)])
-    report["value"] = docs.encode_element(mset.value.act(inj.value, x))
+    X = args.mset.value
+    x = docs.decode_element(args.element, X)
+    report["value"] = docs.encode_element(X.act(args.injection.value, x))
     return 0
 
 
 @command("box", "box product of two canonical actions",
-         arg("left"), arg("right"))
+         arg("left", read=("mset",)), arg("right", read=("mset",)))
 def _box(args, report):
-    left = _load(args.left, "mset")
-    right = _load(args.right, "mset")
-    report["inputs"] = _digest([left.payload, right.payload])
-    out = box(left.value, right.value, args.degree_bound)
+    out = box(args.left.value, args.right.value, args.degree_bound)
     report["value"] = docs.encode_document("mset", out)
     return 0
 
 
-@command("decompose", "window round trip of an action", arg("mset"))
+@command("decompose", "window round trip of an action",
+         arg("mset", read=("mset",)))
 def _decompose(args, report):
-    mset = _load(args.mset, "mset")
-    report["inputs"] = _digest([mset.payload])
-    X = mset.value
+    X = args.mset.value
     if args.window < 2 * X.max_level:
         raise WindowTooSmall(f"window {args.window} below twice the top "
                              f"level {X.max_level}")
@@ -216,22 +233,20 @@ def _decompose(args, report):
     return _verdict(report, agrees)
 
 
-@command("flat-check", "flatness of a truncated diagram", arg("iset"),
+@command("flat-check", "flatness of a truncated diagram",
+         arg("iset", read=("iset",)),
          arg("--mode", choices=("latching", "direct", "both"), default="both"))
 def _flat_check(args, report):
-    iset = _load(args.iset, "iset")
-    report["inputs"] = _digest([iset.payload, args.mode])
-    out = is_flat(iset.value, args.mode)
+    out = is_flat(args.iset.value, args.mode)
     if out.witness is not None:
         report["counterexample"] = repr(out.witness)
     return _verdict(report, out.flat)
 
 
-@command("flatten", "flat replacement with its unit", arg("iset"))
+@command("flatten", "flat replacement with its unit",
+         arg("iset", read=("iset",)))
 def _flatten(args, report):
-    iset = _load(args.iset, "iset")
-    report["inputs"] = _digest([iset.payload])
-    _, eta = flat_replacement(iset.value, args.degree_bound)
+    _, eta = flat_replacement(args.iset.value, args.degree_bound)
     unit = docs.MORPHISM.encode(eta)
     report["value"] = {
         "flat": unit["target"],  # the unit's target is the replacement
@@ -242,76 +257,65 @@ def _flatten(args, report):
 
 
 @command("day", "convolution of two truncated diagrams",
-         arg("left"), arg("right"))
+         arg("left", read=("iset",)), arg("right", read=("iset",)))
 def _day(args, report):
-    left = _load(args.left, "iset")
-    right = _load(args.right, "iset")
-    report["inputs"] = _digest([left.payload, right.payload])
-    out = day_convolution(left.value, right.value)
+    out = day_convolution(args.left.value, args.right.value)
     report["value"] = docs.encode_document("iset", out)
     return 0
 
 
-@command("canonicalize", "canonical action of the colimit", arg("iset"))
+@command("canonicalize", "canonical action of the colimit",
+         arg("iset", read=("iset",)))
 def _canonicalize(args, report):
-    iset = _load(args.iset, "iset")
-    report["inputs"] = _digest([iset.payload])
-    out = canonicalize(iset.value, args.degree_bound)
+    out = canonicalize(args.iset.value, args.degree_bound)
     report["value"] = docs.encode_document("mset", out)
     return 0
 
 
 @command("n-iso", "does a morphism induce a colimit bijection",
-         arg("morphism"))
+         arg("morphism", read=("morphism",)))
 def _n_iso(args, report):
-    morph = _load(args.morphism, "morphism")
-    report["inputs"] = _digest([morph.payload])
-    return _verdict(report, n_iso_check(morph.value))
+    return _verdict(report, n_iso_check(args.morphism.value))
 
 
-@command("sum", "sum of two disjointly supported elements", arg("monoid"),
-         arg("--x", required=True), arg("--y", required=True))
+@command("sum", "sum of two disjointly supported elements",
+         arg("monoid", read=("monoid",)),
+         arg("--x", required=True, read=JSON),
+         arg("--y", required=True, read=JSON))
 def _sum(args, report):
-    monoid = _load(args.monoid, "monoid")
-    P = monoid.value
-    x = _element_arg(args.x, P.carrier)
-    y = _element_arg(args.y, P.carrier)
-    report["inputs"] = _digest([monoid.payload, list(x.image), list(y.image)])
+    P = args.monoid.value
+    x, y = (docs.decode_element(e, P.carrier) for e in (args.x, args.y))
     report["value"] = docs.encode_element(P.add(x, y))
     return 0
 
 
-@command("operad-act", "derived operadic action", arg("monoid"),
-         arg("operad"),
-         arg("--args", required=True, help="JSON list of elements (or @file)"))
+@command("operad-act", "derived operadic action",
+         arg("monoid", read=("monoid",)),
+         arg("operad", read=("operad-element",)),
+         arg("--args", required=True, read=JSON,
+             help="JSON list of elements (or @file)"))
 def _operad_act(args, report):
-    monoid = _load(args.monoid, "monoid")
-    operad = _load(args.operad, "operad-element")
-    P = monoid.value
-    raw = _inline_json(args.args)
+    P = args.monoid.value
     elements = [docs.element(fields, P.carrier) for fields in
-                docs.reader([docs.ELEMENT])(raw, "--args")]
-    report["inputs"] = _digest([monoid.payload, operad.payload, raw])
+                docs.reader([docs.ELEMENT])(args.args, "--args")]
     A = monoid_to_algebra(P)
-    report["value"] = docs.encode_element(A(operad.value, elements))
+    report["value"] = docs.encode_element(A(args.operad.value, elements))
     return 0
 
 
-@command("to-algebra", "derive the algebra of a monoid", arg("monoid"))
+@command("to-algebra", "derive the algebra of a monoid",
+         arg("monoid", read=("monoid",)))
 def _to_algebra(args, report):
-    monoid = _load(args.monoid, "monoid")
-    report["inputs"] = _digest([monoid.payload])
-    monoid_to_algebra(monoid.value)
+    monoid_to_algebra(args.monoid.value)
     report["outcome"] = "pass"
-    report["value"] = {"algebraOf": monoid.payload}
+    report["value"] = {"algebraOf": args.monoid.payload}
     return 0
 
 
-@command("to-monoid", "read the monoid back off the algebra", arg("monoid"))
+@command("to-monoid", "read the monoid back off the algebra",
+         arg("monoid", read=("monoid",)))
 def _to_monoid(args, report):
-    monoid = _load(args.monoid, "monoid")
-    report["inputs"] = _digest([monoid.payload])
-    P = monoid.value
+    P = args.monoid.value
     A = monoid_to_algebra(P)
     unit, table = algebra_table(A)
     same = table == P.table and unit == P.unit_point
@@ -323,54 +327,51 @@ def _to_monoid(args, report):
 
 
 @command("a3", "certify two agreeing operad elements",
-         arg("--phi", required=True), arg("--psi", required=True),
-         arg("--constraints", required=True,
+         arg("--phi", required=True, read=("operad-element",)),
+         arg("--psi", required=True, read=("operad-element",)),
+         arg("--constraints", required=True, read=JSON,
              help="JSON list of integer lists (or @file)"),
-         arg("--emit", help="write the certificate document here"))
+         arg("--emit", read=OUTPUT,
+             help="write the certificate document here"))
 def _a3(args, report):
-    phi = _load(args.phi, "operad-element")
-    psi = _load(args.psi, "operad-element")
     # read as a certificate's constraint sets are
     read = docs.CERTIFICATE.readers["A"]
-    constraints = [set(A) for A in read(_inline_json(args.constraints),
-                                        "--constraints")]
-    report["inputs"] = _digest([phi.payload, psi.payload,
-                                [sorted(A) for A in constraints]])
+    constraints = [set(A) for A in read(args.constraints, "--constraints")]
     # certify_agreement has verified the chain; it raises if that fails
-    cert = certify_agreement(phi.value, psi.value, constraints)
+    cert = certify_agreement(args.phi.value, args.psi.value, constraints)
+    if args.emit:
+        try:
+            with open(args.emit, "w", encoding="utf-8") as fh:
+                fh.write(docs.serialize_document("certificate", cert) + "\n")
+        except OSError as e:
+            raise ValidationError(f"a writable path ({e.strerror})",
+                                  f"--emit={args.emit}") from None
     report["outcome"] = "pass"
     report["value"] = {"chainLength": len(cert)}
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(docs.serialize_document("certificate", cert) + "\n")
     return 0
 
 
-@command("verify-cert", "verify a certificate", arg("certificate"),
-         arg("--phi"), arg("--psi"))
+@command("verify-cert", "verify a certificate",
+         arg("certificate", read=("certificate",)),
+         arg("--phi", read=("operad-element",)),
+         arg("--psi", read=("operad-element",)))
 def _verify_cert(args, report):
-    cert = _load(args.certificate, "certificate")
-    phi = _load(args.phi, "operad-element").value if args.phi else None
-    psi = _load(args.psi, "operad-element").value if args.psi else None
-    report["inputs"] = _digest([cert.payload])
-    ok, at, reason = verify_certificate(cert.value, phi, psi)
+    phi, psi = (e.value if e else None for e in (args.phi, args.psi))
+    ok, at, reason = verify_certificate(args.certificate.value, phi, psi)
     if not ok:
         report["counterexample"] = {"step": at, "reason": reason}
     return _verdict(report, ok)
 
 
-@command("chi", "operadic pairing into the box product", arg("operad"),
-         arg("left"), arg("right"),
-         arg("--x", required=True), arg("--y", required=True))
+@command("chi", "operadic pairing into the box product",
+         arg("operad", read=("operad-element",)),
+         arg("left", read=("mset",)), arg("right", read=("mset",)),
+         arg("--x", required=True, read=JSON),
+         arg("--y", required=True, read=JSON))
 def _chi(args, report):
-    operad = _load(args.operad, "operad-element")
-    left = _load(args.left, "mset")
-    right = _load(args.right, "mset")
-    x = _element_arg(args.x, left.value)
-    y = _element_arg(args.y, right.value)
-    report["inputs"] = _digest([operad.payload, left.payload, right.payload,
-                                list(x.image), list(y.image)])
-    fx, fy = operadic_to_box(left.value, right.value, operad.value, x, y)
+    X, Y = args.left.value, args.right.value
+    x, y = docs.decode_element(args.x, X), docs.decode_element(args.y, Y)
+    fx, fy = operadic_to_box(X, Y, args.operad.value, x, y)
     report["value"] = {"first": docs.encode_element(fx),
                        "second": docs.encode_element(fy)}
     return 0
@@ -382,7 +383,6 @@ def _chi(args, report):
 def _xinf(args, report):
     level = args.level if args.level is not None else args.level_bound
     points = ["*"] + [f"a{i}" for i in range(1, args.points)]
-    report["inputs"] = _digest([points, level])
     P = infinite_symmetric_product(points, "*", level)
     report["value"] = docs.encode_document("monoid", P)
     return 0
@@ -396,17 +396,15 @@ def _wedge_iso(args, report):
     level = args.level if args.level is not None else args.level_bound
     xs = ["*"] + [f"a{i}" for i in range(1, args.x)]
     ys = ["*"] + [f"b{i}" for i in range(1, args.y)]
-    report["inputs"] = _digest([xs, ys, level])
     maps, ok = wedge_iso(xs, "*", ys, "*", level)
     report["value"] = {str(k): len(v) for k, v in sorted(maps.items())}
     return _verdict(report, ok)
 
 
-@command("orbit-set", "orbits of a canonical action", arg("mset"))
+@command("orbit-set", "orbits of a canonical action",
+         arg("mset", read=("mset",)))
 def _orbit_set(args, report):
-    mset = _load(args.mset, "mset")
-    report["inputs"] = _digest([mset.payload])
-    orbits = mset.value.orbit_set()
+    orbits = args.mset.value.orbit_set()
     report["value"] = [
         [m, docs.point_name(p)]
         for m, p in sorted(orbits, key=lambda mp: (mp[0], point_key(mp[1])))
@@ -418,8 +416,6 @@ def _orbit_set(args, report):
          arg("--seed", type=int, default=0),
          arg("--cases", type=int, minimum=1))
 def _selftest(args, report):
-    report["inputs"] = _digest([args.seed, args.cases, args.window,
-                                args.degree_bound])
     result = run_selftest(seed=args.seed, cases=args.cases, window=args.window,
                           degree_bound=args.degree_bound,
                           include_timing=not args.deterministic)

@@ -395,6 +395,26 @@ class TestReportDiscipline:
         assert code == 2
         assert rep["error"]["type"] == "ValidationError"
 
+    def test_inline_file_not_utf8_is_an_input_error(self, capsys, tmp_path):
+        # the file was decoded unchecked: UnicodeDecodeError, exit 1
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe{}")
+        code, rep = run(capsys, "support", "--element", f"@{bad}")
+        assert (code, rep["error"]["type"]) == (2, "ParseError")
+        assert rep["inputs"] == ""  # refused while reading
+
+    def test_unwritable_emit_path_is_an_input_error(self, capsys, inputs,
+                                                    tmp_path):
+        # open() raised FileNotFoundError: a traceback, exit 1, no report
+        emit = str(tmp_path / "no-such-dir" / "cert.json")
+        code, out = _call(capsys, ARGV["a3"], {**inputs, "emit": emit})
+        rep = json.loads(out)  # one report
+        assert (code, rep["outcome"]) == (2, "error")
+        assert rep["error"]["type"] == "ValidationError"
+        assert f"--emit={emit}" in rep["error"]["message"]
+        assert "value" not in rep
+        assert rep["inputs"] != ""  # every argument was read
+
     @pytest.mark.parametrize("argv", [
         ["support", "--element", '{"level":1,"image":[1,3],"point":"a"}'],
         ["sum", "<monoid>", "--x", '{"level":1,"image":[1,2],"point":"p0"}',
@@ -465,71 +485,72 @@ class TestReportDiscipline:
 
 # sha256 of the --deterministic report of one call of every sub-command,
 # in --help order, recorded before the command table replaced the
-# dispatch chain; the a3 entry also pins the certificate it emits
+# dispatch chain, and again, in `inputs` alone, when `main` came to hash
+# every argument; the a3 entry also pins the certificate it emits
 GOLDEN = [
     ("support", ["support",
                  "--element", '{"level":2,"image":[1,3],"point":"a"}'],
      0,
-     "0875e9726eda9ab175f59c75ab43c00fa144484671d0aa83667b6733978717bf"),
+     "733b18665172a79b593479fafc74243e2380a49372705d8f2b9f64b9a9acb007"),
     ("act", ["act", "<inj>", "<m2>",
              "--element", '{"level":2,"image":[1,2],"point":"p0"}'],
      0,
-     "b4b0261e59ae15462a1cc9657c72854ebaebd589f063c943fcaba5a28dbe3f0a"),
+     "832d55943316d294eb357326ef88b95ea043fe64315605195c226ad1baf3d56a"),
     ("box", ["box", "<m1>", "<m1>"], 0,
-     "69a28eead539896def371923871b92ae959bb8cb92184a597f58f1407b08114a"),
+     "8cf37c63661a3313b30c58f621768e202fba35bff6e188352bed58f8568a896c"),
     ("decompose", ["--window", "6", "decompose", "<m2>"], 0,
-     "e1e15da89190caa36f65b8b68df5d10b9da1843e0ede540e29cc43d6592b83df"),
+     "f5abb64d3178f2d28798fd0043354de9c695406578a2b1c68713d228ff1b2744"),
     ("flat-check", ["flat-check", "--mode", "both", "<quot>"], 1,
-     "39a4f7e7dbb1a16a5d85e70662b02f2f70bec65bdeef9374178380f068538db7"),
+     "52d8a30d884716c4bb424030fbc4eeff005d961bdaa283cebe112d3a9698bcb2"),
     ("flatten", ["flatten", "<quot>"], 0,
-     "1f681c8f76dd8ef203c9be799394ae370a5eba55925047612f962685ac98cfc1"),
+     "b6f6d818466818aff03fe7ea654402aad6104264e794578ff5f9d142ed8d3adc"),
     ("day", ["day", "<rep>", "<rep>"], 0,
-     "50fe9030c03aebaacabe0b457b255e2b29a1faa4eaf20f2359dd0f74bf5d175a"),
+     "9142b7455d1957b8cd07aed24bb7ee669110be0388022ded213942b19d8e1097"),
     ("canonicalize", ["canonicalize", "<rep>"], 0,
-     "ac57228aaffc9e9b3cfca8ce2e91296b901ce32093f3160fbaed9a6d8052880f"),
+     "75a880748cc8c78fec4260cd5eb1560c031dcd7de69b8f6fc9e690020c12cd2c"),
     ("n-iso", ["n-iso", "<eta>"], 0,
-     "2f44369ad27312d19489b20e3d0d682ed7dfce2a53bdfa8b7d6151c74e4b4c83"),
+     "402fec3e94adbe2925bde2732cbaf85ca99ef3cb11aedbbea7fa09c3b7faf6ee"),
     ("sum", ["sum", "<monoid>",
              "--x", '{"level":1,"image":[2],"point":"p0"}',
              "--y", '{"level":1,"image":[5],"point":"p1"}'],
      0,
-     "fd5930dcc9e4b79ee8f3509c2d3139b80507f1a72ff153b39042652d36469069"),
+     "1e70a4604de1f5c940499da4218aeca942a3a246ffe7d12fa0bc68f560af9e5d"),
     ("operad-act", ["operad-act", "<monoid>", "<op>", "--args",
                     '[{"level":1,"image":[1],"point":"p0"},'
                     '{"level":1,"image":[1],"point":"p1"}]'],
      0,
-     "31a807012bf7d84d0f345b82b9174ee8150c0930ecd1f8acdefaec8a6ea11315"),
+     "895a94534c7ddd1bed47b65b241b2659843bda6af5870773c6995f0be063deb2"),
     ("to-algebra", ["to-algebra", "<monoid>"], 0,
-     "db509d73bda291321b87cd47f4c6ce6087529917ab58ea31667146f6f2e93154"),
+     "b783dac864586610caf28e96d56c735b6f238bb74ec78282663186f65c06c48e"),
     ("to-monoid", ["to-monoid", "<monoid>"], 0,
-     "31c478987e944a6739ee6aaa49909c140cb46c99e920fd5bfdb54c4ab112db5c"),
+     "6160c058f906ae9aa64c1fbf8f8f1a2be0345ddfc9ce2520b85bb8cb7784d0dd"),
     ("a3", ["a3", "--phi", "<phi>", "--psi", "<op>",
             "--constraints", "[[],[]]", "--emit", "<emit>"],
      0,
-     "517130c7b1d9e651b6ed0162935e14249c9290c58b3bd064b0098824985ae9cb"),
+     "eaa5e882ca8947cc9870d11e235dbe9ee43d78dbdda17771f35b8cbbe9b8e3c6"),
     ("verify-cert", ["verify-cert", "<cert>",
                      "--phi", "<phi>", "--psi", "<op>"],
      0,
-     "c3f6139ab4b4c0acd6d89210d8dab5eb82c1dd8932b8a873434e2f1a510da2bc"),
+     "c1ba85d7b990d412b977bc614e47f90c335e660f2440c50b66bc3074765a2365"),
     ("chi", ["chi", "<op>", "<m1>", "<m1>",
              "--x", '{"level":1,"image":[2],"point":"p0"}',
              "--y", '{"level":1,"image":[1],"point":"p0"}'],
      0,
-     "8f6c58682afe4d79a09e48343c7e638e613294eb148875df91d8e9f7ed14710f"),
+     "043461924e992b18dbbc69f44991db9ee4214218438016d176bffec8bfa22ba4"),
     ("xinf", ["xinf", "--points", "2", "--level", "4"], 0,
-     "98cda2b99ae99dfb7854620b89b17217b1e66ab5d04e2feb2d30f547c1e447a6"),
+     "2171449c20ffb951d9768040c6fd5d9a46328e0b007a96e7757dfd06fd5c13f5"),
     ("wedge-iso", ["wedge-iso", "--x", "2", "--y", "3", "--level", "2"], 0,
-     "b60d48b874dc37bf9d93f9436e088d44d40e4e571ac0d5cee75b302460dbdb88"),
+     "ae8dbbc98895debf99d7c01d7586edc964851418b2c8b4c09f93e7aec9f7dbf1"),
     ("orbit-set", ["orbit-set", "<m3>"], 0,
-     "d6084e905ccb8f6065415116d13207de56876ed3ab8364f45a508760331ad295"),
+     "4deff46946f45f505345c07d47246ddd56e6412e3294992465b53e7208b2d317"),
     # each suite now reports its skipped draws; without the `skipped`
     # keys the report is SELFTEST_WITHOUT_SKIPPED_SHA256's
     ("selftest", ["selftest", "--seed", "5", "--cases", "1"], 0,
-     "dd6f0e3f1f369e79dc0ab22f4a27e35c221de15960b039d8c8e15203e5cae1d9"),
+     "481c511f6c91f3c377034b080584c2612c5cf2d3a56ab34d9e37564354ff2079"),
 ]
 
 SELFTEST_WITHOUT_SKIPPED_SHA256 = (
-    "2ef24cd78601b1d804080dfebf162216963d03a3967951817431b15598d07dd7"
+    "9302daf7f343d6d3eb76d72fe810829a84a2fa190622c987b15cac255d705796"
 )
 
 EMITTED_CERTIFICATE_SHA256 = (
@@ -545,14 +566,20 @@ PARENT_CERTIFICATE = os.path.join(os.path.dirname(__file__), "data",
                                   "parent_golden_certificate.json")
 
 
-@pytest.fixture()
-def inputs(tmp_path):
-    """Paths of the documents GOLDEN names as <role>."""
+def _writer(directory):
+    """write(name, kind, value): the path of the document written there."""
     def write(name, kind, value):
-        path = tmp_path / f"{name}.json"
+        path = directory / f"{name}.json"
         path.write_text(serialize_document(kind, value) + "\n")
         return str(path)
 
+    return write
+
+
+@pytest.fixture()
+def inputs(tmp_path):
+    """Paths of the documents GOLDEN names as <role>."""
+    write = _writer(tmp_path)
     phi = _reshuffled_interleave()
     _, eta = flat_replacement(restriction_coequalizer(4))
     return {
@@ -618,21 +645,11 @@ class TestCommandTable:
         assert json.loads(out)["counterexample"] == {
             "step": None, "reason": "constraint count mismatch"}
 
-    def test_selftest_inputs_hold_the_degree_bound(self, capsys):
-        # both runs end in DegreeTooLarge, each at its own bound, and
-        # reported the same inputs while the bound was not hashed
-        reports = [run(capsys, "--degree-bound", bound, "selftest",
-                       "--seed", "5", "--cases", "3")[1]
-                   for bound in ("3", "4")]
-        assert reports[0]["inputs"] != reports[1]["inputs"]
-
     def test_golden_covers_every_command(self):
         assert [g[0] for g in GOLDEN] == [c.name for c in cli.COMMANDS]
 
     def test_table_names_are_the_parser_choices(self):
-        sub = next(a for a in cli.build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        assert list(sub.choices) == [c.name for c in cli.COMMANDS]
+        assert list(_subparsers()) == [c.name for c in cli.COMMANDS]
 
     @pytest.mark.parametrize("bad", [["no-such-command"], ["act"]])
     def test_argparse_error_leaves_no_state(self, capsys, inputs, bad):
@@ -702,14 +719,182 @@ class TestCommandTable:
         assert code == 0 and len(calls) == 1
 
 
+# the call of each command with one hashed argument changed, keyed by
+# (command, dest) and compared with GOLDEN's call of the command; a pair
+# is a call of its own and its variant.  The element variants change only
+# the point, which act, sum and chi left out of `inputs`
+VARIANTS = {
+    ("support", "element"): [
+        "support", "--element", '{"level":2,"image":[1,3],"point":"b"}'],
+    ("act", "injection"): [
+        "act", "<inj2>", "<m2>",
+        "--element", '{"level":2,"image":[1,2],"point":"p0"}'],
+    ("act", "mset"): [
+        "act", "<inj>", "<trivial>",
+        "--element", '{"level":2,"image":[1,2],"point":"p0"}'],
+    ("act", "element"): [
+        "act", "<inj>", "<m2>",
+        "--element", '{"level":2,"image":[1,2],"point":"p1"}'],
+    ("box", "left"): ["box", "<m2>", "<m1>"],
+    ("box", "right"): ["box", "<m1>", "<m2>"],
+    ("decompose", "mset"): ["--window", "6", "decompose", "<m1>"],
+    ("flat-check", "iset"): ["flat-check", "--mode", "both", "<rep>"],
+    ("flat-check", "mode"): ["flat-check", "--mode", "latching", "<quot>"],
+    ("flatten", "iset"): ["flatten", "<rep>"],
+    ("day", "left"): ["day", "<quot>", "<rep>"],
+    ("day", "right"): ["day", "<rep>", "<quot>"],
+    ("canonicalize", "iset"): ["canonicalize", "<quot>"],
+    ("n-iso", "morphism"): ["n-iso", "<eta2>"],
+    ("sum", "monoid"): [
+        "sum", "<monoid4>", "--x", '{"level":1,"image":[2],"point":"p0"}',
+        "--y", '{"level":1,"image":[5],"point":"p1"}'],
+    ("sum", "x"): [
+        "sum", "<monoid>", "--x", '{"level":1,"image":[2],"point":"p1"}',
+        "--y", '{"level":1,"image":[5],"point":"p1"}'],
+    ("sum", "y"): [
+        "sum", "<monoid>", "--x", '{"level":1,"image":[2],"point":"p0"}',
+        "--y", '{"level":1,"image":[5],"point":"p0"}'],
+    ("operad-act", "monoid"): [
+        "operad-act", "<monoid4>", "<op>", "--args",
+        '[{"level":1,"image":[1],"point":"p0"},'
+        '{"level":1,"image":[1],"point":"p1"}]'],
+    ("operad-act", "operad"): [
+        "operad-act", "<monoid>", "<phi>", "--args",
+        '[{"level":1,"image":[1],"point":"p0"},'
+        '{"level":1,"image":[1],"point":"p1"}]'],
+    ("operad-act", "args"): [
+        "operad-act", "<monoid>", "<op>", "--args",
+        '[{"level":1,"image":[1],"point":"p0"},'
+        '{"level":1,"image":[1],"point":"p0"}]'],
+    ("to-algebra", "monoid"): ["to-algebra", "<monoid4>"],
+    ("to-monoid", "monoid"): ["to-monoid", "<monoid4>"],
+    ("a3", "phi"): ["a3", "--phi", "<op>", "--psi", "<op>",
+                    "--constraints", "[[],[]]", "--emit", "<emit>"],
+    ("a3", "psi"): ["a3", "--phi", "<phi>", "--psi", "<phi>",
+                    "--constraints", "[[],[]]", "--emit", "<emit>"],
+    ("a3", "constraints"): ["a3", "--phi", "<phi>", "--psi", "<op>",
+                            "--constraints", "[[1],[]]", "--emit", "<emit>"],
+    # the certificate verified alone, with --phi and with its endpoints
+    # swapped reported one digest while --phi and --psi were not hashed
+    ("verify-cert", "certificate"): [
+        "verify-cert", "<cert2>", "--phi", "<phi>", "--psi", "<op>"],
+    ("verify-cert", "phi"): [
+        "verify-cert", "<cert>", "--phi", "<op>", "--psi", "<op>"],
+    ("verify-cert", "psi"): [
+        "verify-cert", "<cert>", "--phi", "<phi>", "--psi", "<phi>"],
+    ("chi", "operad"): [
+        "chi", "<phi>", "<m1>", "<m1>",
+        "--x", '{"level":1,"image":[2],"point":"p0"}',
+        "--y", '{"level":1,"image":[1],"point":"p0"}'],
+    ("chi", "left"): [
+        "chi", "<op>", "<trivial>", "<m1>",
+        "--x", '{"level":1,"image":[2],"point":"a"}',
+        "--y", '{"level":1,"image":[1],"point":"p0"}'],
+    ("chi", "right"): [
+        "chi", "<op>", "<m1>", "<trivial>",
+        "--x", '{"level":1,"image":[2],"point":"p0"}',
+        "--y", '{"level":1,"image":[1],"point":"a"}'],
+    # GOLDEN's carrier has one point at level 1, so these vary the point
+    # on one with two
+    ("chi", "x"): tuple(
+        ["chi", "<op>", "<trivial>", "<trivial>",
+         "--x", f'{{"level":1,"image":[2],"point":"{p}"}}',
+         "--y", '{"level":1,"image":[1],"point":"a"}'] for p in "ab"),
+    ("chi", "y"): tuple(
+        ["chi", "<op>", "<trivial>", "<trivial>",
+         "--x", '{"level":1,"image":[2],"point":"a"}',
+         "--y", f'{{"level":1,"image":[1],"point":"{p}"}}'] for p in "ab"),
+    ("xinf", "points"): ["xinf", "--points", "3", "--level", "4"],
+    ("xinf", "level"): ["xinf", "--points", "2", "--level", "3"],
+    ("wedge-iso", "x"): ["wedge-iso", "--x", "3", "--y", "3", "--level", "2"],
+    ("wedge-iso", "y"): ["wedge-iso", "--x", "2", "--y", "2", "--level", "2"],
+    ("wedge-iso", "level"): ["wedge-iso", "--x", "2", "--y", "3",
+                             "--level", "1"],
+    ("orbit-set", "mset"): ["orbit-set", "<m2>"],
+    ("selftest", "seed"): ["selftest", "--seed", "6", "--cases", "1"],
+    ("selftest", "cases"): ["selftest", "--seed", "5", "--cases", "2"],
+}
+
+
+def _with_global(name, flag, value):
+    """GOLDEN's call of the command with the global flag set to value."""
+    argv = ARGV[name]
+    at = argv.index(name)  # after GOLDEN's own global flags
+    return [*argv[:at], flag, value, *argv[at:]]
+
+
+VARIANTS.update({
+    (name, flag[2:].replace("-", "_")): _with_global(name, flag, value)
+    for name in ARGV for flag, value in (
+        ("--window", "7"), ("--degree-bound", "6"), ("--level-bound", "5"))})
+# both runs end in DegreeTooLarge, each at its own bound, and reported
+# the same inputs while selftest did not hash the bound
+VARIANTS["selftest", "degree_bound"] = tuple(
+    ["--degree-bound", bound, "selftest", "--seed", "5", "--cases", "3"]
+    for bound in ("3", "4"))
+
+
+@pytest.fixture()
+def variant_inputs(inputs, tmp_path):
+    """inputs with the further documents VARIANTS names."""
+    write = _writer(tmp_path)
+    _, eta = flat_replacement(representable_iset(1, 4))
+    cert = opalg.certify_agreement(_reshuffled_interleave(), interleave(),
+                                   [set(), set()])
+    return {
+        **inputs,
+        "inj2": write("inj2", "partial-injection",
+                      PartialInjection({1: 3, 2: 1})),
+        "trivial": write("trivial", "mset", CanonicalTameMSet(
+            {1: trivial_sigma_set(1, ["a", "b"]),
+             2: trivial_sigma_set(2, ["p0"])})),
+        "eta2": write("eta2", "morphism", eta),
+        "monoid4": write("monoid4", "monoid", infinite_symmetric_product(
+            ["*", "a1", "a2"], "*", 4)),
+        "cert2": write("cert2", "certificate", cert),
+    }
+
+
+def _subparsers():
+    """The sub-command parsers by name."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestInputsDigest:
+    def test_variants_cover_every_hashed_argument(self):
+        hashed = {(name, action.dest) for name, p in _subparsers().items()
+                  for action, spec in p.get_default("specs")
+                  if spec.read is not cli.OUTPUT}
+        assert set(VARIANTS) == hashed
+        assert ("a3", "emit") not in hashed
+
+    @pytest.mark.parametrize("key", list(VARIANTS),
+                             ids=[f"{c}-{d}" for c, d in VARIANTS])
+    def test_every_input_moves_inputs(self, capsys, variant_inputs, key):
+        row = VARIANTS[key]
+        calls = row if isinstance(row, tuple) else (ARGV[key[0]], row)
+        digests = [json.loads(_call(capsys, argv, variant_inputs)[1])["inputs"]
+                   for argv in calls]
+        assert "" not in digests
+        assert digests[0] != digests[1]
+
+    def test_omitted_option_is_hashed_as_null(self, capsys, inputs):
+        # an omitted optional argument is null, not left out: the same
+        # document as --phi alone and as --psi alone are two inputs
+        digests = [json.loads(_call(capsys, ["verify-cert", "<cert>", flag,
+                                             "<op>"], inputs)[1])["inputs"]
+                   for flag in ("--phi", "--psi")]
+        assert digests[0] != digests[1]
+
+
 def _integer_arguments():
     """(command, flags, minimum) of every integer argument; the command
     of a global flag is None."""
     specs = [(None, spec) for spec in cli.GLOBAL_ARGUMENTS]
     specs += [(c.name, spec) for c in cli.COMMANDS for spec in c.arguments]
-    return [(name, flags, minimum)
-            for name, (flags, kwargs, minimum) in specs
-            if kwargs.get("type") is int]
+    return [(name, spec.flags, spec.minimum) for name, spec in specs
+            if spec.kwargs.get("type") is int]
 
 
 # one call per integer argument with a minimum, "{}" standing for its
