@@ -31,7 +31,8 @@ class IndexOutOfRange(TameboxError):
 
 
 class DegreeTooLarge(TameboxError):
-    """A symmetric-group computation exceeds the configured degree bound."""
+    """A level beyond the degree bound would be built, or a monoid sum
+    lies beyond its level cap."""
 
 
 class SupportNotCovered(TameboxError):

@@ -22,7 +22,6 @@ from .iset import (
 from .mset import CanonicalTameMSet
 from .opalg import _inflate_along
 from .sigma import (
-    DEFAULT_DEGREE_BOUND,
     SigmaSet,
     regular_sigma_set,
     trivial_sigma_set,
@@ -100,16 +99,16 @@ def random_prescribed_pair(rng, n, constraint_sizes):
     return phi, OperadElement(slots), constraints
 
 
-def random_sigma_set(rng, m, max_points=5, degree_bound=DEFAULT_DEGREE_BOUND):
+def random_sigma_set(rng, m, max_points=5):
     """A union of orbits of a genuine degree-m action, within a point
     budget; may come back empty."""
     if m == 0:
         k = rng.randint(1, max_points)
-        return trivial_sigma_set(0, [f"c{i}" for i in range(k)], degree_bound)
+        return trivial_sigma_set(0, [f"c{i}" for i in range(k)])
     if m <= 3 and rng.random() < 0.25:
-        base = regular_sigma_set(m, degree_bound)
+        base = regular_sigma_set(m)
     else:
-        base = word_sigma_set(m, range(rng.randint(1, 3)), degree_bound)
+        base = word_sigma_set(m, range(rng.randint(1, 3)))
     orbits = [members for _, members in base.orbits()]
     rng.shuffle(orbits)
     chosen = []
@@ -121,20 +120,19 @@ def random_sigma_set(rng, m, max_points=5, degree_bound=DEFAULT_DEGREE_BOUND):
     if not chosen:
         return None
     tables = [{p: t[p] for p in chosen} for t in base.transpositions]
-    return SigmaSet(m, chosen, tables, degree_bound)
+    return SigmaSet(m, chosen, tables)
 
 
-def random_mset(rng, max_level=4, max_points=5,
-                degree_bound=DEFAULT_DEGREE_BOUND):
+def random_mset(rng, max_level=4, max_points=5):
     levels = {}
     for m in range(max_level + 1):
         if rng.random() < (0.55 if m else 0.6):
-            ss = random_sigma_set(rng, m, max_points, degree_bound)
+            ss = random_sigma_set(rng, m, max_points)
             if ss is not None and len(ss):
                 levels[m] = ss
     if not levels:
-        levels[0] = trivial_sigma_set(0, ["c0"], degree_bound)
-    return CanonicalTameMSet(levels, degree_bound)
+        levels[0] = trivial_sigma_set(0, ["c0"])
+    return CanonicalTameMSet(levels)
 
 
 def random_sub_mset(rng, X: CanonicalTameMSet):
@@ -147,24 +145,21 @@ def random_sub_mset(rng, X: CanonicalTameMSet):
                 chosen.extend(members)
         if chosen:
             tables = [{p: t[p] for p in chosen} for t in ss.transpositions]
-            levels[m] = SigmaSet(m, chosen, tables, X.degree_bound)
-    return CanonicalTameMSet(levels, X.degree_bound)
+            levels[m] = SigmaSet(m, chosen, tables)
+    return CanonicalTameMSet(levels)
 
 
-def random_iset(rng, N, max_stable, degree_bound=DEFAULT_DEGREE_BOUND,
-                merge_cap=None):
+def random_iset(rng, N, max_stable, merge_cap=None):
     """A validated truncated diagram with stability at most max_stable;
     an optional cap keeps inclusion merges away from the truncation
     top, so the colimit machinery stays applicable."""
     for _ in range(20):
         kind = rng.random()
         if kind < 0.45:
-            W = random_mset(rng, max_level=max_stable, max_points=3,
-                            degree_bound=degree_bound)
+            W = random_mset(rng, max_level=max_stable, max_points=3)
             X = support_filtration(W, N)
         elif kind < 0.7:
-            W = random_mset(rng, max_level=max_stable, max_points=3,
-                            degree_bound=degree_bound)
+            W = random_mset(rng, max_level=max_stable, max_points=3)
             X = support_filtration(W, N)
             top = N if merge_cap is None else max(merge_cap, 1)
             seeds = []

@@ -53,13 +53,13 @@ from .errors import (
 )
 from .injections import PartialInjection, QuasiAffineInjection
 from .mset import (
+    DEFAULT_DEGREE_BOUND,
     CanonicalTameMSet,
     MElement,
     all_injective_tuples,
     decompose_table,
 )
-from .sigma import (DEFAULT_DEGREE_BOUND, SigmaSet, completion_word, point_key,
-                    walk)
+from .sigma import SigmaSet, completion_word, point_key, walk
 from .unionfind import UnionFind
 
 
@@ -94,7 +94,7 @@ class TruncatedISet:
         self.N = N
         # per-level symmetric-group validation (involutions, Coxeter)
         self._sigma += [
-            SigmaSet(m, self.levels[m], self.transp[m], degree_bound=N + 1)
+            SigmaSet(m, self.levels[m], self.transp[m])
             for m in range(lo, N + 1)
         ]
         self._positions += [None] * (N + 1 - lo)

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .injections import PartialInjection, order_embed_avoiding
 from .sigma import (
-    DEFAULT_DEGREE_BOUND,
     SigmaSet,
     induce,
     iso_equal,
@@ -37,6 +36,8 @@ from .sigma import (
     trivial_sigma_set,
 )
 from .unionfind import UnionFind
+
+DEFAULT_DEGREE_BOUND = 7  # the levels `box` and `decompose_table` may build
 
 
 class MElement(NamedTuple):
@@ -65,7 +66,7 @@ def _value_of(f, v):
 class CanonicalTameMSet:
     """A level family of symmetric-group sets; empty levels omitted."""
 
-    def __init__(self, levels, degree_bound=DEFAULT_DEGREE_BOUND):
+    def __init__(self, levels):
         lv = {}
         for m, ss in levels.items():
             m = int(m)
@@ -75,7 +76,6 @@ class CanonicalTameMSet:
                 raise ValueError(f"level {m} holds a degree-{ss.m} set")
             lv[m] = ss
         self.levels = lv
-        self.degree_bound = degree_bound
 
     @property
     def max_level(self):
@@ -163,20 +163,18 @@ def mset_iso_equal(X: CanonicalTameMSet, Y: CanonicalTameMSet):
     return all(iso_equal(X.levels[m], Y.levels[m]) for m in X.levels)
 
 
-def unit_mset(degree_bound=DEFAULT_DEGREE_BOUND):
-    return CanonicalTameMSet(
-        {0: trivial_sigma_set(0, ["*"], degree_bound)}, degree_bound
-    )
+def unit_mset():
+    return CanonicalTameMSet({0: trivial_sigma_set(0, ["*"])})
 
 
-def semifree_mset(A: SigmaSet, degree_bound=DEFAULT_DEGREE_BOUND):
+def semifree_mset(A: SigmaSet):
     """The tame action freely built on one symmetric-group set."""
-    return CanonicalTameMSet({A.m: A}, degree_bound)
+    return CanonicalTameMSet({A.m: A})
 
 
-def injection_mset(m, degree_bound=DEFAULT_DEGREE_BOUND):
+def injection_mset(m):
     """The action on injections {1..m} -> omega by postcomposition."""
-    return semifree_mset(regular_sigma_set(m, degree_bound), degree_bound)
+    return semifree_mset(regular_sigma_set(m))
 
 
 def injection_element(X: CanonicalTameMSet, values) -> MElement:
@@ -186,7 +184,7 @@ def injection_element(X: CanonicalTameMSet, values) -> MElement:
     return X.canonical(m, values, tuple(range(1, m + 1)))
 
 
-def _tagged_union(m, parts, degree_bound):
+def _tagged_union(m, parts):
     """One degree-m set from (tag, set) pairs: the point p of the set
     tagged t becomes (t, p), in the order of the parts."""
     points = [(tag, p) for tag, ss in parts for p in ss.points]
@@ -195,7 +193,7 @@ def _tagged_union(m, parts, degree_bound):
          for tag, ss in parts for p in ss.points}
         for i in range(m - 1)
     ]
-    return SigmaSet(m, points, tables, degree_bound)
+    return SigmaSet(m, points, tables)
 
 
 def disjoint_union(X: CanonicalTameMSet, Y: CanonicalTameMSet):
@@ -204,30 +202,29 @@ def disjoint_union(X: CanonicalTameMSet, Y: CanonicalTameMSet):
     for m in set(X.levels) | set(Y.levels):
         parts = [(tag, Z.levels[m]) for tag, Z in ((0, X), (1, Y))
                  if m in Z.levels]
-        levels[m] = _tagged_union(m, parts, X.degree_bound)
-    return CanonicalTameMSet(levels, X.degree_bound)
+        levels[m] = _tagged_union(m, parts)
+    return CanonicalTameMSet(levels)
 
 
-def box(X: CanonicalTameMSet, Y: CanonicalTameMSet, degree_bound=None,
-        level_cap=None):
+def box(X: CanonicalTameMSet, Y: CanonicalTameMSet,
+        degree_bound=DEFAULT_DEGREE_BOUND, level_cap=None):
     """The box product in canonical form: level k is the disjoint union
     over m+n=k of the induced product of the factor levels, tagged
     (m, n).  With a level cap, higher levels are omitted instead of
     raising."""
-    bound = X.degree_bound if degree_bound is None else degree_bound
     parts = {}
     for m, A in X.levels.items():
         for n, B in Y.levels.items():
             k = m + n
             if level_cap is not None and k > level_cap:
                 continue
-            if k > bound:
+            if k > degree_bound:
                 raise DegreeTooLarge(
-                    f"box level {k} beyond degree bound {bound}"
+                    f"box level {k} beyond degree bound {degree_bound}"
                 )
-            parts.setdefault(k, []).append(((m, n), induce(A, B, bound)))
-    levels = {k: _tagged_union(k, ps, bound) for k, ps in parts.items()}
-    return CanonicalTameMSet(levels, bound)
+            parts.setdefault(k, []).append(((m, n), induce(A, B)))
+    levels = {k: _tagged_union(k, ps) for k, ps in parts.items()}
+    return CanonicalTameMSet(levels)
 
 
 def box_pair(x: MElement, y: MElement) -> MElement:
@@ -355,7 +352,9 @@ def decompose_table(table, action, window, initial_support=None,
         if not pts:
             continue
         if k > degree_bound:
-            raise DegreeTooLarge(f"level {k} beyond degree bound")
+            raise DegreeTooLarge(
+                f"level {k} beyond degree bound {degree_bound}"
+            )
         tabs = []
         for i in range(1, k):
             f = PartialInjection(
@@ -369,9 +368,9 @@ def decompose_table(table, action, window, initial_support=None,
                     raise NotTame("table not closed under the level action")
                 t[e] = img
             tabs.append(t)
-        levels[k] = SigmaSet(k, pts, tabs, degree_bound)
+        levels[k] = SigmaSet(k, pts, tabs)
 
-    out = CanonicalTameMSet(levels, degree_bound)
+    out = CanonicalTameMSet(levels)
     if out.count_up_to(table_window) != len(table):
         raise NotTame(
             "table size does not match the reconstructed canonical form"
@@ -437,7 +436,6 @@ def coequalize(u: MSetMorphism, v: MSetMorphism, window,
         uf.roots(),
         class_action,
         window,
-        initial_support=lambda e: set(e.image),
         degree_bound=degree_bound,
     )
 

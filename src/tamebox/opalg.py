@@ -39,7 +39,8 @@ from .injections import (
     _meet,
     order_embed_avoiding,
 )
-from .mset import CanonicalTameMSet, MElement, box, support
+from .mset import (DEFAULT_DEGREE_BOUND, CanonicalTameMSet, MElement, box,
+                   support)
 from .sigma import trivial_sigma_set, word_sigma_set
 
 
@@ -109,7 +110,7 @@ class CommMonoidPresentation:
     def __init__(self, carrier: CanonicalTameMSet, unit_point, table,
                  level_cap=None):
         self.carrier = carrier
-        cap = carrier.degree_bound if level_cap is None else level_cap
+        cap = DEFAULT_DEGREE_BOUND if level_cap is None else level_cap
         self.level_cap = cap
         if 0 not in carrier.levels:
             raise ValidationFailed("no level-0 part to hold the unit")
@@ -208,7 +209,7 @@ class AlgebraAction:
     def __init__(self, carrier: CanonicalTameMSet, action, level_cap=None):
         self.carrier = carrier
         self.action = action
-        self.level_cap = carrier.degree_bound if level_cap is None else level_cap
+        self.level_cap = DEFAULT_DEGREE_BOUND if level_cap is None else level_cap
         zero = action(OperadElement([]), [])
         if zero.level != 0 or not carrier.has_element(zero):
             raise ValidationFailed("nullary action must give a fixed element")
@@ -316,10 +317,8 @@ def symmetric_product_carrier(points, basepoint, level_bound):
     if basepoint not in set(points):
         raise ValidationFailed("basepoint missing")
     letters = sorted((p for p in points if p != basepoint), key=repr)
-    bound = max(level_bound, 7)
-    levels = {m: word_sigma_set(m, letters, bound)
-              for m in range(level_bound + 1)}
-    return CanonicalTameMSet(levels, degree_bound=bound)
+    levels = {m: word_sigma_set(m, letters) for m in range(level_bound + 1)}
+    return CanonicalTameMSet(levels)
 
 
 def function_to_element(func) -> MElement:
@@ -359,7 +358,7 @@ def wedge_iso(points_x, base_x, points_y, base_y, level_bound):
         ("x", p) for p in points_x if p != base_x
     ] + [("y", q) for q in points_y if q != base_y]
     PW = symmetric_product_carrier(wedge_points, "*", level_bound)
-    B = box(PX, PY, degree_bound=max(level_bound, 7), level_cap=level_bound)
+    B = box(PX, PY, degree_bound=level_bound, level_cap=level_bound)
 
     maps = {}
     ok = True

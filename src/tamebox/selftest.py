@@ -146,17 +146,17 @@ def _random_partial(rng, domain, value_range):
     return PartialInjection(dict(zip(domain, values)))
 
 
-def _msets(rng, levels, points, degree_bound):
+def _msets(rng, levels, points):
     """A draw of random actions, one per top level in `levels`."""
-    return lambda: tuple(random_mset(rng, max_level=m, max_points=points,
-                                     degree_bound=degree_bound) for m in levels)
+    return lambda: tuple(random_mset(rng, max_level=m, max_points=points)
+                         for m in levels)
 
 
 @suite("decomposition-round-trip")
 def suite_decomposition_round_trip(tally, rng, cases=100, window=8,
                                    degree_bound=7):
     """Tables of window elements decompose back to the same form."""
-    draw = _msets(rng, (4,), 5, degree_bound)
+    draw = _msets(rng, (4,), 5)
     for i, (X,) in enumerate(tally.draws(draw, cases)):
         try:
             Y = decompose_table(X.elements_up_to(window), X.act, window,
@@ -171,7 +171,7 @@ def suite_decomposition_round_trip(tally, rng, cases=100, window=8,
 def suite_box_oracle(tally, rng, cases=50, window=6, degree_bound=7):
     """The pairing bijects disjoint pairs onto the product table and
     commutes with the action through both projections."""
-    draw = _msets(rng, (2, 3), 3, degree_bound)
+    draw = _msets(rng, (2, 3), 3)
     for i, (X, Y) in enumerate(tally.draws(draw, cases)):
         XY = box(X, Y, degree_bound)
         pairs = [(x, y) for x in X.elements_up_to(window)
@@ -216,8 +216,8 @@ def suite_day_vs_box(tally, rng, cases=20, window=5, degree_bound=7):
     def draw():
         a, b = rng.choice(shapes)
         try:
-            X = random_iset(rng, window, a, degree_bound)
-            Y = random_iset(rng, window, b, degree_bound)
+            X = random_iset(rng, window, a)
+            Y = random_iset(rng, window, b)
             XY = day_convolution(X, Y)
             if 2 * XY.stable_from > window:
                 raise Skip("with product stability beyond half the window "
@@ -237,7 +237,7 @@ def suite_day_vs_box(tally, rng, cases=20, window=5, degree_bound=7):
 def suite_flatness_modes(tally, rng, cases=100, window=4, degree_bound=7):
     """Latching injectivity and the direct criterion agree, with the
     designated counterexample failing at level two."""
-    draw = functools.partial(random_iset, rng, window, 2, degree_bound)
+    draw = functools.partial(random_iset, rng, window, 2)
     for i, X in enumerate(tally.draws(draw, cases)):
         if is_flat(X, "latching").flat != is_flat(X, "direct").flat:
             tally.fail(f"case {i}: modes disagree")
@@ -256,14 +256,14 @@ def suite_flatness_modes(tally, rng, cases=100, window=4, degree_bound=7):
 def suite_adjunction(tally, rng, cases=50, window=4, degree_bound=7):
     """The counit identifies classes with window elements; the unit is
     a colimit bijection, levelwise bijective exactly on flat inputs."""
-    draw = _msets(rng, (2,), 4, degree_bound)
+    draw = _msets(rng, (2,), 4)
     for i, (W,) in enumerate(tally.draws(draw, cases)):
         classes = omega_colimit(support_filtration(W, window)).classes
         # each window element is the point of exactly one class
         table = Counter(W.elements_up_to(window))
         if Counter(p for (_, p) in classes) != table:
             tally.fail(f"case {i}: counit not a bijection")
-    draw = functools.partial(random_iset, rng, window, 2, degree_bound,
+    draw = functools.partial(random_iset, rng, window, 2,
                              merge_cap=window - 2)
     for i, X in enumerate(tally.draws(draw, cases)):
         try:
@@ -282,8 +282,7 @@ def suite_mono_pushout(tally, rng, cases=30, window=4, degree_bound=7):
     """Latching pushouts of levelwise monomorphisms between flat
     diagrams inject into the target level."""
     def draw():
-        big = random_mset(rng, max_level=2, max_points=4,
-                          degree_bound=degree_bound)
+        big = random_mset(rng, max_level=2, max_points=4)
         return random_sub_mset(rng, big), big
 
     for i, (small, big) in enumerate(tally.draws(draw, cases)):
@@ -368,7 +367,7 @@ def suite_operadic_box_comparison(tally, rng, cases=20, window=6,
     """The slotwise evaluation against the box product: the section
     inverts it on the whole window table, equivariantly and
     independently of the coequalized presentation."""
-    draw = _msets(rng, (2, 2), 3, degree_bound)
+    draw = _msets(rng, (2, 2), 3)
     for i, (X, Y) in enumerate(tally.draws(draw, cases)):
         for x in X.elements_up_to(window):
             for y in Y.elements_up_to(window):
@@ -462,7 +461,7 @@ def suite_wedge_products(tally, rng, cases=None, window=5, degree_bound=7):
 @suite("orbit-products")
 def suite_orbit_products(tally, rng, cases=50, window=None, degree_bound=7):
     """Orbit sets multiply along the box product."""
-    draw = _msets(rng, (2, 2), 4, degree_bound)
+    draw = _msets(rng, (2, 2), 4)
     for i, (X, Y) in enumerate(tally.draws(draw, cases)):
         XY = box(X, Y, degree_bound)
         if not orbit_product_bijection(X, Y, XY)[1]:

@@ -19,9 +19,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
 
-from .errors import DegreeTooLarge, ValidationError
-
-DEFAULT_DEGREE_BOUND = 7
+from .errors import ValidationError
 
 
 def point_key(p):
@@ -133,11 +131,9 @@ def _numbered(start, tables):
 class SigmaSet:
     """A validated finite set with an action of the symmetric group."""
 
-    def __init__(self, m, points, transpositions, degree_bound=DEFAULT_DEGREE_BOUND):
+    def __init__(self, m, points, transpositions):
         if m < 0:
             raise ValidationError("negative degree", m)
-        if m > degree_bound:
-            raise DegreeTooLarge(f"degree {m} beyond bound {degree_bound}")
         points = list(points)
         pset = set(points)
         if len(pset) != len(points):
@@ -169,7 +165,6 @@ class SigmaSet:
         self.points = points
         self.point_set = pset
         self.transpositions = transpositions
-        self.degree_bound = degree_bound
 
     def __len__(self):
         return len(self.points)
@@ -267,26 +262,22 @@ def iso_equal(a: SigmaSet, b: SigmaSet):
     return a.m == b.m and a.iso_type() == b.iso_type()
 
 
-def trivial_sigma_set(m, points, degree_bound=DEFAULT_DEGREE_BOUND):
-    return SigmaSet(
-        m,
-        points,
-        [{p: p for p in points} for _ in range(max(m - 1, 0))],
-        degree_bound=degree_bound,
-    )
+def trivial_sigma_set(m, points):
+    return SigmaSet(m, points,
+                    [{p: p for p in points} for _ in range(max(m - 1, 0))])
 
 
-def regular_sigma_set(m, degree_bound=DEFAULT_DEGREE_BOUND):
+def regular_sigma_set(m):
     """The symmetric group acting on itself by left multiplication."""
     points = all_perms(m)
     tables = []
     for i in range(1, m):
         s = transposition_perm(m, i)
         tables.append({p: perm_compose(s, p) for p in points})
-    return SigmaSet(m, points, tables, degree_bound=degree_bound)
+    return SigmaSet(m, points, tables)
 
 
-def word_sigma_set(m, letters, degree_bound=DEFAULT_DEGREE_BOUND):
+def word_sigma_set(m, letters):
     """The words of length m over the letters, in product order, with
     the symmetric group permuting positions."""
     points = list(product(letters, repeat=m))
@@ -294,10 +285,10 @@ def word_sigma_set(m, letters, degree_bound=DEFAULT_DEGREE_BOUND):
         {w: w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:] for w in points}
         for i in range(1, m)
     ]
-    return SigmaSet(m, points, tables, degree_bound)
+    return SigmaSet(m, points, tables)
 
 
-def induce(Z: SigmaSet, W: SigmaSet, degree_bound=DEFAULT_DEGREE_BOUND):
+def induce(Z: SigmaSet, W: SigmaSet):
     """Induct a degree-m set and a degree-n set up to degree m+n.
 
     Points are triples (S, z, w) with S an m-subset of {1..m+n}; an
@@ -306,8 +297,6 @@ def induce(Z: SigmaSet, W: SigmaSet, degree_bound=DEFAULT_DEGREE_BOUND):
     """
     m, n = Z.m, W.m
     k = m + n
-    if k > degree_bound:
-        raise DegreeTooLarge(f"degree {k} beyond bound {degree_bound}")
     points = [
         (frozenset(S), z, w)
         for S in combinations(range(1, k + 1), m)
@@ -329,4 +318,4 @@ def induce(Z: SigmaSet, W: SigmaSet, degree_bound=DEFAULT_DEGREE_BOUND):
                 T = (S - {i}) | {i + 1} if i in S else (S - {i + 1}) | {i}
                 t[(S, z, w)] = (T, z, w)
         tables.append(t)
-    return SigmaSet(k, points, tables, degree_bound=degree_bound)
+    return SigmaSet(k, points, tables)

@@ -62,7 +62,7 @@ class OraclePresentation:
     def __init__(self, carrier: CanonicalTameMSet, unit_point, table,
                  level_cap=None):
         self.carrier = carrier
-        self.level_cap = carrier.degree_bound if level_cap is None else level_cap
+        self.level_cap = 7 if level_cap is None else level_cap
         if 0 not in carrier.levels:
             raise ValidationFailed("no level-0 part to hold the unit")
         if unit_point not in set(carrier.levels[0].points):

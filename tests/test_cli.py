@@ -979,8 +979,8 @@ class TestHashSeedDeterminism:
     larger sets of positions."""
 
     def test_degree_nine_box_and_orbit_set(self, tmp_path):
-        X = CanonicalTameMSet({2: trivial_sigma_set(2, ["a", "b"], 9),
-                               3: trivial_sigma_set(3, ["c"], 9)}, 9)
+        X = CanonicalTameMSet({2: trivial_sigma_set(2, ["a", "b"]),
+                               3: trivial_sigma_set(3, ["c"])})
         m = tmp_path / "m.json"
         m.write_text(serialize_document("mset", X) + "\n")
         boxes = [_cli_under_hash_seed(seed, "--degree-bound", "9", "box",

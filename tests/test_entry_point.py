@@ -17,7 +17,9 @@ import sys
 import tamebox
 from tamebox.documents import parse_document, serialize_document, wrap
 from tamebox.generators import random_agreeing_pair
+from tamebox.injections import QuasiAffineInjection
 from tamebox.iset import representable_iset, restriction_coequalizer
+from tamebox.mset import CanonicalTameMSet, unit_mset
 from tamebox.sigma import induce, iso_equal, trivial_sigma_set
 
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
@@ -117,10 +119,34 @@ def test_day_kernel_at_level_8(tmp_path):
         n * (n - 1) for n in range(9)]
     level = parse_document(json.dumps(value)).value.level_sigma(8)
     assert iso_equal(level, representable_iset(2, 8).level_sigma(8))
-    subsets = induce(trivial_sigma_set(3, ["x"], 8),
-                     trivial_sigma_set(5, ["y"], 8), degree_bound=8)
+    subsets = induce(trivial_sigma_set(3, ["x"]), trivial_sigma_set(5, ["y"]))
     assert len(subsets) == len(level) == 56
     assert not iso_equal(level, subsets)
+
+
+def test_box_output_is_read_back_at_its_degree(tmp_path):
+    # a document of any degree is read: only building a level beyond
+    # --degree-bound is refused, so every command takes box's level-8
+    # output, and box takes it again under the same bound
+    a4 = write(tmp_path / "a4.json", "mset",
+               CanonicalTameMSet({4: trivial_sigma_set(4, ["p"])}))
+    code, out = cli(tmp_path, "--degree-bound", "8", "box", a4, a4)
+    assert code == 0
+    value = value_of(out)
+    assert list(value["payload"]["levels"]) == ["8"]
+    a8 = tmp_path / "a8.json"
+    a8.write_text(json.dumps(value))
+    unit = write(tmp_path / "unit.json", "mset", unit_mset())
+    shift = write(tmp_path / "shift.json", "qa-injection",
+                  QuasiAffineInjection.affine(1, 1))
+    element = json.dumps({"level": 8, "image": list(range(1, 9)),
+                          "point": value["payload"]["levels"]["8"]
+                          ["points"][0]})
+    assert cli(tmp_path, "orbit-set", str(a8))[0] == 0
+    code, out = cli(tmp_path, "act", shift, str(a8), "--element", element)
+    assert code == 0
+    assert value_of(out)["image"] == list(range(2, 10))
+    assert cli(tmp_path, "--degree-bound", "8", "box", str(a8), unit)[0] == 0
 
 
 def test_direct_flatness_route(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import colimit_oracle as oracle
 from tamebox.errors import (
+    DegreeTooLarge,
     InvalidMorphism,
     TruncationExceeded,
     ValidationError,
@@ -162,6 +163,14 @@ class TestCanonicalize:
                            match="^truncation 3 below twice the stability "
                                  "level 2$"):
             build(representable_iset(2, 3))
+
+    @pytest.mark.parametrize("build", [canonicalize, flat_replacement])
+    def test_degree_bound(self, build):
+        # the bound is checked before a level of the colimit is built
+        with pytest.raises(DegreeTooLarge,
+                           match="^level 1 beyond degree bound 0$"):
+            build(representable_iset(1, 2), degree_bound=0)
+        build(representable_iset(1, 2), degree_bound=1)
 
     def test_round_trip_with_filtration(self):
         W = sample_mset()
@@ -399,8 +408,8 @@ class TestDayConvolution:
         R = representable_iset(1, 8)
         level = day_convolution(R, R).level_sigma(8)
         assert iso_equal(level, representable_iset(2, 8).level_sigma(8))
-        subsets = induce(trivial_sigma_set(3, ["x"], 8),
-                         trivial_sigma_set(5, ["y"], 8), degree_bound=8)
+        subsets = induce(trivial_sigma_set(3, ["x"]),
+                         trivial_sigma_set(5, ["y"]))
         assert len(subsets) == len(level) == 56
         assert not iso_equal(level, subsets)
 

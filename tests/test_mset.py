@@ -204,6 +204,21 @@ class TestDecompose:
         out = decompose_table(X.elements_up_to(6), X.act, 6)
         assert mset_iso_equal(out, X)
 
+    def test_degree_bound(self):
+        # the bound is checked before a level is built, and the message
+        # names it as box's does
+        X = injection_mset(2)
+        table = X.elements_up_to(4)
+        with pytest.raises(DegreeTooLarge,
+                           match="^level 2 beyond degree bound 1$"):
+            decompose_table(table, X.act, 4, degree_bound=1)
+        out = decompose_table(table, X.act, 4, degree_bound=2)
+        assert mset_iso_equal(out, X)
+        u = MSetMorphism(X, X, {(2, (1, 2)): injection_element(X, (1, 2))})
+        with pytest.raises(DegreeTooLarge,
+                           match="^level 2 beyond degree bound 1$"):
+            coequalize(u, u, 4, degree_bound=1)
+
 
 class TestBox:
     def test_injections_box_to_regular(self):

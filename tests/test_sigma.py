@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import monoid_oracle as oracle
 import sigma_oracle
 from tamebox import sigma
-from tamebox.errors import DegreeTooLarge, ValidationError
+from tamebox.errors import ValidationError
 from tamebox.generators import random_sigma_set
 from tamebox.sigma import (
     SigmaSet,
@@ -119,10 +119,6 @@ class TestValidation:
         s2 = {0: 2, 2: 0, 1: 3, 3: 1}
         with pytest.raises(ValidationError):
             SigmaSet(3, pts, [s1, s2])
-
-    def test_degree_bound(self):
-        with pytest.raises(DegreeTooLarge):
-            trivial_sigma_set(9, ["x"])
 
 
 def shuffled_draw(seed, m):
@@ -402,10 +398,6 @@ class TestInduce:
         c = trivial_sigma_set(0, ["c", "c2"])
         assert iso_equal(induce(induce(a, b), c), induce(a, induce(b, c)))
 
-    def test_degree_bound(self):
-        with pytest.raises(DegreeTooLarge):
-            induce(regular_sigma_set(4), regular_sigma_set(4))
-
 
 class TestPointKey:
     def test_set_insertion_order(self):
@@ -423,9 +415,7 @@ class TestPointKey:
             assert point_key(p) == (type(p).__name__, repr(p))
 
     def test_induce_tables_consistent_at_degree_nine(self):
-        Z = trivial_sigma_set(4, ["z"], degree_bound=9)
-        W = trivial_sigma_set(5, ["w"], degree_bound=9)
-        ind = induce(Z, W, degree_bound=9)
+        ind = induce(trivial_sigma_set(4, ["z"]), trivial_sigma_set(5, ["w"]))
         keys = {p: point_key(p) for p in ind.points}
         for t in ind.transpositions:
             for q in t.values():
