@@ -44,7 +44,6 @@ from .opalg import (
     verify_certificate,
     wedge_iso,
 )
-from .selftest import run_selftest
 from .sigma import point_key
 
 
@@ -416,6 +415,9 @@ def _orbit_set(args, report):
          arg("--seed", type=int, default=0),
          arg("--cases", type=int, minimum=1))
 def _selftest(args, report):
+    # imported here, so that the document commands load no law suites
+    from .selftest import run_selftest
+
     result = run_selftest(seed=args.seed, cases=args.cases, window=args.window,
                           degree_bound=args.degree_bound,
                           include_timing=not args.deterministic)

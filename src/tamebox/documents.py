@@ -397,7 +397,8 @@ def parse_document(data, kinds=(), source=None) -> Document:
     if described is None:
         raise ParseError(f"unknown document kind {kind!r}")
     if kinds and kind not in kinds:
-        raise ValidationError("document kind", f"{kind} at {source}")
+        raise ValidationError(f"document kind {' or '.join(kinds)}, found "
+                              f"{kind}", source)
     payload = raw.get("payload")
     try:
         value = described.read(payload, f"{kind} payload")

@@ -130,9 +130,6 @@ class PartialInjection:
     def __contains__(self, i):
         return i in self.mapping
 
-    def domain(self):
-        return frozenset(self.mapping)
-
     def image(self):
         return frozenset(self.mapping.values())
 
@@ -147,20 +144,6 @@ class PartialInjection:
 
     def fixes_pointwise(self, points):
         return all(self.mapping.get(p) == p for p in points)
-
-    def complete(self) -> "QuasiAffineInjection":
-        """The total extension sending the complement of the domain
-        order-preservingly onto the complement of the image."""
-        dom = set(self.mapping)
-        img = set(self.mapping.values())
-        bound = max(dom | img, default=0)
-        pieces = [(k, k, 1, v, 1) for k, v in self.mapping.items()]
-        free_targets = iter(sorted(set(range(1, bound + 1)) - img))
-        for i in sorted(set(range(1, bound + 1)) - dom):
-            v = next(free_targets)
-            pieces.append((i, i, 1, v, 1))
-        pieces.append((bound + 1, None, 1, bound + 1, 1))
-        return QuasiAffineInjection(pieces)
 
     def __eq__(self, other):
         return isinstance(other, PartialInjection) and self.mapping == other.mapping
@@ -474,12 +457,6 @@ class QuasiAffineInjection:
                 ))
         return spans
 
-    def image_contains(self, v):
-        for first, last, step in self.image_progressions():
-            if first <= v and (last is None or v <= last) and (v - first) % step == 0:
-                return True
-        return False
-
     def image_progressions(self):
         """The images of the spans as progressions (first, last, step),
         last None when unbounded; computed once per instance."""
@@ -547,11 +524,6 @@ def _clashing_slots(slots):
                 if _first_overlap([*images[i], *images[j]]) is not None)
 
 
-def _images_disjoint(s, t):
-    """Whether two slots have disjoint images."""
-    return _clashing_slots((s, t)) is None
-
-
 class OperadElement:
     """An n-ary operation: n injections with pairwise disjoint images.
     Slot j plays the role of the restriction to the j-th coordinate."""
@@ -589,12 +561,6 @@ class OperadElement:
             for inner in part.slots:
                 slots.append(compose_any(outer, inner))
         return OperadElement(slots)
-
-    def permute(self, sigma):
-        """Right action of a permutation: slot k becomes slot sigma(k)."""
-        if len(sigma) != self.arity:
-            raise ArityMismatch("permutation degree differs from arity")
-        return OperadElement(tuple(self.slots[sigma[k] - 1] for k in range(self.arity)))
 
     def precompose(self, moves: Sequence[Injection]) -> "OperadElement":
         """self after (f_1 + ... + f_n): slot i becomes slot_i after f_i."""

@@ -152,9 +152,6 @@ class TruncatedISet:
         out._validate(k + 1, n, stable_from)
         return out
 
-    def level_sigma(self, m):
-        return self._sigma[m]
-
     @property
     def merge_level(self):
         """The highest level where an inclusion map identifies two
@@ -363,10 +360,6 @@ class OmegaColimit:
                 for i, alpha in faces:
                     table.setdefault(level[d[m - 1 - i][p]], (alpha, x0))
         return table
-
-    def support(self, c):
-        """Exact support of a class: the image of its element."""
-        return frozenset(self.class_to_element(c).image)
 
     def class_to_element(self, c) -> MElement:
         """The canonical element a class corresponds to under the

@@ -5,19 +5,23 @@ check with its own independent oracle.
 a random stream and case counts that returns its `Tally`: the cases it
 ran, the draws it skipped and its failure descriptions.  Each instance
 checked, drawn or fixed, is one case; a draw outside the law's domain
-raises `Skip`.  `run_selftest` aggregates the tallies into a
-deterministic report keyed by suite name.
+raises `Skip`.  Each suite declares the highest level that its `box`
+and `decompose_table` calls build, so that `run_selftest` refuses a
+degree bound below it before any suite runs; it aggregates the tallies
+into a deterministic report keyed by suite name.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import random
 import time
 from collections import Counter
 
 from .errors import (
+    DegreeTooLarge,
     TameboxError,
     TruncationExceeded,
     ValidationError,
@@ -123,18 +127,28 @@ class Tally:
 
 SUITES = []  # (name, suite) pairs in report order
 
+# given to a check only when its signature names them
+SHARED = ("rng", "cases", "degree_bound")
 
-def suite(name):
-    """Enter the decorated `check(tally, rng, **sizes)` in `SUITES` as
-    the suite `name`, a function `(rng, **sizes) -> Tally`."""
+
+def suite(name, top_level=0):
+    """Enter the decorated `check(tally, ...)` in `SUITES` as the suite
+    `name`, a function `(rng, **sizes) -> Tally` with `top_level` as an
+    attribute: the highest level that the check's `box` and
+    `decompose_table` calls build, 0 when it makes none."""
 
     def register(check):
+        named = inspect.signature(check).parameters
+
         @functools.wraps(check)
         def run(rng, **sizes):
+            given = {"rng": rng, **sizes}
             tally = Tally()
-            check(tally, rng, **sizes)
+            check(tally, **{k: v for k, v in given.items()
+                            if k in named or k not in SHARED})
             return tally
 
+        run.top_level = top_level
         SUITES.append((name, run))
         return run
 
@@ -152,7 +166,7 @@ def _msets(rng, levels, points):
                          for m in levels)
 
 
-@suite("decomposition-round-trip")
+@suite("decomposition-round-trip", top_level=4)
 def suite_decomposition_round_trip(tally, rng, cases=100, window=8,
                                    degree_bound=7):
     """Tables of window elements decompose back to the same form."""
@@ -167,7 +181,7 @@ def suite_decomposition_round_trip(tally, rng, cases=100, window=8,
             tally.fail(f"case {i}: {e}")
 
 
-@suite("box-oracle")
+@suite("box-oracle", top_level=2 + 3)
 def suite_box_oracle(tally, rng, cases=50, window=6, degree_bound=7):
     """The pairing bijects disjoint pairs onto the product table and
     commutes with the action through both projections."""
@@ -199,7 +213,7 @@ def suite_box_oracle(tally, rng, cases=50, window=6, degree_bound=7):
 
 
 @suite("injection-split")
-def suite_injection_split(tally, rng, cases=None, window=7, degree_bound=7):
+def suite_injection_split(tally, window=7):
     """Splitting an injection into two blocks is a bijection onto the
     disjointly supported pairs."""
     for m, n in tally.each((m, n) for m in range(6) for n in range(6 - m)):
@@ -207,10 +221,11 @@ def suite_injection_split(tally, rng, cases=None, window=7, degree_bound=7):
             tally.fail(f"split at ({m}, {n}) not bijective")
 
 
-@suite("day-vs-box")
+@suite("day-vs-box", top_level=2)
 def suite_day_vs_box(tally, rng, cases=20, window=5, degree_bound=7):
     """Convolution then canonicalization agrees with the box product of
     the canonicalizations.  Draws that leave the window are skipped."""
+    # stability levels summing to at most 2, the suite's top level
     shapes = [(0, 1), (1, 1), (1, 0), (2, 0), (0, 2), (0, 0)]
 
     def draw():
@@ -234,7 +249,7 @@ def suite_day_vs_box(tally, rng, cases=20, window=5, degree_bound=7):
 
 
 @suite("flatness-modes")
-def suite_flatness_modes(tally, rng, cases=100, window=4, degree_bound=7):
+def suite_flatness_modes(tally, rng, cases=100, window=4):
     """Latching injectivity and the direct criterion agree, with the
     designated counterexample failing at level two."""
     draw = functools.partial(random_iset, rng, window, 2)
@@ -252,7 +267,7 @@ def suite_flatness_modes(tally, rng, cases=100, window=4, degree_bound=7):
             tally.fail(f"representable {m} reported non-flat")
 
 
-@suite("adjunction")
+@suite("adjunction", top_level=2)
 def suite_adjunction(tally, rng, cases=50, window=4, degree_bound=7):
     """The counit identifies classes with window elements; the unit is
     a colimit bijection, levelwise bijective exactly on flat inputs."""
@@ -278,7 +293,7 @@ def suite_adjunction(tally, rng, cases=50, window=4, degree_bound=7):
 
 
 @suite("mono-pushout")
-def suite_mono_pushout(tally, rng, cases=30, window=4, degree_bound=7):
+def suite_mono_pushout(tally, rng, cases=30, window=4):
     """Latching pushouts of levelwise monomorphisms between flat
     diagrams inject into the target level."""
     def draw():
@@ -312,8 +327,7 @@ def agreement_instances(rng, cases=50):
 
 
 @suite("agreement-certificates")
-def suite_agreement_certificates(tally, rng, cases=50, window=None,
-                                 degree_bound=7):
+def suite_agreement_certificates(tally, rng, cases=50):
     """Certified chains exist for agreeing pairs and verify exactly."""
     draw = functools.partial(next, agreement_instances(rng, cases))
     binary, ternary = tally.draws(draw, cases), tally.draws(draw, 10)
@@ -329,8 +343,7 @@ def suite_agreement_certificates(tally, rng, cases=50, window=None,
 
 
 @suite("monoid-algebra-round-trip")
-def suite_monoid_algebra_round_trip(tally, rng, cases=100, window=None,
-                                    degree_bound=7):
+def suite_monoid_algebra_round_trip(tally, rng, cases=100):
     """Presentations and algebra actions determine each other, and the
     derived action matches the pointwise evaluation."""
     instances = [trivial_from_abelian(*cyclic_monoid(k)) for k in (2, 3, 4)]
@@ -362,8 +375,7 @@ def suite_monoid_algebra_round_trip(tally, rng, cases=100, window=None,
 
 
 @suite("operadic-box-comparison")
-def suite_operadic_box_comparison(tally, rng, cases=20, window=6,
-                                  degree_bound=7):
+def suite_operadic_box_comparison(tally, rng, cases=20, window=6):
     """The slotwise evaluation against the box product: the section
     inverts it on the whole window table, equivariantly and
     independently of the coequalized presentation."""
@@ -400,7 +412,7 @@ def suite_operadic_box_comparison(tally, rng, cases=20, window=6,
 
 
 @suite("sum-laws")
-def suite_sum_laws(tally, rng, cases=200, window=None, degree_bound=7):
+def suite_sum_laws(tally, rng, cases=200):
     """Unit, commutativity, associativity, equivariance, interchange,
     on `cases` draws per instance.  Draws whose summands overlap or
     pass the level cap are skipped."""
@@ -444,7 +456,7 @@ def suite_sum_laws(tally, rng, cases=200, window=None, degree_bound=7):
 
 
 @suite("wedge-products")
-def suite_wedge_products(tally, rng, cases=None, window=5, degree_bound=7):
+def suite_wedge_products(tally, window=5):
     """The symmetric product of a wedge against the box product of the
     symmetric products: both comparisons, and the level sizes."""
     maps, ok = wedge_iso(["*", "a"], "*", ["*", "b", "c"], "*", window)
@@ -458,8 +470,8 @@ def suite_wedge_products(tally, rng, cases=None, window=5, degree_bound=7):
             tally.fail(f"level {k} size {len(maps.get(k, {}))} != {3 ** k}")
 
 
-@suite("orbit-products")
-def suite_orbit_products(tally, rng, cases=50, window=None, degree_bound=7):
+@suite("orbit-products", top_level=2 + 2)
+def suite_orbit_products(tally, rng, cases=50, degree_bound=7):
     """Orbit sets multiply along the box product."""
     draw = _msets(rng, (2, 2), 4)
     for i, (X, Y) in enumerate(tally.draws(draw, cases)):
@@ -478,10 +490,17 @@ def run_selftest(seed=0, cases=None, window=None, degree_bound=7,
     """Run every suite with one seeded stream per suite.
 
     `cases` scales the principal draws of each suite when given; the
-    defaults are the full law-suite sizes.  The window must hold the
-    level-4 actions that the decomposition suite draws."""
-    if window is not None and window < 8:
-        raise WindowTooSmall(f"window {window} below twice the top level 4")
+    defaults are the full law-suite sizes.  The degree bound must reach
+    every suite's top level, and the window must hold the actions that
+    the decomposition suite draws."""
+    top = max(fn.top_level for _, fn in SUITES)
+    if degree_bound < top:
+        raise DegreeTooLarge(f"law suites build level {top}, beyond degree "
+                             f"bound {degree_bound}")
+    drawn = suite_decomposition_round_trip.top_level
+    if window is not None and window < 2 * drawn:
+        raise WindowTooSmall(f"window {window} below twice the top level "
+                             f"{drawn}")
     started = time.monotonic()
     out = []
     for name, fn in SUITES:

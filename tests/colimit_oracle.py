@@ -94,6 +94,11 @@ def colimit_under(X: TruncatedISet, n):
     return classes, lookup
 
 
+def level_sigma(X: TruncatedISet, m):
+    """Level m of X as the Σ_m-set the library validated."""
+    return X._sigma[m]
+
+
 def map_along(X: TruncatedISet, alpha, n, x):
     """X applied to the injection with value tuple alpha into {1..n}:
     the inclusions up to level n, then the permutation that completes
@@ -106,7 +111,7 @@ def map_along(X: TruncatedISet, alpha, n, x):
     used = set(alpha)
     rest = iter(v for v in range(1, n + 1) if v not in used)
     sigma = tuple(alpha) + tuple(next(rest) for _ in range(n - m))
-    return X.level_sigma(n).act_perm(sigma, x)
+    return level_sigma(X, n).act_perm(sigma, x)
 
 
 def latching_values(X: TruncatedISet, n):

@@ -269,6 +269,14 @@ def image_contains(normal, v):
     return False
 
 
+def progressions_contain(f, v):
+    """Whether v is a value of the integer-kernel injection f, read off
+    its image progressions; `image_contains` is the reference."""
+    return any(first <= v and (last is None or v <= last)
+               and (v - first) % step == 0
+               for first, last, step in f.image_progressions())
+
+
 def images_disjoint(s, t):
     """Whether two normal forms have disjoint images, pair by pair."""
     t_images = [image_progression(q) for q in t]

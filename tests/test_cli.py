@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import tamebox
-from tamebox import PartialInjection, cli, opalg, sigma
+from tamebox import PartialInjection, cli, opalg, selftest, sigma
 from tamebox.cli import main
 from tamebox.documents import canonical_json, serialize_document
 from tamebox.generators import random_agreeing_pair, random_mset
@@ -219,6 +219,29 @@ class TestCommands:
             "agreement-certificates",
         }
 
+    @pytest.mark.parametrize("bound", range(6))
+    def test_selftest_refuses_a_degree_bound_below_its_suites(
+            self, capsys, monkeypatch, bound):
+        # box-oracle builds level 5; below that bound a run used to stop
+        # there, after the suites before it had run
+        ran = []
+
+        class Counted(selftest.Tally):
+            def __init__(self):
+                super().__init__()
+                ran.append(self)
+
+        monkeypatch.setattr(selftest, "Tally", Counted)
+        code, rep = run(capsys, "--degree-bound", str(bound), "selftest",
+                        "--seed", "5", "--cases", "3")
+        if bound < 5:
+            assert (code, rep["error"]["type"], ran) == (2, "DegreeTooLarge",
+                                                         [])
+        else:
+            assert (code, rep["outcome"]) == (0, "pass")
+            assert len(rep["value"]["suites"]) == len(ran) == len(
+                selftest.SUITES)
+
 
 def _qa_piece(**fields):
     piece = {"lo": 1, "hi": None, "mod": 1, "res": 0, "a": 1, "b": 0}
@@ -328,7 +351,7 @@ class TestReportDiscipline:
                                  ["orbit-set", "<bad>"], text)
         assert (code, rep["error"]["type"]) == (2, "ValidationError")
         assert rep["error"]["message"] == (
-            f"document kind at sigma-set at {tmp_path / 'bad.json'}")
+            f"document kind mset, found sigma-set at {tmp_path / 'bad.json'}")
         assert built == []
 
     @pytest.mark.parametrize("max_level", ["x", 9], ids=["string", "nine"])

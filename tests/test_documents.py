@@ -97,6 +97,13 @@ class TestValidationSurface:
         with pytest.raises(ParseError):
             parse_document(canonical_json({"kind": [], "payload": {}}))
 
+    def test_another_kind_names_the_accepted_kinds_and_the_one_found(self):
+        text = serialize_document("mset", unit_mset())
+        with pytest.raises(ValidationError) as info:
+            parse_document(text, ("partial-injection", "qa-injection"), "f")
+        assert str(info.value) == ("document kind partial-injection or "
+                                   "qa-injection, found mset at f")
+
     def test_non_involution_rejected(self):
         payload = {"m": 2, "points": ["a", "b", "c"],
                    "s": [{"a": "b", "b": "c", "c": "a"}]}

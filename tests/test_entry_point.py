@@ -20,7 +20,7 @@ from tamebox.generators import random_agreeing_pair
 from tamebox.injections import QuasiAffineInjection
 from tamebox.iset import representable_iset, restriction_coequalizer
 from tamebox.mset import CanonicalTameMSet, unit_mset
-from tamebox.sigma import induce, iso_equal, trivial_sigma_set
+from tamebox.sigma import SigmaSet, induce, iso_equal, trivial_sigma_set
 
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
     tamebox.__file__)))
@@ -53,6 +53,15 @@ def test_runs_the_package_this_process_imported(tmp_path):
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT),
         capture_output=True, text=True, check=True)
     assert done.stdout.strip() == os.path.abspath(tamebox.__file__)
+
+
+def test_the_command_line_loads_the_law_suites_only_to_run_them(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tamebox.cli; print('tamebox.selftest' in sys.modules)"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT),
+        capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_input_error_reaches_the_shell_as_exit_2(tmp_path):
@@ -117,8 +126,10 @@ def test_day_kernel_at_level_8(tmp_path):
     value = value_of(out)
     assert [len(l) for l in value["payload"]["levels"]] == [
         n * (n - 1) for n in range(9)]
-    level = parse_document(json.dumps(value)).value.level_sigma(8)
-    assert iso_equal(level, representable_iset(2, 8).level_sigma(8))
+    day = parse_document(json.dumps(value)).value
+    level, rank_two = (SigmaSet(8, X.levels[8], X.transp[8])
+                       for X in (day, representable_iset(2, 8)))
+    assert iso_equal(level, rank_two)
     subsets = induce(trivial_sigma_set(3, ["x"]), trivial_sigma_set(5, ["y"]))
     assert len(subsets) == len(level) == 56
     assert not iso_equal(level, subsets)

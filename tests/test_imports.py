@@ -1,7 +1,19 @@
-"""Every name a library module imports is used in that module.
+"""The library holds only what it reaches and reads.
 
+Every name a library module imports is used in that module:
 `__init__.py` imports to re-export and is left out; `__future__`
-imports are directives, not names."""
+imports are directives, not names.
+
+Every top-level function, class and method of the library is reached
+by name from a root, and every parameter is read by its function
+(`self` and `cls` aside).  The roots are what the package offers
+(`cli.main`, the `@command` handlers, the `@suite` functions, the names
+`__init__` exports), what runs on import (module-level code, dunders)
+and what the benchmark uses: the names `perfbench/workloads.py` imports
+from tamebox and the entries of `TARGETS`, `COUNTED` and `CACHED` in
+`perfbench/spans.py`.  Each of those must still name something in the
+library, or a traced benchmark run fails on install.  The benchmark
+files are read here, never imported."""
 
 import ast
 import os
@@ -13,6 +25,11 @@ import tamebox
 PACKAGE = os.path.dirname(os.path.abspath(tamebox.__file__))
 MODULES = sorted(name for name in os.listdir(PACKAGE)
                  if name.endswith(".py") and name != "__init__.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "perfbench")
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+REGISTERING = ("command", "suite")  # decorators that enter a function
 
 
 def unused_imports(source):
@@ -32,6 +49,175 @@ def unused_imports(source):
         imported.items(), key=lambda item: item[1]) if name not in used]
 
 
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def library():
+    """Every module of the package, `__init__` included, by name."""
+    return {name[:-3]: _parse(os.path.join(PACKAGE, name))
+            for name in MODULES + ["__init__.py"]}
+
+
+def _reads(nodes):
+    """The names and the attribute names read anywhere in the nodes."""
+    names, attributes = set(), set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                attributes.add(sub.attr)
+    return names, attributes
+
+
+def _on_import(node):
+    """The parts of a top-level statement that run on import: all of it
+    but the bodies of its functions."""
+    if isinstance(node, FUNCTIONS):
+        return [*node.decorator_list, node.args, *filter(None, [node.returns])]
+    if isinstance(node, ast.ClassDef):
+        return [*node.decorator_list, *node.bases, *node.keywords,
+                *(part for item in node.body for part in _on_import(item))]
+    return [node]
+
+
+def definitions(trees):
+    """(module, qualified name) -> node for every top-level function and
+    class and every method."""
+    out = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+                out[module, node.name] = node
+            if isinstance(node, ast.ClassDef):
+                out.update(((module, f"{node.name}.{item.name}"), item)
+                           for item in node.body
+                           if isinstance(item, FUNCTIONS))
+    return out
+
+
+def _is_root(key, node):
+    name = key[1].rpartition(".")[2]
+    return (key == ("cli", "main")
+            or name.startswith("__") and name.endswith("__")
+            or any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                   and d.func.id in REGISTERING for d in node.decorator_list))
+
+
+def unreached(trees, roots=()):
+    """The definitions that nothing reaches by name, sorted.  A reached
+    function reaches what its body reads.  A top-level definition is
+    reached by a name or an attribute (`docs.reader`), a method by an
+    attribute only."""
+    names, attributes = _reads(
+        part for tree in trees.values() for node in tree.body
+        for part in _on_import(node))
+    names |= {alias.asname or alias.name for node in trees["__init__"].body
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    waiting = definitions(trees)
+    grew = True
+    while grew:
+        grew = False
+        for key, node in list(waiting.items()):
+            name = key[1].rpartition(".")[2]
+            if (key in roots or _is_root(key, node) or name in attributes
+                    or "." not in key[1] and name in names):
+                del waiting[key]
+                grew = True
+                if isinstance(node, FUNCTIONS):
+                    more_names, more_attributes = _reads(node.body)
+                    names |= more_names
+                    attributes |= more_attributes
+    return sorted(waiting)
+
+
+def unread_parameters(trees):
+    """(module, line, function, parameter) for each parameter, `self`
+    and `cls` aside, that its function or lambda never reads."""
+    out = []
+    for module, tree in sorted(trees.items()):
+        for node in ast.walk(tree):
+            if not isinstance(node, FUNCTIONS + (ast.Lambda,)):
+                continue
+            a = node.args
+            params = [p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      *filter(None, [a.vararg, a.kwarg])]]
+            body = node.body if isinstance(node, FUNCTIONS) else [node.body]
+            read = {sub.id for part in body for sub in ast.walk(part)
+                    if isinstance(sub, ast.Name)
+                    and isinstance(sub.ctx, ast.Load)}
+            out += [(module, node.lineno, getattr(node, "name", "<lambda>"), p)
+                    for p in params if p not in ("self", "cls", *read)]
+    return out
+
+
+def benchmark_hooks(workloads, spans):
+    """The (module, qualified name) pairs the benchmark needs, from the
+    parsed `workloads.py` and `spans.py`: each name workloads imports
+    from a tamebox module, each attribute it reads off an imported
+    tamebox module, and each (module, path) entry of the span tables."""
+    hooks, aliases = set(), {}
+    for node in workloads.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "tamebox":
+            aliases.update((alias.asname or alias.name, alias.name)
+                           for alias in node.names)
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module.startswith("tamebox.")):
+            module = node.module.partition(".")[2]
+            hooks.update((module, alias.name) for alias in node.names)
+    hooks.update((aliases[sub.value.id], sub.attr)
+                 for sub in ast.walk(workloads)
+                 if isinstance(sub, ast.Attribute)
+                 and isinstance(sub.value, ast.Name)
+                 and sub.value.id in aliases)
+    for node in spans.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None)
+                in ("TARGETS", "COUNTED", "CACHED")):
+            hooks.update((entry.elts[0].value, entry.elts[1].value)
+                         for entry in node.value.elts)
+    return hooks
+
+
+def benchmark():
+    return benchmark_hooks(_parse(os.path.join(PERFBENCH, "workloads.py")),
+                           _parse(os.path.join(PERFBENCH, "spans.py")))
+
+
+def _binding(trees, module, name):
+    """Where `name` is defined for `module`: the (module, name) key of
+    its definition, followed through `from .x import name`; True for
+    any other top-level binding; None when unbound."""
+    for node in trees.get(module, ast.Module(body=[])).body:
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)) and node.name == name:
+            return module, name
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if (alias.asname or alias.name) == name:
+                    return _binding(trees, node.module, alias.name)
+        if isinstance(node, ast.Assign) and name in _reads(node.targets)[0]:
+            return True
+    return None
+
+
+def resolve(trees, hooks):
+    """The definitions the hooks name, and the hooks naming nothing."""
+    defined = definitions(trees)
+    found, missing = set(), []
+    for module, path in sorted(hooks):
+        head, _, method = path.partition(".")
+        key = _binding(trees, module, head)
+        if method and isinstance(key, tuple):
+            key = (key[0], f"{key[1]}.{method}")
+        if key is None or method and key not in defined:
+            missing.append((module, path))
+        elif key is not True:
+            found.add(key)
+    return found, missing
+
+
 def test_finds_an_unused_import():
     source = "import os\nfrom math import comb, gcd\n\nprint(gcd(4, 6))\n"
     assert unused_imports(source) == [(1, "os"), (2, "comb")]
@@ -41,3 +227,42 @@ def test_finds_an_unused_import():
 def test_module_uses_every_import(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_every_benchmark_hook_names_a_library_definition():
+    found, missing = resolve(library(), benchmark())
+    assert missing == []
+    assert ("sigma", "SigmaSet.iso_type") in found
+
+
+def test_every_definition_is_reached():
+    trees = library()
+    assert unreached(trees, resolve(trees, benchmark())[0]) == []
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(library()) == []
+
+
+def test_finds_an_added_unreached_function():
+    trees = library()
+    trees["mset"].body += ast.parse("def _spare(x):\n    return x\n").body
+    assert unreached(trees, resolve(trees, benchmark())[0]) == [
+        ("mset", "_spare")]
+
+
+def test_finds_an_added_unread_parameter():
+    trees = library()
+    box_pair = definitions(trees)["mset", "box_pair"]
+    box_pair.args.args.append(ast.arg("spare"))
+    assert unread_parameters(trees) == [
+        ("mset", box_pair.lineno, "box_pair", "spare")]
+
+
+def test_finds_a_benchmark_target_gone_from_the_library():
+    # deleting SigmaSet.iso_type made every traced benchmark run raise
+    trees = library()
+    sigma_set = definitions(trees)["sigma", "SigmaSet"]
+    sigma_set.body = [item for item in sigma_set.body
+                      if getattr(item, "name", None) != "iso_type"]
+    assert resolve(trees, benchmark())[1] == [("sigma", "SigmaSet.iso_type")]

@@ -36,9 +36,15 @@ from tamebox.mset import (
     box,
     injection_mset,
     mset_iso_equal,
+    support,
     unit_mset,
 )
 from tamebox.sigma import SigmaSet, induce, iso_equal, trivial_sigma_set
+
+
+def class_support(colim, c):
+    """The support of a colimit class: the image of its element."""
+    return support(colim.class_to_element(c))
 
 
 def tuple_sigma_set(m, width):
@@ -121,13 +127,13 @@ class TestOmegaColimit:
     def test_supports(self):
         X = representable_iset(2, 5)
         colim = omega_colimit(X)
-        assert colim.support(colim.class_of(2, (1, 2))) == {1, 2}
-        assert colim.support(colim.class_of(4, (4, 2))) == {2, 4}
+        assert class_support(colim, colim.class_of(2, (1, 2))) == {1, 2}
+        assert class_support(colim, colim.class_of(4, (4, 2))) == {2, 4}
 
     def test_level_zero_support_empty(self):
         C = constant_iset(["p"], 3)
         colim = omega_colimit(C)
-        assert colim.support(colim.classes[0]) == frozenset()
+        assert class_support(colim, colim.classes[0]) == frozenset()
 
     def test_coequalizer_class_supported_nowhere(self):
         # one class, empty support, despite having no level-0 member
@@ -135,7 +141,7 @@ class TestOmegaColimit:
         assert Q.levels[0] == []
         colim = omega_colimit(Q)
         assert len(colim.classes) == 1
-        assert colim.support(colim.classes[0]) == frozenset()
+        assert class_support(colim, colim.classes[0]) == frozenset()
 
 
 class TestCanonicalize:
@@ -325,7 +331,6 @@ class TestAdjunction:
             m, x = c
             image = colim_flat.class_of(m, eta.maps[m][x])
             assert colim_flat.class_to_element(image).image == colim.class_to_element(c).image
-            assert colim_flat.support(image) == colim.support(c)
 
 
 class TestMonoPushout:
@@ -372,7 +377,7 @@ class TestDayConvolution:
         # at the colimit, the pair of convolution projections is a
         # bijection onto the disjointly supported pairs of classes,
         # matching the product pairing elementwise
-        from tamebox.mset import box_pair, support
+        from tamebox.mset import box_pair
 
         A = support_filtration(sample_mset(), 4)
         B = support_filtration(injection_mset(1), 4)
@@ -390,7 +395,7 @@ class TestDayConvolution:
             eb = colim_b.class_to_element(cb)
             assert not support(ea) & support(eb)
             pair = box_pair(ea, eb)
-            assert support(pair) == colim.support(c)
+            assert support(pair) == class_support(colim, c)
             assert (ea, eb) not in seen
             seen.add((ea, eb))
         window_pairs = {
@@ -406,8 +411,9 @@ class TestDayConvolution:
         # level 8 is one 56-point orbit; so is the orbit of 3-subsets of
         # {1..8}, whose stabilizer S_3 x S_5 is not conjugate to S_6
         R = representable_iset(1, 8)
-        level = day_convolution(R, R).level_sigma(8)
-        assert iso_equal(level, representable_iset(2, 8).level_sigma(8))
+        level = oracle.level_sigma(day_convolution(R, R), 8)
+        assert iso_equal(level,
+                         oracle.level_sigma(representable_iset(2, 8), 8))
         subsets = induce(trivial_sigma_set(3, ["x"]),
                          trivial_sigma_set(5, ["y"]))
         assert len(subsets) == len(level) == 56

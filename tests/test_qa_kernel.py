@@ -35,7 +35,7 @@ from tamebox.generators import random_quasi_affine
 from tamebox.injections import (
     Piece,
     QuasiAffineInjection,
-    _images_disjoint,
+    _clashing_slots,
     _piece,
     interleave,
     order_embed_avoiding,
@@ -81,9 +81,8 @@ def random_qa(rng):
         elif kind == 3:
             f = _widen(f, rng.choice((10, 21)))[1]
         else:
-            f = _drop_values(
-                f, {v for v in range(1, 12) if not f.image_contains(v)}
-            )
+            f = _drop_values(f, {v for v in range(1, 12)
+                                 if not oracle.progressions_contain(f, v)})
     return f
 
 
@@ -282,8 +281,10 @@ def test_images_match_oracle(seed):
         s = interleave()
         f, g = s.slot(1).compose(f), s.slot(2).compose(g)
     for v in range(1, 80):
-        assert f.image_contains(v) == oracle.image_contains(f.pieces, v)
-    assert _images_disjoint(f, g) == oracle.images_disjoint(f.pieces, g.pieces)
+        assert oracle.progressions_contain(f, v) == \
+            oracle.image_contains(f.pieces, v)
+    assert (_clashing_slots((f, g)) is None) == \
+        oracle.images_disjoint(f.pieces, g.pieces)
 
 
 @kernel_settings
@@ -300,7 +301,7 @@ def test_certificate_helpers_match_oracle(seed):
     assert _merge_even_odd(s.slot(2).compose(u), s.slot(1).compose(w)).pieces \
         == oracle.merge_even_odd(s.slot(2).compose(u).pieces,
                                  s.slot(1).compose(w).pieces)
-    free = [v for v in range(1, 25) if not u.image_contains(v)]
+    free = [v for v in range(1, 25) if not oracle.progressions_contain(u, v)]
     avoid = set(rng.sample(free, min(len(free), rng.randint(0, 3))))
     if rng.random() < 0.2:
         avoid.add(u(rng.randint(1, 5)))

@@ -1,9 +1,12 @@
-"""The case runner that every law suite takes its counts from."""
+"""The case runner that every law suite takes its counts from, and the
+levels the suites declare."""
+
+import random
 
 import pytest
 
 from tamebox.errors import NotTame, ValidationError
-from tamebox.selftest import Skip, Tally
+from tamebox.selftest import SUITES, Skip, Tally
 
 
 def test_a_draw_that_always_skips_runs_short():
@@ -47,3 +50,15 @@ def test_fixed_instances_and_draws_are_one_case_each():
     assert list(tally.each("ab")) + list(tally.draws(draw, 2)) == [
         "a", "b", 1, 2]
     assert (tally.ran, tally.skipped, tally.failures) == (4, 1, [])
+
+
+# the suites that build levels under the degree bound
+BUDGETED = {name: suite for name, suite in SUITES if suite.top_level}
+
+
+@pytest.mark.parametrize("name", BUDGETED)
+def test_a_suite_passes_at_its_declared_top_level(name):
+    suite = BUDGETED[name]
+    tally = suite(random.Random(f"5:{name}"), cases=3,
+                  degree_bound=suite.top_level)
+    assert tally.failures == []
