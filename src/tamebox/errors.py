@@ -68,7 +68,9 @@ class NotAMonoid(TameboxError):
 
 
 class PreconditionViolated(TameboxError):
-    """Inputs disagree where the certificate construction needs agreement."""
+    """Inputs fall outside what a construction needs: disagreement where
+    a certificate needs agreement, or a pushout check outside the flat
+    case."""
 
 
 class SearchExhausted(TameboxError):

@@ -9,9 +9,9 @@ one.
 
 On top of this sit the colimit over the inclusions with its induced
 monoid action, exact support computation, flatness checking by two
-independent routes (latching maps, and injectivity plus pullback
-preservation), the Day convolution along concatenation, and the
-passage back and forth to canonical tame actions.
+independent routes (latching maps, and injectivity plus supports), the
+latching pushouts of monomorphisms, the Day convolution along
+concatenation, and the passage back and forth to canonical tame actions.
 
 Latching objects, the Lan extension by one level and the Day
 convolution are colimits over comma categories of injections into n.
@@ -32,10 +32,10 @@ level n depends only on n and is built once per n.
 The face maps of a level are tabulated once per diagram, on the
 positions of the points in their levels, straight from the inclusion
 and the transposition tables; a derived diagram shares the tables of
-the levels it shares.  The colimit kernels, the Day convolution and
-the class elements read them from there; any other injection is
-applied by walking the inclusions and then a cached transposition
-word.
+the levels it shares.  The colimit kernels, the Day convolution, the
+class elements, supports and latching pushouts read them from there;
+any other injection is applied by walking the inclusions and then a
+cached transposition word.
 """
 
 from __future__ import annotations
@@ -43,11 +43,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     InvalidMorphism,
     NotTame,
+    PreconditionViolated,
     TruncationExceeded,
     ValidationError,
 )
@@ -79,7 +80,6 @@ class TruncatedISet:
         self.levels = [list(l) for l in levels]
         self.incl = [dict(d) for d in incl]
         self.transp = [[dict(t) for t in ts] for ts in transp]
-        self._sigma = []
         self._generated = []
         self._merges = []
         self._positions = []
@@ -93,10 +93,8 @@ class TruncatedISet:
         into it identifies two elements."""
         self.N = N
         # per-level symmetric-group validation (involutions, Coxeter)
-        self._sigma += [
+        for m in range(lo, N + 1):
             SigmaSet(m, self.levels[m], self.transp[m])
-            for m in range(lo, N + 1)
-        ]
         self._positions += [None] * (N + 1 - lo)
         self._face_positions += [None] * (N + 1 - lo)
         below = max(lo - 1, 0)
@@ -144,7 +142,6 @@ class TruncatedISet:
         out.levels = self.levels[: k + 1] + list(levels)
         out.incl = self.incl[:k] + list(incl)
         out.transp = self.transp[: k + 1] + list(transp)
-        out._sigma = self._sigma[: k + 1]
         out._generated = self._generated[:k]
         out._merges = self._merges[:k]
         out._positions = self._positions[: k + 1]
@@ -425,7 +422,9 @@ def _canonical_colimit(X: TruncatedISet, degree_bound):
     The truncation must reach twice the declared stability level; on
     top of that, the diagram is canonically extended until no further
     inclusion identifies anything, so that merges forced just past the
-    given levels are seen rather than silently missed."""
+    given levels are seen rather than silently missed.  The extension
+    clears its own bound max(2s, s + merge level): it is X, flat with
+    no merges, or its loop has just tested that bound."""
     s = X.stable_from
     if X.N < 2 * s:
         raise TruncationExceeded(
@@ -434,10 +433,6 @@ def _canonical_colimit(X: TruncatedISet, degree_bound):
     colim = OmegaColimit(faithful_extension(X))
     E = colim.iset
     s = E.stable_from
-    if E.N < max(2 * s, s + E.merge_level):
-        raise TruncationExceeded(
-            f"truncation {E.N} below the faithful colimit bound"
-        )
     table = [c for c in colim.classes if c[0] <= s]
     return colim, decompose_table(
         table, colim.act, max(E.N, 1),
@@ -509,7 +504,6 @@ def flat_replacement(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):
 class LatchingData(NamedTuple):
     classes: list
     values: dict  # class -> its image in X(n)
-    lookup: Callable  # (alpha, x) -> class
     injective: bool
     witness: tuple  # (n, class, class, shared value), or None
 
@@ -572,13 +566,12 @@ def latching(X: TruncatedISet, n) -> LatchingData:
     """The comparison from the colimit over proper subobjects into
     level n.  The colimit is glued from the n maximal faces of {1..n}
     along their pairwise meets (see `_colimit_under`), so a class is a
-    pair (S, x) with S a sorted (n-1)-subset; `lookup(alpha, x)` gives
-    the class of any pair with alpha a non-surjective injection."""
+    pair (S, x) with S a sorted (n-1)-subset."""
     if n == 0:
-        return LatchingData([], {}, None, True, None)
+        return LatchingData([], {}, True, None)
     if n > X.N:
         raise TruncationExceeded(f"level {n} beyond truncation {X.N}")
-    classes, lookup = _colimit_under(X, n)
+    classes, _ = _colimit_under(X, n)
     # S misses one value g, and maps x along the face that skips g
     d, pos, level = X.face_positions(n), X.positions(n - 1), X.levels[n]
     total = n * (n + 1) // 2
@@ -592,7 +585,7 @@ def latching(X: TruncatedISet, n) -> LatchingData:
             witness = (n, seen[v], c, v)
             break
         seen[v] = c
-    return LatchingData(classes, values, lookup, injective, witness)
+    return LatchingData(classes, values, injective, witness)
 
 
 def lan_extend(X: TruncatedISet) -> TruncatedISet:
@@ -662,7 +655,15 @@ class FlatnessReport(NamedTuple):
 
 def is_flat(X: TruncatedISet, mode="latching") -> FlatnessReport:
     """Flatness by latching maps, or directly by injectivity plus
-    preservation of intersections; `both` insists the routes agree."""
+    preservation of intersections; `both` insists the routes agree.
+
+    Every map is a permutation after inclusions, so injective
+    inclusions make all maps injective.  The subsets of {1..n} whose
+    image holds a point z of X(n) then form an up-set, and each member
+    contains S, the values whose face misses z (a member missing i lies
+    in the face that skips i); so the up-set is closed under
+    intersection exactly when it contains S.  The direct route names
+    the first merging inclusion, or else ("support", n, z, S)."""
     if mode == "both":
         a = is_flat(X, "latching")
         b = is_flat(X, "direct")
@@ -679,60 +680,52 @@ def is_flat(X: TruncatedISet, mode="latching") -> FlatnessReport:
         raise ValueError(f"unknown flatness mode {mode!r}")
     if X.merge_level:
         return FlatnessReport(False, ("inclusion", X._merges.index(True)))
-    # every map factors as a permutation after inclusions, so injective
-    # inclusions make all maps injective; cospans with an isomorphism
-    # leg then satisfy the intersection condition automatically.  The
-    # condition is unchanged when a leg is precomposed with a
-    # permutation, so the legs run over order embeddings of subsets.
-    # With injective maps, the pair (u, v) with alpha_* u = beta_* v = z
-    # comes from the meet exactly when z lies in the image of the meet,
-    # so the first such z outside it names the first pair not spanned.
     for n in range(X.N + 1):
-        everything = range(1, n + 1)
-        # image point -> source point, for each proper subset of {1..n}
-        image = {
-            A: {X.map_along(A, n, u): u for u in X.levels[a]}
-            for a in range(n) for A in combinations(everything, a)
-        }
-        for a in range(n):
-            for alpha in combinations(everything, a):
-                in_alpha = image[alpha]
-                for b in range(a, n):
-                    for beta in combinations(everything, b):
-                        in_meet = image[tuple(d for d in alpha if d in beta)]
-                        for z, v in image[beta].items():
-                            if z in in_alpha and z not in in_meet:
-                                return FlatnessReport(False, (
-                                    "pullback", n, alpha, beta,
-                                    in_alpha[z], v,
-                                ))
+        images = {}
+        for z, held in zip(X.levels[n], _faces_holding(X, n)):
+            S = tuple(i for i in range(1, n + 1) if i not in held)
+            image = images.get(S)
+            if image is None:
+                image = images[S] = {
+                    X.map_along(S, n, u) for u in X.levels[len(S)]}
+            if z not in image:
+                return FlatnessReport(False, ("support", n, z, S))
     return FlatnessReport(True, None)
+
+
+def _faces_holding(X: TruncatedISet, n):
+    """For each point of level n, in level order, the set of values i
+    whose face, the order embedding that skips i, has it in its
+    image."""
+    held = [set() for _ in X.levels[n]]
+    for i, row in enumerate(X.face_positions(n), start=1):
+        for p in row:
+            held[p].add(i)
+    return held
 
 
 def mono_pushout_injective(f: ISetMorphism, n):
     """Whether the comparison out of the latching pushout of a
-    levelwise monomorphism between flat diagrams stays injective."""
-    X, Y = f.source, f.target
-    LX = latching(X, n)
-    LY = latching(Y, n)
-    uf = UnionFind([("L", c) for c in LY.classes]
-                   + [("X", x) for x in X.levels[n]])
-    # glue along the image of the latching object of X
-    for c in LX.classes:
-        S, x = c
-        uf.union(("L", LY.lookup(S, f.maps[len(S)][x])),
-                 ("X", LX.values[c]))
+    levelwise monomorphism f: X -> Y is injective at level n.
 
-    images = {}
-    for node in uf.nodes:
-        root = uf.find(node)
-        kind, payload = node
-        val = LY.values[payload] if kind == "L" else f.maps[n][payload]
-        if root in images and images[root] != val:
-            return False
-        images[root] = val
-    vals = list(images.values())
-    return len(set(vals)) == len(vals)
+    If the latching map of Y is injective, so is the comparison on the
+    classes that meet the latching object of Y and on the points of X(n)
+    in no face of X; it fails only where such a point lands in a face
+    of Y.  If only that of X is, the pushout keeps the latching object
+    of Y injective, and the latching map of Y factors through the
+    comparison."""
+    X, Y = f.source, f.target
+    if latching(Y, n).injective:
+        in_face = [bool(held) for held in _faces_holding(Y, n)]
+        pos = Y.positions(n)
+        return not any(
+            in_face[pos[f.maps[n][x]]]
+            for x, held in zip(X.levels[n], _faces_holding(X, n))
+            if not held)
+    if latching(X, n).injective:
+        return False
+    raise PreconditionViolated(
+        f"neither latching map is injective at level {n}")
 
 
 def _day_factors(X: TruncatedISet, Y: TruncatedISet):

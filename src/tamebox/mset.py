@@ -357,8 +357,10 @@ def decompose_table(table, action, window, initial_support=None,
             )
         tabs = []
         for i in range(1, k):
+            # on all of {1..window}: an element supported on {1..k} may
+            # be represented higher up, where the action reads more values
             f = PartialInjection(
-                {v: v for v in segment if v not in (i, i + 1)}
+                {v: v for v in range(1, window + 1) if v not in (i, i + 1)}
                 | {i: i + 1, i + 1: i}
             )
             t = {}

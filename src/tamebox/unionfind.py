@@ -1,7 +1,7 @@
 """Disjoint sets over integer ids, with hashable nodes on top.
 
-It is for gluing: quotients, coequalizers, pushouts and the colimit
-kernels of `iset`.  Orbits and the colimit over the inclusions, which
+It is for gluing: quotients, coequalizers and the colimit kernels of
+`iset`.  Orbits and the colimit over the inclusions, which
 the structure gives, are read off it instead.
 
 The classes live in one parent array over the ids 0..n-1, and a union

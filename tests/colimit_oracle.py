@@ -15,8 +15,14 @@ every lower point, and `filtration_swaps` acts on canonical elements
 through partial injections.
 
 `direct_flatness` is the direct flatness route that rebuilds the span
-of every meet and compares pairs, and `merge_level` rescans every
-inclusion; the library reads both off the images it builds once.
+of every meet and compares every pair of subsets, and `merge_level`
+rescans every inclusion; the library reads flatness off the faces that
+hold each point and merges off the images it builds once.
+
+`mono_pushout_injective` builds the latching pushout of a levelwise
+monomorphism in a union-find over the brute-force latching classes;
+the library reads the answer off which latching maps are injective and
+the faces that hold each point.
 
 `n_iso_check` builds both colimits over the inclusions by union-find
 over the nodes of every level and compares their classes; the library
@@ -29,7 +35,7 @@ from tamebox.errors import NotTame, TruncationExceeded
 from tamebox.injections import PartialInjection
 from tamebox.iset import TruncatedISet, _day_factors
 from tamebox.mset import MElement, all_injective_tuples
-from tamebox.sigma import point_key
+from tamebox.sigma import SigmaSet, perm_word, point_key
 
 
 def _find_in(parent):
@@ -95,8 +101,8 @@ def colimit_under(X: TruncatedISet, n):
 
 
 def level_sigma(X: TruncatedISet, m):
-    """Level m of X as the Σ_m-set the library validated."""
-    return X._sigma[m]
+    """Level m of X as a Σ_m-set, validated again."""
+    return SigmaSet(m, X.levels[m], X.transp[m])
 
 
 def map_along(X: TruncatedISet, alpha, n, x):
@@ -111,7 +117,9 @@ def map_along(X: TruncatedISet, alpha, n, x):
     used = set(alpha)
     rest = iter(v for v in range(1, n + 1) if v not in used)
     sigma = tuple(alpha) + tuple(next(rest) for _ in range(n - m))
-    return level_sigma(X, n).act_perm(sigma, x)
+    for i in reversed(perm_word(sigma)):
+        x = X.transp[n][i - 1][x]
+    return x
 
 
 def latching_values(X: TruncatedISet, n):
@@ -349,3 +357,32 @@ def n_iso_check(f):
     src, tgt = omega_classes(f.source), omega_classes(f.target)
     images = {c: tgt[c[0], f.maps[c[0]][c[1]]] for c in set(src.values())}
     return len(set(images.values())) == len(images) == len(set(tgt.values()))
+
+
+def latching_injective(X: TruncatedISet, n):
+    """Whether the brute-force latching comparison into X(n) is
+    injective."""
+    values = list(latching_values(X, n).values())
+    return len(set(values)) == len(values)
+
+
+def mono_pushout_injective(f, n):
+    """Whether the comparison out of the latching pushout of f: X -> Y
+    at level n is injective: the latching classes of Y and the points
+    of X(n), glued along the latching classes of X."""
+    X, Y = f.source, f.target
+    classes_x, _ = colimit_under(X, n)
+    classes_y, class_y = colimit_under(Y, n)
+    nodes = [("L", c) for c in classes_y] + [("X", x) for x in X.levels[n]]
+    parent = {node: node for node in nodes}
+    find, union = _find_in(parent)
+    for alpha, x in classes_x:
+        union(("L", class_y[alpha, f.maps[len(alpha)][x]]),
+              ("X", map_along(X, alpha, n, x)))
+    images = {}
+    for kind, payload in nodes:
+        value = (map_along(Y, payload[0], n, payload[1]) if kind == "L"
+                 else f.maps[n][payload])
+        if images.setdefault(find((kind, payload)), value) != value:
+            return False
+    return len(set(images.values())) == len(images)

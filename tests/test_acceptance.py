@@ -58,6 +58,14 @@ def test_criterion_05_flatness_modes():
               cases=100, window=4)
 
 
+def test_criterion_05_flatness_modes_deep():
+    # the same at N=8, where the direct route reads supports off the
+    # face tables instead of trying every pair of subsets
+    criterion(5, "flatness criteria agree at depth",
+              st.suite_flatness_modes, "flat", 100 + 1 + 3,
+              cases=100, window=8)
+
+
 def test_criterion_06_adjunction():
     # 50 counit bijections, 50 unit checks with flatness detection
     criterion(6, "colimit adjunction",

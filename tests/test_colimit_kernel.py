@@ -2,9 +2,10 @@
 brute-force tuple enumerations kept in colimit_oracle, on seeded
 diagrams of every generator family at N <= 4, the tabulated
 structure maps (face tables, completion words, support preimages,
-filtration swaps) against the oracles that recompute them, and the
+filtration swaps) against the oracles that recompute them, the
 direct flatness route and merge levels against the route that
-rebuilds every meet's span and the rescan of every inclusion."""
+rebuilds every meet's span and the rescan of every inclusion, and the
+latching-pushout check against the pushout built by union-find."""
 
 import random
 from collections import Counter
@@ -23,6 +24,7 @@ from tamebox.errors import (
 )
 from tamebox.generators import random_iset, random_mset
 from tamebox.iset import (
+    ISetMorphism,
     OmegaColimit,
     TruncatedISet,
     _colimit_under,
@@ -34,6 +36,7 @@ from tamebox.iset import (
     is_flat,
     lan_extend,
     latching,
+    mono_pushout_injective,
     quotient_iset,
     representable_iset,
     restriction_coequalizer,
@@ -46,7 +49,7 @@ from tamebox.mset import (
     mset_iso_equal,
     support,
 )
-from tamebox.sigma import SigmaSet, completion_word, regular_sigma_set
+from tamebox.sigma import SigmaSet, completion_word, regular_sigma_set, walk
 
 KINDS = ("random", "filtration", "quotient", "representable", "coequalizer")
 # every family random_iset draws from, and random_iset itself
@@ -340,6 +343,35 @@ def test_every_point_above_stability_has_a_face_preimage(kind, seed, N,
         assert set(X.levels[m]) <= set(colim.face_preimages(m))
 
 
+def image_of(X, alpha, n):
+    """The image in X(n) of the injection with value tuple alpha, by the
+    oracle's map_along."""
+    return {oracle.map_along(X, alpha, n, u) for u in X.levels[len(alpha)]}
+
+
+def flatness_mismatches(X):
+    """The direct route against the oracle's pair search: the same
+    verdict, the same merge witness, and a support witness ("support",
+    n, z, S) at the oracle's first failing level with z in the face
+    that skips i exactly when i is outside S, and z outside the image
+    of S."""
+    report = is_flat(X, "direct")
+    flat, witness = oracle.direct_flatness(X)
+    if report.flat != flat:
+        return [("verdict", report.witness, witness)]
+    if flat or witness[0] == "inclusion":
+        return [] if report.witness == witness else [("witness", witness)]
+    kind, n, z, S = report.witness
+    bad = [] if (kind, n) == ("support", witness[1]) else [("level", n)]
+    for i in range(1, n + 1):
+        face = tuple(v for v in range(1, n + 1) if v != i)
+        if (z in image_of(X, face, n)) == (i in S):
+            bad.append(("face", i))
+    if z in image_of(X, S, n):
+        bad.append(("image", S))
+    return bad
+
+
 @kernel_settings
 @given(st.sampled_from(FAMILIES), st.integers(0, 10**6), st.integers(2, 5),
        st.booleans())
@@ -348,10 +380,56 @@ def test_direct_flatness_and_merge_level_match_oracles(kind, seed, N, extend):
     X = diagram(kind, seed, N)
     if extend:
         X = lan_extend(X)
-    report = is_flat(X, "direct")
-    assert (report.flat, report.witness) == oracle.direct_flatness(X)
+    assert flatness_mismatches(X) == []
     for Y in (X, X._derived(X.N - 1)):
         assert Y.merge_level == oracle.merge_level(Y)
+
+
+def generated_subdiagram(Y, seeds):
+    """The inclusion into Y of the sub-diagram generated by the seeds,
+    (level, point) pairs: their orbits, pushed up the inclusions."""
+    keep = [set() for _ in Y.levels]
+    for m, p in seeds:
+        keep[m].add(p)
+    for m in range(Y.N + 1):
+        keep[m] = set(walk(keep[m], Y.transp[m]))
+        if m < Y.N:
+            keep[m + 1] |= {Y.incl[m][p] for p in keep[m]}
+    levels = [[p for p in Y.levels[m] if p in keep[m]]
+              for m in range(Y.N + 1)]
+    X = TruncatedISet(
+        Y.N, levels,
+        [{p: Y.incl[m][p] for p in levels[m]} for m in range(Y.N)],
+        [[{p: t[p] for p in levels[m]} for t in Y.transp[m]]
+         for m in range(Y.N + 1)])
+    return ISetMorphism(X, Y, [{p: p for p in level} for level in levels])
+
+
+def pushout_mismatches(f):
+    """The pushout check at every level against the union-find oracle
+    where either latching map is injective, and against a refusal where
+    neither is."""
+    X, Y = f.source, f.target
+    bad = []
+    for n in range(X.N + 1):
+        if oracle.latching_injective(Y, n) or oracle.latching_injective(X, n):
+            expected = oracle.mono_pushout_injective(f, n)
+        else:
+            expected = ("raises", "PreconditionViolated")
+        got = outcome(mono_pushout_injective, f, n)
+        if got != expected:
+            bad.append((n, got, expected))
+    return bad
+
+
+@kernel_settings
+@given(st.sampled_from(FAMILIES), st.integers(0, 10**6), st.integers(2, 4))
+def test_mono_pushout_matches_union_find_oracle(kind, seed, N):
+    Y = diagram(kind, seed, N)
+    rng = random.Random(f"pushout:{seed}")
+    points = [(m, p) for m in range(N + 1) for p in Y.levels[m]]
+    seeds = rng.sample(points, min(len(points), rng.randint(1, 2)))
+    assert pushout_mismatches(generated_subdiagram(Y, seeds)) == []
 
 
 # each comparison above fails on a mutant of what it checks
@@ -367,6 +445,20 @@ def test_map_along_comparison_catches_a_skipped_inclusion_walk(monkeypatch):
     assert map_along_mismatches(X) == []
     monkeypatch.setattr(TruncatedISet, "map_along", no_walk)
     assert "map_along" in {kind for kind, *_ in map_along_mismatches(X)}
+
+
+def test_flatness_and_pushout_comparisons_catch_faces_holding_nothing(
+        monkeypatch):
+    # the coequalizer's injective inclusions fail to preserve an
+    # intersection at level 2; (1,) and (2,) at level 2 lie in faces of
+    # the representable, but the sub-diagram they generate starts there
+    Q = restriction_coequalizer(4)
+    f = generated_subdiagram(representable_iset(1, 3), [(2, (2,))])
+    assert flatness_mismatches(Q) == [] and pushout_mismatches(f) == []
+    monkeypatch.setattr(iset, "_faces_holding",
+                        lambda X, n: [set() for _ in X.levels[n]])
+    assert flatness_mismatches(Q) != []
+    assert pushout_mismatches(f) != []
 
 
 def test_face_comparison_catches_a_shifted_face_table(monkeypatch):

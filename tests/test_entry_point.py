@@ -13,13 +13,18 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import tamebox
 from tamebox.documents import parse_document, serialize_document, wrap
 from tamebox.generators import random_agreeing_pair
 from tamebox.injections import QuasiAffineInjection
-from tamebox.iset import representable_iset, restriction_coequalizer
-from tamebox.mset import CanonicalTameMSet, unit_mset
+from tamebox.iset import (
+    TruncatedISet,
+    representable_iset,
+    restriction_coequalizer,
+)
+from tamebox.mset import CanonicalTameMSet, mset_iso_equal, unit_mset
 from tamebox.sigma import SigmaSet, induce, iso_equal, trivial_sigma_set
 
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
@@ -169,8 +174,33 @@ def test_direct_flatness_route(tmp_path):
     code, out = cli(tmp_path, "flat-check", "--mode", "direct", coeq)
     assert code == 1
     witness = json.loads(out)["counterexample"]
-    assert ast.literal_eval(witness)[0] == "pullback"
-    assert witness.startswith("(" + repr("pullback"))
+    kind, n, _, S = ast.literal_eval(witness)
+    assert (kind, n, S) == ("support", 2, ())
+
+
+def test_class_first_seen_above_its_support(tmp_path):
+    # X(n) = the 2-subsets of {1..n} for n >= 3, empty below: the class
+    # of {1, 2} first appears at level 3, and its colimit is one trivial
+    # point at level 2
+    levels = [list(combinations(range(1, n + 1), 2)) if n >= 3 else []
+              for n in range(7)]
+
+    def swap(i, pair):
+        return tuple(sorted({i: i + 1, i + 1: i}.get(v, v) for v in pair))
+
+    X = TruncatedISet(
+        6, levels, [{p: p for p in levels[n]} for n in range(6)],
+        [[{p: swap(i, p) for p in levels[n]} for i in range(1, n)]
+         for n in range(7)], 3)
+    doc = write(tmp_path / "pairs.json", "iset", X)
+    code, out = cli(tmp_path, "canonicalize", doc)
+    assert code == 0
+    W = parse_document(json.dumps(value_of(out))).value
+    assert mset_iso_equal(
+        W, CanonicalTameMSet({2: trivial_sigma_set(2, ["*"])}))
+    code, out = cli(tmp_path, "flatten", doc)
+    assert code == 0
+    assert value_of(out)["unitLevelwiseBijective"] is False
 
 
 def test_symmetric_product_at_level_7(tmp_path):

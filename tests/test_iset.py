@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,21 @@ def tuple_sigma_set(m, width):
 
     tables = [{t: swap(i, t) for t in points} for i in range(1, m)]
     return SigmaSet(m, points, tables)
+
+
+def late_pairs(N):
+    """X(n) = the 2-subsets of {1..n} for n >= 3, empty below: the
+    class of {1, 2} is supported on {1, 2} but first appears at 3."""
+    levels = [list(combinations(range(1, n + 1), 2)) if n >= 3 else []
+              for n in range(N + 1)]
+
+    def swap(i, pair):
+        return tuple(sorted({i: i + 1, i + 1: i}.get(v, v) for v in pair))
+
+    return TruncatedISet(
+        N, levels, [{p: p for p in levels[n]} for n in range(N)],
+        [[{p: swap(i, p) for p in levels[n]} for i in range(1, n)]
+         for n in range(N + 1)], 3)
 
 
 def sample_mset():
@@ -183,6 +199,16 @@ class TestCanonicalize:
         X = support_filtration(W, 4)
         assert mset_iso_equal(canonicalize(X), W)
 
+    def test_class_first_seen_above_its_support(self):
+        # the swap of {1, 2} acts on the class's representative at
+        # level 3, so it must be defined on {1..3}
+        X = late_pairs(6)
+        point = CanonicalTameMSet({2: trivial_sigma_set(2, ["*"])})
+        assert mset_iso_equal(canonicalize(X), point)
+        flat, eta = flat_replacement(X)
+        assert mset_iso_equal(canonicalize(flat), point)
+        assert n_iso_check(eta) and not eta.level_bijective()
+
 
 class TestFiltration:
     def test_injection_level_sizes(self):
@@ -242,8 +268,10 @@ class TestFlatness:
         direct = is_flat(Q, "direct")
         assert not lat.flat and not direct.flat
         assert lat.witness[0] == 2
-        # injectivity holds; the intersection condition is what fails
-        assert direct.witness[0] == "pullback"
+        # injectivity holds; the intersection condition is what fails:
+        # (1,) at level 2 lies in both faces, but not in the image of
+        # the empty set, level 0 being empty
+        assert direct.witness == ("support", 2, (1,), ())
 
     def test_modes_agree_on_quotients(self):
         X = support_filtration(sample_mset(), 4)
