@@ -2,10 +2,11 @@
 
 A TruncatedISet stores levels 0..N of a functor on the category of
 finite sets and injections, presented by the standard inclusions and
-the adjacent transpositions; the generating relations are validated by
-evaluation, and the stability level, declared or else the least that
-holds, records from where on every higher element comes from a lower
-one.
+the adjacent transpositions.  The generating relations are validated
+by evaluation at the boundary and trusted by construction inside, where
+Tier-1 checks them through a test fixture; the stability level,
+declared or else the least that holds, records from where on every
+higher element comes from a lower one.
 
 On top of this sit the colimit over the inclusions with its induced
 monoid action, exact support computation, flatness checking by two
@@ -60,51 +61,55 @@ from .mset import (
     all_injective_tuples,
     decompose_table,
 )
-from .sigma import SigmaSet, completion_word, point_key, walk
+from .sigma import SigmaSet, completion_word, point_key
 from .unionfind import UnionFind
 
 
 class TruncatedISet:
-    """Levels 0..N with validated functoriality and stability.
+    """Levels 0..N with functoriality and stability.
 
-    Without a declared stability level, the least one that holds is
-    kept.  A derived diagram shares the validated levels of the diagram
-    it comes from and validates only the levels it adds, and shares
-    the face tables of those levels."""
+    The relations (`_check`) are validated at the boundary, by the
+    public constructor, and trusted by construction inside: the
+    library's own diagrams come from `_built` and `_derived`, and
+    Tier-1 checks them through a test fixture.  Every constructor
+    checks the points and inclusions it records and refuses a declared
+    stability level that fails; without one, the least that holds is
+    kept.  A derived diagram shares the levels and face tables of the
+    diagram it comes from and records only the levels it adds."""
 
     def __init__(self, N, levels, incl, transp, stable_from=None):
+        self._take(N, [list(l) for l in levels], [dict(d) for d in incl],
+                   [[dict(t) for t in ts] for ts in transp], stable_from)
+        self._check(0, N)
+        self._settle(0, N, stable_from)
+
+    @classmethod
+    def _built(cls, N, levels, incl, transp, stable_from=None):
+        """The diagram on level data the library built so that the
+        relations hold; only what `_settle` reads is checked."""
+        out = object.__new__(cls)
+        out._take(N, levels, incl, transp, stable_from)
+        out._settle(0, N, stable_from)
+        return out
+
+    def _take(self, N, levels, incl, transp, stable_from):
         if len(levels) != N + 1 or len(incl) != N or len(transp) != N + 1:
             raise ValidationError("level data must span 0..N")
         if stable_from is not None and not 0 <= stable_from <= N:
             raise ValidationError("stability level out of range")
-        self.levels = [list(l) for l in levels]
-        self.incl = [dict(d) for d in incl]
-        self.transp = [[dict(t) for t in ts] for ts in transp]
+        self.levels, self.incl, self.transp = levels, incl, transp
         self._generated = []
         self._merges = []
-        self._positions = []
-        self._face_positions = []
-        self._validate(0, N, stable_from)
+        self._positions = [None] * (N + 1)
+        self._face_positions = [None] * (N + 1)
 
-    def _validate(self, lo, N, stable_from):
-        """Check levels lo..N against each other and the levels below,
-        which were validated before, and record for each level whether
-        it is generated from the one below and whether the inclusion
-        into it identifies two elements."""
-        self.N = N
+    def _check(self, lo, N):
+        """The relations on levels lo..N, against the levels below."""
         # per-level symmetric-group validation (involutions, Coxeter)
         for m in range(lo, N + 1):
             SigmaSet(m, self.levels[m], self.transp[m])
-        self._positions += [None] * (N + 1 - lo)
-        self._face_positions += [None] * (N + 1 - lo)
         below = max(lo - 1, 0)
-        for m in range(below, N):
-            if set(self.incl[m]) != set(self.levels[m]):
-                raise ValidationError("inclusion domain", m)
-            image = set(self.incl[m].values())
-            if not image <= set(self.levels[m + 1]):
-                raise ValidationError("inclusion target", m)
-            self._merges.append(len(image) != len(self.incl[m]))
+        self._images(below, N)
         # naturality of inclusions against transpositions
         for m in range(below, N):
             for i in range(1, m):
@@ -120,11 +125,35 @@ class TruncatedISet:
                 y = self.incl[m + 1][self.incl[m][x]]
                 if s_new[y] != y:
                     raise ValidationError("double inclusion", m)
+
+    def _images(self, lo, N):
+        """The image of each inclusion out of levels lo..N-1, checked
+        to map level into level."""
+        images = []
+        for m in range(lo, N):
+            if self.incl[m].keys() != self.positions(m).keys():
+                raise ValidationError("inclusion domain", m)
+            image = set(self.incl[m].values())
+            if not image <= self.positions(m + 1).keys():
+                raise ValidationError("inclusion target", m)
+            images.append(image)
+        return images
+
+    def _settle(self, lo, N, stable_from):
+        """Record levels lo..N, which hold distinct points and map into
+        each other: whether the inclusion into each one identifies two
+        elements, whether each is generated from the one below, and the
+        stability level."""
+        self.N = N
+        for m in range(lo, N + 1):
+            if len(self.positions(m)) != len(self.levels[m]):
+                raise ValidationError("distinct points", m)
+        below = max(lo - 1, 0)
+        self._merges += [len(image) != len(self.incl[m]) for m, image
+                         in enumerate(self._images(below, N), start=below)]
         # stability: everything above comes from below
-        self._generated += [
-            _generated_from_below(m, self.levels, self.incl, self.transp)
-            for m in range(below, N)
-        ]
+        self._generated += [_generated_from_below(self, m)
+                            for m in range(below, N)]
         failing = [m for m in range(N) if not self._generated[m]]
         if stable_from is None:
             stable_from = failing[-1] + 1 if failing else 0
@@ -134,9 +163,10 @@ class TruncatedISet:
         self.stable_from = stable_from
 
     def _derived(self, n, levels=(), incl=(), transp=(), stable_from=None):
-        """The diagram on levels 0..n that shares this one's validated
-        levels up to min(n, N) and has the given data above them; only
-        those new levels are validated."""
+        """The diagram on levels 0..n that shares this one's levels up
+        to min(n, N) and has above them the given data, which the
+        library built so that the relations hold; only those new levels
+        are recorded."""
         k = min(n, self.N)
         out = object.__new__(TruncatedISet)
         out.levels = self.levels[: k + 1] + list(levels)
@@ -144,9 +174,9 @@ class TruncatedISet:
         out.transp = self.transp[: k + 1] + list(transp)
         out._generated = self._generated[:k]
         out._merges = self._merges[:k]
-        out._positions = self._positions[: k + 1]
-        out._face_positions = self._face_positions[: k + 1]
-        out._validate(k + 1, n, stable_from)
+        out._positions = self._positions[: k + 1] + [None] * (n - k)
+        out._face_positions = self._face_positions[: k + 1] + [None] * (n - k)
+        out._settle(k + 1, n, stable_from)
         return out
 
     @property
@@ -202,15 +232,20 @@ class TruncatedISet:
         return x
 
 
-def _generated_from_below(m, levels, incl, transp):
+def _generated_from_below(X: TruncatedISet, m):
     """Whether the transpositions carry the image of level m onto all
-    of level m+1."""
-    return len(walk(incl[m].values(), transp[m + 1])) == len(levels[m + 1])
+    of level m+1.  Naturality keeps the image under s_1 .. s_{m-1}, so
+    they carry it onto its images under the coset representatives
+    s_j ... s_m of the stabilizer of m+1: the images of the faces."""
+    covered = set()
+    for row in X.face_positions(m + 1):
+        covered.update(row)
+    return len(covered) == len(X.levels[m + 1])
 
 
 def representable_iset(m, N):
     """The functor represented by {1..m}: level k holds the injections
-    {1..m} -> {1..k}."""
+    {1..m} -> {1..k}, and the maps post-compose, which is functorial."""
     levels = [all_injective_tuples(m, k) for k in range(N + 1)]
     incl = [{t: t for t in levels[k]} for k in range(N)]
     transp = []
@@ -222,23 +257,26 @@ def representable_iset(m, N):
                 {t: tuple(swap.get(v, v) for v in t) for t in levels[k]}
             )
         transp.append(tabs)
-    return TruncatedISet(N, levels, incl, transp, m if m <= N else 0)
+    return TruncatedISet._built(N, levels, incl, transp, m if m <= N else 0)
 
 
 def constant_iset(points, N):
+    """The same points at every level, every map the identity."""
     points = list(points)
     levels = [points for _ in range(N + 1)]
     incl = [{p: p for p in points} for _ in range(N)]
     transp = [[{p: p for p in points} for _ in range(1, k)] for k in range(N + 1)]
-    return TruncatedISet(N, levels, incl, transp, 0)
+    return TruncatedISet._built(N, levels, incl, transp, 0)
 
 
 def support_filtration(W: CanonicalTameMSet, N):
     """The diagram of elements supported inside {1..m}; always flat.
 
     The swap s_i moves an element's point by s_p of its Σ-set when i
-    and i+1 are the p-th and (p+1)-th entries of its sorted image, and
-    otherwise changes only the image."""
+    and i+1 are the p-th and (p+1)-th entries of its sorted image, moves
+    the one of them in the image to the other, which keeps it sorted,
+    and otherwise fixes the element.  This is the action of W on its
+    elements supported inside {1..m}, so the relations hold."""
     if N < W.max_level:
         raise TruncationExceeded(
             f"truncation {N} below maximal level {W.max_level}"
@@ -249,17 +287,19 @@ def support_filtration(W: CanonicalTameMSet, N):
     for m in range(N + 1):
         tabs = []
         for i in range(1, m):
-            swap = {i: i + 1, i + 1: i}
             t = {}
             for e in levels[m]:
                 k, image, p = e
                 if i in image and i + 1 in image:
-                    p = W.levels[k].transpositions[image.index(i)][p]
-                moved = sorted(swap.get(v, v) for v in image)
-                t[e] = MElement(k, tuple(moved), p)
+                    s_p = W.levels[k].transpositions[image.index(i)]
+                    t[e] = MElement(k, image, s_p[p])
+                elif i in image or i + 1 in image:
+                    t[e] = MElement(k, _swapped(image, i), p)
+                else:
+                    t[e] = e
             tabs.append(t)
         transp.append(tabs)
-    return TruncatedISet(N, levels, incl, transp, min(W.max_level, N))
+    return TruncatedISet._built(N, levels, incl, transp, min(W.max_level, N))
 
 
 def quotient_iset(X: TruncatedISet, seeds):
@@ -441,7 +481,8 @@ def _canonical_colimit(X: TruncatedISet, degree_bound):
 
 
 class ISetMorphism:
-    """A levelwise map validated against the generating morphisms."""
+    """A levelwise map, validated against the generating morphisms at
+    the boundary and trusted from `_built` for the library's own."""
 
     def __init__(self, source: TruncatedISet, target: TruncatedISet, maps):
         if source.N != target.N:
@@ -470,6 +511,13 @@ class ISetMorphism:
                             f"transposition naturality at level {m}"
                         )
 
+    @classmethod
+    def _built(cls, source, target, maps):
+        """The morphism the library built natural, one map per level."""
+        out = object.__new__(cls)
+        out.source, out.target, out.maps = source, target, maps
+        return out
+
     def _bijective_at(self, m):
         return (len(set(self.maps[m].values())) == len(self.source.levels[m])
                 == len(self.target.levels[m]))
@@ -489,7 +537,9 @@ def flat_replacement(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):
     """The flat diagram on the colimit, with the comparison map into it.
 
     Returns (replacement, unit morphism); classes and supports are
-    taken in the canonical extension so late merges are respected."""
+    taken in the canonical extension so late merges are respected.  The
+    unit sends a point to the element of its colimit class, which is
+    natural because the colimit's action is induced by X's maps."""
     colim, W = _canonical_colimit(X, degree_bound)
     flat = support_filtration(W, X.N)
     maps = []
@@ -498,7 +548,7 @@ def flat_replacement(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):
             {x: colim.class_to_element(colim.class_of(m, x))
              for x in X.levels[m]}
         )
-    return flat, ISetMorphism(X, flat, maps)
+    return flat, ISetMorphism._built(X, flat, maps)
 
 
 class LatchingData(NamedTuple):
@@ -598,7 +648,8 @@ def lan_extend(X: TruncatedISet) -> TruncatedISet:
     N, glued along the faces of size N-1; its points are the pairs
     (S, x) that come first in their class.  A transposition moves S
     and the resolver sorts the moved face back, acting on x by the
-    rank permutation."""
+    rank permutation.  The new maps act on a colimit over injections by
+    post-composition, which is functorial, so the relations hold."""
     n = X.N + 1
     classes, lookup = _colimit_under(X, n)
     new_incl = {x: lookup(tuple(range(1, n)), x) for x in X.levels[X.N]}
@@ -846,7 +897,8 @@ def day_convolution(X: TruncatedISet, Y: TruncatedISet):
     X(m1) x Y(m2) over decompositions of {1..n}, glued from the maximal
     decompositions (see `_day_level`).  A point is (m1, gamma, x, y)
     with gamma a permutation of {1..n}: the sorted first block followed
-    by the sorted complement.
+    by the sorted complement.  The maps act on colimits over injections
+    by post-composition, which is functorial, so the relations hold.
 
     Both factors are first extended canonically (see `_day_factors`)."""
     X, Y = _day_factors(X, Y)
@@ -858,7 +910,7 @@ def day_convolution(X: TruncatedISet, Y: TruncatedISet):
                 for c in classes}
                for i in range(1, n)]
               for n, (classes, resolve) in enumerate(built)]
-    return TruncatedISet(N, levels, incl, transp)
+    return TruncatedISet._built(N, levels, incl, transp)
 
 
 def day_projections(XY: TruncatedISet, X: TruncatedISet, Y: TruncatedISet):

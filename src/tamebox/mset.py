@@ -185,15 +185,19 @@ def injection_element(X: CanonicalTameMSet, values) -> MElement:
 
 
 def _tagged_union(m, parts):
-    """One degree-m set from (tag, set) pairs: the point p of the set
-    tagged t becomes (t, p), in the order of the parts."""
-    points = [(tag, p) for tag, ss in parts for p in ss.points]
-    tables = [
-        {(tag, p): (tag, ss.transpositions[i][p])
-         for tag, ss in parts for p in ss.points}
-        for i in range(m - 1)
-    ]
-    return SigmaSet(m, points, tables)
+    """One degree-m set from (tag, set) pairs with distinct tags: the
+    point p of the set tagged t becomes (t, p), in the order of the
+    parts.  Each part is a Σ_m-set, so their disjoint union is one."""
+    tagged = [{p: (tag, p) for p in ss.points} for tag, ss in parts]
+    points = [q for names in tagged for q in names.values()]
+    tables = []
+    for i in range(m - 1):
+        t = {}
+        for names, (_, ss) in zip(tagged, parts):
+            s = ss.transpositions[i]
+            t.update((q, names[s[p]]) for p, q in names.items())
+        tables.append(t)
+    return SigmaSet._built(m, points, tables)
 
 
 def disjoint_union(X: CanonicalTameMSet, Y: CanonicalTameMSet):

@@ -105,20 +105,18 @@ class CommMonoidPresentation:
 
     In these checks the inner sums are table reads, T[a, b] or T[b, c]
     shifted by m; only the outer sum of each law goes through `add`.
+    They run at the boundary; `_built` trusts a table the library built
+    so that they hold.
     """
 
     def __init__(self, carrier: CanonicalTameMSet, unit_point, table,
                  level_cap=None):
-        self.carrier = carrier
-        cap = DEFAULT_DEGREE_BOUND if level_cap is None else level_cap
-        self.level_cap = cap
+        self._take(carrier, unit_point, dict(table), level_cap)
+        cap, T = self.level_cap, self.table
         if 0 not in carrier.levels:
             raise ValidationFailed("no level-0 part to hold the unit")
         if unit_point not in carrier.levels[0].point_set:
             raise ValidationFailed("unit point missing from level 0")
-        self.unit_point = unit_point
-        self.unit = MElement(0, (), unit_point)
-        self.table = T = dict(table)
 
         reps = carrier.orbit_set()
         wanted = {(a, b) for a in reps for b in reps if a[0] + b[0] <= cap}
@@ -174,6 +172,21 @@ class CommMonoidPresentation:
                             raise ValidationFailed(
                                 f"associativity fails at {p}, {q}, {r}"
                             )
+
+    @classmethod
+    def _built(cls, carrier, unit_point, table, level_cap):
+        """The presentation of a table the library built to satisfy the
+        monoid laws."""
+        out = object.__new__(cls)
+        out._take(carrier, unit_point, table, level_cap)
+        return out
+
+    def _take(self, carrier, unit_point, table, level_cap):
+        self.carrier = carrier
+        self.level_cap = DEFAULT_DEGREE_BOUND if level_cap is None else level_cap
+        self.unit_point = unit_point
+        self.unit = MElement(0, (), unit_point)
+        self.table = table
 
     def _associative(self, a, b, c):
         """(x + y) + z = x + (y + z) for a, b, c in standard blocks."""
@@ -304,12 +317,16 @@ def cyclic_monoid(k):
 
 def infinite_symmetric_product(points, basepoint, level_bound):
     """The free commutative box-monoid on a finite pointed set, cut off
-    at the given level: level m holds the tuples of non-base values."""
+    at the given level: level m holds the tuples of non-base values.
+    The sum places one word after the other: concatenation, which is
+    associative, commutative up to the swap of the blocks, has the
+    empty word as unit, and is equivariant, since permuting the letters
+    of either word permutes those of the concatenation."""
     carrier = symmetric_product_carrier(points, basepoint, level_bound)
     reps = carrier.orbit_set()
     table = {(a, b): std_element(a[0] + b[0], a[1] + b[1])
              for a in reps for b in reps if a[0] + b[0] <= level_bound}
-    return CommMonoidPresentation(carrier, (), table, level_bound)
+    return CommMonoidPresentation._built(carrier, (), table, level_bound)
 
 
 def symmetric_product_carrier(points, basepoint, level_bound):
@@ -366,16 +383,12 @@ def wedge_iso(points_x, base_x, points_y, base_y, level_bound):
         src = B.levels[k]
         tgt = PW.levels.get(k)
         table = {}
-        for (m, n), (positions, za, wb) in src.points:
-            xs = sorted(positions)
-            out = []
-            for j in range(1, k + 1):
-                if j in positions:
-                    out.append(("x", za[xs.index(j)]))
-                else:
-                    rank = j - 1 - sum(1 for v in xs if v < j)
-                    out.append(("y", wb[rank]))
-            table[((m, n), (positions, za, wb))] = tuple(out)
+        for p in src.points:
+            _, (positions, za, wb) = p
+            # the positions, in increasing order, read za; the rest read wb
+            xs, ys = iter(za), iter(wb)
+            table[p] = tuple(("x", next(xs)) if j in positions
+                             else ("y", next(ys)) for j in range(1, k + 1))
         maps[k] = table
         values = list(table.values())
         if (tgt is None or len(set(values)) != len(values)

@@ -2,9 +2,12 @@
 
 A SigmaSet of degree m is a finite set of points together with one
 bijection per adjacent transposition s_1 .. s_{m-1}.  The Coxeter
-relations are validated on construction, so the action of an arbitrary
-permutation is well defined through any decomposition into adjacent
-transpositions.
+relations hold in every set, so the action of an arbitrary permutation
+is well defined through any decomposition into adjacent transpositions.
+They are validated at the boundary, on every set built from outside
+data, and trusted by construction inside: a set the library builds so
+that they hold skips the check (`SigmaSet._built`), and Tier-1 checks
+each such build through a test fixture.
 
 Every search is one breadth-first `walk` along the tables.  One walk
 per orbit, from its key-least point (the representative), gives the
@@ -129,42 +132,54 @@ def _numbered(start, tables):
 
 
 class SigmaSet:
-    """A validated finite set with an action of the symmetric group."""
+    """A finite set with an action of the symmetric group.
+
+    The public constructor checks the relations; `_built` trusts them,
+    for tables the library has built so that they hold."""
 
     def __init__(self, m, points, transpositions):
-        if m < 0:
-            raise ValidationError("negative degree", m)
-        points = list(points)
-        pset = set(points)
-        if len(pset) != len(points):
-            raise ValidationError("distinct points", m)
-        transpositions = [dict(t) for t in transpositions]
-        if len(transpositions) != max(m - 1, 0):
-            raise ValidationError("one table per adjacent transposition", m)
-        for i, t in enumerate(transpositions, start=1):
-            if set(t) != pset or set(t.values()) != pset:
+        self._take(m, points, [dict(t) for t in transpositions])
+        for i, t in enumerate(self.transpositions, start=1):
+            if set(t) != self.point_set or set(t.values()) != self.point_set:
                 raise ValidationError("bijection", f"s_{i}")
-            for p in points:
+            for p in self.points:
                 if t[t[p]] != p:
                     raise ValidationError("involution", f"s_{i}")
         for i in range(1, m - 1):
             for j in range(i + 2, m):
-                si, sj = transpositions[i - 1], transpositions[j - 1]
-                for p in points:
+                si, sj = self.transpositions[i - 1], self.transpositions[j - 1]
+                for p in self.points:
                     if si[sj[p]] != sj[si[p]]:
                         raise ValidationError("commutation", f"s_{i} s_{j}")
         for i in range(1, m - 1):
-            si, sj = transpositions[i - 1], transpositions[i]
-            for p in points:
+            si, sj = self.transpositions[i - 1], self.transpositions[i]
+            for p in self.points:
                 q = p
                 for _ in range(3):
                     q = si[sj[q]]
                 if q != p:
                     raise ValidationError("braid", f"s_{i} s_{i + 1}")
+
+    @classmethod
+    def _built(cls, m, points, tables):
+        """The set on tables the library built to satisfy the relations:
+        only the caller's data, distinct points and one table per
+        transposition, is checked."""
+        out = object.__new__(cls)
+        out._take(m, points, tables)
+        return out
+
+    def _take(self, m, points, tables):
+        if m < 0:
+            raise ValidationError("negative degree", m)
+        self.points = list(points)
+        self.point_set = set(self.points)
+        if len(self.point_set) != len(self.points):
+            raise ValidationError("distinct points", m)
+        if len(tables) != max(m - 1, 0):
+            raise ValidationError("one table per adjacent transposition", m)
         self.m = m
-        self.points = points
-        self.point_set = pset
-        self.transpositions = transpositions
+        self.transpositions = tables
 
     def __len__(self):
         return len(self.points)
@@ -263,29 +278,34 @@ def iso_equal(a: SigmaSet, b: SigmaSet):
 
 
 def trivial_sigma_set(m, points):
-    return SigmaSet(m, points,
-                    [{p: p for p in points} for _ in range(max(m - 1, 0))])
+    """Every permutation fixing every point: identity tables satisfy
+    every relation."""
+    return SigmaSet._built(
+        m, points, [{p: p for p in points} for _ in range(max(m - 1, 0))])
 
 
 def regular_sigma_set(m):
-    """The symmetric group acting on itself by left multiplication."""
+    """The symmetric group acting on itself by left multiplication; the
+    tables are multiplication by the s_i, which satisfy the relations in
+    the group."""
     points = all_perms(m)
     tables = []
     for i in range(1, m):
         s = transposition_perm(m, i)
         tables.append({p: perm_compose(s, p) for p in points})
-    return SigmaSet(m, points, tables)
+    return SigmaSet._built(m, points, tables)
 
 
 def word_sigma_set(m, letters):
     """The words of length m over the letters, in product order, with
-    the symmetric group permuting positions."""
+    the symmetric group permuting positions; s_i swaps the letters at i
+    and i+1, which is the action of the transposition on positions."""
     points = list(product(letters, repeat=m))
     tables = [
         {w: w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:] for w in points}
         for i in range(1, m)
     ]
-    return SigmaSet(m, points, tables)
+    return SigmaSet._built(m, points, tables)
 
 
 def induce(Z: SigmaSet, W: SigmaSet):
@@ -294,28 +314,32 @@ def induce(Z: SigmaSet, W: SigmaSet):
     Points are triples (S, z, w) with S an m-subset of {1..m+n}; an
     adjacent transposition either swaps membership across the boundary
     of S or acts through the rank-induced transposition on one factor.
+    The triple stands for the class of (the shuffle placing {1..m} on S,
+    z, w) in Σ_{m+n} x_{Σ_m x Σ_n} (Z x W), and s_i times that shuffle
+    is a shuffle times the rank transposition or the identity, so the
+    tables are the left action of Σ_{m+n}: the relations hold.
     """
     m, n = Z.m, W.m
     k = m + n
-    points = [
-        (frozenset(S), z, w)
-        for S in combinations(range(1, k + 1), m)
-        for z in Z.points
-        for w in W.points
-    ]
+    pairs = list(product(Z.points, W.points))
+    blocks = {}  # S as a set -> (S, its points, in the order of pairs)
+    for S in combinations(range(1, k + 1), m):
+        F = frozenset(S)
+        blocks[F] = (S, [(F, z, w) for z, w in pairs])
+    points = [p for _, block in blocks.values() for p in block]
     tables = []
     for i in range(1, k):
+        swap = frozenset((i, i + 1))
         t = {}
-        for (S, z, w) in points:
-            if i in S and i + 1 in S:
-                rank = sorted(S).index(i) + 1
-                t[(S, z, w)] = (S, Z.transpositions[rank - 1][z], w)
-            elif i not in S and i + 1 not in S:
-                comp = sorted(set(range(1, k + 1)) - S)
-                rank = comp.index(i) + 1
-                t[(S, z, w)] = (S, z, W.transpositions[rank - 1][w])
-            else:
-                T = (S - {i}) | {i + 1} if i in S else (S - {i + 1}) | {i}
-                t[(S, z, w)] = (T, z, w)
+        for F, (S, block) in blocks.items():
+            if swap <= F:
+                s = Z.transpositions[S.index(i)]
+                t.update((p, (F, s[p[1]], p[2])) for p in block)
+            elif swap.isdisjoint(F):
+                # i is the r-th value outside S, r = i - #(S below i)
+                s = W.transpositions[i - 1 - sum(v < i for v in S)]
+                t.update((p, (F, p[1], s[p[2]])) for p in block)
+            else:  # the same pair, over S with i and i+1 exchanged
+                t.update(zip(block, blocks[F ^ swap][1]))
         tables.append(t)
-    return SigmaSet(k, points, tables)
+    return SigmaSet._built(k, points, tables)

@@ -46,8 +46,15 @@ from tamebox.mset import (
     CanonicalTameMSet,
     MElement,
     all_injective_tuples,
+    box,
+    injection_mset,
     mset_iso_equal,
     support,
+)
+from tamebox.opalg import (
+    CommMonoidPresentation,
+    infinite_symmetric_product,
+    wedge_iso,
 )
 from tamebox.sigma import SigmaSet, completion_word, regular_sigma_set, walk
 
@@ -186,6 +193,9 @@ def broken_top(kind):
 
 @pytest.mark.parametrize("kind", ["involution", "inclusion", "stability"])
 def test_extension_step_rejects_like_full_constructor(kind):
+    # `_derived` trusts the relations and keeps the data and stability
+    # checks; the conftest fixture adds the relation checks, as for
+    # every trusted build in Tier-1
     X, level, incl, transp = broken_top(kind)
     declared = X.stable_from
     with pytest.raises(ValidationError) as full:
@@ -235,6 +245,56 @@ def test_day_convolution_validates_only_its_levels(validation_counts):
     XY = day_convolution(X, X)
     assert XY.N == 6
     assert validation_counts == {"sigma": 7, "generated": 6}
+
+
+# ---------------------------------------------------------------------
+# trusted construction: the library's own builds skip the relation
+# checks, and the fixture in conftest.py checks them in every other test
+
+
+def test_checked_construction_refuses_a_wrong_table():
+    # s_1 a 3-cycle: no involution, built as shipped, past the checks
+    shipped = SigmaSet._built.__wrapped__
+    bad = shipped(SigmaSet, 2, "abc", [{"a": "b", "b": "c", "c": "a"}])
+    with pytest.raises(ValidationError) as exc:
+        support_filtration(CanonicalTameMSet({2: bad}), 3)
+    assert (exc.value.invariant, exc.value.location) == ("involution", "s_1")
+
+
+@pytest.mark.unchecked_construction
+def test_library_constructions_run_no_relation_check(monkeypatch):
+    checks = Counter()
+
+    def counted(key, run):
+        def call(*args, **kwargs):
+            checks[key] += 1
+            return run(*args, **kwargs)
+        return call
+
+    for cls, name in [(SigmaSet, "__init__"), (TruncatedISet, "_check"),
+                      (ISetMorphism, "__init__"),
+                      (CommMonoidPresentation, "__init__")]:
+        monkeypatch.setattr(cls, name, counted(f"{cls.__name__}.{name}",
+                                               getattr(cls, name)))
+    built = {
+        "box": lambda: box(injection_mset(2), injection_mset(2)),
+        "support_filtration": lambda: support_filtration(
+            box(injection_mset(1), injection_mset(2)), 5),
+        "day_convolution": lambda: day_convolution(
+            representable_iset(1, 4), representable_iset(1, 4)),
+        "lan_extend": lambda: lan_extend(lan_extend(representable_iset(2, 3))),
+        "wedge_iso": lambda: wedge_iso(["*", "a"], "*", ["*", "b", "c"], "*",
+                                       4),
+        "infinite_symmetric_product": lambda: infinite_symmetric_product(
+            ["*", "a", "b"], "*", 3),
+    }
+    for name, build in built.items():
+        build()
+        assert checks == Counter(), name
+    # the counters see the public constructors, which still check
+    X = representable_iset(1, 2)
+    TruncatedISet(X.N, X.levels, X.incl, X.transp)
+    assert checks == {"SigmaSet.__init__": 3, "TruncatedISet._check": 1}
 
 
 # ---------------------------------------------------------------------

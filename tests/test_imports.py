@@ -13,7 +13,12 @@ and what the benchmark uses: the names `perfbench/workloads.py` imports
 from tamebox and the entries of `TARGETS`, `COUNTED` and `CACHED` in
 `perfbench/spans.py`.  Each of those must still name something in the
 library, or a traced benchmark run fails on install.  The benchmark
-files are read here, never imported."""
+files are read here, never imported.
+
+Every constructor that makes an object without its `__init__` (by
+`object.__new__`) trusts the relations of what it builds, and the
+fixture in `conftest.py` wraps each one, so Tier-1 still checks
+them."""
 
 import ast
 import os
@@ -21,6 +26,7 @@ import os
 import pytest
 
 import tamebox
+from conftest import TRUSTED
 
 PACKAGE = os.path.dirname(os.path.abspath(tamebox.__file__))
 MODULES = sorted(name for name in os.listdir(PACKAGE)
@@ -153,6 +159,19 @@ def unread_parameters(trees):
     return out
 
 
+def trusted_constructors(trees):
+    """(module, qualified name) of each definition that makes an object
+    without its `__init__`, by `object.__new__`: the constructors that
+    trust what they are given, sorted."""
+    return sorted(key for key, node in definitions(trees).items()
+                  if isinstance(node, FUNCTIONS) and any(
+                      isinstance(sub, ast.Call)
+                      and isinstance(sub.func, ast.Attribute)
+                      and sub.func.attr == "__new__"
+                      and getattr(sub.func.value, "id", None) == "object"
+                      for sub in ast.walk(node)))
+
+
 def benchmark_hooks(workloads, spans):
     """The (module, qualified name) pairs the benchmark needs, from the
     parsed `workloads.py` and `spans.py`: each name workloads imports
@@ -266,3 +285,17 @@ def test_finds_a_benchmark_target_gone_from_the_library():
     sigma_set.body = [item for item in sigma_set.body
                       if getattr(item, "name", None) != "iso_type"]
     assert resolve(trees, benchmark())[1] == [("sigma", "SigmaSet.iso_type")]
+
+
+def test_every_trusted_constructor_is_checked():
+    # the conftest fixture wraps each one, so Tier-1 checks what it builds
+    wrapped = sorted((cls.__module__.rpartition(".")[2],
+                      f"{cls.__name__}.{name}") for cls, name, _ in TRUSTED)
+    assert trusted_constructors(library()) == wrapped
+
+
+def test_finds_an_added_trusted_constructor():
+    trees = library()
+    trees["mset"].body += ast.parse(
+        "def _spare(cls):\n    return object.__new__(cls)\n").body
+    assert ("mset", "_spare") in trusted_constructors(trees)

@@ -15,6 +15,8 @@ import sigma_oracle
 from tamebox import sigma
 from tamebox.errors import ValidationError
 from tamebox.generators import random_sigma_set
+from tamebox.iset import constant_iset
+from tamebox.opalg import infinite_symmetric_product
 from tamebox.sigma import (
     SigmaSet,
     all_perms,
@@ -119,6 +121,18 @@ class TestValidation:
         s2 = {0: 2, 2: 0, 1: 3, 3: 1}
         with pytest.raises(ValidationError):
             SigmaSet(3, pts, [s1, s2])
+
+    @pytest.mark.parametrize("build", [
+        lambda: trivial_sigma_set(2, ["x", "x"]),
+        lambda: word_sigma_set(2, ["a", "a"]),
+        lambda: constant_iset(["k", "k"], 2),
+        lambda: infinite_symmetric_product(["*", "a", "a"], "*", 2),
+    ], ids=["trivial", "words", "constant", "symmetric-product"])
+    def test_trusted_builds_refuse_repeated_caller_points(self, build):
+        # a trusted constructor skips the relations, not the caller's data
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert exc.value.invariant == "distinct points"
 
 
 def shuffled_draw(seed, m):
