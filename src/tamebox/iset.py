@@ -80,8 +80,7 @@ class TruncatedISet:
     def __init__(self, N, levels, incl, transp, stable_from=None):
         self._take(N, [list(l) for l in levels], [dict(d) for d in incl],
                    [[dict(t) for t in ts] for ts in transp], stable_from)
-        self._check(0, N)
-        self._settle(0, N, stable_from)
+        self._settle(0, N, stable_from, self._check(0, N))
 
     @classmethod
     def _built(cls, N, levels, incl, transp, stable_from=None):
@@ -89,7 +88,7 @@ class TruncatedISet:
         relations hold; only what `_settle` reads is checked."""
         out = object.__new__(cls)
         out._take(N, levels, incl, transp, stable_from)
-        out._settle(0, N, stable_from)
+        out._settle(0, N, stable_from, out._images(0, N))
         return out
 
     def _take(self, N, levels, incl, transp, stable_from):
@@ -104,12 +103,13 @@ class TruncatedISet:
         self._face_positions = [None] * (N + 1)
 
     def _check(self, lo, N):
-        """The relations on levels lo..N, against the levels below."""
+        """The relations on levels lo..N, against the levels below; the
+        images of the inclusions into them (see `_images`)."""
         # per-level symmetric-group validation (involutions, Coxeter)
         for m in range(lo, N + 1):
             SigmaSet(m, self.levels[m], self.transp[m])
         below = max(lo - 1, 0)
-        self._images(below, N)
+        images = self._images(below, N)
         # naturality of inclusions against transpositions
         for m in range(below, N):
             for i in range(1, m):
@@ -125,6 +125,7 @@ class TruncatedISet:
                 y = self.incl[m + 1][self.incl[m][x]]
                 if s_new[y] != y:
                     raise ValidationError("double inclusion", m)
+        return images
 
     def _images(self, lo, N):
         """The image of each inclusion out of levels lo..N-1, checked
@@ -139,18 +140,18 @@ class TruncatedISet:
             images.append(image)
         return images
 
-    def _settle(self, lo, N, stable_from):
-        """Record levels lo..N, which hold distinct points and map into
-        each other: whether the inclusion into each one identifies two
-        elements, whether each is generated from the one below, and the
-        stability level."""
+    def _settle(self, lo, N, stable_from, images):
+        """Check that levels lo..N hold distinct points and record,
+        given the images of the inclusions into them, whether the
+        inclusion into each one identifies two elements, whether each
+        is generated from the one below, and the stability level."""
         self.N = N
         for m in range(lo, N + 1):
             if len(self.positions(m)) != len(self.levels[m]):
                 raise ValidationError("distinct points", m)
         below = max(lo - 1, 0)
-        self._merges += [len(image) != len(self.incl[m]) for m, image
-                         in enumerate(self._images(below, N), start=below)]
+        self._merges += [len(image) != len(self.incl[m])
+                         for m, image in enumerate(images, start=below)]
         # stability: everything above comes from below
         self._generated += [_generated_from_below(self, m)
                             for m in range(below, N)]
@@ -176,7 +177,7 @@ class TruncatedISet:
         out._merges = self._merges[:k]
         out._positions = self._positions[: k + 1] + [None] * (n - k)
         out._face_positions = self._face_positions[: k + 1] + [None] * (n - k)
-        out._settle(k + 1, n, stable_from)
+        out._settle(k + 1, n, stable_from, out._images(k, n))
         return out
 
     @property
