@@ -23,7 +23,6 @@ from .iset import (
     latching,
     mono_pushout_injective,
     n_iso_check,
-    omega_colimit,
     quotient_iset,
     representable_iset,
     restriction_coequalizer,

@@ -47,6 +47,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (
+    DegreeTooLarge,
     InvalidMorphism,
     NotTame,
     PreconditionViolated,
@@ -59,7 +60,6 @@ from .mset import (
     CanonicalTameMSet,
     MElement,
     all_injective_tuples,
-    decompose_table,
 )
 from .sigma import SigmaSet, completion_word, point_key
 from .unionfind import UnionFind
@@ -446,10 +446,6 @@ class OmegaColimit:
         return got
 
 
-def omega_colimit(X: TruncatedISet) -> OmegaColimit:
-    return OmegaColimit(X)
-
-
 def canonicalize(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):
     """The canonical tame action carried by the colimit (see
     `_canonical_colimit`)."""
@@ -465,7 +461,13 @@ def _canonical_colimit(X: TruncatedISet, degree_bound):
     inclusion identifies anything, so that merges forced just past the
     given levels are seen rather than silently missed.  The extension
     clears its own bound max(2s, s + merge level): it is X, flat with
-    no merges, or its loop has just tested that bound."""
+    no merges, or its loop has just tested that bound.
+
+    Level k holds, in class order, the classes supported on exactly
+    {1..k}: each comes from level s, the extension's stability level,
+    and an injection fixing {1..k} moves it into {1..s}, so all are
+    named at or below s.  s_i sends the class of x to that of s_i x, an
+    equivariant image of x's level, so the relations hold."""
     s = X.stable_from
     if X.N < 2 * s:
         raise TruncationExceeded(
@@ -473,12 +475,21 @@ def _canonical_colimit(X: TruncatedISet, degree_bound):
         )
     colim = OmegaColimit(faithful_extension(X))
     E = colim.iset
-    s = E.stable_from
-    table = [c for c in colim.classes if c[0] <= s]
-    return colim, decompose_table(
-        table, colim.act, max(E.N, 1),
-        initial_support=lambda c: set(range(1, c[0] + 1)),
-        degree_bound=degree_bound, table_window=s)
+    points = {}
+    for c in colim.classes:
+        if c[0] <= E.stable_from:
+            e = colim.class_to_element(c)
+            if e.image == tuple(range(1, e.level + 1)):
+                points.setdefault(e.level, []).append(c)
+    levels = {}
+    for k in sorted(points):
+        if k > degree_bound:
+            raise DegreeTooLarge(f"level {k} beyond degree bound "
+                                 f"{degree_bound}")
+        tables = [{c: colim.root[c[0], E.transp[c[0]][i][c[1]]]
+                   for c in points[k]} for i in range(k - 1)]
+        levels[k] = SigmaSet._built(k, points[k], tables)
+    return colim, CanonicalTameMSet(levels)
 
 
 class ISetMorphism:
@@ -683,21 +694,20 @@ def faithful_extension(X: TruncatedISet, at_least=0):
         return cur
     hard_top = max(X.N, at_least) + 2 * max(X.stable_from, 1) + 6
     cur = X
-    quiet = 0
+    quiet = False  # whether the last level added merged nothing
     while True:
         need = max(2 * cur.stable_from,
                    cur.stable_from + cur.merge_level,
                    at_least)
-        if quiet >= 1 and cur.N >= need:
+        if quiet and cur.N >= need:
             return cur
         if cur.N >= hard_top:
             raise TruncationExceeded(
                 "canonical extension does not settle within the allowed "
                 f"height {hard_top}"
             )
-        nxt = lan_extend(cur)
-        quiet = quiet + 1 if nxt.merge_level < nxt.N else 0
-        cur = nxt
+        cur = lan_extend(cur)
+        quiet = cur.merge_level < cur.N
 
 
 class FlatnessReport(NamedTuple):

@@ -37,7 +37,7 @@ from .sigma import (
 )
 from .unionfind import UnionFind
 
-DEFAULT_DEGREE_BOUND = 7  # the levels `box` and `decompose_table` may build
+DEFAULT_DEGREE_BOUND = 7  # the top level that built canonical forms may have
 
 
 class MElement(NamedTuple):
@@ -287,17 +287,17 @@ def all_injective_tuples(m, n):
     return out
 
 
-def decompose_table(table, action, window, initial_support=None,
-                    degree_bound=DEFAULT_DEGREE_BOUND, table_window=None):
-    """Recover the canonical form of a finite action table.
+def decompose_table(table, action, window, degree_bound=DEFAULT_DEGREE_BOUND):
+    """Recover the canonical form of a finite table of a caller's action.
 
     `table` must list, once each, the elements supported inside
-    {1..table_window} of a tame action whose maximal support size s
-    satisfies 2*s <= window; `action` evaluates partial injections on
-    elements, and may reach values up to `window`.  Supports are
-    computed with single test injections: an element known supported on
-    S is supported on S minus {j} exactly when the map fixing S minus
-    {j} and moving j outside S fixes the element.
+    {1..window} of a tame action whose maximal support size s satisfies
+    2*s <= window; `action` evaluates partial injections on elements,
+    and may reach values up to `window`.  Supports are computed with
+    single test injections: an element whose image is S is supported on
+    S minus {j} exactly when the map fixing S minus {j} and moving j
+    outside S fixes the element.  The relations of each level are
+    checked, since the action is the caller's.
 
     Elements outside the table are invisible here, so the window
     condition cannot be checked: the table of a level-3 action up to
@@ -306,40 +306,29 @@ def decompose_table(table, action, window, initial_support=None,
     does.
     """
     table = list(table)
-    if table_window is None:
-        table_window = window
-    if initial_support is None:
-        initial_support = lambda e: set(e.image)
-    spare_cache = {}
+    moves = {}  # (S, j) -> the map fixing S but j and moving j out of S
 
     def support_of(e):
-        S = sorted(set(initial_support(e)))
+        S = tuple(sorted(set(e.image)))
         if 2 * len(S) > window:
             raise WindowTooSmall(
                 f"support bound {len(S)} needs window >= {2 * len(S)}"
             )
         if any(v > window for v in S):
             raise WindowTooSmall("initial support exceeds the window")
-        keep = []
+        spares = [v for v in range(1, window + 1) if v not in S]
+        supp = set()
         for j in S:
-            key = (tuple(S), j)
-            f = spare_cache.get(key)
+            f = moves.get((S, j))
             if f is None:
-                spare = min(v for v in range(1, window + 1) if v not in set(S))
-                mapping = {v: v for v in S if v != j}
-                mapping[j] = spare
-                f = PartialInjection(mapping)
-                spare_cache[key] = f
+                f = moves[S, j] = PartialInjection(
+                    {v: v for v in S if v != j} | {j: spares[0]})
             if action(f, e) != e:
-                keep.append(j)
-        supp = set(keep)
+                supp.add(j)
         # consistency: fixing the support and moving the rest out must
         # leave the element alone
-        spares = iter(v for v in range(1, window + 1) if v not in set(S))
-        mapping = {v: v for v in supp}
-        for v in S:
-            if v not in supp:
-                mapping[v] = next(spares)
+        rest = iter(spares)
+        mapping = {v: v if v in supp else next(rest) for v in S}
         if action(PartialInjection(mapping), e) != e:
             raise NotTame(f"support tests inconsistent for {e!r}")
         return supp
@@ -377,7 +366,7 @@ def decompose_table(table, action, window, initial_support=None,
         levels[k] = SigmaSet(k, pts, tabs)
 
     out = CanonicalTameMSet(levels)
-    if out.count_up_to(table_window) != len(table):
+    if out.count_up_to(window) != len(table):
         raise NotTame(
             "table size does not match the reconstructed canonical form"
         )
@@ -420,9 +409,13 @@ def coequalize(u: MSetMorphism, v: MSetMorphism, window,
     """Identify u(x) with v(x) and return the canonical form of the
     quotient.  The relation is already closed under the window action
     because u and v are equivariant and the source table is closed."""
-    if u.source is not v.source and u.source.levels.keys() != v.source.levels.keys():
+    def tables(X):  # the points and tables of each level: X's action
+        return {m: (ss.point_set, ss.transpositions)
+                for m, ss in X.levels.items()}
+
+    if u.source is not v.source and tables(u.source) != tables(v.source):
         raise InvalidMorphism("parallel pair must share a source")
-    if u.target is not v.target and u.target.levels.keys() != v.target.levels.keys():
+    if u.target is not v.target and tables(u.target) != tables(v.target):
         raise InvalidMorphism("parallel pair must share a target")
     target = u.target
     if window < 2 * target.max_level:
@@ -438,12 +431,8 @@ def coequalize(u: MSetMorphism, v: MSetMorphism, window,
     def class_action(f, root):
         return uf.find(target.act(f, root))
 
-    return decompose_table(
-        uf.roots(),
-        class_action,
-        window,
-        degree_bound=degree_bound,
-    )
+    return decompose_table(uf.roots(), class_action, window,
+                           degree_bound=degree_bound)
 
 
 def orbit_product_bijection(X: CanonicalTameMSet, Y: CanonicalTameMSet,

@@ -5,10 +5,10 @@ check with its own independent oracle.
 a random stream and case counts that returns its `Tally`: the cases it
 ran, the draws it skipped and its failure descriptions.  Each instance
 checked, drawn or fixed, is one case; a draw outside the law's domain
-raises `Skip`.  Each suite declares the highest level that its `box`
-and `decompose_table` calls build, so that `run_selftest` refuses a
-degree bound below it before any suite runs; it aggregates the tallies
-into a deterministic report keyed by suite name.
+raises `Skip`.  Each suite declares the highest level that its `box`,
+`decompose_table` and `canonicalize` calls build, so that `run_selftest`
+refuses a degree bound below it before any suite runs; it aggregates
+the tallies into a deterministic report keyed by suite name.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ from .generators import (
 from .injections import OperadElement, PartialInjection
 from .iset import (
     ISetMorphism,
+    OmegaColimit,
     canonicalize,
     day_convolution,
     flat_replacement,
     is_flat,
     mono_pushout_injective,
     n_iso_check,
-    omega_colimit,
     representable_iset,
     restriction_coequalizer,
     support_filtration,
@@ -134,8 +134,8 @@ SHARED = ("rng", "cases", "degree_bound")
 def suite(name, top_level=0):
     """Enter the decorated `check(tally, ...)` in `SUITES` as the suite
     `name`, a function `(rng, **sizes) -> Tally` with `top_level` as an
-    attribute: the highest level that the check's `box` and
-    `decompose_table` calls build, 0 when it makes none."""
+    attribute: the highest level that the check's `box`,
+    `decompose_table` and `canonicalize` calls build, 0 if none."""
 
     def register(check):
         named = inspect.signature(check).parameters
@@ -273,7 +273,7 @@ def suite_adjunction(tally, rng, cases=50, window=4, degree_bound=7):
     a colimit bijection, levelwise bijective exactly on flat inputs."""
     draw = _msets(rng, (2,), 4)
     for i, (W,) in enumerate(tally.draws(draw, cases)):
-        classes = omega_colimit(support_filtration(W, window)).classes
+        classes = OmegaColimit(support_filtration(W, window)).classes
         # each window element is the point of exactly one class
         table = Counter(W.elements_up_to(window))
         if Counter(p for (_, p) in classes) != table:

@@ -27,14 +27,30 @@ the faces that hold each point.
 `n_iso_check` builds both colimits over the inclusions by union-find
 over the nodes of every level and compares their classes; the library
 reads the answer off the top level map.
+
+`canonical_by_decomposition` decomposes the colimit's low classes as
+an action table: it tests every support again by single injections,
+acts by each swap through the colimit and validates each level; the
+library reads the levels off the class elements and the swaps off the
+transposition tables.
 """
 
 from itertools import combinations
 
-from tamebox.errors import NotTame, TruncationExceeded
+from tamebox.errors import DegreeTooLarge, NotTame, TruncationExceeded
 from tamebox.injections import PartialInjection
-from tamebox.iset import TruncatedISet, _day_factors
-from tamebox.mset import MElement, all_injective_tuples
+from tamebox.iset import (
+    OmegaColimit,
+    TruncatedISet,
+    _day_factors,
+    faithful_extension,
+)
+from tamebox.mset import (
+    DEFAULT_DEGREE_BOUND,
+    CanonicalTameMSet,
+    MElement,
+    all_injective_tuples,
+)
 from tamebox.sigma import SigmaSet, perm_word, point_key
 
 
@@ -182,6 +198,57 @@ def class_to_element(colim, c):
     rest = [v for v in range(1, m + 1) if v not in S]
     down = {v: r for r, v in enumerate(S + rest, start=1)}
     return MElement(len(S), tuple(S), act(colim, down, c))
+
+
+def canonical_by_decomposition(X: TruncatedISet,
+                               degree_bound=DEFAULT_DEGREE_BOUND):
+    """The canonical action of the colimit, taken in the canonical
+    extension, by decomposing the table of classes named at or below
+    its stability level s: each class's support is tested from its
+    name's level down and checked by moving the rest away, each swap
+    acts through the colimit and must stay in the table, each level is
+    validated, and the table must hold every element supported inside
+    {1..s}."""
+    if X.N < 2 * X.stable_from:
+        raise TruncationExceeded(f"truncation {X.N} below twice the "
+                                 f"stability level {X.stable_from}")
+    colim = OmegaColimit(faithful_extension(X))
+    s = colim.iset.stable_from
+    table = [c for c in colim.classes if c[0] <= s]
+
+    def tested_support(c):
+        m = c[0]
+        S = [j for j in range(1, m + 1) if act(colim, {
+            v: m + 1 if v == j else v for v in range(1, m + 1)}, c) != c]
+        spares = iter(range(m + 1, 2 * m + 1))
+        away = {v: v if v in S else next(spares) for v in range(1, m + 1)}
+        if act(colim, away, c) != c:
+            raise NotTame(f"support tests inconsistent for {c!r}")
+        return S
+
+    supports = {c: tested_support(c) for c in table}
+    levels = {}
+    for k in sorted({len(S) for S in supports.values()}):
+        points = [c for c in table if supports[c] == list(range(1, k + 1))]
+        if not points:
+            continue
+        if k > degree_bound:
+            raise DegreeTooLarge(
+                f"level {k} beyond degree bound {degree_bound}")
+        swaps = []
+        for i in range(1, k):
+            swap = {i: i + 1, i + 1: i}
+            t = {c: act(colim, {v: swap.get(v, v)
+                                for v in range(1, c[0] + 1)}, c)
+                 for c in points}
+            if not set(t.values()) <= set(table):
+                raise NotTame("table not closed under the level action")
+            swaps.append(t)
+        levels[k] = SigmaSet(k, points, swaps)
+    out = CanonicalTameMSet(levels)
+    if out.count_up_to(s) != len(table):
+        raise NotTame("table size does not match the canonical form")
+    return out
 
 
 def filtration_swaps(W, N):

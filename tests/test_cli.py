@@ -15,7 +15,9 @@ from tamebox.documents import canonical_json, serialize_document
 from tamebox.generators import random_agreeing_pair, random_mset
 from tamebox.injections import QuasiAffineInjection, interleave
 from tamebox.iset import (
+    TruncatedISet,
     flat_replacement,
+    is_flat,
     representable_iset,
     restriction_coequalizer,
 )
@@ -25,6 +27,7 @@ from tamebox.opalg import (
     infinite_symmetric_product,
 )
 from tamebox.sigma import regular_sigma_set, trivial_sigma_set
+from test_iset import late_pairs
 
 
 @pytest.fixture()
@@ -1043,6 +1046,28 @@ class TestHashSeedDeterminism:
                                      "--cases", "1")
                 for seed in ("0", "1")]
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["canonicalize", "flatten"])
+    def test_class_first_seen_above_its_support(self, tmp_path, command):
+        # late_pairs with string points: not flat, and the class of the
+        # pair {1, 2}, supported there, is first seen at level 3
+        X = late_pairs(6)
+        name = {p: f"pair {p[0]} {p[1]}" for p in X.levels[X.N]}
+
+        def renamed(table):
+            return {name[p]: name[q] for p, q in table.items()}
+
+        Y = TruncatedISet(
+            X.N, [[name[p] for p in level] for level in X.levels],
+            [renamed(d) for d in X.incl],
+            [[renamed(t) for t in ts] for ts in X.transp], X.stable_from)
+        assert not is_flat(Y).flat
+        path = tmp_path / "late.json"
+        path.write_text(serialize_document("iset", Y) + "\n")
+        outs = [_cli_under_hash_seed(seed, command, str(path))
+                for seed in ("0", "1")]
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["outcome"] != "error"
 
     def test_flatten_restriction_coequalizer(self, tmp_path):
         quot = tmp_path / "quot.json"

@@ -4,8 +4,10 @@ diagrams of every generator family at N <= 4, the tabulated
 structure maps (face tables, completion words, support preimages,
 filtration swaps) against the oracles that recompute them, the
 direct flatness route and merge levels against the route that
-rebuilds every meet's span and the rescan of every inclusion, and the
-latching-pushout check against the pushout built by union-find."""
+rebuilds every meet's span and the rescan of every inclusion, the
+latching-pushout check against the pushout built by union-find, and
+the canonical action of the colimit against the decomposition of its
+class table, on every criterion-4 instance and adjunction draw."""
 
 import random
 from collections import Counter
@@ -17,6 +19,9 @@ from hypothesis import strategies as st
 
 import colimit_oracle as oracle
 import tamebox.iset as iset
+import test_acceptance as acceptance
+import test_iset
+from tamebox import selftest
 from tamebox.errors import (
     TameboxError,
     TruncationExceeded,
@@ -672,3 +677,84 @@ def test_derived_diagrams_serve_no_stale_face_table(kind):
     assert face_mismatches(faithful_extension(X, at_least=X.N + 2)) == []
     for factor in _day_factors(X, diagram(kind, 1, 2)):
         assert face_mismatches(factor) == []
+
+
+# ---------------------------------------------------------------------
+# the canonical action against the table decomposition it replaced
+
+
+def canonical_mismatch(X, degree_bound=7):
+    """canonicalize against the decomposition oracle: None when both
+    raise the same error with the same message, or build the same
+    levels with the same points in the same order and the same tables;
+    else the two outcomes."""
+    def outcome_of(build):
+        try:
+            W = build(X, degree_bound)
+        except TameboxError as exc:
+            return type(exc).__name__, str(exc)
+        return {m: (A.points, A.transpositions) for m, A in W.levels.items()}
+
+    got = outcome_of(canonicalize)
+    want = outcome_of(oracle.canonical_by_decomposition)
+    return None if got == want else (got, want)
+
+
+@kernel_settings
+@given(st.sampled_from(FAMILIES), st.integers(0, 10**6), st.integers(2, 7),
+       st.sampled_from((7, 2, 1)))
+def test_canonical_action_matches_decomposition(kind, seed, N, degree_bound):
+    # stability up to 3 and N up to 7, so that levels with two swaps
+    # are built
+    X = diagram(kind, seed, N, max_stable=3)
+    assert canonical_mismatch(X, degree_bound) is None
+
+
+def recorded(monkeypatch, name):
+    """The (diagram, degree bound) pairs the law suites pass to the
+    selftest function `name` from now on."""
+    calls = []
+    real = getattr(selftest, name)
+
+    def record(X, degree_bound):
+        calls.append((X, degree_bound))
+        return real(X, degree_bound)
+
+    monkeypatch.setattr(selftest, name, record)
+    return calls
+
+
+def test_canonical_action_matches_decomposition_on_criterion_4(monkeypatch):
+    # both factors and their convolution, for each of the 20 cases
+    calls = recorded(monkeypatch, "canonicalize")
+    acceptance.test_criterion_04_day_vs_box()
+    assert len(calls) >= 3 * 20
+    assert [canonical_mismatch(*call) for call in calls] == [None] * len(calls)
+
+
+def test_canonical_action_matches_decomposition_on_adjunction_draws(
+        monkeypatch):
+    # the 50 diagrams whose flat replacement criterion 6 checks
+    calls = recorded(monkeypatch, "flat_replacement")
+    acceptance.test_criterion_06_adjunction()
+    assert len(calls) == 50
+    assert [canonical_mismatch(*call) for call in calls] == [None] * 50
+
+
+def test_canonical_comparison_catches_a_class_filed_under_its_name(
+        monkeypatch):
+    # the mutant takes each class named at or below the stability level
+    # as supported on {1..the level of its name}: the class of {1, 2} in
+    # late_pairs, first seen at level 3, lands at level 3
+    def at_name(colim, c):
+        if c[0] > colim.iset.stable_from:
+            return real(colim, c)
+        return MElement(c[0], tuple(range(1, c[0] + 1)), c)
+
+    X = test_iset.late_pairs(6)
+    assert canonical_mismatch(X) is None
+    real = OmegaColimit.class_to_element
+    monkeypatch.setattr(OmegaColimit, "class_to_element", at_name)
+    assert canonical_mismatch(X) is not None
+    with pytest.raises(AssertionError):
+        test_iset.TestCanonicalize().test_class_first_seen_above_its_support()

@@ -16,6 +16,7 @@ from tamebox.generators import random_iset
 from tamebox.injections import PartialInjection
 from tamebox.iset import (
     ISetMorphism,
+    OmegaColimit,
     canonicalize,
     constant_iset,
     day_convolution,
@@ -25,7 +26,6 @@ from tamebox.iset import (
     latching,
     mono_pushout_injective,
     n_iso_check,
-    omega_colimit,
     quotient_iset,
     representable_iset,
     restriction_coequalizer,
@@ -109,25 +109,25 @@ class TestValidation:
 class TestOmegaColimit:
     def test_representable_classes_are_values(self):
         X = representable_iset(1, 4)
-        colim = omega_colimit(X)
+        colim = OmegaColimit(X)
         # injections {1} -> {1..4} up to extension: one class per target
         assert len(colim.classes) == 4
 
     def test_constant_one_class_per_point(self):
         C = constant_iset(["p", "q"], 3)
-        colim = omega_colimit(C)
+        colim = OmegaColimit(C)
         assert len(colim.classes) == 2
 
     def test_identity_acts_trivially(self):
         X = representable_iset(1, 4)
-        colim = omega_colimit(X)
+        colim = OmegaColimit(X)
         f = PartialInjection.identity_on(range(1, 5))
         for c in colim.classes:
             assert colim.act(f, c) == c
 
     def test_action_matches_postcomposition(self):
         X = representable_iset(2, 5)
-        colim = omega_colimit(X)
+        colim = OmegaColimit(X)
         c = colim.class_of(2, (1, 2))
         f = PartialInjection({1: 3, 2: 5})
         moved = colim.act(f, c)
@@ -135,27 +135,27 @@ class TestOmegaColimit:
 
     def test_truncation_guard(self):
         X = representable_iset(1, 3)
-        colim = omega_colimit(X)
+        colim = OmegaColimit(X)
         c = colim.class_of(1, (1,))
         with pytest.raises(TruncationExceeded):
             colim.act(PartialInjection({1: 4}), c)
 
     def test_supports(self):
         X = representable_iset(2, 5)
-        colim = omega_colimit(X)
+        colim = OmegaColimit(X)
         assert class_support(colim, colim.class_of(2, (1, 2))) == {1, 2}
         assert class_support(colim, colim.class_of(4, (4, 2))) == {2, 4}
 
     def test_level_zero_support_empty(self):
         C = constant_iset(["p"], 3)
-        colim = omega_colimit(C)
+        colim = OmegaColimit(C)
         assert class_support(colim, colim.classes[0]) == frozenset()
 
     def test_coequalizer_class_supported_nowhere(self):
         # one class, empty support, despite having no level-0 member
         Q = restriction_coequalizer(4)
         assert Q.levels[0] == []
-        colim = omega_colimit(Q)
+        colim = OmegaColimit(Q)
         assert len(colim.classes) == 1
         assert class_support(colim, colim.classes[0]) == frozenset()
 
@@ -229,7 +229,7 @@ class TestFiltration:
         # to it is a bijection onto the window table
         W = sample_mset()
         X = support_filtration(W, 4)
-        colim = omega_colimit(X)
+        colim = OmegaColimit(X)
         elements = {root_point for (_, root_point) in colim.classes}
         assert elements == set(W.elements_up_to(4))
         assert len(colim.classes) == len(W.elements_up_to(4))
@@ -353,8 +353,8 @@ class TestAdjunction:
         Wc = canonicalize(X)
         assert mset_iso_equal(Wc, W)
         flat, eta = flat_replacement(X)
-        colim = omega_colimit(X)
-        colim_flat = omega_colimit(flat)
+        colim = OmegaColimit(X)
+        colim_flat = OmegaColimit(flat)
         for c in colim.classes:
             m, x = c
             image = colim_flat.class_of(m, eta.maps[m][x])
@@ -411,9 +411,9 @@ class TestDayConvolution:
         B = support_filtration(injection_mset(1), 4)
         XY = day_convolution(A, B)
         q1, q2 = day_projections(XY, A, B)
-        colim = omega_colimit(XY)
-        colim_a = omega_colimit(A)
-        colim_b = omega_colimit(B)
+        colim = OmegaColimit(XY)
+        colim_a = OmegaColimit(A)
+        colim_b = OmegaColimit(B)
         seen = set()
         for c in colim.classes:
             n, pt = c

@@ -435,6 +435,33 @@ class TestMorphismsAndCoequalizer:
         assert set(out.levels) == {0}
         assert len(out.levels[0]) == 1
 
+    def test_coequalize_refuses_sources_with_other_points(self):
+        # level keys alone agree, and v used to be applied to the points
+        # of u's source: a bare KeyError on 'a'
+        T = injection_mset(1)
+        x = injection_element(T, (1,))
+        u = MSetMorphism(CanonicalTameMSet({1: trivial_sigma_set(1, ["a"])}),
+                         T, {(1, "a"): x})
+        v = MSetMorphism(CanonicalTameMSet({1: trivial_sigma_set(1, ["b"])}),
+                         T, {(1, "b"): x})
+        with pytest.raises(InvalidMorphism, match="share a source"):
+            coequalize(u, v, 4)
+
+    def test_coequalize_refuses_sources_with_other_tables(self):
+        # the same points, swapped by s_1 in one source and fixed in the
+        # other: the pair used to be coequalized along u's action; an
+        # equal copy of u's source is the same source
+        R = injection_mset(2)
+        F = CanonicalTameMSet({2: trivial_sigma_set(2, R.levels[2].points)})
+        T = unit_mset()
+        star = MElement(0, (), "*")
+        u = MSetMorphism(R, T, {(2, (1, 2)): star})
+        v = MSetMorphism(F, T, {(2, p): star for p in F.levels[2].points})
+        with pytest.raises(InvalidMorphism, match="share a source"):
+            coequalize(u, v, 4)
+        w = MSetMorphism(injection_mset(2), T, {(2, (1, 2)): star})
+        assert mset_iso_equal(coequalize(u, w, 4), T)
+
     def test_box_commutes_with_coequalizer(self):
         I2, I1 = injection_mset(2), injection_mset(1)
         W = CanonicalTameMSet({1: trivial_sigma_set(1, ["w"])})
