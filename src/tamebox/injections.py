@@ -142,9 +142,6 @@ class PartialInjection:
             out[k] = self.mapping[v]
         return PartialInjection(out)
 
-    def fixes_pointwise(self, points):
-        return all(self.mapping.get(p) == p for p in points)
-
     def __eq__(self, other):
         return isinstance(other, PartialInjection) and self.mapping == other.mapping
 

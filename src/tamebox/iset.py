@@ -54,7 +54,6 @@ from .errors import (
     TruncationExceeded,
     ValidationError,
 )
-from .injections import PartialInjection, QuasiAffineInjection
 from .mset import (
     DEFAULT_DEGREE_BOUND,
     CanonicalTameMSet,
@@ -69,33 +68,35 @@ class TruncatedISet:
     """Levels 0..N with functoriality and stability.
 
     The relations (`_check`) are validated at the boundary, by the
-    public constructor, and trusted by construction inside: the
-    library's own diagrams come from `_built` and `_derived`, and
-    Tier-1 checks them through a test fixture.  Every constructor
-    checks the points and inclusions it records and refuses a declared
-    stability level that fails; without one, the least that holds is
-    kept.  A derived diagram shares the levels and face tables of the
-    diagram it comes from and records only the levels it adds."""
+    public constructor, which documents use, and trusted by
+    construction inside: every diagram the library builds comes from
+    `_built` or `_derived`, and Tier-1 checks them through a test
+    fixture.  Every constructor checks the points and inclusions it
+    records and keeps the least stability level that holds; a document
+    may declare one, refused if it fails.  A derived diagram shares the
+    levels and face tables of the diagram it comes from and records
+    only the levels it adds."""
 
     def __init__(self, N, levels, incl, transp, stable_from=None):
         self._take(N, [list(l) for l in levels], [dict(d) for d in incl],
-                   [[dict(t) for t in ts] for ts in transp], stable_from)
-        self._settle(0, N, stable_from, self._check(0, N))
-
-    @classmethod
-    def _built(cls, N, levels, incl, transp, stable_from=None):
-        """The diagram on level data the library built so that the
-        relations hold; only what `_settle` reads is checked."""
-        out = object.__new__(cls)
-        out._take(N, levels, incl, transp, stable_from)
-        out._settle(0, N, stable_from, out._images(0, N))
-        return out
-
-    def _take(self, N, levels, incl, transp, stable_from):
-        if len(levels) != N + 1 or len(incl) != N or len(transp) != N + 1:
-            raise ValidationError("level data must span 0..N")
+                   [[dict(t) for t in ts] for ts in transp])
         if stable_from is not None and not 0 <= stable_from <= N:
             raise ValidationError("stability level out of range")
+        self._settle(0, N, self._check(0, N), stable_from)
+
+    @classmethod
+    def _built(cls, N, levels, incl, transp):
+        """The diagram on level data the library built so that the
+        relations hold; only what `_settle` reads is checked, and the
+        stability level is the least that holds."""
+        out = object.__new__(cls)
+        out._take(N, levels, incl, transp)
+        out._settle(0, N, out._images(0, N))
+        return out
+
+    def _take(self, N, levels, incl, transp):
+        if len(levels) != N + 1 or len(incl) != N or len(transp) != N + 1:
+            raise ValidationError("level data must span 0..N")
         self.levels, self.incl, self.transp = levels, incl, transp
         self._generated = []
         self._merges = []
@@ -140,11 +141,12 @@ class TruncatedISet:
             images.append(image)
         return images
 
-    def _settle(self, lo, N, stable_from, images):
+    def _settle(self, lo, N, images, stable_from=None):
         """Check that levels lo..N hold distinct points and record,
         given the images of the inclusions into them, whether the
         inclusion into each one identifies two elements, whether each
-        is generated from the one below, and the stability level."""
+        is generated from the one below, and the stability level: the
+        declared one, refused if it fails, or else the least."""
         self.N = N
         for m in range(lo, N + 1):
             if len(self.positions(m)) != len(self.levels[m]):
@@ -163,11 +165,11 @@ class TruncatedISet:
                 raise ValidationError("stability", m)
         self.stable_from = stable_from
 
-    def _derived(self, n, levels=(), incl=(), transp=(), stable_from=None):
+    def _derived(self, n, levels=(), incl=(), transp=()):
         """The diagram on levels 0..n that shares this one's levels up
         to min(n, N) and has above them the given data, which the
         library built so that the relations hold; only those new levels
-        are recorded."""
+        are recorded, and the stability level is the least that holds."""
         k = min(n, self.N)
         out = object.__new__(TruncatedISet)
         out.levels = self.levels[: k + 1] + list(levels)
@@ -177,7 +179,7 @@ class TruncatedISet:
         out._merges = self._merges[:k]
         out._positions = self._positions[: k + 1] + [None] * (n - k)
         out._face_positions = self._face_positions[: k + 1] + [None] * (n - k)
-        out._settle(k + 1, n, stable_from, out._images(k, n))
+        out._settle(k + 1, n, out._images(k, n))
         return out
 
     @property
@@ -244,21 +246,26 @@ def _generated_from_below(X: TruncatedISet, m):
     return len(covered) == len(X.levels[m + 1])
 
 
+def _nested(levels, swap):
+    """The diagram on levels that each hold the one below, with the
+    identity as inclusions and s_i sending x to swap(x, i), found once
+    on the top level.  One rule at every level makes the inclusions
+    natural; each caller's rule is an action of the permutations, and
+    s_{m+1} fixes level m under it, so the relations hold."""
+    N = len(levels) - 1
+    moves = [{x: swap(x, i) for x in levels[N]} for i in range(1, N)]
+    incl = [{x: x for x in level} for level in levels[:-1]]
+    transp = [[{x: move[x] for x in level} for move in moves[:max(m - 1, 0)]]
+              for m, level in enumerate(levels[:-1])] + [moves]
+    return TruncatedISet._built(N, levels, incl, transp)
+
+
 def representable_iset(m, N):
     """The functor represented by {1..m}: level k holds the injections
-    {1..m} -> {1..k}, and the maps post-compose, which is functorial."""
-    levels = [all_injective_tuples(m, k) for k in range(N + 1)]
-    incl = [{t: t for t in levels[k]} for k in range(N)]
-    transp = []
-    for k in range(N + 1):
-        tabs = []
-        for i in range(1, k):
-            swap = {i: i + 1, i + 1: i}
-            tabs.append(
-                {t: tuple(swap.get(v, v) for v in t) for t in levels[k]}
-            )
-        transp.append(tabs)
-    return TruncatedISet._built(N, levels, incl, transp, m if m <= N else 0)
+    {1..m} -> {1..k}, and the maps post-compose, which is functorial.
+    `_swapped` runs uncached, or its cache would keep every injection."""
+    return _nested([all_injective_tuples(m, k) for k in range(N + 1)],
+                   _swapped.__wrapped__)
 
 
 def constant_iset(points, N):
@@ -267,51 +274,53 @@ def constant_iset(points, N):
     levels = [points for _ in range(N + 1)]
     incl = [{p: p for p in points} for _ in range(N)]
     transp = [[{p: p for p in points} for _ in range(1, k)] for k in range(N + 1)]
-    return TruncatedISet._built(N, levels, incl, transp, 0)
+    return TruncatedISet._built(N, levels, incl, transp)
 
 
 def support_filtration(W: CanonicalTameMSet, N):
     """The diagram of elements supported inside {1..m}; always flat.
 
-    The swap s_i moves an element's point by s_p of its Σ-set when i
-    and i+1 are the p-th and (p+1)-th entries of its sorted image, moves
-    the one of them in the image to the other, which keeps it sorted,
-    and otherwise fixes the element.  This is the action of W on its
-    elements supported inside {1..m}, so the relations hold."""
+    Level m keeps, in order, the elements of level N whose image ends
+    at m or below: the list `W.elements_up_to(m)`.  The swap s_i moves
+    an element's point by s_p of its Σ-set when i and i+1 are the p-th
+    and (p+1)-th entries of its sorted image, and else exchanges i and
+    i+1 in its image, which keeps it sorted; the moved element is the
+    level's own, found by its plain tuple.  This is the action of W on
+    its elements supported inside {1..m}, so the relations hold."""
     if N < W.max_level:
         raise TruncationExceeded(
             f"truncation {N} below maximal level {W.max_level}"
         )
-    levels = [W.elements_up_to(m) for m in range(N + 1)]
-    incl = [{e: e for e in levels[m]} for m in range(N)]
-    transp = []
-    for m in range(N + 1):
-        tabs = []
-        for i in range(1, m):
-            t = {}
-            for e in levels[m]:
-                k, image, p = e
-                if i in image and i + 1 in image:
-                    s_p = W.levels[k].transpositions[image.index(i)]
-                    t[e] = MElement(k, image, s_p[p])
-                elif i in image or i + 1 in image:
-                    t[e] = MElement(k, _swapped(image, i), p)
-                else:
-                    t[e] = e
-            tabs.append(t)
-        transp.append(tabs)
-    return TruncatedISet._built(N, levels, incl, transp, min(W.max_level, N))
+    top = W.elements_up_to(N)
+    own = {e: e for e in top}
+
+    def swap(e, i):
+        k, image, p = e
+        if i in image and i + 1 in image:
+            return own[k, image, W.levels[k].transpositions[image.index(i)][p]]
+        return own[k, _swapped(image, i), p]
+
+    ends = [max(e.image, default=0) for e in top]
+    return _nested([[e for e, end in zip(top, ends) if end <= m]
+                    for m in range(N + 1)], swap)
 
 
 def quotient_iset(X: TruncatedISet, seeds):
     """Quotient by the functorial closure of seed identifications,
-    given as (level, point, point) triples."""
+    given as (level, point, point) triples, each point in its level.
+
+    The closure identifies the images of each identified pair under
+    every transposition and inclusion, so each map is well defined on
+    classes, and the relations, which hold in X, hold in the quotient."""
     work = [(m, a, b) for m, a, b in seeds]
-    for m, _, _ in work:
+    for m, a, b in work:
         if not 0 <= m <= X.N:
             raise TruncationExceeded(
                 f"seed at level {m} outside the truncation 0..{X.N}"
             )
+        for p in (a, b):
+            if p not in X.positions(m):
+                raise ValidationError("seed point in its level", (m, p))
     # inserted in key order, so every class is named by its least point
     uf = [UnionFind(sorted(level, key=point_key)) for level in X.levels]
     while work:
@@ -332,7 +341,7 @@ def quotient_iset(X: TruncatedISet, seeds):
         [{p: uf[m].find(t[p]) for p in levels[m]} for t in X.transp[m]]
         for m in range(X.N + 1)
     ]
-    return TruncatedISet(X.N, levels, incl, transp)
+    return TruncatedISet._built(X.N, levels, incl, transp)
 
 
 def restriction_coequalizer(N):
@@ -369,19 +378,13 @@ class OmegaColimit:
         """The action of an injection covering {1..m} on a class with
         representative at level m."""
         m, x = c
-        values = []
-        for j in range(1, m + 1):
-            if isinstance(f, (PartialInjection, QuasiAffineInjection)):
-                values.append(f(j))
-            else:
-                values.append(f[j])
+        values = tuple(f(j) for j in range(1, m + 1))
         n = max(values, default=0)
         if n > self.iset.N:
             raise TruncationExceeded(
                 f"action reaches level {n} beyond truncation {self.iset.N}"
             )
-        y = self.iset.map_along(tuple(values), n, x)
-        return self.root[(n, y)]
+        return self.root[n, self.iset.map_along(values, n, x)]
 
     def face_preimages(self, m):
         """Level m inverted through its face maps, built once: each
@@ -433,15 +436,14 @@ class OmegaColimit:
                 raise TruncationExceeded(
                     "support test needs one level of headroom"
                 )
-            S = []
-            for j in range(1, m + 1):
-                f = {v: v for v in range(1, m + 1) if v != j}
-                f[j] = m + 1
-                if self.act(f, c) != c:
-                    S.append(j)
-            rest = [v for v in range(1, m + 1) if v not in S]
-            down = {v: r for r, v in enumerate(S + rest, start=1)}
-            got = MElement(len(S), tuple(S), self.act(down, c))
+            # j is in the support when moving it to m + 1 moves c
+            S = [j for j in range(1, m + 1) if self.root[m + 1, X.map_along(
+                tuple(m + 1 if v == j else v for v in range(1, m + 1)),
+                m + 1, x)] != c]
+            # and the permutation that ranks S first pushes it down
+            order = S + [v for v in range(1, m + 1) if v not in S]
+            got = MElement(len(S), tuple(S), self.root[m, X.map_along(
+                tuple(order.index(v) + 1 for v in range(1, m + 1)), m, x)])
         self._elements[c] = got
         return got
 

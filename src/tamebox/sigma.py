@@ -108,13 +108,13 @@ def all_perms(m):
     return [tuple(p) for p in permutations(range(1, m + 1))]
 
 
-def walk(starts, tables):
-    """Breadth-first search from the starts, trying the tables in order
-    at each point: a dict in discovery order that sends each start to
-    None and each other point to (the point it was reached from, the
-    index of the table)."""
-    via = dict.fromkeys(starts)
-    queue = list(via)
+def walk(start, tables):
+    """Breadth-first search from start, trying the tables in order at
+    each point: a dict in discovery order that sends start to None and
+    each other point to (the point it was reached from, the index of
+    the table)."""
+    via = {start: None}
+    queue = [start]
     for q in queue:  # the queue grows while it is read
         for i, t in enumerate(tables):
             r = t[q]
@@ -127,7 +127,7 @@ def walk(starts, tables):
 def _numbered(start, tables):
     """The tables on the positions of the walk from start: entry k of
     table i is the position of the image of the k-th point."""
-    pos = {p: k for k, p in enumerate(walk([start], tables))}
+    pos = {p: k for k, p in enumerate(walk(start, tables))}
     return tuple(tuple(pos[t[p]] for p in pos) for t in tables)
 
 
@@ -199,7 +199,7 @@ class SigmaSet:
         groups = {}
         for p in sorted(self.points, key=point_key):
             if p not in transversal:
-                for r, via in walk([p], self.transpositions).items():
+                for r, via in walk(p, self.transpositions).items():
                     u = identity_perm(self.m)
                     if via is not None:
                         q, i = via

@@ -198,22 +198,23 @@ def broken_top(kind):
 
 @pytest.mark.parametrize("kind", ["involution", "inclusion", "stability"])
 def test_extension_step_rejects_like_full_constructor(kind):
-    # `_derived` trusts the relations and keeps the data and stability
-    # checks; the conftest fixture adds the relation checks, as for
-    # every trusted build in Tier-1
+    # `_derived` trusts the relations, keeps the data checks and
+    # computes the stability level; the conftest fixture adds the
+    # relation checks, as for every trusted build in Tier-1
     X, level, incl, transp = broken_top(kind)
     declared = X.stable_from
     with pytest.raises(ValidationError) as full:
         TruncatedISet(3, X.levels + [level], X.incl + [incl],
                       X.transp + [transp], declared)
-    with pytest.raises(ValidationError) as step:
-        X._derived(3, [level], [incl], [transp], declared)
-    assert (step.value.invariant, step.value.location) == (
-        full.value.invariant, full.value.location)
     if kind == "stability":
         assert (full.value.invariant, full.value.location) == ("stability", 2)
-        # undeclared, the top level itself becomes the stability level
+        # the least level that holds is the top level itself
         assert X._derived(3, [level], [incl], [transp]).stable_from == 3
+        return
+    with pytest.raises(ValidationError) as step:
+        X._derived(3, [level], [incl], [transp])
+    assert (step.value.invariant, step.value.location) == (
+        full.value.invariant, full.value.location)
 
 
 @pytest.fixture
@@ -394,6 +395,16 @@ def test_filtration_swaps_match_oracle(seed, N):
 
 
 @kernel_settings
+@given(st.integers(0, 10**6), st.integers(0, 5))
+def test_filtration_levels_are_the_elements_up_to_each_level(seed, N):
+    # each level is filtered from the top one, which keeps its order
+    W = random_mset(random.Random(f"swaps:{seed}"),
+                    max_level=min(N, 3), max_points=4)
+    X = iset.support_filtration(W, N)
+    assert X.levels == [W.elements_up_to(m) for m in range(N + 1)]
+
+
+@kernel_settings
 @given(st.sampled_from(FAMILIES), st.integers(0, 10**6), st.integers(2, 4),
        st.booleans())
 def test_every_point_above_stability_has_a_face_preimage(kind, seed, N,
@@ -457,7 +468,7 @@ def generated_subdiagram(Y, seeds):
     for m, p in seeds:
         keep[m].add(p)
     for m in range(Y.N + 1):
-        keep[m] = set(walk(keep[m], Y.transp[m]))
+        keep[m] = {r for p in keep[m] for r in walk(p, Y.transp[m])}
         if m < Y.N:
             keep[m + 1] |= {Y.incl[m][p] for p in keep[m]}
     levels = [[p for p in Y.levels[m] if p in keep[m]]
@@ -708,6 +719,25 @@ def test_canonical_action_matches_decomposition(kind, seed, N, degree_bound):
     # are built
     X = diagram(kind, seed, N, max_stable=3)
     assert canonical_mismatch(X, degree_bound) is None
+
+
+TWO_SWAPS = {
+    "representable": lambda: representable_iset(3, 7),
+    # a seeded action whose level 3 has three points and s_1 != s_2
+    "filtration": lambda: support_filtration(random_mset(
+        random.Random("two-swaps:6"), max_level=3, max_points=3), 7),
+}
+
+
+@pytest.mark.parametrize("kind", TWO_SWAPS)
+def test_canonical_action_matches_decomposition_with_two_swaps(kind):
+    # stability 3 at N = 7, so that level 3 of the canonical action
+    # carries two different swaps, which a swapped table order changes
+    X = TWO_SWAPS[kind]()
+    assert X.stable_from == 3
+    s_1, s_2 = canonicalize(X).levels[3].transpositions
+    assert s_1 != s_2
+    assert canonical_mismatch(X) is None
 
 
 def recorded(monkeypatch, name):

@@ -8,7 +8,12 @@ from tamebox.documents import (
     parse_document,
     serialize_document,
 )
-from tamebox.errors import ParseError, ValidationError
+from tamebox.errors import (
+    InvalidMorphism,
+    ParseError,
+    ValidationError,
+    ValidationFailed,
+)
 from tamebox.generators import random_quasi_affine
 from tamebox.injections import (
     OperadElement,
@@ -17,7 +22,12 @@ from tamebox.injections import (
     interleave,
     order_embed_avoiding,
 )
-from tamebox.iset import representable_iset, support_filtration
+from tamebox.iset import (
+    ISetMorphism,
+    quotient_iset,
+    representable_iset,
+    support_filtration,
+)
 from tamebox.mset import injection_mset, unit_mset
 from tamebox.opalg import (
     certify_agreement,
@@ -26,7 +36,7 @@ from tamebox.opalg import (
     trivial_from_abelian,
 )
 from tamebox.selftest import agreement_instances
-from tamebox.sigma import regular_sigma_set
+from tamebox.sigma import regular_sigma_set, trivial_sigma_set
 
 
 SAMPLES = [
@@ -188,3 +198,128 @@ class TestValidationSurface:
             ]},
         }))
         assert doc.value(1) == 2 and doc.value(2) == 1
+
+
+# -- boundary refusals ---------------------------------------------------
+# One valid document per kind; each refusal below mutates a fresh copy of
+# its payload once.  Level k of rep_1 = representable_iset(1, 3) holds
+# p0, p1, p2 for the injections with value 1, 2, 3, and each swap table
+# s[k][i - 1] of its document moves them as s_i moves the values.
+
+REP = representable_iset(1, 3)
+VALID = {
+    "iset": REP,
+    "sigma-set": trivial_sigma_set(4, ["a", "b", "c"]),
+    "morphism": ISetMorphism(REP, REP, [{p: p for p in level}
+                                        for level in REP.levels]),
+    "monoid": infinite_symmetric_product(["*", "a"], "*", 3),
+}
+
+
+def payload_of(kind, value):
+    return json.loads(serialize_document(kind, value))["payload"]
+
+
+def setting(path, value):
+    """The mutation that sets the entry at path, a list of keys."""
+    def mutate(payload):
+        for key in path[:-1]:
+            payload = payload[key]
+        payload[path[-1]] = value
+    return mutate
+
+
+def deleting(path):
+    def mutate(payload):
+        for key in path[:-1]:
+            payload = payload[key]
+        del payload[path[-1]]
+    return mutate
+
+
+def both(*mutations):
+    def mutate(payload):
+        for mutation in mutations:
+            mutation(payload)
+    return mutate
+
+
+def unchanged(payload):
+    pass
+
+
+def read(value):
+    return value
+
+
+# (kind, mutation, what is done with the value read, error, invariant:
+# the `invariant` of a ValidationError, else the message)
+REFUSALS = {
+    "iset-span": ("iset", setting(["N"], 4), read,
+                  ValidationError, "level data must span 0..N"),
+    "iset-stability-range": ("iset", setting(["stableFrom"], 4), read,
+                             ValidationError, "stability level out of range"),
+    "iset-inclusion-domain": ("iset", deleting(["incl", 2, "p1"]), read,
+                              ValidationError, "inclusion domain"),
+    # 2 -> 3 and 1 -> 1 at level 2: s_1 does not commute with it
+    "iset-inclusion-naturality": ("iset", setting(["incl", 2, "p1"], "p2"),
+                                  read, ValidationError,
+                                  "inclusion naturality"),
+    # both points of level 2 go to 3: natural, but the double inclusion
+    # of level 1 lands on 3, which s_2 moves
+    "iset-double-inclusion": ("iset", setting(["incl", 2],
+                                              {"p0": "p2", "p1": "p2"}),
+                              read, ValidationError, "double inclusion"),
+    "quotient-seed-outside-its-level": (
+        "iset", unchanged,
+        lambda X: quotient_iset(X, [(2, "p0", "nowhere")]),
+        ValidationError, "seed point in its level"),
+    "sigma-bijection": ("sigma-set", setting(["s", 0, "a"], "b"), read,
+                        ValidationError, "bijection"),
+    # s_1 = (a b) and s_3 = (b c) are involutions that do not commute
+    "sigma-commutation": ("sigma-set", both(
+        setting(["s", 0], {"a": "b", "b": "a", "c": "c"}),
+        setting(["s", 2], {"a": "a", "b": "c", "c": "b"})), read,
+        ValidationError, "commutation"),
+    "sigma-table-count": ("sigma-set", deleting(["s", 2]), read,
+                          ValidationError,
+                          "one table per adjacent transposition"),
+    "morphism-truncations": ("morphism", setting(
+        ["target"], payload_of("iset", representable_iset(1, 2))), read,
+        InvalidMorphism, "source and target truncations differ"),
+    "morphism-level-count": ("morphism", deleting(["levels", 3]), read,
+                             InvalidMorphism,
+                             "one level map per level required"),
+    "morphism-domain": ("morphism", deleting(["levels", 1, "p0"]), read,
+                        InvalidMorphism, "level 1 map domain mismatch"),
+    "morphism-outside-target": ("morphism",
+                                setting(["levels", 1, "p0"], "nowhere"),
+                                read, InvalidMorphism,
+                                "level 1 map lands outside target"),
+    # 3 -> 1 at level 3 keeps the inclusions natural, but not s_1
+    "morphism-transposition-naturality": (
+        "morphism", setting(["levels", 3, "p2"], "p0"), read,
+        InvalidMorphism, "transposition naturality at level 3"),
+    # without sums, no sum result needs level 0 before the check
+    "monoid-no-level-0": ("monoid", both(
+        deleting(["carrier", "levels", "0"]), setting(["sums"], [])), read,
+        ValidationFailed, "no level-0 part to hold the unit"),
+    "monoid-unit-missing": ("monoid", setting(["unit"], "nowhere"), read,
+                            ValidationFailed,
+                            "unit point missing from level 0"),
+    "monoid-sum-table": ("monoid", deleting(["sums", -1]), read,
+                         ValidationFailed,
+                         "sum table must cover exactly the representative "
+                         "pairs within the level cap"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_boundary_refuses_each_broken_invariant(case):
+    kind, mutate, use, error, invariant = REFUSALS[case]
+    payload = payload_of(kind, VALID[kind])
+    mutate(payload)
+    with pytest.raises(error) as raised:
+        use(parse_document(canonical_json(
+            {"kind": kind, "payload": payload})).value)
+    assert getattr(raised.value, "invariant", str(raised.value)) == invariant

@@ -18,7 +18,9 @@ files are read here, never imported.
 Every constructor that makes an object without its `__init__` (by
 `object.__new__`) trusts the relations of what it builds, and the
 fixture in `conftest.py` wraps each one, so Tier-1 still checks
-them."""
+them.  The library never calls the public `TruncatedISet(...)`: that
+validating constructor is for documents, and every diagram the library
+builds comes from `_built` or `_derived`."""
 
 import ast
 import os
@@ -172,6 +174,15 @@ def trusted_constructors(trees):
                       for sub in ast.walk(node)))
 
 
+def public_iset_calls(trees):
+    """(module, line) of each call of the public `TruncatedISet(...)`,
+    by name or as a module attribute, sorted."""
+    return sorted((module, sub.lineno) for module, tree in trees.items()
+                  for sub in ast.walk(tree) if isinstance(sub, ast.Call)
+                  and "TruncatedISet" in (getattr(sub.func, "id", None),
+                                          getattr(sub.func, "attr", None)))
+
+
 def benchmark_hooks(workloads, spans):
     """The (module, qualified name) pairs the benchmark needs, from the
     parsed `workloads.py` and `spans.py`: each name workloads imports
@@ -299,3 +310,14 @@ def test_finds_an_added_trusted_constructor():
     trees["mset"].body += ast.parse(
         "def _spare(cls):\n    return object.__new__(cls)\n").body
     assert ("mset", "_spare") in trusted_constructors(trees)
+
+
+def test_library_builds_no_diagram_through_the_public_constructor():
+    assert public_iset_calls(library()) == []
+
+
+def test_finds_an_added_public_constructor_call():
+    trees = library()
+    trees["iset"].body += ast.parse(
+        "def _spare(N):\n    return TruncatedISet(N, [[]], [], [[]])\n").body
+    assert public_iset_calls(trees) == [("iset", 2)]
