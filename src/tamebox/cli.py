@@ -25,7 +25,7 @@ import time
 from typing import Callable, NamedTuple
 
 from . import documents as docs
-from .errors import ParseError, TameboxError, ValidationError, WindowTooSmall
+from .errors import ParseError, TameboxError, ValidationError
 from .iset import (
     canonicalize,
     day_convolution,
@@ -221,12 +221,7 @@ def _box(args, report):
          arg("mset", read=("mset",)))
 def _decompose(args, report):
     X = args.mset.value
-    if args.window < 2 * X.max_level:
-        raise WindowTooSmall(f"window {args.window} below twice the top "
-                             f"level {X.max_level}")
-    table = X.elements_up_to(args.window)
-    out = decompose_table(table, X.act, args.window,
-                          degree_bound=args.degree_bound)
+    out = decompose_table(X, args.window, degree_bound=args.degree_bound)
     agrees = mset_iso_equal(out, X)
     report["value"] = docs.encode_document("mset", out)
     return _verdict(report, agrees)

@@ -454,6 +454,22 @@ def canonicalize(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):
     return _canonical_colimit(X, degree_bound)[1]
 
 
+def _canonical_named(X: TruncatedISet, key, degree_bound):
+    """`canonicalize(X)` with each class named by its point at X's top
+    level, which no two classes share, and each level listed by the key
+    of those names."""
+    W = canonicalize(X, degree_bound)
+    levels = {}
+    for k, ss in W.levels.items():
+        name = {c: X.map_along(tuple(range(1, c[0] + 1)), X.N, c[1])
+                for c in ss.points}
+        points = sorted(ss.points, key=lambda c: key(name[c]))
+        levels[k] = SigmaSet._built(
+            k, [name[c] for c in points],
+            [{name[c]: name[t[c]] for c in points} for t in ss.transpositions])
+    return CanonicalTameMSet(levels)
+
+
 def _canonical_colimit(X: TruncatedISet, degree_bound):
     """The colimit of X, taken in its canonical extension, and the
     canonical tame action it carries.

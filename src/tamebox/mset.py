@@ -11,6 +11,10 @@ The box product of two such actions pairs disjointly supported
 elements; its canonical form is computed levelwise by induction of
 symmetric-group sets, and the explicit pairing/unpairing maps are what
 the law suites exercise.
+
+The window table of an action, or its quotient by a parallel pair,
+returns to canonical form through the colimit kernel of `iset`: as the
+colimit of the support filtration up to the window.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from typing import NamedTuple
 from .errors import (
     DegreeTooLarge,
     InvalidMorphism,
-    NotTame,
     OverlappingSupports,
     SupportNotCovered,
     WindowTooSmall,
@@ -35,7 +38,6 @@ from .sigma import (
     regular_sigma_set,
     trivial_sigma_set,
 )
-from .unionfind import UnionFind
 
 DEFAULT_DEGREE_BOUND = 7  # the top level that built canonical forms may have
 
@@ -287,90 +289,26 @@ def all_injective_tuples(m, n):
     return out
 
 
-def decompose_table(table, action, window, degree_bound=DEFAULT_DEGREE_BOUND):
-    """Recover the canonical form of a finite table of a caller's action.
+def decompose_table(X: CanonicalTameMSet, window,
+                    degree_bound=DEFAULT_DEGREE_BOUND):
+    """The canonical form recovered from the elements of X supported
+    inside {1..window}, the window at least twice X's top level.
 
-    `table` must list, once each, the elements supported inside
-    {1..window} of a tame action whose maximal support size s satisfies
-    2*s <= window; `action` evaluates partial injections on elements,
-    and may reach values up to `window`.  Supports are computed with
-    single test injections: an element whose image is S is supported on
-    S minus {j} exactly when the map fixing S minus {j} and moving j
-    outside S fixes the element.  The relations of each level are
-    checked, since the action is the caller's.
+    Those elements form the support filtration of X up to the window,
+    and the colimit of that diagram is X again: the class of an element
+    supported on exactly {1..k} is named by the element, and each level
+    lists its points in table order, `X.elements_up_to(window)`.  The
+    table and its action are X's own, so there is no support, closure
+    or size of a caller's table to refuse: only a window below twice
+    the top level and a level beyond the degree bound are."""
+    # imported here, since iset imports this module
+    from .iset import _canonical_named, support_filtration
 
-    Elements outside the table are invisible here, so the window
-    condition cannot be checked: the table of a level-3 action up to
-    window 2 is empty and gives the empty action.  Callers pass a
-    window of at least twice the action's top level, as `decompose`
-    does.
-    """
-    table = list(table)
-    moves = {}  # (S, j) -> the map fixing S but j and moving j out of S
-
-    def support_of(e):
-        S = tuple(sorted(set(e.image)))
-        if 2 * len(S) > window:
-            raise WindowTooSmall(
-                f"support bound {len(S)} needs window >= {2 * len(S)}"
-            )
-        if any(v > window for v in S):
-            raise WindowTooSmall("initial support exceeds the window")
-        spares = [v for v in range(1, window + 1) if v not in S]
-        supp = set()
-        for j in S:
-            f = moves.get((S, j))
-            if f is None:
-                f = moves[S, j] = PartialInjection(
-                    {v: v for v in S if v != j} | {j: spares[0]})
-            if action(f, e) != e:
-                supp.add(j)
-        # consistency: fixing the support and moving the rest out must
-        # leave the element alone
-        rest = iter(spares)
-        mapping = {v: v if v in supp else next(rest) for v in S}
-        if action(PartialInjection(mapping), e) != e:
-            raise NotTame(f"support tests inconsistent for {e!r}")
-        return supp
-
-    supports = {}
-    for e in table:
-        supports[e] = support_of(e)
-
-    levels = {}
-    table_set = set(table)
-    for k in sorted({len(s) for s in supports.values()}):
-        segment = set(range(1, k + 1))
-        pts = [e for e in table if supports[e] == segment]
-        if not pts:
-            continue
-        if k > degree_bound:
-            raise DegreeTooLarge(
-                f"level {k} beyond degree bound {degree_bound}"
-            )
-        tabs = []
-        for i in range(1, k):
-            # on all of {1..window}: an element supported on {1..k} may
-            # be represented higher up, where the action reads more values
-            f = PartialInjection(
-                {v: v for v in range(1, window + 1) if v not in (i, i + 1)}
-                | {i: i + 1, i + 1: i}
-            )
-            t = {}
-            for e in pts:
-                img = action(f, e)
-                if img not in table_set:
-                    raise NotTame("table not closed under the level action")
-                t[e] = img
-            tabs.append(t)
-        levels[k] = SigmaSet(k, pts, tabs)
-
-    out = CanonicalTameMSet(levels)
-    if out.count_up_to(window) != len(table):
-        raise NotTame(
-            "table size does not match the reconstructed canonical form"
-        )
-    return out
+    if window < 2 * X.max_level:
+        raise WindowTooSmall(f"window {window} below twice the top level "
+                             f"{X.max_level}")
+    F = support_filtration(X, window)
+    return _canonical_named(F, F.positions(window).__getitem__, degree_bound)
 
 
 class MSetMorphism:
@@ -407,8 +345,15 @@ class MSetMorphism:
 def coequalize(u: MSetMorphism, v: MSetMorphism, window,
                degree_bound=DEFAULT_DEGREE_BOUND):
     """Identify u(x) with v(x) and return the canonical form of the
-    quotient.  The relation is already closed under the window action
-    because u and v are equivariant and the source table is closed."""
+    quotient: the colimit of the support filtration of the target up to
+    the window, quotiented by each pair u(x), v(x) at the level where x
+    appears, which holds both since they are supported inside x's
+    support.  Each class is named by its point at the window, the least
+    of its elements there in key order, which may lie above the level
+    of its support; each level lists its points in key order."""
+    # imported here, since iset imports this module
+    from .iset import _canonical_named, quotient_iset, support_filtration
+
     def tables(X):  # the points and tables of each level: X's action
         return {m: (ss.point_set, ss.transpositions)
                 for m, ss in X.levels.items()}
@@ -422,17 +367,10 @@ def coequalize(u: MSetMorphism, v: MSetMorphism, window,
         raise WindowTooSmall(
             f"window {window} below twice the maximal support size"
         )
-    table = target.elements_up_to(window)
-    # inserted in key order, so every class is named by its least element
-    uf = UnionFind(sorted(table, key=point_key))
-    for x in u.source.elements_up_to(window):
-        uf.union(u.apply(x), v.apply(x))
-
-    def class_action(f, root):
-        return uf.find(target.act(f, root))
-
-    return decompose_table(uf.roots(), class_action, window,
-                           degree_bound=degree_bound)
+    seeds = [(max(x.image, default=0), u.apply(x), v.apply(x))
+             for x in u.source.elements_up_to(window)]
+    Q = quotient_iset(support_filtration(target, window), seeds)
+    return _canonical_named(Q, point_key, degree_bound)
 
 
 def orbit_product_bijection(X: CanonicalTameMSet, Y: CanonicalTameMSet,

@@ -21,8 +21,8 @@ class is its least id.  Two entry points share that array:
 A caller that wants every class named by its least member under some
 key inserts the nodes sorted by that key: the first-inserted member of
 a class is then its least, and roots() lists the classes in key order
-with no further sort.  quotient_iset and mset.coequalize insert in
-point_key order this way.
+with no further sort.  quotient_iset inserts in point_key order this
+way.
 """
 
 from __future__ import annotations

@@ -33,11 +33,24 @@ an action table: it tests every support again by single injections,
 acts by each swap through the colimit and validates each level; the
 library reads the levels off the class elements and the swaps off the
 transposition tables.
+
+`decompose_table` recovers the canonical form of a window table of a
+caller's action by the same support tests, with a closure and a size
+check, and `coequalize` feeds it the classes of a union-find over the
+target's window table; the library takes the colimit of the support
+filtration, quotiented by the pair's seeds for a coequalizer, and
+names its classes by their elements at the window.
 """
 
 from itertools import combinations
 
-from tamebox.errors import DegreeTooLarge, NotTame, TruncationExceeded
+from tamebox.errors import (
+    DegreeTooLarge,
+    InvalidMorphism,
+    NotTame,
+    TruncationExceeded,
+    WindowTooSmall,
+)
 from tamebox.injections import PartialInjection
 from tamebox.iset import (
     OmegaColimit,
@@ -49,9 +62,11 @@ from tamebox.mset import (
     DEFAULT_DEGREE_BOUND,
     CanonicalTameMSet,
     MElement,
+    MSetMorphism,
     all_injective_tuples,
 )
 from tamebox.sigma import SigmaSet, perm_word, point_key
+from tamebox.unionfind import UnionFind
 
 
 def _find_in(parent):
@@ -249,6 +264,123 @@ def canonical_by_decomposition(X: TruncatedISet,
     if out.count_up_to(s) != len(table):
         raise NotTame("table size does not match the canonical form")
     return out
+
+
+def decompose_table(table, action, window, degree_bound=DEFAULT_DEGREE_BOUND):
+    """Recover the canonical form of a finite table of a caller's action.
+
+    `table` must list, once each, the elements supported inside
+    {1..window} of a tame action whose maximal support size s satisfies
+    2*s <= window; `action` evaluates partial injections on elements,
+    and may reach values up to `window`.  Supports are computed with
+    single test injections: an element whose image is S is supported on
+    S minus {j} exactly when the map fixing S minus {j} and moving j
+    outside S fixes the element.  The relations of each level are
+    checked, since the action is the caller's.
+
+    Elements outside the table are invisible here, so the window
+    condition cannot be checked: the table of a level-3 action up to
+    window 2 is empty and gives the empty action.  Callers pass a
+    window of at least twice the action's top level, as `decompose`
+    does.
+    """
+    table = list(table)
+    moves = {}  # (S, j) -> the map fixing S but j and moving j out of S
+
+    def support_of(e):
+        S = tuple(sorted(set(e.image)))
+        if 2 * len(S) > window:
+            raise WindowTooSmall(
+                f"support bound {len(S)} needs window >= {2 * len(S)}"
+            )
+        if any(v > window for v in S):
+            raise WindowTooSmall("initial support exceeds the window")
+        spares = [v for v in range(1, window + 1) if v not in S]
+        supp = set()
+        for j in S:
+            f = moves.get((S, j))
+            if f is None:
+                f = moves[S, j] = PartialInjection(
+                    {v: v for v in S if v != j} | {j: spares[0]})
+            if action(f, e) != e:
+                supp.add(j)
+        # consistency: fixing the support and moving the rest out must
+        # leave the element alone
+        rest = iter(spares)
+        mapping = {v: v if v in supp else next(rest) for v in S}
+        if action(PartialInjection(mapping), e) != e:
+            raise NotTame(f"support tests inconsistent for {e!r}")
+        return supp
+
+    supports = {}
+    for e in table:
+        supports[e] = support_of(e)
+
+    levels = {}
+    table_set = set(table)
+    for k in sorted({len(s) for s in supports.values()}):
+        segment = set(range(1, k + 1))
+        pts = [e for e in table if supports[e] == segment]
+        if not pts:
+            continue
+        if k > degree_bound:
+            raise DegreeTooLarge(
+                f"level {k} beyond degree bound {degree_bound}"
+            )
+        tabs = []
+        for i in range(1, k):
+            # on all of {1..window}: an element supported on {1..k} may
+            # be represented higher up, where the action reads more values
+            f = PartialInjection(
+                {v: v for v in range(1, window + 1) if v not in (i, i + 1)}
+                | {i: i + 1, i + 1: i}
+            )
+            t = {}
+            for e in pts:
+                img = action(f, e)
+                if img not in table_set:
+                    raise NotTame("table not closed under the level action")
+                t[e] = img
+            tabs.append(t)
+        levels[k] = SigmaSet(k, pts, tabs)
+
+    out = CanonicalTameMSet(levels)
+    if out.count_up_to(window) != len(table):
+        raise NotTame(
+            "table size does not match the reconstructed canonical form"
+        )
+    return out
+
+
+def coequalize(u: MSetMorphism, v: MSetMorphism, window,
+               degree_bound=DEFAULT_DEGREE_BOUND):
+    """Identify u(x) with v(x) and return the canonical form of the
+    quotient.  The relation is already closed under the window action
+    because u and v are equivariant and the source table is closed."""
+    def tables(X):  # the points and tables of each level: X's action
+        return {m: (ss.point_set, ss.transpositions)
+                for m, ss in X.levels.items()}
+
+    if u.source is not v.source and tables(u.source) != tables(v.source):
+        raise InvalidMorphism("parallel pair must share a source")
+    if u.target is not v.target and tables(u.target) != tables(v.target):
+        raise InvalidMorphism("parallel pair must share a target")
+    target = u.target
+    if window < 2 * target.max_level:
+        raise WindowTooSmall(
+            f"window {window} below twice the maximal support size"
+        )
+    table = target.elements_up_to(window)
+    # inserted in key order, so every class is named by its least element
+    uf = UnionFind(sorted(table, key=point_key))
+    for x in u.source.elements_up_to(window):
+        uf.union(u.apply(x), v.apply(x))
+
+    def class_action(f, root):
+        return uf.find(target.act(f, root))
+
+    return decompose_table(uf.roots(), class_action, window,
+                           degree_bound=degree_bound)
 
 
 def filtration_swaps(W, N):

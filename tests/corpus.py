@@ -14,12 +14,11 @@ The families:
 Output must depend only on the input values, so the digest is the
 same under every `PYTHONHASHSEED`; `test_corpus.py` runs this file
 under two of them.  Run it as `PYTHONPATH=src python tests/corpus.py`
-to print the digest, or with `--entries` to print the entries.
+to print the digest; `entries()` lists what it hashes.
 """
 
 import hashlib
 import random
-import sys
 
 from tamebox.errors import TameboxError
 from tamebox.generators import random_iset, random_mset
@@ -51,11 +50,6 @@ def outcome(call):
         return f"{type(e).__name__}: {e}"
 
 
-def decompose(X, window, degree_bound=7):
-    return decompose_table(X.elements_up_to(window), X.act, window,
-                           degree_bound)
-
-
 def decompose_entries():
     for seed in range(DECOMPOSE_DRAWS):
         rng = random.Random(f"corpus:decompose:{seed}")
@@ -63,10 +57,10 @@ def decompose_entries():
         s = X.max_level
         for window in range(2 * s, 2 * s + 3):
             yield (f"decompose {seed} {window}",
-                   lambda: mset_text(decompose(X, window)))
+                   lambda: mset_text(decompose_table(X, window)))
         if s:
             yield (f"decompose {seed} bound {s - 1}",
-                   lambda: mset_text(decompose(X, 2 * s, s - 1)))
+                   lambda: mset_text(decompose_table(X, 2 * s, s - 1)))
 
 
 def coequalize_entries():
@@ -96,7 +90,9 @@ def iset_entries():
 
 
 def entries():
-    """Every (name, text) of the corpus, in order."""
+    """Every (name, text) of the corpus, in order.  Each call runs
+    before its family draws the next, so the loop values it reads are
+    its own."""
     for family in (decompose_entries, coequalize_entries, iset_entries):
         for name, call in family():
             yield name, outcome(call)
@@ -110,8 +106,4 @@ def digest(lines):
 
 
 if __name__ == "__main__":
-    if "--entries" in sys.argv[1:]:
-        for name, text in entries():
-            print(f"{name}\t{text}")
-    else:
-        print(digest(entries()))
+    print(digest(entries()))

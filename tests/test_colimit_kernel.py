@@ -7,7 +7,10 @@ direct flatness route and merge levels against the route that
 rebuilds every meet's span and the rescan of every inclusion, the
 latching-pushout check against the pushout built by union-find, and
 the canonical action of the colimit against the decomposition of its
-class table, on every criterion-4 instance and adjunction draw."""
+class table, on every criterion-4 instance and adjunction draw, and
+the window tables and coequalizers of canonical actions, which
+decompose through the colimit, against the support tests and the
+union-find they replaced."""
 
 import random
 from collections import Counter
@@ -21,6 +24,8 @@ import colimit_oracle as oracle
 import tamebox.iset as iset
 import test_acceptance as acceptance
 import test_iset
+import test_unionfind as unionfind
+from corpus import mset_text
 from tamebox import selftest
 from tamebox.errors import (
     TameboxError,
@@ -52,6 +57,8 @@ from tamebox.mset import (
     MElement,
     all_injective_tuples,
     box,
+    coequalize,
+    decompose_table,
     injection_mset,
     mset_iso_equal,
     support,
@@ -788,3 +795,43 @@ def test_canonical_comparison_catches_a_class_filed_under_its_name(
     assert canonical_mismatch(X) is not None
     with pytest.raises(AssertionError):
         test_iset.TestCanonicalize().test_class_first_seen_above_its_support()
+
+
+# ---------------------------------------------------------------------
+# window tables and coequalizers against the support tests they replaced
+
+
+def text_of(build):
+    """`corpus.mset_text` of what build returns, or its error type and
+    message."""
+    try:
+        return mset_text(build())
+    except TameboxError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(kernel_settings, max_examples=12)
+@given(st.integers(0, 10**6))
+def test_window_tables_decompose_as_the_oracle_does(seed):
+    # levels up to 4, at windows 2s..2s+2, and at the degree bound s - 1
+    X = random_mset(random.Random(f"window:{seed}"), max_level=4,
+                    max_points=3)
+    s = X.max_level
+    for window, degree_bound in [(w, 7) for w in range(2 * s, 2 * s + 3)] + [
+            (2 * s, s - 1)]:
+        assert text_of(lambda: decompose_table(X, window, degree_bound)) == (
+            text_of(lambda: oracle.decompose_table(
+                X.elements_up_to(window), X.act, window, degree_bound)))
+
+
+@kernel_settings
+@given(st.sampled_from(unionfind.FAMILIES), st.integers(0, 10**6),
+       st.integers(2, 4))
+def test_coequalizers_match_the_union_find_oracle(kind, seed, N):
+    # the draws of test_unionfind, at the least window and one above
+    rng = random.Random(seed)
+    u, v, window = unionfind.parallel_pair(
+        rng, unionfind.drawn_action(kind, seed, N, rng))
+    for w in (window, window + 1):
+        assert text_of(lambda: coequalize(u, v, w)) == text_of(
+            lambda: oracle.coequalize(u, v, w))

@@ -5,6 +5,7 @@ The child imports tamebox from the directory this process imported it
 from.  An intended change of output edits `DIGEST`, and the change log
 says why, as for the golden digests of `test_cli.py`."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -19,14 +20,19 @@ CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus.py")
 
 
 def test_corpus_digest_under_two_hash_seeds():
-    children = [subprocess.Popen(
-        [sys.executable, CORPUS],
-        env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT, PYTHONHASHSEED=seed),
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        for seed in ("0", "1")]
-    done = []
-    for child in children:
-        with child:
-            out, err = child.communicate()
-        done.append((child.returncode, out.strip(), err))
+    with contextlib.ExitStack() as stack:
+        children = [stack.enter_context(subprocess.Popen(
+            [sys.executable, CORPUS],
+            env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT, PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+            for seed in ("0", "1")]
+        done = []
+        for child in children:
+            try:
+                out, err = child.communicate(timeout=300)
+            except subprocess.TimeoutExpired:
+                for other in children:
+                    other.kill()
+                raise
+            done.append((child.returncode, out.strip(), err))
     assert done == [(0, DIGEST, "")] * 2

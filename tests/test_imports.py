@@ -10,10 +10,12 @@ by name from a root, and every parameter is read by its function
 (`cli.main`, the `@command` handlers, the `@suite` functions, the names
 `__init__` exports), what runs on import (module-level code, dunders)
 and what the benchmark uses: the names `perfbench/workloads.py` imports
-from tamebox and the entries of `TARGETS`, `COUNTED` and `CACHED` in
-`perfbench/spans.py`.  Each of those must still name something in the
-library, or a traced benchmark run fails on install.  The benchmark
-files are read here, never imported.
+from tamebox, the methods it calls on library objects (each library
+method named by an attribute it calls), and the entries of `TARGETS`,
+`COUNTED` and `CACHED` in `perfbench/spans.py`.  Each name it imports
+and each entry must still name something in the library, or a traced
+benchmark run fails on install.  The benchmark files are read here,
+never imported.
 
 Every constructor that makes an object without its `__init__` (by
 `object.__new__`) trusts the relations of what it builds, and the
@@ -211,9 +213,31 @@ def benchmark_hooks(workloads, spans):
     return hooks
 
 
-def benchmark():
-    return benchmark_hooks(_parse(os.path.join(PERFBENCH, "workloads.py")),
+def benchmark_methods(trees, workloads):
+    """The library methods `workloads.py` may call on library objects:
+    each method whose name it calls as an attribute."""
+    called = {sub.func.attr for sub in ast.walk(workloads)
+              if isinstance(sub, ast.Call)
+              and isinstance(sub.func, ast.Attribute)}
+    return {key for key in definitions(trees)
+            if "." in key[1] and key[1].rpartition(".")[2] in called}
+
+
+def workloads_tree():
+    return _parse(os.path.join(PERFBENCH, "workloads.py"))
+
+
+def benchmark(workloads=None):
+    return benchmark_hooks(workloads or workloads_tree(),
                            _parse(os.path.join(PERFBENCH, "spans.py")))
+
+
+def benchmark_roots(trees, workloads=None):
+    """The definitions the benchmark reaches: those its hooks name and
+    the methods it calls."""
+    workloads = workloads or workloads_tree()
+    return (resolve(trees, benchmark(workloads))[0]
+            | benchmark_methods(trees, workloads))
 
 
 def _binding(trees, module, name):
@@ -267,7 +291,7 @@ def test_every_benchmark_hook_names_a_library_definition():
 
 def test_every_definition_is_reached():
     trees = library()
-    assert unreached(trees, resolve(trees, benchmark())[0]) == []
+    assert unreached(trees, benchmark_roots(trees)) == []
 
 
 def test_every_parameter_is_read():
@@ -277,8 +301,7 @@ def test_every_parameter_is_read():
 def test_finds_an_added_unreached_function():
     trees = library()
     trees["mset"].body += ast.parse("def _spare(x):\n    return x\n").body
-    assert unreached(trees, resolve(trees, benchmark())[0]) == [
-        ("mset", "_spare")]
+    assert unreached(trees, benchmark_roots(trees)) == [("mset", "_spare")]
 
 
 def test_finds_an_added_unread_parameter():
@@ -296,6 +319,19 @@ def test_finds_a_benchmark_target_gone_from_the_library():
     sigma_set.body = [item for item in sigma_set.body
                       if getattr(item, "name", None) != "iso_type"]
     assert resolve(trees, benchmark())[1] == [("sigma", "SigmaSet.iso_type")]
+
+
+def test_finds_a_method_only_the_benchmark_calls():
+    # count_up_to is called by the benchmark's setup and by nothing in
+    # the library: deleting it as unreached would break every run
+    trees = library()
+    method = ("mset", "CanonicalTameMSet.count_up_to")
+    workloads = workloads_tree()
+    assert method in benchmark_methods(trees, workloads)
+    for sub in ast.walk(workloads):
+        if isinstance(sub, ast.Attribute) and sub.attr == "count_up_to":
+            sub.attr = "spare"
+    assert unreached(trees, benchmark_roots(trees, workloads)) == [method]
 
 
 def test_every_trusted_constructor_is_checked():

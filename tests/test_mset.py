@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import colimit_oracle as oracle
 from tamebox.errors import (
     DegreeTooLarge,
     InvalidMorphism,
@@ -160,59 +161,61 @@ class TestEnumeration:
 
 class TestDecompose:
     def test_round_trip_injections(self):
-        X = injection_mset(1)
-        table = X.elements_up_to(3)
-        out = decompose_table(table, lambda f, e: X.act(f, e), 3)
+        out = decompose_table(injection_mset(1), 3)
         assert set(out.levels) == {1}
         assert len(out.levels[1]) == 1
 
     def test_fixed_point(self):
-        X = unit_mset()
-        table = X.elements_up_to(4)
-        out = decompose_table(table, lambda f, e: X.act(f, e), 4)
+        out = decompose_table(unit_mset(), 4)
         assert set(out.levels) == {0}
 
     def test_round_trip_mixed(self):
         X = sample_mset()
-        table = X.elements_up_to(6)
-        out = decompose_table(table, lambda f, e: X.act(f, e), 6)
+        out = decompose_table(X, 6)
         assert mset_iso_equal(out, X)
 
     def test_window_too_small(self):
-        X = sample_mset()
-        table = X.elements_up_to(3)
-        with pytest.raises(WindowTooSmall):
-            decompose_table(table, lambda f, e: X.act(f, e), 3)
+        # the window must reach twice the top level, also where the
+        # table below it is empty
+        with pytest.raises(WindowTooSmall,
+                           match="^window 3 below twice the top level 2$"):
+            decompose_table(sample_mset(), 3)
+        X = injection_mset(3)
+        for window in range(6):
+            with pytest.raises(WindowTooSmall):
+                decompose_table(X, window)
+        assert mset_iso_equal(decompose_table(X, 6), X)
 
     def test_incomplete_table_rejected(self):
+        # the oracle decomposes a caller's table, and checks its size
         X = sample_mset()
         table = X.elements_up_to(4)[:-1]
         with pytest.raises(NotTame):
-            decompose_table(table, lambda f, e: X.act(f, e), 4)
+            oracle.decompose_table(table, lambda f, e: X.act(f, e), 4)
 
     def test_window_below_top_level_is_invisible(self):
-        # the window precondition is the caller's: below the top level
-        # the table is empty and so is the action it decomposes to
+        # the oracle cannot check the window: below the top level the
+        # table is empty and so is the action it decomposes to
         X = injection_mset(3)
         assert X.elements_up_to(2) == []
-        out = decompose_table(X.elements_up_to(2), X.act, 2)
+        out = oracle.decompose_table(X.elements_up_to(2), X.act, 2)
         assert out.levels == {}
         assert not mset_iso_equal(out, X)
         for window in (3, 4, 5):
             with pytest.raises(WindowTooSmall):
-                decompose_table(X.elements_up_to(window), X.act, window)
-        out = decompose_table(X.elements_up_to(6), X.act, 6)
+                oracle.decompose_table(X.elements_up_to(window), X.act,
+                                       window)
+        out = oracle.decompose_table(X.elements_up_to(6), X.act, 6)
         assert mset_iso_equal(out, X)
 
     def test_degree_bound(self):
         # the bound is checked before a level is built, and the message
         # names it as box's does
         X = injection_mset(2)
-        table = X.elements_up_to(4)
         with pytest.raises(DegreeTooLarge,
                            match="^level 2 beyond degree bound 1$"):
-            decompose_table(table, X.act, 4, degree_bound=1)
-        out = decompose_table(table, X.act, 4, degree_bound=2)
+            decompose_table(X, 4, degree_bound=1)
+        out = decompose_table(X, 4, degree_bound=2)
         assert mset_iso_equal(out, X)
         u = MSetMorphism(X, X, {(2, (1, 2)): injection_element(X, (1, 2))})
         with pytest.raises(DegreeTooLarge,

@@ -214,32 +214,44 @@ def test_quotient_and_colimit_named_by_key_least_member(kind, seed, N):
     check_colimit(Q)
 
 
-@derandomized
-@given(st.sampled_from(FAMILIES), st.integers(0, 10**6), st.integers(2, 4))
-def test_orbits_and_coequalizer_named_by_key_least_member(kind, seed, N):
-    rng = random.Random(seed)
+def drawn_action(kind, seed, N, rng):
+    """The canonical action of a drawn diagram, or a drawn action where
+    the diagram has none."""
     try:
-        W = canonicalize(diagram(kind, seed, N))
+        return canonicalize(diagram(kind, seed, N))
     except TameboxError:
-        W = random_mset(rng, max_level=2, max_points=3)
-    for ss in W.levels.values():
-        check_orbits(ss)
-    for m in range(2, N + 1):
-        ss = random_sigma_set(rng, m, max_points=8)
-        if ss is not None:
-            check_orbits(ss)
-    # two maps out of the free orbit on {1..k}, sending its generator to
-    # two different elements where there are two
+        return random_mset(rng, max_level=2, max_points=3)
+
+
+def parallel_pair(rng, W):
+    """Two maps out of the free orbit on {1..k} into W, sending its
+    generator to two different elements where there are two, and the
+    least window their coequalizer takes."""
     k = max(1, W.max_level)
     S = injection_mset(k)
     values = W.elements_up_to(k)
     rep = S.levels[k].orbits()[0][0]
     pair = rng.sample(values, 2) if len(values) > 1 else values * 2
     u, v = (MSetMorphism(S, W, {(k, rep): value}) for value in pair)
-    window = max(2 * W.max_level, 2)
+    return u, v, max(2 * W.max_level, 2)
+
+
+@derandomized
+@given(st.sampled_from(FAMILIES), st.integers(0, 10**6), st.integers(2, 4))
+def test_orbits_and_coequalizer_named_by_key_least_member(kind, seed, N):
+    rng = random.Random(seed)
+    W = drawn_action(kind, seed, N, rng)
+    for ss in W.levels.values():
+        check_orbits(ss)
+    for m in range(2, N + 1):
+        ss = random_sigma_set(rng, m, max_points=8)
+        if ss is not None:
+            check_orbits(ss)
+    u, v, window = parallel_pair(rng, W)
     table = W.elements_up_to(window)
     rep_of, reps = named_by_least(naive_classes(
-        table, [(u.apply(x), v.apply(x)) for x in S.elements_up_to(window)]))
+        table, [(u.apply(x), v.apply(x))
+                for x in u.source.elements_up_to(window)]))
     out = coequalize(u, v, window)
     for level in out.levels.values():
         assert all(rep_of[p] == p for p in level.points)
