@@ -8,8 +8,12 @@ The families:
   at windows 2s..2s+2, and at degree bound s - 1;
 - `coequalize` of two maps out of the free orbit on {1..k} into a
   drawn action, at windows 2s and 2s + 1;
-- `canonicalize` and `is_flat(..., "both")` of `random_iset` draws at
-  N 2..5 and stability at most 2.
+- `canonicalize`, `is_flat(..., "both")` and `flatten` (the unit's
+  target and maps) of `random_iset` draws at N 2..5 and stability at
+  most 2, and `day` of each draw with the next one at its N;
+- `canonicalize`, `flatten` and `day` with a representable of the two
+  diagrams of `LATE_MERGES`, whose canonical extension identifies
+  points just past the given top.
 
 Output must depend only on the input values, so the digest is the
 same under every `PYTHONHASHSEED`; `test_corpus.py` runs this file
@@ -22,7 +26,14 @@ import random
 
 from tamebox.errors import TameboxError
 from tamebox.generators import random_iset, random_mset
-from tamebox.iset import canonicalize, is_flat
+from tamebox.iset import (
+    TruncatedISet,
+    canonicalize,
+    day_convolution,
+    flat_replacement,
+    is_flat,
+    representable_iset,
+)
 from tamebox.mset import (
     MSetMorphism,
     coequalize,
@@ -41,6 +52,53 @@ def mset_text(W):
     return repr([(m, ss.points,
                   [[t[p] for p in ss.points] for t in ss.transpositions])
                  for m, ss in sorted(W.levels.items())])
+
+
+def iset_text(X):
+    """The points of each level, in order, with the inclusion and each
+    swap table read in point order."""
+    return repr([(level, [X.incl[m][x] for x in level] if m < X.N else [],
+                  [[t[x] for x in level] for t in X.transp[m]])
+                 for m, level in enumerate(X.levels)])
+
+
+def flatten_text(X):
+    """The flat replacement and the unit's maps, read in point order."""
+    flat, eta = flat_replacement(X)
+    return iset_text(flat) + repr([[f[x] for x in level] for f, level
+                                   in zip(eta.maps, X.levels)])
+
+
+# Two quotients of support filtrations with injective inclusions, not
+# flat, pinned by their tables: point (m, i) is the i-th of level m,
+# incl[m][i] is the position in level m + 1 of its image, and
+# transp[m][k][i] that of its image under s_{k+1}.  Their canonical
+# extensions identify points at levels 5 and 3, one past the given top.
+LATE_MERGES = {
+    "stable-2": (
+        [0, 0, 2, 6, 9],
+        [[], [], [0, 1], [0, 1, 2, 3, 4, 6]],
+        [[], [], [[0, 1]],
+         [[0, 1, 4, 5, 2, 3], [2, 3, 0, 1, 4, 5]],
+         [[0, 1, 4, 6, 2, 7, 3, 5, 8], [2, 3, 0, 1, 4, 5, 6, 8, 7],
+          [0, 1, 4, 5, 2, 3, 7, 6, 8]]]),
+    "stable-1": (
+        [2, 5, 6],
+        [[0, 1], [0, 1, 2, 3, 4]],
+        [[], [], [[0, 1, 5, 4, 3, 2]]]),
+}
+
+
+def late_merges(name):
+    """The diagram of `LATE_MERGES` under that name, validated."""
+    sizes, incl, transp = LATE_MERGES[name]
+    return TruncatedISet(
+        len(sizes) - 1,
+        [[(m, i) for i in range(size)] for m, size in enumerate(sizes)],
+        [{(m, i): (m + 1, j) for i, j in enumerate(row)}
+         for m, row in enumerate(incl)],
+        [[{(m, i): (m, j) for i, j in enumerate(t)} for t in tables]
+         for m, tables in enumerate(transp)])
 
 
 def outcome(call):
@@ -81,19 +139,32 @@ def coequalize_entries():
 
 def iset_entries():
     for N in range(2, 6):
-        for seed in range(ISET_DRAWS):
-            rng = random.Random(f"corpus:iset:{N}:{seed}")
-            X = random_iset(rng, N, min(2, N // 2))
+        draws = [random_iset(random.Random(f"corpus:iset:{N}:{seed}"), N,
+                             min(2, N // 2)) for seed in range(ISET_DRAWS)]
+        for seed, X in enumerate(draws):
+            Y = draws[(seed + 1) % ISET_DRAWS]
             yield (f"canonicalize {N} {seed}",
                    lambda: mset_text(canonicalize(X)))
             yield f"is_flat {N} {seed}", lambda: repr(is_flat(X, "both"))
+            yield f"flatten {N} {seed}", lambda: flatten_text(X)
+            yield f"day {N} {seed}", lambda: iset_text(day_convolution(X, Y))
+
+
+def late_merge_entries():
+    for name in LATE_MERGES:
+        X = late_merges(name)
+        yield f"canonicalize {name}", lambda: mset_text(canonicalize(X))
+        yield f"flatten {name}", lambda: flatten_text(X)
+        yield f"day {name}", lambda: iset_text(
+            day_convolution(X, representable_iset(1, X.N)))
 
 
 def entries():
     """Every (name, text) of the corpus, in order.  Each call runs
     before its family draws the next, so the loop values it reads are
     its own."""
-    for family in (decompose_entries, coequalize_entries, iset_entries):
+    for family in (decompose_entries, coequalize_entries, iset_entries,
+                   late_merge_entries):
         for name, call in family():
             yield name, outcome(call)
 

@@ -12,7 +12,7 @@ import sys
 
 import tamebox
 
-DIGEST = "5f0ef9a2a56917be2b6a4cf8c81e4d80a710bccabc59c1008d83a6982aaf851a"
+DIGEST = "2ed61aa2062067dfbad89f947a66a63f794c1c81d2c07048b3cdd12c7ea22de9"
 
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
     tamebox.__file__)))
