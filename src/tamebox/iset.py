@@ -26,7 +26,7 @@ maximal face by sorting it and acting by the rank permutation.
 
 The nodes are integer ids, numbered from the face (or decomposition)
 and the positions of the points in their levels, in the order the
-nodes are listed; `unionfind.UnionFind.over` roots every class at its
+nodes are listed; `unionfind.UnionFind` roots every class at its
 least id, so each class is named by its first node.  What is glued at
 level n depends only on n and is built once per n.
 
@@ -321,26 +321,30 @@ def quotient_iset(X: TruncatedISet, seeds):
         for p in (a, b):
             if p not in X.positions(m):
                 raise ValidationError("seed point in its level", (m, p))
-    # inserted in key order, so every class is named by its least point
-    uf = [UnionFind(sorted(level, key=point_key)) for level in X.levels]
+    # numbered in key order, so every class is named by its least point
+    order = [sorted(level, key=point_key) for level in X.levels]
+    rank = [{p: i for i, p in enumerate(points)} for points in order]
+    uf = [UnionFind(len(points)) for points in order]
+
+    def find(m, p):
+        return order[m][uf[m].root_id(rank[m][p])]
+
     while work:
         m, a, b = work.pop()
-        ra, rb = uf[m].find(a), uf[m].find(b)
+        ra, rb = find(m, a), find(m, b)
         if ra == rb:
             continue
-        uf[m].union(ra, rb)
+        uf[m].union_ids((rank[m][ra],), (rank[m][rb],))
         for t in X.transp[m]:
             work.append((m, t[ra], t[rb]))
         if m < X.N:
             work.append((m + 1, X.incl[m][ra], X.incl[m][rb]))
 
-    levels = [u.roots() for u in uf]
-    incl = [{p: uf[m + 1].find(X.incl[m][p]) for p in levels[m]}
+    levels = [[order[m][i] for i in u.root_ids()] for m, u in enumerate(uf)]
+    incl = [{p: find(m + 1, X.incl[m][p]) for p in levels[m]}
             for m in range(X.N)]
-    transp = [
-        [{p: uf[m].find(t[p]) for p in levels[m]} for t in X.transp[m]]
-        for m in range(X.N + 1)
-    ]
+    transp = [[{p: find(m, t[p]) for p in levels[m]} for t in X.transp[m]]
+              for m in range(X.N + 1)]
     return TruncatedISet._built(X.N, levels, incl, transp)
 
 
@@ -474,12 +478,11 @@ def _canonical_colimit(X: TruncatedISet, degree_bound):
     """The colimit of X, taken in its canonical extension, and the
     canonical tame action it carries.
 
-    The truncation must reach twice the declared stability level; on
-    top of that, the diagram is canonically extended until no further
-    inclusion identifies anything, so that merges forced just past the
-    given levels are seen rather than silently missed.  The extension
-    clears its own bound max(2s, s + merge level): it is X, flat with
-    no merges, or its loop has just tested that bound.
+    The truncation must reach twice the declared stability level; the
+    colimit is taken in the faithful extension, which reaches max(2s,
+    s + merge level) and whose next Lan level identifies nothing (see
+    `faithful_extension`), so that merges forced just past the given
+    levels are seen rather than silently missed.
 
     Level k holds, in class order, the classes supported on exactly
     {1..k}: each comes from level s, the extension's stability level,
@@ -621,7 +624,7 @@ def _colimit_under(X: TruncatedISet, n):
     faces, rows = _face_shape(n)
     level = X.levels[k]
     size = len(level)
-    uf = UnionFind.over(n * size)
+    uf = UnionFind(n * size)
     if k >= 1:
         d = X.face_positions(k)
         uf.union_ids([i * size + z for i, j, _, _ in rows for z in d[j]],
@@ -699,33 +702,38 @@ def _swapped(values, i):
 
 
 def faithful_extension(X: TruncatedISet, at_least=0):
-    """Canonically extend until the colimit bounds hold and one more
-    level stays quiet (no inclusion identifies anything new).
+    """X extended by `lan_extend`, one level at a time, until it reaches
+    max(2s, s + merge level, at_least), s its stability level, and the
+    inclusion into the next Lan level would identify nothing; refused
+    if that takes it past max(N, at_least) + 2 max(s, 1) + 6.
 
-    Flat inputs with injective inclusions are already faithful: their
-    canonical extension never merges, so they are only padded up to the
-    requested height."""
-    if X.merge_level == 0 and is_flat(X, "latching").flat:
-        cur = X
-        while cur.N < at_least:
-            cur = lan_extend(cur)
-        return cur
+    Lan levels are generated from below, so s stays put, and past a
+    faithful extension no inclusion identifies anything: its colimit is
+    that of every higher extension, so merges forced just past the
+    given levels are seen rather than silently missed."""
     hard_top = max(X.N, at_least) + 2 * max(X.stable_from, 1) + 6
     cur = X
-    quiet = False  # whether the last level added merged nothing
-    while True:
-        need = max(2 * cur.stable_from,
-                   cur.stable_from + cur.merge_level,
-                   at_least)
-        if quiet and cur.N >= need:
-            return cur
+    while (cur.N < max(2 * cur.stable_from,
+                       cur.stable_from + cur.merge_level, at_least)
+           or _next_level_merges(cur)):
         if cur.N >= hard_top:
             raise TruncationExceeded(
                 "canonical extension does not settle within the allowed "
                 f"height {hard_top}"
             )
         cur = lan_extend(cur)
-        quiet = cur.merge_level < cur.N
+    return cur
+
+
+def _next_level_merges(X: TruncatedISet):
+    """Whether the inclusion into `lan_extend(X)` identifies two
+    points.  It sends x to the class of the node on the face {1..N}
+    that has x's position as its id; a union links the greater root
+    under the lesser, so those nodes are all roots unless two of them
+    were glued."""
+    classes, _ = _colimit_under(X, X.N + 1)
+    top = tuple(range(1, X.N + 1))
+    return sum(S == top for S, _ in classes) < len(X.levels[X.N])
 
 
 class FlatnessReport(NamedTuple):
@@ -809,27 +817,22 @@ def mono_pushout_injective(f: ISetMorphism, n):
 
 
 def _day_factors(X: TruncatedISet, Y: TruncatedISet):
-    """Both factors extended canonically until the window clears the
-    combined stability and merge heights, then cut to a common height.
-
-    Factors whose inclusions identify elements would make the
-    convolution merge classes beyond the window."""
-    A = faithful_extension(X)
-    B = faithful_extension(Y)
-    target = min(X.N, Y.N)
-    for _ in range(6):
-        need = (A.stable_from + B.stable_from
-                + max(A.merge_level, B.merge_level))
-        target = max(min(X.N, Y.N), need)
-        if A.N >= target and B.N >= target:
-            break
-        if A.N < target:
-            A = faithful_extension(A, at_least=target)
-        if B.N < target:
-            B = faithful_extension(B, at_least=target)
-    else:
-        raise TruncationExceeded("convolution bound does not settle")
-    return A._derived(target), B._derived(target)
+    """Both factors made faithful (see `faithful_extension`), extended
+    canonically to one height and cut there: min(X.N, Y.N), or, where
+    it is higher, sA + sB + max(mA, mB) from the stability and merge
+    levels of the faithful extensions.  Factors whose inclusions
+    identify elements would make the convolution merge classes beyond
+    a lower window.  Lan levels keep the stability level, and past a
+    faithful extension nothing merges, so that height is final."""
+    A, B = faithful_extension(X), faithful_extension(Y)
+    target = max(min(X.N, Y.N), A.stable_from + B.stable_from
+                 + max(A.merge_level, B.merge_level))
+    factors = []
+    for E in (A, B):
+        while E.N < target:
+            E = lan_extend(E)
+        factors.append(E._derived(target))
+    return tuple(factors)
 
 
 @lru_cache(maxsize=None)
@@ -890,7 +893,7 @@ def _day_level(X: TruncatedISet, Y: TruncatedISet, n):
     for a, _ in splits:
         base.append(count)
         count += len(X.levels[a]) * wide[a]
-    uf = UnionFind.over(count)
+    uf = UnionFind(count)
     dX = [X.face_positions(a + 1) for a in range(n)]
     dY = [Y.face_positions(n - a) for a in range(n)]
     xs = [range(len(X.levels[a])) for a in range(n)]

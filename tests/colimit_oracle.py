@@ -66,7 +66,6 @@ from tamebox.mset import (
     all_injective_tuples,
 )
 from tamebox.sigma import SigmaSet, perm_word, point_key
-from tamebox.unionfind import UnionFind
 
 
 def _find_in(parent):
@@ -371,15 +370,16 @@ def coequalize(u: MSetMorphism, v: MSetMorphism, window,
             f"window {window} below twice the maximal support size"
         )
     table = target.elements_up_to(window)
-    # inserted in key order, so every class is named by its least element
-    uf = UnionFind(sorted(table, key=point_key))
+    # linked by key, so every class is named by its least element
+    find, union = _find_in({x: x for x in table})
     for x in u.source.elements_up_to(window):
-        uf.union(u.apply(x), v.apply(x))
+        union(u.apply(x), v.apply(x))
 
     def class_action(f, root):
-        return uf.find(target.act(f, root))
+        return find(target.act(f, root))
 
-    return decompose_table(uf.roots(), class_action, window,
+    roots = [x for x in sorted(table, key=point_key) if find(x) == x]
+    return decompose_table(roots, class_action, window,
                            degree_bound=degree_bound)
 
 

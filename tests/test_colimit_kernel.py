@@ -5,8 +5,10 @@ structure maps (face tables, completion words, support preimages,
 filtration swaps) against the oracles that recompute them, the
 direct flatness route and merge levels against the route that
 rebuilds every meet's span and the rescan of every inclusion, the
-latching-pushout check against the pushout built by union-find, and
-the canonical action of the colimit against the decomposition of its
+latching-pushout check against the pushout built by union-find,
+the stopping rule of the canonical extension on two pinned diagrams
+whose merges lie just past the given top and on seeded draws, the
+canonical action of the colimit against the decomposition of its
 class table, on every criterion-4 instance and adjunction draw, and
 the window tables and coequalizers of canonical actions, which
 decompose through the colimit, against the support tests and the
@@ -25,7 +27,7 @@ import tamebox.iset as iset
 import test_acceptance as acceptance
 import test_iset
 import test_unionfind as unionfind
-from corpus import mset_text
+from corpus import late_merges, mset_text
 from tamebox import selftest
 from tamebox.errors import (
     TameboxError,
@@ -695,6 +697,54 @@ def test_derived_diagrams_serve_no_stale_face_table(kind):
     assert face_mismatches(faithful_extension(X, at_least=X.N + 2)) == []
     for factor in _day_factors(X, diagram(kind, 1, 2)):
         assert face_mismatches(factor) == []
+
+
+# ---------------------------------------------------------------------
+# the stopping rule of the canonical extension
+
+
+@pytest.mark.parametrize("name, points", [("stable-2", {0: 1, 2: 1}),
+                                          ("stable-1", {0: 3, 1: 1})])
+def test_merges_forced_past_the_given_top_are_seen(name, points):
+    # injective inclusions, not flat, and already at twice the
+    # stability level: only the merge test of the next Lan level sees
+    # that it identifies two points; trusting the given top names
+    # {2: 2} and {0: 2, 1: 3} points instead
+    X = late_merges(name)
+    assert X.merge_level == 0 and not is_flat(X, "both").flat
+    assert X.N == 2 * X.stable_from
+    E = X
+    for _ in range(2 * X.stable_from + 2):  # extended by hand
+        E = lan_extend(E)
+    assert E.merge_level == X.N + 1
+    assert faithful_extension(X).N > X.N
+    W = canonicalize(X)
+    assert mset_text(W) == mset_text(canonicalize(E))
+    assert {k: len(ss.points) for k, ss in W.levels.items()} == points
+
+
+@kernel_settings
+@given(st.sampled_from(FAMILIES), st.integers(0, 10**6), st.integers(2, 7))
+def test_nothing_merges_past_a_faithful_extension(kind, seed, N):
+    E = faithful_extension(diagram(kind, seed, N, max_stable=3))
+    F = E
+    for _ in range(3):
+        F = lan_extend(F)
+        assert (F.stable_from, F.merge_level) == (E.stable_from,
+                                                  E.merge_level)
+
+
+@kernel_settings
+@given(st.sampled_from(FAMILIES), st.sampled_from(FAMILIES),
+       st.integers(0, 10**6), st.integers(2, 7))
+def test_day_factors_reach_the_convolution_bound_in_one_pass(left, right,
+                                                             seed, N):
+    X = diagram(left, seed, N, max_stable=3)
+    Y = diagram(right, seed + 1, N, max_stable=3)
+    A, B = faithful_extension(X), faithful_extension(Y)
+    left_factor, right_factor = _day_factors(X, Y)
+    assert left_factor.N == right_factor.N >= (
+        A.stable_from + B.stable_from + max(A.merge_level, B.merge_level))
 
 
 # ---------------------------------------------------------------------

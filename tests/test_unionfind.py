@@ -1,5 +1,5 @@
 """UnionFind against a naive partition, and the representatives its
-callers build on it: inserting nodes in point_key order names every
+callers build on it: numbering nodes in point_key order names every
 class by its key-least member and lists the classes in key order.  The
 second half checks that naming against brute-force closures on seeded
 diagrams of every random_iset family."""
@@ -44,26 +44,29 @@ def naive_classes(nodes, pairs):
     return list(classes.values())
 
 
+def assert_rooted_at_least(uf, classes):
+    """Every id rooted at the least id of its class, and the roots in
+    increasing order."""
+    least = {i: c[0] for c in classes for i in c}
+    assert [uf.root_id(i) for i in sorted(least)] == [least[i]
+                                                      for i in sorted(least)]
+    assert uf.root_ids() == [c[0] for c in classes]
+
+
 @derandomized
-@given(st.lists(st.integers(-15, 15), min_size=1, max_size=30), st.data())
-def test_union_find_matches_naive_partition(nodes, data):
-    order = list(dict.fromkeys(nodes))  # first insertions, repeats ignored
-    pairs = data.draw(st.lists(st.tuples(st.sampled_from(order),
-                                         st.sampled_from(order)),
-                               max_size=40))
-    uf = UnionFind(nodes)
-    for a, b in pairs:
-        uf.union(a, b)
-    classes = naive_classes(order, pairs)
-    first = {n: c[0] for c in classes for n in c}
-    assert uf.nodes == order
-    assert {n: uf.find(n) for n in order} == first
-    assert uf.roots() == [c[0] for c in classes]
-    for a, b in pairs:
-        uf.union(a, b)
-        uf.union(b, a)
-    assert {n: uf.find(n) for n in order} == first
-    assert uf.roots() == [c[0] for c in classes]
+@given(st.integers(1, 30), st.data())
+def test_union_find_matches_naive_partition(count, data):
+    ids = st.integers(0, count - 1)
+    pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=40))
+    uf = UnionFind(count)
+    for a, b in pairs:  # one pair per call
+        uf.union_ids([a], [b])
+    classes = naive_classes(list(range(count)), pairs)
+    assert_rooted_at_least(uf, classes)
+    # repeated in both directions, in one bulk call: nothing changes
+    uf.union_ids([a for a, _ in pairs] + [b for _, b in pairs],
+                 [b for _, b in pairs] + [a for a, _ in pairs])
+    assert_rooted_at_least(uf, classes)
 
 
 @derandomized
@@ -72,40 +75,28 @@ def test_integer_entry_points_match_naive_partition(count, data):
     ids = st.integers(0, count - 1)
     pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=40))
     cut = data.draw(st.integers(0, len(pairs)))
-    uf = UnionFind.over(count)
+    uf = UnionFind(count)
     for part in (pairs[:cut], pairs[cut:]):  # two bulk calls
         uf.union_ids([a for a, _ in part], [b for _, b in part])
-    classes = naive_classes(list(range(count)), pairs)
-    least = {i: c[0] for c in classes for i in c}
-    assert [uf.root_id(i) for i in range(count)] == [least[i]
-                                                     for i in range(count)]
-    assert uf.root_ids() == [c[0] for c in classes]
-    assert uf.nodes == [] and uf.ids == {}
+    assert_rooted_at_least(uf, naive_classes(list(range(count)), pairs))
 
 
 @derandomized
 @given(st.lists(st.integers(-15, 15), min_size=1, max_size=30), st.data())
-def test_node_and_id_entry_points_share_one_partition(nodes, data):
-    # ids are the insertion indices of the nodes, so unions through
-    # either entry point name the same classes
-    order = list(dict.fromkeys(nodes))
+def test_nodes_numbered_by_key_are_named_by_their_least(nodes, data):
+    # quotient_iset's numbering: nodes sorted by point_key get the ids
+    # 0, 1, ..., so each class is rooted at its key-least node, and the
+    # roots decode to those nodes in key order
+    order = sorted(set(nodes), key=point_key)
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(order),
                                          st.sampled_from(order)),
                                max_size=40))
-    by_id = data.draw(st.lists(st.booleans(), min_size=len(pairs),
-                               max_size=len(pairs)))
-    uf = UnionFind(nodes)
-    assert uf.ids == {n: i for i, n in enumerate(order)}
-    for (a, b), use_ids in zip(pairs, by_id):
-        if use_ids:
-            uf.union_ids([uf.ids[a]], [uf.ids[b]])
-        else:
-            uf.union(a, b)
-    classes = naive_classes(order, pairs)
-    assert {n: uf.find(n) for n in order} == {n: c[0] for c in classes
-                                              for n in c}
-    assert uf.roots() == [order[i] for i in uf.root_ids()]
-    assert uf.roots() == [c[0] for c in classes]
+    rank = {n: i for i, n in enumerate(order)}
+    uf = UnionFind(len(order))
+    uf.union_ids([rank[a] for a, _ in pairs], [rank[b] for _, b in pairs])
+    rep_of, reps = named_by_least(naive_classes(order, pairs))
+    assert {n: order[uf.root_id(rank[n])] for n in order} == rep_of
+    assert [order[i] for i in uf.root_ids()] == reps
 
 
 # -- key-least representatives of the library's union-finds ---------------
