@@ -701,20 +701,19 @@ def _swapped(values, i):
     return tuple(swap.get(v, v) for v in values)
 
 
-def faithful_extension(X: TruncatedISet, at_least=0):
+def faithful_extension(X: TruncatedISet):
     """X extended by `lan_extend`, one level at a time, until it reaches
-    max(2s, s + merge level, at_least), s its stability level, and the
-    inclusion into the next Lan level would identify nothing; refused
-    if that takes it past max(N, at_least) + 2 max(s, 1) + 6.
+    max(2s, s + merge level), s its stability level, and the inclusion
+    into the next Lan level would identify nothing; refused if that
+    takes it past N + 2 max(s, 1) + 6.
 
     Lan levels are generated from below, so s stays put, and past a
     faithful extension no inclusion identifies anything: its colimit is
     that of every higher extension, so merges forced just past the
     given levels are seen rather than silently missed."""
-    hard_top = max(X.N, at_least) + 2 * max(X.stable_from, 1) + 6
+    hard_top = X.N + 2 * max(X.stable_from, 1) + 6
     cur = X
-    while (cur.N < max(2 * cur.stable_from,
-                       cur.stable_from + cur.merge_level, at_least)
+    while (cur.N < max(2 * cur.stable_from, cur.stable_from + cur.merge_level)
            or _next_level_merges(cur)):
         if cur.N >= hard_top:
             raise TruncationExceeded(

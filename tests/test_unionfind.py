@@ -58,27 +58,17 @@ def assert_rooted_at_least(uf, classes):
 def test_union_find_matches_naive_partition(count, data):
     ids = st.integers(0, count - 1)
     pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=40))
+    cut = data.draw(st.integers(0, len(pairs)))
     uf = UnionFind(count)
-    for a, b in pairs:  # one pair per call
+    for a, b in pairs[:cut]:  # one pair per call, then one bulk call
         uf.union_ids([a], [b])
+    uf.union_ids([a for a, _ in pairs[cut:]], [b for _, b in pairs[cut:]])
     classes = naive_classes(list(range(count)), pairs)
     assert_rooted_at_least(uf, classes)
-    # repeated in both directions, in one bulk call: nothing changes
+    # repeated in both directions: nothing changes
     uf.union_ids([a for a, _ in pairs] + [b for _, b in pairs],
                  [b for _, b in pairs] + [a for a, _ in pairs])
     assert_rooted_at_least(uf, classes)
-
-
-@derandomized
-@given(st.integers(1, 30), st.data())
-def test_integer_entry_points_match_naive_partition(count, data):
-    ids = st.integers(0, count - 1)
-    pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=40))
-    cut = data.draw(st.integers(0, len(pairs)))
-    uf = UnionFind(count)
-    for part in (pairs[:cut], pairs[cut:]):  # two bulk calls
-        uf.union_ids([a for a, _ in part], [b for _, b in part])
-    assert_rooted_at_least(uf, naive_classes(list(range(count)), pairs))
 
 
 @derandomized
