@@ -13,7 +13,10 @@ The families:
   most 2, and `day` of each draw with the next one at its N;
 - `canonicalize`, `flatten` and `day` with a representable of the two
   diagrams of `LATE_MERGES`, whose canonical extension identifies
-  points just past the given top.
+  points just past the given top;
+- `certify_agreement` of `random_agreeing_pair` and
+  `random_prescribed_pair` draws at arity 2 and 3, with constraint
+  sets of at most three points, as serialized certificates.
 
 Output must depend only on the input values, so the digest is the
 same under every `PYTHONHASHSEED`; `test_corpus.py` runs this file
@@ -24,8 +27,14 @@ to print the digest; `entries()` lists what it hashes.
 import hashlib
 import random
 
+from tamebox.documents import serialize_document
 from tamebox.errors import TameboxError
-from tamebox.generators import random_iset, random_mset
+from tamebox.generators import (
+    random_agreeing_pair,
+    random_iset,
+    random_mset,
+    random_prescribed_pair,
+)
 from tamebox.iset import (
     TruncatedISet,
     canonicalize,
@@ -40,10 +49,12 @@ from tamebox.mset import (
     decompose_table,
     injection_mset,
 )
+from tamebox.opalg import certify_agreement
 
 DECOMPOSE_DRAWS = 60
 COEQUALIZE_DRAWS = 100
 ISET_DRAWS = 25  # per N
+CERTIFICATE_DRAWS = {2: 80, 3: 40}  # per arity and pair generator
 
 
 def mset_text(W):
@@ -159,12 +170,26 @@ def late_merge_entries():
             day_convolution(X, representable_iset(1, X.N)))
 
 
+def certificate_entries():
+    for n, draws in CERTIFICATE_DRAWS.items():
+        for make in (random_agreeing_pair, random_prescribed_pair):
+            for seed in range(draws):
+                rng = random.Random(f"corpus:certificate:{n}:{make.__name__}:"
+                                    f"{seed}")
+                phi, psi, constraints = make(
+                    rng, n, [rng.randint(0, 3) for _ in range(n)])
+                yield (f"certify {n} {make.__name__} {seed}",
+                       lambda: serialize_document("certificate",
+                                                  certify_agreement(
+                                                      phi, psi, constraints)))
+
+
 def entries():
     """Every (name, text) of the corpus, in order.  Each call runs
     before its family draws the next, so the loop values it reads are
     its own."""
     for family in (decompose_entries, coequalize_entries, iset_entries,
-                   late_merge_entries):
+                   late_merge_entries, certificate_entries):
         for name, call in family():
             yield name, outcome(call)
 

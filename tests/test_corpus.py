@@ -12,7 +12,7 @@ import sys
 
 import tamebox
 
-DIGEST = "2ed61aa2062067dfbad89f947a66a63f794c1c81d2c07048b3cdd12c7ea22de9"
+DIGEST = "ce309ee62c636cadedfa1cb8631fe7f41eaed5494b09a546de4d43116698ff04"
 
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
     tamebox.__file__)))
