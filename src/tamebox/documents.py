@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from math import gcd
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
@@ -101,11 +102,15 @@ def ratio(value, field):
     """A ratio as `_ratio_out` writes it, as the integer pair (p, q): a
     JSON integer, or the string "p/q" in ASCII decimal with q >= 2,
     gcd(p, q) = 1 and a sign on p only."""
+    if type(value) is int:
+        return value, 1
     if isinstance(value, str):
         m = _RATIO.fullmatch(value)
-        if m is None or int(m[2]) < 2 or gcd(int(m[1]), int(m[2])) != 1:
-            raise ValidationError("ratio p/q in lowest terms", repr(value))
-        return int(m[1]), int(m[2])
+        if m is not None:
+            p, q = int(m[1]), int(m[2])
+            if q >= 2 and gcd(p, q) == 1:
+                return p, q
+        raise ValidationError("ratio p/q in lowest terms", repr(value))
     return _INT(value, field), 1
 
 
@@ -121,6 +126,9 @@ def point(value, field):
     if isinstance(value, (list, dict)):
         raise ValidationError("point field", f"{field}={value!r}")
     return value
+
+
+_ABSENT = object()  # a field the JSON object leaves out
 
 
 def int_or_null(value, field):
@@ -144,12 +152,16 @@ class Kind:
         _OBJECT(value, field)
         values = []
         for name, read in self.readers.items():
-            if name in value:
-                values.append(read(value[name], name))
-            elif name in self.optional:
+            v = value.get(name, _ABSENT)
+            if v is _ABSENT:
+                if name not in self.optional:
+                    raise ValidationError("required field",
+                                          f"{self.text}.{name}")
                 values.append(None)
+            elif read is _INT and type(v) is int:  # the most common field
+                values.append(v)
             else:
-                raise ValidationError("required field", f"{self.text}.{name}")
+                values.append(read(v, name))
         return values if self.build is None else self.build(*values)
 
     def encode(self, *args):
@@ -212,8 +224,46 @@ def _piece_parts(span):
 QA_PIECE = Kind("qa-piece", {"lo": int, "hi": int_or_null, "mod": int,
                              "res": int, "a": ratio, "b": ratio},
                 parts=_piece_parts, optional={"hi"})
+
+
+_PIECE_FIELDS = itemgetter(*QA_PIECE.fields)
+
+
+def _piece_objects(spans):
+    """QA_PIECE's encoding of each span.  A span of mod one, as every
+    point and most other spans are, has integers a and b and is written
+    here."""
+    return [{"lo": first, "hi": last, "mod": 1, "res": 0, "a": step,
+             "b": v0 - step * first} if mod == 1
+            else QA_PIECE.encode((first, last, mod, v0, step))
+            for first, last, mod, v0, step in spans]
+
+
+def _piece_rows(value, field):
+    """The rows QA_PIECE reads from a list of pieces.  A piece of JSON
+    integers, hi also null, as `_piece_objects` writes most of them, is
+    read here; any other goes through QA_PIECE, which refuses what it
+    must."""
+    rows = []
+    for piece in _ARRAY(value, field):
+        try:
+            lo, hi, mod, res, a, b = _PIECE_FIELDS(piece)
+        except (KeyError, TypeError):  # a field left out, or no object
+            rows.append(QA_PIECE.read(piece, field))
+            continue
+        if (type(lo) is type(mod) is type(res) is type(a) is type(b) is int
+                and (hi is None or type(hi) is int)):
+            rows.append((lo, hi, mod, res, (a, 1), (b, 1)))
+        else:
+            rows.append(QA_PIECE.read(piece, field))
+    return rows
+
+
 QA = Kind("qa-injection", {"pieces": [QA_PIECE]}, QuasiAffineInjection,
-          lambda f: ([QA_PIECE.encode(span) for span in f.spans],))
+          lambda f: (_piece_objects(f.spans),))
+# pieces are read in bulk; the description stays what documents are
+# checked against
+QA.readers["pieces"] = _piece_rows
 
 
 def _operad(arity, slots):
@@ -325,7 +375,12 @@ SUM = Kind("sum", {"a": orbit, "b": orbit, "result": ELEMENT})
 
 
 def _monoid(carrier, unit, level_cap, sums):
-    table = {(a, b): element(result, carrier) for a, b, result in sums}
+    table = {}
+    for a, b, result in sums:
+        if (a, b) in table:
+            raise ValidationError("one sum per representative pair",
+                                  f"a={a}, b={b}")
+        table[a, b] = element(result, carrier)
     return CommMonoidPresentation(carrier, unit, table, level_cap)
 
 
@@ -334,8 +389,8 @@ def _monoid_parts(P: CommMonoidPresentation):
     sums = [
         SUM.encode([m, names[m].to_name[ra]], [n, names[n].to_name[rb]],
                    encode_element(val, names[val.level]))
-        for ((m, ra), (n, rb)), val in sorted(P.table.items(),
-                                              key=lambda kv: repr(kv[0]))
+        for ((m, ra), (n, rb)), val in sorted(
+            P.table.items(), key=lambda kv: point_key(kv[0])[1])
     ]
     return (MSET.encode(P.carrier), names[0].to_name[P.unit_point],
             P.level_cap, sums)

@@ -191,25 +191,29 @@ def _spans_of_pieces(pieces):
     of the checks fixes which error a faulty document gets: bounds and
     slope signs, then the unbounded piece, then integrality."""
     kept = []
+    unbounded = False
     for lo, hi, mod, res, a, b in pieces:
         lo, mod = int(lo), int(mod)
-        hi = None if hi is None else int(hi)
         an, ad = a if type(a) is tuple else Fraction(a).as_integer_ratio()
         bn, bd = b if type(b) is tuple else Fraction(b).as_integer_ratio()
         if lo < 1 or mod < 1:
             raise ValueError("piece bounds must be positive")
-        if hi is not None and hi < lo:
-            raise ValueError("piece has hi < lo")
+        if hi is not None:
+            hi = int(hi)
+            if hi < lo:
+                raise ValueError("piece has hi < lo")
         if an <= 0:
             raise NotInjective("pieces must be strictly increasing (a > 0)")
         first = lo + (int(res) - lo) % mod
-        if hi is None or first <= hi:
-            kept.append((first, hi, mod, an, ad, bn, bd))
-    if all(p[1] is not None for p in kept):
+        if hi is None:
+            unbounded = True
+        elif first > hi:
+            continue
+        kept.append((first, hi, mod, an * first * bd + bn * ad,
+                     an * mod * bd, ad * bd))
+    if not unbounded:
         raise NotCovering("no unbounded piece; omega cannot be covered")
-    return [checked_span(first, hi, mod, an * first * bd + bn * ad,
-                         an * mod * bd, ad * bd)
-            for first, hi, mod, an, ad, bn, bd in kept]
+    return [checked_span(*row) for row in kept]
 
 
 def _piece(span):
@@ -218,32 +222,34 @@ def _piece(span):
     return Piece(first, last, mod, first % mod, a, v0 - a * first)
 
 
-def _normal_form(spans):
-    """The canonical spans of the map the spans describe: one point span
-    for each i below a minimal threshold, then one unbounded span per
-    residue class of the minimal period, each with that period as its
-    mod.
+def _normal_shape(spans):
+    """t when the spans have the normal shape -- the points
+    (i, i, 1, v, 1) for i = 1, ..., t-1, then p unbounded spans at
+    t, ..., t+p-1, all with the mod p of the last span -- and 0
+    otherwise.  Spans of that shape partition omega: the points cover
+    1, ..., t-1 and the p spans one residue class mod p each from t on."""
+    p = spans[-1][2]
+    t = len(spans) - p + 1
+    if t < 1:
+        return 0
+    for i, (first, last, mod, _, step) in enumerate(spans, 1):
+        if first != i or ((last != i or mod != 1 or step != 1) if i < t
+                          else (last is not None or mod != p)):
+            return 0
+    return t
 
-    Checks first the bounds of the spans (`last` must lie on the
-    progression), that the domains partition omega and that the images
-    are disjoint.  Spans of the normal shape -- the points (i, i, 1, v, 1)
-    for i = 1, ..., t-1, then p unbounded spans at t, ..., t+p-1, all
-    with mod p -- partition omega by construction: the points cover
-    1, ..., t-1 and the p spans one residue class mod p each from t on.
-    Their domains are not checked; their values, images, period and
-    threshold are, and when period and threshold are minimal the input
-    is the normal form.  On such spans the minimal threshold is one
-    past the last point off its tail map, so the points are scanned
-    down from t-1 and the scan stops at the first one off it."""
+
+def _check_spans(spans):
+    """Raise unless the spans describe a total injection of omega.
+
+    Checks first the bounds of the spans, then that the domains
+    partition omega, then that the images are disjoint.  The domains of spans of the normal shape
+    (`_normal_shape`) are not checked; their values and images are."""
     # one pass: the bounds of every span, the tail, the first span
-    # with a value below one, the images and the normal shape, whose
-    # unbounded spans all have the mod p of the last span
+    # with a value below one, and the images
     tail, images = [], []
     low = None
-    p = spans[-1][2] if spans else 0
-    t = len(spans) - p + 1
-    shaped = t >= 1
-    for i, sp in enumerate(spans, 1):
+    for sp in spans:
         first, last, mod, v0, step = sp
         if first < 1 or mod < 1:
             raise ValueError("piece bounds must be positive")
@@ -256,17 +262,12 @@ def _normal_form(spans):
             images.append((v0, v0 + (last - first) // mod * step, step))
         if (v0 < 1 or step < 1) and low is None:
             low = sp
-        if shaped and (first != i or (
-                (last != i or mod != 1 or step != 1) if i < t
-                else (last is not None or mod != p))):
-            shaped = False
     if not tail:
         raise NotCovering("no unbounded piece; omega cannot be covered")
     if low is not None:
         raise NotInjective(f"{_piece(low)} is not increasing with values >= 1")
-    period = lcm(*(sp[2] for sp in tail))
 
-    if not shaped:
+    if not _normal_shape(spans):
         # coverage: pairwise disjoint domains whose unbounded part has
         # density exactly one, with no gap below the periodic region
         clash = _first_overlap([sp[:3] for sp in spans])
@@ -275,6 +276,7 @@ def _normal_form(spans):
             raise NotCovering(
                 f"domains of {_piece(spans[i])} and {_piece(spans[j])} overlap"
             )
+        period = lcm(*(sp[2] for sp in tail))
         if sum(period // sp[2] for sp in tail) != period:
             raise NotCovering("unbounded pieces do not have full density")
         tail_start = max(sp[0] for sp in tail)
@@ -294,6 +296,26 @@ def _normal_form(spans):
             f"images of pieces {_piece(spans[i])} and {_piece(spans[j])} overlap"
         )
 
+
+def _normal_form(spans):
+    """The canonical spans of the total injection of omega the spans
+    describe (`_check_spans` decides whether they do): one point span
+    for each i below a minimal threshold, then one unbounded span per
+    residue class of the minimal period, each with that period as its
+    mod.
+
+    When spans of the normal shape have minimal period and threshold,
+    they are the normal form.  On such spans the minimal threshold is
+    one past the last point off its tail map, so the points are scanned
+    down from t-1 and the scan stops at the first one off it."""
+    t = _normal_shape(spans)
+    if t:
+        tail = spans[t - 1:]
+        period = spans[-1][2]
+    else:
+        tail = [sp for sp in spans if sp[1] is None]
+        period = lcm(*[sp[2] for sp in tail])
+
     # the affine map x -> (a*x + b)/d on each residue class mod period,
     # in lowest terms, then the least period of that sequence of maps
     maps = [None] * period
@@ -310,7 +332,7 @@ def _normal_form(spans):
     # leaves the tail maps.  The bounded spans of shaped input are the
     # points 1, ..., t-1, scanned down to the first one off its map.
     start = 1
-    if shaped:
+    if t:
         for i in range(t - 1, 0, -1):
             a, b, d = maps[i % best]
             if a * i + b != d * spans[i - 1][3]:
@@ -341,7 +363,7 @@ def _normal_form(spans):
                         start = max(start, x + 1)
                         break
 
-    if shaped and best == period and start == t:
+    if t and best == period and start == t:
         return tuple(spans)
     head = [0] * start
     for first, last, mod, v0, step in spans:
@@ -380,8 +402,18 @@ class QuasiAffineInjection:
         pieces = list(pieces)
         if pieces and len(pieces[0]) == len(Piece._fields):
             pieces = _spans_of_pieces(pieces)
+        _check_spans(pieces)
         self.spans = _normal_form(pieces)
         self._images = None
+
+    @classmethod
+    def _built(cls, spans):
+        """The injection of spans the library built to describe a total
+        injection of omega: normalized, not checked."""
+        out = object.__new__(cls)
+        out.spans = _normal_form(spans)
+        out._images = None
+        return out
 
     @property
     def pieces(self):
@@ -409,12 +441,13 @@ class QuasiAffineInjection:
         return v0 + (i - first) // period * step
 
     def compose(self, inner: "QuasiAffineInjection") -> "QuasiAffineInjection":
-        """self after inner; the class is closed under composition."""
+        """self after inner; the class is closed under composition, and
+        the composite of two total injections is one."""
         if self.spans == _IDENTITY:
             return inner
         if inner.spans == _IDENTITY:
             return self
-        return QuasiAffineInjection(self.compose_spans(inner))
+        return QuasiAffineInjection._built(self.compose_spans(inner))
 
     def compose_spans(self, inner: "QuasiAffineInjection"):
         """The spans of self after inner, not normalized: each span of
@@ -480,8 +513,12 @@ class QuasiAffineInjection:
 
 def order_embed_avoiding(avoid) -> QuasiAffineInjection:
     """The order-preserving bijection from omega onto omega minus the
-    given finite set."""
+    given finite set of positive integers.  Its spans are the normal
+    form: the points below the threshold, then the shift by |avoid|,
+    which the last point, mapped below max(avoid), leaves."""
     avoid = set(avoid)
+    if not all(isinstance(a, int) and a >= 1 for a in avoid):
+        raise ValueError("avoided values must be positive integers")
     bound = max(avoid, default=0)
     pieces = []
     targets = iter(sorted(set(range(1, bound + 1)) - avoid))
@@ -490,7 +527,7 @@ def order_embed_avoiding(avoid) -> QuasiAffineInjection:
         v = next(targets)
         pieces.append((i, i, 1, v, 1))
     pieces.append((head + 1, None, 1, head + 1 + len(avoid), 1))
-    return QuasiAffineInjection(pieces)
+    return QuasiAffineInjection._built(pieces)
 
 
 Injection = Union[PartialInjection, QuasiAffineInjection]
@@ -537,6 +574,14 @@ class OperadElement:
             i, j = clash
             raise NotInjective(f"slots {i + 1} and {j + 1} share image values")
         self.slots = slots
+
+    @classmethod
+    def _built(cls, slots):
+        """The element of slots the library built with pairwise disjoint
+        images; they are not checked."""
+        out = object.__new__(cls)
+        out.slots = tuple(slots)
+        return out
 
     @property
     def arity(self):

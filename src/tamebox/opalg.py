@@ -17,6 +17,7 @@ on which they are affine.
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import reduce
 from math import gcd, lcm
 from typing import NamedTuple
@@ -36,12 +37,11 @@ from .injections import (
     OperadElement,
     PartialInjection,
     QuasiAffineInjection,
-    _meet,
     order_embed_avoiding,
 )
 from .mset import (DEFAULT_DEGREE_BOUND, CanonicalTameMSet, MElement, box,
                    support)
-from .sigma import trivial_sigma_set, word_sigma_set
+from .sigma import point_key, trivial_sigma_set, word_sigma_set
 
 
 def std_element(level, point):
@@ -333,7 +333,8 @@ def symmetric_product_carrier(points, basepoint, level_bound):
     """The carrier of `infinite_symmetric_product`, without the sum."""
     if basepoint not in set(points):
         raise ValidationFailed("basepoint missing")
-    letters = sorted((p for p in points if p != basepoint), key=repr)
+    letters = sorted((p for p in points if p != basepoint),
+                     key=lambda p: point_key(p)[1])
     levels = {m: word_sigma_set(m, letters) for m in range(level_bound + 1)}
     return CanonicalTameMSet(levels)
 
@@ -539,13 +540,15 @@ _DOUBLE_ODD = QuasiAffineInjection.affine(2, -1)
 
 def _merge_even_odd(even_part: QuasiAffineInjection,
                     odd_part: QuasiAffineInjection):
-    """The map sending 2i to even_part(i) and 2i-1 to odd_part(i)."""
+    """The map sending 2i to even_part(i) and 2i-1 to odd_part(i); an
+    injection when the images of the two parts are disjoint, as they are
+    in each slot of the elements chi of `_connect`."""
     spans = []
     for part, shift in ((even_part, 0), (odd_part, 1)):
         for f, l, m, v, s in part.spans:
             spans.append((2 * f - shift, None if l is None else 2 * l - shift,
                           2 * m, v, s))
-    return QuasiAffineInjection(spans)
+    return QuasiAffineInjection._built(spans)
 
 
 def _widen(u: QuasiAffineInjection, M):
@@ -568,14 +571,17 @@ def _connect(phi: OperadElement, psi: OperadElement):
     and of b are disjoint, a <-bwd(2i) chi ->fwd(2i-1) b, where chi
     merges the slots of a (even positions) with those of b (odd ones).
     Otherwise both bridges pass through sigma, whose slot k has slope M
-    and the least class = k (mod n) that neither a nor b uses.  The
-    proofs are in `certify_agreement`."""
+    and the least class = k (mod n) that neither a nor b uses.
+
+    a and b are elements: slot k of a is slot k of phi after a move,
+    so its image lies in that of slot k of phi, and likewise for b.
+    The proofs for sigma and chi are in `certify_agreement`."""
     n = phi.arity
     M = n * (2 * n + 1)
     widen_a = [_widen(s, M) for s in phi.slots]
     widen_b = [_widen(s, M) for s in psi.slots]
-    a = OperadElement([u for _, u in widen_a])
-    b = OperadElement([u for _, u in widen_b])
+    a = OperadElement._built([u for _, u in widen_a])
+    b = OperadElement._built([u for _, u in widen_b])
     elems, steps = [phi], []
     if a != phi:
         steps.append(CertificateStep(phi, tuple(w for w, _ in widen_a), "fwd"))
@@ -588,13 +594,13 @@ def _connect(phi: OperadElement, psi: OperadElement):
             used = classes_a | classes_b
             free = [next(r for r in range(k, M + 1, n) if r % M not in used)
                     for k in range(1, n + 1)]
-            sigma = OperadElement(
+            sigma = OperadElement._built(
                 [QuasiAffineInjection.affine(M, r - M) for r in free]
             )
             stops = [sigma, b]
         for stop in stops:
-            chi = OperadElement([_merge_even_odd(x, y) for x, y
-                                 in zip(elems[-1].slots, stop.slots)])
+            chi = OperadElement._built([_merge_even_odd(x, y) for x, y
+                                        in zip(elems[-1].slots, stop.slots)])
             steps += [CertificateStep(elems[-1], (_DOUBLE,) * n, "bwd"),
                       CertificateStep(chi, (_DOUBLE_ODD,) * n, "fwd")]
             elems += [chi, stop]
@@ -606,21 +612,26 @@ def _connect(phi: OperadElement, psi: OperadElement):
 
 def _drop_values(u, avoid):
     """Compose with the order collapse of omega minus a finite value
-    set back onto omega; defined when the image of u avoids the set.
-    u is a quasi-affine injection, or spans of one that need not be
-    normal (`QuasiAffineInjection.compose_spans`)."""
+    set back onto omega; defined when the image of u avoids the set,
+    as the callers ensure.  u is a quasi-affine injection, or spans of
+    one that need not be normal (`QuasiAffineInjection.compose_spans`)."""
     if isinstance(u, QuasiAffineInjection):
         if not avoid:
             return u
         u = u.spans
     cuts = sorted(avoid)
-    # window j holds the values strictly between cut j-1 and cut j
+    # window j holds the values strictly between cut j-1 and cut j; a
+    # span's values run from the window of its first value to that of
+    # its last
     windows = list(zip([0] + cuts, cuts + [None]))
     spans = []
     for first, last, mod, v0, step in u:
-        for j, (lo_v, hi_v) in enumerate(windows):
+        kmax = None if last is None else (last - first) // mod
+        j_last = len(cuts) if last is None else bisect(cuts, v0 + kmax * step)
+        for j in range(bisect(cuts, v0), j_last + 1):
+            lo_v, hi_v = windows[j]
             klo = max(0, -((v0 - lo_v - 1) // step))
-            khi = None if last is None else (last - first) // mod
+            khi = kmax
             if hi_v is not None:
                 top = (hi_v - 1 - v0) // step
                 khi = top if khi is None else min(khi, top)
@@ -629,14 +640,17 @@ def _drop_values(u, avoid):
             spans.append((first + klo * mod,
                           None if khi is None else first + khi * mod,
                           mod, v0 + klo * step - j, step))
-    return QuasiAffineInjection(spans)
+    return QuasiAffineInjection._built(spans)
 
 
 def _inflate_along(c: QuasiAffineInjection, t, pinned):
     """The map h with h(c(i)) = t(i) off the pinned set and the pinned
-    values on it; c must have slope-one pieces (an order embedding).
-    t is a quasi-affine injection, which is h when c is the identity
-    and nothing is pinned, or spans of one that need not be normal
+    values on it; c is the order embedding of omega onto omega minus
+    the pinned set (`order_embed_avoiding`), whose spans all have mod
+    and slope one.  h is an injection when the image of t avoids the
+    pinned values, as the callers ensure.  t is a quasi-affine
+    injection, which is h when c is the identity and nothing is pinned,
+    or spans of one that need not be normal
     (`QuasiAffineInjection.compose_spans`)."""
     if isinstance(t, QuasiAffineInjection):
         if not pinned and c == _ID:
@@ -644,16 +658,19 @@ def _inflate_along(c: QuasiAffineInjection, t, pinned):
         t = t.spans
     spans = [(a, a, 1, v, 1) for a, v in pinned.items()]
     for fc, lc, mc, vc, sc in c.spans:
-        assert sc == mc
+        assert mc == sc == 1
         shift = vc - fc
         for ft, lt, mt, vt, st in t:
-            met = _meet((fc, lc, mc), (ft, lt, mt))
-            if met is None:
-                continue
-            first, last, mod = met
-            spans.append((first + shift, None if last is None else last + shift,
-                          mod, vt + (first - ft) // mt * st, mod // mt * st))
-    return QuasiAffineInjection(spans)
+            # the part of t's span from fc to lc, moved along c
+            first = ft if ft >= fc else fc + (ft - fc) % mt
+            last = lt if lc is None else lc if lt is None else min(lc, lt)
+            if last is not None:
+                if first > last:
+                    continue
+                last = first + (last - first) // mt * mt + shift
+            spans.append((first + shift, last, mt,
+                          vt + (first - ft) // mt * st, st))
+    return QuasiAffineInjection._built(spans)
 
 
 def certify_agreement(phi: OperadElement, psi: OperadElement, constraints):
@@ -661,11 +678,26 @@ def certify_agreement(phi: OperadElement, psi: OperadElement, constraints):
     prescribed sets; every move fixes those sets pointwise.
 
     The constraints are conjugated away: slot i is precomposed with
-    the order embedding of omega onto omega minus A_i, and the pinned
-    values are dropped from the target.  `_connect` joins the images
-    phi' and psi' in at most six steps, and `_inflate_along`
+    the order embedding e_i of omega onto omega minus A_i, and the
+    pinned values are dropped from the target.  `_connect` joins the
+    images phi' and psi' in at most six steps, and `_inflate_along`
     transports the chain back, pinning the prescribed values again;
     each distinct move of a slot is transported once.
+
+    The library builds these maps and elements itself, unchecked, as
+    they are valid by construction; `verify_certificate` checks the
+    chain at the end.  phi' is an element: slot i of phi after e_i
+    misses the pinned values of slot i, as phi_i is injective, and
+    those of every other slot, as the slots of phi have disjoint
+    images; so its values can be dropped, and dropping them is an
+    order bijection onto omega, which keeps the images disjoint.  psi'
+    likewise, as psi agrees with phi on the constraint sets.  A
+    transported chain element has slot i equal to the lift of the
+    inner slot i off A_i and to phi_i on A_i: the lifts of distinct
+    slots are disjoint and avoid every pinned value, and the pinned
+    values of distinct slots are disjoint.  A transported move is the
+    identity on A_i and e_i after the move after the inverse of e_i
+    off it, whose values avoid A_i.
 
     Let n be the arity and M = n(2n+1).  The widened a = phi' after
     (w_1 + ... + w_n) has affine slots a_k(i) = v_k + (i-1)*M*s_k, all
@@ -726,9 +758,9 @@ def certify_agreement(phi: OperadElement, psi: OperadElement, constraints):
         taken = sorted(v for pin in pinned_slots for v in pin.values())
         lift = order_embed_avoiding(taken)
         inner_phi, inner_psi = (
-            OperadElement([_drop_values(s if c == _ID else s.compose_spans(c),
-                                        taken)
-                           for s, c in zip(e.slots, embeds)])
+            OperadElement._built([
+                _drop_values(s if c == _ID else s.compose_spans(c), taken)
+                for s, c in zip(e.slots, embeds)])
             for e in (phi, psi)
         )
         elems, steps = _connect(inner_phi, inner_psi)
@@ -750,8 +782,8 @@ def certify_agreement(phi: OperadElement, psi: OperadElement, constraints):
         # lift undoes the dropped values, and phi and psi agree on the
         # pinned sets
         out_elems = [phi, *(
-            OperadElement([transport(i, lift, s, pinned_slots[i])
-                           for i, s in enumerate(e.slots)])
+            OperadElement._built([transport(i, lift, s, pinned_slots[i])
+                                  for i, s in enumerate(e.slots)])
             for e in elems[1:-1]
         ), psi]
         out_steps = [

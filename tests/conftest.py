@@ -1,15 +1,21 @@
 """Every trusted construction is checked in Tier-1.
 
 The library builds most of its Σ-sets, diagrams, units and symmetric
-products itself, through private constructors that skip the relation
-checks the public constructors run (`SigmaSet._built`,
-`TruncatedISet._built` and `_derived`, `ISetMorphism._built`,
-`CommMonoidPresentation._built`).  The autouse fixture below wraps each
-of them: the object is built as shipped, then checked in full, and the
-trusted-built object is returned.  So every test runs the shipped path
-and still validates every object it builds.  The same wrappers are in
-place while the test modules are collected, for the objects their
-parameter lists build.
+products, and the quasi-affine injections and operad elements of its
+certificates, itself, through private constructors that skip the checks
+the public constructors run (`SigmaSet._built`, `TruncatedISet._built`
+and `_derived`, `ISetMorphism._built`, `CommMonoidPresentation._built`,
+`QuasiAffineInjection._built`, `OperadElement._built`).  The autouse
+fixture below wraps each of them: the object is built as shipped, then
+checked in full, and the trusted-built object is returned.  So every
+test runs the shipped path and still validates every object it builds.
+The same wrappers are in place while the test modules are collected,
+for the objects their parameter lists build.
+
+An injection or an element is checked on the arguments of the call:
+the public constructor runs on them and must give what `_built` gave.
+The normal form of spans that describe no injection can look valid, so
+a check of the output alone would miss a bad build.
 
 A test marked `unchecked_construction` runs without the wrappers; it is
 how a test sees what the shipped path costs.
@@ -19,37 +25,67 @@ import functools
 
 import pytest
 
+from tamebox.injections import OperadElement, QuasiAffineInjection
 from tamebox.iset import ISetMorphism, TruncatedISet
 from tamebox.opalg import CommMonoidPresentation
 from tamebox.sigma import SigmaSet
 
-# (class, private constructor, the full check of what it built from the
-# receiver, the class or the diagram it was called on)
+
+def on_output(check):
+    """A check of what the call built, given the receiver of the call:
+    the class, or the diagram a derived one was built from."""
+    def run(build, receiver, *args, **kwargs):
+        out = build()
+        check(out, receiver)
+        return out
+    return run
+
+
+def on_arguments(cls, attribute):
+    """A check of the arguments of the call: the public constructor of
+    cls runs on them first, and the trusted one must build the same."""
+    def run(build, receiver, arg):
+        expected = getattr(cls(arg), attribute)
+        out = build()
+        if getattr(out, attribute) != expected:
+            raise AssertionError(
+                f"{cls.__name__}._built gave {getattr(out, attribute)!r}, "
+                f"the public constructor {expected!r}")
+        return out
+    return run
+
+
+# (class, private constructor, the full check of each call)
 TRUSTED = [
-    (SigmaSet, "_built",
-     lambda out, cls: SigmaSet(out.m, out.points, out.transpositions)),
-    (TruncatedISet, "_built", lambda out, cls: out._check(0, out.N)),
+    (SigmaSet, "_built", on_output(
+        lambda out, cls: SigmaSet(out.m, out.points, out.transpositions))),
+    (TruncatedISet, "_built",
+     on_output(lambda out, cls: out._check(0, out.N))),
     # a derived diagram adds the levels above those it shares
     (TruncatedISet, "_derived",
-     lambda out, X: out._check(min(out.N, X.N) + 1, out.N)),
-    (ISetMorphism, "_built",
-     lambda out, cls: ISetMorphism(out.source, out.target, out.maps)),
-    (CommMonoidPresentation, "_built",
-     lambda out, cls: CommMonoidPresentation(
-         out.carrier, out.unit_point, out.table, out.level_cap)),
+     on_output(lambda out, X: out._check(min(out.N, X.N) + 1, out.N))),
+    (ISetMorphism, "_built", on_output(
+        lambda out, cls: ISetMorphism(out.source, out.target, out.maps))),
+    (CommMonoidPresentation, "_built", on_output(
+        lambda out, cls: CommMonoidPresentation(
+            out.carrier, out.unit_point, out.table, out.level_cap))),
+    (QuasiAffineInjection, "_built",
+     on_arguments(QuasiAffineInjection, "spans")),
+    (OperadElement, "_built", on_arguments(OperadElement, "slots")),
 ]
 
 
 def checked(constructor, check):
-    """The constructor, a function or a classmethod, made to check what
-    it builds before returning it."""
+    """The constructor, a function or a classmethod, made to check each
+    build: `check(build, receiver, *args, **kwargs)` gets the receiver
+    and the arguments of the call and `build`, which runs the shipped
+    constructor on them, and returns what it built once checked."""
     shipped = getattr(constructor, "__func__", constructor)
 
     @functools.wraps(shipped)
     def build(receiver, *args, **kwargs):
-        out = shipped(receiver, *args, **kwargs)
-        check(out, receiver)
-        return out
+        return check(lambda: shipped(receiver, *args, **kwargs),
+                     receiver, *args, **kwargs)
 
     return classmethod(build) if constructor is not shipped else build
 

@@ -63,6 +63,25 @@ MUTANTS = [
            "E.transp[c[0]][k - 2 - i][c[1]]",
            "tests/test_colimit_kernel.py::"
            "test_canonical_action_matches_decomposition_with_two_swaps"),
+    # trusted builders of certificates, whose arguments the fixture of
+    # conftest.py checks: the odd slots land on the even numbers, so
+    # domains overlap and the odd numbers are not covered
+    Mutant("merge with the odd part unshifted", "opalg.py",
+           "((even_part, 0), (odd_part, 1))",
+           "((even_part, 0), (odd_part, 0))",
+           "tests/test_qa_kernel.py::test_certificate_helpers_match_oracle"),
+    # the constraint sets are left out of the domain: a gap in coverage
+    Mutant("inflate without the pinned spans", "opalg.py",
+           "    spans = [(a, a, 1, v, 1) for a, v in pinned.items()]\n",
+           "    spans = []\n",
+           "tests/test_qa_kernel.py::test_certificate_helpers_match_oracle"),
+    # window j keeps its values: nothing is dropped.  The spans still
+    # describe an injection, so the fixture passes it and the
+    # comparison with the oracle fails
+    Mutant("drop values without the window offset", "opalg.py",
+           "mod, v0 + klo * step - j, step))",
+           "mod, v0 + klo * step, step))",
+           "tests/test_qa_kernel.py::test_certificate_helpers_match_oracle"),
 ]
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import cert_oracle
 import tamebox.opalg as opalg
-from tamebox.documents import parse_document
+from tamebox.documents import parse_document, serialize_document
 from tamebox.errors import (
     NotAMonoid,
     NotInjective,
@@ -423,6 +423,24 @@ class TestCertificates:
                 for f, A in zip(step.move, constraints):
                     assert f.fixes_pointwise(A)
 
+    @pytest.mark.unchecked_construction
+    def test_trusted_builds_give_the_checked_certificates(self, monkeypatch):
+        """The certificates of acceptance criterion 8, built as shipped
+        and with the trusted constructors replaced by the public ones,
+        are the same bytes."""
+        def certificates():
+            rng = random.Random("acceptance:certs")
+            return [serialize_document("certificate",
+                                       certify_agreement(phi, psi, A))
+                    for _, (phi, psi, A) in agreement_instances(rng, 50)]
+
+        shipped = certificates()
+        for cls in (QuasiAffineInjection, OperadElement):
+            monkeypatch.setattr(cls, "_built",
+                                classmethod(lambda cls, arg: cls(arg)))
+        assert certificates() == shipped
+        assert len(shipped) == 60
+
     def test_disagreement_rejected(self):
         s = interleave()
         other = OperadElement(
@@ -584,22 +602,33 @@ class TestEvaluationVerifier:
         built = []
 
         def counted(cls):
-            init = cls.__init__
+            # the public constructor and the trusted one
+            init, trusted = cls.__init__, cls._built
 
             def counting(self, *args, **kwargs):
-                built.append(cls.__name__)
+                built.append(f"{cls.__name__}.__init__")
                 init(self, *args, **kwargs)
+
+            def counting_built(*args, **kwargs):
+                built.append(f"{cls.__name__}._built")
+                return trusted(*args, **kwargs)
             monkeypatch.setattr(cls, "__init__", counting)
+            monkeypatch.setattr(cls, "_built", counting_built)
 
         counted(QuasiAffineInjection)
         counted(OperadElement)
         for cert, ends in certs:
             verify_certificate(cert, *ends)
         assert built == []
-        # the counters count: the oracle builds both
+        # the counters count: the oracle builds both through the public
+        # constructors, the chain builder through the trusted ones
         cert, ends = next((cert, ends) for cert, ends in certs if cert.steps)
         cert_oracle.verify_certificate(cert, *ends)
-        assert {"QuasiAffineInjection", "OperadElement"} <= set(built)
+        assert {"QuasiAffineInjection.__init__",
+                "OperadElement.__init__"} <= set(built)
+        certify_agreement(*ends, cert.constraints)
+        assert {"QuasiAffineInjection._built",
+                "OperadElement._built"} <= set(built)
 
     @settings(derandomize=True, deadline=None, database=None,
               max_examples=100)
