@@ -102,15 +102,11 @@ def ratio(value, field):
     """A ratio as `_ratio_out` writes it, as the integer pair (p, q): a
     JSON integer, or the string "p/q" in ASCII decimal with q >= 2,
     gcd(p, q) = 1 and a sign on p only."""
-    if type(value) is int:
-        return value, 1
     if isinstance(value, str):
         m = _RATIO.fullmatch(value)
-        if m is not None:
-            p, q = int(m[1]), int(m[2])
-            if q >= 2 and gcd(p, q) == 1:
-                return p, q
-        raise ValidationError("ratio p/q in lowest terms", repr(value))
+        if m is None or int(m[2]) < 2 or gcd(int(m[1]), int(m[2])) != 1:
+            raise ValidationError("ratio p/q in lowest terms", repr(value))
+        return int(m[1]), int(m[2])
     return _INT(value, field), 1
 
 

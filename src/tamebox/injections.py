@@ -243,8 +243,9 @@ def _check_spans(spans):
     """Raise unless the spans describe a total injection of omega.
 
     Checks first the bounds of the spans, then that the domains
-    partition omega, then that the images are disjoint.  The domains of spans of the normal shape
-    (`_normal_shape`) are not checked; their values and images are."""
+    partition omega, then that the images are disjoint.  The domains of
+    spans of the normal shape (`_normal_shape`) are not checked; their
+    values and images are."""
     # one pass: the bounds of every span, the tail, the first span
     # with a value below one, and the images
     tail, images = [], []
@@ -514,8 +515,9 @@ class QuasiAffineInjection:
 def order_embed_avoiding(avoid) -> QuasiAffineInjection:
     """The order-preserving bijection from omega onto omega minus the
     given finite set of positive integers.  Its spans are the normal
-    form: the points below the threshold, then the shift by |avoid|,
-    which the last point, mapped below max(avoid), leaves."""
+    form already: the points 1, ..., t-1, then the shift
+    i -> i + |avoid| from t on, which the point t - 1 leaves, as it maps
+    below max(avoid) = t - 1 + |avoid|."""
     avoid = set(avoid)
     if not all(isinstance(a, int) and a >= 1 for a in avoid):
         raise ValueError("avoided values must be positive integers")
