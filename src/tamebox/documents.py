@@ -124,9 +124,6 @@ def point(value, field):
     return value
 
 
-_ABSENT = object()  # a field the JSON object leaves out
-
-
 def int_or_null(value, field):
     return value if value is None else _INT(value, field)
 
@@ -148,16 +145,12 @@ class Kind:
         _OBJECT(value, field)
         values = []
         for name, read in self.readers.items():
-            v = value.get(name, _ABSENT)
-            if v is _ABSENT:
-                if name not in self.optional:
-                    raise ValidationError("required field",
-                                          f"{self.text}.{name}")
+            if name in value:
+                values.append(read(value[name], name))
+            elif name in self.optional:
                 values.append(None)
-            elif read is _INT and type(v) is int:  # the most common field
-                values.append(v)
             else:
-                values.append(read(v, name))
+                raise ValidationError("required field", f"{self.text}.{name}")
         return values if self.build is None else self.build(*values)
 
     def encode(self, *args):

@@ -191,29 +191,25 @@ def _spans_of_pieces(pieces):
     of the checks fixes which error a faulty document gets: bounds and
     slope signs, then the unbounded piece, then integrality."""
     kept = []
-    unbounded = False
     for lo, hi, mod, res, a, b in pieces:
         lo, mod = int(lo), int(mod)
+        hi = None if hi is None else int(hi)
         an, ad = a if type(a) is tuple else Fraction(a).as_integer_ratio()
         bn, bd = b if type(b) is tuple else Fraction(b).as_integer_ratio()
         if lo < 1 or mod < 1:
             raise ValueError("piece bounds must be positive")
-        if hi is not None:
-            hi = int(hi)
-            if hi < lo:
-                raise ValueError("piece has hi < lo")
+        if hi is not None and hi < lo:
+            raise ValueError("piece has hi < lo")
         if an <= 0:
             raise NotInjective("pieces must be strictly increasing (a > 0)")
         first = lo + (int(res) - lo) % mod
-        if hi is None:
-            unbounded = True
-        elif first > hi:
-            continue
-        kept.append((first, hi, mod, an * first * bd + bn * ad,
-                     an * mod * bd, ad * bd))
-    if not unbounded:
+        if hi is None or first <= hi:
+            kept.append((first, hi, mod, an, ad, bn, bd))
+    if all(p[1] is not None for p in kept):
         raise NotCovering("no unbounded piece; omega cannot be covered")
-    return [checked_span(*row) for row in kept]
+    return [checked_span(first, hi, mod, an * first * bd + bn * ad,
+                         an * mod * bd, ad * bd)
+            for first, hi, mod, an, ad, bn, bd in kept]
 
 
 def _piece(span):
@@ -310,12 +306,8 @@ def _normal_form(spans):
     one past the last point off its tail map, so the points are scanned
     down from t-1 and the scan stops at the first one off it."""
     t = _normal_shape(spans)
-    if t:
-        tail = spans[t - 1:]
-        period = spans[-1][2]
-    else:
-        tail = [sp for sp in spans if sp[1] is None]
-        period = lcm(*[sp[2] for sp in tail])
+    tail = spans[t - 1:] if t else [sp for sp in spans if sp[1] is None]
+    period = lcm(*(sp[2] for sp in tail))
 
     # the affine map x -> (a*x + b)/d on each residue class mod period,
     # in lowest terms, then the least period of that sequence of maps

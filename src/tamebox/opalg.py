@@ -17,7 +17,6 @@ on which they are affine.
 
 from __future__ import annotations
 
-from bisect import bisect
 from functools import reduce
 from math import gcd, lcm
 from typing import NamedTuple
@@ -620,18 +619,13 @@ def _drop_values(u, avoid):
             return u
         u = u.spans
     cuts = sorted(avoid)
-    # window j holds the values strictly between cut j-1 and cut j; a
-    # span's values run from the window of its first value to that of
-    # its last
+    # window j holds the values strictly between cut j-1 and cut j
     windows = list(zip([0] + cuts, cuts + [None]))
     spans = []
     for first, last, mod, v0, step in u:
-        kmax = None if last is None else (last - first) // mod
-        j_last = len(cuts) if last is None else bisect(cuts, v0 + kmax * step)
-        for j in range(bisect(cuts, v0), j_last + 1):
-            lo_v, hi_v = windows[j]
+        for j, (lo_v, hi_v) in enumerate(windows):
             klo = max(0, -((v0 - lo_v - 1) // step))
-            khi = kmax
+            khi = None if last is None else (last - first) // mod
             if hi_v is not None:
                 top = (hi_v - 1 - v0) // step
                 khi = top if khi is None else min(khi, top)
