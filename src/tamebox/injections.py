@@ -419,8 +419,14 @@ class QuasiAffineInjection:
 
     @classmethod
     def affine(cls, a, b):
-        """i -> a*i + b on all of omega, for integers a and b."""
-        return cls([(1, None, 1, a + b, a)])
+        """i -> a*i + b on all of omega, for integers a and b; a total
+        injection when it is increasing with values >= 1, which is
+        checked."""
+        span = (1, None, 1, a + b, a)
+        if a < 1 or a + b < 1:
+            raise NotInjective(
+                f"{_piece(span)} is not increasing with values >= 1")
+        return cls._built([span])
 
     def __call__(self, i):
         if i < 1:

@@ -185,6 +185,19 @@ def random_qa(rng):
 
 
 class TestQuasiAffine:
+    @pytest.mark.parametrize("a, b", [(0, 1), (1, -1), (-2, 5), (3, -2)])
+    def test_affine_is_the_span_it_names(self, a, b):
+        # affine checks its two numbers and trusts the span; it must
+        # agree with the public constructor on the span, refusals too
+        def outcome(build):
+            try:
+                return build().spans
+            except NotInjective as e:
+                return str(e)
+
+        assert outcome(lambda: QuasiAffineInjection.affine(a, b)) == \
+            outcome(lambda: QuasiAffineInjection([(1, None, 1, a + b, a)]))
+
     def test_affine_composition(self):
         double = QuasiAffineInjection.affine(2, 0)
         shift = QuasiAffineInjection.affine(1, 1)
