@@ -212,6 +212,41 @@ def _spans_of_pieces(pieces):
             for first, hi, mod, an, ad, bn, bd in kept]
 
 
+def _shaped_spans(rows):
+    """The spans of integer rows (lo, hi, mod, res, a, b) in the normal
+    shape, with a and b integer pairs (n, 1), as documents write most
+    normal forms, once they pass every check of `_spans_of_pieces` and
+    `_check_spans`; None for any other rows, which take those two.
+    Rows of that shape -- the points i for i = 1, ..., t-1, then p
+    unbounded rows at t, ..., t+p-1, all with the mod p of the last row
+    and first point their lo -- give the spans of `_normal_shape`, whose
+    bounds and coverage hold; what is left to check is that slopes and
+    values are at least one and that the images are disjoint."""
+    p = rows[-1][2]
+    t = len(rows) - p + 1
+    if t < 1:
+        return None
+    spans, images = [], []
+    for i, (lo, hi, mod, res, a, b) in enumerate(rows, 1):
+        if type(a) is not tuple or type(b) is not tuple or a[1] != 1 \
+                or b[1] != 1 or lo != i:
+            return None
+        v0 = a[0] * i + b[0]
+        if a[0] < 1 or v0 < 1:
+            return None
+        if i < t:
+            if hi != i or mod != 1:
+                return None
+            spans.append((i, i, 1, v0, 1))
+            images.append((v0, v0, 1))
+        else:
+            if hi is not None or mod != p or (res - i) % p:
+                return None
+            spans.append((i, None, p, v0, a[0] * p))
+            images.append((v0, None, a[0] * p))
+    return None if _first_overlap(images) else spans
+
+
 def _piece(span):
     first, last, mod, v0, step = span
     a = Fraction(step, mod)
@@ -394,9 +429,14 @@ class QuasiAffineInjection:
         a and b as integer pairs), which `checked_span` converts."""
         pieces = list(pieces)
         if pieces and len(pieces[0]) == len(Piece._fields):
-            pieces = _spans_of_pieces(pieces)
-        _check_spans(pieces)
-        self.spans = _normal_form(pieces)
+            spans = _shaped_spans(pieces)
+            if spans is None:
+                spans = _spans_of_pieces(pieces)
+                _check_spans(spans)
+        else:
+            spans = pieces
+            _check_spans(spans)
+        self.spans = _normal_form(spans)
         self._images = None
 
     @classmethod

@@ -14,12 +14,15 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qa_oracle as oracle
 from tamebox import injections
 from tamebox.documents import (
+    QA_PIECE,
+    _piece_rows,
     _ratio_out,
     canonical_json,
     parse_document,
@@ -212,6 +215,54 @@ def test_shaped_spans_mostly_take_the_shaped_path():
              for seed in range(200)]
     assert sum(taken) >= 100
     assert not takes_shaped_path(random_pieces(random.Random("qa:pieces:0")))
+
+
+def shaped_rows(seed):
+    """The spans of `shaped_spans` as the rows a document reads for
+    them, with a and b as integer pairs."""
+    spans = shaped_spans(random.Random(f"qa:shaped-rows:{seed}"))
+    return spans, _piece_rows([QA_PIECE.encode(sp) for sp in spans], "pieces")
+
+
+@kernel_settings
+@given(seeds)
+def test_shaped_rows_match_the_general_path_and_the_oracle(seed):
+    """Rows in the normal shape skip `_spans_of_pieces` and the checks
+    of `_check_spans` that the shape makes true; what they build, or
+    the error they raise, is that of the general path."""
+    spans, rows = shaped_rows(seed)
+    fast = injections._shaped_spans(rows)
+    if fast is not None:
+        assert fast == injections._spans_of_pieces(rows)
+        injections._check_spans(fast)
+    assert outcome(lambda: QuasiAffineInjection(rows).pieces) == \
+        outcome(lambda: oracle.normalize([_piece(sp) for sp in spans]))
+
+
+def test_shaped_rows_mostly_take_the_fast_path():
+    taken = [injections._shaped_spans(shaped_rows(seed)[1]) is not None
+             for seed in range(200)]
+    assert 100 <= sum(taken) < 200
+    rows = [(lo, hi, mod, res, a.as_integer_ratio(), b.as_integer_ratio())
+            for lo, hi, mod, res, a, b in random_pieces(
+                random.Random("qa:pieces:0"))]
+    assert injections._shaped_spans(rows) is None
+
+
+@pytest.mark.parametrize("spans, row", [
+    # a point row whose residue misses its lo describes no point: the
+    # general path drops the row and finds a gap where it was
+    (order_embed_avoiding({3}).spans, (1, 1, 2, 0, (1, 1), (0, 1))),
+    # an unbounded row of the odd numbers whose residue is even starts
+    # at 2, on the domain of the other row
+    (((1, None, 2, 1, 2), (2, None, 2, 4, 4)),
+     (1, None, 2, 0, (1, 1), (0, 1))),
+])
+def test_shaped_rows_off_their_residue_are_refused(spans, row):
+    rows = _piece_rows([QA_PIECE.encode(sp) for sp in spans], "pieces")
+    assert injections._shaped_spans(rows) is not None
+    rows[0] = row
+    assert outcome(lambda: QuasiAffineInjection(rows)) is NotCovering
 
 
 def pieces_document(pieces):
