@@ -11,7 +11,8 @@ The sub-commands form one table, `COMMANDS`, in `--help` order: the
 which fills the report, with its name, help and argument specs.
 `build_parser` builds the parser from the table once, on first use.
 Each spec says how its argument is read: `main` reads them all for the
-handler and hashes them into the report's `inputs`.
+handler, through `documents`, and hashes them into the report's
+`inputs`; a handler never parses.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -55,22 +55,6 @@ def _read(path):
         raise ParseError(f"cannot read {path}: {e}") from None
 
 
-def _load(path, *kinds):
-    return docs.parse_document(_read(path), kinds, path)
-
-
-def _inline_json(text):
-    if text.startswith("@"):
-        try:
-            text = _read(text[1:]).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ParseError(f"cannot read {text[1:]}: {e}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"inline JSON: {e}") from None
-
-
 def _emit(report, deterministic, started):
     if not deterministic:
         report["elapsedMs"] = int((time.monotonic() - started) * 1000)
@@ -93,11 +77,12 @@ class Arg(NamedTuple):
     flags: tuple
     kwargs: dict  # for argparse's add_argument
     minimum: int | None
-    read: object  # a tuple of document kinds, JSON, PLAIN or OUTPUT
+    read: object  # a tuple of document kinds, a shape, PLAIN or OUTPUT
 
 
-# inline JSON (or @file), the value as given, or no input: output only
-JSON, PLAIN, OUTPUT = "json", "plain", "output"
+# the value as given, or no input: output only.  A shape of `documents`
+# reads inline JSON (or @file).
+PLAIN, OUTPUT = "plain", "output"
 
 COMMANDS = []
 
@@ -150,24 +135,30 @@ def _add_arguments(parser, arguments):
 
 def _read_arguments(args):
     """Check and read the arguments in declaration order, each value read
-    back on `args`; return the inputs by dest: a document's payload,
-    parsed JSON, a plain value, or None when omitted."""
+    back on `args`: a document as a `Document`, inline JSON as its
+    shape's reader returns it.  Return the inputs by dest: a document's
+    payload, inline JSON as parsed, a plain value, or None when
+    omitted."""
     given = {}
     for action, spec in args.specs:
         if spec.read is OUTPUT:
             continue
-        value = getattr(args, action.dest)
-        if value is not None:
-            if spec.minimum is not None and value < spec.minimum:
-                raise ValidationError(f"at least {spec.minimum}",
-                                      f"{action.option_strings[0]}={value}")
-            if spec.read is JSON:
-                value = _inline_json(value)
-            elif spec.read is not PLAIN:
-                value = _load(value, *spec.read)
-            setattr(args, action.dest, value)
-        given[action.dest] = (value.payload if isinstance(value, docs.Document)
-                              else value)
+        value = given[action.dest] = getattr(args, action.dest)
+        if value is None:
+            continue
+        if type(spec.read) is tuple:  # document kinds
+            value = docs.parse_document(_read(value), spec.read, value)
+            given[action.dest] = value.payload
+        elif spec.read is not PLAIN:  # a shape: inline JSON, or @file
+            flag = action.option_strings[0]
+            raw = given[action.dest] = (
+                docs.load_json(_read(value[1:]), value[1:])
+                if value.startswith("@") else docs.load_json(value, flag))
+            value = docs.reader(spec.read)(raw, flag)
+        elif spec.minimum is not None and value < spec.minimum:
+            raise ValidationError(f"at least {spec.minimum}",
+                                  f"{action.option_strings[0]}={value}")
+        setattr(args, action.dest, value)
     return given
 
 
@@ -183,28 +174,31 @@ def main(argv=None):
         given = docs.canonical_json(_read_arguments(args))
         report["inputs"] = hashlib.sha256(given.encode("utf-8")).hexdigest()
         code = args.handler(args, report)
+        _emit(report, args.deterministic, started)
+        return code
     except TameboxError as e:
-        report["outcome"] = "error"
-        report["error"] = {"type": type(e).__name__, "message": str(e)}
-        code = 2
+        # drop what the handler wrote: it may be what failed to encode
+        report = {"command": args.command, "inputs": report["inputs"],
+                  "outcome": "error",
+                  "error": {"type": type(e).__name__, "message": str(e)}}
     _emit(report, args.deterministic, started)
-    return code
+    return 2
 
 
 @command("support", "support of an element",
-         arg("--element", required=True, read=JSON))
+         arg("--element", required=True, read=docs.ELEMENT))
 def _support(args, report):
-    report["value"] = sorted(docs.decode_element(args.element).image)
+    report["value"] = sorted(docs.element(args.element).image)
     return 0
 
 
 @command("act", "apply an injection to an element",
          arg("injection", read=("partial-injection", "qa-injection")),
          arg("mset", read=("mset",)),
-         arg("--element", required=True, read=JSON))
+         arg("--element", required=True, read=docs.ELEMENT))
 def _act(args, report):
     X = args.mset.value
-    x = docs.decode_element(args.element, X)
+    x = docs.element(args.element, X)
     report["value"] = docs.encode_element(X.act(args.injection.value, x))
     return 0
 
@@ -274,11 +268,11 @@ def _n_iso(args, report):
 
 @command("sum", "sum of two disjointly supported elements",
          arg("monoid", read=("monoid",)),
-         arg("--x", required=True, read=JSON),
-         arg("--y", required=True, read=JSON))
+         arg("--x", required=True, read=docs.ELEMENT),
+         arg("--y", required=True, read=docs.ELEMENT))
 def _sum(args, report):
     P = args.monoid.value
-    x, y = (docs.decode_element(e, P.carrier) for e in (args.x, args.y))
+    x, y = (docs.element(e, P.carrier) for e in (args.x, args.y))
     report["value"] = docs.encode_element(P.add(x, y))
     return 0
 
@@ -286,12 +280,11 @@ def _sum(args, report):
 @command("operad-act", "derived operadic action",
          arg("monoid", read=("monoid",)),
          arg("operad", read=("operad-element",)),
-         arg("--args", required=True, read=JSON,
+         arg("--args", required=True, read=[docs.ELEMENT],
              help="JSON list of elements (or @file)"))
 def _operad_act(args, report):
     P = args.monoid.value
-    elements = [docs.element(fields, P.carrier) for fields in
-                docs.reader([docs.ELEMENT])(args.args, "--args")]
+    elements = [docs.element(fields, P.carrier) for fields in args.args]
     A = monoid_to_algebra(P)
     report["value"] = docs.encode_element(A(args.operad.value, elements))
     return 0
@@ -323,20 +316,20 @@ def _to_monoid(args, report):
 @command("a3", "certify two agreeing operad elements",
          arg("--phi", required=True, read=("operad-element",)),
          arg("--psi", required=True, read=("operad-element",)),
-         arg("--constraints", required=True, read=JSON,
+         arg("--constraints", required=True, read=[[int]],
              help="JSON list of integer lists (or @file)"),
          arg("--emit", read=OUTPUT,
              help="write the certificate document here"))
 def _a3(args, report):
-    # read as a certificate's constraint sets are
-    read = docs.CERTIFICATE.readers["A"]
-    constraints = [set(A) for A in read(args.constraints, "--constraints")]
+    constraints = [set(A) for A in args.constraints]
     # certify_agreement has verified the chain; it raises if that fails
     cert = certify_agreement(args.phi.value, args.psi.value, constraints)
     if args.emit:
+        # encoded before the file is opened: a failure leaves no file
+        text = docs.serialize_document("certificate", cert) + "\n"
         try:
             with open(args.emit, "w", encoding="utf-8") as fh:
-                fh.write(docs.serialize_document("certificate", cert) + "\n")
+                fh.write(text)
         except OSError as e:
             raise ValidationError(f"a writable path ({e.strerror})",
                                   f"--emit={args.emit}") from None
@@ -360,11 +353,11 @@ def _verify_cert(args, report):
 @command("chi", "operadic pairing into the box product",
          arg("operad", read=("operad-element",)),
          arg("left", read=("mset",)), arg("right", read=("mset",)),
-         arg("--x", required=True, read=JSON),
-         arg("--y", required=True, read=JSON))
+         arg("--x", required=True, read=docs.ELEMENT),
+         arg("--y", required=True, read=docs.ELEMENT))
 def _chi(args, report):
     X, Y = args.left.value, args.right.value
-    x, y = docs.decode_element(args.x, X), docs.decode_element(args.y, Y)
+    x, y = docs.element(args.x, X), docs.element(args.y, Y)
     fx, fy = operadic_to_box(X, Y, args.operad.value, x, y)
     report["value"] = {"first": docs.encode_element(fx),
                        "second": docs.encode_element(fy)}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
@@ -37,10 +38,24 @@ _MALFORMED = (AttributeError, IndexError, KeyError, OverflowError, TypeError,
              ValueError, ZeroDivisionError)
 
 
+def load_json(data, source=None):
+    """The JSON value of text, or of bytes in strict UTF-8.  Any failure,
+    Python's digit or nesting limit too, is a `ParseError`."""
+    try:
+        return json.loads(data if isinstance(data, str) else data.decode())
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError too
+        raise ParseError(f"{source}: {e}" if source else str(e)) from None
+
+
 def canonical_json(value):
     # every value encoded is a tree, so the cycle check only costs time
-    return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      check_circular=False)
+    try:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                          check_circular=False)
+    except ValueError:  # an integer past Python's digit limit
+        n = sys.get_int_max_str_digits()
+        raise ValidationError(f"output integers of {n} digits at most"
+                              ) from None
 
 
 # -- shapes -----------------------------------------------------------------
@@ -322,10 +337,6 @@ def element(fields, X: CanonicalTameMSet = None):
     return MElement(level, image, point)
 
 
-def decode_element(payload, X: CanonicalTameMSet = None):
-    return element(ELEMENT.read(payload, "element"), X)
-
-
 def _iset_parts(X: TruncatedISet, layers=None):
     layers = layers or [PointNames(level) for level in X.levels]
     return (
@@ -419,16 +430,9 @@ class Document(NamedTuple):
 def parse_document(data, kinds=(), source=None) -> Document:
     """Decode and validate one document from bytes or text.  Given the
     accepted `kinds`, a document of another kind is refused before its
-    payload is read; `source` names the document in that error."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ParseError(str(e)) from None
-    try:
-        raw = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ParseError(str(e)) from None
+    payload is read; `source` names the document there and in decoding
+    errors."""
+    raw = load_json(data, source)
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ParseError("document must be an object with a kind")
     # a missing version reads as the only one there is; True == 1 and

@@ -82,6 +82,45 @@ MUTANTS = [
            "mod, v0 + klo * step - j, step))",
            "mod, v0 + klo * step, step))",
            "tests/test_qa_kernel.py::test_certificate_helpers_match_oracle"),
+    # the bulk piece reader takes a piece the description refuses, or
+    # reads a ratio string as an integer pair
+    Mutant("bulk piece reader without its res test", "documents.py",
+           "type(lo) is type(mod) is type(res) is type(a) is type(b) is int",
+           "type(lo) is type(mod) is type(a) is type(b) is int",
+           "tests/test_documents.py::"
+           "test_bulk_piece_reader_reads_as_the_description"),
+    Mutant("bulk piece reader without its a test", "documents.py",
+           "type(lo) is type(mod) is type(res) is type(a) is type(b) is int",
+           "type(lo) is type(mod) is type(res) is type(b) is int",
+           "tests/test_documents.py::"
+           "test_bulk_piece_reader_reads_as_the_description"),
+    # rows in the normal shape that the general path refuses
+    Mutant("shaped rows without the image test", "injections.py",
+           "    return None if _first_overlap(images) else spans\n",
+           "    return spans\n",
+           "tests/test_qa_kernel.py::"
+           "test_shaped_rows_match_the_general_path_and_the_oracle"),
+    Mutant("shaped rows without the value test", "injections.py",
+           "        if a[0] < 1 or v0 < 1:\n            return None\n",
+           "",
+           "tests/test_qa_kernel.py::"
+           "test_shaped_rows_match_the_general_path_and_the_oracle"),
+    Mutant("shaped rows without the point-mod test", "injections.py",
+           "            if hi != i or mod != 1:\n",
+           "            if hi != i:\n",
+           "tests/test_qa_kernel.py::"
+           "test_shaped_rows_off_their_residue_are_refused"),
+    Mutant("shaped rows without the residue test", "injections.py",
+           "            if hi is not None or mod != p or (res - i) % p:\n",
+           "            if hi is not None or mod != p:\n",
+           "tests/test_qa_kernel.py::"
+           "test_shaped_rows_off_their_residue_are_refused"),
+    # JSON past Python's digit or nesting limit escapes as a traceback
+    Mutant("load_json catching only JSONDecodeError", "documents.py",
+           "    except (ValueError, RecursionError) as e:  "
+           "# UnicodeDecodeError too\n",
+           "    except json.JSONDecodeError as e:\n",
+           "tests/test_cli.py::test_json_past_python_limits_is_a_parse_error"),
 ]
 
 

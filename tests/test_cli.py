@@ -509,6 +509,79 @@ class TestReportDiscipline:
         assert "elapsedMs" in rep
 
 
+# JSON past Python's own limits: nested deeper than its recursion limit,
+# or with an integer of more digits than it converts.  json.loads raised
+# RecursionError and ValueError, and the call ended in a traceback with
+# exit 1
+TOO_DEEP = "[" * 50_000 + "]" * 50_000
+TOO_LONG = '{"level":1,"image":[%s],"point":"a"}' % ("1" * 5_000)
+
+
+@pytest.mark.parametrize("text", [TOO_DEEP, TOO_LONG],
+                         ids=["deep", "digits"])
+@pytest.mark.parametrize("given", ["document", "@file", "inline"])
+def test_json_past_python_limits_is_a_parse_error(capsys, tmp_path, text,
+                                                  given):
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    argv = {"document": ["orbit-set", str(path)],
+            "@file": ["support", "--element", f"@{path}"],
+            "inline": ["support", "--element", text]}[given]
+    code, rep = run(capsys, *argv)
+    assert (code, rep["error"]["type"], rep["inputs"]) == (2, "ParseError",
+                                                           "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["support", "--element", '{"level":"x","image":[1],"point":"a"}'],
+    ["act", "<inj>", "<m2>", "--element", '{"level":2,"image":[1,2]}'],
+    ["sum", "<monoid>", "--x", '{"level":1,"image":["2"],"point":"p0"}',
+     "--y", '{"level":1,"image":[5],"point":"p1"}'],
+    ["operad-act", "<monoid>", "<op>", "--args", "[5]"],
+    ["a3", "--phi", "<phi>", "--psi", "<op>", "--constraints", "[[1.5],[]]"],
+    ["chi", "<op>", "<m1>", "<m1>",
+     "--x", '{"level":1,"image":[2],"point":"p0"}', "--y", "[]"],
+], ids=["support", "act", "sum", "operad-act", "a3", "chi"])
+def test_malformed_inline_value_is_refused_while_reading(capsys, inputs,
+                                                         argv):
+    # the handlers read their inline values after `inputs` was hashed
+    code, out = _call(capsys, argv, inputs)
+    rep = json.loads(out)
+    assert (code, rep["error"]["type"]) == (2, "ValidationError")
+    assert rep["inputs"] == ""
+
+
+def test_output_past_the_digit_limit_is_an_input_error(capsys, tmp_path):
+    # a slope of 3,000 digits sends the image 10**1999 to a value of
+    # 5,000: the report could not be encoded, and the ValueError ended
+    # the call in a traceback with exit 1
+    write = _writer(tmp_path)
+    f = write("f", "qa-injection", QuasiAffineInjection.affine(10**2999, 0))
+    X = write("x", "mset", CanonicalTameMSet({1: trivial_sigma_set(1, ["a"])}))
+    element = json.dumps({"level": 1, "image": [10**1999], "point": "a"})
+    code, rep = run(capsys, "act", f, X, "--element", element)
+    assert (code, rep["error"]["type"]) == (2, "ValidationError")
+    assert "4300 digits" in rep["error"]["message"]
+    assert rep["inputs"] != "" and "value" not in rep
+
+
+def test_certificate_past_the_digit_limit_leaves_no_file(capsys, tmp_path):
+    # the slope 10**4299 + 1 has 4,300 digits, as many as a document may
+    # hold; the chain widens it tenfold.  The file was opened before the
+    # certificate was encoded, and a ValueError left it empty
+    s = 10**4299 + 1
+    write = _writer(tmp_path)
+    phi = write("phi", "operad-element", OperadElement(
+        [QuasiAffineInjection.affine(s, 0), QuasiAffineInjection.affine(s, 1)]))
+    psi = write("psi", "operad-element", interleave())
+    emit = tmp_path / "cert.json"
+    code, rep = run(capsys, "a3", "--phi", phi, "--psi", psi,
+                    "--constraints", "[[],[]]", "--emit", str(emit))
+    assert (code, rep["error"]["type"]) == (2, "ValidationError")
+    assert rep["inputs"] != ""
+    assert not emit.exists()
+
+
 # sha256 of the --deterministic report of one call of every sub-command,
 # in --help order, recorded before the command table replaced the
 # dispatch chain, and again, in `inputs` alone, when `main` came to hash

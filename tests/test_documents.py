@@ -141,14 +141,14 @@ class TestValidationSurface:
             )
 
     def test_unsorted_element_canonicalized_against_carrier(self):
-        from tamebox.documents import decode_element
+        from tamebox.documents import ELEMENT, element
         from tamebox.mset import injection_element
 
         X = injection_mset(2)
         raw = {"level": 2, "image": [4, 1], "point": "a"}
         # the regular degree-2 set uses permutation tuples as points
         raw["point"] = (1, 2)
-        got = decode_element(raw, X)
+        got = element(ELEMENT.read(raw, "element"), X)
         assert got.image == (1, 4)
         assert got == injection_element(X, (4, 1))
 
@@ -230,6 +230,8 @@ PIECES = {
     "ratio not in lowest terms": _with(b="4/2"),
     "bool for an integer": _with(mod=True),
     "float for an integer": _with(lo=2.0),
+    "float for res": _with(res=1.0),
+    "ratio string for a only": _with(a="1/2"),
     "string for hi": _with(hi="9"),
     "extra field": _with(note="ignored"),
     "array for a piece": [2, 9, 3, 1, 2, -1],

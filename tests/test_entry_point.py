@@ -74,6 +74,19 @@ def test_input_error_reaches_the_shell_as_exit_2(tmp_path):
     assert code == 2 and json.loads(out)["outcome"] == "error"
 
 
+def test_json_past_python_limits_is_an_input_error(tmp_path):
+    # a document nested 50,000 deep and an inline element with an
+    # integer of 5,000 digits: json.loads raised RecursionError and
+    # ValueError, and the command ended in a traceback with exit 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 50_000 + "]" * 50_000)
+    element = '{"level":1,"image":[%s],"point":"a"}' % ("1" * 5_000)
+    for argv in (["orbit-set", str(deep)], ["support", "--element", element]):
+        code, out = cli(tmp_path, *argv)
+        report = json.loads(out)  # one report
+        assert (code, report["error"]["type"]) == (2, "ParseError")
+
+
 def _certificate(tmp_path, name, change):
     """The stored certificate with one change applied to its document."""
     with open(CERTIFICATE, encoding="utf-8") as fh:
