@@ -69,10 +69,8 @@ def random_agreeing_pair(rng, n, constraint_sizes):
         for i in range(n):
             g = random_quasi_affine(rng)
             keep = order_embed_avoiding(constraints[i])
-            moves.append(
-                _inflate_along(keep, keep.compose(g),
-                               {a: a for a in constraints[i]})
-            )
+            moves.append(_inflate_along(keep.compose_spans(g),
+                                        {a: a for a in constraints[i]}))
         psi = psi.precompose(tuple(moves))
     return phi, psi, constraints
 
@@ -93,9 +91,8 @@ def random_prescribed_pair(rng, n, constraint_sizes):
     lanes = disjoint_lanes(n)
     slots = []
     for i in range(n):
-        keep = order_embed_avoiding(constraints[i])
         fresh = lift.compose(lanes[i].compose(random_quasi_affine(rng)))
-        slots.append(_inflate_along(keep, fresh, pinned[i]))
+        slots.append(_inflate_along(fresh.spans, pinned[i]))
     return phi, OperadElement(slots), constraints
 
 

@@ -25,6 +25,7 @@ non-integral steps and values.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Sequence, Union
@@ -550,24 +551,68 @@ class QuasiAffineInjection:
         return f"QuasiAffineInjection({list(self.pieces)!r})"
 
 
+def _reindex(spans, cuts, values, collapse):
+    """The spans re-indexed across sorted, distinct positive cuts, on
+    their values (`values`) or on their domain; not normalized.
+
+    Window j, for j = 0, ..., len(cuts), holds the numbers strictly
+    between cut j-1 and cut j (cut -1 = 0; the last window is
+    unbounded).  To collapse, each span is cut where it crosses the
+    windows, its points on a cut are left out, and the piece in window
+    j moves down by j: the order bijection of omega minus the cuts onto
+    omega.  To expand, window j first moves down by j, to the numbers
+    from cut[j-1] + 1 - j to cut[j] - 1 - j (these partition omega),
+    and the piece there moves up by j: the order embedding e of omega
+    onto omega minus the cuts.  So on values, expand gives e after f and
+    collapse e^-1 after f (when the image of f avoids the cuts); on the
+    domain, collapse gives f after e and expand the h with h after e =
+    f, defined off the cuts.  Windows are found by bisection: a point
+    span costs O(log len(cuts)), and what is built depends on how many
+    cuts there are, not on their values."""
+    windows, lo = [], 1  # (first, last, shift); the last is unbounded
+    for j, cut in enumerate(cuts):
+        hi = cut - 1 if collapse else cut - 1 - j
+        windows.append((lo, hi, -j if collapse else j))
+        lo = hi + 2 if collapse else hi + 1
+    windows.append((lo, None, -len(cuts) if collapse else len(cuts)))
+    tops = [hi for _, hi, _ in windows[:-1]]
+    out = []
+    for first, last, mod, v0, step in spans:
+        # the span's coordinate is x0 + k*dx, k <= kmax
+        x0, dx = (v0, step) if values else (first, mod)
+        j = bisect_left(tops, x0)
+        if first == last:  # a point, left out when on a cut
+            lo, _, shift = windows[j]
+            if x0 >= lo:
+                out.append((first, first, 1, v0 + shift, 1) if values
+                           else (first + shift, first + shift, 1, v0, 1))
+            continue
+        kmax = None if last is None else (last - first) // mod
+        j1 = len(tops) if kmax is None else bisect_left(tops, x0 + kmax * dx)
+        for lo, hi, shift in windows[j:j1 + 1]:
+            klo = 0 if x0 >= lo else -((x0 - lo) // dx)
+            khi = kmax
+            if hi is not None:
+                top = (hi - x0) // dx
+                khi = top if khi is None else min(khi, top)
+            if khi is not None and klo > khi:
+                continue
+            ds, vs = (0, shift) if values else (shift, 0)
+            end = None if khi is None else first + khi * mod + ds
+            out.append((first + klo * mod + ds, end, mod, v0 + klo * step + vs,
+                        step))
+    return out
+
+
 def order_embed_avoiding(avoid) -> QuasiAffineInjection:
     """The order-preserving bijection from omega onto omega minus the
-    given finite set of positive integers.  Its spans are the normal
-    form already: the points 1, ..., t-1, then the shift
-    i -> i + |avoid| from t on, which the point t - 1 leaves, as it maps
-    below max(avoid) = t - 1 + |avoid|."""
+    given finite set of positive integers: the identity with its values
+    expanded across the set (`_reindex`)."""
     avoid = set(avoid)
     if not all(isinstance(a, int) and a >= 1 for a in avoid):
         raise ValueError("avoided values must be positive integers")
-    bound = max(avoid, default=0)
-    pieces = []
-    targets = iter(sorted(set(range(1, bound + 1)) - avoid))
-    head = bound - len(avoid)
-    for i in range(1, head + 1):
-        v = next(targets)
-        pieces.append((i, i, 1, v, 1))
-    pieces.append((head + 1, None, 1, head + 1 + len(avoid), 1))
-    return QuasiAffineInjection._built(pieces)
+    return QuasiAffineInjection._built(
+        _reindex(_IDENTITY, sorted(avoid), values=True, collapse=False))
 
 
 Injection = Union[PartialInjection, QuasiAffineInjection]

@@ -36,7 +36,7 @@ from .injections import (
     OperadElement,
     PartialInjection,
     QuasiAffineInjection,
-    order_embed_avoiding,
+    _reindex,
 )
 from .mset import (DEFAULT_DEGREE_BOUND, CanonicalTameMSet, MElement, box,
                    support)
@@ -609,61 +609,13 @@ def _connect(phi: OperadElement, psi: OperadElement):
     return elems, steps
 
 
-def _drop_values(u, avoid):
-    """Compose with the order collapse of omega minus a finite value
-    set back onto omega; defined when the image of u avoids the set,
-    as the callers ensure.  u is a quasi-affine injection, or spans of
-    one that need not be normal (`QuasiAffineInjection.compose_spans`)."""
-    if isinstance(u, QuasiAffineInjection):
-        if not avoid:
-            return u
-        u = u.spans
-    cuts = sorted(avoid)
-    # window j holds the values strictly between cut j-1 and cut j
-    windows = list(zip([0] + cuts, cuts + [None]))
-    spans = []
-    for first, last, mod, v0, step in u:
-        for j, (lo_v, hi_v) in enumerate(windows):
-            klo = max(0, -((v0 - lo_v - 1) // step))
-            khi = None if last is None else (last - first) // mod
-            if hi_v is not None:
-                top = (hi_v - 1 - v0) // step
-                khi = top if khi is None else min(khi, top)
-            if khi is not None and klo > khi:
-                continue
-            spans.append((first + klo * mod,
-                          None if khi is None else first + khi * mod,
-                          mod, v0 + klo * step - j, step))
-    return QuasiAffineInjection._built(spans)
-
-
-def _inflate_along(c: QuasiAffineInjection, t, pinned):
-    """The map h with h(c(i)) = t(i) off the pinned set and the pinned
-    values on it; c is the order embedding of omega onto omega minus
-    the pinned set (`order_embed_avoiding`), whose spans all have mod
-    and slope one.  h is an injection when the image of t avoids the
-    pinned values, as the callers ensure.  t is a quasi-affine
-    injection, which is h when c is the identity and nothing is pinned,
-    or spans of one that need not be normal
-    (`QuasiAffineInjection.compose_spans`)."""
-    if isinstance(t, QuasiAffineInjection):
-        if not pinned and c == _ID:
-            return t
-        t = t.spans
+def _inflate_along(t, pinned):
+    """The map h with h(e(i)) = t(i), e the order embedding of omega
+    onto omega minus the pinned set, and the pinned values on that set;
+    an injection when the image of t avoids them, as the callers ensure.
+    t are spans of a quasi-affine injection, not necessarily normal."""
     spans = [(a, a, 1, v, 1) for a, v in pinned.items()]
-    for fc, lc, mc, vc, sc in c.spans:
-        assert mc == sc == 1
-        shift = vc - fc
-        for ft, lt, mt, vt, st in t:
-            # the part of t's span from fc to lc, moved along c
-            first = ft if ft >= fc else fc + (ft - fc) % mt
-            last = lt if lc is None else lc if lt is None else min(lc, lt)
-            if last is not None:
-                if first > last:
-                    continue
-                last = first + (last - first) // mt * mt + shift
-            spans.append((first + shift, last, mt,
-                          vt + (first - ft) // mt * st, st))
+    spans += _reindex(t, sorted(pinned), values=False, collapse=False)
     return QuasiAffineInjection._built(spans)
 
 
@@ -671,27 +623,30 @@ def certify_agreement(phi: OperadElement, psi: OperadElement, constraints):
     """Produce a verified chain between two elements that agree on the
     prescribed sets; every move fixes those sets pointwise.
 
-    The constraints are conjugated away: slot i is precomposed with
-    the order embedding e_i of omega onto omega minus A_i, and the
-    pinned values are dropped from the target.  `_connect` joins the
-    images phi' and psi' in at most six steps, and `_inflate_along`
-    transports the chain back, pinning the prescribed values again;
-    each distinct move of a slot is transported once.
+    The constraints are cut away (`_reindex`), and no order embedding
+    is built: with e_i the one of omega onto omega minus A_i, and e the
+    one onto omega minus the values P that phi takes on the constraint
+    sets, slot i of phi' is e^-1 after phi_i after e_i; psi' likewise.
+    `_connect` joins them in at most six steps, and expanding the same
+    cuts transports the chain back (`_inflate_along`): slot i of an
+    element x becomes e after x_i after e_i^-1 off A_i and phi_i on
+    A_i, and a move f of slot i, once per distinct move, e_i after f
+    after e_i^-1 off A_i and the identity on A_i.
 
     The library builds these maps and elements itself, unchecked, as
     they are valid by construction; `verify_certificate` checks the
     chain at the end.  phi' is an element: slot i of phi after e_i
     misses the pinned values of slot i, as phi_i is injective, and
     those of every other slot, as the slots of phi have disjoint
-    images; so its values can be dropped, and dropping them is an
-    order bijection onto omega, which keeps the images disjoint.  psi'
+    images; so e^-1 is defined on it, and as an order bijection of
+    omega minus P onto omega it keeps the images disjoint.  psi'
     likewise, as psi agrees with phi on the constraint sets.  A
-    transported chain element has slot i equal to the lift of the
-    inner slot i off A_i and to phi_i on A_i: the lifts of distinct
-    slots are disjoint and avoid every pinned value, and the pinned
-    values of distinct slots are disjoint.  A transported move is the
-    identity on A_i and e_i after the move after the inverse of e_i
-    off it, whose values avoid A_i.
+    transported element is one: off the constraint sets its slots are
+    e after those of x, with disjoint images that avoid P, as e is
+    injective and misses P; on them they take the values P, pairwise
+    distinct.  A transported move is injective: off A_i its values are
+    values of e_i, which avoid A_i, where it is the identity.  phi'
+    and psi' are transported back to phi and psi.
 
     Let n be the arity and M = n(2n+1).  The widened a = phi' after
     (w_1 + ... + w_n) has affine slots a_k(i) = v_k + (i-1)*M*s_k, all
@@ -728,7 +683,12 @@ def certify_agreement(phi: OperadElement, psi: OperadElement, constraints):
         raise PreconditionViolated("arity must be at least two")
     if psi.arity != n or len(constraints) != n:
         raise PreconditionViolated("arities and constraint count must agree")
-    constraints = [frozenset(int(a) for a in A) for A in constraints]
+    for A in constraints:
+        for a in A:
+            if type(a) is not int or a < 1:
+                raise PreconditionViolated(
+                    f"constraint value {a!r} is not a positive integer")
+    constraints = [frozenset(A) for A in constraints]
     for e in (phi, psi):
         if not all(isinstance(s, QuasiAffineInjection) for s in e.slots):
             raise PreconditionViolated("slots must be quasi-affine")
@@ -742,41 +702,37 @@ def certify_agreement(phi: OperadElement, psi: OperadElement, constraints):
     if phi == psi:
         cert = Certificate(n, constraints, [], phi)
     else:
-        embeds = [order_embed_avoiding(A) for A in constraints]
+        cuts = [sorted(A) for A in constraints]
         pinned_slots = [
             {a: phi.slot(i + 1)(a) for a in constraints[i]} for i in range(n)
         ]
-        pinned_id = [{a: a for a in constraints[i]} for i in range(n)]
-        # relabel the target so that the pinned values disappear; the
-        # connecting chain then cannot run into them
+        # the pinned values are cut from the target; the connecting
+        # chain then cannot run into them
         taken = sorted(v for pin in pinned_slots for v in pin.values())
-        lift = order_embed_avoiding(taken)
         inner_phi, inner_psi = (
-            OperadElement._built([
-                _drop_values(s if c == _ID else s.compose_spans(c), taken)
-                for s, c in zip(e.slots, embeds)])
+            OperadElement._built([QuasiAffineInjection._built(_reindex(
+                _reindex(s.spans, A, values=False, collapse=True),
+                taken, values=True, collapse=True))
+                for s, A in zip(e.slots, cuts)])
             for e in (phi, psi)
         )
         elems, steps = _connect(inner_phi, inner_psi)
 
-        def transport(i, outer, f, pinned):
-            # h with h(embeds[i](x)) = outer(f(x)) off the pinned set;
-            # outer after f stays in spans, only h is normalized
-            t = f if outer == _ID else outer.compose_spans(f)
-            return _inflate_along(embeds[i], t, pinned)
+        def transport(f, over, pinned):
+            # h with h after e_A = e_over after f off A, the keys of pinned
+            return _inflate_along(
+                _reindex(f.spans, over, values=True, collapse=False), pinned)
 
         moves = {}  # (slot, move) -> the move transported back
 
         def transport_move(i, f):
             if (i, f) not in moves:
-                moves[i, f] = transport(i, embeds[i], f, pinned_id[i])
+                moves[i, f] = transport(f, cuts[i], {a: a for a in cuts[i]})
             return moves[i, f]
 
-        # transporting phi' and psi' back gives phi and psi themselves:
-        # lift undoes the dropped values, and phi and psi agree on the
-        # pinned sets
+        # transporting phi' and psi' back gives phi and psi themselves
         out_elems = [phi, *(
-            OperadElement._built([transport(i, lift, s, pinned_slots[i])
+            OperadElement._built([transport(s, taken, pinned_slots[i])
                                   for i, s in enumerate(e.slots)])
             for e in elems[1:-1]
         ), psi]

@@ -75,12 +75,19 @@ MUTANTS = [
            "    spans = [(a, a, 1, v, 1) for a, v in pinned.items()]\n",
            "    spans = []\n",
            "tests/test_qa_kernel.py::test_certificate_helpers_match_oracle"),
-    # window j keeps its values: nothing is dropped.  The spans still
-    # describe an injection, so the fixture passes it and the
-    # comparison with the oracle fails
-    Mutant("drop values without the window offset", "opalg.py",
-           "mod, v0 + klo * step - j, step))",
-           "mod, v0 + klo * step, step))",
+    # a collapse leaves every window but the last where it is: the
+    # dropped values are not closed up, and the comparison with the
+    # oracle fails
+    Mutant("drop values without the window offset", "injections.py",
+           "-j if collapse else j",
+           "0 if collapse else j",
+           "tests/test_qa_kernel.py::test_certificate_helpers_match_oracle"),
+    # off by one at the cut: a collapse window holds its own cut, so a
+    # domain collapse keeps the point on the cut and gives two spans
+    # the same first point
+    Mutant("collapse window holding its cut", "injections.py",
+           "hi = cut - 1 if collapse else cut - 1 - j",
+           "hi = cut if collapse else cut - 1 - j",
            "tests/test_qa_kernel.py::test_certificate_helpers_match_oracle"),
     # the bulk piece reader takes a piece the description refuses, or
     # reads a ratio string as an integer pair

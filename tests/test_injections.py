@@ -19,6 +19,7 @@ from tamebox.injections import (
     PartialInjection,
     Piece,
     QuasiAffineInjection,
+    _reindex,
     compose_any,
     interleave,
     order_embed_avoiding,
@@ -165,6 +166,17 @@ class TestOrderEmbedAvoiding:
         # {0, 3} once gave a map onto omega minus {2, 3}
         with pytest.raises(ValueError):
             order_embed_avoiding(avoid)
+
+
+def test_reindex_builds_per_cut_not_per_value():
+    """Across one cut at 10**9, every mode of `_reindex` cuts an affine
+    map into two spans: what it builds grows with the number of cuts,
+    not with their values.  The odd values of f avoid the cut."""
+    f = QuasiAffineInjection.affine(2, -1)
+    for values in (True, False):
+        for collapse in (True, False):
+            spans = _reindex(f.spans, [10**9], values, collapse)
+            assert len(spans) == 2, (values, collapse)
 
 
 def random_qa(rng):

@@ -83,7 +83,7 @@ def random_pair_agreeing(rng, n, constraint_sizes):
             from tamebox.opalg import _inflate_along
 
             moves.append(
-                _inflate_along(keep, keep.compose(g), {a: a for a in constraints[i]})
+                _inflate_along(keep.compose_spans(g), {a: a for a in constraints[i]})
             )
         psi = psi.precompose(tuple(moves))
     return phi, psi, constraints
@@ -283,7 +283,7 @@ class TestAlgebraRoundTrip:
                 g = QuasiAffineInjection.affine(1, rng.randint(1, 3))
                 keep = order_embed_avoiding(set(e.image))
                 moves.append(
-                    _inflate_along(keep, keep.compose(g),
+                    _inflate_along(keep.compose_spans(g),
                                    {a: a for a in e.image})
                 )
             psi = phi.precompose(tuple(moves))
@@ -448,6 +448,13 @@ class TestCertificates:
         )
         with pytest.raises(PreconditionViolated):
             certify_agreement(s, other, [{1}, set()])
+
+    @pytest.mark.parametrize("value", [2.5, "3", True, 0, -1])
+    def test_constraint_values_must_be_positive_integers(self, value):
+        # read through int(), 2.5, "3" and True once stood for 2, 3 and 1
+        s = interleave()
+        with pytest.raises(PreconditionViolated, match="positive integer"):
+            certify_agreement(s, s, [{value}, set()])
 
     def test_tampered_move_detected(self):
         rng = random.Random(29)
@@ -649,7 +656,7 @@ class TestEvaluationVerifier:
             i = data.draw(st.integers(0, n - 1))
             keep = order_embed_avoiding(constraints[i])
             drawn = opalg._inflate_along(
-                keep, keep.compose(random_qa(random.Random(seed))),
+                keep.compose_spans(random_qa(random.Random(seed))),
                 {a: a for a in constraints[i]})
             other = data.draw(st.sampled_from(
                 [s.move[i] for s in steps] + [drawn]))

@@ -40,11 +40,11 @@ from tamebox.injections import (
     QuasiAffineInjection,
     _clashing_slots,
     _piece,
+    _reindex,
     interleave,
     order_embed_avoiding,
 )
 from tamebox.opalg import (
-    _drop_values,
     _inflate_along,
     _merge_even_odd,
     _widen,
@@ -84,8 +84,10 @@ def random_qa(rng):
         elif kind == 3:
             f = _widen(f, rng.choice((10, 21)))[1]
         else:
-            f = _drop_values(f, {v for v in range(1, 12)
-                                 if not oracle.progressions_contain(f, v)})
+            free = [v for v in range(1, 12)
+                    if not oracle.progressions_contain(f, v)]
+            f = QuasiAffineInjection._built(
+                _reindex(f.spans, free, values=True, collapse=True))
     return f
 
 
@@ -352,22 +354,43 @@ def test_certificate_helpers_match_oracle(seed):
     assert _merge_even_odd(s.slot(2).compose(u), s.slot(1).compose(w)).pieces \
         == oracle.merge_even_odd(s.slot(2).compose(u).pieces,
                                  s.slot(1).compose(w).pieces)
-    free = [v for v in range(1, 25) if not oracle.progressions_contain(u, v)]
+    # each mode of _reindex against the construction it replaced, on cut
+    # sets with values up to about 10**3
+    bound = rng.choice((25, 1000))
+    cuts = sorted(rng.sample(range(1, bound), rng.randint(0, 4)))
+    e = order_embed_avoiding(cuts)
+
+    def reindexed(spans, values, collapse):
+        return QuasiAffineInjection._built(
+            _reindex(spans, cuts, values=values, collapse=collapse))
+
+    assert reindexed(w.spans, values=True, collapse=False) == e.compose(w)
+    assert reindexed(w.spans, values=False, collapse=True) == w.compose(e)
+    free = [v for v in rng.sample(range(1, bound), 8)
+            if not oracle.progressions_contain(u, v)]
     avoid = set(rng.sample(free, min(len(free), rng.randint(0, 3))))
     if rng.random() < 0.2:
         avoid.add(u(rng.randint(1, 5)))
-    assert outcome(lambda: _drop_values(u, avoid).pieces) == \
+    assert outcome(lambda: QuasiAffineInjection._built(_reindex(
+        u.spans, sorted(avoid), values=True, collapse=True)).pieces) == \
         outcome(lambda: oracle.drop_values(u.pieces, avoid))
+    # the oracle pairs every span of e with every span of its target,
+    # which is quadratic in the largest cut: on these cuts the inflated
+    # map is checked by its definition, and against the oracle below 8
+    lifted = _inflate_along(e.compose_spans(w), {a: a for a in cuts})
+    assert lifted.compose(e) == e.compose(w) and lifted.fixes_pointwise(cuts)
     constraint = set(rng.sample(range(1, 8), rng.randint(0, 3)))
     keep = order_embed_avoiding(constraint)
     target = keep.compose(w)
     pinned = {a: a for a in constraint}
-    # the target also as the raw spans of keep after w, as
-    # certify_agreement passes it
-    for c, t, pins in ((keep, target, pinned),
-                       (keep, keep.compose_spans(w), pinned),
-                       (order_embed_avoiding(()), target, {})):
-        assert _inflate_along(c, t, pins).pieces == \
+    # the target also as spans that are not normal, as certify_agreement
+    # passes it
+    expanded = _reindex(w.spans, sorted(constraint), values=True,
+                        collapse=False)
+    for c, t, pins in ((keep, target.spans, pinned),
+                       (keep, expanded, pinned),
+                       (order_embed_avoiding(()), target.spans, {})):
+        assert _inflate_along(t, pins).pieces == \
             oracle.inflate_along(c.pieces, target.pieces, pins)
 
 
