@@ -10,6 +10,7 @@ from __future__ import annotations
 from .injections import (
     OperadElement,
     QuasiAffineInjection,
+    _transported,
     order_embed_avoiding,
 )
 from .iset import (
@@ -20,7 +21,6 @@ from .iset import (
     support_filtration,
 )
 from .mset import CanonicalTameMSet
-from .opalg import _inflate_along
 from .sigma import (
     SigmaSet,
     regular_sigma_set,
@@ -65,13 +65,9 @@ def random_agreeing_pair(rng, n, constraint_sizes):
     ]
     psi = phi
     for _ in range(rng.randint(1, 3)):
-        moves = []
-        for i in range(n):
-            g = random_quasi_affine(rng)
-            keep = order_embed_avoiding(constraints[i])
-            moves.append(_inflate_along(keep.compose_spans(g),
-                                        {a: a for a in constraints[i]}))
-        psi = psi.precompose(tuple(moves))
+        psi = psi.precompose(tuple(
+            _transported(random_quasi_affine(rng), sorted(A), {a: a for a in A})
+            for A in constraints))
     return phi, psi, constraints
 
 
@@ -87,12 +83,9 @@ def random_prescribed_pair(rng, n, constraint_sizes):
         {a: phi.slot(i + 1)(a) for a in constraints[i]} for i in range(n)
     ]
     taken = sorted(v for pin in pinned for v in pin.values())
-    lift = order_embed_avoiding(taken)
     lanes = disjoint_lanes(n)
-    slots = []
-    for i in range(n):
-        fresh = lift.compose(lanes[i].compose(random_quasi_affine(rng)))
-        slots.append(_inflate_along(fresh.spans, pinned[i]))
+    slots = [_transported(lanes[i].compose(random_quasi_affine(rng)), taken,
+                          pinned[i]) for i in range(n)]
     return phi, OperadElement(slots), constraints
 
 

@@ -108,8 +108,8 @@ class PartialInjection:
         m = {}
         seen = {}
         for k, v in mapping.items():
-            k = int(k)
-            v = int(v)
+            if type(k) is not int or type(v) is not int:
+                raise ValueError(f"{k!r} -> {v!r} is not a map of integers")
             if k < 1 or v < 1:
                 raise ValueError("keys and values must be >= 1")
             if v in seen:
@@ -193,8 +193,6 @@ def _spans_of_pieces(pieces):
     slope signs, then the unbounded piece, then integrality."""
     kept = []
     for lo, hi, mod, res, a, b in pieces:
-        lo, mod = int(lo), int(mod)
-        hi = None if hi is None else int(hi)
         an, ad = a if type(a) is tuple else Fraction(a).as_integer_ratio()
         bn, bd = b if type(b) is tuple else Fraction(b).as_integer_ratio()
         if lo < 1 or mod < 1:
@@ -203,7 +201,7 @@ def _spans_of_pieces(pieces):
             raise ValueError("piece has hi < lo")
         if an <= 0:
             raise NotInjective("pieces must be strictly increasing (a > 0)")
-        first = lo + (int(res) - lo) % mod
+        first = lo + (res - lo) % mod
         if hi is None or first <= hi:
             kept.append((first, hi, mod, an, ad, bn, bd))
     if all(p[1] is not None for p in kept):
@@ -423,13 +421,19 @@ class QuasiAffineInjection:
     first points t, ..., t+p-1 and all with mod p.  Structural equality
     therefore decides functional equality."""
 
-    __slots__ = ("spans", "_images")
+    __slots__ = ("spans",)
 
     def __init__(self, pieces):
         """`pieces` are integer spans, or rational rows (`Piece`s, or
-        a and b as integer pairs), which `checked_span` converts."""
+        a and b as integer pairs), which `checked_span` converts; the
+        lo, hi, mod and res of a row are ints."""
         pieces = list(pieces)
         if pieces and len(pieces[0]) == len(Piece._fields):
+            for lo, hi, mod, res, _, _ in pieces:
+                if not type(lo) is type(mod) is type(res) is int \
+                        or hi is not None and type(hi) is not int:
+                    raise ValueError(
+                        f"lo, hi, mod or res of {(lo, hi, mod, res)} not an int")
             spans = _shaped_spans(pieces)
             if spans is None:
                 spans = _spans_of_pieces(pieces)
@@ -438,7 +442,6 @@ class QuasiAffineInjection:
             spans = pieces
             _check_spans(spans)
         self.spans = _normal_form(spans)
-        self._images = None
 
     @classmethod
     def _built(cls, spans):
@@ -446,7 +449,6 @@ class QuasiAffineInjection:
         injection of omega: normalized, not checked."""
         out = object.__new__(cls)
         out.spans = _normal_form(spans)
-        out._images = None
         return out
 
     @property
@@ -482,17 +484,13 @@ class QuasiAffineInjection:
 
     def compose(self, inner: "QuasiAffineInjection") -> "QuasiAffineInjection":
         """self after inner; the class is closed under composition, and
-        the composite of two total injections is one."""
+        the composite of two total injections is one.  Each span of
+        inner is cut where its values meet the points of self and the
+        residue classes of its unbounded spans."""
         if self.spans == _IDENTITY:
             return inner
         if inner.spans == _IDENTITY:
             return self
-        return QuasiAffineInjection._built(self.compose_spans(inner))
-
-    def compose_spans(self, inner: "QuasiAffineInjection"):
-        """The spans of self after inner, not normalized: each span of
-        inner cut where its values meet the points of self and the
-        residue classes of its unbounded spans."""
         outer = self.spans
         period = outer[-1][2]
         start = len(outer) - period + 1
@@ -525,16 +523,13 @@ class QuasiAffineInjection:
                     w + (v - f) // period * s,
                     step * cycle // period * s,
                 ))
-        return spans
+        return QuasiAffineInjection._built(spans)
 
     def image_progressions(self):
         """The images of the spans as progressions (first, last, step),
-        last None when unbounded; computed once per instance."""
-        if self._images is None:
-            self._images = tuple(
-                (v0, None if last is None else v0 + (last - first) // mod * step,
-                 step) for first, last, mod, v0, step in self.spans)
-        return self._images
+        last None when unbounded."""
+        return [(v0, None if last is None else v0 + (last - first) // mod * step,
+                 step) for first, last, mod, v0, step in self.spans]
 
     def fixes_pointwise(self, points):
         return all(self(p) == p for p in points)
@@ -602,6 +597,18 @@ def _reindex(spans, cuts, values, collapse):
             out.append((first + klo * mod + ds, end, mod, v0 + klo * step + vs,
                         step))
     return out
+
+
+def _transported(f, over, pinned):
+    """The injection h with h after e_A = e_over after f off A, the
+    keys of `pinned`, and h = `pinned` on A, e_X the order embedding of
+    omega onto omega minus X: f's values expanded across the sorted
+    cuts `over`, then its domain across A (`_reindex`).  The callers
+    pin distinct values that lie in `over`, so h is an injection."""
+    spans = [(a, a, 1, v, 1) for a, v in pinned.items()]
+    spans += _reindex(_reindex(f.spans, over, values=True, collapse=False),
+                      sorted(pinned), values=False, collapse=False)
+    return QuasiAffineInjection._built(spans)
 
 
 def order_embed_avoiding(avoid) -> QuasiAffineInjection:

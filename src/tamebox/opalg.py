@@ -37,6 +37,7 @@ from .injections import (
     PartialInjection,
     QuasiAffineInjection,
     _reindex,
+    _transported,
 )
 from .mset import (DEFAULT_DEGREE_BOUND, CanonicalTameMSet, MElement, box,
                    support)
@@ -609,29 +610,20 @@ def _connect(phi: OperadElement, psi: OperadElement):
     return elems, steps
 
 
-def _inflate_along(t, pinned):
-    """The map h with h(e(i)) = t(i), e the order embedding of omega
-    onto omega minus the pinned set, and the pinned values on that set;
-    an injection when the image of t avoids them, as the callers ensure.
-    t are spans of a quasi-affine injection, not necessarily normal."""
-    spans = [(a, a, 1, v, 1) for a, v in pinned.items()]
-    spans += _reindex(t, sorted(pinned), values=False, collapse=False)
-    return QuasiAffineInjection._built(spans)
-
-
 def certify_agreement(phi: OperadElement, psi: OperadElement, constraints):
     """Produce a verified chain between two elements that agree on the
     prescribed sets; every move fixes those sets pointwise.
 
-    The constraints are cut away (`_reindex`), and no order embedding
-    is built: with e_i the one of omega onto omega minus A_i, and e the
-    one onto omega minus the values P that phi takes on the constraint
-    sets, slot i of phi' is e^-1 after phi_i after e_i; psi' likewise.
-    `_connect` joins them in at most six steps, and expanding the same
-    cuts transports the chain back (`_inflate_along`): slot i of an
-    element x becomes e after x_i after e_i^-1 off A_i and phi_i on
-    A_i, and a move f of slot i, once per distinct move, e_i after f
-    after e_i^-1 off A_i and the identity on A_i.
+    One kernel cuts the constraint sets away and one puts them back,
+    and no order embedding is built.  With e_i the one of omega onto
+    omega minus A_i, and e the one onto omega minus the values P that
+    phi takes on the constraint sets, slot i of phi' is e^-1 after
+    phi_i after e_i (`_reindex`); psi' likewise.  `_connect` joins
+    them in at most six steps, and `_transported`, which the pair
+    generators share, takes the chain back: slot i of an element x
+    becomes e after x_i after e_i^-1 off A_i and phi_i on A_i, and a
+    move f of slot i, once per distinct move, e_i after f after e_i^-1
+    off A_i and the identity on A_i.
 
     The library builds these maps and elements itself, unchecked, as
     they are valid by construction; `verify_certificate` checks the
@@ -717,22 +709,16 @@ def certify_agreement(phi: OperadElement, psi: OperadElement, constraints):
             for e in (phi, psi)
         )
         elems, steps = _connect(inner_phi, inner_psi)
-
-        def transport(f, over, pinned):
-            # h with h after e_A = e_over after f off A, the keys of pinned
-            return _inflate_along(
-                _reindex(f.spans, over, values=True, collapse=False), pinned)
-
         moves = {}  # (slot, move) -> the move transported back
 
         def transport_move(i, f):
             if (i, f) not in moves:
-                moves[i, f] = transport(f, cuts[i], {a: a for a in cuts[i]})
+                moves[i, f] = _transported(f, cuts[i], {a: a for a in cuts[i]})
             return moves[i, f]
 
         # transporting phi' and psi' back gives phi and psi themselves
         out_elems = [phi, *(
-            OperadElement._built([transport(s, taken, pinned_slots[i])
+            OperadElement._built([_transported(s, taken, pinned_slots[i])
                                   for i, s in enumerate(e.slots)])
             for e in elems[1:-1]
         ), psi]

@@ -71,10 +71,17 @@ MUTANTS = [
            "((even_part, 0), (odd_part, 0))",
            "tests/test_qa_kernel.py::test_certificate_helpers_match_oracle"),
     # the constraint sets are left out of the domain: a gap in coverage
-    Mutant("inflate without the pinned spans", "opalg.py",
+    Mutant("inflate without the pinned spans", "injections.py",
            "    spans = [(a, a, 1, v, 1) for a, v in pinned.items()]\n",
            "    spans = []\n",
            "tests/test_qa_kernel.py::test_certificate_helpers_match_oracle"),
+    # a transported map misses e_over after f: chain elements land on
+    # the pinned values, and moves on the constraint sets they fix
+    Mutant("transport without the value expansion", "injections.py",
+           "_reindex(f.spans, over, values=True, collapse=False)",
+           "f.spans",
+           "tests/test_acceptance.py::"
+           "test_criterion_08_agreement_certificates"),
     # a collapse leaves every window but the last where it is: the
     # dropped values are not closed up, and the comparison with the
     # oracle fails

@@ -117,6 +117,13 @@ class TestPartialInjection:
         with pytest.raises(ValueError):
             PartialInjection({1: 0})
 
+    @pytest.mark.parametrize("mapping", [
+        {2.5: 3}, {True: 7}, {"3": 4}, {1: 2.0}, {1: False}, {1: "2"},
+    ])
+    def test_refuses_keys_and_values_that_are_no_ints(self, mapping):
+        with pytest.raises(ValueError, match="not a map of integers"):
+            PartialInjection(mapping)
+
     def test_associativity_random(self):
         rng = random.Random(11)
         for _ in range(50):
@@ -279,6 +286,17 @@ class TestQuasiAffine:
     def test_rejects_values_below_one(self):
         with pytest.raises(NotInjective):
             QuasiAffineInjection([Piece(1, None, 1, 0, 1, -1)])
+
+    @pytest.mark.parametrize("row", [
+        Piece(1.9, None, 1, 0, 1, 0), Piece(True, None, 1, 0, 1, 0),
+        Piece(1, None, 1.5, 0, 1, 0), Piece(1, None, 1, 0.0, 1, 0),
+        Piece(1, 3.0, 1, 0, 1, 0), Piece(1, None, 1, "0", 1, 0),
+    ], ids=["lo-float", "lo-bool", "mod-float", "res-float", "hi-float",
+            "res-str"])
+    def test_refuses_bounds_that_are_no_ints(self, row):
+        # read through int(), lo 1.9 was 1 and mod 1.5 was 1
+        with pytest.raises(ValueError, match="not an int"):
+            QuasiAffineInjection([row, Piece(4, None, 1, 0, 1, 0)])
 
     @pytest.mark.parametrize("spans,message", [
         ([(1, None, 0, 1, 1)], "piece bounds must be positive"),

@@ -22,6 +22,7 @@ from tamebox.injections import (
     OperadElement,
     PartialInjection,
     QuasiAffineInjection,
+    _transported,
     interleave,
     order_embed_avoiding,
 )
@@ -78,13 +79,9 @@ def random_pair_agreeing(rng, n, constraint_sizes):
         moves = []
         for i in range(n):
             g = random_qa(rng)
-            keep = order_embed_avoiding(constraints[i])
+            A = constraints[i]
             # a move fixing the set: identity there, conjugated elsewhere
-            from tamebox.opalg import _inflate_along
-
-            moves.append(
-                _inflate_along(keep.compose_spans(g), {a: a for a in constraints[i]})
-            )
+            moves.append(_transported(g, sorted(A), {a: a for a in A}))
         psi = psi.precompose(tuple(moves))
     return phi, psi, constraints
 
@@ -275,17 +272,11 @@ class TestAlgebraRoundTrip:
                 rng, 2, [len(x.image), len(y.image)]
             )
             # overwrite the constraint sets with the actual supports
-            from tamebox.injections import order_embed_avoiding
-            from tamebox.opalg import _inflate_along
-
             moves = []
             for e in (x, y):
                 g = QuasiAffineInjection.affine(1, rng.randint(1, 3))
-                keep = order_embed_avoiding(set(e.image))
-                moves.append(
-                    _inflate_along(keep.compose_spans(g),
-                                   {a: a for a in e.image})
-                )
+                moves.append(_transported(g, sorted(e.image),
+                                          {a: a for a in e.image}))
             psi = phi.precompose(tuple(moves))
             if A(phi, [x, y]) != A(psi, [x, y]):
                 raise AssertionError("agreeing operations acted differently")
@@ -654,10 +645,9 @@ class TestEvaluationVerifier:
             # move of that slot elsewhere in the chain, or a drawn one
             idx = data.draw(st.integers(0, len(steps) - 1))
             i = data.draw(st.integers(0, n - 1))
-            keep = order_embed_avoiding(constraints[i])
-            drawn = opalg._inflate_along(
-                keep.compose_spans(random_qa(random.Random(seed))),
-                {a: a for a in constraints[i]})
+            A = constraints[i]
+            drawn = _transported(random_qa(random.Random(seed)), sorted(A),
+                                 {a: a for a in A})
             other = data.draw(st.sampled_from(
                 [s.move[i] for s in steps] + [drawn]))
             move = steps[idx].move[:i] + (other,) + steps[idx].move[i + 1:]

@@ -41,11 +41,11 @@ from tamebox.injections import (
     _clashing_slots,
     _piece,
     _reindex,
+    _transported,
     interleave,
     order_embed_avoiding,
 )
 from tamebox.opalg import (
-    _inflate_along,
     _merge_even_odd,
     _widen,
     certify_agreement,
@@ -374,24 +374,42 @@ def test_certificate_helpers_match_oracle(seed):
     assert outcome(lambda: QuasiAffineInjection._built(_reindex(
         u.spans, sorted(avoid), values=True, collapse=True)).pieces) == \
         outcome(lambda: oracle.drop_values(u.pieces, avoid))
-    # the oracle pairs every span of e with every span of its target,
-    # which is quadratic in the largest cut: on these cuts the inflated
-    # map is checked by its definition, and against the oracle below 8
-    lifted = _inflate_along(e.compose_spans(w), {a: a for a in cuts})
+    # a move fixing the cuts, by its definition
+    lifted = _transported(w, cuts, {a: a for a in cuts})
     assert lifted.compose(e) == e.compose(w) and lifted.fixes_pointwise(cuts)
-    constraint = set(rng.sample(range(1, 8), rng.randint(0, 3)))
-    keep = order_embed_avoiding(constraint)
-    target = keep.compose(w)
-    pinned = {a: a for a in constraint}
-    # the target also as spans that are not normal, as certify_agreement
-    # passes it
-    expanded = _reindex(w.spans, sorted(constraint), values=True,
-                        collapse=False)
-    for c, t, pins in ((keep, target.spans, pinned),
-                       (keep, expanded, pinned),
-                       (order_embed_avoiding(()), target.spans, {})):
-        assert _inflate_along(t, pins).pieces == \
-            oracle.inflate_along(c.pieces, target.pieces, pins)
+    # _transported against the two-step construction it replaced:
+    # composition with order_embed_avoiding(over), then the oracle's
+    # inflation along e_A, A the keys of the pins, on cuts, keys and
+    # pinned values up to about 10**3.  The oracle pairs every piece of
+    # e_A with every piece of its target, and checks its output pair by
+    # pair, so both reach it as runs
+    over = sorted(rng.sample(range(1, bound), rng.randint(0, 4)))
+    keys = rng.sample(range(1, bound), min(len(over), rng.randint(0, 3)))
+    pinned = dict(zip(keys, rng.sample(over, len(keys))))
+    target = order_embed_avoiding(over).compose(w)
+    lifted = _transported(w, over, pinned)
+    assert lifted.pieces == oracle.inflate_along(
+        runs(order_embed_avoiding(keys), unit=True), runs(target), pinned)
+
+
+def runs(f, unit=False):
+    """Pieces describing f with its points merged, class by class
+    modulo its period, into runs along which f is increasing and
+    affine, with slope one when `unit`: a few pieces per affine
+    stretch, however large its values."""
+    p = f.spans[-1][2]
+    n = len(f.spans) - p  # f's points are 1, ..., n
+    pieces = [_piece(sp) for sp in f.spans[n:]]
+    for i in range(1, min(p, n) + 1):
+        while i <= n:
+            d, j = f(i + p) - f(i), i
+            while (d == p if unit else d > 0) and j + p <= n \
+                    and f(j + p) - f(j) == d:
+                j += p
+            pieces.append(_piece((i, j, p, f(i), d) if j > i
+                                 else (i, i, 1, f(i), 1)))
+            i = j + p
+    return pieces
 
 
 def test_criterion_8_chains_match_oracle():
