@@ -18,9 +18,9 @@ progressions.  The rational slope ``a = step/mod`` and offset
 as rows ``(lo, hi, mod, res, a, b)`` -- `Piece` tuples, or with a and
 b as integer pairs ``(p, q)`` as documents read them -- and a piece
 may send ``i`` to ``(i+1)/2`` on the odd numbers, integral on its
-progression though its slope is not.  `checked_span` is the one place
-where a description with a denominator becomes a span; it rejects
-non-integral steps and values.
+progression though its slope is not.  `_spans_of_rows` is the one
+place where rows become spans; it rejects non-integral steps and
+values.
 """
 
 from __future__ import annotations
@@ -167,34 +167,51 @@ class Piece(NamedTuple):
     b: Fraction
 
 
-def checked_span(first, last, mod, v0, step, den=1):
-    """The span from `first` to `last` (None: unbounded) in steps of
-    `mod` whose values are (v0 + k*step)/den, k = 0, 1, ...  Rejects a
-    non-integral step (when there are two points or more), a
-    non-integral value and a value below one.  A single point gets the
-    form (first, first, 1, value, 1) that normal forms use."""
-    if last is not None:
-        last = first + (last - first) // mod * mod
-    point = last == first
-    if not point and step % den:
-        raise NotInjective(f"non-integral step {step}/{den} from {first} mod {mod}")
-    if v0 % den:
-        raise NotInjective(f"non-integral value {v0}/{den} at {first}")
-    v0 //= den
-    if v0 < 1:
-        raise NotInjective(f"value below 1 at {first}")
-    return (first, first, 1, v0, 1) if point else (first, last, mod, v0, step // den)
+def _piece(span):
+    first, last, mod, v0, step = span
+    a = Fraction(step, mod)
+    return Piece(first, last, mod, first % mod, a, v0 - a * first)
 
 
-def _spans_of_pieces(pieces):
-    """Check rows (lo, hi, mod, res, a, b) and convert them to spans; a
-    and b are integer pairs (p, q) with q >= 1, or numbers.  The order
-    of the checks fixes which error a faulty document gets: bounds and
-    slope signs, then the unbounded piece, then integrality."""
-    kept = []
-    for lo, hi, mod, res, a, b in pieces:
-        an, ad = a if type(a) is tuple else Fraction(a).as_integer_ratio()
-        bn, bd = b if type(b) is tuple else Fraction(b).as_integer_ratio()
+def _image(span):
+    """The values of a span, as a progression (first, last, step)."""
+    first, last, mod, v0, step = span
+    return v0, None if last is None else v0 + (last - first) // mod * step, step
+
+
+def _ratio(x):
+    """An int or a Fraction as the integer pair (p, q), q >= 1, and
+    anything else as (None, None), which the reader refuses."""
+    return x.as_integer_ratio() if type(x) in (int, Fraction) else (None, None)
+
+
+def _spans_of_rows(rows):
+    """The spans of rows (lo, hi, mod, res, a, b) that describe a total
+    injection of omega, and their threshold when they have the normal
+    shape (`_normal_shape`), else 0; raises unless the rows describe one.
+
+    lo, mod and res are ints, hi an int or None; a and b are ints,
+    Fractions or integer pairs (p, q) with q >= 1.  A row becomes the
+    span of its progression from its first point, whose values
+    (v0 + k*step)/den must be integers of at least one (the step only
+    when there are two points or more); a row with no point is
+    dropped.  The order of the checks fixes which error a faulty
+    document gets: the types, bounds and slope sign of each row, then
+    the unbounded piece, then the first non-integral step or value or
+    value below one, then `_check_cover`, which skips coverage for
+    spans of the normal shape."""
+    p = rows[-1][2] if len(rows[-1]) == len(Piece._fields) else None
+    t = len(rows) - p + 1 if type(p) is int else 0
+    shaped = t >= 1
+    spans, images, unbounded, bad = [], [], False, None
+    for i, row in enumerate(rows, 1):
+        lo, hi, mod, res, a, b = row
+        an, ad = a if type(a) is tuple else _ratio(a)
+        bn, bd = b if type(b) is tuple else _ratio(b)
+        if not type(lo) is type(mod) is type(res) is type(an) is type(ad) \
+                is type(bn) is type(bd) is int or ad < 1 or bd < 1 \
+                or hi is not None and type(hi) is not int:
+            raise ValueError(f"{row!r} is not an int row with ratios a and b")
         if lo < 1 or mod < 1:
             raise ValueError("piece bounds must be positive")
         if hi is not None and hi < lo:
@@ -202,54 +219,30 @@ def _spans_of_pieces(pieces):
         if an <= 0:
             raise NotInjective("pieces must be strictly increasing (a > 0)")
         first = lo + (res - lo) % mod
-        if hi is None or first <= hi:
-            kept.append((first, hi, mod, an, ad, bn, bd))
-    if all(p[1] is not None for p in kept):
-        raise NotCovering("no unbounded piece; omega cannot be covered")
-    return [checked_span(first, hi, mod, an * first * bd + bn * ad,
-                         an * mod * bd, ad * bd)
-            for first, hi, mod, an, ad, bn, bd in kept]
-
-
-def _shaped_spans(rows):
-    """The spans of integer rows (lo, hi, mod, res, a, b) in the normal
-    shape, with a and b integer pairs (n, 1), as documents write most
-    normal forms, once they pass every check of `_spans_of_pieces` and
-    `_check_spans`; None for any other rows, which take those two.
-    Rows of that shape -- the points i for i = 1, ..., t-1, then p
-    unbounded rows at t, ..., t+p-1, all with the mod p of the last row
-    and first point their lo -- give the spans of `_normal_shape`, whose
-    bounds and coverage hold; what is left to check is that slopes and
-    values are at least one and that the images are disjoint."""
-    p = rows[-1][2]
-    t = len(rows) - p + 1
-    if t < 1:
-        return None
-    spans, images = [], []
-    for i, (lo, hi, mod, res, a, b) in enumerate(rows, 1):
-        if type(a) is not tuple or type(b) is not tuple or a[1] != 1 \
-                or b[1] != 1 or lo != i:
-            return None
-        v0 = a[0] * i + b[0]
-        if a[0] < 1 or v0 < 1:
-            return None
-        if i < t:
-            if hi != i or mod != 1:
-                return None
-            spans.append((i, i, 1, v0, 1))
-            images.append((v0, v0, 1))
+        last = None if hi is None else first + (hi - first) // mod * mod
+        shaped = shaped and first == i and (
+            last == i if i < t else last is None and mod == p)
+        unbounded = unbounded or last is None
+        if bad is not None or last is not None and last < first:
+            continue
+        v0, step, den = an * first * bd + bn * ad, an * mod * bd, ad * bd
+        if last != first and step % den:
+            bad = f"non-integral step {step}/{den} from {first} mod {mod}"
+        elif v0 % den:
+            bad = f"non-integral value {v0}/{den} at {first}"
+        elif v0 < den:
+            bad = f"value below 1 at {first}"
         else:
-            if hi is not None or mod != p or (res - i) % p:
-                return None
-            spans.append((i, None, p, v0, a[0] * p))
-            images.append((v0, None, a[0] * p))
-    return None if _first_overlap(images) else spans
-
-
-def _piece(span):
-    first, last, mod, v0, step = span
-    a = Fraction(step, mod)
-    return Piece(first, last, mod, first % mod, a, v0 - a * first)
+            sp = (first, first, 1, v0 // den, 1) if last == first \
+                else (first, last, mod, v0 // den, step // den)
+            spans.append(sp)
+            images.append(_image(sp))
+    if not unbounded:
+        raise NotCovering("no unbounded piece; omega cannot be covered")
+    if bad is not None:
+        raise NotInjective(bad)
+    _check_cover(spans, images, shaped)
+    return spans, t if shaped else 0
 
 
 def _normal_shape(spans):
@@ -270,35 +263,36 @@ def _normal_shape(spans):
 
 
 def _check_spans(spans):
-    """Raise unless the spans describe a total injection of omega.
-
-    Checks first the bounds of the spans, then that the domains
-    partition omega, then that the images are disjoint.  The domains of
-    spans of the normal shape (`_normal_shape`) are not checked; their
-    values and images are."""
-    # one pass: the bounds of every span, the tail, the first span
-    # with a value below one, and the images
-    tail, images = [], []
+    """Raise unless integer spans describe a total injection of omega;
+    their threshold when they have the normal shape, else 0.  Checks
+    the fields and bounds of each span, then that one is unbounded,
+    then that values and steps are at least one, then `_check_cover`."""
     low = None
     for sp in spans:
         first, last, mod, v0, step = sp
+        if not type(first) is type(mod) is type(v0) is type(step) is int \
+                or last is not None and type(last) is not int:
+            raise ValueError(f"a field of the span {sp!r} is not an int")
         if first < 1 or mod < 1:
             raise ValueError("piece bounds must be positive")
-        if last is None:
-            tail.append(sp)
-            images.append((v0, None, step))
-        elif last < first:
+        if last is not None and last < first:
             raise ValueError("piece has hi < lo")
-        else:
-            images.append((v0, v0 + (last - first) // mod * step, step))
         if (v0 < 1 or step < 1) and low is None:
             low = sp
-    if not tail:
+    if all(sp[1] is not None for sp in spans):
         raise NotCovering("no unbounded piece; omega cannot be covered")
     if low is not None:
         raise NotInjective(f"{_piece(low)} is not increasing with values >= 1")
+    t = _normal_shape(spans)
+    _check_cover(spans, [_image(sp) for sp in spans], t)
+    return t
 
-    if not _normal_shape(spans):
+
+def _check_cover(spans, images, shaped):
+    """Raise unless the domains of the spans partition omega and their
+    images are disjoint; spans of the normal shape (`shaped`) partition
+    omega, and only their images are tested."""
+    if not shaped:
         # coverage: pairwise disjoint domains whose unbounded part has
         # density exactly one, with no gap below the periodic region
         clash = _first_overlap([sp[:3] for sp in spans])
@@ -307,6 +301,7 @@ def _check_spans(spans):
             raise NotCovering(
                 f"domains of {_piece(spans[i])} and {_piece(spans[j])} overlap"
             )
+        tail = [sp for sp in spans if sp[1] is None]
         period = lcm(*(sp[2] for sp in tail))
         if sum(period // sp[2] for sp in tail) != period:
             raise NotCovering("unbounded pieces do not have full density")
@@ -328,18 +323,19 @@ def _check_spans(spans):
         )
 
 
-def _normal_form(spans):
+def _normal_form(spans, t=None):
     """The canonical spans of the total injection of omega the spans
     describe (`_check_spans` decides whether they do): one point span
     for each i below a minimal threshold, then one unbounded span per
     residue class of the minimal period, each with that period as its
-    mod.
+    mod.  t is `_normal_shape(spans)`, when the caller has found it.
 
     When spans of the normal shape have minimal period and threshold,
     they are the normal form.  On such spans the minimal threshold is
     one past the last point off its tail map, so the points are scanned
     down from t-1 and the scan stops at the first one off it."""
-    t = _normal_shape(spans)
+    if t is None:
+        t = _normal_shape(spans)
     tail = spans[t - 1:] if t else [sp for sp in spans if sp[1] is None]
     period = lcm(*(sp[2] for sp in tail))
 
@@ -424,24 +420,16 @@ class QuasiAffineInjection:
     __slots__ = ("spans",)
 
     def __init__(self, pieces):
-        """`pieces` are integer spans, or rational rows (`Piece`s, or
-        a and b as integer pairs), which `checked_span` converts; the
-        lo, hi, mod and res of a row are ints."""
+        """`pieces` are integer spans, which `_check_spans` checks, or
+        rational rows (`Piece`s, or a and b as integer pairs), which
+        `_spans_of_rows` reads."""
         pieces = list(pieces)
         if pieces and len(pieces[0]) == len(Piece._fields):
-            for lo, hi, mod, res, _, _ in pieces:
-                if not type(lo) is type(mod) is type(res) is int \
-                        or hi is not None and type(hi) is not int:
-                    raise ValueError(
-                        f"lo, hi, mod or res of {(lo, hi, mod, res)} not an int")
-            spans = _shaped_spans(pieces)
-            if spans is None:
-                spans = _spans_of_pieces(pieces)
-                _check_spans(spans)
+            spans, t = _spans_of_rows(pieces)
         else:
-            spans = pieces
-            _check_spans(spans)
-        self.spans = _normal_form(spans)
+            spans = [tuple(sp) for sp in pieces]
+            t = _check_spans(spans)
+        self.spans = _normal_form(spans, t)
 
     @classmethod
     def _built(cls, spans):
@@ -487,10 +475,6 @@ class QuasiAffineInjection:
         the composite of two total injections is one.  Each span of
         inner is cut where its values meet the points of self and the
         residue classes of its unbounded spans."""
-        if self.spans == _IDENTITY:
-            return inner
-        if inner.spans == _IDENTITY:
-            return self
         outer = self.spans
         period = outer[-1][2]
         start = len(outer) - period + 1
@@ -528,8 +512,7 @@ class QuasiAffineInjection:
     def image_progressions(self):
         """The images of the spans as progressions (first, last, step),
         last None when unbounded."""
-        return [(v0, None if last is None else v0 + (last - first) // mod * step,
-                 step) for first, last, mod, v0, step in self.spans]
+        return [_image(sp) for sp in self.spans]
 
     def fixes_pointwise(self, points):
         return all(self(p) == p for p in points)

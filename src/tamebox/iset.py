@@ -80,7 +80,8 @@ class TruncatedISet:
     def __init__(self, N, levels, incl, transp, stable_from=None):
         self._take(N, [list(l) for l in levels], [dict(d) for d in incl],
                    [[dict(t) for t in ts] for ts in transp])
-        if stable_from is not None and not 0 <= stable_from <= N:
+        if stable_from is not None and (type(stable_from) is not int
+                                        or not 0 <= stable_from <= N):
             raise ValidationError("stability level out of range")
         self._settle(0, N, self._check(0, N), stable_from)
 
@@ -95,6 +96,8 @@ class TruncatedISet:
         return out
 
     def _take(self, N, levels, incl, transp):
+        if type(N) is not int:
+            raise ValidationError("integer truncation level", repr(N))
         if len(levels) != N + 1 or len(incl) != N or len(transp) != N + 1:
             raise ValidationError("level data must span 0..N")
         self.levels, self.incl, self.transp = levels, incl, transp

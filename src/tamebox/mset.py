@@ -71,7 +71,8 @@ class CanonicalTameMSet:
     def __init__(self, levels):
         lv = {}
         for m, ss in levels.items():
-            m = int(m)
+            if type(m) is not int:
+                raise ValueError(f"level {m!r} is not an int")
             if len(ss) == 0:
                 continue
             if ss.m != m:

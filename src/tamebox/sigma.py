@@ -170,6 +170,8 @@ class SigmaSet:
         return out
 
     def _take(self, m, points, tables):
+        if type(m) is not int:
+            raise ValidationError("integer degree", repr(m))
         if m < 0:
             raise ValidationError("negative degree", m)
         self.points = list(points)

@@ -108,25 +108,30 @@ MUTANTS = [
            "type(lo) is type(mod) is type(res) is type(b) is int",
            "tests/test_documents.py::"
            "test_bulk_piece_reader_reads_as_the_description"),
-    # rows in the normal shape that the general path refuses
+    # rows in the normal shape that the full checks refuse
     Mutant("shaped rows without the image test", "injections.py",
-           "    return None if _first_overlap(images) else spans\n",
-           "    return spans\n",
+           "    clash = _first_overlap(images)\n",
+           "    clash = None\n",
            "tests/test_qa_kernel.py::"
-           "test_shaped_rows_match_the_general_path_and_the_oracle"),
-    Mutant("shaped rows without the value test", "injections.py",
-           "        if a[0] < 1 or v0 < 1:\n            return None\n",
-           "",
+           "test_shaped_rows_match_the_full_checks_and_the_oracle"),
+    Mutant("rows without the value test", "injections.py",
+           "        elif v0 < den:\n",
+           "        elif False:\n",
            "tests/test_qa_kernel.py::"
-           "test_shaped_rows_match_the_general_path_and_the_oracle"),
-    Mutant("shaped rows without the point-mod test", "injections.py",
-           "            if hi != i or mod != 1:\n",
-           "            if hi != i:\n",
+           "test_shaped_rows_match_the_full_checks_and_the_oracle"),
+    Mutant("shape flag without the point test", "injections.py",
+           "last == i if i < t else",
+           "True if i < t else",
            "tests/test_qa_kernel.py::"
            "test_shaped_rows_off_their_residue_are_refused"),
-    Mutant("shaped rows without the residue test", "injections.py",
-           "            if hi is not None or mod != p or (res - i) % p:\n",
-           "            if hi is not None or mod != p:\n",
+    Mutant("rows without the residue", "injections.py",
+           "        first = lo + (res - lo) % mod\n",
+           "        first = lo\n",
+           "tests/test_qa_kernel.py::"
+           "test_shaped_rows_off_their_residue_are_refused"),
+    Mutant("shape flag ignoring the residue", "injections.py",
+           "shaped = shaped and first == i and (",
+           "shaped = shaped and lo == i and (",
            "tests/test_qa_kernel.py::"
            "test_shaped_rows_off_their_residue_are_refused"),
     # JSON past Python's digit or nesting limit escapes as a traceback

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -244,7 +245,7 @@ class TestQuasiAffine:
         # (i+1)/2 on 1 mod 4 fills the odds; the rest spreads over the evens
         f = QuasiAffineInjection(
             [
-                Piece(1, None, 4, 1, "1/2", "1/2"),
+                Piece(1, None, 4, 1, Fraction(1, 2), Fraction(1, 2)),
                 Piece(1, None, 4, 3, 1, 1),
                 Piece(1, None, 2, 0, 2, -2),
             ]
@@ -297,6 +298,35 @@ class TestQuasiAffine:
         # read through int(), lo 1.9 was 1 and mod 1.5 was 1
         with pytest.raises(ValueError, match="not an int"):
             QuasiAffineInjection([row, Piece(4, None, 1, 0, 1, 0)])
+
+    @pytest.mark.parametrize("a, b", [
+        ("3", 0), (1, True), (2.0, 0), (1, "1/2"), ((2, 1.0), 0),
+        ((2.0, 1), 0), ((1, True), 0), (1, (1, 0)), (1, (1, -2)), ((1, 1, 1), 0),
+    ], ids=["a-str", "b-bool", "a-float", "b-ratio-str", "pair-float-den",
+            "pair-float-num", "pair-bool-den", "pair-den-0", "pair-den-negative",
+            "triple"])
+    def test_refuses_slopes_and_offsets_that_are_no_ratios(self, a, b):
+        # "3", True and 2.0 were read as 3, 1 and 2; (2.0, 1) raised a
+        # TypeError
+        with pytest.raises(ValueError, match="not an int|unpack"):
+            QuasiAffineInjection([Piece(1, None, 1, 0, a, b)])
+
+    @pytest.mark.parametrize("span", [
+        (True, None, 1, 2, 1), (1, None, 1, 1.5, 1), (1, 2.0, 1, 1, 1),
+        (1, None, True, 1, 1), (1, None, 1, 1, "1"),
+    ], ids=["first-bool", "value-float", "last-float", "mod-bool", "step-str"])
+    def test_refuses_span_fields_that_are_no_ints(self, span):
+        # (True, None, 1, 2, 1) kept True in its normal form, and
+        # (1, None, 1, 1.5, 1) raised a TypeError
+        with pytest.raises(ValueError, match="not an int"):
+            QuasiAffineInjection([span])
+
+    def test_spans_given_as_lists_are_read_as_tuples(self):
+        # a list span was kept in the normal form: the injection was
+        # unhashable and unequal to the identity
+        f = QuasiAffineInjection([[1, None, 1, 1, 1]])
+        assert f == QuasiAffineInjection.identity()
+        assert hash(f) == hash(QuasiAffineInjection.identity())
 
     @pytest.mark.parametrize("spans,message", [
         ([(1, None, 0, 1, 1)], "piece bounds must be positive"),

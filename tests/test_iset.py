@@ -97,6 +97,16 @@ class TestValidation:
         with pytest.raises(ValidationError):
             TruncatedISet(3, X.levels, X.incl, X.transp, 0)
 
+    @pytest.mark.parametrize("N, stable_from", [
+        (True, None), (1.0, None), (1, True), (1, 0.0),
+    ], ids=["N-bool", "N-float", "stable-bool", "stable-float"])
+    def test_refuses_levels_that_are_no_ints(self, N, stable_from):
+        # N = True and the stability levels True and 0.0 were kept as
+        # given; N = 1.0 raised a TypeError
+        X = constant_iset(["p"], 1)
+        with pytest.raises(ValidationError):
+            TruncatedISet(N, X.levels, X.incl, X.transp, stable_from)
+
     def test_minimal_stable_from(self):
         # with no declared level the validator keeps the least that holds
         for D, s in ((representable_iset(2, 4), 2),

@@ -504,3 +504,10 @@ class TestOrbitSets:
         mapping, ok = orbit_product_bijection(X, Y, XY)
         assert ok
         assert len(XY.orbit_set()) == len(X.orbit_set()) * len(Y.orbit_set())
+
+
+@pytest.mark.parametrize("key", ["1", 1.0, True], ids=["str", "float", "bool"])
+def test_refuses_level_keys_that_are_no_ints(key):
+    # each was read as level 1 through int()
+    with pytest.raises(ValueError, match="not an int"):
+        CanonicalTameMSet({key: trivial_sigma_set(1, ["a"])})

@@ -228,41 +228,44 @@ def shaped_rows(seed):
 
 @kernel_settings
 @given(seeds)
-def test_shaped_rows_match_the_general_path_and_the_oracle(seed):
-    """Rows in the normal shape skip `_spans_of_pieces` and the checks
-    of `_check_spans` that the shape makes true; what they build, or
-    the error they raise, is that of the general path."""
+def test_shaped_rows_match_the_full_checks_and_the_oracle(seed):
+    """Rows in the normal shape skip the coverage checks; the reader
+    finds the shape `_normal_shape` finds in their spans, which pass
+    the full checks, and what they build, or the error they raise, is
+    that of the oracle."""
     spans, rows = shaped_rows(seed)
-    fast = injections._shaped_spans(rows)
-    if fast is not None:
-        assert fast == injections._spans_of_pieces(rows)
-        injections._check_spans(fast)
+    got = outcome(lambda: injections._spans_of_rows(rows))
+    if type(got) is tuple:
+        assert got == (spans, injections._normal_shape(spans))
+        injections._check_cover(spans, [injections._image(sp) for sp in spans],
+                                shaped=False)
     assert outcome(lambda: QuasiAffineInjection(rows).pieces) == \
         outcome(lambda: oracle.normalize([_piece(sp) for sp in spans]))
 
 
-def test_shaped_rows_mostly_take_the_fast_path():
-    taken = [injections._shaped_spans(shaped_rows(seed)[1]) is not None
-             for seed in range(200)]
+def test_shaped_rows_mostly_take_the_shaped_path():
+    taken = [takes_shaped_path(shaped_rows(seed)[1]) for seed in range(200)]
     assert 100 <= sum(taken) < 200
     rows = [(lo, hi, mod, res, a.as_integer_ratio(), b.as_integer_ratio())
             for lo, hi, mod, res, a, b in random_pieces(
                 random.Random("qa:pieces:0"))]
-    assert injections._shaped_spans(rows) is None
+    assert not takes_shaped_path(rows)
 
 
 @pytest.mark.parametrize("spans, row", [
     # a point row whose residue misses its lo describes no point: the
-    # general path drops the row and finds a gap where it was
+    # reader drops the row and finds a gap where it was
     (order_embed_avoiding({3}).spans, (1, 1, 2, 0, (1, 1), (0, 1))),
     # an unbounded row of the odd numbers whose residue is even starts
     # at 2, on the domain of the other row
     (((1, None, 2, 1, 2), (2, None, 2, 4, 4)),
      (1, None, 2, 0, (1, 1), (0, 1))),
+    # a point row widened to a range reaches the next point
+    (order_embed_avoiding({3}).spans, (1, 2, 1, 0, (1, 1), (0, 1))),
 ])
 def test_shaped_rows_off_their_residue_are_refused(spans, row):
     rows = _piece_rows([QA_PIECE.encode(sp) for sp in spans], "pieces")
-    assert injections._shaped_spans(rows) is not None
+    assert injections._spans_of_rows(rows)[1]
     rows[0] = row
     assert outcome(lambda: QuasiAffineInjection(rows)) is NotCovering
 

@@ -122,6 +122,14 @@ class TestValidation:
         with pytest.raises(ValidationError):
             SigmaSet(3, pts, [s1, s2])
 
+    @pytest.mark.parametrize("m, tables", [
+        (True, []), (2.0, [{"a": "a"}]), ("2", [{"a": "a"}]),
+    ], ids=["bool", "float", "str"])
+    def test_refuses_degrees_that_are_no_ints(self, m, tables):
+        # True was kept as the degree; 2.0 and "2" raised a TypeError
+        with pytest.raises(ValidationError, match="integer degree"):
+            SigmaSet(m, ["a"], tables)
+
     @pytest.mark.parametrize("build", [
         lambda: trivial_sigma_set(2, ["x", "x"]),
         lambda: word_sigma_set(2, ["a", "a"]),
