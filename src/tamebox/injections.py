@@ -200,11 +200,8 @@ def _spans_of_rows(rows):
     the unbounded piece, then the first non-integral step or value or
     value below one, then `_check_cover`, which skips coverage for
     spans of the normal shape."""
-    p = rows[-1][2] if len(rows[-1]) == len(Piece._fields) else None
-    t = len(rows) - p + 1 if type(p) is int else 0
-    shaped = t >= 1
     spans, images, unbounded, bad = [], [], False, None
-    for i, row in enumerate(rows, 1):
+    for row in rows:
         lo, hi, mod, res, a, b = row
         an, ad = a if type(a) is tuple else _ratio(a)
         bn, bd = b if type(b) is tuple else _ratio(b)
@@ -220,8 +217,6 @@ def _spans_of_rows(rows):
             raise NotInjective("pieces must be strictly increasing (a > 0)")
         first = lo + (res - lo) % mod
         last = None if hi is None else first + (hi - first) // mod * mod
-        shaped = shaped and first == i and (
-            last == i if i < t else last is None and mod == p)
         unbounded = unbounded or last is None
         if bad is not None or last is not None and last < first:
             continue
@@ -241,8 +236,9 @@ def _spans_of_rows(rows):
         raise NotCovering("no unbounded piece; omega cannot be covered")
     if bad is not None:
         raise NotInjective(bad)
-    _check_cover(spans, images, shaped)
-    return spans, t if shaped else 0
+    t = _normal_shape(spans)
+    _check_cover(spans, images, t)
+    return spans, t
 
 
 def _normal_shape(spans):

@@ -119,9 +119,9 @@ MUTANTS = [
            "        elif False:\n",
            "tests/test_qa_kernel.py::"
            "test_shaped_rows_match_the_full_checks_and_the_oracle"),
-    Mutant("shape flag without the point test", "injections.py",
-           "last == i if i < t else",
-           "True if i < t else",
+    Mutant("shape test without the point test", "injections.py",
+           "((last != i or mod != 1 or step != 1) if i < t",
+           "(False if i < t",
            "tests/test_qa_kernel.py::"
            "test_shaped_rows_off_their_residue_are_refused"),
     Mutant("rows without the residue", "injections.py",
@@ -129,9 +129,9 @@ MUTANTS = [
            "        first = lo\n",
            "tests/test_qa_kernel.py::"
            "test_shaped_rows_off_their_residue_are_refused"),
-    Mutant("shape flag ignoring the residue", "injections.py",
-           "shaped = shaped and first == i and (",
-           "shaped = shaped and lo == i and (",
+    Mutant("shape test ignoring where spans start", "injections.py",
+           "if first != i or ((last",
+           "if ((last",
            "tests/test_qa_kernel.py::"
            "test_shaped_rows_off_their_residue_are_refused"),
     # JSON past Python's digit or nesting limit escapes as a traceback
