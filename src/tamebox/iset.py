@@ -14,21 +14,24 @@ independent routes (latching maps, and injectivity plus supports), the
 latching pushouts of monomorphisms, the Day convolution along
 concatenation, and the passage back and forth to canonical tame actions.
 
-Latching objects, the Lan extension by one level and the Day
-convolution are colimits over comma categories of injections into n.
-Those categories are preorders: the injections into n that are not
-bijections are, up to isomorphism, the proper subsets of {1..n}, and
-the decompositions of {1..n} are the disjoint pairs of subsets.  Each
-colimit is therefore computed face by face: one union-find node per
-maximal face and element, glued along the faces one size down through
-the face maps, and any (injection, element) pair is resolved onto a
-maximal face by sorting it and acting by the rank permutation.
+Latching objects and the Lan extension by one level are colimits over
+comma categories of injections into n.  Those categories are preorders:
+the injections into n that are not bijections are, up to isomorphism,
+the proper subsets of {1..n}.  Each colimit is therefore computed face
+by face: one union-find node per maximal face and element, glued along
+the faces one size down through the face maps, and any (injection,
+element) pair is resolved onto a maximal face by sorting it and acting
+by the rank permutation.  The nodes are integer ids, numbered from the
+face and the positions of the points in their levels, in the order the
+nodes are listed; `unionfind.UnionFind` roots every class at its least
+id, so each class is named by its first node.  What is glued at level n
+depends only on n and is built once per n.
 
-The nodes are integer ids, numbered from the face (or decomposition)
-and the positions of the points in their levels, in the order the
-nodes are listed; `unionfind.UnionFind` roots every class at its
-least id, so each class is named by its first node.  What is glued at
-level n depends only on n and is built once per n.
+Quotients and the Day convolution share one closure loop, `_quotient`,
+which names each class by its first point in an order its caller
+gives.  The Day convolution is a quotient of the free diagram on the
+first factor's generators convolved with the second (see
+`day_convolution`).
 
 The face maps of a level are tabulated once per diagram, on the
 positions of the points in their levels, straight from the inclusion
@@ -41,7 +44,6 @@ cached transposition word.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
@@ -308,15 +310,47 @@ def support_filtration(W: CanonicalTameMSet, N):
                     for m in range(N + 1)], swap)
 
 
+def _quotient(order, incl, transp, seeds):
+    """The points listed level by level in `order`, with tables that
+    satisfy the relations, modulo the functorial closure of the seeds,
+    (level, point, point) triples: the images of each identified pair
+    under every transposition and inclusion are identified, so the maps
+    are well defined on classes.  Each class is named by its first point
+    in `order`, and the classes are listed in that order."""
+    N = len(order) - 1
+    rank = [{p: i for i, p in enumerate(points)} for points in order]
+    uf = [UnionFind(len(points)) for points in order]
+
+    def find(m, p):
+        return order[m][uf[m].root_id(rank[m][p])]
+
+    work = list(seeds)
+    while work:
+        m, a, b = work.pop()
+        ra, rb = find(m, a), find(m, b)
+        if ra == rb:
+            continue
+        uf[m].union_ids((rank[m][ra],), (rank[m][rb],))
+        for t in transp[m]:
+            work.append((m, t[ra], t[rb]))
+        if m < N:
+            work.append((m + 1, incl[m][ra], incl[m][rb]))
+
+    levels = [[order[m][i] for i in u.root_ids()] for m, u in enumerate(uf)]
+    return TruncatedISet._built(
+        N, levels,
+        [{p: find(m + 1, incl[m][p]) for p in levels[m]} for m in range(N)],
+        [[{p: find(m, t[p]) for p in levels[m]} for t in transp[m]]
+         for m in range(N + 1)])
+
+
 def quotient_iset(X: TruncatedISet, seeds):
     """Quotient by the functorial closure of seed identifications,
-    given as (level, point, point) triples, each point in its level.
-
-    The closure identifies the images of each identified pair under
-    every transposition and inclusion, so each map is well defined on
-    classes, and the relations, which hold in X, hold in the quotient."""
-    work = [(m, a, b) for m, a, b in seeds]
-    for m, a, b in work:
+    given as (level, point, point) triples, each point in its level;
+    every class is named by its least point in `point_key` order (see
+    `_quotient`)."""
+    seeds = [(m, a, b) for m, a, b in seeds]
+    for m, a, b in seeds:
         if not 0 <= m <= X.N:
             raise TruncationExceeded(
                 f"seed at level {m} outside the truncation 0..{X.N}"
@@ -324,31 +358,8 @@ def quotient_iset(X: TruncatedISet, seeds):
         for p in (a, b):
             if p not in X.positions(m):
                 raise ValidationError("seed point in its level", (m, p))
-    # numbered in key order, so every class is named by its least point
-    order = [sorted(level, key=point_key) for level in X.levels]
-    rank = [{p: i for i, p in enumerate(points)} for points in order]
-    uf = [UnionFind(len(points)) for points in order]
-
-    def find(m, p):
-        return order[m][uf[m].root_id(rank[m][p])]
-
-    while work:
-        m, a, b = work.pop()
-        ra, rb = find(m, a), find(m, b)
-        if ra == rb:
-            continue
-        uf[m].union_ids((rank[m][ra],), (rank[m][rb],))
-        for t in X.transp[m]:
-            work.append((m, t[ra], t[rb]))
-        if m < X.N:
-            work.append((m + 1, X.incl[m][ra], X.incl[m][rb]))
-
-    levels = [[order[m][i] for i in u.root_ids()] for m, u in enumerate(uf)]
-    incl = [{p: find(m + 1, X.incl[m][p]) for p in levels[m]}
-            for m in range(X.N)]
-    transp = [[{p: find(m, t[p]) for p in levels[m]} for t in X.transp[m]]
-              for m in range(X.N + 1)]
-    return TruncatedISet._built(X.N, levels, incl, transp)
+    return _quotient([sorted(level, key=point_key) for level in X.levels],
+                     X.incl, X.transp, seeds)
 
 
 def restriction_coequalizer(N):
@@ -837,114 +848,72 @@ def _day_factors(X: TruncatedISet, Y: TruncatedISet):
     return tuple(factors)
 
 
-@lru_cache(maxsize=None)
-def _day_shape(n):
-    """What `_day_level` glues at level n, which depends only on n: the
-    subsets A of {1..n} in node order, each as (|A|, A followed by its
-    complement); the index of each subset; and one row (a, index of A,
-    index of A + e, X-face, Y-face) per subset A of size a < n and
-    value e outside A, naming the face maps that carry the pairs over
-    (A, complement of A + e) into the two maximal pairs above them."""
-    everything = range(1, n + 1)
-    subsets = [A for a in range(n + 1) for A in combinations(everything, a)]
-    index = {A: i for i, A in enumerate(subsets)}
-    splits = [(len(A), A + tuple(v for v in everything if v not in A))
-              for A in subsets]
-    rows = []
-    for e in everything:
-        rest = [v for v in everything if v != e]
-        for a in range(n):
-            for A in combinations(rest, a):
-                Ae = tuple(sorted(A + (e,)))
-                full = splits[index[Ae]][1]
-                rows.append((a, index[A], index[Ae], Ae.index(e),
-                             sum(v < e for v in full[a + 1:])))
-    return splits, index, rows
-
-
-@lru_cache(maxsize=None)
-def _day_ranks(n, m1, gamma):
-    """The pair (m1, gamma) at level n seen on its maximal pair: the
-    index of the subset A = gamma[:m1] in `_day_shape(n)`, and the
-    ranks of the two blocks of gamma in A and in its complement."""
-    _, index, _ = _day_shape(n)
-    first = gamma[:m1]
-    A = tuple(sorted(first))
-    rest = [v for v in range(1, n + 1) if v not in A]
-    return (index[A], tuple(A.index(v) + 1 for v in first),
-            tuple(rest.index(v) + 1 for v in gamma[m1:]))
-
-
-def _day_level(X: TruncatedISet, Y: TruncatedISet, n):
-    """Level n of the convolution of two factors of height at least n.
-
-    The decompositions of {1..n} form the poset of disjoint pairs of
-    subsets; its maximal pairs are (A, complement of A), one node
-    (|A|, A + complement, x, y) per x in X(|A|) and y in Y(n-|A|).  A
-    pair of total size n-1, missing e, lies below exactly two maximal
-    pairs (e joins either side) and glues them through the face maps
-    of the two factors.  The node of the i-th subset A of size a has
-    the id base[i] + (position of x) * |Y(n-a)| + (position of y), so
-    ids follow the node order and each class is named by its first
-    node.  Returns the classes and the resolver of any (m1, gamma, x,
-    y) with gamma injective into {1..n}."""
-    splits, _, rows = _day_shape(n)
-    wide = [len(Y.levels[n - a]) for a in range(n + 1)]  # |Y(n-a)|
-    base = []
-    count = 0
-    for a, _ in splits:
-        base.append(count)
-        count += len(X.levels[a]) * wide[a]
-    uf = UnionFind(count)
-    dX = [X.face_positions(a + 1) for a in range(n)]
-    dY = [Y.face_positions(n - a) for a in range(n)]
-    xs = [range(len(X.levels[a])) for a in range(n)]
-    ys = [range(wide[a + 1]) for a in range(n)]
-    # (x, y) over (A, complement of A + e) is (fx[x], y) on A + e and
-    # (x, fy[y]) on A, with fx = dX[a][jx] and fy = dY[a][jy]
-    uf.union_ids(
-        [base[j] + u * wide[a + 1] + y
-         for a, _, j, jx, _ in rows for u in dX[a][jx] for y in ys[a]],
-        [base[i] + x * wide[a] + v
-         for a, i, _, _, jy in rows for x in xs[a] for v in dY[a][jy]])
-
-    def node(r):
-        i = bisect_right(base, r) - 1
-        a, full = splits[i]
-        u, v = divmod(r - base[i], wide[a])
-        return a, full, X.levels[a][u], Y.levels[n - a][v]
-
-    posX = [X.positions(a) for a in range(n + 1)]
-    posY = [Y.positions(n - a) for a in range(n + 1)]
-
-    def lookup(m1, gamma, x, y):
-        i, bx, by = _day_ranks(n, m1, gamma)
-        u = posX[m1][X.map_along(bx, m1, x)]
-        v = posY[m1][Y.map_along(by, n - m1, y)]
-        return node(uf.root_id(base[i] + u * wide[m1] + v))
-
-    return [node(r) for r in uf.root_ids()], lookup
-
-
 def day_convolution(X: TruncatedISet, Y: TruncatedISet):
     """The convolution along concatenation: level n is the colimit of
-    X(m1) x Y(m2) over decompositions of {1..n}, glued from the maximal
-    decompositions (see `_day_level`).  A point is (m1, gamma, x, y)
-    with gamma a permutation of {1..n}: the sorted first block followed
-    by the sorted complement.  The maps act on colimits over injections
-    by post-composition, which is functorial, so the relations hold.
+    X(m1) x Y(m2) over decompositions of {1..n}.  A point is (m1, gamma,
+    x, y): gamma is the sorted first block A followed by the sorted
+    complement, x in X(m1) lies on A and y on the complement.  Both
+    factors are first extended canonically (see `_day_factors`).
 
-    Both factors are first extended canonically (see `_day_factors`)."""
+    A generator of X is a point in no face image; the free diagram F_X
+    on them maps onto X by (S, p) -> X(ι_S)p.  Convolution is
+    cocontinuous in each variable and I(a,-) ⊛ I(b,-) is I(a+b,-) (Day,
+    "On closed categories of functors", 1970), so X ⊛ Y is F_X ⊛ Y
+    modulo the kernel of F_X -> X convolved with Y.  Level n of F_X ⊛ Y
+    holds, unglued, the points whose x is a generator; s_i acts on x or
+    y when i and i+1 lie in one block, else swaps them across, which
+    keeps both blocks sorted.  The kernel is the closure of seeds: each
+    (S, p) in F_X(k) with the image of an earlier one is identified with
+    it, both followed by each generator q of Y placed on k+1..k+m; every
+    point of Y is an image of some q.
+
+    Points are listed by m1, then A, then the positions of x and y, and
+    `_quotient` names each class by its first point, which is first in
+    the colimit too: since F_X maps onto X, a point whose x is no
+    generator equals one whose x is and whose first block is smaller."""
     X, Y = _day_factors(X, Y)
     N = X.N
-    built = [_day_level(X, Y, n) for n in range(N + 1)]
-    levels = [classes for classes, _ in built]
-    incl = [{c: built[n + 1][1](*c) for c in levels[n]} for n in range(N)]
-    transp = [[{c: resolve(c[0], _swapped(c[1], i), c[2], c[3])
-                for c in classes}
-               for i in range(1, n)]
-              for n, (classes, resolve) in enumerate(built)]
-    return TruncatedISet._built(N, levels, incl, transp)
+    gx, gy = ([[z for z, held in zip(Z.levels[a], _faces_holding(Z, a))
+                if not held] for a in range(N + 1)] for Z in (X, Y))
+
+    def blocks(n, A):
+        return A + tuple(v for v in range(1, n + 1) if v not in A)
+
+    order = [[(a, blocks(n, A), p, y)
+              for a in range(n + 1) for A in combinations(range(1, n + 1), a)
+              for p in gx[a] for y in Y.levels[n - a]]
+             for n in range(N + 1)]
+
+    def swap(n, c, i):
+        a, gamma, p, y = c
+        j, k = gamma.index(i), gamma.index(i + 1)
+        if j < a and k < a:
+            return a, gamma, X.transp[a][j][p], y
+        if j >= a and k >= a:
+            return a, gamma, p, Y.transp[n - a][j - a][y]
+        return a, _swapped(gamma, i), p, y
+
+    incl = [{c: (c[0], c[1] + (n + 1,), c[2], Y.incl[n - c[0]][c[3]])
+             for c in points} for n, points in enumerate(order[:N])]
+    transp = [[{c: swap(n, c, i) for c in points} for i in range(1, n)]
+              for n, points in enumerate(order)]
+
+    def node(k, S, p, m, q):  # (S, p) in F_X(k), then q on k+1..k+m
+        a = len(S)
+        y = Y.map_along(tuple(range(k - a + 1, k - a + m + 1)), k + m - a, q)
+        return a, blocks(k + m, S), p, y
+
+    seeds = []
+    for k in range(N + 1):
+        first = {}  # each image in X(k) sent to its first preimage
+        for a in range(k + 1):
+            for S in combinations(range(1, k + 1), a):
+                for p in gx[a]:
+                    e = first.setdefault(X.map_along(S, k, p), (S, p))
+                    seeds += [(k + m, node(k, S, p, m, q), node(k, *e, m, q))
+                              for m in range(N - k + 1) for q in gy[m]
+                              if e != (S, p)]
+    return _quotient(order, incl, transp, seeds)
 
 
 def day_projections(XY: TruncatedISet, X: TruncatedISet, Y: TruncatedISet):

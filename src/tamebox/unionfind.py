@@ -9,9 +9,11 @@ root under the lesser, so the representative of every class is its
 least id.  A caller numbers its nodes and decodes the ids itself,
 hashing nothing: the colimit kernels of `iset` number each node by its
 face and the positions of its points and join them in bulk with
-`union_ids`, and quotient_iset numbers each level's points in
-point_key order, so that every class is named by its key-least point
-and `root_ids` lists the classes in key order with no further sort.
+`union_ids`, and the closure loop of `iset._quotient` numbers each
+level's points in the order its caller lists them (point_key order for
+quotient_iset, node order for the Day convolution), so that every class
+is named by its first point and `root_ids` lists the classes in that
+order with no further sort.
 """
 
 from __future__ import annotations

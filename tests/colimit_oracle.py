@@ -424,11 +424,18 @@ def day_convolution(X: TruncatedISet, Y: TruncatedISet):
     """The convolution of the same extended factors as
     `tamebox.iset.day_convolution`, one node per (split, injection,
     x, y)."""
+    return day_diagram(day_classes(X, Y)[2])
+
+
+def day_classes(X: TruncatedISet, Y: TruncatedISet):
+    """The factors extended as `tamebox.iset.day_convolution` extends
+    them, and the classes of each level n of their convolution: every
+    node (m1, gamma, x, y), gamma an injective tuple into {1..n} whose
+    first m1 values carry x and the rest y, sent to the key-least node
+    of its class."""
     X, Y = _day_factors(X, Y)
-    N = X.N
-    levels = []
-    finds = []
-    for n in range(N + 1):
+    classes = []
+    for n in range(X.N + 1):
         parent = {}
         for m1 in range(n + 1):
             for m2 in range(n + 1 - m1):
@@ -460,17 +467,24 @@ def day_convolution(X: TruncatedISet, Y: TruncatedISet):
                 for y0 in Y.levels[m2 - 1]:
                     if Y.incl[m2 - 1][y0] == y:
                         union((m1, g, x, y0), node)
-        levels.append(sorted({find(node) for node in parent}, key=point_key))
-        finds.append(find)
-    incl = [{c: finds[n + 1](c) for c in levels[n]} for n in range(N)]
+        classes.append({node: find(node) for node in parent})
+    return X, Y, classes
+
+
+def day_diagram(classes):
+    """The convolution whose points are the key-least nodes of the
+    classes `day_classes` found, acting on nodes by post-composition."""
+    N = len(classes) - 1
+    levels = [sorted(set(level.values()), key=point_key) for level in classes]
+    incl = [{c: classes[n + 1][c] for c in levels[n]} for n in range(N)]
     transp = []
     for n in range(N + 1):
         tabs = []
         for i in range(1, n):
             swap = {i: i + 1, i + 1: i}
             tabs.append({
-                c: finds[n]((c[0], tuple(swap.get(v, v) for v in c[1]),
-                             c[2], c[3]))
+                c: classes[n][(c[0], tuple(swap.get(v, v) for v in c[1]),
+                               c[2], c[3])]
                 for c in levels[n]
             })
         transp.append(tabs)

@@ -53,10 +53,26 @@ MUTANTS = [
            "    target = min(X.N, Y.N)\n",
            "tests/test_acceptance.py::test_criterion_04_day_vs_box"),
     Mutant("quotient points in level order", "iset.py",
-           "    order = [sorted(level, key=point_key) for level in X.levels]\n",
-           "    order = [list(level) for level in X.levels]\n",
+           "_quotient([sorted(level, key=point_key) for level in X.levels],",
+           "_quotient([list(level) for level in X.levels],",
            "tests/test_unionfind.py::"
            "test_quotient_and_colimit_named_by_key_least_member"),
+    # the Day seeds place each generator q of the second factor on the
+    # first m values of the complement, not on k+1..k+m, and identify
+    # points that differ; the test's explicit example Q ⊛ rep_1 shows it
+    Mutant("Day seeds placing q first", "iset.py",
+           "tuple(range(k - a + 1, k - a + m + 1))",
+           "tuple(range(1, m + 1))",
+           "tests/test_colimit_kernel.py::"
+           "test_day_convolution_matches_oracle"),
+    # a point outside the inclusion's image counts as a generator even
+    # when another face holds it: the generators are no longer closed
+    # under the permutations, and a transposition leaves the free part
+    Mutant("Day generators off the inclusion's image", "iset.py",
+           "                if not held]",
+           "                if a not in held]",
+           "tests/test_colimit_kernel.py::"
+           "test_day_convolution_matches_oracle"),
     # each level's swap tables of the canonical action in reverse order
     Mutant("canonical swap tables reversed", "iset.py",
            "E.transp[c[0]][i][c[1]]",

@@ -19,7 +19,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import colimit_oracle as oracle
@@ -165,6 +165,8 @@ def test_lan_extend_matches_oracle(kind, seed, N):
 @settings(kernel_settings, max_examples=50)
 @given(st.sampled_from(KINDS), st.sampled_from(KINDS),
        st.integers(0, 10**6), st.integers(2, 3))
+@example("coequalizer", "representable", 2, 3)  # Q ⊛ rep_1
+@example("representable", "coequalizer", 3, 3)  # rep_1 ⊛ Q
 def test_day_convolution_matches_oracle(left, right, seed, N):
     X = diagram(left, seed, N, max_stable=1)
     Y = diagram(right, seed + 1, N, max_stable=1)
@@ -176,7 +178,8 @@ def test_day_convolution_matches_oracle(left, right, seed, N):
         with pytest.raises(TruncationExceeded):
             oracle.day_convolution(X, Y)
         return
-    old = oracle.day_convolution(X, Y)
+    X, Y, classes = oracle.day_classes(X, Y)
+    old = oracle.day_diagram(classes)
     assert_revalidates(new)
     assert [len(l) for l in new.levels] == [len(l) for l in old.levels]
     assert new.stable_from == old.stable_from
@@ -184,6 +187,23 @@ def test_day_convolution_matches_oracle(left, right, seed, N):
     assert (a is None) == (b is None)
     if a is not None:
         assert mset_iso_equal(a, b)
+    # each point is the first of its class among the nodes (m1, A +
+    # complement, x, y), A sorted, in the order of m1, then A, then the
+    # positions of x and y, and each level lists them in that order
+    for n, level in enumerate(classes):
+        def key(node):
+            m1, gamma, x, y = node
+            return (m1, gamma[:m1], X.levels[m1].index(x),
+                    Y.levels[n - m1].index(y))
+
+        maximal = [(m1, gamma, x, y) for m1, gamma, x, y in level
+                   if len(gamma) == n and sorted(gamma[:m1]) == list(
+                       gamma[:m1]) and sorted(gamma[m1:]) == list(gamma[m1:])]
+        first = {}
+        for node in sorted(maximal, key=key):
+            first.setdefault(level[node], node)
+        assert len(first) == len(set(level.values()))
+        assert new.levels[n] == list(first.values())
 
 
 def broken_top(kind):

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import perm
 
 import pytest
 from hypothesis import given, settings
@@ -384,11 +385,15 @@ class TestMonoPushout:
 
 
 class TestDayConvolution:
-    def test_representables_convolve(self):
-        X = day_convolution(representable_iset(1, 4), representable_iset(1, 4))
-        R2 = representable_iset(2, 4)
-        assert [len(l) for l in X.levels] == [len(l) for l in R2.levels]
-        assert mset_iso_equal(canonicalize(X), canonicalize(R2))
+    # rep_m ⊛ rep_m is rep_2m (Day), checked deep as well as at 4
+    @pytest.mark.parametrize("m, N", [(1, 4), (1, 14), (2, 10)])
+    def test_representables_convolve(self, m, N):
+        R = representable_iset(m, N)
+        X = day_convolution(R, R)
+        # level n of rep_2m holds the injections of {1..2m} into {1..n}
+        assert [len(l) for l in X.levels] == [perm(n, 2 * m)
+                                              for n in range(N + 1)]
+        assert mset_iso_equal(canonicalize(X), injection_mset(2 * m))
 
     def test_unit_neutral(self):
         X = support_filtration(sample_mset(), 4)
@@ -457,9 +462,11 @@ class TestDayConvolution:
         assert len(subsets) == len(level) == 56
         assert not iso_equal(level, subsets)
 
-    def test_nonflat_factor_still_matches(self):
-        Q = restriction_coequalizer(4)
-        B = support_filtration(injection_mset(1), 4)
+    @pytest.mark.parametrize("N", [4, 14])
+    def test_nonflat_factor_still_matches(self, N):
+        # B is rep_1, with elements for points
+        Q = restriction_coequalizer(N)
+        B = support_filtration(injection_mset(1), N)
         XY = day_convolution(Q, B)
         lhs = canonicalize(XY)
         rhs = box(canonicalize(Q), canonicalize(B))
