@@ -33,7 +33,7 @@ from .iset import (
     is_flat,
     n_iso_check,
 )
-from .mset import box, decompose_table, mset_iso_equal
+from .mset import DEFAULT_DEGREE_BOUND, box, decompose_table, mset_iso_equal
 from .opalg import (
     CommMonoidPresentation,
     algebra_table,
@@ -95,7 +95,7 @@ def arg(*flags, minimum=None, read=PLAIN, **kwargs):
 
 GLOBAL_ARGUMENTS = (
     arg("--window", type=int, default=8, minimum=0),
-    arg("--degree-bound", type=int, default=7, minimum=0),
+    arg("--degree-bound", type=int, default=DEFAULT_DEGREE_BOUND, minimum=0),
     arg("--level-bound", type=int, default=6, minimum=0),
     arg("--deterministic", action="store_true", read=OUTPUT,
         help="omit timing so reports are byte-stable"),

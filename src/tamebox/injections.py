@@ -19,8 +19,8 @@ as rows ``(lo, hi, mod, res, a, b)`` -- `Piece` tuples, or with a and
 b as integer pairs ``(p, q)`` as documents read them -- and a piece
 may send ``i`` to ``(i+1)/2`` on the odd numbers, integral on its
 progression though its slope is not.  `_spans_of_rows` is the one
-place where rows become spans; it rejects non-integral steps and
-values.
+place where rows become spans, and the public constructor reads rows
+only; it rejects non-integral steps and values.
 """
 
 from __future__ import annotations
@@ -258,32 +258,6 @@ def _normal_shape(spans):
     return t
 
 
-def _check_spans(spans):
-    """Raise unless integer spans describe a total injection of omega;
-    their threshold when they have the normal shape, else 0.  Checks
-    the fields and bounds of each span, then that one is unbounded,
-    then that values and steps are at least one, then `_check_cover`."""
-    low = None
-    for sp in spans:
-        first, last, mod, v0, step = sp
-        if not type(first) is type(mod) is type(v0) is type(step) is int \
-                or last is not None and type(last) is not int:
-            raise ValueError(f"a field of the span {sp!r} is not an int")
-        if first < 1 or mod < 1:
-            raise ValueError("piece bounds must be positive")
-        if last is not None and last < first:
-            raise ValueError("piece has hi < lo")
-        if (v0 < 1 or step < 1) and low is None:
-            low = sp
-    if all(sp[1] is not None for sp in spans):
-        raise NotCovering("no unbounded piece; omega cannot be covered")
-    if low is not None:
-        raise NotInjective(f"{_piece(low)} is not increasing with values >= 1")
-    t = _normal_shape(spans)
-    _check_cover(spans, [_image(sp) for sp in spans], t)
-    return t
-
-
 def _check_cover(spans, images, shaped):
     """Raise unless the domains of the spans partition omega and their
     images are disjoint; spans of the normal shape (`shaped`) partition
@@ -321,7 +295,7 @@ def _check_cover(spans, images, shaped):
 
 def _normal_form(spans, t=None):
     """The canonical spans of the total injection of omega the spans
-    describe (`_check_spans` decides whether they do): one point span
+    describe (`_spans_of_rows` decides whether they do): one point span
     for each i below a minimal threshold, then one unbounded span per
     residue class of the minimal period, each with that period as its
     mod.  t is `_normal_shape(spans)`, when the caller has found it.
@@ -416,16 +390,9 @@ class QuasiAffineInjection:
     __slots__ = ("spans",)
 
     def __init__(self, pieces):
-        """`pieces` are integer spans, which `_check_spans` checks, or
-        rational rows (`Piece`s, or a and b as integer pairs), which
-        `_spans_of_rows` reads."""
-        pieces = list(pieces)
-        if pieces and len(pieces[0]) == len(Piece._fields):
-            spans, t = _spans_of_rows(pieces)
-        else:
-            spans = [tuple(sp) for sp in pieces]
-            t = _check_spans(spans)
-        self.spans = _normal_form(spans, t)
+        """`pieces` are rational rows (`Piece`s, or a and b as integer
+        pairs), which `_spans_of_rows` reads."""
+        self.spans = _normal_form(*_spans_of_rows(pieces))
 
     @classmethod
     def _built(cls, spans):
@@ -446,14 +413,10 @@ class QuasiAffineInjection:
 
     @classmethod
     def affine(cls, a, b):
-        """i -> a*i + b on all of omega, for integers a and b; a total
-        injection when it is increasing with values >= 1, which is
-        checked."""
-        span = (1, None, 1, a + b, a)
-        if a < 1 or a + b < 1:
-            raise NotInjective(
-                f"{_piece(span)} is not increasing with values >= 1")
-        return cls._built([span])
+        """i -> a*i + b on all of omega, for integers a and b: the row
+        (1, None, 1, 0, a, b), which the reader refuses unless it is
+        increasing with values >= 1."""
+        return cls([(1, None, 1, 0, a, b)])
 
     def __call__(self, i):
         if i < 1:

@@ -274,12 +274,9 @@ def representable_iset(m, N):
 
 
 def constant_iset(points, N):
-    """The same points at every level, every map the identity."""
-    points = list(points)
-    levels = [points for _ in range(N + 1)]
-    incl = [{p: p for p in points} for _ in range(N)]
-    transp = [[{p: p for p in points} for _ in range(1, k)] for k in range(N + 1)]
-    return TruncatedISet._built(N, levels, incl, transp)
+    """The same points at every level, every map the identity: each
+    s_i fixes each point x, the first of the swap's arguments (x, i)."""
+    return _nested([list(points)] * (N + 1), lambda *x_i: x_i[0])
 
 
 def support_filtration(W: CanonicalTameMSet, N):

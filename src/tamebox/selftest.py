@@ -51,6 +51,7 @@ from .iset import (
     support_filtration,
 )
 from .mset import (
+    DEFAULT_DEGREE_BOUND,
     box,
     box_pair,
     box_split,
@@ -168,7 +169,7 @@ def _msets(rng, levels, points):
 
 @suite("decomposition-round-trip", top_level=4)
 def suite_decomposition_round_trip(tally, rng, cases=100, window=8,
-                                   degree_bound=7):
+                                   degree_bound=DEFAULT_DEGREE_BOUND):
     """Tables of window elements decompose back to the same form."""
     draw = _msets(rng, (4,), 5)
     for i, (X,) in enumerate(tally.draws(draw, cases)):
@@ -181,7 +182,8 @@ def suite_decomposition_round_trip(tally, rng, cases=100, window=8,
 
 
 @suite("box-oracle", top_level=2 + 3)
-def suite_box_oracle(tally, rng, cases=50, window=6, degree_bound=7):
+def suite_box_oracle(tally, rng, cases=50, window=6,
+                     degree_bound=DEFAULT_DEGREE_BOUND):
     """The pairing bijects disjoint pairs onto the product table and
     commutes with the action through both projections."""
     draw = _msets(rng, (2, 3), 3)
@@ -221,7 +223,8 @@ def suite_injection_split(tally, window=7):
 
 
 @suite("day-vs-box", top_level=2)
-def suite_day_vs_box(tally, rng, cases=20, window=5, degree_bound=7):
+def suite_day_vs_box(tally, rng, cases=20, window=5,
+                     degree_bound=DEFAULT_DEGREE_BOUND):
     """Convolution then canonicalization agrees with the box product of
     the canonicalizations.  Draws that leave the window are skipped."""
     # stability levels summing to at most 2, the suite's top level
@@ -267,7 +270,8 @@ def suite_flatness_modes(tally, rng, cases=100, window=4):
 
 
 @suite("adjunction", top_level=2)
-def suite_adjunction(tally, rng, cases=50, window=4, degree_bound=7):
+def suite_adjunction(tally, rng, cases=50, window=4,
+                     degree_bound=DEFAULT_DEGREE_BOUND):
     """The counit identifies classes with window elements; the unit is
     a colimit bijection, levelwise bijective exactly on flat inputs."""
     draw = _msets(rng, (2,), 4)
@@ -470,7 +474,8 @@ def suite_wedge_products(tally, window=5):
 
 
 @suite("orbit-products", top_level=2 + 2)
-def suite_orbit_products(tally, rng, cases=50, degree_bound=7):
+def suite_orbit_products(tally, rng, cases=50,
+                         degree_bound=DEFAULT_DEGREE_BOUND):
     """Orbit sets multiply along the box product."""
     draw = _msets(rng, (2, 2), 4)
     for i, (X, Y) in enumerate(tally.draws(draw, cases)):
@@ -484,8 +489,8 @@ def suite_orbit_products(tally, rng, cases=50, degree_bound=7):
             tally.fail(f"injections on {m} letters not connected")
 
 
-def run_selftest(seed=0, cases=None, window=None, degree_bound=7,
-                 include_timing=True):
+def run_selftest(seed=0, cases=None, window=None,
+                 degree_bound=DEFAULT_DEGREE_BOUND, include_timing=True):
     """Run every suite with one seeded stream per suite.
 
     `cases` scales the principal draws of each suite when given; the

@@ -14,8 +14,10 @@ for the objects their parameter lists build.
 
 An injection or an element is checked on the arguments of the call:
 the public constructor runs on them and must give what `_built` gave.
-The normal form of spans that describe no injection can look valid, so
-a check of the output alone would miss a bad build.
+The public constructor of an injection reads rows only, so the spans
+are checked as the rows `rows_of` writes for them.  The normal form of
+spans that describe no injection can look valid, so a check of the
+output alone would miss a bad build.
 
 A test marked `unchecked_construction` runs without the wrappers; it is
 how a test sees what the shipped path costs.
@@ -41,16 +43,26 @@ def on_output(check):
     return run
 
 
-def on_arguments(cls, attribute):
-    """A check of the arguments of the call: the public constructor of
-    cls runs on them first, and the trusted one must build the same."""
+def rows_of(spans):
+    """Spans (first, last, mod, v0, step) as the rows the public
+    constructor reads, with a and b as integer pairs: a = step/mod and
+    b = v0 - a*first."""
+    return [(first, last, mod, first % mod, (step, mod),
+             (v0 * mod - step * first, mod))
+            for first, last, mod, v0, step in spans]
+
+
+def on_arguments(public, attribute):
+    """A check of the arguments of the call: `public` runs on them
+    first, and the trusted constructor must build the same."""
     def run(build, receiver, arg):
-        expected = getattr(cls(arg), attribute)
+        expected = getattr(public(arg), attribute)
         out = build()
         if getattr(out, attribute) != expected:
             raise AssertionError(
-                f"{cls.__name__}._built gave {getattr(out, attribute)!r}, "
-                f"the public constructor {expected!r}")
+                f"{type(out).__name__}._built gave "
+                f"{getattr(out, attribute)!r}, the public constructor "
+                f"{expected!r}")
         return out
     return run
 
@@ -70,7 +82,8 @@ TRUSTED = [
         lambda out, cls: CommMonoidPresentation(
             out.carrier, out.unit_point, out.table, out.level_cap))),
     (QuasiAffineInjection, "_built",
-     on_arguments(QuasiAffineInjection, "spans")),
+     on_arguments(lambda spans: QuasiAffineInjection(rows_of(spans)),
+                  "spans")),
     (OperadElement, "_built", on_arguments(OperadElement, "slots")),
 ]
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import cert_oracle
 import tamebox.opalg as opalg
+from conftest import rows_of
 from tamebox.documents import parse_document, serialize_document
 from tamebox.errors import (
     NotAMonoid,
@@ -21,6 +22,7 @@ from tamebox.generators import random_agreeing_pair, random_prescribed_pair
 from tamebox.injections import (
     OperadElement,
     PartialInjection,
+    Piece,
     QuasiAffineInjection,
     _transported,
     interleave,
@@ -417,8 +419,9 @@ class TestCertificates:
     @pytest.mark.unchecked_construction
     def test_trusted_builds_give_the_checked_certificates(self, monkeypatch):
         """The certificates of acceptance criterion 8, built as shipped
-        and with the trusted constructors replaced by the public ones,
-        are the same bytes."""
+        and with the trusted constructors replaced by the public ones
+        (on the rows of the spans, for an injection), are the same
+        bytes."""
         def certificates():
             rng = random.Random("acceptance:certs")
             return [serialize_document("certificate",
@@ -426,9 +429,10 @@ class TestCertificates:
                     for _, (phi, psi, A) in agreement_instances(rng, 50)]
 
         shipped = certificates()
-        for cls in (QuasiAffineInjection, OperadElement):
-            monkeypatch.setattr(cls, "_built",
-                                classmethod(lambda cls, arg: cls(arg)))
+        monkeypatch.setattr(QuasiAffineInjection, "_built", classmethod(
+            lambda cls, spans: cls(rows_of(spans))))
+        monkeypatch.setattr(OperadElement, "_built",
+                            classmethod(lambda cls, slots: cls(slots)))
         assert certificates() == shipped
         assert len(shipped) == 60
 
@@ -519,12 +523,14 @@ def _one_step(source_slot, target_slot):
 CRAFTED = [
     _one_step(QuasiAffineInjection.affine(2, -1),
               QuasiAffineInjection.affine(4, -3)),
-    _one_step(QuasiAffineInjection([(1, 1, 1, 3, 1), (2, 2, 1, 1, 1),
-                                    (3, None, 1, 5, 2)]),
+    _one_step(QuasiAffineInjection([Piece(1, 1, 1, 0, 1, 2),
+                                    Piece(2, 2, 1, 0, 1, -1),
+                                    Piece(3, None, 1, 0, 2, -1)]),
               QuasiAffineInjection.affine(2, -1)),
     _one_step(QuasiAffineInjection.affine(2, -1),
-              QuasiAffineInjection([(1, None, 3, 1, 6), (2, None, 3, 3, 6),
-                                    (3, None, 3, 11, 12)])),
+              QuasiAffineInjection([Piece(1, None, 3, 1, 2, -1),
+                                    Piece(1, None, 3, 2, 2, -1),
+                                    Piece(1, None, 3, 0, 4, -1)])),
 ]
 
 
