@@ -292,8 +292,12 @@ class TestQuasiAffine:
         Piece(1.9, None, 1, 0, 1, 0), Piece(True, None, 1, 0, 1, 0),
         Piece(1, None, 1.5, 0, 1, 0), Piece(1, None, 1, 0.0, 1, 0),
         Piece(1, 3.0, 1, 0, 1, 0), Piece(1, None, 1, "0", 1, 0),
+        Piece("1", None, 1, 0, 1, 0), Piece(1, True, 1, 0, 1, 0),
+        Piece(1, "3", 1, 0, 1, 0), Piece(1, None, True, 0, 1, 0),
+        Piece(1, None, "1", 0, 1, 0), Piece(1, None, 1, False, 1, 0),
     ], ids=["lo-float", "lo-bool", "mod-float", "res-float", "hi-float",
-            "res-str"])
+            "res-str", "lo-str", "hi-bool", "hi-str", "mod-bool", "mod-str",
+            "res-bool"])
     def test_refuses_bounds_that_are_no_ints(self, row):
         # read through int(), lo 1.9 was 1 and mod 1.5 was 1
         with pytest.raises(ValueError, match="not an int"):
@@ -302,9 +306,10 @@ class TestQuasiAffine:
     @pytest.mark.parametrize("a, b", [
         ("3", 0), (1, True), (2.0, 0), (1, "1/2"), ((2, 1.0), 0),
         ((2.0, 1), 0), ((1, True), 0), (1, (1, 0)), (1, (1, -2)), ((1, 1, 1), 0),
+        (1, 0.5),
     ], ids=["a-str", "b-bool", "a-float", "b-ratio-str", "pair-float-den",
             "pair-float-num", "pair-bool-den", "pair-den-0", "pair-den-negative",
-            "triple"])
+            "triple", "b-float"])
     def test_refuses_slopes_and_offsets_that_are_no_ratios(self, a, b):
         # "3", True and 2.0 were read as 3, 1 and 2; (2.0, 1) raised a
         # TypeError
@@ -315,7 +320,10 @@ class TestQuasiAffine:
         # the five integer fields of a span are no row
         with pytest.raises(ValueError):
             QuasiAffineInjection([(1, None, 1, 1, 1)])
-        # a row given as a list is read into tuple spans
+
+    def test_rows_given_as_lists_are_read_as_tuples(self):
+        # a list row is read into tuple spans: the injection is hashable
+        # and equal to the identity
         f = QuasiAffineInjection([[1, None, 1, 0, 1, 0]])
         assert f == QuasiAffineInjection.identity()
         assert hash(f) == hash(QuasiAffineInjection.identity())
