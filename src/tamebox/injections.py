@@ -558,7 +558,7 @@ def order_embed_avoiding(avoid) -> QuasiAffineInjection:
     given finite set of positive integers: the identity with its values
     expanded across the set (`_reindex`)."""
     avoid = set(avoid)
-    if not all(isinstance(a, int) and a >= 1 for a in avoid):
+    if not all(type(a) is int and a >= 1 for a in avoid):
         raise ValueError("avoided values must be positive integers")
     return QuasiAffineInjection._built(
         _reindex(_IDENTITY, sorted(avoid), values=True, collapse=False))

@@ -16,17 +16,36 @@ The families:
   points just past the given top;
 - `certify_agreement` of `random_agreeing_pair` and
   `random_prescribed_pair` draws at arity 2 and 3, with constraint
-  sets of at most three points, as serialized certificates.
+  sets of at most three points, as serialized certificates (the bytes
+  `a3 --emit` writes, less its newline);
+- `iso_type` of `random_sigma_set` draws of degree 0..5 with their
+  points listed in random order (`shuffled_draw`);
+- `point_key` of a set of strings, and the monoid documents of two
+  symmetric monoids whose points are sets of strings;
+- command reports, read from `cli.main` in this process: `box` at
+  degree bound 9 and the `orbit-set` of its product, `selftest`,
+  `canonicalize` and `flatten` of `late_pairs` with string points,
+  and `flatten` of a restriction coequalizer.
 
 Output must depend only on the input values, so the digest is the
-same under every `PYTHONHASHSEED`; `test_corpus.py` runs this file
-under two of them.  Run it as `PYTHONPATH=src python tests/corpus.py`
-to print the digest; `entries()` lists what it hashes.
+same under every `PYTHONHASHSEED`.  `test_corpus.py` runs this file
+under two of them; it is the one test that sets the hash seed, so a
+check of that independence belongs here, as a family of `entries()`.
+This file imports only tamebox and the standard library, so that the
+child loads neither pytest nor Hypothesis.  Run it as
+`PYTHONPATH=src python tests/corpus.py` to print the digest.
 """
 
+import contextlib
 import hashlib
+import io
+import json
+import os
 import random
+import tempfile
+from itertools import combinations
 
+from tamebox.cli import main
 from tamebox.documents import serialize_document
 from tamebox.errors import TameboxError
 from tamebox.generators import (
@@ -34,6 +53,7 @@ from tamebox.generators import (
     random_iset,
     random_mset,
     random_prescribed_pair,
+    random_sigma_set,
 )
 from tamebox.iset import (
     TruncatedISet,
@@ -42,19 +62,27 @@ from tamebox.iset import (
     flat_replacement,
     is_flat,
     representable_iset,
+    restriction_coequalizer,
 )
 from tamebox.mset import (
+    CanonicalTameMSet,
     MSetMorphism,
     coequalize,
     decompose_table,
     injection_mset,
 )
-from tamebox.opalg import certify_agreement
+from tamebox.opalg import (
+    certify_agreement,
+    infinite_symmetric_product,
+    trivial_from_abelian,
+)
+from tamebox.sigma import SigmaSet, point_key, trivial_sigma_set
 
 DECOMPOSE_DRAWS = 60
 COEQUALIZE_DRAWS = 100
 ISET_DRAWS = 25  # per N
 CERTIFICATE_DRAWS = {2: 80, 3: 40}  # per arity and pair generator
+LABEL_DRAWS = 60  # per degree
 
 
 def mset_text(W):
@@ -110,6 +138,53 @@ def late_merges(name):
          for m, row in enumerate(incl)],
         [[{(m, i): (m, j) for i, j in enumerate(t)} for t in tables]
          for m, tables in enumerate(transp)])
+
+
+def late_pairs(N):
+    """X(n) = the 2-subsets of {1..n} for n >= 3, empty below: the
+    class of {1, 2} is supported on {1, 2} but first appears at 3."""
+    levels = [list(combinations(range(1, n + 1), 2)) if n >= 3 else []
+              for n in range(N + 1)]
+
+    def swap(i, pair):
+        return tuple(sorted({i: i + 1, i + 1: i}.get(v, v) for v in pair))
+
+    return TruncatedISet(
+        N, levels, [{p: p for p in levels[n]} for n in range(N)],
+        [[{p: swap(i, p) for p in levels[n]} for i in range(1, n)]
+         for n in range(N + 1)], 3)
+
+
+def named_late_pairs(N):
+    """`late_pairs` with the pair (i, j) named by the string "pair i j",
+    so that sets of its points follow the string hash."""
+    X = late_pairs(N)
+    name = {p: f"pair {p[0]} {p[1]}" for p in X.levels[X.N]}
+
+    def renamed(table):
+        return {name[p]: name[q] for p, q in table.items()}
+
+    return TruncatedISet(
+        X.N, [[name[p] for p in level] for level in X.levels],
+        [renamed(d) for d in X.incl],
+        [[renamed(t) for t in ts] for ts in X.transp], X.stable_from)
+
+
+def box_factor():
+    """Two fixed points at level 2 and one at level 3: the factor of
+    the degree-9 `box` of the command family, whose box points hold
+    larger sets of positions than the golden reports reach."""
+    return CanonicalTameMSet({2: trivial_sigma_set(2, ["a", "b"]),
+                              3: trivial_sigma_set(3, ["c"])})
+
+
+def shuffled_draw(seed, m):
+    """A random_sigma_set draw with its points listed in random order,
+    so that list order and key order differ."""
+    rng = random.Random(seed)
+    ss = random_sigma_set(rng, m, max_points=12)
+    points = rng.sample(ss.points, len(ss.points))
+    return SigmaSet(m, points, ss.transpositions)
 
 
 def outcome(call):
@@ -184,12 +259,75 @@ def certificate_entries():
                                                       phi, psi, constraints)))
 
 
+def label_entries():
+    for m in range(6):
+        for seed in range(LABEL_DRAWS):
+            yield (f"iso_type {m} {seed}",
+                   lambda: repr(shuffled_draw(seed, m).iso_type()))
+
+
+# A frozenset's repr follows its hash table, which for strings depends
+# on PYTHONHASHSEED: the two monoid documents came out in two orders
+# under seeds 0 and 2 when the sums and the letters were sorted by repr.
+def set_point_entries():
+    yield "point_key of a string set", lambda: repr(point_key(
+        frozenset(["pear", "apple", "fig", "kiwi", "plum"])))
+    yield "monoid of set letters", lambda: serialize_document(
+        "monoid", infinite_symmetric_product(
+            ["*", frozenset({"a", "d"}), frozenset({"b", "c"})], "*", 3))
+    sets = [frozenset(), frozenset({"a"}), frozenset({"b"}),
+            frozenset({"a", "b"})]
+    yield "monoid of sets under symmetric difference", lambda: (
+        serialize_document("monoid", trivial_from_abelian(
+            sets, {(x, y): x ^ y for x in sets for y in sets}, frozenset())))
+
+
+def report(*argv):
+    """The exit code and the report of one deterministic command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--deterministic", *argv])
+    return f"{code} {out.getvalue()}"
+
+
+def command_entries():
+    with tempfile.TemporaryDirectory() as tmp:
+        def document(name, kind, value):
+            path = os.path.join(tmp, name)
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(serialize_document(kind, value) + "\n")
+            return path
+
+        m = document("m.json", "mset", box_factor())
+        product = os.path.join(tmp, "box.json")
+
+        def box():
+            text = report("--degree-bound", "9", "box", m, m)
+            with open(product, "w", encoding="utf-8") as f:
+                json.dump(json.loads(text.split(" ", 1)[1])["value"], f)
+            return text
+
+        yield "box degree 9", box
+        yield "orbit-set degree 9", lambda: report(
+            "--degree-bound", "9", "orbit-set", product)
+        yield "selftest 5 1", lambda: report("selftest", "--seed", "5",
+                                             "--cases", "1")
+        late = document("late.json", "iset", named_late_pairs(6))
+        for command in ("canonicalize", "flatten"):
+            yield f"{command} named late_pairs", lambda: report(command, late)
+        quotient = document("quotient.json", "iset",
+                            restriction_coequalizer(4))
+        yield "flatten restriction_coequalizer 4", lambda: report(
+            "flatten", quotient)
+
+
 def entries():
     """Every (name, text) of the corpus, in order.  Each call runs
     before its family draws the next, so the loop values it reads are
     its own."""
     for family in (decompose_entries, coequalize_entries, iset_entries,
-                   late_merge_entries, certificate_entries):
+                   late_merge_entries, certificate_entries, label_entries,
+                   set_point_entries, command_entries):
         for name, call in family():
             yield name, outcome(call)
 

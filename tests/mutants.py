@@ -150,6 +150,19 @@ MUTANTS = [
            "if ((last",
            "tests/test_qa_kernel.py::"
            "test_shaped_rows_off_their_residue_are_refused"),
+    # a set's repr follows its hash table: point keys of string sets, and
+    # the orders they fix, change with the string hash seed
+    Mutant("point_key without set sorting", "sigma.py",
+           '    if "{" in r:\n        r = _value_repr(p)\n',
+           "",
+           "tests/test_corpus.py::test_corpus_digest_under_two_hash_seeds"),
+    # the sums of a monoid whose points are string sets are listed in an
+    # order that changes with the string hash seed; of seeds 0, 1 and 2,
+    # only 2 gives another order
+    Mutant("monoid sums sorted by repr", "documents.py",
+           "key=lambda kv: point_key(kv[0])[1])",
+           "key=lambda kv: repr(kv[0]))",
+           "tests/test_corpus.py::test_corpus_digest_under_two_hash_seeds"),
     # JSON past Python's digit or nesting limit escapes as a traceback
     Mutant("load_json catching only JSONDecodeError", "documents.py",
            "    except (ValueError, RecursionError) as e:  "

@@ -3,19 +3,16 @@ import hashlib
 import json
 import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-import tamebox
+from corpus import box_factor, named_late_pairs
 from tamebox import PartialInjection, cli, opalg, selftest, sigma
 from tamebox.cli import main
 from tamebox.documents import canonical_json, serialize_document
-from tamebox.generators import random_agreeing_pair, random_mset
+from tamebox.generators import random_mset
 from tamebox.injections import QuasiAffineInjection, interleave
 from tamebox.iset import (
-    TruncatedISet,
     flat_replacement,
     is_flat,
     representable_iset,
@@ -27,7 +24,6 @@ from tamebox.opalg import (
     infinite_symmetric_product,
 )
 from tamebox.sigma import regular_sigma_set, trivial_sigma_set
-from test_iset import late_pairs
 
 
 @pytest.fixture()
@@ -1059,93 +1055,24 @@ class TestArgumentMinima:
         assert rep["error"]["type"] == "ValidationError"
 
 
-# the directory tamebox was imported from: the checkout's src, or the
-# installed package's site directory
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(tamebox.__file__)))
+# Reports past the degree bound of the golden set, and of a class first
+# seen above its support.  The corpus (`corpus.py`) compares these
+# reports under two hash seeds; here they run once, for what they hold.
+
+def test_degree_nine_box_reaches_levels_five_and_six(capsys, workspace):
+    _, write = workspace
+    m = write("m.json", "mset", box_factor())
+    code, rep = run(capsys, "--degree-bound", "9", "box", m, m)
+    assert code == 0
+    assert {"5", "6"} <= set(rep["value"]["payload"]["levels"])
 
 
-def _cli_under_hash_seed(seed, *argv):
-    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
-    return subprocess.run(
-        [sys.executable, "-m", "tamebox.cli", "--deterministic", *argv],
-        env=env, check=True, capture_output=True,
-    ).stdout
-
-
-class TestHashSeedDeterminism:
-    """Reports are the same bytes whatever the string hash seed, also
-    past the degree bound of the golden set, where box points hold
-    larger sets of positions."""
-
-    def test_degree_nine_box_and_orbit_set(self, tmp_path):
-        X = CanonicalTameMSet({2: trivial_sigma_set(2, ["a", "b"]),
-                               3: trivial_sigma_set(3, ["c"])})
-        m = tmp_path / "m.json"
-        m.write_text(serialize_document("mset", X) + "\n")
-        boxes = [_cli_under_hash_seed(seed, "--degree-bound", "9", "box",
-                                      str(m), str(m))
-                 for seed in ("0", "1")]
-        assert boxes[0] == boxes[1]
-        levels = json.loads(boxes[0])["value"]["payload"]["levels"]
-        assert {"5", "6"} <= set(levels)
-        product = tmp_path / "box.json"
-        product.write_text(json.dumps(json.loads(boxes[0])["value"]))
-        orbits = [_cli_under_hash_seed(seed, "--degree-bound", "9",
-                                       "orbit-set", str(product))
-                  for seed in ("0", "1")]
-        assert orbits[0] == orbits[1]
-
-    def test_ternary_a3_emit(self, tmp_path):
-        phi, psi, constraints = random_agreeing_pair(
-            random.Random("hash-seed:a3"), 3, [1, 2, 0])
-        paths = []
-        for name, e in (("phi", phi), ("psi", psi)):
-            paths.append(tmp_path / f"{name}.json")
-            paths[-1].write_text(
-                serialize_document("operad-element", e) + "\n")
-        emitted = []
-        for seed in ("0", "1"):
-            out = tmp_path / f"cert{seed}.json"
-            _cli_under_hash_seed(
-                seed, "a3", "--phi", str(paths[0]), "--psi", str(paths[1]),
-                "--constraints", json.dumps([sorted(A) for A in constraints]),
-                "--emit", str(out))
-            emitted.append(out.read_bytes())
-        assert emitted[0] == emitted[1]
-        assert json.loads(emitted[0])["payload"]["n"] == 3
-
-    def test_selftest(self):
-        outs = [_cli_under_hash_seed(seed, "selftest", "--seed", "5",
-                                     "--cases", "1")
-                for seed in ("0", "1")]
-        assert outs[0] == outs[1]
-
-    @pytest.mark.parametrize("command", ["canonicalize", "flatten"])
-    def test_class_first_seen_above_its_support(self, tmp_path, command):
-        # late_pairs with string points: not flat, and the class of the
-        # pair {1, 2}, supported there, is first seen at level 3
-        X = late_pairs(6)
-        name = {p: f"pair {p[0]} {p[1]}" for p in X.levels[X.N]}
-
-        def renamed(table):
-            return {name[p]: name[q] for p, q in table.items()}
-
-        Y = TruncatedISet(
-            X.N, [[name[p] for p in level] for level in X.levels],
-            [renamed(d) for d in X.incl],
-            [[renamed(t) for t in ts] for ts in X.transp], X.stable_from)
-        assert not is_flat(Y).flat
-        path = tmp_path / "late.json"
-        path.write_text(serialize_document("iset", Y) + "\n")
-        outs = [_cli_under_hash_seed(seed, command, str(path))
-                for seed in ("0", "1")]
-        assert outs[0] == outs[1]
-        assert json.loads(outs[0])["outcome"] != "error"
-
-    def test_flatten_restriction_coequalizer(self, tmp_path):
-        quot = tmp_path / "quot.json"
-        quot.write_text(
-            serialize_document("iset", restriction_coequalizer(4)) + "\n")
-        outs = [_cli_under_hash_seed(seed, "flatten", str(quot))
-                for seed in ("0", "1")]
-        assert outs[0] == outs[1]
+@pytest.mark.parametrize("command", ["canonicalize", "flatten"])
+def test_class_first_seen_above_its_support(capsys, workspace, command):
+    # late_pairs with string points: not flat, and the class of the
+    # pair {1, 2}, supported there, is first seen at level 3
+    _, write = workspace
+    Y = named_late_pairs(6)
+    assert not is_flat(Y).flat
+    code, rep = run(capsys, command, write("late.json", "iset", Y))
+    assert code == 0 and rep["outcome"] != "error"

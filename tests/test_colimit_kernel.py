@@ -27,7 +27,7 @@ import tamebox.iset as iset
 import test_acceptance as acceptance
 import test_iset
 import test_unionfind as unionfind
-from corpus import late_merges, mset_text
+from corpus import late_merges, late_pairs, mset_text
 from tamebox import selftest
 from tamebox.errors import (
     TameboxError,
@@ -863,7 +863,7 @@ def test_canonical_comparison_catches_a_class_filed_under_its_name(
             return real(colim, c)
         return MElement(c[0], tuple(range(1, c[0] + 1)), c)
 
-    X = test_iset.late_pairs(6)
+    X = late_pairs(6)
     assert canonical_mismatch(X) is None
     real = OmegaColimit.class_to_element
     monkeypatch.setattr(OmegaColimit, "class_to_element", at_name)

@@ -1,6 +1,11 @@
 """The seeded corpus (`corpus.py`) gives one committed digest under two
 hash seeds, each in its own child process, both run at once.
 
+This is the one test that sets `PYTHONHASHSEED`: a check that output
+does not follow the hash seed is a family of the corpus.  The seeds
+are 0 and 2 because monoid sums sorted by repr, not by point key, come
+out in one order under seeds 0 and 1 and in another under 2.
+
 The child imports tamebox from the directory this process imported it
 from.  An intended change of output edits `DIGEST`, and the change log
 says why, as for the golden digests of `test_cli.py`."""
@@ -12,7 +17,7 @@ import sys
 
 import tamebox
 
-DIGEST = "ce309ee62c636cadedfa1cb8631fe7f41eaed5494b09a546de4d43116698ff04"
+DIGEST = "d9a9384266edabea3e174eed41d823c30e0778410821c029474b6a086bc46c71"
 
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
     tamebox.__file__)))
@@ -25,7 +30,7 @@ def test_corpus_digest_under_two_hash_seeds():
             [sys.executable, CORPUS],
             env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT, PYTHONHASHSEED=seed),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
-            for seed in ("0", "1")]
+            for seed in ("0", "2")]
         done = []
         for child in children:
             try:

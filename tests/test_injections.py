@@ -169,9 +169,10 @@ class TestOrderEmbedAvoiding:
             f = order_embed_avoiding(avoid)
             assert qa_values(f, 20) == naive_order_embed_avoiding(avoid, 20)
 
-    @pytest.mark.parametrize("avoid", [{0, 3}, {-1}, {2.5, 4}])
+    @pytest.mark.parametrize("avoid", [{0, 3}, {-1}, {2.5, 4}, {True}])
     def test_refuses_values_that_are_no_positive_integers(self, avoid):
-        # {0, 3} once gave a map onto omega minus {2, 3}
+        # {0, 3} once gave a map onto omega minus {2, 3}, and {True} the
+        # shift by one
         with pytest.raises(ValueError):
             order_embed_avoiding(avoid)
 

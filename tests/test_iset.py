@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 from math import perm
 
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import colimit_oracle as oracle
+from corpus import late_pairs
 from tamebox.errors import (
     DegreeTooLarge,
     InvalidMorphism,
@@ -61,21 +61,6 @@ def tuple_sigma_set(m, width):
 
     tables = [{t: swap(i, t) for t in points} for i in range(1, m)]
     return SigmaSet(m, points, tables)
-
-
-def late_pairs(N):
-    """X(n) = the 2-subsets of {1..n} for n >= 3, empty below: the
-    class of {1, 2} is supported on {1, 2} but first appears at 3."""
-    levels = [list(combinations(range(1, n + 1), 2)) if n >= 3 else []
-              for n in range(N + 1)]
-
-    def swap(i, pair):
-        return tuple(sorted({i: i + 1, i + 1: i}.get(v, v) for v in pair))
-
-    return TruncatedISet(
-        N, levels, [{p: p for p in levels[n]} for n in range(N)],
-        [[{p: swap(i, p) for p in levels[n]} for i in range(1, n)]
-         for n in range(N + 1)], 3)
 
 
 def sample_mset():
@@ -471,6 +456,19 @@ class TestDayConvolution:
         lhs = canonicalize(XY)
         rhs = box(canonicalize(Q), canonicalize(B))
         assert mset_iso_equal(lhs, rhs)
+
+    @pytest.mark.parametrize("N", [5, 6, 8])
+    @pytest.mark.parametrize("order", ["Q*rep1", "rep1*Q", "Q*Q"])
+    def test_coequalizer_products_match_box(self, order, N):
+        # canonicalize(X ⊛ Y) ≅ box(canonicalize X, canonicalize Y) with
+        # Q = restriction_coequalizer(N) on either side; Q ⊛ rep_1 fails
+        # at each N when the Day seeds put a generator of the second
+        # factor on the first values of the complement
+        Q = restriction_coequalizer(N)
+        R = representable_iset(1, N)
+        X, Y = {"Q*rep1": (Q, R), "rep1*Q": (R, Q), "Q*Q": (Q, Q)}[order]
+        assert mset_iso_equal(canonicalize(day_convolution(X, Y)),
+                              box(canonicalize(X), canonicalize(Y)))
 
 
 class TestMorphismValidation:

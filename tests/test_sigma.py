@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 from functools import cache
 from itertools import permutations, product
 from math import comb
@@ -12,6 +9,7 @@ from hypothesis import strategies as st
 
 import monoid_oracle as oracle
 import sigma_oracle
+from corpus import LABEL_DRAWS, shuffled_draw
 from tamebox import sigma
 from tamebox.errors import ValidationError
 from tamebox.generators import random_sigma_set
@@ -141,15 +139,6 @@ class TestValidation:
         with pytest.raises(ValidationError) as exc:
             build()
         assert exc.value.invariant == "distinct points"
-
-
-def shuffled_draw(seed, m):
-    """A random_sigma_set draw with its points listed in random order,
-    so that list order and key order differ."""
-    rng = random.Random(seed)
-    ss = random_sigma_set(rng, m, max_points=12)
-    points = rng.sample(ss.points, len(ss.points))
-    return SigmaSet(m, points, ss.transpositions)
 
 
 class TestOrbits:
@@ -322,21 +311,6 @@ def label_mismatches(sets):
     return bad, len(set(old))
 
 
-def shuffled_label_report(draws=60):
-    """iso_type of shuffled random_sigma_set draws, one line per draw;
-    raises when a label differs from the label of the draw in its own
-    point order or disagrees with the oracle about equality."""
-    lines = []
-    for m in range(6):
-        sets = [shuffled_draw(seed, m) for seed in range(draws)]
-        for seed, ss in enumerate(sets):
-            plain = random_sigma_set(random.Random(seed), m, max_points=12)
-            assert ss.iso_type() == plain.iso_type(), (m, seed)
-            lines.append(repr(ss.iso_type()))
-        assert not label_mismatches(sets)[0], m
-    return "\n".join(lines)
-
-
 class TestLabelAgreement:
     """iso_type against the stabilizer labels of `sigma_oracle`."""
 
@@ -347,21 +321,16 @@ class TestLabelAgreement:
         # permutations, so every conjugacy class appears
         assert label_mismatches(coset_sets(m)) == ([], classes)
 
-    def test_shuffled_draws_under_two_hash_seeds(self):
-        here = os.path.dirname(os.path.abspath(__file__))
-        src = os.path.join(os.path.dirname(here), "src")
-        code = ("import sys; sys.path[:0] = sys.argv[1:]; "
-                "from test_sigma import shuffled_label_report; "
-                "print(shuffled_label_report())")
-        outs = []
-        for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            outs.append(subprocess.run(
-                [sys.executable, "-c", code, src, here], env=env,
-                check=True, capture_output=True, text=True,
-            ).stdout)
-        assert outs[0] == outs[1]
-        assert len(outs[0].splitlines()) == 360
+    def test_shuffled_draws_keep_their_labels(self):
+        # the corpus (corpus.py) compares these labels under two hash
+        # seeds; here each must be its unshuffled draw's label
+        for m in range(6):
+            sets = [shuffled_draw(seed, m) for seed in range(LABEL_DRAWS)]
+            for seed, ss in enumerate(sets):
+                plain = random_sigma_set(random.Random(seed), m,
+                                         max_points=12)
+                assert ss.iso_type() == plain.iso_type(), (m, seed)
+            assert not label_mismatches(sets)[0], m
 
     def test_mutant_dropping_a_table_disagrees(self, monkeypatch):
         label = sigma.subgroup_conjugacy_label
@@ -442,20 +411,3 @@ class TestPointKey:
         for t in ind.transpositions:
             for q in t.values():
                 assert point_key(q) == keys[q]
-
-    def test_string_set_independent_of_hash_seed(self):
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        code = (
-            "from tamebox.sigma import point_key; "
-            "print(point_key(frozenset(['pear', 'apple', 'fig', 'kiwi', "
-            "'plum'])))"
-        )
-        outs = []
-        for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed,
-                       PYTHONPATH=os.path.abspath(src))
-            outs.append(subprocess.run(
-                [sys.executable, "-c", code], env=env, check=True,
-                capture_output=True, text=True,
-            ).stdout)
-        assert outs[0] == outs[1]
