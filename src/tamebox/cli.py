@@ -25,7 +25,7 @@ import time
 from typing import Callable, NamedTuple
 
 from . import documents as docs
-from .errors import ParseError, TameboxError, ValidationError
+from .errors import DegreeTooLarge, ParseError, TameboxError, ValidationError
 from .iset import (
     canonicalize,
     day_convolution,
@@ -364,11 +364,20 @@ def _chi(args, report):
     return 0
 
 
+def _level(args):
+    """`--level`, or else `--level-bound`; every level up to it is built,
+    each doubling the cost, so it is refused past the degree bound."""
+    level = args.level if args.level is not None else args.level_bound
+    if level > args.degree_bound:
+        raise DegreeTooLarge(f"level {level} beyond the degree bound")
+    return level
+
+
 @command("xinf", "symmetric-product monoid of a pointed set",
          arg("--points", type=int, required=True, minimum=1),
          arg("--level", type=int, minimum=0))
 def _xinf(args, report):
-    level = args.level if args.level is not None else args.level_bound
+    level = _level(args)
     points = ["*"] + [f"a{i}" for i in range(1, args.points)]
     P = infinite_symmetric_product(points, "*", level)
     report["value"] = docs.encode_document("monoid", P)
@@ -380,7 +389,7 @@ def _xinf(args, report):
          arg("--y", type=int, default=3, minimum=1),
          arg("--level", type=int, minimum=0))
 def _wedge_iso(args, report):
-    level = args.level if args.level is not None else args.level_bound
+    level = _level(args)
     xs = ["*"] + [f"a{i}" for i in range(1, args.x)]
     ys = ["*"] + [f"b{i}" for i in range(1, args.y)]
     maps, ok = wedge_iso(xs, "*", ys, "*", level)

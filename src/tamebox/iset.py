@@ -33,13 +33,12 @@ gives.  The Day convolution is a quotient of the free diagram on the
 first factor's generators convolved with the second (see
 `day_convolution`).
 
-The face maps of a level are tabulated once per diagram, on the
-positions of the points in their levels, straight from the inclusion
-and the transposition tables; a derived diagram shares the tables of
-the levels it shares.  The colimit kernels, the Day convolution, the
-class elements, supports and latching pushouts read them from there;
-any other injection is applied by walking the inclusions and then a
-cached transposition word.
+The face maps of a level, and the faces that hold each point, are
+tabulated once per diagram, on the positions of the points in their
+levels, straight from the inclusion and the transposition tables; a
+derived diagram shares the tables of the levels it shares.  Every
+reader of faces reads them there; any other injection is applied by
+walking the inclusions and then a cached transposition word.
 """
 
 from __future__ import annotations
@@ -103,10 +102,10 @@ class TruncatedISet:
         if len(levels) != N + 1 or len(incl) != N or len(transp) != N + 1:
             raise ValidationError("level data must span 0..N")
         self.levels, self.incl, self.transp = levels, incl, transp
-        self._generated = []
         self._merges = []
         self._positions = [None] * (N + 1)
         self._face_positions = [None] * (N + 1)
+        self._holding = [None] * (N + 1)
 
     def _check(self, lo, N):
         """The relations on levels lo..N, against the levels below; the
@@ -148,26 +147,24 @@ class TruncatedISet:
 
     def _settle(self, lo, N, images, stable_from=None):
         """Check that levels lo..N hold distinct points and record,
-        given the images of the inclusions into them, whether the
-        inclusion into each one identifies two elements, whether each
-        is generated from the one below, and the stability level: the
+        given the images of the inclusions into them, whether each
+        inclusion identifies two elements, and the stability level: the
         declared one, refused if it fails, or else the least."""
         self.N = N
         for m in range(lo, N + 1):
             if len(self.positions(m)) != len(self.levels[m]):
                 raise ValidationError("distinct points", m)
-        below = max(lo - 1, 0)
-        self._merges += [len(image) != len(self.incl[m])
-                         for m, image in enumerate(images, start=below)]
-        # stability: everything above comes from below
-        self._generated += [_generated_from_below(self, m)
-                            for m in range(below, N)]
-        failing = [m for m in range(N) if not self._generated[m]]
+        self._merges += [len(image) != len(self.incl[m]) for m, image
+                         in enumerate(images, start=max(lo - 1, 0))]
+        # level n is generated from n - 1 when its faces hold all of it:
+        # s_1 .. s_{n-2} keep the image of the inclusion, so the coset
+        # representatives s_j ... s_{n-1} carry it onto all its images
+        failing = [n for n in range(N + 1) if not all(self.faces_holding(n))]
         if stable_from is None:
-            stable_from = failing[-1] + 1 if failing else 0
-        for m in failing:
-            if m >= stable_from:
-                raise ValidationError("stability", m)
+            stable_from = max(failing, default=0)
+        for n in failing:
+            if n > stable_from:
+                raise ValidationError("stability", n - 1)
         self.stable_from = stable_from
 
     def _derived(self, n, levels=(), incl=(), transp=()):
@@ -180,10 +177,10 @@ class TruncatedISet:
         out.levels = self.levels[: k + 1] + list(levels)
         out.incl = self.incl[:k] + list(incl)
         out.transp = self.transp[: k + 1] + list(transp)
-        out._generated = self._generated[:k]
         out._merges = self._merges[:k]
         out._positions = self._positions[: k + 1] + [None] * (n - k)
         out._face_positions = self._face_positions[: k + 1] + [None] * (n - k)
+        out._holding = self._holding[: k + 1] + [None] * (n - k)
         out._settle(k + 1, n, out._images(k, n))
         return out
 
@@ -224,6 +221,18 @@ class TruncatedISet:
                 table.reverse()
         return table
 
+    def faces_holding(self, n):
+        """For each point of level n, in level order, the set of values
+        i whose face, the order embedding that skips i, has it in its
+        image; built once, from the face table."""
+        held = self._holding[n]
+        if held is None:
+            held = self._holding[n] = [set() for _ in self.levels[n]]
+            for i, row in enumerate(self.face_positions(n), start=1):
+                for p in row:
+                    held[p].add(i)
+        return held
+
     def map_along(self, alpha, n, x):
         """Apply the functor to the injection given by the value tuple
         alpha into {1..n}; x lives at level len(alpha).  The injection
@@ -238,17 +247,6 @@ class TruncatedISet:
         for i in completion_word(alpha, n):
             x = tabs[i][x]
         return x
-
-
-def _generated_from_below(X: TruncatedISet, m):
-    """Whether the transpositions carry the image of level m onto all
-    of level m+1.  Naturality keeps the image under s_1 .. s_{m-1}, so
-    they carry it onto its images under the coset representatives
-    s_j ... s_m of the stabilizer of m+1: the images of the faces."""
-    covered = set()
-    for row in X.face_positions(m + 1):
-        covered.update(row)
-    return len(covered) == len(X.levels[m + 1])
 
 
 def _nested(levels, swap):
@@ -780,7 +778,7 @@ def is_flat(X: TruncatedISet, mode="latching") -> FlatnessReport:
         return FlatnessReport(False, ("inclusion", X._merges.index(True)))
     for n in range(X.N + 1):
         images = {}
-        for z, held in zip(X.levels[n], _faces_holding(X, n)):
+        for z, held in zip(X.levels[n], X.faces_holding(n)):
             S = tuple(i for i in range(1, n + 1) if i not in held)
             image = images.get(S)
             if image is None:
@@ -789,17 +787,6 @@ def is_flat(X: TruncatedISet, mode="latching") -> FlatnessReport:
             if z not in image:
                 return FlatnessReport(False, ("support", n, z, S))
     return FlatnessReport(True, None)
-
-
-def _faces_holding(X: TruncatedISet, n):
-    """For each point of level n, in level order, the set of values i
-    whose face, the order embedding that skips i, has it in its
-    image."""
-    held = [set() for _ in X.levels[n]]
-    for i, row in enumerate(X.face_positions(n), start=1):
-        for p in row:
-            held[p].add(i)
-    return held
 
 
 def mono_pushout_injective(f: ISetMorphism, n):
@@ -814,11 +801,10 @@ def mono_pushout_injective(f: ISetMorphism, n):
     comparison."""
     X, Y = f.source, f.target
     if latching(Y, n).injective:
-        in_face = [bool(held) for held in _faces_holding(Y, n)]
-        pos = Y.positions(n)
+        in_face, pos = Y.faces_holding(n), Y.positions(n)
         return not any(
             in_face[pos[f.maps[n][x]]]
-            for x, held in zip(X.levels[n], _faces_holding(X, n))
+            for x, held in zip(X.levels[n], X.faces_holding(n))
             if not held)
     if latching(X, n).injective:
         return False
@@ -870,7 +856,7 @@ def day_convolution(X: TruncatedISet, Y: TruncatedISet):
     generator equals one whose x is and whose first block is smaller."""
     X, Y = _day_factors(X, Y)
     N = X.N
-    gx, gy = ([[z for z, held in zip(Z.levels[a], _faces_holding(Z, a))
+    gx, gy = ([[z for z, held in zip(Z.levels[a], Z.faces_holding(a))
                 if not held] for a in range(N + 1)] for Z in (X, Y))
 
     def blocks(n, A):
@@ -915,16 +901,15 @@ def day_convolution(X: TruncatedISet, Y: TruncatedISet):
 
 def day_projections(XY: TruncatedISet, X: TruncatedISet, Y: TruncatedISet):
     """The two projections out of a convolution built by
-    day_convolution, as validated morphisms."""
-    maps1 = []
-    maps2 = []
-    for n in range(XY.N + 1):
-        d1 = {}
-        d2 = {}
-        for c in XY.levels[n]:
-            m1, gamma, x, y = c
-            d1[c] = X.map_along(gamma[:m1], n, x)
-            d2[c] = Y.map_along(gamma[m1:], n, y)
-        maps1.append(d1)
-        maps2.append(d2)
-    return ISetMorphism(XY, X, maps1), ISetMorphism(XY, Y, maps2)
+    day_convolution from X and Y at their truncation: a point (m1,
+    gamma, x, y) goes to x and y moved along the two blocks of gamma.
+    The convolution's maps move the blocks by post-composition, or act
+    in one block as the factor's maps do, so the projections are natural."""
+    first, second = [], []
+    for n, level in enumerate(XY.levels):
+        first.append({c: X.map_along(c[1][:c[0]], n, c[2]) for c in level})
+        second.append({c: Y.map_along(c[1][c[0]:], n, c[3]) for c in level})
+    if not XY.N == X.N == Y.N:
+        raise InvalidMorphism("source and target truncations differ")
+    return (ISetMorphism._built(XY, X, first),
+            ISetMorphism._built(XY, Y, second))

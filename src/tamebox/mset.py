@@ -347,11 +347,12 @@ def coequalize(u: MSetMorphism, v: MSetMorphism, window,
                degree_bound=DEFAULT_DEGREE_BOUND):
     """Identify u(x) with v(x) and return the canonical form of the
     quotient: the colimit of the support filtration of the target up to
-    the window, quotiented by each pair u(x), v(x) at the level where x
-    appears, which holds both since they are supported inside x's
-    support.  Each class is named by its point at the window, the least
-    of its elements there in key order, which may lie above the level
-    of its support; each level lists its points in key order."""
+    the window, quotiented by the pair u(x), v(x) of the standard element
+    x of each source orbit, moved onto {1..|J|}, J their joint support,
+    and seeded at level |J|, within the window; every other pair is an
+    image of these.  Each class is named by its point at the window, the
+    least of its elements there in key order, which may lie above the
+    level of its support; each level lists its points in key order."""
     # imported here, since iset imports this module
     from .iset import _canonical_named, quotient_iset, support_filtration
 
@@ -368,8 +369,13 @@ def coequalize(u: MSetMorphism, v: MSetMorphism, window,
         raise WindowTooSmall(
             f"window {window} below twice the maximal support size"
         )
-    seeds = [(max(x.image, default=0), u.apply(x), v.apply(x))
-             for x in u.source.elements_up_to(window)]
+    seeds = []
+    for m, rep in u.source.orbit_set():
+        x = MElement(m, tuple(range(1, m + 1)), rep)
+        pair = u.apply(x), v.apply(x)
+        J = sorted({j for y in pair for j in y.image})
+        seeds.append((len(J), *(y._replace(image=tuple(
+            J.index(j) + 1 for j in y.image)) for y in pair)))
     Q = quotient_iset(support_filtration(target, window), seeds)
     return _canonical_named(Q, point_key, degree_bound)
 

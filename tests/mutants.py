@@ -73,12 +73,28 @@ MUTANTS = [
            "                if a not in held]",
            "tests/test_colimit_kernel.py::"
            "test_day_convolution_matches_oracle"),
+    # the inclusion's face left out of the faces-holding table: points
+    # only the inclusion's image holds read as generators
+    Mutant("faces holding without the inclusion's face", "iset.py",
+           "enumerate(self.face_positions(n), start=1)",
+           "enumerate(self.face_positions(n)[:-1], start=1)",
+           "tests/test_colimit_kernel.py::"
+           "test_derived_diagrams_serve_no_stale_faces_holding_table"),
     # each level's swap tables of the canonical action in reverse order
     Mutant("canonical swap tables reversed", "iset.py",
            "E.transp[c[0]][i][c[1]]",
            "E.transp[c[0]][k - 2 - i][c[1]]",
            "tests/test_colimit_kernel.py::"
            "test_canonical_action_matches_decomposition_with_two_swaps"),
+    # the pair of a source orbit seeded where its representative lies,
+    # not moved onto its joint support: an orbit above the window
+    # falls outside the truncation
+    Mutant("coequalizer seeds at the representative's level", "mset.py",
+           "        seeds.append((len(J), *(y._replace(image=tuple(\n"
+           "            J.index(j) + 1 for j in y.image)) for y in pair)))\n",
+           "        seeds.append((m, *pair))\n",
+           "tests/test_mset.py::"
+           "test_coequalize_seeds_source_orbits_above_the_window"),
     # trusted builders of certificates, whose arguments the fixture of
     # conftest.py checks: the odd slots land on the even numbers, so
     # domains overlap and the odd numbers are not covered

@@ -997,7 +997,7 @@ def _integer_arguments():
 BOUNDED = {
     (None, "--window"): ["--window", "{}", "xinf", "--points", "2"],
     (None, "--degree-bound"): ["--degree-bound", "{}",
-                               "wedge-iso", "--level", "2"],
+                               "wedge-iso", "--level", "0"],
     (None, "--level-bound"): ["--level-bound", "{}", "xinf", "--points", "2"],
     ("xinf", "--points"): ["xinf", "--points", "{}"],
     ("xinf", "--level"): ["xinf", "--points", "2", "--level", "{}"],
@@ -1065,6 +1065,21 @@ def test_degree_nine_box_reaches_levels_five_and_six(capsys, workspace):
     code, rep = run(capsys, "--degree-bound", "9", "box", m, m)
     assert code == 0
     assert {"5", "6"} <= set(rep["value"]["payload"]["levels"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["xinf", "--points", "3", "--level", "8"],
+    ["wedge-iso", "--x", "2", "--y", "2", "--level", "8"],
+    ["--level-bound", "8", "xinf", "--points", "3"],
+], ids=["xinf", "wedge-iso", "level-bound"])
+def test_levels_past_the_degree_bound_are_refused(capsys, argv):
+    # every level up to the one asked for is built, each doubling the
+    # cost; past the degree bound (7 by default) nothing is built, and
+    # a raised bound lets the level through
+    code, rep = run(capsys, *argv)
+    assert (code, rep["error"]["type"]) == (2, "DegreeTooLarge")
+    code, rep = run(capsys, "--degree-bound", "8", *argv)
+    assert code == 0 and rep["outcome"] != "error"
 
 
 @pytest.mark.parametrize("command", ["canonicalize", "flatten"])

@@ -250,20 +250,22 @@ def test_extension_step_rejects_like_full_constructor(kind):
 
 @pytest.fixture
 def validation_counts(monkeypatch):
-    counts = {"sigma": 0, "generated": 0}
+    # SigmaSet validations, and faces-holding tables built rather than
+    # served from a diagram's cache
+    counts = {"sigma": 0, "holding": 0}
     sigma_init = SigmaSet.__init__
-    generated = iset._generated_from_below
+    faces_holding = TruncatedISet.faces_holding
 
     def counted_sigma(self, *args, **kwargs):
         counts["sigma"] += 1
         sigma_init(self, *args, **kwargs)
 
-    def counted_generated(*args):
-        counts["generated"] += 1
-        return generated(*args)
+    def counted_holding(self, n):
+        counts["holding"] += self._holding[n] is None
+        return faces_holding(self, n)
 
     monkeypatch.setattr(SigmaSet, "__init__", counted_sigma)
-    monkeypatch.setattr(iset, "_generated_from_below", counted_generated)
+    monkeypatch.setattr(TruncatedISet, "faces_holding", counted_holding)
     return counts
 
 
@@ -273,15 +275,17 @@ def test_each_level_validated_once(validation_counts):
     for _ in range(9):
         X = lan_extend(X)
     assert X.N == 11
-    assert validation_counts == {"sigma": 12, "generated": 11}
+    assert validation_counts == {"sigma": 12, "holding": 12}
 
 
 def test_day_convolution_validates_only_its_levels(validation_counts):
+    # the factors, cut from X, share its tables; only the convolution's
+    # seven levels build theirs
     X = representable_iset(1, 6)
-    validation_counts.update(sigma=0, generated=0)
+    validation_counts.update(sigma=0, holding=0)
     XY = day_convolution(X, X)
     assert XY.N == 6
-    assert validation_counts == {"sigma": 7, "generated": 6}
+    assert validation_counts == {"sigma": 7, "holding": 7}
 
 
 # ---------------------------------------------------------------------
@@ -562,7 +566,7 @@ def test_flatness_and_pushout_comparisons_catch_faces_holding_nothing(
     Q = restriction_coequalizer(4)
     f = generated_subdiagram(representable_iset(1, 3), [(2, (2,))])
     assert flatness_mismatches(Q) == [] and pushout_mismatches(f) == []
-    monkeypatch.setattr(iset, "_faces_holding",
+    monkeypatch.setattr(TruncatedISet, "faces_holding",
                         lambda X, n: [set() for _ in X.levels[n]])
     assert flatness_mismatches(Q) != []
     assert pushout_mismatches(f) != []
@@ -722,6 +726,38 @@ def test_derived_diagrams_serve_no_stale_face_table(kind):
     assert face_mismatches(padded) == []
     for factor in _day_factors(X, diagram(kind, 1, 2)):
         assert face_mismatches(factor) == []
+
+
+def holding_mismatches(X):
+    """The levels whose faces-holding table differs from the faces
+    whose images, by the oracle's map_along, hold each point."""
+    bad = []
+    for n in range(X.N + 1):
+        images = [image_of(X, tuple(v for v in range(1, n + 1) if v != i), n)
+                  for i in range(1, n + 1)]
+        if X.faces_holding(n) != [
+                {i for i, image in enumerate(images, start=1) if z in image}
+                for z in X.levels[n]]:
+            bad.append(n)
+    return bad
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_derived_diagrams_serve_no_stale_faces_holding_table(kind):
+    X = diagram(kind, 0, 3)
+    tables = [X.faces_holding(n) for n in range(X.N + 1)]
+    chain = X
+    for _ in range(3):
+        chain = lan_extend(chain)
+        assert holding_mismatches(chain) == []
+    # the levels a derived diagram shares keep their tables, and a cut
+    # serves those of the levels it keeps
+    assert all(chain.faces_holding(n) is tables[n] for n in range(X.N + 1))
+    cut = chain._derived(X.N + 1)
+    assert cut.faces_holding(X.N + 1) is chain.faces_holding(X.N + 1)
+    assert holding_mismatches(cut) == []
+    for factor in _day_factors(X, diagram(kind, 1, 2)):
+        assert holding_mismatches(factor) == []
 
 
 # ---------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import colimit_oracle as oracle
 from corpus import late_pairs
+from test_mset import sample_mset
 from tamebox.errors import (
     DegreeTooLarge,
     InvalidMorphism,
@@ -41,36 +42,12 @@ from tamebox.mset import (
     support,
     unit_mset,
 )
-from tamebox.sigma import SigmaSet, induce, iso_equal, trivial_sigma_set
+from tamebox.sigma import induce, iso_equal, trivial_sigma_set
 
 
 def class_support(colim, c):
     """The support of a colimit class: the image of its element."""
     return support(colim.class_to_element(c))
-
-
-def tuple_sigma_set(m, width):
-    from itertools import product
-
-    points = list(product(range(width), repeat=m))
-
-    def swap(i, t):
-        t = list(t)
-        t[i - 1], t[i] = t[i], t[i - 1]
-        return tuple(t)
-
-    tables = [{t: swap(i, t) for t in points} for i in range(1, m)]
-    return SigmaSet(m, points, tables)
-
-
-def sample_mset():
-    return CanonicalTameMSet(
-        {
-            0: trivial_sigma_set(0, ["fix"]),
-            1: trivial_sigma_set(1, ["a", "b"]),
-            2: tuple_sigma_set(2, 2),
-        }
-    )
 
 
 class TestValidation:

@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 
@@ -41,24 +40,14 @@ from tamebox.sigma import (
 )
 
 
-def tuple_sigma_set(m, width):
-    points = list(product(range(width), repeat=m))
-
-    def swap(i, t):
-        t = list(t)
-        t[i - 1], t[i] = t[i], t[i - 1]
-        return tuple(t)
-
-    tables = [{t: swap(i, t) for t in points} for i in range(1, m)]
-    return SigmaSet(m, points, tables)
-
-
 def sample_mset():
+    """A fixed point, two fixed level-1 points, and the pairs over
+    {0, 1} with s_1 swapping the entries; `test_iset` shares it."""
     return CanonicalTameMSet(
         {
             0: trivial_sigma_set(0, ["fix"]),
             1: trivial_sigma_set(1, ["a", "b"]),
-            2: tuple_sigma_set(2, 2),
+            2: word_sigma_set(2, range(2)),
         }
     )
 
@@ -387,7 +376,7 @@ class TestMorphismsAndCoequalizer:
         # 2-cycle point cannot land on a support-2 element whose
         # stabilizer does not match
         I2 = injection_mset(2)
-        X = CanonicalTameMSet({2: tuple_sigma_set(2, 2)})
+        X = CanonicalTameMSet({2: word_sigma_set(2, range(2))})
         with pytest.raises(InvalidMorphism):
             MSetMorphism(
                 X,
@@ -401,7 +390,7 @@ class TestMorphismsAndCoequalizer:
     def test_stabilizer_must_fix_the_value(self):
         # every representative has a value; the swap fixes (0, 0) but
         # moves the value (0, 1) placed at 1, 2 to (1, 0)
-        X = CanonicalTameMSet({2: tuple_sigma_set(2, 2)})
+        X = CanonicalTameMSet({2: word_sigma_set(2, range(2))})
         values = {(2, p): X.canonical(2, (1, 2), p)
                   for p in ((0, 0), (0, 1), (1, 1))}
         MSetMorphism(X, X, values)
@@ -504,6 +493,21 @@ class TestOrbitSets:
         mapping, ok = orbit_product_bijection(X, Y, XY)
         assert ok
         assert len(XY.orbit_set()) == len(X.orbit_set()) * len(Y.orbit_set())
+
+
+@pytest.mark.parametrize("window", [2, 3, 4, 6])
+def test_coequalize_seeds_source_orbits_above_the_window(window):
+    # the generator of the free orbit on {1, 2, 3} goes to a at {1} and
+    # to b at {2}; identifying them collapses the two fixed points onto
+    # one of level 0.  At window 2 no source element fits, and the pair
+    # used to go unseeded, leaving {1: 2}
+    T = CanonicalTameMSet({1: trivial_sigma_set(1, ["a", "b"])})
+    S = injection_mset(3)
+    rep = S.levels[3].orbits()[0][0]
+    u = MSetMorphism(S, T, {(3, rep): MElement(1, (1,), "a")})
+    v = MSetMorphism(S, T, {(3, rep): MElement(1, (2,), "b")})
+    out = coequalize(u, v, window)
+    assert {m: len(ss) for m, ss in out.levels.items()} == {0: 1}
 
 
 @pytest.mark.parametrize("key", ["1", 1.0, True], ids=["str", "float", "bool"])

@@ -18,7 +18,11 @@ from tamebox.errors import (
     PreconditionViolated,
     ValidationFailed,
 )
-from tamebox.generators import random_agreeing_pair, random_prescribed_pair
+from tamebox.generators import (
+    disjoint_lanes,
+    random_agreeing_pair,
+    random_prescribed_pair,
+)
 from tamebox.injections import (
     OperadElement,
     PartialInjection,
@@ -69,7 +73,7 @@ def random_pair_agreeing(rng, n, constraint_sizes):
     constraint sets, so the pair agrees there by construction."""
     s = interleave()
     base_slots = []
-    lanes = _disjoint_lanes(n)
+    lanes = disjoint_lanes(n)
     for i in range(n):
         base_slots.append(lanes[i].compose(random_qa(rng)))
     phi = OperadElement(base_slots)
@@ -86,11 +90,6 @@ def random_pair_agreeing(rng, n, constraint_sizes):
             moves.append(_transported(g, sorted(A), {a: a for a in A}))
         psi = psi.precompose(tuple(moves))
     return phi, psi, constraints
-
-
-def _disjoint_lanes(n):
-    """n quasi-affine injections with pairwise disjoint images."""
-    return [QuasiAffineInjection.affine(n, i - n) for i in range(1, n + 1)]
 
 
 class TestPresentations:
@@ -235,7 +234,7 @@ class TestAlgebraRoundTrip:
             for _ in range(n):
                 keys = set(rng.sample(range(1, 7), rng.randint(0, 2)))
                 funcs.append({k: rng.choice(["a", "b"]) for k in keys})
-            lanes = _disjoint_lanes(n)
+            lanes = disjoint_lanes(n)
             phi = OperadElement(lanes)
             direct = pointwise_action(phi, funcs)
             via_algebra = A(phi, [function_to_element(f) for f in funcs])
