@@ -243,24 +243,31 @@ def _piece_objects(spans):
             for first, last, mod, v0, step in spans]
 
 
-def _piece_rows(value, field):
-    """The rows QA_PIECE reads from a list of pieces.  A piece of JSON
-    integers, hi also null, as `_piece_objects` writes most of them, is
-    read here; any other goes through QA_PIECE, which refuses what it
-    must."""
-    rows = []
-    for piece in _ARRAY(value, field):
-        try:
-            lo, hi, mod, res, a, b = _PIECE_FIELDS(piece)
-        except (KeyError, TypeError):  # a field left out, or no object
-            rows.append(QA_PIECE.read(piece, field))
-            continue
-        if (type(lo) is type(mod) is type(res) is type(a) is type(b) is int
-                and (hi is None or type(hi) is int)):
-            rows.append((lo, hi, mod, res, (a, 1), (b, 1)))
-        else:
-            rows.append(QA_PIECE.read(piece, field))
-    return rows
+def _bulk(kind, row):
+    """Read a list of `kind`s through `row`; a value `row` gives None for,
+    or cannot index, goes through `kind`, which refuses what it must."""
+    def read(value, field):
+        rows = []
+        for x in _ARRAY(value, field):
+            try:
+                got = row(x)
+            except (KeyError, TypeError):  # a field left out, or no object
+                got = None
+            rows.append(kind.read(x, field) if got is None else got)
+        return rows
+    return read
+
+
+def _piece_row(piece):
+    # JSON integers, hi also null, as `_piece_objects` writes most pieces
+    lo, hi, mod, res, a, b = _PIECE_FIELDS(piece)
+    if (type(lo) is type(mod) is type(res) is type(a) is type(b) is int
+            and (hi is None or type(hi) is int)):
+        return lo, hi, mod, res, (a, 1), (b, 1)
+    return None
+
+
+_piece_rows = _bulk(QA_PIECE, _piece_row)
 
 
 QA = Kind("qa-injection", {"pieces": [QA_PIECE]}, QuasiAffineInjection,
@@ -323,7 +330,7 @@ def element(fields, X: CanonicalTameMSet = None):
         raise ValidationError("one image entry per level", image)
     if len(set(image)) != len(image):
         raise ValidationError("distinct image entries", image)
-    if any(v < 1 for v in image):
+    if min(image, default=1) < 1:
         raise ValidationError("positive image entries", image)
     if X is not None:
         # an unsorted image is fine on input: the carrier knows how to
@@ -374,6 +381,18 @@ MORPHISM = Kind("morphism", {"morphism": str, "source": ISET, "target": ISET,
 SUM = Kind("sum", {"a": orbit, "b": orbit, "result": ELEMENT})
 
 
+def _sum_row(s):
+    # integers and scalar points, as `_monoid_parts` writes every sum
+    a, b, result = s["a"], s["b"], s["result"]
+    level, image, p = result["level"], result["image"], result["point"]
+    if (type(a) is type(b) is type(image) is list and len(a) == len(b) == 2
+            and type(a[0]) is type(b[0]) is type(level) is int
+            and all(type(v) is int for v in image)
+            and not isinstance(p, (list, dict))):
+        return [tuple(a), tuple(b), [level, image, p]]
+    return None
+
+
 def _monoid(carrier, unit, level_cap, sums):
     table = {}
     for a, b, result in sums:
@@ -399,6 +418,8 @@ def _monoid_parts(P: CommMonoidPresentation):
 MONOID = Kind("monoid", {"carrier": MSET, "unit": point,
                          "levelCap": int_or_null, "sums": [SUM]},
               _monoid, _monoid_parts, optional={"levelCap"})
+# sums are read in bulk, as pieces are
+MONOID.readers["sums"] = _sum_rows = _bulk(SUM, _sum_row)
 
 STEP = Kind("certificate-step", {"elem": OPERAD, "move": [QA], "dir": str},
             CertificateStep)

@@ -56,15 +56,6 @@ def support(x: MElement):
     return frozenset(x.image)
 
 
-def _value_of(f, v):
-    if isinstance(f, PartialInjection):
-        got = f.mapping.get(v)
-        if got is None:
-            raise SupportNotCovered(f"{v} not in the domain of {f!r}")
-        return got
-    return f(v)
-
-
 class CanonicalTameMSet:
     """A level family of symmetric-group sets; empty levels omitted."""
 
@@ -90,7 +81,7 @@ class CanonicalTameMSet:
             ss is not None
             and x.point in ss.point_set
             and len(x.image) == x.level
-            and tuple(sorted(x.image)) == x.image
+            and tuple(sorted(set(x.image))) == x.image  # strictly increasing
         )
 
     def canonical(self, level, image, point):
@@ -99,19 +90,18 @@ class CanonicalTameMSet:
         image = tuple(image)
         if len(set(image)) != len(image):
             raise ValueError("image entries must be distinct")
+        return self._sorted(level, image, point)
+
+    def _sorted(self, level, image, point):
+        """`canonical` of an image tuple of distinct entries."""
         ordered = tuple(sorted(image))
         if ordered == image:
             return MElement(level, image, point)
         # the ranks of the entries: the inverse of the sorting permutation
+        # (up to the degree bound, `index` beats an argsort)
         rank = tuple([ordered.index(v) + 1 for v in image])
         new_point = self.levels[level].act_perm(rank, point)
         return MElement(level, ordered, new_point)
-
-    def placement(self, x: MElement):
-        """The orbit representative r of x's point and the injection g
-        of {1..level}, as a value tuple, with x = g_*[1..level, r]."""
-        root, sigma = self.levels[x.level].rooted_transversal()[x.point]
-        return root, tuple([x.image[k - 1] for k in sigma])
 
     def place(self, values, x: MElement) -> MElement:
         """g_* x for the injection g given by its value tuple on
@@ -121,10 +111,14 @@ class CanonicalTameMSet:
 
     def act(self, f, x: MElement) -> MElement:
         """Apply an injection defined on the support of x."""
-        image = tuple(_value_of(f, v) for v in x.image)
+        partial = isinstance(f, PartialInjection)
+        image = tuple(map(f.mapping.get if partial else f, x.image))
+        if partial and None in image:
+            v = x.image[image.index(None)]
+            raise SupportNotCovered(f"{v} not in the domain of {f!r}")
         if len(set(image)) != len(image):
             raise SupportNotCovered("map not injective on the support")
-        return self.canonical(x.level, image, x.point)
+        return self._sorted(x.level, image, x.point)
 
     def elements_up_to(self, N):
         """All canonical elements supported inside {1..N}."""
@@ -339,8 +333,10 @@ class MSetMorphism:
                         )
 
     def apply(self, x: MElement) -> MElement:
-        rep, g = self.source.placement(x)
-        return self.target.place(g, self.assignment[(x.level, rep)])
+        # x = g_*[1..level, rep], g read off the transversal
+        rep, sigma = self.source.levels[x.level].rooted_transversal()[x.point]
+        return self.target.place([x.image[k - 1] for k in sigma],
+                                 self.assignment[(x.level, rep)])
 
 
 def coequalize(u: MSetMorphism, v: MSetMorphism, window,

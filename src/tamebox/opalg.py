@@ -44,9 +44,21 @@ from .mset import (DEFAULT_DEGREE_BOUND, CanonicalTameMSet, MElement, box,
 from .sigma import point_key, trivial_sigma_set, word_sigma_set
 
 
+_ID = QuasiAffineInjection.identity()
+
+
 def std_element(level, point):
     """The element placing a level point at the initial segment."""
     return MElement(level, tuple(range(1, level + 1)), point)
+
+
+def _permuted(carrier, g, c):
+    """g_* c for a permutation g of the blocks of c.  If c fills them,
+    sorting g's values back into its image moves its point by g."""
+    if len(c.image) == len(g):
+        return MElement(c.level, c.image,
+                        carrier.levels[c.level].act_perm(g, c.point))
+    return carrier.place(g, c)
 
 
 class CommMonoidPresentation:
@@ -104,9 +116,9 @@ class CommMonoidPresentation:
        identity: its sum starts at the first slot's image, not at u.
 
     In these checks the inner sums are table reads, T[a, b] or T[b, c]
-    shifted by m; only the outer sum of each law goes through `add`.
-    They run at the boundary; `_built` trusts a table the library built
-    so that they hold.
+    shifted by m, and the outer sum of commutativity is T[b, a] moved
+    by the block swap; the others go through `add`.  They run at the
+    boundary; `_built` trusts a table the library built to satisfy them.
     """
 
     def __init__(self, carrier: CanonicalTameMSet, unit_point, table,
@@ -118,7 +130,8 @@ class CommMonoidPresentation:
         if unit_point not in carrier.levels[0].point_set:
             raise ValidationFailed("unit point missing from level 0")
 
-        reps = carrier.orbit_set()
+        std = {a: std_element(*a) for a in carrier.orbit_set()}
+        reps = list(std)
         wanted = {(a, b) for a in reps for b in reps if a[0] + b[0] <= cap}
         if set(T) != wanted:
             raise ValidationFailed(
@@ -127,26 +140,28 @@ class CommMonoidPresentation:
             )
         stabilizers = {(m, r): carrier.levels[m].stabilizer_generators(r)
                        for m, r in reps}
+        # the second of two blocks; the first is the standard image
+        seconds = {(m, n): tuple(range(m + 1, m + n + 1))
+                   for m in carrier.levels for n in carrier.levels}
         for (a, b), c in T.items():
             m, n = a[0], b[0]
             if not carrier.has_element(c):
                 raise ValidationFailed(f"sum of {a} and {b} invalid")
-            if not set(c.image) <= set(range(1, m + n + 1)):
+            # the image is strictly increasing, so its ends bound it
+            if c.image and not 1 <= c.image[0] <= c.image[-1] <= m + n:
                 raise ValidationFailed("sum not supported inside the blocks")
-            first = tuple(range(1, m + 1))
-            second = tuple(range(m + 1, m + n + 1))
+            first, second = std[a].image, seconds[m, n]
             moves = [s + second for s in stabilizers[a]]
-            moves += [first + tuple(m + k for k in t) for t in stabilizers[b]]
-            if any(carrier.place(g, c) != c for g in moves):
+            moves += [first + tuple([m + k for k in t]) for t in stabilizers[b]]
+            if any(_permuted(carrier, g, c) != c for g in moves):
                 raise ValidationFailed(f"sum of {a} and {b} not equivariant")
 
         u = (0, unit_point)
-        for a in reps:
+        for a, e in std.items():
             if a[0] > cap:
                 raise DegreeTooLarge(
                     f"sum at level {a[0]} beyond the cap {cap}"
                 )
-            e = std_element(*a)
             if T[(u, a)] != e or T[(a, u)] != e:
                 raise ValidationFailed(f"unit law fails at {a}")
         reps = [a for a in reps if a != u]  # reduction 4
@@ -156,8 +171,8 @@ class CommMonoidPresentation:
             for b in reps[i:]:
                 if a[0] + b[0] > cap:
                     break
-                y = self._shift(std_element(*b), a[0])
-                if T[(a, b)] != self.add(y, std_element(*a)):
+                swap = seconds[a[0], b[0]] + std[a].image
+                if T[(a, b)] != _permuted(carrier, swap, T[(b, a)]):
                     raise ValidationFailed(f"commutativity fails at {a}, {b}")
         for i, a in enumerate(reps):
             for j, b in enumerate(reps[i:], start=i):
@@ -167,8 +182,11 @@ class CommMonoidPresentation:
                     rotations = [(a, b, c)]
                     if b not in (a, c):
                         rotations.append((b, c, a))
+                    # (x + y) + z = x + (y + z) in standard blocks
                     for p, q, r in rotations:
-                        if not self._associative(p, q, r):
+                        z = self._shift(std[r], p[0] + q[0])
+                        yz = self._shift(T[(q, r)], p[0])
+                        if self.add(T[(p, q)], z) != self.add(std[p], yz):
                             raise ValidationFailed(
                                 f"associativity fails at {p}, {q}, {r}"
                             )
@@ -188,13 +206,6 @@ class CommMonoidPresentation:
         self.unit = MElement(0, (), unit_point)
         self.table = table
 
-    def _associative(self, a, b, c):
-        """(x + y) + z = x + (y + z) for a, b, c in standard blocks."""
-        m, n = a[0], b[0]
-        z = self._shift(std_element(*c), m + n)
-        yz = self._shift(self.table[(b, c)], m)
-        return self.add(self.table[(a, b)], z) == self.add(std_element(*a), yz)
-
     def _shift(self, e: MElement, offset):
         if offset == 0 or e.level == 0:
             return e
@@ -202,7 +213,7 @@ class CommMonoidPresentation:
 
     def add(self, x: MElement, y: MElement) -> MElement:
         """The sum of two disjointly supported elements."""
-        if support(x) & support(y):
+        if not set(x.image).isdisjoint(y.image):
             raise OverlappingSupports(
                 f"supports {set(x.image)} and {set(y.image)} meet"
             )
@@ -211,9 +222,11 @@ class CommMonoidPresentation:
             raise DegreeTooLarge(
                 f"sum at level {m + n} beyond the cap {self.level_cap}"
             )
-        ra, g = self.carrier.placement(x)
-        rb, h = self.carrier.placement(y)
-        return self.carrier.place(g + h, self.table[((m, ra), (n, rb))])
+        levels = self.carrier.levels
+        ra, g = levels[m].rooted_transversal()[x.point]
+        rb, h = levels[n].rooted_transversal()[y.point]
+        values = [x.image[k - 1] for k in g] + [y.image[k - 1] for k in h]
+        return self.carrier.place(values, self.table[((m, ra), (n, rb))])
 
 
 class AlgebraAction:
@@ -227,7 +240,7 @@ class AlgebraAction:
         if zero.level != 0 or not carrier.has_element(zero):
             raise ValidationFailed("nullary action must give a fixed element")
         self.zero = zero
-        ident = OperadElement([QuasiAffineInjection.identity()])
+        ident = OperadElement([_ID])
         for m, ss in carrier.levels.items():
             for rep, _ in ss.orbits():
                 e = std_element(m, rep)
@@ -273,12 +286,10 @@ def algebra_table(A: AlgebraAction):
         for m in A.carrier.levels for n in A.carrier.levels
         if m + n <= A.level_cap
     }
-    reps = A.carrier.orbit_set()
-    table = {
-        ((m, ra), (n, rb)): A(blocks[(m, n)],
-                              [std_element(m, ra), std_element(n, rb)])
-        for m, ra in reps for n, rb in reps if m + n <= A.level_cap
-    }
+    std = {a: std_element(*a) for a in A.carrier.orbit_set()}
+    table = {(a, b): A(blocks[(a[0], b[0])], [x, y])
+             for a, x in std.items() for b, y in std.items()
+             if a[0] + b[0] <= A.level_cap}
     return unit.point, table
 
 
@@ -533,7 +544,6 @@ def verify_certificate(cert: Certificate, phi=None, psi=None):
     return True, None, "ok"
 
 
-_ID = QuasiAffineInjection.identity()
 _DOUBLE = QuasiAffineInjection.affine(2, 0)
 _DOUBLE_ODD = QuasiAffineInjection.affine(2, -1)
 

@@ -84,7 +84,7 @@ def completion_word(alpha, n):
 
 def perm_compose(s, t):
     """(s t)(x) = s(t(x)) in one-line notation."""
-    return tuple(s[t[x] - 1] for x in range(len(t)))
+    return tuple([s[v - 1] for v in t])
 
 
 def perm_inverse(s):
@@ -204,9 +204,12 @@ class SigmaSet:
                 for r, via in walk(p, self.transpositions).items():
                     u = identity_perm(self.m)
                     if via is not None:
+                        # s_{i+1} u_q: u_q with the values i+1, i+2 swapped
                         q, i = via
-                        u = perm_compose(transposition_perm(self.m, i + 1),
-                                         transversal[q][1])
+                        u = list(transversal[q][1])
+                        a, b = u.index(i + 1), u.index(i + 2)
+                        u[a], u[b] = i + 2, i + 1
+                        u = tuple(u)
                     transversal[r] = (p, u)
             groups.setdefault(transversal[p][0], []).append(p)
         return list(groups.items()), transversal

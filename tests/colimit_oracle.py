@@ -37,12 +37,13 @@ transposition tables.
 `decompose_table` recovers the canonical form of a window table of a
 caller's action by the same support tests, with a closure and a size
 check, and `coequalize` feeds it the classes of a union-find over the
-target's window table; the library takes the colimit of the support
+target's elements in a window widened to close every seed's relations,
+restricted to the window table; the library takes the colimit of the support
 filtration, quotiented by the pair's seeds for a coequalizer, and
 names its classes by their elements at the window.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from tamebox.errors import (
     DegreeTooLarge,
@@ -354,8 +355,14 @@ def decompose_table(table, action, window, degree_bound=DEFAULT_DEGREE_BOUND):
 def coequalize(u: MSetMorphism, v: MSetMorphism, window,
                degree_bound=DEFAULT_DEGREE_BOUND):
     """Identify u(x) with v(x) and return the canonical form of the
-    quotient.  The relation is already closed under the window action
-    because u and v are equivariant and the source table is closed."""
+    quotient.  As in the library, each source orbit gives one pair: u
+    and v of its standard element, with joint support J.  Every pair is
+    an image of these, so the union is taken over the images of each
+    under every injection of J into a wider window, of t + |J| values
+    for t the target's top level, where chains that pass above the
+    window close: a source orbit above the window can still identify
+    elements inside it.  Classes are named by their least element
+    inside the window."""
     def tables(X):  # the points and tables of each level: X's action
         return {m: (ss.point_set, ss.transpositions)
                 for m, ss in X.levels.items()}
@@ -369,16 +376,29 @@ def coequalize(u: MSetMorphism, v: MSetMorphism, window,
         raise WindowTooSmall(
             f"window {window} below twice the maximal support size"
         )
-    table = target.elements_up_to(window)
+    seeds = []
+    for m, rep in u.source.orbit_set():
+        x = MElement(m, tuple(range(1, m + 1)), rep)
+        pair = u.apply(x), v.apply(x)
+        J = sorted({j for y in pair for j in y.image})
+        seeds.append((J, pair))
+    wide = max([window] + [target.max_level + len(J) for J, _ in seeds])
     # linked by key, so every class is named by its least element
-    find, union = _find_in({x: x for x in table})
-    for x in u.source.elements_up_to(window):
-        union(u.apply(x), v.apply(x))
+    find, union = _find_in({x: x for x in target.elements_up_to(wide)})
+    for J, pair in seeds:
+        for values in combinations(range(1, wide + 1), len(J)):
+            for placed in permutations(values):
+                f = PartialInjection(dict(zip(J, placed)))
+                union(*(target.act(f, y) for y in pair))
+    table = target.elements_up_to(window)
+    name = {}  # the root of each class -> its least element in the window
+    for x in sorted(table, key=point_key):
+        name.setdefault(find(x), x)
 
     def class_action(f, root):
-        return find(target.act(f, root))
+        return name[find(target.act(f, root))]
 
-    roots = [x for x in sorted(table, key=point_key) if find(x) == x]
+    roots = [x for x in sorted(table, key=point_key) if name[find(x)] == x]
     return decompose_table(roots, class_action, window,
                            degree_bound=degree_bound)
 

@@ -7,11 +7,13 @@ triple of orbit representatives, each side summed through `add`, and
 equivariance under every pair of stabilizer permutations.  Its `add`
 places the summands with a `PartialInjection` and `carrier.act`.
 
-Beside it: `generators`, the generating set the library once built for
-the equivariance checks from the stabilizer by enumerating the
-symmetric group, with `closure`, the group some permutations generate;
-and `unit_first_action`, the derived operadic action as it was before
-its sum started at the first slot's image instead of at the unit."""
+Beside it: `is_element`, the membership test it decides sums with, so
+that it shares no check with the carrier; `generators`, the generating
+set the library once built for the equivariance checks from the
+stabilizer by enumerating the symmetric group, with `closure`, the
+group some permutations generate; and `unit_first_action`, the derived
+operadic action as it was before its sum started at the first slot's
+image instead of at the unit."""
 
 from tamebox.errors import DegreeTooLarge, OverlappingSupports, ValidationFailed
 from tamebox.injections import PartialInjection
@@ -43,6 +45,16 @@ def generators(group):
         if g not in closure(kept, m):
             kept.append(g)
     return kept
+
+
+def is_element(carrier, c):
+    """Membership decided here, not by the carrier: the level is in the
+    carrier, the point in that level, and the image is as long as the
+    level and strictly increasing."""
+    ss = carrier.levels.get(c.level)
+    return (ss is not None and c.point in set(ss.points)
+            and len(c.image) == c.level
+            and all(i < j for i, j in zip(c.image, c.image[1:])))
 
 
 def unit_first_action(P, phi, elements):
@@ -84,7 +96,7 @@ class OraclePresentation:
             )
         for (m, ra), (n, rb) in self.table:
             c = self.table[((m, ra), (n, rb))]
-            if not carrier.has_element(c):
+            if not is_element(carrier, c):
                 raise ValidationFailed(f"sum of {(m, ra)} and {(n, rb)} invalid")
             if not set(c.image) <= set(range(1, m + n + 1)):
                 raise ValidationFailed("sum not supported inside the blocks")

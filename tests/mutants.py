@@ -95,6 +95,51 @@ MUTANTS = [
            "        seeds.append((m, *pair))\n",
            "tests/test_mset.py::"
            "test_coequalize_seeds_source_orbits_above_the_window"),
+    # the sorting permutation pushed into the point in place of its
+    # inverse: the two differ from level 3 on
+    Mutant("canonical with its ranks inverted", "mset.py",
+           "rank = tuple([ordered.index(v) + 1 for v in image])",
+           "rank = tuple([image.index(v) + 1 for v in ordered])",
+           "tests/test_mset.py::"
+           "test_canonical_pushes_the_ranks_of_the_image_into_the_point"),
+    # the box-monoid validator: equivariance checked under the first
+    # summand's stabilizer only
+    Mutant("monoid validator without the second stabilizer's moves",
+           "opalg.py",
+           "            moves += [first + tuple([m + k for k in t]) "
+           "for t in stabilizers[b]]\n",
+           "",
+           "tests/test_monoid_kernel.py::"
+           "test_every_single_entry_change_judged_as_oracle"),
+    # an entry below its blocks moved by a permutation of the blocks as
+    # if it filled them
+    Mutant("point route for an entry that does not fill its blocks",
+           "opalg.py",
+           "    if len(c.image) == len(g):\n",
+           "    if True:\n",
+           "tests/test_monoid_kernel.py::"
+           "test_every_single_entry_change_judged_as_oracle"),
+    Mutant("monoid sum without its disjointness test", "opalg.py",
+           "        if not set(x.image).isdisjoint(y.image):\n",
+           "        if False:\n",
+           "tests/test_monoid_kernel.py::test_add_errors_match_oracle"),
+    # a repeated sum overwrites its entry, which still validates
+    Mutant("monoid sums without the duplicate-pair check", "documents.py",
+           "        if (a, b) in table:\n",
+           "        if False:\n",
+           "tests/test_documents.py::"
+           "test_boundary_refuses_each_broken_invariant"),
+    # the bulk sum reader takes a sum the description refuses
+    Mutant("bulk sum reader without its point test", "documents.py",
+           "            and not isinstance(p, (list, dict))):\n",
+           "            ):\n",
+           "tests/test_documents.py::"
+           "test_bulk_sum_reader_reads_as_the_description"),
+    Mutant("bulk sum reader without its image entry test", "documents.py",
+           "            and all(type(v) is int for v in image)\n",
+           "",
+           "tests/test_documents.py::"
+           "test_bulk_sum_reader_reads_as_the_description"),
     # trusted builders of certificates, whose arguments the fixture of
     # conftest.py checks: the odd slots land on the even numbers, so
     # domains overlap and the odd numbers are not covered

@@ -57,6 +57,7 @@ from tamebox.iset import (
 from tamebox.mset import (
     CanonicalTameMSet,
     MElement,
+    MSetMorphism,
     all_injective_tuples,
     box,
     coequalize,
@@ -70,7 +71,13 @@ from tamebox.opalg import (
     infinite_symmetric_product,
     wedge_iso,
 )
-from tamebox.sigma import SigmaSet, completion_word, regular_sigma_set, walk
+from tamebox.sigma import (
+    SigmaSet,
+    completion_word,
+    regular_sigma_set,
+    trivial_sigma_set,
+    walk,
+)
 
 KINDS = ("random", "filtration", "quotient", "representable", "coequalizer")
 # every family random_iset draws from, and random_iset itself
@@ -935,14 +942,33 @@ def test_window_tables_decompose_as_the_oracle_does(seed):
                 X.elements_up_to(window), X.act, window, degree_bound)))
 
 
+def source_above_the_window():
+    """The free orbit on {1, 2, 3} sent to the fixed level-1 point a at
+    {1} and to b at {2}: at window 2 no source element fits, and only
+    the seed of its orbit identifies a with b."""
+    T = CanonicalTameMSet({1: trivial_sigma_set(1, ["a", "b"])})
+    S = injection_mset(3)
+    rep = S.levels[3].orbits()[0][0]
+    return (MSetMorphism(S, T, {(3, rep): MElement(1, (1,), "a")}),
+            MSetMorphism(S, T, {(3, rep): MElement(1, (2,), "b")}))
+
+
 @kernel_settings
 @given(st.sampled_from(unionfind.FAMILIES), st.integers(0, 10**6),
        st.integers(2, 4))
+@example("source above the window", 0, 2)
 def test_coequalizers_match_the_union_find_oracle(kind, seed, N):
-    # the draws of test_unionfind, at the least window and one above
-    rng = random.Random(seed)
-    u, v, window = unionfind.parallel_pair(
-        rng, unionfind.drawn_action(kind, seed, N, rng))
-    for w in (window, window + 1):
+    # the draws of test_unionfind, at the least window and one above;
+    # their sources never lie above the window, so one pair with a
+    # source above it is checked at windows 2-4
+    if kind == "source above the window":
+        u, v = source_above_the_window()
+        windows = (2, 3, 4)
+    else:
+        rng = random.Random(seed)
+        u, v, window = unionfind.parallel_pair(
+            rng, unionfind.drawn_action(kind, seed, N, rng))
+        windows = (window, window + 1)
+    for w in windows:
         assert text_of(lambda: coequalize(u, v, w)) == text_of(
             lambda: oracle.coequalize(u, v, w))

@@ -257,6 +257,67 @@ def test_bulk_piece_reader_reads_as_the_description(case):
         outcome(lambda: [docs.QA_PIECE.read(piece, "pieces")])
 
 
+# -- the bulk reader of sums -----------------------------------------------
+# `monoid` reads its sums through a fast path; each sum must be read as
+# the described `sum` reads it, or be refused alike.
+
+SUM = {"a": [1, "a"], "b": [1, "b"],
+       "result": {"level": 2, "image": [1, 2], "point": "ab"}}
+
+
+def _sum_with(**changes):
+    out = dict(SUM, **changes)
+    return {k: v for k, v in out.items() if v is not _DROP}
+
+
+def _result_with(**changes):
+    result = dict(SUM["result"], **changes)
+    return _sum_with(result={k: v for k, v in result.items()
+                             if v is not _DROP})
+
+
+SUMS = {
+    "integers": SUM,
+    "unsorted image": _result_with(image=[2, 1]),
+    "float level": _result_with(level=2.0),
+    "bool level": _result_with(level=True),
+    "float image entry": _result_with(image=[1, 2.0]),
+    "bool image entry": _result_with(image=[True, 2]),
+    "string for an image": _result_with(image="12"),
+    "null for an image": _result_with(image=None),
+    "array for a point": _result_with(point=["ab"]),
+    "object for a point": _result_with(point={"ab": 1}),
+    "null for a point": _result_with(point=None),
+    "point left out": _result_with(point=_DROP),
+    "array for a result": _sum_with(result=[2, [1, 2], "ab"]),
+    "result left out": _sum_with(result=_DROP),
+    "representative of three entries": _sum_with(a=[1, "a", 0]),
+    "string of two for a representative": _sum_with(b="1b"),
+    "object of two for a representative": _sum_with(a={"m": 1, "r": "a"}),
+    "string level of a representative": _sum_with(a=["1", "a"]),
+    "bool level of a representative": _sum_with(b=[True, "b"]),
+    "array point of a representative": _sum_with(a=[1, ["a"]]),
+    "b left out": _sum_with(b=_DROP),
+    "extra field": _sum_with(note="ignored"),
+    "array for a sum": [[1, "a"], [1, "b"], {"level": 0}],
+    "null for a sum": None,
+    "string for a sum": "sum",
+}
+
+
+@pytest.mark.parametrize("case", SUMS)
+def test_bulk_sum_reader_reads_as_the_description(case):
+    def outcome(read):
+        try:
+            return read()
+        except ValidationError as e:
+            return e.invariant, e.location
+
+    value = SUMS[case]
+    assert outcome(lambda: docs._sum_rows([value], "sums")) == \
+        outcome(lambda: [docs.SUM.read(value, "sums")])
+
+
 # -- boundary refusals ---------------------------------------------------
 # One valid document per kind; each refusal below mutates a fresh copy of
 # its payload once.  Level k of rep_1 = representable_iset(1, 3) holds

@@ -387,6 +387,14 @@ class TestMorphismsAndCoequalizer:
                 },
             )
 
+    def test_refuses_a_value_with_a_repeated_image_entry(self):
+        # (1, 1) is its own sorted form but no injection: read as an
+        # element, the morphism was accepted and failed only in `apply`
+        S = injection_mset(2)
+        T = CanonicalTameMSet({2: trivial_sigma_set(2, ["t"])})
+        with pytest.raises(InvalidMorphism, match="not in the target"):
+            MSetMorphism(S, T, {(2, (1, 2)): MElement(2, (1, 1), "t")})
+
     def test_stabilizer_must_fix_the_value(self):
         # every representative has a value; the swap fixes (0, 0) but
         # moves the value (0, 1) placed at 1, 2 to (1, 0)
@@ -508,6 +516,15 @@ def test_coequalize_seeds_source_orbits_above_the_window(window):
     v = MSetMorphism(S, T, {(3, rep): MElement(1, (2,), "b")})
     out = coequalize(u, v, window)
     assert {m: len(ss) for m, ss in out.levels.items()} == {0: 1}
+
+
+@pytest.mark.parametrize("values", [(30, 10, 20), (4, 9, 1, 7)])
+def test_canonical_pushes_the_ranks_of_the_image_into_the_point(values):
+    # an element of injection_mset(m) given by an injective tuple reads
+    # the tuple back off its sorted image through its point
+    x = injection_element(injection_mset(len(values)), values)
+    assert x.image == tuple(sorted(values))
+    assert tuple(x.image[k - 1] for k in x.point) == values
 
 
 @pytest.mark.parametrize("key", ["1", 1.0, True], ids=["str", "float", "bool"])

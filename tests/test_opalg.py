@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import cert_oracle
 import tamebox.opalg as opalg
 from conftest import rows_of
+from monoid_oracle import OraclePresentation
 from tamebox.documents import parse_document, serialize_document
 from tamebox.errors import (
     NotAMonoid,
@@ -36,6 +37,7 @@ from tamebox.mset import MElement, support
 from tamebox.opalg import (
     Certificate,
     CertificateStep,
+    CommMonoidPresentation,
     algebra_to_monoid,
     box_to_operadic,
     certify_agreement,
@@ -126,6 +128,24 @@ class TestPresentations:
             trivial_from_abelian([0, 1, 2], addition | sums, unit)
         ok = {(1, 2): 0, (2, 1): 0, (1, 1): 2, (2, 2): 1}
         assert trivial_from_abelian([0, 1, 2], addition | ok, 0)
+
+    @pytest.mark.parametrize("key,value", [
+        # level-1 stabilizers are trivial: only commutativity compares it
+        (((1, ("a",)), (1, ("b",))), MElement(2, (1, 1), ("a", "b"))),
+        # the swap of aa moves it: equivariance sorts its image
+        (((2, ("a", "a")), (1, ("b",))),
+         MElement(3, (1, 1, 2), ("a", "a", "b"))),
+    ], ids=["commutativity", "equivariance"])
+    def test_refuses_a_sum_with_a_repeated_image_entry(self, key, value):
+        # a repeated entry is its own sorted form but no injection; read
+        # as an element it failed a later law, or sorting raised
+        # ValueError, instead of being refused as no element
+        P = infinite_symmetric_product(["*", "a", "b"], "*", 3)
+        table = {**P.table, key: value}
+        for build in (CommMonoidPresentation, OraclePresentation):
+            with pytest.raises(ValidationFailed,
+                               match=r"sum of .* invalid"):
+                build(P.carrier, P.unit_point, table, P.level_cap)
 
     def test_symmetric_product_level_sizes(self):
         P2 = infinite_symmetric_product(["*", "a"], "*", 4)
