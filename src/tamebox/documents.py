@@ -290,8 +290,8 @@ OPERAD = Kind(
                           else QA).encode(s) for s in e.slots]))
 
 
-def _sigma_parts(ss):
-    names = PointNames(ss.points)
+def _sigma_parts(ss, names=None):
+    names = names or PointNames(ss.points)
     return (ss.m, sorted(names.to_name[p] for p in ss.points),
             [names.table(t) for t in ss.transpositions])
 
@@ -309,8 +309,9 @@ def _mset(levels, max_level):
 
 
 MSET = Kind("mset", {"levels": {int: SIGMA}, "maxLevel": int}, _mset,
-            lambda X: ({str(m): SIGMA.encode(ss)
-                        for m, ss in sorted(X.levels.items())}, X.max_level),
+            lambda X, names=None: (
+                {str(m): SIGMA.encode(ss, names and names[m])
+                 for m, ss in sorted(X.levels.items())}, X.max_level),
             optional={"maxLevel"})
 
 # read as its field values, which `element` makes an element
@@ -411,7 +412,7 @@ def _monoid_parts(P: CommMonoidPresentation):
         for ((m, ra), (n, rb)), val in sorted(
             P.table.items(), key=lambda kv: point_key(kv[0])[1])
     ]
-    return (MSET.encode(P.carrier), names[0].to_name[P.unit_point],
+    return (MSET.encode(P.carrier, names), names[0].to_name[P.unit_point],
             P.level_cap, sums)
 
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 from .errors import (
@@ -159,7 +160,7 @@ class TruncatedISet:
         # level n is generated from n - 1 when its faces hold all of it:
         # s_1 .. s_{n-2} keep the image of the inclusion, so the coset
         # representatives s_j ... s_{n-1} carry it onto all its images
-        failing = [n for n in range(N + 1) if not all(self.faces_holding(n))]
+        failing = [n for n in range(N + 1) if self.generators(n)]
         if stable_from is None:
             stable_from = max(failing, default=0)
         for n in failing:
@@ -190,6 +191,19 @@ class TruncatedISet:
         elements; zero when all inclusions are injective."""
         return max((m + 1 for m, merges in enumerate(self._merges) if merges),
                    default=0)
+
+    @property
+    def free(self):
+        """Whether X is free on its generators G_m (`generators`), that
+        is flat: whether |X(n)| = Σ_m C(n, m)·|G_m| for every n ≤ N.  The
+        free diagram F_G on the Σ_m-sets G_m maps onto X, since a point
+        is a generator or in a face image; Σ_m acts freely on I(m, n), so
+        |F_G(n)| is that sum.  X is flat exactly when the map is a
+        bijection: F_G is flat, and by induction on n an injective
+        latching map splits X(n) as its image and G_n, as F_G(n) splits."""
+        g = [len(self.generators(m)) for m in range(self.N + 1)]
+        return all(sum(comb(n, m) * g[m] for m in range(n + 1))
+                   == len(level) for n, level in enumerate(self.levels))
 
     def positions(self, m):
         """Each point of level m sent to its index in the level, built
@@ -232,6 +246,11 @@ class TruncatedISet:
                 for p in row:
                     held[p].add(i)
         return held
+
+    def generators(self, n):
+        """The points of level n in no face image, in level order."""
+        return [z for z, held in zip(self.levels[n], self.faces_holding(n))
+                if not held]
 
     def map_along(self, alpha, n, x):
         """Apply the functor to the injection given by the value tuple
@@ -488,10 +507,9 @@ def _canonical_colimit(X: TruncatedISet, degree_bound):
     canonical tame action it carries.
 
     The truncation must reach twice the declared stability level; the
-    colimit is taken in the faithful extension, which reaches max(2s,
-    s + merge level) and whose next Lan level identifies nothing (see
-    `faithful_extension`), so that merges forced just past the given
-    levels are seen rather than silently missed.
+    colimit is taken in the faithful extension (`faithful_extension`: X
+    itself when free), so that merges forced just past the given levels
+    are seen rather than silently missed.
 
     Level k holds, in class order, the classes supported on exactly
     {1..k}: each comes from level s, the extension's stability level,
@@ -711,15 +729,15 @@ def _swapped(values, i):
 
 
 def faithful_extension(X: TruncatedISet):
-    """X extended by `lan_extend`, one level at a time, until it reaches
-    max(2s, s + merge level), s its stability level, and the inclusion
-    into the next Lan level would identify nothing; refused if that
-    takes it past N + 2 max(s, 1) + 6.
-
-    Lan levels are generated from below, so s stays put, and past a
-    faithful extension no inclusion identifies anything: its colimit is
-    that of every higher extension, so merges forced just past the
-    given levels are seen rather than silently missed."""
+    """X itself if X is free (`TruncatedISet.free`): the Lan extension
+    of a free diagram is free, so it never merges.  Else X extended by
+    `lan_extend`, one level at a time, until it reaches max(2s, s +
+    merge level), s its stability level, and the next Lan level's
+    inclusion identifies nothing, refused past N + 2 max(s, 1) + 6.  Lan
+    levels keep s, and the colimit of a faithful extension is that of
+    every higher one, so merges just past the given levels are seen."""
+    if X.free:
+        return X
     hard_top = X.N + 2 * max(X.stable_from, 1) + 6
     cur = X
     while (cur.N < max(2 * cur.stable_from, cur.stable_from + cur.merge_level)
@@ -802,10 +820,7 @@ def mono_pushout_injective(f: ISetMorphism, n):
     X, Y = f.source, f.target
     if latching(Y, n).injective:
         in_face, pos = Y.faces_holding(n), Y.positions(n)
-        return not any(
-            in_face[pos[f.maps[n][x]]]
-            for x, held in zip(X.levels[n], X.faces_holding(n))
-            if not held)
+        return not any(in_face[pos[f.maps[n][x]]] for x in X.generators(n))
     if latching(X, n).injective:
         return False
     raise PreconditionViolated(
@@ -813,13 +828,13 @@ def mono_pushout_injective(f: ISetMorphism, n):
 
 
 def _day_factors(X: TruncatedISet, Y: TruncatedISet):
-    """Both factors made faithful (see `faithful_extension`), extended
-    canonically to one height and cut there: min(X.N, Y.N), or, where
-    it is higher, sA + sB + max(mA, mB) from the stability and merge
-    levels of the faithful extensions.  Factors whose inclusions
-    identify elements would make the convolution merge classes beyond
-    a lower window.  Lan levels keep the stability level, and past a
-    faithful extension nothing merges, so that height is final."""
+    """Both factors made faithful (`faithful_extension`: a free one as
+    it is), extended canonically to one height and cut there: min(X.N,
+    Y.N), or, where it is higher, sA + sB + max(mA, mB) from the
+    stability and merge levels of the faithful extensions.  Factors
+    whose inclusions identify elements would make the convolution merge
+    classes beyond a lower window.  Lan levels keep the stability level,
+    and past a faithful extension nothing merges: that height is final."""
     A, B = faithful_extension(X), faithful_extension(Y)
     target = max(min(X.N, Y.N), A.stable_from + B.stable_from
                  + max(A.merge_level, B.merge_level))
@@ -856,8 +871,7 @@ def day_convolution(X: TruncatedISet, Y: TruncatedISet):
     generator equals one whose x is and whose first block is smaller."""
     X, Y = _day_factors(X, Y)
     N = X.N
-    gx, gy = ([[z for z, held in zip(Z.levels[a], Z.faces_holding(a))
-                if not held] for a in range(N + 1)] for Z in (X, Y))
+    gx, gy = ([Z.generators(a) for a in range(N + 1)] for Z in (X, Y))
 
     def blocks(n, A):
         return A + tuple(v for v in range(1, n + 1) if v not in A)

@@ -45,6 +45,24 @@ MUTANTS = [
            "    return False\n",
            "tests/test_colimit_kernel.py::"
            "test_merges_forced_past_the_given_top_are_seen"),
+    # the extension keeps every diagram as it is, free or not
+    Mutant("extension kept without the count", "iset.py",
+           "    if X.free:\n        return X\n",
+           "    if True:\n        return X\n",
+           "tests/test_colimit_kernel.py::"
+           "test_merges_forced_past_the_given_top_are_seen"),
+    # a point that one face holds counts as a generator
+    Mutant("generators held by one face", "iset.py",
+           "                if not held]",
+           "                if len(held) < 2]",
+           "tests/test_colimit_kernel.py::"
+           "test_count_matches_both_flatness_routes"),
+    # right at level 0, and too many points above a level with generators
+    Mutant("count with C(n + 1, m)", "iset.py",
+           "comb(n, m) * g[m]",
+           "comb(n + 1, m) * g[m]",
+           "tests/test_colimit_kernel.py::"
+           "test_count_matches_both_flatness_routes"),
     # test_canonical_action_matches_decomposition_on_criterion_4 fails
     # on it too
     Mutant("Day target min(X.N, Y.N)", "iset.py",
@@ -70,7 +88,7 @@ MUTANTS = [
     # under the permutations, and a transposition leaves the free part
     Mutant("Day generators off the inclusion's image", "iset.py",
            "                if not held]",
-           "                if a not in held]",
+           "                if n not in held]",
            "tests/test_colimit_kernel.py::"
            "test_day_convolution_matches_oracle"),
     # the inclusion's face left out of the faces-holding table: points

@@ -9,7 +9,7 @@ import pytest
 from corpus import box_factor, named_late_pairs
 from tamebox import PartialInjection, cli, opalg, selftest, sigma
 from tamebox.cli import main
-from tamebox.documents import canonical_json, serialize_document
+from tamebox.documents import PointNames, canonical_json, serialize_document
 from tamebox.generators import random_mset
 from tamebox.injections import QuasiAffineInjection, interleave
 from tamebox.iset import (
@@ -812,6 +812,21 @@ class TestCommandTable:
         monkeypatch.setattr(opalg.CommMonoidPresentation, "__init__", counted)
         code, _ = _call(capsys, ARGV["to-monoid"], inputs)
         assert code == 0 and len(calls) == 1
+
+    def test_to_monoid_names_each_level_once(self, capsys, variant_inputs,
+                                             monkeypatch):
+        # the sums and the carrier of the report share one table of names
+        # per level of the five-level monoid
+        built = []
+        init = PointNames.__init__
+
+        def counted(self, points):
+            built.append(points)
+            init(self, points)
+
+        monkeypatch.setattr(PointNames, "__init__", counted)
+        code, _ = _call(capsys, ["to-monoid", "<monoid4>"], variant_inputs)
+        assert code == 0 and len(built) == 5
 
 
 # the call of each command with one hashed argument changed, keyed by

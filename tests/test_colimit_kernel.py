@@ -8,6 +8,9 @@ rebuilds every meet's span and the rescan of every inclusion, the
 latching-pushout check against the pushout built by union-find,
 the stopping rule of the canonical extension on two pinned diagrams
 whose merges lie just past the given top and on seeded draws, the
+count that reads a free diagram off its generators against both
+flatness routes, and the extension that keeps a free diagram as it is
+against the stopping rule run on every diagram, the
 canonical action of the colimit against the decomposition of its
 class table, on every criterion-4 instance and adjunction draw, and
 the window tables and coequalizers of canonical actions, which
@@ -19,7 +22,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import colimit_oracle as oracle
@@ -29,6 +32,7 @@ import test_iset
 import test_unionfind as unionfind
 from corpus import late_merges, late_pairs, mset_text
 from tamebox import selftest
+from tamebox.documents import serialize_document
 from tamebox.errors import (
     TameboxError,
     TruncationExceeded,
@@ -45,6 +49,7 @@ from tamebox.iset import (
     constant_iset,
     day_convolution,
     faithful_extension,
+    flat_replacement,
     is_flat,
     lan_extend,
     latching,
@@ -813,6 +818,164 @@ def test_day_factors_reach_the_convolution_bound_in_one_pass(left, right,
     left_factor, right_factor = _day_factors(X, Y)
     assert left_factor.N == right_factor.N >= (
         A.stable_from + B.stable_from + max(A.merge_level, B.merge_level))
+
+
+# ---------------------------------------------------------------------
+# free diagrams: the count, and the extension that keeps them as they are
+
+
+def free_draws(seed, N):
+    """Two random_iset draws at N, the first of stability at most 3 and
+    the second, a Day factor, at most 1, so that the convolution of
+    both stays small; None where random_iset refuses N (the restriction
+    coequalizer needs level 2)."""
+    rng = random.Random(f"free:{seed}:{N}")
+    try:
+        return random_iset(rng, N, min(3, N)), random_iset(rng, N, min(1, N))
+    except TruncationExceeded:
+        return None
+
+
+def filtration_quotient(m):
+    """The support filtration at 4 of the free orbit on {1..m}, with the
+    first two elements of level 2 identified: for m = 1 those on {1} and
+    {2}, which gives the restriction coequalizer again, not flat; for
+    m = 2 the two on {1, 2}, which leaves the unordered pairs, free on
+    one point that Σ_2 fixes."""
+    F = support_filtration(injection_mset(m), 4)
+    return quotient_iset(F, [(2, *F.levels[2][:2])])
+
+
+# fixed diagrams, and whether they are flat
+COUNTED = {
+    **{f"rep{m} at {N}": (lambda m=m, N=N: representable_iset(m, N), True)
+       for m, N in [(0, 3), (1, 1), (2, 4), (3, 3), (3, 6)]},
+    **{f"restriction coequalizer at {N}": (
+        lambda N=N: restriction_coequalizer(N), False) for N in (2, 4)},
+    "constant at 3": (lambda: constant_iset(["a", "b"], 3), True),
+    "quotient of a filtration, not flat": (lambda: filtration_quotient(1),
+                                           False),
+    "quotient of a filtration, flat": (lambda: filtration_quotient(2), True),
+}
+
+
+def assert_count_is_flatness(X):
+    assert X.free == is_flat(X, "both").flat
+    if X.free:
+        assert faithful_extension(X) is X
+
+
+@pytest.mark.parametrize("name", COUNTED)
+def test_count_reads_flatness_on_fixed_diagrams(name):
+    build, flat = COUNTED[name]
+    X = build()
+    assert X.free == flat
+    assert_count_is_flatness(X)
+
+
+@kernel_settings
+@given(st.integers(0, 10**6), st.integers(1, 7))
+def test_count_matches_both_flatness_routes(seed, N):
+    draws = free_draws(seed, N)
+    assume(draws is not None)
+    for X in draws:
+        assert_count_is_flatness(X)
+
+
+def encoded_outputs(X, Y):
+    """The bytes of canonicalize(X), of the unit of its flat replacement
+    and of X ⊛ Y, each as a document, or the error class and message."""
+    def outcome(kind, build):
+        try:
+            return serialize_document(kind, build())
+        except TameboxError as exc:
+            return type(exc).__name__, str(exc)
+
+    return (outcome("mset", lambda: canonicalize(X)),
+            outcome("morphism", lambda: flat_replacement(X)[1]),
+            outcome("iset", lambda: day_convolution(X, Y)))
+
+
+def stopping_rule_mismatch(X, Y):
+    """encoded_outputs, against the same with the count patched to
+    False, so that every diagram runs the stopping rule: None when they
+    agree, else both."""
+    got = encoded_outputs(X, Y)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(TruncatedISet, "free",
+                            property(lambda self: False))
+        want = encoded_outputs(X, Y)
+    return None if got == want else (got, want)
+
+
+# free Day factors below twice their stability level, with the second
+# factor: the stopping rule built the first up to 6
+LOW_FREE_FACTORS = {f"rep{a} with rep{b} at {N}": (a, b, N)
+                    for a, b, N in [(3, 0, 4), (3, 1, 4), (3, 1, 5)]}
+STOPPED = {
+    **{name: lambda a=a, b=b, N=N: (representable_iset(a, N),
+                                    representable_iset(b, N))
+       for name, (a, b, N) in LOW_FREE_FACTORS.items()},
+    # not free: the stopping rule extends them past the given top
+    **{name: lambda name=name: (late_merges(name), representable_iset(0, 4))
+       for name in ("stable-1", "stable-2")},
+    "restriction coequalizer at 2": lambda: (restriction_coequalizer(2),
+                                             representable_iset(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", STOPPED)
+def test_free_diagrams_answer_as_the_stopping_rule_on_fixed_pairs(name):
+    assert stopping_rule_mismatch(*STOPPED[name]()) is None
+
+
+@kernel_settings
+@given(st.integers(0, 10**6), st.integers(1, 7))
+def test_free_diagrams_answer_as_the_stopping_rule(seed, N):
+    draws = free_draws(seed, N)
+    assume(draws is not None)
+    assert stopping_rule_mismatch(*draws) is None
+
+
+@pytest.fixture
+def extension_counts(monkeypatch):
+    # calls of the Lan extension by one level and of its merge test
+    counts = {"lan_extend": 0, "_next_level_merges": 0}
+
+    def counted(name):
+        real = getattr(iset, name)
+
+        def call(X):
+            counts[name] += 1
+            return real(X)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(iset, name, counted(name))
+    return counts
+
+
+FREE_WORK = {
+    **{name: lambda name=name: day_convolution(*STOPPED[name]())
+       for name in LOW_FREE_FACTORS},
+    "decompose_table of a level-3 action at window 6":
+        lambda: decompose_table(injection_mset(3), 6),
+    "canonicalize rep2 at 4": lambda: canonicalize(representable_iset(2, 4)),
+}
+
+
+@pytest.mark.parametrize("name", FREE_WORK)
+def test_free_diagrams_build_no_lan_level_and_test_no_merge(
+        name, extension_counts):
+    FREE_WORK[name]()
+    assert extension_counts == {"lan_extend": 0, "_next_level_merges": 0}
+
+
+def test_extension_counts_see_the_stopping_rule(extension_counts):
+    # a diagram that is not free runs both
+    faithful_extension(late_merges("stable-1"))
+    assert extension_counts["lan_extend"] > 0
+    assert extension_counts["_next_level_merges"] > 0
 
 
 # ---------------------------------------------------------------------
