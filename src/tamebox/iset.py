@@ -33,12 +33,13 @@ gives.  The Day convolution is a quotient of the free diagram on the
 first factor's generators convolved with the second (see
 `day_convolution`).
 
-The face maps of a level, and the faces that hold each point, are
-tabulated once per diagram, on the positions of the points in their
-levels, straight from the inclusion and the transposition tables; a
-derived diagram shares the tables of the levels it shares.  Every
-reader of faces reads them there; any other injection is applied by
-walking the inclusions and then a cached transposition word.
+The face maps of a level, and the faces that hold each point with a
+preimage along each, are tabulated once per diagram, on the positions
+of the points in their levels, straight from the inclusion and the
+transposition tables; a derived diagram shares the tables of the levels
+it shares.  Every reader of faces reads them there, the colimit's class
+elements too; any other injection is applied by walking the inclusions
+and then a cached transposition word.
 """
 
 from __future__ import annotations
@@ -236,15 +237,17 @@ class TruncatedISet:
         return table
 
     def faces_holding(self, n):
-        """For each point of level n, in level order, the set of values
-        i whose face, the order embedding that skips i, has it in its
-        image; built once, from the face table."""
+        """For each point of level n, in level order, a dict sending
+        each value i whose face, the order embedding that skips i, has
+        the point in its image to the position in level n-1 of a
+        preimage along that face, the last in level order; built once,
+        from the face table."""
         held = self._holding[n]
         if held is None:
-            held = self._holding[n] = [set() for _ in self.levels[n]]
+            held = self._holding[n] = [{} for _ in self.levels[n]]
             for i, row in enumerate(self.face_positions(n), start=1):
-                for p in row:
-                    held[p].add(i)
+                for p0, p in enumerate(row):
+                    held[p][i] = p0
         return held
 
     def generators(self, n):
@@ -400,7 +403,6 @@ class OmegaColimit:
             for p in sorted(X.levels[m], key=point_key):
                 self.root[m, p] = name.setdefault(top[m][p], (m, p))
         self.classes = list(name.values())
-        self._preimages = {}
         self._elements = {}
 
     def class_of(self, m, x):
@@ -418,51 +420,30 @@ class OmegaColimit:
             )
         return self.root[n, self.iset.map_along(values, n, x)]
 
-    def face_preimages(self, m):
-        """Level m inverted through its face maps, built once: each
-        point in a face image, sent to its first preimage (alpha, x0)
-        with x0 in level order, then alpha in `_face_shape` order."""
-        table = self._preimages.get(m)
-        if table is None:
-            X = self.iset
-            d, level = X.face_positions(m), X.levels[m]
-            # the i-th face of {1..m} skips m - i
-            faces = list(enumerate(_face_shape(m)[0]))
-            table = self._preimages[m] = {}
-            for p, x0 in enumerate(X.levels[m - 1]):
-                for i, alpha in faces:
-                    table.setdefault(level[d[m - 1 - i][p]], (alpha, x0))
-        return table
-
     def class_to_element(self, c) -> MElement:
         """The canonical element a class corresponds to under the
         decomposition of the colimit as a tame action: its support, and
         the class obtained by pushing the support onto an initial
         segment.
 
-        At or below the stability level the support is found by single
-        test injections.  Above it, the class is pulled down along its
-        first face preimage (alpha, x0), and the element of x0 is pushed
-        forward: its image moves along the increasing alpha and its point
-        stays, since a tame element is acted on through its support
-        only.  Every point above the stability level has a preimage,
-        since validation makes each such level generated from the one
-        below."""
+        A point that a face holds is pulled down to its preimage along
+        that face (`TruncatedISet.faces_holding`), and the element of
+        the preimage is pushed forward: its image moves along the face
+        and its point stays, since a tame element is acted on through
+        its support only.  Any preimage gives the one canonical element.
+        Only a generator's support is found by single test injections."""
         got = self._elements.get(c)
         if got is not None:
             return got
         m, x = c
         X = self.iset
-        if m > X.stable_from:
-            found = self.face_preimages(m).get(x)
-            if found is None:
-                raise NotTame(
-                    f"no preimage below level {m} despite declared stability"
-                )
-            alpha, x0 = found
-            inner = self.class_to_element(self.class_of(m - 1, x0))
+        held = X.faces_holding(m)[X.positions(m)[x]]
+        if held:
+            i, p0 = next(iter(held.items()))
+            inner = self.class_to_element(
+                self.class_of(m - 1, X.levels[m - 1][p0]))
             got = inner._replace(
-                image=tuple(alpha[j - 1] for j in inner.image))
+                image=tuple(j if j < i else j + 1 for j in inner.image))
         else:
             if 0 < m == X.N:
                 raise TruncationExceeded(

@@ -20,6 +20,7 @@ colimit of the support filtration up to the window.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from math import comb
 from typing import NamedTuple
 
 from .errors import (
@@ -133,8 +134,6 @@ class CanonicalTameMSet:
         return out
 
     def count_up_to(self, N):
-        from math import comb
-
         return sum(
             comb(N, m) * len(ss) for m, ss in self.levels.items() if m <= N
         )

@@ -98,6 +98,21 @@ MUTANTS = [
            "enumerate(self.face_positions(n)[:-1], start=1)",
            "tests/test_colimit_kernel.py::"
            "test_derived_diagrams_serve_no_stale_faces_holding_table"),
+    # a class element pulled down along the face that skips i keeps the
+    # value i in its image: the image is not moved off the skipped value
+    Mutant("class element face shift off by one", "iset.py",
+           "j if j < i else j + 1",
+           "j if j <= i else j + 1",
+           "tests/test_colimit_kernel.py::"
+           "test_face_image_at_the_top_stability_level_is_pulled_down"),
+    # a class element pulled down along a face keeps its inner image
+    Mutant("pulled-down element keeping its inner image", "iset.py",
+           "            got = inner._replace(\n"
+           "                image=tuple(j if j < i else j + 1 "
+           "for j in inner.image))\n",
+           "            got = inner\n",
+           "tests/test_colimit_kernel.py::"
+           "test_support_comparison_catches_an_unmoved_element_image"),
     # each level's swap tables of the canonical action in reverse order
     Mutant("canonical swap tables reversed", "iset.py",
            "E.transp[c[0]][i][c[1]]",
