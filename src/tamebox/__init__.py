@@ -7,7 +7,6 @@ from .injections import (
     PartialInjection,
     Piece,
     QuasiAffineInjection,
-    interleave,
     order_embed_avoiding,
 )
 from .iset import (
@@ -37,16 +36,12 @@ from .mset import (
     box_split,
     coequalize,
     decompose_table,
-    disjoint_union,
-    injection_element,
     injection_mset,
     injection_split_iso,
     mset_iso_equal,
     orbit_product_bijection,
     semifree_mset,
-    shift_apart,
     support,
-    unit_mset,
 )
 from .opalg import (
     AlgebraAction,

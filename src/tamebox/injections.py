@@ -659,9 +659,3 @@ class OperadElement:
     def __repr__(self):
         return f"OperadElement({list(self.slots)!r})"
 
-
-def interleave() -> OperadElement:
-    """The standard 2-ary bijection: slot 1 is i -> 2i-1, slot 2 is i -> 2i."""
-    return OperadElement(
-        [QuasiAffineInjection.affine(2, -1), QuasiAffineInjection.affine(2, 0)]
-    )

@@ -900,11 +900,11 @@ def day_projections(XY: TruncatedISet, X: TruncatedISet, Y: TruncatedISet):
     gamma, x, y) goes to x and y moved along the two blocks of gamma.
     The convolution's maps move the blocks by post-composition, or act
     in one block as the factor's maps do, so the projections are natural."""
+    if not XY.N == X.N == Y.N:
+        raise InvalidMorphism("source and target truncations differ")
     first, second = [], []
     for n, level in enumerate(XY.levels):
         first.append({c: X.map_along(c[1][:c[0]], n, c[2]) for c in level})
         second.append({c: Y.map_along(c[1][c[0]:], n, c[3]) for c in level})
-    if not XY.N == X.N == Y.N:
-        raise InvalidMorphism("source and target truncations differ")
     return (ISetMorphism._built(XY, X, first),
             ISetMorphism._built(XY, Y, second))

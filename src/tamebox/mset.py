@@ -30,14 +30,13 @@ from .errors import (
     SupportNotCovered,
     WindowTooSmall,
 )
-from .injections import PartialInjection, order_embed_avoiding
+from .injections import PartialInjection
 from .sigma import (
     SigmaSet,
     induce,
     iso_equal,
     point_key,
     regular_sigma_set,
-    trivial_sigma_set,
 )
 
 DEFAULT_DEGREE_BOUND = 7  # the top level that built canonical forms may have
@@ -159,10 +158,6 @@ def mset_iso_equal(X: CanonicalTameMSet, Y: CanonicalTameMSet):
     return all(iso_equal(X.levels[m], Y.levels[m]) for m in X.levels)
 
 
-def unit_mset():
-    return CanonicalTameMSet({0: trivial_sigma_set(0, ["*"])})
-
-
 def semifree_mset(A: SigmaSet):
     """The tame action freely built on one symmetric-group set."""
     return CanonicalTameMSet({A.m: A})
@@ -171,13 +166,6 @@ def semifree_mset(A: SigmaSet):
 def injection_mset(m):
     """The action on injections {1..m} -> omega by postcomposition."""
     return semifree_mset(regular_sigma_set(m))
-
-
-def injection_element(X: CanonicalTameMSet, values) -> MElement:
-    """The element of injection_mset(m) given by an injective tuple."""
-    values = tuple(values)
-    m = len(values)
-    return X.canonical(m, values, tuple(range(1, m + 1)))
 
 
 def _tagged_union(m, parts):
@@ -194,16 +182,6 @@ def _tagged_union(m, parts):
             t.update((q, names[s[p]]) for p, q in names.items())
         tables.append(t)
     return SigmaSet._built(m, points, tables)
-
-
-def disjoint_union(X: CanonicalTameMSet, Y: CanonicalTameMSet):
-    """The coproduct: levelwise disjoint union with tagged points."""
-    levels = {}
-    for m in set(X.levels) | set(Y.levels):
-        parts = [(tag, Z.levels[m]) for tag, Z in ((0, X), (1, Y))
-                 if m in Z.levels]
-        levels[m] = _tagged_union(m, parts)
-    return CanonicalTameMSet(levels)
 
 
 def box(X: CanonicalTameMSet, Y: CanonicalTameMSet,
@@ -247,13 +225,6 @@ def box_split(z: MElement):
         z.image[j - 1] for j in range(1, z.level + 1) if j not in positions
     )
     return MElement(m, xs, p), MElement(n, ys, q)
-
-
-def shift_apart(X: CanonicalTameMSet, x: MElement, y: MElement):
-    """Move y off the support of x by the order embedding that avoids
-    it; the result is a disjointly supported pair."""
-    f = order_embed_avoiding(support(x))
-    return x, X.act(f, y)
 
 
 def injection_split_iso(m, n, N):

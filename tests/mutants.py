@@ -119,6 +119,13 @@ MUTANTS = [
            "E.transp[c[0]][k - 2 - i][c[1]]",
            "tests/test_colimit_kernel.py::"
            "test_canonical_action_matches_decomposition_with_two_swaps"),
+    # the projections built before the truncations are compared: a
+    # convolution past its factors' truncation reads a level they lack
+    Mutant("Day projections without the truncation check", "iset.py",
+           "    if not XY.N == X.N == Y.N:\n",
+           "    if False:\n",
+           "tests/test_iset.py::"
+           "test_day_projections_refuse_a_convolution_past_the_truncation"),
     # the pair of a source orbit seeded where its representative lies,
     # not moved onto its joint support: an orbit above the window
     # falls outside the truncation

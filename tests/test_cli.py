@@ -7,18 +7,19 @@ import random
 import pytest
 
 from corpus import box_factor, named_late_pairs
+from test_mset import unit_mset
 from tamebox import PartialInjection, cli, opalg, selftest, sigma
 from tamebox.cli import main
 from tamebox.documents import PointNames, canonical_json, serialize_document
-from tamebox.generators import random_mset
-from tamebox.injections import QuasiAffineInjection, interleave
+from tamebox.generators import disjoint_lanes, random_mset
+from tamebox.injections import QuasiAffineInjection
 from tamebox.iset import (
     flat_replacement,
     is_flat,
     representable_iset,
     restriction_coequalizer,
 )
-from tamebox.mset import CanonicalTameMSet, injection_mset, unit_mset
+from tamebox.mset import CanonicalTameMSet, injection_mset
 from tamebox.opalg import (
     OperadElement,
     infinite_symmetric_product,
@@ -43,7 +44,7 @@ def run(capsys, *argv):
 
 
 def _reshuffled_interleave():
-    s = interleave()
+    s = OperadElement(disjoint_lanes(2))
     return OperadElement(
         [s.slot(1).compose(QuasiAffineInjection.affine(3, 0)),
          s.slot(2).compose(QuasiAffineInjection.affine(1, 2))]
@@ -141,7 +142,8 @@ class TestCommands:
         monoid = tmp_path / "m.json"
         monoid.write_text(json.dumps(rep["value"]))
         op = tmp_path / "op.json"
-        op.write_text(serialize_document("operad-element", interleave()))
+        op.write_text(serialize_document(
+            "operad-element", OperadElement(disjoint_lanes(2))))
         code, rep = run(
             capsys, "operad-act", str(monoid), str(op),
             "--args",
@@ -164,7 +166,8 @@ class TestCommands:
         _, write = workspace
         phi = _reshuffled_interleave()
         phi_path = write("phi.json", "operad-element", phi)
-        psi_path = write("psi.json", "operad-element", interleave())
+        psi_path = write("psi.json", "operad-element",
+                         OperadElement(disjoint_lanes(2)))
         cert_path = tmp_path / "cert.json"
         code, rep = run(
             capsys, "a3", "--phi", phi_path, "--psi", psi_path,
@@ -185,7 +188,8 @@ class TestCommands:
 
     def test_chi(self, capsys, workspace, tmp_path):
         _, write = workspace
-        op = write("op.json", "operad-element", interleave())
+        op = write("op.json", "operad-element",
+                   OperadElement(disjoint_lanes(2)))
         m = write("m.json", "mset", injection_mset(1))
         code, rep = run(
             capsys, "chi", op, m, m,
@@ -569,7 +573,7 @@ def test_certificate_past_the_digit_limit_leaves_no_file(capsys, tmp_path):
     write = _writer(tmp_path)
     phi = write("phi", "operad-element", OperadElement(
         [QuasiAffineInjection.affine(s, 0), QuasiAffineInjection.affine(s, 1)]))
-    psi = write("psi", "operad-element", interleave())
+    psi = write("psi", "operad-element", OperadElement(disjoint_lanes(2)))
     emit = tmp_path / "cert.json"
     code, rep = run(capsys, "a3", "--phi", phi, "--psi", psi,
                     "--constraints", "[[],[]]", "--emit", str(emit))
@@ -688,7 +692,7 @@ def inputs(tmp_path):
         "eta": write("eta", "morphism", eta),
         "monoid": write("monoid", "monoid",
                         infinite_symmetric_product(["*", "a1", "a2"], "*", 3)),
-        "op": write("op", "operad-element", interleave()),
+        "op": write("op", "operad-element", OperadElement(disjoint_lanes(2))),
         "phi": write("phi", "operad-element", phi),
         "cert": PARENT_CERTIFICATE,
         "emit": str(tmp_path / "emitted.json"),
@@ -949,7 +953,8 @@ def variant_inputs(inputs, tmp_path):
     """inputs with the further documents VARIANTS names."""
     write = _writer(tmp_path)
     _, eta = flat_replacement(representable_iset(1, 4))
-    cert = opalg.certify_agreement(_reshuffled_interleave(), interleave(),
+    cert = opalg.certify_agreement(_reshuffled_interleave(),
+                                   OperadElement(disjoint_lanes(2)),
                                    [set(), set()])
     return {
         **inputs,

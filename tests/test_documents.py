@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from test_mset import unit_mset
 from tamebox import documents as docs
 from tamebox.documents import (
     canonical_json,
@@ -15,12 +16,11 @@ from tamebox.errors import (
     ValidationError,
     ValidationFailed,
 )
-from tamebox.generators import random_quasi_affine
+from tamebox.generators import disjoint_lanes, random_quasi_affine
 from tamebox.injections import (
     OperadElement,
     PartialInjection,
     QuasiAffineInjection,
-    interleave,
     order_embed_avoiding,
 )
 from tamebox.iset import (
@@ -29,7 +29,7 @@ from tamebox.iset import (
     representable_iset,
     support_filtration,
 )
-from tamebox.mset import injection_mset, unit_mset
+from tamebox.mset import injection_mset
 from tamebox.opalg import (
     certify_agreement,
     cyclic_monoid,
@@ -44,7 +44,7 @@ SAMPLES = [
     ("partial-injection", PartialInjection({1: 4, 2: 1})),
     ("qa-injection", order_embed_avoiding({2, 3})),
     ("qa-injection", QuasiAffineInjection.affine(2, -1)),
-    ("operad-element", interleave()),
+    ("operad-element", OperadElement(disjoint_lanes(2))),
     (
         "operad-element",
         OperadElement([PartialInjection({1: 3}), PartialInjection({2: 4})]),
@@ -69,7 +69,7 @@ class TestRoundTrips:
         assert again == text
 
     def test_certificate_round_trip(self):
-        s = interleave()
+        s = OperadElement(disjoint_lanes(2))
         phi = OperadElement(
             [s.slot(1).compose(QuasiAffineInjection.affine(2, 0)),
              s.slot(2).compose(QuasiAffineInjection.affine(1, 3))]
@@ -137,7 +137,6 @@ class TestValidationSurface:
 
     def test_unsorted_element_canonicalized_against_carrier(self):
         from tamebox.documents import ELEMENT, element
-        from tamebox.mset import injection_element
 
         X = injection_mset(2)
         raw = {"level": 2, "image": [4, 1], "point": "a"}
@@ -145,7 +144,7 @@ class TestValidationSurface:
         raw["point"] = (1, 2)
         got = element(ELEMENT.read(raw, "element"), X)
         assert got.image == (1, 4)
-        assert got == injection_element(X, (4, 1))
+        assert got == X.canonical(2, (4, 1), (1, 2))
 
     @pytest.mark.parametrize("field", ["N", "stableFrom"])
     @pytest.mark.parametrize("value", [2.5, True, "3"],

@@ -15,6 +15,7 @@ import subprocess
 import sys
 from itertools import combinations
 
+from test_mset import unit_mset
 import tamebox
 from tamebox.documents import parse_document, serialize_document, wrap
 from tamebox.generators import random_agreeing_pair
@@ -24,7 +25,7 @@ from tamebox.iset import (
     representable_iset,
     restriction_coequalizer,
 )
-from tamebox.mset import CanonicalTameMSet, mset_iso_equal, unit_mset
+from tamebox.mset import CanonicalTameMSet, mset_iso_equal
 from tamebox.sigma import SigmaSet, induce, iso_equal, trivial_sigma_set
 
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(

@@ -6,16 +6,23 @@ imports are directives, not names.
 
 Every top-level function, class and method of the library is reached
 by name from a root, and every parameter is read by its function
-(`self` and `cls` aside).  The roots are what the package offers
-(`cli.main`, the `@command` handlers, the `@suite` functions, the names
-`__init__` exports), what runs on import (module-level code, dunders)
-and what the benchmark uses: the names `perfbench/workloads.py` imports
-from tamebox, the methods it calls on library objects (each library
-method named by an attribute it calls), and the entries of `TARGETS`,
+(`self` and `cls` aside).  The roots are what runs the package
+(`cli.main`, the `@command` handlers, the `@suite` functions), what
+runs on import (module-level code, dunders), what the benchmark uses,
+and `LIBRARY_ONLY`.  A name `__init__` exports is no root: an export
+that only tests reach is found like any other definition.  What the
+benchmark uses is the names `perfbench/workloads.py` imports from
+tamebox, the methods it calls on library objects (each library method
+named by an attribute it calls), and the entries of `TARGETS`,
 `COUNTED` and `CACHED` in `perfbench/spans.py`.  Each name it imports
 and each entry must still name something in the library, or a traced
 benchmark run fails on install.  The benchmark files are read here,
 never imported.
+
+`LIBRARY_ONLY` lists the library API that no command, suite or
+benchmark reaches yet.  It holds exactly what the walk needs: README's
+"Library-only" paragraph names each entry, and an entry that the other
+roots reach is stale.
 
 Every constructor that makes an object without its `__init__` (by
 `object.__new__`) trusts the relations of what it builds, and the
@@ -26,6 +33,7 @@ builds comes from `_built` or `_derived`."""
 
 import ast
 import os
+import re
 
 import pytest
 
@@ -35,11 +43,19 @@ from conftest import TRUSTED
 PACKAGE = os.path.dirname(os.path.abspath(tamebox.__file__))
 MODULES = sorted(name for name in os.listdir(PACKAGE)
                  if name.endswith(".py") and name != "__init__.py")
-PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         os.pardir, "perfbench")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+PERFBENCH = os.path.join(ROOT, "perfbench")
+README = os.path.join(ROOT, "README.md")
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 REGISTERING = ("command", "suite")  # decorators that enter a function
+
+# library API with no caller in a command, a suite or the benchmark yet
+LIBRARY_ONLY = (
+    ("iset", "day_projections"),
+    ("mset", "MSetMorphism.apply"),
+    ("mset", "coequalize"),
+)
 
 
 def unused_imports(source):
@@ -124,8 +140,6 @@ def unreached(trees, roots=()):
     names, attributes = _reads(
         part for tree in trees.values() for node in tree.body
         for part in _on_import(node))
-    names |= {alias.asname or alias.name for node in trees["__init__"].body
-              if isinstance(node, ast.ImportFrom) for alias in node.names}
     waiting = definitions(trees)
     grew = True
     while grew:
@@ -141,6 +155,34 @@ def unreached(trees, roots=()):
                     names |= more_names
                     attributes |= more_attributes
     return sorted(waiting)
+
+
+def readme_library_only(text):
+    """The names README's "Library-only" paragraph sets in backticks as
+    single words; a dotted name (`Class.method`) is left out."""
+    start = text.index("**Library-only.**")
+    return set(re.findall(r"`(\w+)`", text[start:].split("\n\n", 1)[0]))
+
+
+def library_only_problems(trees, entries, named):
+    """What keeps the entries from being exactly the library-only roots
+    README names: ("unnamed", key) for an entry whose top-level name
+    README does not name, ("stale", key) for one the other roots
+    reach, and ("unlisted", name) for a top-level definition README
+    names that no entry lists."""
+    left = set(unreached(trees, benchmark_roots(trees)))
+    heads = {key[1].partition(".")[0] for key in entries}
+    defined = {key[1] for key in definitions(trees) if "." not in key[1]}
+    return ([("unnamed", key) for key in entries
+             if key[1].partition(".")[0] not in named]
+            + [("stale", key) for key in entries if key not in left]
+            + [("unlisted", name)
+               for name in sorted(named & defined - heads)])
+
+
+def readme_text():
+    with open(README, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def unread_parameters(trees):
@@ -291,7 +333,12 @@ def test_every_benchmark_hook_names_a_library_definition():
 
 def test_every_definition_is_reached():
     trees = library()
-    assert unreached(trees, benchmark_roots(trees)) == []
+    assert unreached(trees, benchmark_roots(trees) | set(LIBRARY_ONLY)) == []
+
+
+def test_library_only_is_what_readme_names():
+    named = readme_library_only(readme_text())
+    assert library_only_problems(library(), LIBRARY_ONLY, named) == []
 
 
 def test_every_parameter_is_read():
@@ -301,7 +348,39 @@ def test_every_parameter_is_read():
 def test_finds_an_added_unreached_function():
     trees = library()
     trees["mset"].body += ast.parse("def _spare(x):\n    return x\n").body
-    assert unreached(trees, benchmark_roots(trees)) == [("mset", "_spare")]
+    roots = benchmark_roots(trees) | set(LIBRARY_ONLY)
+    assert unreached(trees, roots) == [("mset", "_spare")]
+
+
+def test_finds_an_added_function_that_only_init_exports():
+    # every name __init__ re-exported used to count as reached
+    trees = library()
+    trees["mset"].body += ast.parse("def spare(x):\n    return x\n").body
+    trees["__init__"].body += ast.parse("from .mset import spare\n").body
+    roots = benchmark_roots(trees) | set(LIBRARY_ONLY)
+    assert unreached(trees, roots) == [("mset", "spare")]
+
+
+def test_finds_a_library_only_entry_readme_does_not_name():
+    named = readme_library_only(readme_text()) - {"day_projections"}
+    assert library_only_problems(library(), LIBRARY_ONLY, named) == [
+        ("unnamed", ("iset", "day_projections"))]
+
+
+def test_finds_a_stale_library_only_entry():
+    # once the library calls day_projections, the entry is not needed
+    trees = library()
+    trees["iset"].body += ast.parse("_SPARE = day_projections\n").body
+    named = readme_library_only(readme_text())
+    assert library_only_problems(trees, LIBRARY_ONLY, named) == [
+        ("stale", ("iset", "day_projections"))]
+
+
+def test_finds_a_readme_name_no_entry_lists():
+    named = readme_library_only(readme_text())
+    entries = [key for key in LIBRARY_ONLY if key[1] != "day_projections"]
+    assert library_only_problems(library(), entries, named) == [
+        ("unlisted", "day_projections")]
 
 
 def test_finds_an_added_unread_parameter():
@@ -331,7 +410,8 @@ def test_finds_a_method_only_the_benchmark_calls():
     for sub in ast.walk(workloads):
         if isinstance(sub, ast.Attribute) and sub.attr == "count_up_to":
             sub.attr = "spare"
-    assert unreached(trees, benchmark_roots(trees, workloads)) == [method]
+    roots = benchmark_roots(trees, workloads) | set(LIBRARY_ONLY)
+    assert unreached(trees, roots) == [method]
 
 
 def test_every_trusted_constructor_is_checked():

@@ -22,7 +22,6 @@ from tamebox.injections import (
     QuasiAffineInjection,
     _reindex,
     compose_any,
-    interleave,
     order_embed_avoiding,
 )
 
@@ -197,7 +196,7 @@ def random_qa(rng):
         QuasiAffineInjection.affine(3, 1),
         QuasiAffineInjection.affine(1, rng.randint(0, 5)),
         order_embed_avoiding(set(rng.sample(range(1, 10), rng.randint(0, 4)))),
-        interleave().slot(rng.randint(1, 2)),
+        OperadElement(disjoint_lanes(2)).slot(rng.randint(1, 2)),
     ]
     f = atoms[rng.randrange(len(atoms))]
     for _ in range(rng.randint(0, 2)):
@@ -376,13 +375,13 @@ class TestQuasiAffine:
 
 class TestOperadElement:
     def test_interleave_slots(self):
-        s = interleave()
+        s = OperadElement(disjoint_lanes(2))
         assert [s.slot(1)(i) for i in range(1, 5)] == [1, 3, 5, 7]
         assert [s.slot(2)(i) for i in range(1, 5)] == [2, 4, 6, 8]
 
     def test_slot_range(self):
         with pytest.raises(IndexOutOfRange):
-            interleave().slot(3)
+            OperadElement(disjoint_lanes(2)).slot(3)
 
     def test_arity_one_slot_is_element(self):
         f = QuasiAffineInjection.affine(2, 0)
@@ -410,13 +409,13 @@ class TestOperadElement:
         assert got == qa_oracle.slots_clash(slots)
 
     def test_unit_laws(self):
-        s = interleave()
+        s = OperadElement(disjoint_lanes(2))
         ident = OperadElement([QuasiAffineInjection.identity()])
         assert s.compose([ident, ident]) == s
         assert ident.compose([s]) == s
 
     def test_nullary_composition_drops_block(self):
-        s = interleave()
+        s = OperadElement(disjoint_lanes(2))
         eps = OperadElement([])
         ident = OperadElement([QuasiAffineInjection.identity()])
         e = s.compose([eps, ident])
@@ -427,11 +426,9 @@ class TestOperadElement:
     def test_composition_formula_blockwise(self):
         rng = random.Random(31)
         for _ in range(20):
-            phi = OperadElement(
-                [compose_any(interleave().slot(1), random_qa(rng)),
-                 compose_any(interleave().slot(2), random_qa(rng))]
-            )
-            psi1 = interleave()
+            phi = OperadElement([compose_any(lane, random_qa(rng))
+                                 for lane in disjoint_lanes(2)])
+            psi1 = OperadElement(disjoint_lanes(2))
             psi2 = OperadElement([random_qa(rng)])
             out = phi.compose([psi1, psi2])
             assert out.arity == 3
@@ -444,11 +441,9 @@ class TestOperadElement:
         rng = random.Random(41)
         ident = OperadElement([QuasiAffineInjection.identity()])
         for _ in range(20):
-            phi = interleave()
-            psi = OperadElement(
-                [compose_any(interleave().slot(1), random_qa(rng)),
-                 compose_any(interleave().slot(2), random_qa(rng))]
-            )
+            phi = OperadElement(disjoint_lanes(2))
+            psi = OperadElement([compose_any(lane, random_qa(rng))
+                                 for lane in disjoint_lanes(2)])
             chi = OperadElement([random_qa(rng)])
             lhs = phi.compose([psi, ident]).compose([chi, ident, ident])
             rhs = phi.compose([psi.compose([chi, ident]), ident])
@@ -458,10 +453,8 @@ class TestOperadElement:
         # (phi sigma)(k, i) = phi(sigma(k), i)
         rng = random.Random(43)
         for _ in range(20):
-            phi = OperadElement(
-                [compose_any(interleave().slot(1), random_qa(rng)),
-                 compose_any(interleave().slot(2), random_qa(rng))]
-            )
+            phi = OperadElement([compose_any(lane, random_qa(rng))
+                                 for lane in disjoint_lanes(2)])
             swapped = permute(phi, (2, 1))
             for j in range(1, 30):
                 assert swapped.slot(1)(j) == phi.slot(2)(j)
@@ -473,7 +466,7 @@ class TestOperadElement:
         f = QuasiAffineInjection.affine(4, 0)
         g = QuasiAffineInjection.affine(4, -2)
         h = QuasiAffineInjection.affine(2, -1)
-        phi = interleave()
+        phi = OperadElement(disjoint_lanes(2))
         p1 = OperadElement([f, g])
         p2 = OperadElement([h])
         lhs = permute(phi, (2, 1)).compose([p2, p1])
@@ -482,5 +475,6 @@ class TestOperadElement:
         assert lhs.slots == (rhs.slots[2], rhs.slots[0], rhs.slots[1])
 
     def test_arity_mismatch(self):
+        s = OperadElement(disjoint_lanes(2))
         with pytest.raises(ArityMismatch):
-            interleave().compose([interleave()])
+            s.compose([s])

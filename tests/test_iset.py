@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import colimit_oracle as oracle
 from corpus import late_pairs
-from test_mset import sample_mset
+from test_mset import sample_mset, unit_mset
 from tamebox.errors import (
     DegreeTooLarge,
     InvalidMorphism,
@@ -40,7 +40,6 @@ from tamebox.mset import (
     injection_mset,
     mset_iso_equal,
     support,
-    unit_mset,
 )
 from tamebox.sigma import induce, iso_equal, trivial_sigma_set
 
@@ -503,3 +502,15 @@ class TestDayVsBoxGate:
         assert tally.failures == [
             "ran 0 of 2 cases in 20 draws; skipped 20 past the truncation"
         ]
+
+
+def test_day_projections_refuse_a_convolution_past_the_truncation():
+    # rep_2 ⊛ rep_2 climbs to level 4 = 2 + 2 past the factors' N = 3:
+    # the maps were built first, and reading level 4 of a factor raised
+    # TruncationExceeded before the truncations were compared
+    A = representable_iset(2, 3)
+    XY = day_convolution(A, A)
+    assert XY.N == 4
+    with pytest.raises(InvalidMorphism,
+                       match="^source and target truncations differ$"):
+        day_projections(XY, A, A)

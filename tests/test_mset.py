@@ -11,7 +11,7 @@ from tamebox.errors import (
     SupportNotCovered,
     WindowTooSmall,
 )
-from tamebox.injections import PartialInjection
+from tamebox.injections import PartialInjection, order_embed_avoiding
 from tamebox.mset import (
     CanonicalTameMSet,
     MElement,
@@ -21,15 +21,11 @@ from tamebox.mset import (
     box_split,
     coequalize,
     decompose_table,
-    disjoint_union,
-    injection_element,
     injection_mset,
     injection_split_iso,
     mset_iso_equal,
     orbit_product_bijection,
-    shift_apart,
     support,
-    unit_mset,
 )
 from tamebox.opalg import symmetric_product_carrier
 from tamebox.sigma import (
@@ -52,10 +48,15 @@ def sample_mset():
     )
 
 
+def unit_mset():
+    """The unit of the box product: one fixed point `*`."""
+    return CanonicalTameMSet({0: trivial_sigma_set(0, ["*"])})
+
+
 class TestSupportAndAction:
     def test_injection_support_is_image(self):
         I3 = injection_mset(3)
-        x = injection_element(I3, (1, 2, 3))
+        x = I3.canonical(3, (1, 2, 3), (1, 2, 3))
         assert support(x) == {1, 2, 3}
 
     def test_level_zero_empty_support(self):
@@ -81,11 +82,11 @@ class TestSupportAndAction:
 
     def test_direct_evaluation(self):
         I2 = injection_mset(2)
-        x = injection_element(I2, (1, 2))
+        x = I2.canonical(2, (1, 2), (1, 2))
         f = PartialInjection({1: 4, 2: 1})
         moved = I2.act(f, x)
         assert moved.image == (1, 4)
-        assert moved == injection_element(I2, (4, 1))
+        assert moved == I2.canonical(2, (4, 1), (1, 2))
 
     def test_action_requires_support_coverage(self):
         X = sample_mset()
@@ -206,7 +207,8 @@ class TestDecompose:
             decompose_table(X, 4, degree_bound=1)
         out = decompose_table(X, 4, degree_bound=2)
         assert mset_iso_equal(out, X)
-        u = MSetMorphism(X, X, {(2, (1, 2)): injection_element(X, (1, 2))})
+        x = X.canonical(2, (1, 2), (1, 2))
+        u = MSetMorphism(X, X, {(2, (1, 2)): x})
         with pytest.raises(DegreeTooLarge,
                            match="^level 2 beyond degree bound 1$"):
             coequalize(u, u, 4, degree_bound=1)
@@ -244,7 +246,7 @@ class TestBox:
         X = injection_mset(1)
         with pytest.raises(OverlappingSupports):
             box_pair(
-                injection_element(X, (1,)), injection_element(X, (1,))
+                X.canonical(1, (1,), (1,)), X.canonical(1, (1,), (1,))
             )
 
     def test_projections_commute_with_action(self):
@@ -297,24 +299,6 @@ class TestBox:
         assert len(built) == 15 + 5
 
 
-class TestDisjointUnion:
-    def test_tagged_levels_two_and_three(self):
-        X = CanonicalTameMSet({2: word_sigma_set(2, range(2)),
-                               3: regular_sigma_set(3)})
-        Y = CanonicalTameMSet({2: trivial_sigma_set(2, ["x"]),
-                               3: word_sigma_set(3, range(2))})
-        U = disjoint_union(X, Y)
-        assert {m: len(ss) for m, ss in U.levels.items()} == {2: 5, 3: 14}
-        for m, ss in U.levels.items():
-            parts = [(0, X.levels[m]), (1, Y.levels[m])]
-            assert ss.points == [(tag, p) for tag, part in parts
-                                 for p in part.points]
-            for i, t in enumerate(ss.transpositions):
-                assert t == {(tag, p): (tag, part.transpositions[i][p])
-                             for tag, part in parts for p in part.points}
-        assert mset_iso_equal(disjoint_union(Y, X), U)
-
-
 class TestSplitIso:
     def test_trivial_degenerate(self):
         forward, ok = injection_split_iso(0, 0, 3)
@@ -335,39 +319,6 @@ class TestSplitIso:
             for n in range(0, 4 - m):
                 _, ok = injection_split_iso(m, n, 6)
                 assert ok
-
-
-class TestShift:
-    def test_empty_support_unchanged(self):
-        X = sample_mset()
-        x = MElement(0, (), "fix")
-        y = X.canonical(2, (1, 2), (0, 1))
-        assert shift_apart(X, x, y) == (x, y)
-
-    def test_overlap_shifted(self):
-        X = injection_mset(1)
-        x = injection_element(X, (1,))
-        _, y2 = shift_apart(X, x, x)
-        assert y2.image == (2,)
-
-    def test_injective_in_second_argument(self):
-        X = sample_mset()
-        x = X.canonical(1, (2,), "a")
-        table = X.elements_up_to(4)
-        shifted = [shift_apart(X, x, y)[1] for y in table]
-        assert len(set(shifted)) == len(shifted)
-
-    def test_natural_for_equivariant_maps(self):
-        # applying an equivariant map after shifting equals shifting
-        # after the map, since the same embedding is reused
-        X = injection_mset(1)
-        Y = unit_mset()
-        u = MSetMorphism(X, Y, {(1, (1,)): MElement(0, (), "*")})
-        x = injection_element(X, (1,))
-        for img in ((1,), (2,), (5,)):
-            y = injection_element(X, img)
-            _, moved = shift_apart(X, x, y)
-            assert u.apply(moved) == u.apply(y) == MElement(0, (), "*")
 
 
 class TestMorphismsAndCoequalizer:
@@ -412,9 +363,22 @@ class TestMorphismsAndCoequalizer:
         u = MSetMorphism(I1, X, {(1, (1,)): X.canonical(1, (1,), "b")})
         for _ in range(20):
             v = rng.randint(1, 9)
-            x = injection_element(I1, (v,))
+            x = I1.canonical(1, (v,), (1,))
             f = PartialInjection({v: rng.randint(1, 9)})
             assert u.apply(I1.act(f, x)) == X.act(f, u.apply(x))
+
+    def test_apply_after_moving_off_a_support(self):
+        # moving y off {1} by the order embedding that avoids it
+        # changes nothing an equivariant map to a fixed point can see
+        X = injection_mset(1)
+        Y = unit_mset()
+        u = MSetMorphism(X, Y, {(1, (1,)): MElement(0, (), "*")})
+        f = order_embed_avoiding({1})
+        for img in ((1,), (2,), (5,)):
+            y = X.canonical(1, img, (1,))
+            moved = X.act(f, y)
+            assert moved.image == (img[0] + 1,)
+            assert u.apply(moved) == u.apply(y) == MElement(0, (), "*")
 
     def test_coequalize_equal_maps_is_identityish(self):
         X = injection_mset(1)
@@ -429,8 +393,8 @@ class TestMorphismsAndCoequalizer:
         # one fixed point
         I2 = injection_mset(2)
         I1 = injection_mset(1)
-        u = MSetMorphism(I2, I1, {(2, (1, 2)): injection_element(I1, (1,))})
-        v = MSetMorphism(I2, I1, {(2, (1, 2)): injection_element(I1, (2,))})
+        u = MSetMorphism(I2, I1, {(2, (1, 2)): I1.canonical(1, (1,), (1,))})
+        v = MSetMorphism(I2, I1, {(2, (1, 2)): I1.canonical(1, (2,), (1,))})
         out = coequalize(u, v, 6)
         assert set(out.levels) == {0}
         assert len(out.levels[0]) == 1
@@ -439,7 +403,7 @@ class TestMorphismsAndCoequalizer:
         # level keys alone agree, and v used to be applied to the points
         # of u's source: a bare KeyError on 'a'
         T = injection_mset(1)
-        x = injection_element(T, (1,))
+        x = T.canonical(1, (1,), (1,))
         u = MSetMorphism(CanonicalTameMSet({1: trivial_sigma_set(1, ["a"])}),
                          T, {(1, "a"): x})
         v = MSetMorphism(CanonicalTameMSet({1: trivial_sigma_set(1, ["b"])}),
@@ -465,8 +429,8 @@ class TestMorphismsAndCoequalizer:
     def test_box_commutes_with_coequalizer(self):
         I2, I1 = injection_mset(2), injection_mset(1)
         W = CanonicalTameMSet({1: trivial_sigma_set(1, ["w"])})
-        u = MSetMorphism(I2, I1, {(2, (1, 2)): injection_element(I1, (1,))})
-        v = MSetMorphism(I2, I1, {(2, (1, 2)): injection_element(I1, (2,))})
+        u = MSetMorphism(I2, I1, {(2, (1, 2)): I1.canonical(1, (1,), (1,))})
+        v = MSetMorphism(I2, I1, {(2, (1, 2)): I1.canonical(1, (2,), (1,))})
         coeq = coequalize(u, v, 6)
         lhs = box(W, coeq)
         # box with W is levelwise induction; coequalizing the induced
@@ -496,7 +460,8 @@ class TestOrbitSets:
 
     def test_product_formula(self):
         X = sample_mset()
-        Y = disjoint_union(injection_mset(1), unit_mset())
+        Y = CanonicalTameMSet({0: trivial_sigma_set(0, ["*"]),
+                               1: regular_sigma_set(1)})
         XY = box(X, Y)
         mapping, ok = orbit_product_bijection(X, Y, XY)
         assert ok
@@ -522,7 +487,8 @@ def test_coequalize_seeds_source_orbits_above_the_window(window):
 def test_canonical_pushes_the_ranks_of_the_image_into_the_point(values):
     # an element of injection_mset(m) given by an injective tuple reads
     # the tuple back off its sorted image through its point
-    x = injection_element(injection_mset(len(values)), values)
+    m = len(values)
+    x = injection_mset(m).canonical(m, values, tuple(range(1, m + 1)))
     assert x.image == tuple(sorted(values))
     assert tuple(x.image[k - 1] for k in x.point) == values
 

@@ -30,7 +30,6 @@ from tamebox.injections import (
     Piece,
     QuasiAffineInjection,
     _transported,
-    interleave,
     order_embed_avoiding,
 )
 from tamebox.mset import MElement, support
@@ -73,7 +72,7 @@ def random_qa(rng):
 def random_pair_agreeing(rng, n, constraint_sizes):
     """phi arbitrary; psi reached from it by hidden moves fixing the
     constraint sets, so the pair agrees there by construction."""
-    s = interleave()
+    s = OperadElement(disjoint_lanes(2))
     base_slots = []
     lanes = disjoint_lanes(n)
     for i in range(n):
@@ -381,7 +380,7 @@ class TestWedge:
 
 class TestCertificates:
     def test_equal_pair_empty_chain(self):
-        s = interleave()
+        s = OperadElement(disjoint_lanes(2))
         cert = certify_agreement(s, s, [set(), set()])
         assert len(cert) == 0
         ok, _, _ = verify_certificate(cert, s, s)
@@ -389,7 +388,7 @@ class TestCertificates:
 
     def test_arbitrary_to_interleave(self):
         rng = random.Random(17)
-        s = interleave()
+        s = OperadElement(disjoint_lanes(2))
         for _ in range(25):
             phi = OperadElement(
                 [s.slot(1).compose(random_qa(rng)),
@@ -456,7 +455,7 @@ class TestCertificates:
         assert len(shipped) == 60
 
     def test_disagreement_rejected(self):
-        s = interleave()
+        s = OperadElement(disjoint_lanes(2))
         other = OperadElement(
             [QuasiAffineInjection.affine(2, 1), QuasiAffineInjection.affine(2, 0)]
         )
@@ -466,7 +465,7 @@ class TestCertificates:
     @pytest.mark.parametrize("value", [2.5, "3", True, 0, -1])
     def test_constraint_values_must_be_positive_integers(self, value):
         # read through int(), 2.5, "3" and True once stood for 2, 3 and 1
-        s = interleave()
+        s = OperadElement(disjoint_lanes(2))
         with pytest.raises(PreconditionViolated, match="positive integer"):
             certify_agreement(s, s, [{value}, set()])
 

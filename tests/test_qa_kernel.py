@@ -34,15 +34,15 @@ from tamebox.errors import (
     TameboxError,
     ValidationError,
 )
-from tamebox.generators import random_quasi_affine
+from tamebox.generators import disjoint_lanes, random_quasi_affine
 from tamebox.injections import (
+    OperadElement,
     Piece,
     QuasiAffineInjection,
     _clashing_slots,
     _piece,
     _reindex,
     _transported,
-    interleave,
     order_embed_avoiding,
 )
 from tamebox.opalg import (
@@ -71,7 +71,7 @@ def random_qa(rng):
     through up to two certificate helpers or lane placements, so that
     periods above one and long point heads occur."""
     f = random_quasi_affine(rng)
-    s = interleave()
+    s = OperadElement(disjoint_lanes(2))
     for _ in range(rng.randint(0, 2)):
         kind = rng.randrange(5)
         if kind == 0:
@@ -319,7 +319,7 @@ def test_images_match_oracle(seed):
     rng = random.Random(f"qa:images:{seed}")
     f, g = random_qa(rng), random_qa(rng)
     if rng.random() < 0.5:
-        s = interleave()
+        s = OperadElement(disjoint_lanes(2))
         f, g = s.slot(1).compose(f), s.slot(2).compose(g)
     for v in range(1, 80):
         assert oracle.progressions_contain(f, v) == \
@@ -338,7 +338,7 @@ def test_certificate_helpers_match_oracle(seed):
     assert len(widened.spans) == 1
     assert outcome(lambda: _merge_even_odd(u, w).pieces) == \
         outcome(lambda: oracle.merge_even_odd(u.pieces, w.pieces))
-    s = interleave()
+    s = OperadElement(disjoint_lanes(2))
     assert _merge_even_odd(s.slot(2).compose(u), s.slot(1).compose(w)).pieces \
         == oracle.merge_even_odd(s.slot(2).compose(u).pieces,
                                  s.slot(1).compose(w).pieces)
