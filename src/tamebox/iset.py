@@ -33,13 +33,13 @@ gives.  The Day convolution is a quotient of the free diagram on the
 first factor's generators convolved with the second (see
 `day_convolution`).
 
-The face maps of a level, and the faces that hold each point with a
-preimage along each, are tabulated once per diagram, on the positions
-of the points in their levels, straight from the inclusion and the
-transposition tables; a derived diagram shares the tables of the levels
-it shares.  Every reader of faces reads them there, the colimit's class
-elements too; any other injection is applied by walking the inclusions
-and then a cached transposition word.
+Each level's face maps, and the faces that hold each point with a
+preimage along each, are tabulated on the positions of the points when
+the level is added, straight from the inclusion and the transposition
+tables; a derived diagram shares the tables of the levels it shares.
+Every reader of faces reads them there, the colimit's class elements
+too; any other injection is applied by walking the inclusions and then
+a cached transposition word.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ class TruncatedISet:
     construction inside: every diagram the library builds comes from
     `_built` or `_derived`, and Tier-1 checks them through a test
     fixture.  Every constructor checks the points and inclusions it
-    records and keeps the least stability level that holds; a document
-    may declare one, refused if it fails.  A derived diagram shares the
-    levels and face tables of the diagram it comes from and records
-    only the levels it adds."""
+    records, tabulates each level it adds (`_settle`) and keeps the
+    least stability level that holds; a document may declare one,
+    refused if it fails.  A derived diagram shares the levels and
+    tables of the diagram it comes from."""
 
     def __init__(self, N, levels, incl, transp, stable_from=None):
         self._take(N, [list(l) for l in levels], [dict(d) for d in incl],
@@ -86,7 +86,7 @@ class TruncatedISet:
         if stable_from is not None and (type(stable_from) is not int
                                         or not 0 <= stable_from <= N):
             raise ValidationError("stability level out of range")
-        self._settle(0, N, self._check(0, N), stable_from)
+        self._settle(stable_from, check=True)
 
     @classmethod
     def _built(cls, N, levels, incl, transp):
@@ -95,30 +95,44 @@ class TruncatedISet:
         stability level is the least that holds."""
         out = object.__new__(cls)
         out._take(N, levels, incl, transp)
-        out._settle(0, N, out._images(0, N))
+        out._settle()
         return out
 
-    def _take(self, N, levels, incl, transp):
+    def _derived(self, n, levels=(), incl=(), transp=()):
+        """The diagram on levels 0..n that shares this one's levels up
+        to min(n, N), with their tables, and has above them the given
+        data, which the library built so that the relations hold; the
+        stability level is the least that holds."""
+        k = min(n, self.N)
+        out = object.__new__(TruncatedISet)
+        out._take(n, self.levels[: k + 1] + list(levels),
+                  self.incl[:k] + list(incl),
+                  self.transp[: k + 1] + list(transp), self)
+        out._settle()
+        return out
+
+    def _take(self, N, levels, incl, transp, base=None):
+        """Record the level data, and the tables of the levels 0..min(N,
+        base.N) it shares with base; `_settle` tabulates the rest."""
         if type(N) is not int:
             raise ValidationError("integer truncation level", repr(N))
         if len(levels) != N + 1 or len(incl) != N or len(transp) != N + 1:
             raise ValidationError("level data must span 0..N")
-        self.levels, self.incl, self.transp = levels, incl, transp
-        self._merges = []
-        self._positions = [None] * (N + 1)
-        self._face_positions = [None] * (N + 1)
-        self._holding = [None] * (N + 1)
+        self.N, self.levels, self.incl, self.transp = N, levels, incl, transp
+        k = min(N, base.N) + 1 if base else 0
+        self._merges = base._merges[: k - 1] if base else []
+        self._positions = base._positions[:k] if base else []
+        self._faces = base._faces[:k] if base else []
+        self._holding = base._holding[:k] if base else []
 
     def _check(self, lo, N):
-        """The relations on levels lo..N, against the levels below; the
-        images of the inclusions into them (see `_images`)."""
+        """The relations on levels lo..N, against the levels below,
+        whose inclusions `_record_merges` has checked."""
         # per-level symmetric-group validation (involutions, Coxeter)
         for m in range(lo, N + 1):
             SigmaSet(m, self.levels[m], self.transp[m])
-        below = max(lo - 1, 0)
-        images = self._images(below, N)
         # naturality of inclusions against transpositions
-        for m in range(below, N):
+        for m in range(max(lo - 1, 0), N):
             for i in range(1, m):
                 s_lo = self.transp[m][i - 1]
                 s_hi = self.transp[m + 1][i - 1]
@@ -132,32 +146,33 @@ class TruncatedISet:
                 y = self.incl[m + 1][self.incl[m][x]]
                 if s_new[y] != y:
                     raise ValidationError("double inclusion", m)
-        return images
 
-    def _images(self, lo, N):
-        """The image of each inclusion out of levels lo..N-1, checked
-        to map level into level."""
-        images = []
-        for m in range(lo, N):
+    def _record_merges(self, lo, N):
+        """Check that each inclusion into levels lo..N maps level into
+        level, and record whether it identifies two elements."""
+        for m in range(max(lo - 1, 0), N):
             if self.incl[m].keys() != self.positions(m).keys():
                 raise ValidationError("inclusion domain", m)
             image = set(self.incl[m].values())
             if not image <= self.positions(m + 1).keys():
                 raise ValidationError("inclusion target", m)
-            images.append(image)
-        return images
+            self._merges.append(len(image) != len(self.incl[m]))
 
-    def _settle(self, lo, N, images, stable_from=None):
-        """Check that levels lo..N hold distinct points and record,
-        given the images of the inclusions into them, whether each
-        inclusion identifies two elements, and the stability level: the
+    def _settle(self, stable_from=None, check=False):
+        """Check the levels not yet tabulated, their inclusions and, if
+        asked, their relations (`_check`), and that they hold distinct
+        points; tabulate them, and keep the stability level: the
         declared one, refused if it fails, or else the least."""
-        self.N = N
-        for m in range(lo, N + 1):
-            if len(self.positions(m)) != len(self.levels[m]):
-                raise ValidationError("distinct points", m)
-        self._merges += [len(image) != len(self.incl[m]) for m, image
-                         in enumerate(images, start=max(lo - 1, 0))]
+        lo, N = len(self._positions), self.N
+        self._positions += [{x: i for i, x in enumerate(level)}
+                            for level in self.levels[lo:]]
+        self._record_merges(lo, N)
+        if check:
+            self._check(lo, N)
+        for n in range(lo, N + 1):
+            if len(self._positions[n]) != len(self.levels[n]):
+                raise ValidationError("distinct points", n)
+            self._tabulate(n)
         # level n is generated from n - 1 when its faces hold all of it:
         # s_1 .. s_{n-2} keep the image of the inclusion, so the coset
         # representatives s_j ... s_{n-1} carry it onto all its images
@@ -169,22 +184,25 @@ class TruncatedISet:
                 raise ValidationError("stability", n - 1)
         self.stable_from = stable_from
 
-    def _derived(self, n, levels=(), incl=(), transp=()):
-        """The diagram on levels 0..n that shares this one's levels up
-        to min(n, N) and has above them the given data, which the
-        library built so that the relations hold; only those new levels
-        are recorded, and the stability level is the least that holds."""
-        k = min(n, self.N)
-        out = object.__new__(TruncatedISet)
-        out.levels = self.levels[: k + 1] + list(levels)
-        out.incl = self.incl[:k] + list(incl)
-        out.transp = self.transp[: k + 1] + list(transp)
-        out._merges = self._merges[:k]
-        out._positions = self._positions[: k + 1] + [None] * (n - k)
-        out._face_positions = self._face_positions[: k + 1] + [None] * (n - k)
-        out._holding = self._holding[: k + 1] + [None] * (n - k)
-        out._settle(k + 1, n, out._images(k, n))
-        return out
+    def _tabulate(self, n):
+        """Build the face table and the faces-holding table of level n
+        (`face_positions`, `faces_holding`): the face that skips n is
+        the inclusion, and the one that skips j+1 is s_{j+1} after the
+        one that skips j+2."""
+        pos, level = self._positions[n], self.levels[n]
+        faces, holding = [], [{} for _ in level]
+        if n:
+            row = [pos[self.incl[n - 1][y]] for y in self.levels[n - 1]]
+            faces.append(row)
+            for t in reversed(self.transp[n]):
+                row = [pos[t[level[p]]] for p in row]
+                faces.append(row)
+            faces.reverse()
+        for i, row in enumerate(faces, start=1):
+            for p0, p in enumerate(row):
+                holding[p][i] = p0
+        self._faces.append(faces)
+        self._holding.append(holding)
 
     @property
     def merge_level(self):
@@ -207,48 +225,22 @@ class TruncatedISet:
                    == len(level) for n, level in enumerate(self.levels))
 
     def positions(self, m):
-        """Each point of level m sent to its index in the level, built
-        once."""
-        pos = self._positions[m]
-        if pos is None:
-            pos = self._positions[m] = {
-                x: i for i, x in enumerate(self.levels[m])}
-        return pos
+        """Each point of level m sent to its index in the level."""
+        return self._positions[m]
 
     def face_positions(self, k):
-        """The k face maps X(k-1) -> X(k) on positions, built once:
-        entry j lists the position in level k of the image of each
-        point of level k-1, in level order, along the order embedding
-        of {1..k-1} that skips j+1.  The embedding that skips k is the
-        inclusion, and the one that skips j+1 is s_{j+1} after the one
-        that skips j+2."""
-        table = self._face_positions[k]
-        if table is None:
-            table = self._face_positions[k] = []
-            if k:
-                pos, level = self.positions(k), self.levels[k]
-                incl = self.incl[k - 1]
-                row = [pos[incl[y]] for y in self.levels[k - 1]]
-                table.append(row)
-                for t in reversed(self.transp[k]):
-                    row = [pos[t[level[p]]] for p in row]
-                    table.append(row)
-                table.reverse()
-        return table
+        """The k face maps X(k-1) -> X(k) on positions: entry j lists
+        the position in level k of the image of each point of level
+        k-1, in level order, along the order embedding of {1..k-1} that
+        skips j+1."""
+        return self._faces[k]
 
     def faces_holding(self, n):
         """For each point of level n, in level order, a dict sending
         each value i whose face, the order embedding that skips i, has
         the point in its image to the position in level n-1 of a
-        preimage along that face, the last in level order; built once,
-        from the face table."""
-        held = self._holding[n]
-        if held is None:
-            held = self._holding[n] = [{} for _ in self.levels[n]]
-            for i, row in enumerate(self.face_positions(n), start=1):
-                for p0, p in enumerate(row):
-                    held[p][i] = p0
-        return held
+        preimage along that face, the last in level order."""
+        return self._holding[n]
 
     def generators(self, n):
         """The points of level n in no face image, in level order."""
@@ -543,14 +535,11 @@ class ISetMorphism:
                 if self.maps[m + 1][source.incl[m][x]] != target.incl[m][self.maps[m][x]]:
                     raise InvalidMorphism(f"inclusion naturality at level {m}")
         for m in range(source.N + 1):
-            for i in range(1, m):
-                s_src = source.transp[m][i - 1]
-                s_tgt = target.transp[m][i - 1]
+            for s_src, s_tgt in zip(source.transp[m], target.transp[m]):
                 for x in source.levels[m]:
                     if self.maps[m][s_src[x]] != s_tgt[self.maps[m][x]]:
                         raise InvalidMorphism(
-                            f"transposition naturality at level {m}"
-                        )
+                            f"transposition naturality at level {m}")
 
     @classmethod
     def _built(cls, source, target, maps):

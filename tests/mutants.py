@@ -94,8 +94,8 @@ MUTANTS = [
     # the inclusion's face left out of the faces-holding table: points
     # only the inclusion's image holds read as generators
     Mutant("faces holding without the inclusion's face", "iset.py",
-           "enumerate(self.face_positions(n), start=1)",
-           "enumerate(self.face_positions(n)[:-1], start=1)",
+           "enumerate(faces, start=1)",
+           "enumerate(faces[:-1], start=1)",
            "tests/test_colimit_kernel.py::"
            "test_derived_diagrams_serve_no_stale_faces_holding_table"),
     # a class element pulled down along the face that skips i keeps the

@@ -264,22 +264,22 @@ def test_extension_step_rejects_like_full_constructor(kind):
 
 @pytest.fixture
 def validation_counts(monkeypatch):
-    # SigmaSet validations, and faces-holding tables built rather than
-    # served from a diagram's cache
-    counts = {"sigma": 0, "holding": 0}
+    # SigmaSet validations, and levels tabulated rather than shared
+    # with the diagram a derived one comes from
+    counts = {"sigma": 0, "tabulated": 0}
     sigma_init = SigmaSet.__init__
-    faces_holding = TruncatedISet.faces_holding
+    tabulate = TruncatedISet._tabulate
 
     def counted_sigma(self, *args, **kwargs):
         counts["sigma"] += 1
         sigma_init(self, *args, **kwargs)
 
-    def counted_holding(self, n):
-        counts["holding"] += self._holding[n] is None
-        return faces_holding(self, n)
+    def counted_tabulate(self, n):
+        counts["tabulated"] += 1
+        tabulate(self, n)
 
     monkeypatch.setattr(SigmaSet, "__init__", counted_sigma)
-    monkeypatch.setattr(TruncatedISet, "faces_holding", counted_holding)
+    monkeypatch.setattr(TruncatedISet, "_tabulate", counted_tabulate)
     return counts
 
 
@@ -289,17 +289,17 @@ def test_each_level_validated_once(validation_counts):
     for _ in range(9):
         X = lan_extend(X)
     assert X.N == 11
-    assert validation_counts == {"sigma": 12, "holding": 12}
+    assert validation_counts == {"sigma": 12, "tabulated": 12}
 
 
 def test_day_convolution_validates_only_its_levels(validation_counts):
     # the factors, cut from X, share its tables; only the convolution's
     # seven levels build theirs
     X = representable_iset(1, 6)
-    validation_counts.update(sigma=0, holding=0)
+    validation_counts.update(sigma=0, tabulated=0)
     XY = day_convolution(X, X)
     assert XY.N == 6
-    assert validation_counts == {"sigma": 7, "holding": 7}
+    assert validation_counts == {"sigma": 7, "tabulated": 7}
 
 
 # ---------------------------------------------------------------------
