@@ -442,11 +442,11 @@ class QuasiAffineInjection:
             if first == last:
                 spans.append((first, first, 1, self(v0), 1))
                 continue
-            # inner sends first + k*mod to v0 + k*step, k <= kmax; the
-            # values below `start` meet the points of self one by one
-            kmax = None if last is None else (last - first) // mod
+            # an unbounded span of inner sends first + k*mod to v0 +
+            # k*step; the values below `start` meet the points of self
+            # one by one
             k = 0
-            while v0 + k * step < start and (kmax is None or k <= kmax):
+            while v0 + k * step < start:
                 spans.append((first + k * mod, first + k * mod, 1,
                               outer[v0 + k * step - 1][3], 1))
                 k += 1
@@ -454,18 +454,11 @@ class QuasiAffineInjection:
             # through their residue classes every `cycle` values of k
             cycle = period // gcd(step, period)
             for k in range(k, k + cycle):
-                if kmax is not None and k > kmax:
-                    break
                 v = v0 + k * step
                 f, _, _, w, s = outer[start - 1 + (v - start) % period]
-                top = None if kmax is None else k + (kmax - k) // cycle * cycle
-                spans.append((
-                    first + k * mod,
-                    None if top is None else first + top * mod,
-                    mod * cycle,
-                    w + (v - f) // period * s,
-                    step * cycle // period * s,
-                ))
+                spans.append((first + k * mod, None, mod * cycle,
+                              w + (v - f) // period * s,
+                              step * cycle // period * s))
         return QuasiAffineInjection._built(spans)
 
     def image_progressions(self):

@@ -475,7 +475,8 @@ def _reaches(source: OperadElement, moves, target: OperadElement):
     t_g and periods p_s, p_g: from t on, a normal form is affine on each
     residue class mod p.  s after f_i is g exactly when s(v0 + k*step)
     = g(first + k*mod) for every span (first, last, mod, v0, step) of
-    f_i and every k with first + k*mod <= last.  From k0 = max(0,
+    f_i and every k >= 0; in a normal form a span is a single point, k
+    = 0, or unbounded.  From k0 = max(0,
     ceil((t_s - v0)/step), ceil((t_g - first)/mod)) on, both arguments
     are past their thresholds.  The class of v0 + k*step mod p_s
     depends only on k mod p_s/gcd(step, p_s), and that of first + k*mod
@@ -484,8 +485,8 @@ def _reaches(source: OperadElement, moves, target: OperadElement):
     argument moves by L*step or L*mod, a multiple of its period.)  Two
     affine maps that agree at two points agree everywhere, and the
     first two k >= k0 of every class lie below k0 + 2L.  So the points
-    k < k0 + 2L, capped at `last`, decide the span: those below k0 one
-    by one, the rest two per progression."""
+    k < k0 + 2L decide an unbounded span: those below k0 one by one,
+    the rest two per progression."""
     for s, f, g in zip(source.slots, moves, target.slots):
         ps, pg = s.spans[-1][2], g.spans[-1][2]
         ts, tg = len(s.spans) - ps + 1, len(g.spans) - pg + 1
@@ -495,8 +496,6 @@ def _reaches(source: OperadElement, moves, target: OperadElement):
             else:
                 k0 = max(0, -((v0 - ts) // step), -((first - tg) // mod))
                 top = k0 + 2 * lcm(ps // gcd(step, ps), pg // gcd(mod, pg))
-                if last is not None:
-                    top = min(top, (last - first) // mod + 1)
             for k in range(top):
                 if s(v0 + k * step) != g(first + k * mod):
                     return False

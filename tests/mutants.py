@@ -163,6 +163,35 @@ MUTANTS = [
            "        if not set(x.image).isdisjoint(y.image):\n",
            "        if False:\n",
            "tests/test_monoid_kernel.py::test_add_errors_match_oracle"),
+    # the certificate verifier, ROADMAP's source of truth: each check
+    # left out lets one malformed certificate pass it or fail elsewhere
+    Mutant("verifier without the chain arity check", "opalg.py",
+           "        if e.arity != cert.n:\n",
+           "        if False:\n",
+           "tests/test_opalg.py::"
+           "test_verifier_refuses_each_malformed_certificate"),
+    Mutant("verifier without the chain slot check", "opalg.py",
+           "        if not all(isinstance(s, QuasiAffineInjection) "
+           "for s in e.slots):\n            return False",
+           "        if False:\n            return False",
+           "tests/test_opalg.py::"
+           "test_verifier_refuses_each_malformed_certificate"),
+    Mutant("verifier without the move arity check", "opalg.py",
+           "        if len(step.move) != cert.n:\n",
+           "        if False:\n",
+           "tests/test_opalg.py::"
+           "test_verifier_refuses_each_malformed_certificate"),
+    Mutant("verifier without the move representation check", "opalg.py",
+           "            if not isinstance(f, QuasiAffineInjection):\n",
+           "            if False:\n",
+           "tests/test_opalg.py::"
+           "test_verifier_refuses_each_malformed_certificate"),
+    # an unknown direction read as backward
+    Mutant("verifier without the direction check", "opalg.py",
+           '            elif step.direction == "bwd":\n',
+           '            elif step.direction != "fwd":\n',
+           "tests/test_opalg.py::"
+           "test_verifier_refuses_each_malformed_certificate"),
     # a repeated sum overwrites its entry, which still validates
     Mutant("monoid sums without the duplicate-pair check", "documents.py",
            "        if (a, b) in table:\n",

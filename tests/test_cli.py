@@ -282,6 +282,26 @@ WELL_FORMED = [
 ]
 
 
+def _set_arity(payload, n):
+    payload["n"] = n
+    payload["A"] = [[]] * n
+
+
+def _partial_final(payload):
+    payload["final"]["slots"] = [{"map": {"1": 1}}, {"map": {"1": 2}}]
+
+
+# each refusal of the verifier that a certificate document can carry
+# (its moves are read as quasi-affine injections), and a change to the
+# one-step certificate payload that brings it about
+VERIFIER_REFUSALS = {
+    "arity mismatch in chain": lambda c: _set_arity(c, 3),
+    "chain element with inexact slots": _partial_final,
+    "move arity mismatch": lambda c: c["chain"][0]["move"].pop(),
+    "unknown direction": lambda c: c["chain"][0].update(dir="sideways"),
+}
+
+
 def _call_on_bad(capsys, inputs, tmp_path, argv, text):
     """Run argv with the document text in place of <bad>."""
     bad = tmp_path / "bad.json"
@@ -480,9 +500,17 @@ class TestReportDiscipline:
         (["selftest", "--cases", "0"], "ValidationError"),
         (["selftest", "--cases", "-1"], "ValidationError"),
         (["--degree-bound", "0", "box", "<m1>", "<m1>"], "DegreeTooLarge"),
+        (["a3", "--phi", "<op1>", "--psi", "<op1>", "--constraints", "[[]]"],
+         "PreconditionViolated"),
+        (["a3", "--phi", "<phi>", "--psi", "<op>", "--constraints", "[[]]"],
+         "PreconditionViolated"),
+        (["a3", "--phi", "<partial-op>", "--psi", "<partial-op>",
+          "--constraints", "[[],[]]"], "PreconditionViolated"),
+        (["orbit-set", "<missing>"], "ParseError"),
     ], ids=["decompose-window-0", "decompose-window-1", "decompose-window-2",
             "decompose-window-3", "selftest-window-2", "selftest-cases-0",
-            "selftest-cases-minus-1", "box-degree-bound-0"])
+            "selftest-cases-minus-1", "box-degree-bound-0", "a3-arity-one",
+            "a3-constraint-count", "a3-partial-slots", "unreadable-path"])
     def test_argument_out_of_range_is_an_input_error(self, capsys, inputs,
                                                      argv, error):
         # window 1 used to give an empty table and a failed round trip,
@@ -491,6 +519,34 @@ class TestReportDiscipline:
         code, out = _call(capsys, argv, inputs)
         assert code == 2
         assert json.loads(out)["error"]["type"] == error
+
+    def test_no_command_prints_the_help(self, capsys):
+        assert main([]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("usage: ") and "verify-cert" in out
+
+    @pytest.mark.parametrize("reason", VERIFIER_REFUSALS)
+    def test_malformed_certificate_fails_verification(
+            self, capsys, inputs, tmp_path, reason):
+        with open(inputs["cert"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        VERIFIER_REFUSALS[reason](doc["payload"])
+        code, rep = _call_on_bad(capsys, inputs, tmp_path,
+                                 ["verify-cert", "<bad>"], json.dumps(doc))
+        assert (code, rep["outcome"]) == (1, "fail")
+        assert rep["counterexample"]["reason"] == reason
+
+    def test_wedge_comparison_failing_exits_1(self, capsys, monkeypatch):
+        real = opalg.symmetric_product_carrier
+
+        def without_top_level(points, basepoint, level_bound):
+            return real(points, basepoint, level_bound - any(
+                isinstance(p, tuple) for p in points))
+
+        monkeypatch.setattr(opalg, "symmetric_product_carrier",
+                            without_top_level)
+        code, rep = run(capsys, *ARGV["wedge-iso"])
+        assert (code, rep["outcome"]) == (1, "fail")
 
     def test_reports_byte_identical(self, capsys, workspace):
         _, write = workspace
@@ -696,6 +752,11 @@ def inputs(tmp_path):
         "phi": write("phi", "operad-element", phi),
         "cert": PARENT_CERTIFICATE,
         "emit": str(tmp_path / "emitted.json"),
+        "op1": write("op1", "operad-element",
+                     OperadElement([QuasiAffineInjection.identity()])),
+        "partial-op": write("partial-op", "operad-element", OperadElement(
+            [PartialInjection({1: 1}), PartialInjection({1: 2})])),
+        "missing": str(tmp_path / "missing.json"),
     }
 
 

@@ -88,6 +88,17 @@ class TestRoundTrips:
         doc = parse_document(text)
         assert serialize_document("morphism", doc.value) == text
 
+    def test_generated_names_step_around_string_points(self):
+        # the integer point sorts first and would be named p0, which the
+        # string point holds: it becomes pp0
+        ss = trivial_sigma_set(1, [5, "p0"])
+        names = docs.PointNames(ss.points)
+        assert names.to_name == {5: "pp0", "p0": "p0"}
+        text = serialize_document("sigma-set", ss)
+        assert json.loads(text)["payload"]["points"] == ["p0", "pp0"]
+        assert serialize_document("sigma-set",
+                                  parse_document(text).value) == text
+
     def test_filtration_iset_round_trip(self):
         X = support_filtration(injection_mset(1), 3)
         text = serialize_document("iset", X)
@@ -107,6 +118,17 @@ class TestValidationSurface:
     def test_unhashable_kind(self):
         with pytest.raises(ParseError):
             parse_document(canonical_json({"kind": [], "payload": {}}))
+
+    @pytest.mark.parametrize("text", ["[]", '"mset"', '{"payload": {}}'],
+                             ids=["array", "string", "no-kind"])
+    def test_document_must_be_an_object_with_a_kind(self, text):
+        with pytest.raises(ParseError,
+                           match="document must be an object with a kind"):
+            parse_document(text)
+
+    def test_unknown_kind_is_not_encoded(self):
+        with pytest.raises(ParseError, match="unknown document kind 'mystery'"):
+            docs.encode_document("mystery", unit_mset())
 
     def test_another_kind_names_the_accepted_kinds_and_the_one_found(self):
         text = serialize_document("mset", unit_mset())
@@ -330,6 +352,7 @@ VALID = {
     "morphism": ISetMorphism(REP, REP, [{p: p for p in level}
                                         for level in REP.levels]),
     "monoid": infinite_symmetric_product(["*", "a"], "*", 3),
+    "operad-element": OperadElement(disjoint_lanes(2)),
 }
 
 
@@ -441,6 +464,25 @@ REFUSALS = {
     "monoid-repeated-sum": ("monoid", repeating(["sums"], 0), read,
                             ValidationError,
                             "one sum per representative pair"),
+    "operad-arity": ("operad-element", setting(["arity"], 3), read,
+                     ValidationError, "arity"),
+    "morphism-discriminator": ("morphism", setting(["morphism"], "mset"),
+                               read, ValidationError,
+                               "morphism discriminator"),
+    # an element's fields, as `element` reads them, against a carrier
+    # read from a document or against none
+    "element-distinct-image-entries": (
+        "sigma-set", unchanged, lambda ss: docs.element((2, [1, 1], "a")),
+        ValidationError, "distinct image entries"),
+    "element-positive-image-entries": (
+        "sigma-set", unchanged, lambda ss: docs.element((2, [0, 1], "a")),
+        ValidationError, "positive image entries"),
+    "element-of-the-carrier": (
+        "monoid", unchanged, lambda P: docs.element((1, [1], "b"), P.carrier),
+        ValidationError, "element of the carrier"),
+    "element-canonical-image-order": (
+        "sigma-set", unchanged, lambda ss: docs.element((2, [2, 1], "a")),
+        ValidationError, "canonical image order"),
 }
 
 

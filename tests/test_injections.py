@@ -478,3 +478,86 @@ class TestOperadElement:
         s = OperadElement(disjoint_lanes(2))
         with pytest.raises(ArityMismatch):
             s.compose([s])
+
+
+# ---------------------------------------------------------------------
+# operad composition across the two representations
+
+
+def _pointwise(outer, inner):
+    """outer after inner on the keys of a partial inner."""
+    return PartialInjection({k: outer(v) for k, v in inner.mapping.items()})
+
+
+def test_mixed_slots_compose_as_their_values_do():
+    # a total outer slot after partial inner ones is partial, defined
+    # where the inner one is
+    lanes = OperadElement(disjoint_lanes(2))
+    parts = [OperadElement([PartialInjection({1: 3, 2: 1}),
+                            PartialInjection({1: 2})]),
+             OperadElement([PartialInjection({1: 1})])]
+    got = lanes.compose(parts)
+    assert got.slots == tuple(_pointwise(lanes.slot(m + 1), inner)
+                              for m, part in enumerate(parts)
+                              for inner in part.slots)
+    assert got.slots[0] == PartialInjection({1: 5, 2: 1})
+    moves = [PartialInjection({1: 2}), PartialInjection({1: 1, 2: 3})]
+    assert lanes.precompose(moves).slots == tuple(
+        _pointwise(s, f) for s, f in zip(lanes.slots, moves))
+    partial = OperadElement([PartialInjection({1: 3}),
+                             PartialInjection({2: 4})])
+    shift = QuasiAffineInjection.affine(1, 1)
+    assert partial.postcompose(shift).slots == (
+        PartialInjection({1: 4}), PartialInjection({2: 5}))
+
+
+def test_partial_slot_after_a_total_one_is_refused():
+    lanes = OperadElement(disjoint_lanes(2))
+    with pytest.raises(DomainMismatch, match="total injection under a partial"):
+        lanes.postcompose(PartialInjection({1: 1}))
+    with pytest.raises(DomainMismatch, match="total injection under a partial"):
+        compose_any(PartialInjection({1: 1}), QuasiAffineInjection.identity())
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda s: OperadElement([s.slot(1), {1: 1}]), ValueError),
+    (lambda s: s.precompose([QuasiAffineInjection.identity()]),
+     ArityMismatch),
+], ids=["bad-slot", "precompose-arity"])
+def test_operad_element_refusals(build, error):
+    with pytest.raises(error):
+        build(OperadElement(disjoint_lanes(2)))
+
+
+def test_injections_hash_and_show_as_their_values():
+    f = PartialInjection({2: 5, 1: 3})
+    assert 2 in f and 3 not in f
+    assert hash(f) == hash(PartialInjection({1: 3, 2: 5}))
+    assert repr(f) == "PartialInjection({1->3, 2->5})"
+    with pytest.raises(DomainMismatch, match="3 not in domain"):
+        f(3)
+    g = QuasiAffineInjection.affine(2, 0)
+    assert repr(g) == f"QuasiAffineInjection({list(g.pieces)!r})"
+    with pytest.raises(DomainMismatch, match="0 is not a positive natural"):
+        g(0)
+    e = OperadElement([f, g.compose(QuasiAffineInjection.affine(1, 5))])
+    assert hash(e) == hash(OperadElement(list(e.slots)))
+    assert repr(e) == f"OperadElement({list(e.slots)!r})"
+
+
+def test_bounded_piece_meeting_a_class_once_is_read_there():
+    # 1 -> 1 and 3 -> 2 on the odd points up to 3, slope 1/2; past them
+    # the period-4 tail swaps 4k+2 and 4k+3.  Each residue class mod 4
+    # meets the bounded piece in one point at most, where the tail map
+    # of that class agrees with it (1) or not (3)
+    half = Fraction(1, 2)
+    rows = [Piece(1, 3, 2, 1, half, half), Piece(2, None, 4, 2, 1, 1),
+            Piece(4, None, 4, 0, 1, 0), Piece(5, None, 4, 1, 1, 0),
+            Piece(7, None, 4, 3, 1, -1)]
+    f = QuasiAffineInjection(rows)
+    expected = {1: 1, 3: 2}
+    for i in range(2, 41):
+        if i not in expected:
+            expected[i] = i + 1 if i % 4 == 2 else i - 1 if i % 4 == 3 else i
+    assert [f(i) for i in range(1, 41)] == [expected[i] for i in range(1, 41)]
+    assert f.pieces == qa_oracle.normalize(rows)

@@ -13,10 +13,12 @@ from conftest import rows_of
 from monoid_oracle import OraclePresentation
 from tamebox.documents import parse_document, serialize_document
 from tamebox.errors import (
+    ArityMismatch,
     NotAMonoid,
     NotInjective,
     OverlappingSupports,
     PreconditionViolated,
+    SupportNotCovered,
     ValidationFailed,
 )
 from tamebox.generators import (
@@ -32,7 +34,7 @@ from tamebox.injections import (
     _transported,
     order_embed_avoiding,
 )
-from tamebox.mset import MElement, support
+from tamebox.mset import CanonicalTameMSet, MElement, support
 from tamebox.opalg import (
     Certificate,
     CertificateStep,
@@ -52,6 +54,7 @@ from tamebox.opalg import (
     wedge_iso,
 )
 from tamebox.selftest import agreement_instances
+from tamebox.sigma import trivial_sigma_set
 
 
 def random_qa(rng):
@@ -756,3 +759,119 @@ class TestSumLawsGate:
             "instance 4: ran 0 of 3 cases in 30 draws; skipped 18 with "
             "levels beyond the cap 1 and 12 with overlapping supports",
         ]
+
+
+# ---------------------------------------------------------------------
+# the verifier's refusals, each on one certificate built directly
+
+
+_ID = QuasiAffineInjection.identity()
+_PARTIAL_ELEMENT = OperadElement([PartialInjection({1: 1}),
+                                  PartialInjection({1: 2})])
+
+
+def _one_step_certificate():
+    """A verified certificate of one forward step: the interleaving, then
+    the interleaving after a move that fixes nothing in particular."""
+    s = OperadElement(disjoint_lanes(2))
+    move = (QuasiAffineInjection.affine(3, 0), _ID)
+    cert = Certificate(2, [set(), set()],
+                       [CertificateStep(s, move, "fwd")], s.precompose(move))
+    assert verify_certificate(cert) == (True, None, "ok")
+    return cert
+
+
+def _with_step(cert, **changes):
+    return Certificate(cert.n, cert.constraints,
+                       [cert.steps[0]._replace(**changes)], cert.final)
+
+
+# each refusal the verifier returns, with the failing step (None for the
+# whole chain), from one change to the certificate above
+VERIFIER_REFUSALS = {
+    "arity mismatch in chain": lambda c: Certificate(
+        3, [set()] * 3, c.steps, c.final),
+    "chain element with inexact slots": lambda c: Certificate(
+        c.n, c.constraints, c.steps, _PARTIAL_ELEMENT),
+    "move arity mismatch": lambda c: _with_step(c, move=(_ID,)),
+    "inexact move": lambda c: _with_step(
+        c, move=(PartialInjection({1: 1}), _ID)),
+    "unknown direction": lambda c: _with_step(c, direction="sideways"),
+}
+
+
+@pytest.mark.parametrize("reason", VERIFIER_REFUSALS)
+def test_verifier_refuses_each_malformed_certificate(reason):
+    cert = VERIFIER_REFUSALS[reason](_one_step_certificate())
+    at = None if "chain" in reason else 0
+    assert verify_certificate(cert) == (False, at, reason)
+    assert cert_oracle.verify_certificate(cert) == (False, at, reason)
+
+
+# ---------------------------------------------------------------------
+# the refusals of algebras, actions and the pairing
+
+
+def test_algebra_action_refuses_a_moving_nullary_or_unary_action():
+    P = infinite_symmetric_product(["*", "a"], "*", 2)
+    A = monoid_to_algebra(P)
+    moved = MElement(1, (1,), ("a",))
+    with pytest.raises(ValidationFailed,
+                       match="nullary action must give a fixed element"):
+        opalg.AlgebraAction(P.carrier, lambda phi, xs: moved)
+    with pytest.raises(ValidationFailed,
+                       match="unary identity does not act trivially"):
+        opalg.AlgebraAction(P.carrier, lambda phi, xs: (
+            A(phi, xs) if phi.arity != 1 else A.zero))
+
+
+def test_actions_and_pairings_refuse_the_wrong_arity():
+    P = infinite_symmetric_product(["*", "a"], "*", 2)
+    X = P.carrier
+    x = MElement(1, (1,), ("a",))
+    with pytest.raises(ArityMismatch, match="arity 1 applied to 2 elements"):
+        monoid_to_algebra(P)(OperadElement([_ID]), [x, x])
+    with pytest.raises(ArityMismatch, match="one function per slot"):
+        pointwise_action(OperadElement(disjoint_lanes(2)), [{1: "a"}])
+    with pytest.raises(ArityMismatch, match="binary pairing expected"):
+        operadic_to_box(X, X, OperadElement(disjoint_lanes(3)), x, x)
+
+
+def test_pointwise_action_and_section_refuse_overlapping_supports():
+    # slots with one image, built past the public constructor's check
+    overlapping = OperadElement._built.__wrapped__(OperadElement, [_ID, _ID])
+    with pytest.raises(SupportNotCovered, match="slots overlap on supports"):
+        pointwise_action(overlapping, [{1: "a"}, {1: "b"}])
+    with pytest.raises(OverlappingSupports, match="supports meet"):
+        box_to_operadic(MElement(1, (1,), ("a",)), MElement(1, (1,), ("b",)))
+
+
+def _wedge_carrier_replaced(monkeypatch, replace):
+    """wedge_iso with the carrier of the wedge's symmetric product, the
+    one whose points include tagged pairs, replaced."""
+    real = opalg.symmetric_product_carrier
+
+    def carrier(points, basepoint, level_bound):
+        got = real(points, basepoint, level_bound)
+        return replace(got) if any(isinstance(p, tuple) for p in points) \
+            else got
+
+    monkeypatch.setattr(opalg, "symmetric_product_carrier", carrier)
+
+
+# without its top level the comparison is no bijection there; with
+# every permutation acting trivially it is one but not equivariant
+WEDGE_FAULTS = {
+    "level-missing": lambda W: CanonicalTameMSet(
+        {k: ss for k, ss in W.levels.items() if k < 2}),
+    "trivial-action": lambda W: CanonicalTameMSet(
+        {k: trivial_sigma_set(k, ss.points) for k, ss in W.levels.items()}),
+}
+
+
+@pytest.mark.parametrize("fault", WEDGE_FAULTS)
+def test_wedge_comparison_fails_on_a_wrong_wedge_carrier(monkeypatch, fault):
+    assert wedge_iso(["*", "a"], "*", ["*", "b", "c"], "*", 2)[1]
+    _wedge_carrier_replaced(monkeypatch, WEDGE_FAULTS[fault])
+    maps, ok = wedge_iso(["*", "a"], "*", ["*", "b", "c"], "*", 2)
+    assert not ok and sorted(maps) == [0, 1, 2]
