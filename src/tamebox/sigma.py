@@ -39,9 +39,7 @@ def point_key(p):
 def _value_repr(p):
     """repr(p) with the members of every nested frozenset sorted by
     point_key; identical to repr(p) when p contains no set."""
-    if isinstance(p, frozenset):
-        if not p:
-            return repr(p)
+    if isinstance(p, frozenset):  # not empty: its repr holds a brace
         items = ", ".join(r for _, r in sorted(map(point_key, p)))
         return f"{type(p).__name__}({{{items}}})"
     if type(p) is tuple:

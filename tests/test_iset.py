@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 import colimit_oracle as oracle
 from corpus import late_pairs
 from test_mset import sample_mset, unit_mset
+from tamebox import iset
 from tamebox.errors import (
     DegreeTooLarge,
     InvalidMorphism,
+    NotTame,
     TruncationExceeded,
     ValidationError,
 )
@@ -23,6 +25,7 @@ from tamebox.iset import (
     constant_iset,
     day_convolution,
     day_projections,
+    faithful_extension,
     flat_replacement,
     is_flat,
     latching,
@@ -514,3 +517,44 @@ def test_day_projections_refuse_a_convolution_past_the_truncation():
     with pytest.raises(InvalidMorphism,
                        match="^source and target truncations differ$"):
         day_projections(XY, A, A)
+
+
+def test_levels_past_the_truncation_are_refused():
+    X = representable_iset(1, 3)
+    with pytest.raises(TruncationExceeded, match="level 4 beyond truncation 3"):
+        X.map_along((1,), 4, (1,))
+    with pytest.raises(TruncationExceeded, match="level 4 beyond truncation 3"):
+        latching(X, 4)
+    with pytest.raises(TruncationExceeded,
+                       match=r"level 5 beyond truncation 3 \+ 1"):
+        iset._colimit_under(X, 5)
+
+
+def test_flatness_modes_are_named_and_must_agree(monkeypatch):
+    Q = restriction_coequalizer(4)
+    with pytest.raises(ValueError, match="unknown flatness mode 'sideways'"):
+        is_flat(Q, "sideways")
+    # a latching route that finds a merge everywhere disagrees with the
+    # direct route on a flat diagram
+    X = representable_iset(1, 3)
+    monkeypatch.setattr(iset, "latching", lambda X, n: iset.LatchingData(
+        [], {}, False, (n, None, None, None)))
+    with pytest.raises(NotTame, match="flatness criteria disagree"):
+        is_flat(X, "both")
+
+
+def test_canonical_extension_stops_at_its_height_budget(monkeypatch):
+    # a probe that always finds a merge: the extension climbs to
+    # N + 2 max(s, 1) + 6 and is refused there
+    Q = restriction_coequalizer(4)
+    assert not Q.free and Q.stable_from == 1
+    monkeypatch.setattr(iset, "_next_level_merges", lambda X: True)
+    with pytest.raises(TruncationExceeded,
+                       match="does not settle within the allowed height 12"):
+        faithful_extension(Q)
+
+
+def test_a_draw_no_diagram_meets_falls_back_to_a_representable():
+    # no diagram has a merge level below zero
+    X = random_iset(random.Random(0), 3, 2, merge_cap=-1)
+    assert X.levels == representable_iset(1, 3).levels

@@ -498,3 +498,41 @@ def test_refuses_level_keys_that_are_no_ints(key):
     # each was read as level 1 through int()
     with pytest.raises(ValueError, match="not an int"):
         CanonicalTameMSet({key: trivial_sigma_set(1, ["a"])})
+
+
+def test_refuses_a_level_holding_a_set_of_another_degree():
+    with pytest.raises(ValueError, match="level 2 holds a degree-1 set"):
+        CanonicalTameMSet({2: regular_sigma_set(1)})
+
+
+def test_elements_need_distinct_image_entries_and_injective_moves():
+    X = injection_mset(2)
+    x = X.canonical(2, (1, 2), (1, 2))
+    with pytest.raises(ValueError, match="image entries must be distinct"):
+        X.canonical(2, (1, 1), (1, 2))
+    # any callable moves an element; one that is not injective on the
+    # support is refused
+    with pytest.raises(SupportNotCovered,
+                       match="map not injective on the support"):
+        X.act(lambda i: 1, x)
+
+
+def test_morphism_needs_a_value_inside_each_representative_support():
+    I1, X = injection_mset(1), sample_mset()
+    with pytest.raises(InvalidMorphism,
+                       match=r"no value for representative \(1, \(1,\)\)"):
+        MSetMorphism(I1, X, {})
+    with pytest.raises(InvalidMorphism, match="not supported inside 1..1"):
+        MSetMorphism(I1, X, {(1, (1,)): X.canonical(1, (2,), "b")})
+
+
+def test_coequalizer_refuses_other_targets_and_a_short_window():
+    I1 = injection_mset(1)
+    ident = MSetMorphism(I1, I1, {(1, (1,)): I1.canonical(1, (1,), (1,))})
+    to_point = MSetMorphism(I1, unit_mset(), {(1, (1,)): MElement(0, (), "*")})
+    with pytest.raises(InvalidMorphism,
+                       match="parallel pair must share a target"):
+        coequalize(ident, to_point, 6)
+    with pytest.raises(WindowTooSmall,
+                       match="window 1 below twice the maximal support size"):
+        coequalize(ident, ident, 1)

@@ -62,3 +62,18 @@ def test_a_suite_passes_at_its_declared_top_level(name):
     tally = suite(random.Random(f"5:{name}"), cases=3,
                   degree_bound=suite.top_level)
     assert tally.failures == []
+
+
+def test_timing_is_reported_unless_left_out(monkeypatch):
+    from tamebox import selftest
+
+    def empty(rng, degree_bound, cases=None):
+        return Tally()
+
+    empty.top_level = 0
+    monkeypatch.setattr(selftest, "SUITES", [("empty", empty)])
+    report = selftest.run_selftest()
+    assert report["suites"] == [
+        {"name": "empty", "cases": 0, "skipped": 0, "failures": []}]
+    assert type(report["elapsedMs"]) is int
+    assert "elapsedMs" not in selftest.run_selftest(include_timing=False)
