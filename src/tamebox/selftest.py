@@ -4,18 +4,20 @@ check with its own independent oracle.
 `@suite` enters each one in `SUITES`, in report order, as a function of
 a random stream and case counts that returns its `Tally`: the cases it
 ran, the draws it skipped and its failure descriptions.  Each instance
-checked, drawn or fixed, is one case; a draw outside the law's domain
-raises `Skip`.  Each suite declares the highest level that its `box`,
-`decompose_table` and `canonicalize` calls build, so that `run_selftest`
-refuses a degree bound below it before any suite runs; it aggregates
-the tallies into a deterministic report keyed by suite name.
+checked, drawn or fixed, is one case.  A drawn case draws, checks and
+returns its failure or None; `Tally.draws` redraws it on `Skip` (a draw
+outside the law's domain), takes a library error for its failure and
+labels the failure.  Each suite declares the highest level that its
+`box`, `decompose_table` and `canonicalize` calls build, so that
+`run_selftest` refuses a degree bound below it before any suite runs;
+it aggregates the tallies into a deterministic report keyed by suite
+name.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-import itertools
 import random
 import time
 from collections import Counter
@@ -98,10 +100,10 @@ class Tally:
             self.ran += 1
             yield instance
 
-    def draws(self, draw, cases, label=""):
-        """Yield `cases` instances of `draw()` in at most ten draws per
-        case, redrawing skips.  An error in a draw is a failed case, and
-        running short is a failure that names the skips by reason."""
+    def draws(self, case, cases, label=""):
+        """Run `cases` cases of `case()`, redrawing skips, in at most ten
+        draws per case.  Record case i's failure or library error as
+        `{label}case {i}: ...`, and running short as the skips by reason."""
         if cases < 1:
             raise ValidationError("at least one case per suite",
                                   f"cases={cases}")
@@ -109,17 +111,17 @@ class Tally:
         while done < cases and attempts < 10 * cases:
             attempts += 1
             try:
-                found = [draw()]
+                failure = case()
             except Skip as e:
                 skips[str(e)] += 1
                 self.skipped += 1
                 continue
             except TameboxError as e:
-                self.fail(f"{label}case {done}: {e}")
-                found = []
+                failure = str(e)
+            if failure is not None:
+                self.fail(f"{label}case {done}: {failure}")
             done += 1
             self.ran += 1
-            yield from found
         if done < cases:
             named = " and ".join(f"{n} {why}" for why, n in skips.items())
             self.fail(f"{label}ran {done} of {cases} cases in {attempts} "
@@ -162,23 +164,22 @@ def _random_partial(rng, domain, value_range):
 
 
 def _msets(rng, levels, points):
-    """A draw of random actions, one per top level in `levels`."""
-    return lambda: tuple(random_mset(rng, max_level=m, max_points=points)
-                         for m in levels)
+    """Random actions, one per top level in `levels`."""
+    return [random_mset(rng, max_level=m, max_points=points)
+            for m in levels]
 
 
 @suite("decomposition-round-trip", top_level=4)
 def suite_decomposition_round_trip(tally, rng, cases=100, window=8,
                                    degree_bound=DEFAULT_DEGREE_BOUND):
     """Tables of window elements decompose back to the same form."""
-    draw = _msets(rng, (4,), 5)
-    for i, (X,) in enumerate(tally.draws(draw, cases)):
-        try:
-            Y = decompose_table(X, window, degree_bound=degree_bound)
-            if not mset_iso_equal(X, Y):
-                tally.fail(f"case {i}: reconstruction differs from {X!r}")
-        except TameboxError as e:
-            tally.fail(f"case {i}: {e}")
+    def case():
+        X = random_mset(rng, max_level=4, max_points=5)
+        Y = decompose_table(X, window, degree_bound=degree_bound)
+        if not mset_iso_equal(X, Y):
+            return f"reconstruction differs from {X!r}"
+
+    tally.draws(case, cases)
 
 
 @suite("box-oracle", top_level=2 + 3)
@@ -186,8 +187,8 @@ def suite_box_oracle(tally, rng, cases=50, window=6,
                      degree_bound=DEFAULT_DEGREE_BOUND):
     """The pairing bijects disjoint pairs onto the product table and
     commutes with the action through both projections."""
-    draw = _msets(rng, (2, 3), 3)
-    for i, (X, Y) in enumerate(tally.draws(draw, cases)):
+    def case():
+        X, Y = _msets(rng, (2, 3), 3)
         XY = box(X, Y, degree_bound)
         pairs = [(x, y) for x in X.elements_up_to(window)
                  for y in Y.elements_up_to(window)
@@ -195,22 +196,20 @@ def suite_box_oracle(tally, rng, cases=50, window=6,
         paired = [box_pair(x, y) for x, y in pairs]
         table = XY.elements_up_to(window)
         if len(set(paired)) != len(paired):
-            tally.fail(f"case {i}: pairing not injective")
-            continue
+            return "pairing not injective"
         if set(paired) != set(table):
-            tally.fail(f"case {i}: pairing misses the product table")
-            continue
+            return "pairing misses the product table"
         if any(box_split(z) != pair for pair, z in zip(pairs, paired)):
-            tally.fail(f"case {i}: projections fail to invert")
-            continue
+            return "projections fail to invert"
         for _ in range(20 if table else 0):
             z = rng.choice(table)
             f = _random_partial(rng, range(1, window + 1), window + 4)
             x, y = box_split(z)
             zx, zy = box_split(XY.act(f, z))
             if zx != X.act(f, x) or zy != Y.act(f, y):
-                tally.fail(f"case {i}: action does not commute")
-                break
+                return "action does not commute"
+
+    tally.draws(case, cases)
 
 
 @suite("injection-split")
@@ -230,7 +229,7 @@ def suite_day_vs_box(tally, rng, cases=20, window=5,
     # stability levels summing to at most 2, the suite's top level
     shapes = [(0, 1), (1, 1), (1, 0), (2, 0), (0, 2), (0, 0)]
 
-    def draw():
+    def case():
         a, b = rng.choice(shapes)
         try:
             X = random_iset(rng, window, a)
@@ -240,24 +239,26 @@ def suite_day_vs_box(tally, rng, cases=20, window=5,
                 raise Skip("with product stability beyond half the window "
                            f"{window}")
             lhs = canonicalize(XY, degree_bound)
-            return lhs, box(canonicalize(X, degree_bound),
-                            canonicalize(Y, degree_bound), degree_bound)
+            rhs = box(canonicalize(X, degree_bound),
+                      canonicalize(Y, degree_bound), degree_bound)
         except TruncationExceeded:
             raise Skip("past the truncation") from None
-
-    for i, (lhs, rhs) in enumerate(tally.draws(draw, cases)):
         if not mset_iso_equal(lhs, rhs):
-            tally.fail(f"case {i}: convolution differs from box")
+            return "convolution differs from box"
+
+    tally.draws(case, cases)
 
 
 @suite("flatness-modes")
 def suite_flatness_modes(tally, rng, cases=100, window=4):
     """Latching injectivity and the direct criterion agree, with the
     designated counterexample failing at level two."""
-    draw = functools.partial(random_iset, rng, window, 2)
-    for i, X in enumerate(tally.draws(draw, cases)):
+    def case():
+        X = random_iset(rng, window, 2)
         if is_flat(X, "latching").flat != is_flat(X, "direct").flat:
-            tally.fail(f"case {i}: modes disagree")
+            return "modes disagree"
+
+    tally.draws(case, cases)
     for Q in tally.each([restriction_coequalizer(window)]):
         lat, direct = is_flat(Q, "latching"), is_flat(Q, "direct")
         if lat.flat or direct.flat:
@@ -274,44 +275,41 @@ def suite_adjunction(tally, rng, cases=50, window=4,
                      degree_bound=DEFAULT_DEGREE_BOUND):
     """The counit identifies classes with window elements; the unit is
     a colimit bijection, levelwise bijective exactly on flat inputs."""
-    draw = _msets(rng, (2,), 4)
-    for i, (W,) in enumerate(tally.draws(draw, cases)):
+    def counit():
+        W = random_mset(rng, max_level=2, max_points=4)
         classes = OmegaColimit(support_filtration(W, window)).classes
         # each window element is the point of exactly one class
         table = Counter(W.elements_up_to(window))
         if Counter(p for (_, p) in classes) != table:
-            tally.fail(f"case {i}: counit not a bijection")
-    draw = functools.partial(random_iset, rng, window, 2,
-                             merge_cap=window - 2)
-    for i, X in enumerate(tally.draws(draw, cases)):
-        try:
-            _, eta = flat_replacement(X, degree_bound)
-        except TameboxError as e:
-            tally.fail(f"case {i}: {e}")
-            continue
+            return "counit not a bijection"
+
+    def unit():
+        X = random_iset(rng, window, 2, merge_cap=window - 2)
+        _, eta = flat_replacement(X, degree_bound)
         if not n_iso_check(eta):
-            tally.fail(f"case {i}: unit not a colimit bijection")
+            return "unit not a colimit bijection"
         if eta.level_bijective() != is_flat(X, "latching").flat:
-            tally.fail(f"case {i}: unit bijectivity mismatches flatness")
+            return "unit bijectivity mismatches flatness"
+
+    tally.draws(counit, cases)
+    tally.draws(unit, cases)
 
 
 @suite("mono-pushout")
 def suite_mono_pushout(tally, rng, cases=30, window=4):
     """Latching pushouts of levelwise monomorphisms between flat
     diagrams inject into the target level."""
-    def draw():
+    def case():
         big = random_mset(rng, max_level=2, max_points=4)
-        return random_sub_mset(rng, big), big
-
-    for i, (small, big) in enumerate(tally.draws(draw, cases)):
-        X = support_filtration(small, window)
+        X = support_filtration(random_sub_mset(rng, big), window)
         Y = support_filtration(big, window)
         maps = [{e: e for e in X.levels[m]} for m in range(window + 1)]
         f = ISetMorphism(X, Y, maps)
         for n in range(window + 1):
             if not mono_pushout_injective(f, n):
-                tally.fail(f"case {i}: pushout not injective at {n}")
-                break
+                return f"pushout not injective at {n}"
+
+    tally.draws(case, cases)
 
 
 def agreement_instances(rng, cases=50):
@@ -332,17 +330,17 @@ def agreement_instances(rng, cases=50):
 @suite("agreement-certificates")
 def suite_agreement_certificates(tally, rng, cases=50):
     """Certified chains exist for agreeing pairs and verify exactly."""
-    draw = functools.partial(next, agreement_instances(rng, cases))
-    binary, ternary = tally.draws(draw, cases), tally.draws(draw, 10)
-    for label, (phi, psi, constraints) in itertools.chain(binary, ternary):
-        try:
-            cert = certify_agreement(phi, psi, constraints)
-        except TameboxError as e:
-            tally.fail(f"{label}: {e}")
-            continue
+    instances = agreement_instances(rng, cases)
+
+    def case():  # labelled by the runner as the instances are
+        _, (phi, psi, constraints) = next(instances)
+        cert = certify_agreement(phi, psi, constraints)
         ok, at, reason = verify_certificate(cert, phi, psi)
         if not ok:
-            tally.fail(f"{label}: verification failed at {at}: {reason}")
+            return f"verification failed at {at}: {reason}"
+
+    tally.draws(case, cases)
+    tally.draws(case, 10, "ternary ")
 
 
 @suite("monoid-algebra-round-trip")
@@ -358,7 +356,7 @@ def suite_monoid_algebra_round_trip(tally, rng, cases=100):
             tally.fail(f"instance {idx}: round trip changed the table")
     A = monoid_to_algebra(infinite_symmetric_product(["*", "a", "b"], "*", 6))
 
-    def draw():
+    def case():
         # at most three functions of at most two points each
         n = rng.randint(1, 3)
         funcs = [
@@ -366,15 +364,14 @@ def suite_monoid_algebra_round_trip(tally, rng, cases=100):
              for k in rng.sample(range(1, 7), rng.randint(0, 2))}
             for _ in range(n)
         ]
-        lanes = [lane.compose(random_quasi_affine(rng))
-                 for lane in disjoint_lanes(n)]
-        return OperadElement(lanes), funcs
-
-    for i, (phi, funcs) in enumerate(tally.draws(draw, cases)):
+        phi = OperadElement([lane.compose(random_quasi_affine(rng))
+                             for lane in disjoint_lanes(n)])
         direct = pointwise_action(phi, funcs)
         via = A(phi, [function_to_element(f) for f in funcs])
         if element_to_function(via) != direct:
-            tally.fail(f"case {i}: derived action differs from pointwise")
+            return "derived action differs from pointwise"
+
+    tally.draws(case, cases)
 
 
 @suite("operadic-box-comparison")
@@ -382,36 +379,36 @@ def suite_operadic_box_comparison(tally, rng, cases=20, window=6):
     """The slotwise evaluation against the box product: the section
     inverts it on the whole window table, equivariantly and
     independently of the coequalized presentation."""
-    draw = _msets(rng, (2, 2), 3)
-    for i, (X, Y) in enumerate(tally.draws(draw, cases)):
+    def section():
+        X, Y = _msets(rng, (2, 2), 3)
         for x in X.elements_up_to(window):
             for y in Y.elements_up_to(window):
                 if support(x) & support(y):
                     continue
                 psi = box_to_operadic(x, y)
                 if operadic_to_box(X, Y, psi, x, y) != (x, y):
-                    tally.fail(f"case {i}: section fails at {x}, {y}")
-                    break
+                    return f"section fails at {x}, {y}"
+
+    tally.draws(section, cases)
     Xc = infinite_symmetric_product(["*", "a", "b"], "*", 6).carrier
     psi = OperadElement(disjoint_lanes(2))
 
     def probe():
         x = Xc.canonical(1, (rng.randint(1, 3),), (rng.choice(["a", "b"]),))
         y = Xc.canonical(1, (rng.randint(1, 3),), (rng.choice(["a", "b"]),))
-        return x, y, random_quasi_affine(rng), random_quasi_affine(rng)
-
-    for i, (x, y, u, v) in enumerate(tally.draws(probe, 100)):
+        u, v = random_quasi_affine(rng), random_quasi_affine(rng)
         moved = OperadElement([psi.slot(1).compose(u), psi.slot(2).compose(v)])
         lhs = operadic_to_box(Xc, Xc, moved, x, y)
         rhs = operadic_to_box(Xc, Xc, psi, Xc.act(u, x), Xc.act(v, y))
         if lhs != rhs:
-            tally.fail(f"probe {i}: coequalized action not respected")
-            continue
+            return "coequalized action not respected"
         f = random_quasi_affine(rng)
         gx, gy = operadic_to_box(Xc, Xc, psi, x, y)
         hx, hy = operadic_to_box(Xc, Xc, psi.postcompose(f), x, y)
         if hx != Xc.act(f, gx) or hy != Xc.act(f, gy):
-            tally.fail(f"probe {i}: not equivariant")
+            return "not equivariant"
+
+    tally.draws(probe, 100, "probe ")
 
 
 @suite("sum-laws")
@@ -424,38 +421,31 @@ def suite_sum_laws(tally, rng, cases=200):
                   for points in (["*", "a"], ["*", "a", "b"])]
     for idx, P in enumerate(instances):
         table = [e for e in P.carrier.elements_up_to(5) if e.level <= 1]
+        add, act = P.add, P.carrier.act
 
-        def draw():
+        def case():
             xs = rng.sample(table, min(4, len(table)))
             used = [v for e in xs for v in e.image]
             if len(set(used)) != len(used):
                 raise Skip("with overlapping supports")
             if sum(e.level for e in xs) > P.level_cap:
                 raise Skip(f"with levels beyond the cap {P.level_cap}")
-            return xs
-
-        # a failed law ends the instance's draws
-        add, act = P.add, P.carrier.act
-        for i, xs in enumerate(tally.draws(draw, cases, f"instance {idx}: ")):
             x, y, yp, z = (xs + [P.unit] * 4)[:4]
             if add(x, P.unit) != x or add(P.unit, x) != x:
-                tally.fail(f"instance {idx}, case {i}: unit law")
-                break
+                return "unit law"
             if add(x, y) != add(y, x):
-                tally.fail(f"instance {idx}, case {i}: commutativity")
-                break
+                return "commutativity"
             if add(add(x, y), z) != add(x, add(y, z)):
-                tally.fail(f"instance {idx}, case {i}: associativity")
-                break
+                return "associativity"
             if add(add(x, y), add(yp, z)) != add(add(x, yp), add(y, z)):
-                tally.fail(f"instance {idx}, case {i}: interchange")
-                break
-            top = max([v for e in xs for v in e.image], default=0)
+                return "interchange"
+            top = max(used, default=0)
             if top:
                 f = _random_partial(rng, range(1, top + 1), top + 4)
                 if act(f, add(x, y)) != add(act(f, x), act(f, y)):
-                    tally.fail(f"instance {idx}, case {i}: equivariance")
-                    break
+                    return "equivariance"
+
+        tally.draws(case, cases, f"instance {idx}: ")
 
 
 @suite("wedge-products")
@@ -477,13 +467,15 @@ def suite_wedge_products(tally, window=5):
 def suite_orbit_products(tally, rng, cases=50,
                          degree_bound=DEFAULT_DEGREE_BOUND):
     """Orbit sets multiply along the box product."""
-    draw = _msets(rng, (2, 2), 4)
-    for i, (X, Y) in enumerate(tally.draws(draw, cases)):
+    def case():
+        X, Y = _msets(rng, (2, 2), 4)
         XY = box(X, Y, degree_bound)
         if not orbit_product_bijection(X, Y, XY)[1]:
-            tally.fail(f"case {i}: no bijection of orbit sets")
+            return "no bijection of orbit sets"
         if len(XY.orbit_set()) != len(X.orbit_set()) * len(Y.orbit_set()):
-            tally.fail(f"case {i}: orbit counts do not multiply")
+            return "orbit counts do not multiply"
+
+    tally.draws(case, cases)
     for m in tally.each(range(6)):
         if len(injection_mset(m).orbit_set()) != 1:
             tally.fail(f"injections on {m} letters not connected")

@@ -293,6 +293,25 @@ MUTANTS = [
            "key=lambda kv: point_key(kv[0])[1])",
            "key=lambda kv: repr(kv[0]))",
            "tests/test_corpus.py::test_corpus_digest_under_two_hash_seeds"),
+    # the case runner of the law suites: a failure labelled with the
+    # draw it came from, skips counted in
+    Mutant("case label from the draws", "selftest.py",
+           'self.fail(f"{label}case {done}: {failure}")',
+           'self.fail(f"{label}case {attempts - 1}: {failure}")',
+           "tests/test_selftest.py::"
+           "test_a_failure_is_labelled_with_its_case_counted_without_skips"),
+    # a library error redrawn as if outside the law's domain: a suite the
+    # library breaks runs short instead of failing its cases
+    Mutant("library error counted as a skip", "selftest.py",
+           "            except Skip as e:\n",
+           "            except (Skip, TameboxError) as e:\n",
+           "tests/test_selftest.py::"
+           "test_an_error_in_a_draw_is_a_failed_case_not_a_skip"),
+    Mutant("returned failure ignored", "selftest.py",
+           "            if failure is not None:\n",
+           "            if False:\n",
+           "tests/test_selftest.py::"
+           "test_a_failed_case_stops_none_of_the_later_ones"),
     # JSON past Python's digit or nesting limit escapes as a traceback
     Mutant("load_json catching only JSONDecodeError", "documents.py",
            "    except (ValueError, RecursionError) as e:  "
