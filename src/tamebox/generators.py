@@ -140,9 +140,10 @@ def random_sub_mset(rng, X: CanonicalTameMSet):
 
 
 def random_iset(rng, N, max_stable, merge_cap=None):
-    """A validated truncated diagram with stability at most max_stable;
-    an optional cap keeps inclusion merges away from the truncation
-    top, so the colimit machinery stays applicable."""
+    """A validated truncated diagram with stability at most max_stable.
+    An optional merge_cap keeps quotient seeds at or below the cap and
+    redraws a diagram whose inclusions merge above it, so draws rarely
+    merge past their top."""
     for _ in range(20):
         kind = rng.random()
         if kind < 0.45:

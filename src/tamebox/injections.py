@@ -131,9 +131,6 @@ class PartialInjection:
     def __contains__(self, i):
         return i in self.mapping
 
-    def image(self):
-        return frozenset(self.mapping.values())
-
     def compose(self, inner: "PartialInjection") -> "PartialInjection":
         """self after inner, defined on the keys of inner."""
         out = {}

@@ -57,13 +57,8 @@ from .errors import (
     TruncationExceeded,
     ValidationError,
 )
-from .mset import (
-    DEFAULT_DEGREE_BOUND,
-    CanonicalTameMSet,
-    MElement,
-    all_injective_tuples,
-)
-from .sigma import SigmaSet, completion_word, point_key
+from .mset import DEFAULT_DEGREE_BOUND, CanonicalTameMSet, MElement
+from .sigma import SigmaSet, all_injective_tuples, completion_word, point_key
 from .unionfind import UnionFind
 
 
@@ -378,9 +373,9 @@ def restriction_coequalizer(N):
 
 
 class OmegaColimit:
-    """The colimit over the inclusions, with the induced action of
-    partial injections inside the truncation.  Its classes are the points
-    of level N: a class holds the nodes the inclusions carry to one."""
+    """The colimit over the inclusions.  Its classes are the points of
+    level N: a class holds the nodes the inclusions carry to one, and
+    `root[m, x]` names the class of the node x at level m."""
 
     def __init__(self, X: TruncatedISet):
         self.iset = X
@@ -396,21 +391,6 @@ class OmegaColimit:
                 self.root[m, p] = name.setdefault(top[m][p], (m, p))
         self.classes = list(name.values())
         self._elements = {}
-
-    def class_of(self, m, x):
-        return self.root[(m, x)]
-
-    def act(self, f, c):
-        """The action of an injection covering {1..m} on a class with
-        representative at level m."""
-        m, x = c
-        values = tuple(f(j) for j in range(1, m + 1))
-        n = max(values, default=0)
-        if n > self.iset.N:
-            raise TruncationExceeded(
-                f"action reaches level {n} beyond truncation {self.iset.N}"
-            )
-        return self.root[n, self.iset.map_along(values, n, x)]
 
     def class_to_element(self, c) -> MElement:
         """The canonical element a class corresponds to under the
@@ -433,7 +413,7 @@ class OmegaColimit:
         if held:
             i, p0 = next(iter(held.items()))
             inner = self.class_to_element(
-                self.class_of(m - 1, X.levels[m - 1][p0]))
+                self.root[m - 1, X.levels[m - 1][p0]])
             got = inner._replace(
                 image=tuple(j if j < i else j + 1 for j in inner.image))
         else:
@@ -575,7 +555,7 @@ def flat_replacement(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):
     maps = []
     for m in range(X.N + 1):
         maps.append(
-            {x: colim.class_to_element(colim.class_of(m, x))
+            {x: colim.class_to_element(colim.root[m, x])
              for x in X.levels[m]}
         )
     return flat, ISetMorphism._built(X, flat, maps)

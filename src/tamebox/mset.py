@@ -19,7 +19,7 @@ colimit of the support filtration up to the window.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -33,6 +33,7 @@ from .errors import (
 from .injections import PartialInjection
 from .sigma import (
     SigmaSet,
+    all_injective_tuples,
     induce,
     iso_equal,
     point_key,
@@ -246,14 +247,6 @@ def injection_split_iso(m, n, N):
     return forward, bijective
 
 
-def all_injective_tuples(m, n):
-    """All injections {1..m} -> {1..n} as value tuples."""
-    out = []
-    for values in combinations(range(1, n + 1), m):
-        out.extend(permutations(values))
-    return out
-
-
 def decompose_table(X: CanonicalTameMSet, window,
                     degree_bound=DEFAULT_DEGREE_BOUND):
     """The canonical form recovered from the elements of X supported
@@ -347,10 +340,9 @@ def coequalize(u: MSetMorphism, v: MSetMorphism, window,
 
 
 def orbit_product_bijection(X: CanonicalTameMSet, Y: CanonicalTameMSet,
-                            XY: CanonicalTameMSet = None):
-    """The bijection from orbits of a box product onto pairs of factor
-    orbits; returns (mapping, bijective flag)."""
-    XY = XY if XY is not None else box(X, Y)
+                            XY: CanonicalTameMSet):
+    """The bijection from the orbits of XY, the box product of X and Y,
+    onto pairs of factor orbits; returns (mapping, bijective flag)."""
     mapping = {}
     for k, rep in XY.orbit_set():
         (m, n), (positions, p, q) = rep

@@ -313,7 +313,7 @@ def suite_mono_pushout(tally, rng, cases=30, window=4):
 
 
 def agreement_instances(rng, cases=50):
-    """The labelled (phi, psi, constraints) triples the certificate suite
+    """The (phi, psi, constraints) triples the certificate suite
     certifies: `cases` binary pairs with |A_i| <= 3, then ten ternary
     ones with singleton sets.  Half the pairs arise from hidden moves,
     half share only their prescribed values, so both reachability
@@ -321,10 +321,10 @@ def agreement_instances(rng, cases=50):
     for i in range(cases):
         sizes = [rng.randint(0, 3), rng.randint(0, 3)]
         make = random_agreeing_pair if i % 2 == 0 else random_prescribed_pair
-        yield f"case {i}", make(rng, 2, sizes)
+        yield make(rng, 2, sizes)
     for i in range(10):
         make = random_agreeing_pair if i % 2 == 0 else random_prescribed_pair
-        yield f"ternary case {i}", make(rng, 3, [1, 1, 1])
+        yield make(rng, 3, [1, 1, 1])
 
 
 @suite("agreement-certificates")
@@ -332,8 +332,8 @@ def suite_agreement_certificates(tally, rng, cases=50):
     """Certified chains exist for agreeing pairs and verify exactly."""
     instances = agreement_instances(rng, cases)
 
-    def case():  # labelled by the runner as the instances are
-        _, (phi, psi, constraints) = next(instances)
+    def case():  # labelled by the runner
+        phi, psi, constraints = next(instances)
         cert = certify_agreement(phi, psi, constraints)
         ok, at, reason = verify_certificate(cert, phi, psi)
         if not ok:

@@ -102,8 +102,13 @@ def transposition_perm(m, i):
     return tuple(p)
 
 
-def all_perms(m):
-    return [tuple(p) for p in permutations(range(1, m + 1))]
+def all_injective_tuples(m, n):
+    """All injections {1..m} -> {1..n} as value tuples; for m = n, the
+    permutations of {1..m} in lexicographic order."""
+    out = []
+    for values in combinations(range(1, n + 1), m):
+        out.extend(permutations(values))
+    return out
 
 
 def walk(start, tables):
@@ -291,7 +296,7 @@ def regular_sigma_set(m):
     """The symmetric group acting on itself by left multiplication; the
     tables are multiplication by the s_i, which satisfy the relations in
     the group."""
-    points = all_perms(m)
+    points = all_injective_tuples(m, m)
     tables = []
     for i in range(1, m):
         s = transposition_perm(m, i)

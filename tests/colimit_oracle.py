@@ -64,9 +64,8 @@ from tamebox.mset import (
     CanonicalTameMSet,
     MElement,
     MSetMorphism,
-    all_injective_tuples,
 )
-from tamebox.sigma import SigmaSet, perm_word, point_key
+from tamebox.sigma import SigmaSet, all_injective_tuples, perm_word, point_key
 
 
 def _find_in(parent):
@@ -176,7 +175,7 @@ def act(colim, f, c):
     m, x = c
     values = tuple(f[j] for j in range(1, m + 1))
     n = max(values, default=0)
-    return colim.class_of(n, map_along(colim.iset, values, n, x))
+    return colim.root[n, map_along(colim.iset, values, n, x)]
 
 
 def support(colim, c):
@@ -201,7 +200,7 @@ def support(colim, c):
     if found is None:
         raise NotTame(f"no preimage below level {m}")
     alpha, x0 = found
-    inner = support(colim, colim.class_of(m - 1, x0))
+    inner = support(colim, colim.root[m - 1, x0])
     return frozenset(alpha[j - 1] for j in inner)
 
 

@@ -370,9 +370,10 @@ def slots_clash(slots):
         if s_qa and t_qa:
             return images_disjoint(s.pieces, t.pieces)
         if not s_qa and not t_qa:
-            return not (s.image() & t.image())
+            return set(s.mapping.values()).isdisjoint(t.mapping.values())
         qa, part = (s, t) if s_qa else (t, s)
-        return not any(image_contains(qa.pieces, v) for v in part.image())
+        return not any(image_contains(qa.pieces, v)
+                       for v in part.mapping.values())
 
     for i in range(len(slots)):
         for j in range(i + 1, len(slots)):

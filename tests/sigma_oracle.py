@@ -11,13 +11,14 @@ per orbit."""
 from functools import lru_cache
 from math import factorial
 
-from tamebox.sigma import all_perms, perm_compose, perm_inverse
+from tamebox.sigma import all_injective_tuples, perm_compose, perm_inverse
 
 
 def stabilizer(ss, p):
     """The permutations that fix the point p."""
     return frozenset(
-        sigma for sigma in all_perms(ss.m) if ss.act_perm(sigma, p) == p)
+        sigma for sigma in all_injective_tuples(ss.m, ss.m)
+        if ss.act_perm(sigma, p) == p)
 
 
 @lru_cache(maxsize=None)
@@ -32,7 +33,7 @@ def conjugacy_label(m, subgroup):
     if 2 * order == factorial(m):
         return f"S{m}:alternating"
     best = None
-    for g in all_perms(m):
+    for g in all_injective_tuples(m, m):
         ginv = perm_inverse(g)
         conj = tuple(sorted(perm_compose(perm_compose(g, h), ginv)
                             for h in subgroup))

@@ -65,7 +65,6 @@ from tamebox.mset import (
     CanonicalTameMSet,
     MElement,
     MSetMorphism,
-    all_injective_tuples,
     box,
     coequalize,
     decompose_table,
@@ -80,6 +79,7 @@ from tamebox.opalg import (
 )
 from tamebox.sigma import (
     SigmaSet,
+    all_injective_tuples,
     completion_word,
     regular_sigma_set,
     trivial_sigma_set,
@@ -642,7 +642,7 @@ def test_support_comparison_catches_an_unmoved_element_image(monkeypatch):
         if not held:
             return real(self, c)
         x0 = X.levels[m - 1][next(iter(held.values()))]
-        return self.class_to_element(self.class_of(m - 1, x0))
+        return self.class_to_element(self.root[m - 1, x0])
 
     assert support_mismatches(OmegaColimit(representable_iset(1, 3))) == []
     real = OmegaColimit.class_to_element

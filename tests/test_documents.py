@@ -196,7 +196,7 @@ class TestValidationSurface:
         # certificate chains hold slots with slopes and offsets "p/q"
         rng = random.Random("documents:ratios")
         values = [random_quasi_affine(rng) for _ in range(100)]
-        for _, (phi, psi, A) in agreement_instances(rng, 10):
+        for phi, psi, A in agreement_instances(rng, 10):
             cert = certify_agreement(phi, psi, A)
             values += [f for e in cert.chain() for f in e.slots]
             values += [f for step in cert.steps for f in step.move]

@@ -19,6 +19,13 @@ and each entry must still name something in the library, or a traced
 benchmark run fails on install.  The benchmark files are read here,
 never imported.
 
+The walk reaches a method by its name alone, so a method that only
+tests call passes as reached when another library class defines a
+method of the same name that the library calls.  `SHARED_METHOD_NAMES`
+pins the method names more than one class defines, dunders aside: a
+new one fails here, and whether each of its methods is reached has to
+be checked by hand.
+
 `LIBRARY_ONLY` lists the library API that no command, suite or
 benchmark reaches yet.  It holds exactly what the walk needs: README's
 "Library-only" paragraph names each entry, and an entry that the other
@@ -34,6 +41,7 @@ builds comes from `_built` or `_derived`."""
 import ast
 import os
 import re
+from collections import Counter
 
 import pytest
 
@@ -56,6 +64,11 @@ LIBRARY_ONLY = (
     ("mset", "MSetMorphism.apply"),
     ("mset", "coequalize"),
 )
+
+# method names more than one library class defines, dunders aside; the
+# library calls each `_built` and `_take`, and README names the two
+# `compose` methods only tests call
+SHARED_METHOD_NAMES = {"_built", "_take", "compose"}
 
 
 def unused_imports(source):
@@ -122,6 +135,15 @@ def definitions(trees):
                            for item in node.body
                            if isinstance(item, FUNCTIONS))
     return out
+
+
+def shared_method_names(trees):
+    """The method names, dunders aside, that more than one library
+    class defines."""
+    owners = Counter(key[1].rpartition(".")[2] for key in definitions(trees)
+                     if "." in key[1])
+    return {name for name, n in owners.items() if n > 1
+            and not (name.startswith("__") and name.endswith("__"))}
 
 
 def _is_root(key, node):
@@ -333,6 +355,20 @@ def test_every_benchmark_hook_names_a_library_definition():
 
 def test_every_definition_is_reached():
     trees = library()
+    assert unreached(trees, benchmark_roots(trees) | set(LIBRARY_ONLY)) == []
+
+
+def test_shared_method_names_are_pinned():
+    assert shared_method_names(library()) == SHARED_METHOD_NAMES
+
+
+def test_finds_an_added_shared_method_name():
+    # a second `act` would hide behind CanonicalTameMSet.act, which the
+    # library calls, however few callers it had itself
+    trees = library()
+    colimit = definitions(trees)["iset", "OmegaColimit"]
+    colimit.body += ast.parse("def act(self, f, c):\n    return c\n").body
+    assert shared_method_names(trees) == SHARED_METHOD_NAMES | {"act"}
     assert unreached(trees, benchmark_roots(trees) | set(LIBRARY_ONLY)) == []
 
 

@@ -95,7 +95,7 @@ class TestPartialInjection:
 
     def test_identity_is_neutral(self):
         f = PartialInjection({2: 7, 5: 1})
-        ident = PartialInjection.identity_on(f.image())
+        ident = PartialInjection.identity_on(f.mapping.values())
         assert ident.compose(f) == f
         assert f.compose(PartialInjection.identity_on(f.mapping)) == f
 

@@ -17,7 +17,6 @@ from tamebox.errors import (
     ValidationError,
 )
 from tamebox.generators import random_iset
-from tamebox.injections import PartialInjection
 from tamebox.iset import (
     ISetMorphism,
     OmegaColimit,
@@ -93,33 +92,11 @@ class TestOmegaColimit:
         colim = OmegaColimit(C)
         assert len(colim.classes) == 2
 
-    def test_identity_acts_trivially(self):
-        X = representable_iset(1, 4)
-        colim = OmegaColimit(X)
-        f = PartialInjection.identity_on(range(1, 5))
-        for c in colim.classes:
-            assert colim.act(f, c) == c
-
-    def test_action_matches_postcomposition(self):
-        X = representable_iset(2, 5)
-        colim = OmegaColimit(X)
-        c = colim.class_of(2, (1, 2))
-        f = PartialInjection({1: 3, 2: 5})
-        moved = colim.act(f, c)
-        assert moved == colim.class_of(5, (3, 5))
-
-    def test_truncation_guard(self):
-        X = representable_iset(1, 3)
-        colim = OmegaColimit(X)
-        c = colim.class_of(1, (1,))
-        with pytest.raises(TruncationExceeded):
-            colim.act(PartialInjection({1: 4}), c)
-
     def test_supports(self):
         X = representable_iset(2, 5)
         colim = OmegaColimit(X)
-        assert class_support(colim, colim.class_of(2, (1, 2))) == {1, 2}
-        assert class_support(colim, colim.class_of(4, (4, 2))) == {2, 4}
+        assert class_support(colim, colim.root[2, (1, 2)]) == {1, 2}
+        assert class_support(colim, colim.root[4, (4, 2)]) == {2, 4}
 
     def test_level_zero_support_empty(self):
         C = constant_iset(["p"], 3)
@@ -332,7 +309,7 @@ class TestAdjunction:
         colim_flat = OmegaColimit(flat)
         for c in colim.classes:
             m, x = c
-            image = colim_flat.class_of(m, eta.maps[m][x])
+            image = colim_flat.root[m, eta.maps[m][x]]
             assert colim_flat.class_to_element(image).image == colim.class_to_element(c).image
 
 
@@ -396,8 +373,8 @@ class TestDayConvolution:
         seen = set()
         for c in colim.classes:
             n, pt = c
-            ca = colim_a.class_of(n, q1.maps[n][pt])
-            cb = colim_b.class_of(n, q2.maps[n][pt])
+            ca = colim_a.root[n, q1.maps[n][pt]]
+            cb = colim_b.root[n, q2.maps[n][pt]]
             ea = colim_a.class_to_element(ca)
             eb = colim_b.class_to_element(cb)
             assert not support(ea) & support(eb)

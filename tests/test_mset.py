@@ -110,7 +110,7 @@ class TestSupportAndAction:
         table = X.elements_up_to(window)
         hit = {X.act(f, e) for e in table}
         expected = {
-            e for e in table if support(e) <= set(f.image())
+            e for e in table if support(e) <= set(f.mapping.values())
         }
         assert hit == expected
 

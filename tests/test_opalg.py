@@ -447,7 +447,7 @@ class TestCertificates:
             rng = random.Random("acceptance:certs")
             return [serialize_document("certificate",
                                        certify_agreement(phi, psi, A))
-                    for _, (phi, psi, A) in agreement_instances(rng, 50)]
+                    for phi, psi, A in agreement_instances(rng, 50)]
 
         shipped = certificates()
         monkeypatch.setattr(QuasiAffineInjection, "_built", classmethod(
@@ -590,7 +590,7 @@ def _tier1_certificates():
     and the stored golden certificate without endpoints."""
     rng = random.Random("acceptance:certs")
     certs = [(certify_agreement(phi, psi, constraints), (phi, psi))
-             for _, (phi, psi, constraints) in agreement_instances(rng, 50)]
+             for phi, psi, constraints in agreement_instances(rng, 50)]
     with open(GOLDEN_CERTIFICATE, encoding="utf-8") as fh:
         certs.append((parse_document(fh.read()).value, (None, None)))
     return certs
@@ -733,7 +733,7 @@ class TestChainBound:
     def test_criterion_8_step_counts(self):
         rng = random.Random("acceptance:certs")
         lengths = [len(certify_agreement(phi, psi, constraints))
-                   for _, (phi, psi, constraints)
+                   for phi, psi, constraints
                    in agreement_instances(rng, 50)]
         assert len(lengths) == 60
         assert max(lengths) <= 6

@@ -414,14 +414,16 @@ def test_criterion_8_chains_match_oracle():
         return p
 
     rng = random.Random("acceptance:certs")
-    for label, (phi, psi, constraints) in agreement_instances(rng, 50):
+    for case, (phi, psi, constraints) in enumerate(
+            agreement_instances(rng, 50)):
         cert = certify_agreement(phi, psi, constraints)
         chain = cert.chain()
         for e in chain:
             slots = [pieces(s) for s in e.slots]
             for i in range(len(slots)):
                 for j in range(i + 1, len(slots)):
-                    assert oracle.images_disjoint(slots[i], slots[j]), label
+                    assert oracle.images_disjoint(slots[i], slots[j]), \
+                        f"instance {case}"
         for idx, step in enumerate(cert.steps):
             src, dst = chain[idx], chain[idx + 1]
             if step.direction == "bwd":
@@ -429,5 +431,5 @@ def test_criterion_8_chains_match_oracle():
             for s, f, t, A in zip(src.slots, step.move, dst.slots,
                                   cert.constraints):
                 moved = oracle.compose(pieces(s), pieces(f))
-                assert moved == pieces(t), (label, idx)
+                assert moved == pieces(t), f"instance {case}, step {idx}"
                 assert all(oracle.evaluate(f.pieces, a) == a for a in A)

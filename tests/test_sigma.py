@@ -17,7 +17,7 @@ from tamebox.iset import constant_iset
 from tamebox.opalg import infinite_symmetric_product
 from tamebox.sigma import (
     SigmaSet,
-    all_perms,
+    all_injective_tuples,
     identity_perm,
     induce,
     iso_equal,
@@ -102,7 +102,7 @@ class TestPermWords:
                 assert perm_from_word(m, perm_word(sigma)) == sigma
 
     def test_inverse(self):
-        for sigma in all_perms(4):
+        for sigma in all_injective_tuples(4, 4):
             assert perm_compose(sigma, perm_inverse(sigma)) == (1, 2, 3, 4)
 
 
@@ -165,10 +165,11 @@ class TestOrbits:
         ss = SigmaSet(3, points, tables)
         assert len(ss.orbits()) == 1
         reachable = set()
-        for sigma in all_perms(3):
+        for sigma in all_injective_tuples(3, 3):
             reachable.add((sigma[0], sigma[1]))
         assert reachable == set(
-            (sigma[pts[0][0] - 1], sigma[pts[0][1] - 1]) for sigma in all_perms(3)
+            (sigma[pts[0][0] - 1], sigma[pts[0][1] - 1])
+            for sigma in all_injective_tuples(3, 3)
         )
         assert len(ss.orbits()[0][1]) == 6
 
@@ -274,7 +275,7 @@ def coset_sigma_set(m, group):
     """The degree-m symmetric group acting on the left cosets of a
     subgroup, each coset named by its least member."""
     name = {}
-    for g in all_perms(m):
+    for g in all_injective_tuples(m, m):
         if g not in name:
             coset = [perm_compose(g, h) for h in group]
             name.update(dict.fromkeys(coset, min(coset)))
@@ -287,7 +288,8 @@ def coset_sigma_set(m, group):
 def small_subgroups(m):
     """Every subgroup of the degree-m symmetric group that one or two
     permutations generate, in a fixed order."""
-    cyclic = {frozenset(oracle.closure([g], m)): g for g in all_perms(m)}
+    cyclic = {frozenset(oracle.closure([g], m)): g
+              for g in all_injective_tuples(m, m)}
     gens = list(cyclic.values())
     groups = set(cyclic)
     for i, g in enumerate(gens):
