@@ -92,6 +92,20 @@ class TestOmegaColimit:
         colim = OmegaColimit(C)
         assert len(colim.classes) == 2
 
+    @pytest.mark.parametrize("X", [
+        representable_iset(2, 5), constant_iset(["p", "q"], 3),
+        restriction_coequalizer(4),
+    ], ids=["representable", "constant", "coequalizer"])
+    def test_inclusions_keep_the_class(self, X):
+        # a node and its image along the inclusion name one class, and
+        # the classes are the points of the top level
+        colim = OmegaColimit(X)
+        for m in range(X.N):
+            for x in X.levels[m]:
+                assert colim.root[m, x] == colim.root[m + 1, X.incl[m][x]]
+        assert sorted(colim.root[X.N, p] for p in X.levels[X.N]) == sorted(
+            colim.classes)
+
     def test_supports(self):
         X = representable_iset(2, 5)
         colim = OmegaColimit(X)

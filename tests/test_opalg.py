@@ -382,6 +382,16 @@ class TestWedge:
 
 
 class TestCertificates:
+    def test_agreement_instances_agree_on_their_constraints(self):
+        rng = random.Random(3)
+        instances = list(agreement_instances(rng, 6))
+        assert [phi.arity for phi, _, _ in instances] == [2] * 6 + [3] * 10
+        for phi, psi, constraints in instances:
+            assert psi.arity == len(constraints) == phi.arity
+            for i, A in enumerate(constraints, 1):
+                assert all(phi.slot(i)(a) == psi.slot(i)(a) for a in A)
+        assert all(len(A) == 1 for _, _, cs in instances[6:] for A in cs)
+
     def test_equal_pair_empty_chain(self):
         s = OperadElement(disjoint_lanes(2))
         cert = certify_agreement(s, s, [set(), set()])

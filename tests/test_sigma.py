@@ -105,6 +105,16 @@ class TestPermWords:
         for sigma in all_injective_tuples(4, 4):
             assert perm_compose(sigma, perm_inverse(sigma)) == (1, 2, 3, 4)
 
+    def test_injections_listed_once_and_permutations_in_order(self):
+        # the orbit and table code reads permutations in this order
+        for n in range(5):
+            for m in range(n + 1):
+                listed = all_injective_tuples(m, n)
+                assert len(listed) == len(set(listed))
+                assert set(listed) == set(permutations(range(1, n + 1), m))
+            assert all_injective_tuples(n, n) == list(
+                permutations(range(1, n + 1)))
+
 
 class TestValidation:
     def test_rejects_non_involution(self):
