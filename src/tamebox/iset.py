@@ -706,7 +706,8 @@ def _next_level_merges(X: TruncatedISet):
     points.  It sends x to the class of the node on the face {1..N}
     that has x's position as its id; a union links the greater root
     under the lesser, so those nodes are all roots unless two of them
-    were glued."""
+    were glued.  When nothing merges, it saves building a Lan level
+    that would be thrown away."""
     classes, _ = _colimit_under(X, X.N + 1)
     top = tuple(range(1, X.N + 1))
     return sum(S == top for S, _ in classes) < len(X.levels[X.N])

@@ -215,16 +215,12 @@ class SigmaSet:
                         u = tuple(u)
                     transversal[r] = (p, u)
             groups.setdefault(transversal[p][0], []).append(p)
-        return list(groups.items()), transversal
+        return groups, transversal
 
     def orbits(self):
         """Partition into orbits, with the least point of each orbit as
         its representative.  Returns a list of (rep, members) pairs."""
-        return self._search[0]
-
-    @cached_property
-    def _orbit_of(self):
-        return dict(self.orbits())
+        return list(self._search[0].items())
 
     def rooted_transversal(self):
         """For every point p, its orbit representative r and a
@@ -239,7 +235,7 @@ class SigmaSet:
         sorted and without the identity: u_q^-1 s u_p for p in the orbit, s
         an adjacent transposition, q = s . p and u the transversal."""
         tv = self.rooted_transversal()
-        orbit = self._orbit_of[rep]
+        orbit = self._search[0][rep]
         inverse = {p: perm_inverse(tv[p][1]) for p in orbit}
         gens = set()
         for p in orbit:

@@ -8,11 +8,11 @@ import pytest
 
 from corpus import box_factor, named_late_pairs
 from test_mset import unit_mset
-from tamebox import PartialInjection, cli, opalg, selftest, sigma
+from tamebox import cli, opalg, selftest, sigma
 from tamebox.cli import main
 from tamebox.documents import PointNames, canonical_json, serialize_document
 from tamebox.generators import disjoint_lanes, random_mset
-from tamebox.injections import QuasiAffineInjection
+from tamebox.injections import PartialInjection, QuasiAffineInjection
 from tamebox.iset import (
     flat_replacement,
     is_flat,

@@ -1,8 +1,8 @@
 """The library holds only what it reaches and reads.
 
-Every name a library module imports is used in that module:
-`__init__.py` imports to re-export and is left out; `__future__`
-imports are directives, not names.
+Every name a library module imports is used in that module;
+`__future__` imports are directives, not names.  `__init__.py` is its
+docstring only: each name is imported from the module that defines it.
 
 Every top-level function, class and method of the library is reached
 by name from a root, and every parameter is read by its function
@@ -49,8 +49,7 @@ import tamebox
 from conftest import TRUSTED
 
 PACKAGE = os.path.dirname(os.path.abspath(tamebox.__file__))
-MODULES = sorted(name for name in os.listdir(PACKAGE)
-                 if name.endswith(".py") and name != "__init__.py")
+MODULES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 PERFBENCH = os.path.join(ROOT, "perfbench")
 README = os.path.join(ROOT, "README.md")
@@ -94,9 +93,9 @@ def _parse(path):
 
 
 def library():
-    """Every module of the package, `__init__` included, by name."""
+    """Every module of the package, by name."""
     return {name[:-3]: _parse(os.path.join(PACKAGE, name))
-            for name in MODULES + ["__init__.py"]}
+            for name in MODULES}
 
 
 def _reads(nodes):
@@ -345,6 +344,13 @@ def test_finds_an_unused_import():
 def test_module_uses_every_import(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_init_is_its_docstring_only():
+    # no second import path: each name comes from its own module
+    tree = library()["__init__"]
+    assert ast.get_docstring(tree)
+    assert [ast.unparse(node) for node in tree.body[1:]] == []
 
 
 def test_every_benchmark_hook_names_a_library_definition():
