@@ -139,11 +139,8 @@ def random_sub_mset(rng, X: CanonicalTameMSet):
     return CanonicalTameMSet(levels)
 
 
-def random_iset(rng, N, max_stable, merge_cap=None):
-    """A validated truncated diagram with stability at most max_stable.
-    An optional merge_cap keeps quotient seeds at or below the cap and
-    redraws a diagram whose inclusions merge above it, so draws rarely
-    merge past their top."""
+def random_iset(rng, N, max_stable):
+    """A validated truncated diagram with stability at most max_stable."""
     for _ in range(20):
         kind = rng.random()
         if kind < 0.45:
@@ -152,10 +149,9 @@ def random_iset(rng, N, max_stable, merge_cap=None):
         elif kind < 0.7:
             W = random_mset(rng, max_level=max_stable, max_points=3)
             X = support_filtration(W, N)
-            top = N if merge_cap is None else max(merge_cap, 1)
             seeds = []
             for _ in range(rng.randint(1, 2)):
-                candidates = [m for m in range(top + 1)
+                candidates = [m for m in range(N + 1)
                               if len(X.levels[m]) >= 2]
                 if not candidates:
                     continue
@@ -171,8 +167,6 @@ def random_iset(rng, N, max_stable, merge_cap=None):
         else:
             X = restriction_coequalizer(N)
         if X.stable_from > max_stable:
-            continue
-        if merge_cap is not None and X.merge_level > merge_cap:
             continue
         return X
     return representable_iset(min(1, max_stable), N)

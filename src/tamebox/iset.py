@@ -10,7 +10,7 @@ higher element comes from a lower one.
 
 On top of this sit the colimit over the inclusions with its induced
 monoid action, exact support computation, flatness checking by two
-independent routes (latching maps, and injectivity plus supports), the
+independent routes (latching maps, and the count of generators), the
 latching pushouts of monomorphisms, the Day convolution along
 concatenation, and the passage back and forth to canonical tame actions.
 
@@ -33,10 +33,11 @@ gives.  The Day convolution is a quotient of the free diagram on the
 first factor's generators convolved with the second (see
 `day_convolution`).
 
-Each level's face maps, and the faces that hold each point with a
-preimage along each, are tabulated on the positions of the points when
-the level is added, straight from the inclusion and the transposition
-tables; a derived diagram shares the tables of the levels it shares.
+Each level's face maps, the faces that hold each point with a
+preimage along each, and the points no face holds, its generators, are
+tabulated on the positions of the points when the level is added,
+straight from the inclusion and the transposition tables; a derived
+diagram shares the tables of the levels it shares.
 Every reader of faces reads them there, the colimit's class elements
 too; any other injection is applied by walking the inclusions and then
 a cached transposition word.
@@ -119,6 +120,7 @@ class TruncatedISet:
         self._positions = base._positions[:k] if base else []
         self._faces = base._faces[:k] if base else []
         self._holding = base._holding[:k] if base else []
+        self._generators = base._generators[:k] if base else []
 
     def _check(self, lo, N):
         """The relations on levels lo..N, against the levels below,
@@ -171,7 +173,7 @@ class TruncatedISet:
         # level n is generated from n - 1 when its faces hold all of it:
         # s_1 .. s_{n-2} keep the image of the inclusion, so the coset
         # representatives s_j ... s_{n-1} carry it onto all its images
-        failing = [n for n in range(N + 1) if self.generators(n)]
+        failing = [n for n, g in enumerate(self._generators) if g]
         if stable_from is None:
             stable_from = max(failing, default=0)
         for n in failing:
@@ -180,10 +182,10 @@ class TruncatedISet:
         self.stable_from = stable_from
 
     def _tabulate(self, n):
-        """Build the face table and the faces-holding table of level n
-        (`face_positions`, `faces_holding`): the face that skips n is
-        the inclusion, and the one that skips j+1 is s_{j+1} after the
-        one that skips j+2."""
+        """Build the face table, the faces-holding table and the
+        generators of level n (`face_positions`, `faces_holding`,
+        `generators`): the face that skips n is the inclusion, and the
+        one that skips j+1 is s_{j+1} after the one that skips j+2."""
         pos, level = self._positions[n], self.levels[n]
         faces, holding = [], [{} for _ in level]
         if n:
@@ -198,6 +200,8 @@ class TruncatedISet:
                 holding[p][i] = p0
         self._faces.append(faces)
         self._holding.append(holding)
+        self._generators.append([z for z, held in zip(level, holding)
+                                 if not held])
 
     @property
     def merge_level(self):
@@ -215,9 +219,17 @@ class TruncatedISet:
         |F_G(n)| is that sum.  X is flat exactly when the map is a
         bijection: F_G is flat, and by induction on n an injective
         latching map splits X(n) as its image and G_n, as F_G(n) splits."""
-        g = [len(self.generators(m)) for m in range(self.N + 1)]
-        return all(sum(comb(n, m) * g[m] for m in range(n + 1))
-                   == len(level) for n, level in enumerate(self.levels))
+        return self._count_failure() is None
+
+    def _count_failure(self):
+        """("count", n, |X(n)|, Σ_m C(n, m)·|G_m|) at the first level n
+        where the count of `free` fails, or None where it holds."""
+        g = [len(gens) for gens in self._generators]
+        for n, level in enumerate(self.levels):
+            total = sum(comb(n, m) * g[m] for m in range(n + 1))
+            if total != len(level):
+                return "count", n, len(level), total
+        return None
 
     def positions(self, m):
         """Each point of level m sent to its index in the level."""
@@ -239,8 +251,7 @@ class TruncatedISet:
 
     def generators(self, n):
         """The points of level n in no face image, in level order."""
-        return [z for z, held in zip(self.levels[n], self.faces_holding(n))
-                if not held]
+        return self._generators[n]
 
     def map_along(self, alpha, n, x):
         """Apply the functor to the injection given by the value tuple
@@ -537,10 +548,17 @@ class ISetMorphism:
 
 
 def n_iso_check(f: ISetMorphism):
-    """Whether the induced map of colimit classes is a bijection: the
-    classes are the top points, and f carries the class of a top point
-    y to that of f_N(y), so exactly when f_N is a bijection."""
-    return f._bijective_at(f.source.N)
+    """Whether f induces a bijection on the colimit classes of the points
+    of level N, read as `canonicalize` reads them, in the colimit of the
+    faithful extension of source and target, where points that merge
+    past the truncation are one class; past the extension's hard top
+    this raises `TruncationExceeded`."""
+    N = f.source.N
+    src, tgt = (OmegaColimit(faithful_extension(X)).root
+                for X in (f.source, f.target))
+    image = {src[N, x]: tgt[N, y] for x, y in f.maps[N].items()}
+    return (len(set(image.values())) == len(image)
+            == len({tgt[N, y] for y in f.target.levels[N]}))
 
 
 def flat_replacement(X: TruncatedISet, degree_bound=DEFAULT_DEGREE_BOUND):
@@ -719,16 +737,12 @@ class FlatnessReport(NamedTuple):
 
 
 def is_flat(X: TruncatedISet, mode="latching") -> FlatnessReport:
-    """Flatness by latching maps, or directly by injectivity plus
-    preservation of intersections; `both` insists the routes agree.
-
-    Every map is a permutation after inclusions, so injective
-    inclusions make all maps injective.  The subsets of {1..n} whose
-    image holds a point z of X(n) then form an up-set, and each member
-    contains S, the values whose face misses z (a member missing i lies
-    in the face that skips i); so the up-set is closed under
-    intersection exactly when it contains S.  The direct route names
-    the first merging inclusion, or else ("support", n, z, S)."""
+    """Flatness by latching maps, or directly by the count that
+    `TruncatedISet.free` reads; `both` insists the routes agree.  The
+    latching route names the first latching map that is not injective,
+    the direct route the first level n where the count fails, as
+    ("count", n, |X(n)|, Σ_m C(n, m)·|G_m|): below the first such map X
+    is free, and there the count fails, so both name one level."""
     if mode == "both":
         a = is_flat(X, "latching")
         b = is_flat(X, "direct")
@@ -743,19 +757,8 @@ def is_flat(X: TruncatedISet, mode="latching") -> FlatnessReport:
         return FlatnessReport(True, None)
     if mode != "direct":
         raise ValueError(f"unknown flatness mode {mode!r}")
-    if X.merge_level:
-        return FlatnessReport(False, ("inclusion", X._merges.index(True)))
-    for n in range(X.N + 1):
-        images = {}
-        for z, held in zip(X.levels[n], X.faces_holding(n)):
-            S = tuple(i for i in range(1, n + 1) if i not in held)
-            image = images.get(S)
-            if image is None:
-                image = images[S] = {
-                    X.map_along(S, n, u) for u in X.levels[len(S)]}
-            if z not in image:
-                return FlatnessReport(False, ("support", n, z, S))
-    return FlatnessReport(True, None)
+    witness = X._count_failure()
+    return FlatnessReport(witness is None, witness)
 
 
 def mono_pushout_injective(f: ISetMorphism, n):

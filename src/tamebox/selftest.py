@@ -251,8 +251,8 @@ def suite_day_vs_box(tally, rng, cases=20, window=5,
 
 @suite("flatness-modes")
 def suite_flatness_modes(tally, rng, cases=100, window=4):
-    """Latching injectivity and the direct criterion agree, with the
-    designated counterexample failing at level two."""
+    """Latching injectivity and the count of generators agree, with
+    the designated counterexample failing at level two."""
     def case():
         X = random_iset(rng, window, 2)
         if is_flat(X, "latching").flat != is_flat(X, "direct").flat:
@@ -284,7 +284,7 @@ def suite_adjunction(tally, rng, cases=50, window=4,
             return "counit not a bijection"
 
     def unit():
-        X = random_iset(rng, window, 2, merge_cap=window - 2)
+        X = random_iset(rng, window, 2)
         _, eta = flat_replacement(X, degree_bound)
         if not n_iso_check(eta):
             return "unit not a colimit bijection"

@@ -16,17 +16,19 @@ through partial injections.
 
 `direct_flatness` is the direct flatness route that rebuilds the span
 of every meet and compares every pair of subsets, and `merge_level`
-rescans every inclusion; the library reads flatness off the faces that
-hold each point and merges off the images it builds once.
+rescans every inclusion; the library reads flatness off the count of
+the generators it tabulates and merges off the images it builds once.
 
 `mono_pushout_injective` builds the latching pushout of a levelwise
 monomorphism in a union-find over the brute-force latching classes;
 the library reads the answer off which latching maps are injective and
 the faces that hold each point.
 
-`n_iso_check` builds both colimits over the inclusions by union-find
-over the nodes of every level and compares their classes; the library
-reads the answer off the top level map.
+`n_iso_check` extends source and target by the brute-force
+`lan_extend` as high as the library's faithful extension reaches,
+builds both colimits over the inclusions by union-find over the nodes
+of every level, and compares the classes of the level-N nodes; the
+library reads the classes off the colimit of the faithful extension.
 
 `canonical_by_decomposition` decomposes the colimit's low classes as
 an action table: it tests every support again by single injections,
@@ -585,10 +587,19 @@ def omega_classes(X: TruncatedISet):
 
 def n_iso_check(f):
     """Whether f induces a bijection of colimit classes, from the
-    classes of both colimits."""
-    src, tgt = omega_classes(f.source), omega_classes(f.target)
-    images = {c: tgt[c[0], f.maps[c[0]][c[1]]] for c in set(src.values())}
-    return len(set(images.values())) == len(images) == len(set(tgt.values()))
+    classes of the level-N nodes of both colimits, each taken as high
+    as the faithful extension reaches, where nothing merges any more."""
+    def classes(X):
+        top = faithful_extension(X).N
+        while X.N < top:
+            X = lan_extend(X)
+        return omega_classes(X)
+
+    N = f.source.N
+    src, tgt = classes(f.source), classes(f.target)
+    images = {src[N, x]: tgt[N, y] for x, y in f.maps[N].items()}
+    return (len(set(images.values())) == len(images)
+            == len({tgt[N, y] for y in f.target.levels[N]}))
 
 
 def latching_injective(X: TruncatedISet, n):

@@ -126,6 +126,14 @@ MUTANTS = [
            "    if False:\n",
            "tests/test_iset.py::"
            "test_day_projections_refuse_a_convolution_past_the_truncation"),
+    # the classes read off the top level map, which misses the points
+    # of X(N) that merge past the truncation
+    Mutant("colimit bijection read off the top level", "iset.py",
+           "    return (len(set(image.values())) == len(image)\n"
+           "            == len({tgt[N, y] for y in f.target.levels[N]}))\n",
+           "    return f._bijective_at(f.source.N)\n",
+           "tests/test_iset.py::"
+           "test_unit_is_colimit_bijection_where_points_merge_past_the_top"),
     # the pair of a source orbit seeded where its representative lies,
     # not moved onto its joint support: an orbit above the window
     # falls outside the truncation

@@ -59,8 +59,9 @@ def test_criterion_05_flatness_modes():
 
 
 def test_criterion_05_flatness_modes_deep():
-    # the same at N=8, where the direct route reads supports off the
-    # face tables instead of trying every pair of subsets
+    # the same at N=8, where the direct route reads the count of the
+    # generators tabulated with each level instead of trying every
+    # pair of subsets
     criterion(5, "flatness criteria agree at depth",
               st.suite_flatness_modes, "flat", 100 + 1 + 3,
               cases=100, window=8)

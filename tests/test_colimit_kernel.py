@@ -6,7 +6,9 @@ preimage along each, completion words, filtration swaps) and the class
 elements pulled down along them against the oracles that recompute
 them, the direct flatness route and merge levels against the route
 that rebuilds every meet's span and the rescan of every inclusion, the
-latching-pushout check against the pushout built by union-find,
+level where the count fails against the first latching map that is not
+injective, the latching-pushout check against the pushout built by
+union-find,
 the stopping rule of the canonical extension on two pinned diagrams
 whose merges lie just past the given top and on seeded draws, the
 count that reads a free diagram off its generators against both
@@ -21,6 +23,7 @@ union-find they replaced."""
 import json
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -493,26 +496,36 @@ def image_of(X, alpha, n):
     return {oracle.map_along(X, alpha, n, u) for u in X.levels[len(alpha)]}
 
 
+def counted(X, n):
+    """Σ_m C(n, m)·|G_m|, G_m the points of level m in no face image
+    by the oracle's map_along."""
+    def generators(m):
+        faces = [tuple(v for v in range(1, m + 1) if v != i)
+                 for i in range(1, m + 1)]
+        images = set().union(*(image_of(X, face, m) for face in faces))
+        return [z for z in X.levels[m] if z not in images]
+
+    return sum(comb(n, m) * len(generators(m)) for m in range(n + 1))
+
+
 def flatness_mismatches(X):
-    """The direct route against the oracle's pair search: the same
-    verdict, the same merge witness, and a support witness ("support",
-    n, z, S) at the oracle's first failing level with z in the face
-    that skips i exactly when i is outside S, and z outside the image
-    of S."""
+    """The direct route against the oracles: the verdict of the pair
+    search, and on a diagram that is not flat a count witness ("count",
+    n, |X(n)|, Σ_m C(n, m)·|G_m|) at the first level whose latching map
+    the oracle finds not injective, its count recomputed by the
+    oracle's map_along."""
     report = is_flat(X, "direct")
     flat, witness = oracle.direct_flatness(X)
     if report.flat != flat:
         return [("verdict", report.witness, witness)]
-    if flat or witness[0] == "inclusion":
-        return [] if report.witness == witness else [("witness", witness)]
-    kind, n, z, S = report.witness
-    bad = [] if (kind, n) == ("support", witness[1]) else [("level", n)]
-    for i in range(1, n + 1):
-        face = tuple(v for v in range(1, n + 1) if v != i)
-        if (z in image_of(X, face, n)) == (i in S):
-            bad.append(("face", i))
-    if z in image_of(X, S, n):
-        bad.append(("image", S))
+    if flat:
+        return [] if report.witness is None else [("witness", report.witness)]
+    kind, n, size, total = report.witness
+    latched = [oracle.latching_injective(X, m) for m in range(1, n + 1)]
+    first = [True] * (n - 1) + [False]  # injective below n only
+    bad = [] if (kind, latched) == ("count", first) else [("level", n)]
+    if (size, total) != (len(X.levels[n]), counted(X, n)):
+        bad.append(("count", size, total))
     return bad
 
 
@@ -527,6 +540,25 @@ def test_direct_flatness_and_merge_level_match_oracles(kind, seed, N, extend):
     assert flatness_mismatches(X) == []
     for Y in (X, X._derived(X.N - 1)):
         assert Y.merge_level == oracle.merge_level(Y)
+
+
+@kernel_settings
+@given(st.sampled_from(FAMILIES), st.integers(0, 10**6), st.integers(2, 5),
+       st.booleans())
+@example("coequalizer", 0, 2, False)
+@example("coequalizer", 0, 5, True)
+def test_count_fails_where_the_first_latching_map_does(kind, seed, N, extend):
+    # below the first latching map that is not injective X is free, so
+    # the latching map at n is injective exactly when the count holds
+    X = diagram(kind, seed, N)
+    if extend:
+        X = lan_extend(X)
+    count, latched = is_flat(X, "direct"), is_flat(X, "latching")
+    assert count.flat == latched.flat
+    if not count.flat:
+        assert count.witness[1] == latched.witness[0]
+    if kind == "coequalizer":
+        assert count.witness[1] == 2
 
 
 def generated_subdiagram(Y, seeds):
@@ -593,14 +625,24 @@ def test_map_along_comparison_catches_a_skipped_inclusion_walk(monkeypatch):
 
 def test_flatness_and_pushout_comparisons_catch_faces_holding_nothing(
         monkeypatch):
-    # the coequalizer's injective inclusions fail to preserve an
-    # intersection at level 2; (1,) and (2,) at level 2 lie in faces of
-    # the representable, but the sub-diagram they generate starts there
-    Q = restriction_coequalizer(4)
-    f = generated_subdiagram(representable_iset(1, 3), [(2, (2,))])
+    # each level tabulated with no point in a face, so every point is a
+    # generator; the coequalizer's count at level 2 then reads 3 for 2,
+    # and (1,) and (2,) at level 2 lie in faces of the representable,
+    # but the sub-diagram they generate starts there
+    def holding_nothing(self, n):
+        real(self, n)
+        self._holding[n] = [{} for _ in self.levels[n]]
+        self._generators[n] = list(self.levels[n])
+
+    def built():
+        return restriction_coequalizer(4), generated_subdiagram(
+            representable_iset(1, 3), [(2, (2,))])
+
+    Q, f = built()
     assert flatness_mismatches(Q) == [] and pushout_mismatches(f) == []
-    monkeypatch.setattr(TruncatedISet, "faces_holding",
-                        lambda X, n: [{} for _ in X.levels[n]])
+    real = TruncatedISet._tabulate
+    monkeypatch.setattr(TruncatedISet, "_tabulate", holding_nothing)
+    Q, f = built()
     assert flatness_mismatches(Q) != []
     assert pushout_mismatches(f) != []
 

@@ -180,16 +180,15 @@ def test_box_output_is_read_back_at_its_degree(tmp_path):
 
 
 def test_direct_flatness_route(tmp_path):
-    # the representable is flat and the coequalizer fails on an
-    # intersection
+    # the representable is flat, and the coequalizer's level 2 holds
+    # one point where its one generator, at level 1, counts two
     rep = write(tmp_path / "rep.json", "iset", representable_iset(1, 5))
     coeq = write(tmp_path / "coeq.json", "iset", restriction_coequalizer(5))
     assert cli(tmp_path, "flat-check", "--mode", "direct", rep)[0] == 0
     code, out = cli(tmp_path, "flat-check", "--mode", "direct", coeq)
     assert code == 1
     witness = json.loads(out)["counterexample"]
-    kind, n, _, S = ast.literal_eval(witness)
-    assert (kind, n, S) == ("support", 2, ())
+    assert ast.literal_eval(witness) == ("count", 2, 1, 2)
 
 
 def test_class_first_seen_above_its_support(tmp_path):

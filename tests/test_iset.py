@@ -234,10 +234,9 @@ class TestFlatness:
         direct = is_flat(Q, "direct")
         assert not lat.flat and not direct.flat
         assert lat.witness[0] == 2
-        # injectivity holds; the intersection condition is what fails:
-        # (1,) at level 2 lies in both faces, but not in the image of
-        # the empty set, level 0 being empty
-        assert direct.witness == ("support", 2, (1,), ())
+        # the one generator, (1,) at level 1, counts two points at level
+        # 2, one along each face, but (1,) and (2,) are one point there
+        assert direct.witness == ("count", 2, 1, 2)
 
     def test_modes_agree_on_quotients(self):
         X = support_filtration(sample_mset(), 4)
@@ -269,8 +268,9 @@ class TestAdjunction:
     def test_n_iso_matches_two_colimit_oracle(self, seed, N):
         # the unit and the identity are colimit bijections, the inclusion
         # into X with one more point is not, and the map onto one point
-        # is one exactly when the top level is a single point
-        X = random_iset(random.Random(seed), N, N // 2, merge_cap=N - 2)
+        # is one exactly when the colimit has a single class, which the
+        # top level may not show when its points merge past it
+        X = random_iset(random.Random(seed), N, N // 2)
         _, eta = flat_replacement(X)
         ident = ISetMorphism(X, X, [{p: p for p in l} for l in X.levels])
         point = constant_iset(["*"], N)
@@ -545,7 +545,24 @@ def test_canonical_extension_stops_at_its_height_budget(monkeypatch):
         faithful_extension(Q)
 
 
-def test_a_draw_no_diagram_meets_falls_back_to_a_representable():
-    # no diagram has a merge level below zero
-    X = random_iset(random.Random(0), 3, 2, merge_cap=-1)
-    assert X.levels == representable_iset(1, 3).levels
+def test_a_draw_no_diagram_meets_falls_back_to_a_representable(
+        monkeypatch):
+    # every draw is the restriction coequalizer, of stability 1
+    rng = random.Random(0)
+    monkeypatch.setattr(rng, "random", lambda: 0.99)
+    X = random_iset(rng, 3, 0)
+    assert X.levels == representable_iset(0, 3).levels
+
+
+@pytest.mark.parametrize("seed, sizes", [
+    (12, [0, 0, 2, 3, 3]), (256, [2, 2, 4, 8, 11])])
+def test_unit_is_colimit_bijection_where_points_merge_past_the_top(
+        seed, sizes):
+    # the faithful extension reaches level 7, where the 3 points of the
+    # first draw's X(4) form 1 class and the 11 of the second 9: the
+    # top level map is no bijection, the map of classes is
+    X = random_iset(random.Random(seed), 4, 2)
+    assert [len(level) for level in X.levels] == sizes
+    _, eta = flat_replacement(X)
+    assert not eta._bijective_at(4)
+    assert n_iso_check(eta)
