@@ -29,9 +29,9 @@ depends only on n and is built once per n.
 
 Quotients and the Day convolution share one closure loop, `_quotient`,
 which names each class by its first point in an order its caller
-gives.  The Day convolution is a quotient of the free diagram on the
-first factor's generators convolved with the second (see
-`day_convolution`).
+gives.  The Day convolution is a quotient of the support filtration of
+the box product of the factors' generators, by both factors' relations
+(see `day_convolution`): its points are box elements.
 
 Each level's face maps, the faces that hold each point with a
 preimage along each, and the points no face holds, its generators, are
@@ -58,7 +58,8 @@ from .errors import (
     TruncationExceeded,
     ValidationError,
 )
-from .mset import DEFAULT_DEGREE_BOUND, CanonicalTameMSet, MElement
+from .mset import (DEFAULT_DEGREE_BOUND, CanonicalTameMSet, MElement, box,
+                   box_pair)
 from .sigma import SigmaSet, all_injective_tuples, completion_word, point_key
 from .unionfind import UnionFind
 
@@ -270,35 +271,46 @@ class TruncatedISet:
 
 
 def _nested(levels, swap):
-    """The diagram on levels that each hold the one below, with the
-    identity as inclusions and s_i sending x to swap(x, i), found once
-    on the top level.  One rule at every level makes the inclusions
-    natural; each caller's rule is an action of the permutations, and
-    s_{m+1} fixes level m under it, so the relations hold."""
+    """The levels, inclusions and transpositions of the diagram on
+    levels that each hold the one below, with the identity as
+    inclusions and s_i sending x to swap(x, i), found once on the top
+    level.  One rule at every level makes the inclusions natural; each
+    caller's rule is an action of the permutations, and s_{m+1} fixes
+    level m under it, so the relations hold."""
     N = len(levels) - 1
     moves = [{x: swap(x, i) for x in levels[N]} for i in range(1, N)]
     incl = [{x: x for x in level} for level in levels[:-1]]
     transp = [[{x: move[x] for x in level} for move in moves[:max(m - 1, 0)]]
               for m, level in enumerate(levels[:-1])] + [moves]
-    return TruncatedISet._built(N, levels, incl, transp)
+    return levels, incl, transp
 
 
 def representable_iset(m, N):
     """The functor represented by {1..m}: level k holds the injections
     {1..m} -> {1..k}, and the maps post-compose, which is functorial.
     `_swapped` runs uncached, or its cache would keep every injection."""
-    return _nested([all_injective_tuples(m, k) for k in range(N + 1)],
-                   _swapped.__wrapped__)
+    return TruncatedISet._built(N, *_nested(
+        [all_injective_tuples(m, k) for k in range(N + 1)],
+        _swapped.__wrapped__))
 
 
 def constant_iset(points, N):
     """The same points at every level, every map the identity: each
     s_i fixes each point x, the first of the swap's arguments (x, i)."""
-    return _nested([list(points)] * (N + 1), lambda *x_i: x_i[0])
+    return TruncatedISet._built(N, *_nested([list(points)] * (N + 1),
+                                            lambda *x_i: x_i[0]))
 
 
 def support_filtration(W: CanonicalTameMSet, N):
-    """The diagram of elements supported inside {1..m}; always flat.
+    """The diagram of elements supported inside {1..m}; always flat
+    (see `_filtration`)."""
+    return TruncatedISet._built(N, *_filtration(W, N))
+
+
+def _filtration(W: CanonicalTameMSet, N):
+    """The levels, inclusions and transpositions of the support
+    filtration, for a caller that quotients them before it builds a
+    diagram.
 
     Level m keeps, in order, the elements of level N whose image ends
     at m or below: the list `W.elements_up_to(m)`.  The swap s_i moves
@@ -800,84 +812,68 @@ def _day_factors(X: TruncatedISet, Y: TruncatedISet):
     return tuple(factors)
 
 
-def day_convolution(X: TruncatedISet, Y: TruncatedISet):
-    """The convolution along concatenation: level n is the colimit of
-    X(m1) x Y(m2) over decompositions of {1..n}.  A point is (m1, gamma,
-    x, y): gamma is the sorted first block A followed by the sorted
-    complement, x in X(m1) lies on A and y on the complement.  Both
-    factors are first extended canonically (see `_day_factors`).
+def _generator_mset(X: TruncatedISet):
+    """The generators of X as a tame action: level m is the Σ_m-set
+    `X.generators(m)` under `X.transp[m]`, which keeps it, since a
+    permutation carries the image of a face onto that of a face."""
+    return CanonicalTameMSet({m: SigmaSet._built(
+        m, gens, [{g: t[g] for g in gens} for t in X.transp[m]])
+        for m, gens in enumerate(map(X.generators, range(X.N + 1))) if gens})
 
-    A generator of X is a point in no face image; the free diagram F_X
-    on them maps onto X by (S, p) -> X(ι_S)p.  Convolution is
-    cocontinuous in each variable and I(a,-) ⊛ I(b,-) is I(a+b,-) (Day,
-    "On closed categories of functors", 1970), so X ⊛ Y is F_X ⊛ Y
-    modulo the kernel of F_X -> X convolved with Y.  Level n of F_X ⊛ Y
-    holds, unglued, the points whose x is a generator; s_i acts on x or
-    y when i and i+1 lie in one block, else swaps them across, which
-    keeps both blocks sorted.  The kernel is the closure of seeds: each
-    (S, p) in F_X(k) with the image of an earlier one is identified with
-    it, both followed by each generator q of Y placed on k+1..k+m; every
-    point of Y is an image of some q.
 
-    Points are listed by m1, then A, then the positions of x and y, and
-    `_quotient` names each class by its first point, which is first in
-    the colimit too: since F_X maps onto X, a point whose x is no
-    generator equals one whose x is and whose first block is smaller."""
-    X, Y = _day_factors(X, Y)
-    N = X.N
-    gx, gy = ([Z.generators(a) for a in range(N + 1)] for Z in (X, Y))
-
-    def blocks(n, A):
-        return A + tuple(v for v in range(1, n + 1) if v not in A)
-
-    order = [[(a, blocks(n, A), p, y)
-              for a in range(n + 1) for A in combinations(range(1, n + 1), a)
-              for p in gx[a] for y in Y.levels[n - a]]
-             for n in range(N + 1)]
-
-    def swap(n, c, i):
-        a, gamma, p, y = c
-        j, k = gamma.index(i), gamma.index(i + 1)
-        if j < a and k < a:
-            return a, gamma, X.transp[a][j][p], y
-        if j >= a and k >= a:
-            return a, gamma, p, Y.transp[n - a][j - a][y]
-        return a, _swapped(gamma, i), p, y
-
-    incl = [{c: (c[0], c[1] + (n + 1,), c[2], Y.incl[n - c[0]][c[3]])
-             for c in points} for n, points in enumerate(order[:N])]
-    transp = [[{c: swap(n, c, i) for c in points} for i in range(1, n)]
-              for n, points in enumerate(order)]
-
-    def node(k, S, p, m, q):  # (S, p) in F_X(k), then q on k+1..k+m
-        a = len(S)
-        y = Y.map_along(tuple(range(k - a + 1, k - a + m + 1)), k + m - a, q)
-        return a, blocks(k + m, S), p, y
-
-    seeds = []
-    for k in range(N + 1):
+def _relations(X: TruncatedISet):
+    """(k, e, e') for each element e of the generator action supported
+    inside {1..k} whose image X(ι_S)p in X(k), S its image and p its
+    point, is that of an earlier one, e' the first: the pairs generate
+    the kernel of F_G -> X.  There are none when X is free, as F_G -> X
+    is then a bijection."""
+    if X.free:
+        return []
+    out = []
+    for k in range(X.N + 1):
         first = {}  # each image in X(k) sent to its first preimage
         for a in range(k + 1):
             for S in combinations(range(1, k + 1), a):
-                for p in gx[a]:
-                    e = first.setdefault(X.map_along(S, k, p), (S, p))
-                    seeds += [(k + m, node(k, S, p, m, q), node(k, *e, m, q))
-                              for m in range(N - k + 1) for q in gy[m]
-                              if e != (S, p)]
-    return _quotient(order, incl, transp, seeds)
+                for p in X.generators(a):
+                    e = MElement(a, S, p)
+                    e0 = first.setdefault(X.map_along(S, k, p), e)
+                    if e0 is not e:
+                        out.append((k, e, e0))
+    return out
 
 
-def day_projections(XY: TruncatedISet, X: TruncatedISet, Y: TruncatedISet):
-    """The two projections out of a convolution built by
-    day_convolution from X and Y at their truncation: a point (m1,
-    gamma, x, y) goes to x and y moved along the two blocks of gamma.
-    The convolution's maps move the blocks by post-composition, or act
-    in one block as the factor's maps do, so the projections are natural."""
-    if not XY.N == X.N == Y.N:
-        raise InvalidMorphism("source and target truncations differ")
-    first, second = [], []
-    for n, level in enumerate(XY.levels):
-        first.append({c: X.map_along(c[1][:c[0]], n, c[2]) for c in level})
-        second.append({c: Y.map_along(c[1][c[0]:], n, c[3]) for c in level})
-    return (ISetMorphism._built(XY, X, first),
-            ISetMorphism._built(XY, Y, second))
+def day_convolution(X: TruncatedISet, Y: TruncatedISet):
+    """The convolution along concatenation: level n is the colimit of
+    X(m1) x Y(m2) over decompositions of {1..n}.  Both factors are
+    first extended canonically (see `_day_factors`).
+
+    The free diagram F_G on the generator action G of X
+    (`_generator_mset`) maps onto X by (S, p) -> X(ι_S)p.  Convolution
+    is cocontinuous in each variable and I(a,-) ⊛ I(b,-) is I(a+b,-)
+    (Day, "On closed categories of functors", 1970), so F_G ⊛ F_H is the
+    support filtration of `box(G, H)`, and X ⊛ Y is its quotient by the
+    closure of seeds: each relation of X at level k (`_relations`)
+    followed by each generator of Y placed on k+1..k+m, and each
+    generator of X on 1..a followed by each relation of Y moved onto
+    a+1..a+k.  So a point is a box element, split by `box_split`, and
+    `_quotient` names each class by its first element in the level
+    order of the filtration."""
+    X, Y = _day_factors(X, Y)
+    N = X.N
+    F = _filtration(box(_generator_mset(X), _generator_mset(Y),
+                        degree_bound=N, level_cap=N), N)
+
+    def placed(Z, m, a):  # the generators of Z(m), each on a+1..a+m
+        return [MElement(m, tuple(range(a + 1, a + m + 1)), q)
+                for q in Z.generators(m)]
+
+    def moved(e, a):  # e along v -> v + a
+        return e._replace(image=tuple(v + a for v in e.image))
+
+    seeds = [(k + m, box_pair(e, y), box_pair(e0, y))
+             for k, e, e0 in _relations(X) for m in range(N - k + 1)
+             for y in placed(Y, m, k)]
+    seeds += [(a + k, box_pair(x, moved(f, a)), box_pair(x, moved(f0, a)))
+              for k, f, f0 in _relations(Y) for a in range(N - k + 1)
+              for x in placed(X, a, 0)]
+    return _quotient(*F, seeds) if seeds else TruncatedISet._built(N, *F)

@@ -213,7 +213,7 @@ def box_pair(x: MElement, y: MElement) -> MElement:
     if sx & sy:
         raise OverlappingSupports(f"supports {sx} and {sy} meet")
     joint = tuple(sorted(sx | sy))
-    positions = frozenset(j + 1 for j, v in enumerate(joint) if v in sx)
+    positions = tuple(j + 1 for j, v in enumerate(joint) if v in sx)
     tag = (x.level, y.level)
     return MElement(len(joint), joint, (tag, (positions, x.point, y.point)))
 
@@ -221,7 +221,7 @@ def box_pair(x: MElement, y: MElement) -> MElement:
 def box_split(z: MElement):
     """The two projections of a box-product element."""
     (m, n), (positions, p, q) = z.point
-    xs = tuple(z.image[j - 1] for j in sorted(positions))
+    xs = tuple(z.image[j - 1] for j in positions)
     ys = tuple(
         z.image[j - 1] for j in range(1, z.level + 1) if j not in positions
     )

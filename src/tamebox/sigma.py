@@ -315,9 +315,10 @@ def word_sigma_set(m, letters):
 def induce(Z: SigmaSet, W: SigmaSet):
     """Induct a degree-m set and a degree-n set up to degree m+n.
 
-    Points are triples (S, z, w) with S an m-subset of {1..m+n}; an
-    adjacent transposition either swaps membership across the boundary
-    of S or acts through the rank-induced transposition on one factor.
+    Points are triples (S, z, w) with S an m-subset of {1..m+n}, a
+    sorted tuple; an adjacent transposition either swaps membership
+    across the boundary of S or acts through the rank-induced
+    transposition on one factor.
     The triple stands for the class of (the shuffle placing {1..m} on S,
     z, w) in Σ_{m+n} x_{Σ_m x Σ_n} (Z x W), and s_i times that shuffle
     is a shuffle times the rank transposition or the identity, so the
@@ -328,8 +329,7 @@ def induce(Z: SigmaSet, W: SigmaSet):
     pairs = list(product(Z.points, W.points))
     blocks = {}  # S as a set -> (S, its points, in the order of pairs)
     for S in combinations(range(1, k + 1), m):
-        F = frozenset(S)
-        blocks[F] = (S, [(F, z, w) for z, w in pairs])
+        blocks[frozenset(S)] = (S, [(S, z, w) for z, w in pairs])
     points = [p for _, block in blocks.values() for p in block]
     tables = []
     for i in range(1, k):
@@ -338,11 +338,11 @@ def induce(Z: SigmaSet, W: SigmaSet):
         for F, (S, block) in blocks.items():
             if swap <= F:
                 s = Z.transpositions[S.index(i)]
-                t.update((p, (F, s[p[1]], p[2])) for p in block)
+                t.update((p, (S, s[p[1]], p[2])) for p in block)
             elif swap.isdisjoint(F):
                 # i is the r-th value outside S, r = i - #(S below i)
                 s = W.transpositions[i - 1 - sum(v < i for v in S)]
-                t.update((p, (F, p[1], s[p[2]])) for p in block)
+                t.update((p, (S, p[1], s[p[2]])) for p in block)
             else:  # the same pair, over S with i and i+1 exchanged
                 t.update(zip(block, blocks[F ^ swap][1]))
         tables.append(t)

@@ -11,9 +11,9 @@ hashing nothing: the colimit kernels of `iset` number each node by its
 face and the positions of its points and join them in bulk with
 `union_ids`, and the closure loop of `iset._quotient` numbers each
 level's points in the order its caller lists them (point_key order for
-quotient_iset, node order for the Day convolution), so that every class
-is named by its first point and `root_ids` lists the classes in that
-order with no further sort.
+quotient_iset, the support filtration's order for the Day
+convolution), so that every class is named by its first point and
+`root_ids` lists the classes in that order with no further sort.
 """
 
 from __future__ import annotations

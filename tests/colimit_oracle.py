@@ -6,7 +6,10 @@ precomposition with adjacent transpositions and the last inclusion.
 They are exponentially slower than the face-indexed kernels in
 `tamebox.iset` and serve only to cross-check them at small levels.
 `minimal_stable_from` is the reference for the stability level the
-validator finds.
+validator finds.  `day_by_blocks` is the Day convolution the library
+built before it became a quotient of the support filtration of the
+box product of the factors' generators: its own block enumeration,
+swap rule and tables, glued by the first factor's relations only.
 
 The structure maps the kernels tabulate are recomputed here without
 the tables: `map_along` builds the completing permutation and acts by
@@ -59,6 +62,8 @@ from tamebox.iset import (
     OmegaColimit,
     TruncatedISet,
     _day_factors,
+    _quotient,
+    _swapped,
     faithful_extension,
 )
 from tamebox.mset import (
@@ -446,6 +451,62 @@ def day_convolution(X: TruncatedISet, Y: TruncatedISet):
     `tamebox.iset.day_convolution`, one node per (split, injection,
     x, y)."""
     return day_diagram(day_classes(X, Y)[2])
+
+
+def day_by_blocks(X: TruncatedISet, Y: TruncatedISet):
+    """The convolution as the library built it before it became a
+    quotient of the support filtration of the generators' box product:
+    F_X ⊛ Y modulo the kernel of F_X -> X convolved with Y.  A point is
+    (m1, gamma, x, y): gamma is the sorted first block A followed by the
+    sorted complement, x a generator of X(m1) on A and y in Y on the
+    complement.  s_i acts on x or y when i and i+1 lie in one block,
+    else swaps them across, which keeps both blocks sorted.  Each (S, p)
+    in F_X(k) with the image of an earlier one is identified with it,
+    both followed by each generator q of Y placed on k+1..k+m.  Points
+    are listed by m1, then A, then the positions of x and y, and
+    `_quotient` names each class by its first point."""
+    X, Y = _day_factors(X, Y)
+    N = X.N
+    gx, gy = ([Z.generators(a) for a in range(N + 1)] for Z in (X, Y))
+
+    def blocks(n, A):
+        return A + tuple(v for v in range(1, n + 1) if v not in A)
+
+    order = [[(a, blocks(n, A), p, y)
+              for a in range(n + 1) for A in combinations(range(1, n + 1), a)
+              for p in gx[a] for y in Y.levels[n - a]]
+             for n in range(N + 1)]
+
+    def swap(n, c, i):
+        a, gamma, p, y = c
+        j, k = gamma.index(i), gamma.index(i + 1)
+        if j < a and k < a:
+            return a, gamma, X.transp[a][j][p], y
+        if j >= a and k >= a:
+            return a, gamma, p, Y.transp[n - a][j - a][y]
+        return a, _swapped(gamma, i), p, y
+
+    incl = [{c: (c[0], c[1] + (n + 1,), c[2], Y.incl[n - c[0]][c[3]])
+             for c in points} for n, points in enumerate(order[:N])]
+    transp = [[{c: swap(n, c, i) for c in points} for i in range(1, n)]
+              for n, points in enumerate(order)]
+
+    def node(k, S, p, m, q):  # (S, p) in F_X(k), then q on k+1..k+m
+        a = len(S)
+        y = Y.map_along(tuple(range(k - a + 1, k - a + m + 1)), k + m - a, q)
+        return a, blocks(k + m, S), p, y
+
+    seeds = []
+    for k in range(N + 1):
+        first = {}  # each image in X(k) sent to its first preimage
+        for a in range(k + 1):
+            for S in combinations(range(1, k + 1), a):
+                for p in gx[a]:
+                    e = first.setdefault(X.map_along(S, k, p), (S, p))
+                    seeds += [(k + m, node(k, S, p, m, q), node(k, *e, m, q))
+                              for m in range(N - k + 1) for q in gy[m]
+                              if e != (S, p)]
+    return _quotient(order, incl, transp, seeds)
 
 
 def day_classes(X: TruncatedISet, Y: TruncatedISet):

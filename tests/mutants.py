@@ -76,16 +76,27 @@ MUTANTS = [
            "tests/test_unionfind.py::"
            "test_quotient_and_colimit_named_by_key_least_member"),
     # the Day seeds place each generator q of the second factor on the
-    # first m values of the complement, not on k+1..k+m, and identify
-    # points that differ; the test's explicit example Q ⊛ rep_1 shows it
+    # first m values of the complement of the relation's image, not on
+    # k+1..k+m, and identify points that differ; the test's explicit
+    # example Q ⊛ rep_1 shows it
     Mutant("Day seeds placing q first", "iset.py",
-           "tuple(range(k - a + 1, k - a + m + 1))",
-           "tuple(range(1, m + 1))",
+           "(k + m, box_pair(e, y), box_pair(e0, y))",
+           "(k + m, *(box_pair(x, y._replace(image=tuple([\n"
+           "                 v for v in range(1, k + m + 1)\n"
+           "                 if v not in x.image][:m]))) for x in (e, e0)))",
            "tests/test_colimit_kernel.py::"
            "test_day_convolution_matches_oracle"),
+    # only the first factor's relations are seeded: Q ⊛ Q keeps a point
+    # for each placement of the second factor's generator
+    Mutant("Day without Y's relations", "iset.py",
+           "_relations(Y)",
+           "[]",
+           "tests/test_iset.py::"
+           "test_day_seeds_the_relations_of_both_factors"),
     # a point outside the inclusion's image counts as a generator even
     # when another face holds it: the generators are no longer closed
-    # under the permutations, and a transposition leaves the free part
+    # under the permutations, and a transposition leaves the generator
+    # action; the test's explicit example quotient ⊛ random shows it
     Mutant("Day generators off the inclusion's image", "iset.py",
            "                if not held]",
            "                if n not in held]",
@@ -119,13 +130,6 @@ MUTANTS = [
            "E.transp[c[0]][k - 2 - i][c[1]]",
            "tests/test_colimit_kernel.py::"
            "test_canonical_action_matches_decomposition_with_two_swaps"),
-    # the projections built before the truncations are compared: a
-    # convolution past its factors' truncation reads a level they lack
-    Mutant("Day projections without the truncation check", "iset.py",
-           "    if not XY.N == X.N == Y.N:\n",
-           "    if False:\n",
-           "tests/test_iset.py::"
-           "test_day_projections_refuse_a_convolution_past_the_truncation"),
     # the classes read off the top level map, which misses the points
     # of X(N) that merge past the truncation
     Mutant("colimit bijection read off the top level", "iset.py",

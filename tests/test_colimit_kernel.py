@@ -49,6 +49,7 @@ from tamebox.iset import (
     TruncatedISet,
     _colimit_under,
     _day_factors,
+    _generator_mset,
     _next_level_merges,
     canonicalize,
     constant_iset,
@@ -69,6 +70,7 @@ from tamebox.mset import (
     MElement,
     MSetMorphism,
     box,
+    box_split,
     coequalize,
     decompose_table,
     injection_mset,
@@ -184,6 +186,9 @@ def test_lan_extend_matches_oracle(kind, seed, N):
        st.integers(0, 10**6), st.integers(2, 3))
 @example("coequalizer", "representable", 2, 3)  # Q ⊛ rep_1
 @example("representable", "coequalizer", 3, 3)  # rep_1 ⊛ Q
+# a quotient whose extension holds, at level 2, points that only the
+# face other than the inclusion's holds
+@example("quotient", "random", 1241, 3)
 def test_day_convolution_matches_oracle(left, right, seed, N):
     X = diagram(left, seed, N, max_stable=1)
     Y = diagram(right, seed + 1, N, max_stable=1)
@@ -194,31 +199,33 @@ def test_day_convolution_matches_oracle(left, right, seed, N):
     except TruncationExceeded:
         with pytest.raises(TruncationExceeded):
             oracle.day_convolution(X, Y)
+        with pytest.raises(TruncationExceeded):
+            oracle.day_by_blocks(X, Y)
         return
+    blocks = oracle.day_by_blocks(X, Y)
     X, Y, classes = oracle.day_classes(X, Y)
     old = oracle.day_diagram(classes)
     assert_revalidates(new)
-    assert [len(l) for l in new.levels] == [len(l) for l in old.levels]
-    assert new.stable_from == old.stable_from
-    a, b = canonical_or_none(new), canonical_or_none(old)
-    assert (a is None) == (b is None)
+    for ref in (old, blocks):
+        assert [len(l) for l in new.levels] == [len(l) for l in ref.levels]
+        assert new.stable_from == ref.stable_from
+    a, b, c = map(canonical_or_none, (new, old, blocks))
+    assert (a is None) == (b is None) == (c is None)
     if a is not None:
-        assert mset_iso_equal(a, b)
-    # each point is the first of its class among the nodes (m1, A +
-    # complement, x, y), A sorted, in the order of m1, then A, then the
-    # positions of x and y, and each level lists them in that order
+        assert mset_iso_equal(a, b) and mset_iso_equal(a, c)
+    # each point is the first element of its class in the level order of
+    # the support filtration of the generators' box product: a box
+    # element with parts (a, S, x) and (b, T, y) is the node (a, S + T,
+    # x, y), and each level lists the classes in that order
+    top = X.N
+    F = support_filtration(box(_generator_mset(X), _generator_mset(Y),
+                               degree_bound=top, level_cap=top), top)
     for n, level in enumerate(classes):
-        def key(node):
-            m1, gamma, x, y = node
-            return (m1, gamma[:m1], X.levels[m1].index(x),
-                    Y.levels[n - m1].index(y))
-
-        maximal = [(m1, gamma, x, y) for m1, gamma, x, y in level
-                   if len(gamma) == n and sorted(gamma[:m1]) == list(
-                       gamma[:m1]) and sorted(gamma[m1:]) == list(gamma[m1:])]
         first = {}
-        for node in sorted(maximal, key=key):
-            first.setdefault(level[node], node)
+        for z in F.levels[n]:
+            x, y = box_split(z)
+            node = (x.level, x.image + y.image, x.point, y.point)
+            first.setdefault(level[node], z)
         assert len(first) == len(set(level.values()))
         assert new.levels[n] == list(first.values())
 
@@ -297,12 +304,14 @@ def test_each_level_validated_once(validation_counts):
 
 def test_day_convolution_validates_only_its_levels(validation_counts):
     # the factors, cut from X, share its tables; only the convolution's
-    # seven levels build theirs
+    # seven levels build theirs.  Four more Σ-sets are built on the way:
+    # each factor's generator action (one level each), and level 2 of
+    # their box product (`induce`, then `_tagged_union`)
     X = representable_iset(1, 6)
     validation_counts.update(sigma=0, tabulated=0)
     XY = day_convolution(X, X)
     assert XY.N == 6
-    assert validation_counts == {"sigma": 7, "tabulated": 7}
+    assert validation_counts == {"sigma": 11, "tabulated": 7}
 
 
 # ---------------------------------------------------------------------

@@ -17,7 +17,7 @@ import sys
 
 import tamebox
 
-DIGEST = "d9a9384266edabea3e174eed41d823c30e0778410821c029474b6a086bc46c71"
+DIGEST = "a630f0abe478820a02e3883bc0c32752b95a3e686a3c4b1184713535b936ea89"
 
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
     tamebox.__file__)))

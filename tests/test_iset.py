@@ -23,7 +23,6 @@ from tamebox.iset import (
     canonicalize,
     constant_iset,
     day_convolution,
-    day_projections,
     faithful_extension,
     flat_replacement,
     is_flat,
@@ -39,6 +38,8 @@ from tamebox.iset import (
 from tamebox.mset import (
     CanonicalTameMSet,
     box,
+    box_pair,
+    box_split,
     injection_mset,
     mset_iso_equal,
     support,
@@ -49,6 +50,22 @@ from tamebox.sigma import induce, iso_equal, trivial_sigma_set
 def class_support(colim, c):
     """The support of a colimit class: the image of its element."""
     return support(colim.class_to_element(c))
+
+
+def box_projections(XY, X, Y):
+    """The projections of a convolution of X and Y at their truncation
+    onto X and Y, through the public constructor, which checks that
+    they are natural: a point z, a box element of the generators, goes
+    to each part of `box_split(z)` moved into z's level."""
+    def project(i, Z):
+        maps = []
+        for n, level in enumerate(XY.levels):
+            parts = [box_split(z)[i] for z in level]
+            maps.append({z: Z.map_along(e.image, n, e.point)
+                         for z, e in zip(level, parts)})
+        return ISetMorphism(XY, Z, maps)
+
+    return project(0, X), project(1, Y)
 
 
 class TestValidation:
@@ -365,22 +382,26 @@ class TestDayConvolution:
         assert mset_iso_equal(lhs, rhs)
 
     def test_projections_validate_and_match(self):
+        # a point is a box element of the generators: its two parts,
+        # moved into the level, are the projections onto the factors,
+        # which the public constructor checks for naturality
         A = support_filtration(injection_mset(1), 4)
         B = support_filtration(unit_mset(), 4)
         XY = day_convolution(A, B)
-        q1, q2 = day_projections(XY, A, B)
-        assert q1.maps and q2.maps
+        q1, q2 = box_projections(XY, A, B)
+        assert all(q.maps[4] for q in (q1, q2))
+        assert len(set(q1.maps[4].values())) == len(A.levels[4])
 
     def test_projections_match_box_projections(self):
         # at the colimit, the pair of convolution projections is a
         # bijection onto the disjointly supported pairs of classes,
-        # matching the product pairing elementwise
-        from tamebox.mset import box_pair
-
+        # matching the product pairing elementwise: the class of a box
+        # element z goes to the box_pair of the class elements of the
+        # two parts of z
         A = support_filtration(sample_mset(), 4)
         B = support_filtration(injection_mset(1), 4)
         XY = day_convolution(A, B)
-        q1, q2 = day_projections(XY, A, B)
+        q1, q2 = box_projections(XY, A, B)
         colim = OmegaColimit(XY)
         colim_a = OmegaColimit(A)
         colim_b = OmegaColimit(B)
@@ -437,8 +458,12 @@ class TestDayConvolution:
         Q = restriction_coequalizer(N)
         R = representable_iset(1, N)
         X, Y = {"Q*rep1": (Q, R), "rep1*Q": (R, Q), "Q*Q": (Q, Q)}[order]
-        assert mset_iso_equal(canonicalize(day_convolution(X, Y)),
-                              box(canonicalize(X), canonicalize(Y)))
+        XY, ref = day_convolution(X, Y), oracle.day_by_blocks(X, Y)
+        assert [len(l) for l in XY.levels] == [len(l) for l in ref.levels]
+        assert XY.stable_from == ref.stable_from
+        lhs = canonicalize(XY)
+        assert mset_iso_equal(lhs, canonicalize(ref))
+        assert mset_iso_equal(lhs, box(canonicalize(X), canonicalize(Y)))
 
 
 class TestMorphismValidation:
@@ -498,16 +523,12 @@ class TestDayVsBoxGate:
         ]
 
 
-def test_day_projections_refuse_a_convolution_past_the_truncation():
-    # rep_2 ⊛ rep_2 climbs to level 4 = 2 + 2 past the factors' N = 3:
-    # the maps were built first, and reading level 4 of a factor raised
-    # TruncationExceeded before the truncations were compared
-    A = representable_iset(2, 3)
-    XY = day_convolution(A, A)
-    assert XY.N == 4
-    with pytest.raises(InvalidMorphism,
-                       match="^source and target truncations differ$"):
-        day_projections(XY, A, A)
+def test_day_seeds_the_relations_of_both_factors():
+    # Q ⊛ Q: each factor identifies its two points of level 2; without
+    # the second factor's relation, level n would keep n points
+    Q = restriction_coequalizer(6)
+    assert [len(l) for l in day_convolution(Q, Q).levels] == [
+        0, 0, 2, 1, 1, 1, 1]
 
 
 def test_levels_past_the_truncation_are_refused():
